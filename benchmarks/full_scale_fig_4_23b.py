@@ -42,9 +42,7 @@ def main() -> int:
         aborted = 0
         for _ in range(PER_SIZE):
             query = extract_connected_query(graph, 4, rng)
-            report = matcher.match(
-                query, optimized_options(limit=1000, compute_baseline=False)
-            )
+            report = matcher.match(query, optimized_options(limit=1000))
             if not report.mappings:
                 continue
             opt_times.append(report.total_time)

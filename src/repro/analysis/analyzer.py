@@ -52,6 +52,7 @@ from typing import (
     Optional,
     Set,
     Tuple,
+    Union,
 )
 
 from ..core.predicate import (
@@ -78,7 +79,7 @@ from ..lang.ast import (
     TupleAst,
     UnifyAst,
 )
-from ..lang.errors import GraphQLSyntaxError
+from ..lang.errors import GraphQLCompileError, GraphQLSyntaxError
 from ..lang.parser import parse_graph_decl, parse_program
 from .diagnostics import Diagnostic, Severity, Span, sort_diagnostics
 from .schema import CollectionSchema, type_bucket
@@ -98,6 +99,9 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "GQL009": (Severity.WARNING, "disconnected pattern (cartesian product)"),
     "GQL010": (Severity.HINT, "disjunctive filter defeats the attribute index"),
     "GQL011": (Severity.WARNING, "empty value range"),
+    # not an analyzer finding: what prepare_pattern_text reports when a
+    # text the analyzer passed is refused by the compiler
+    "GQL012": (Severity.ERROR, "construct the compiler refuses"),
     "DLG001": (Severity.ERROR, "unsafe head variable"),
     "DLG002": (Severity.ERROR, "unsafe negated/builtin variable"),
     "DLG003": (Severity.ERROR, "program is not stratifiable"),
@@ -856,7 +860,7 @@ def analyze_text(
     try:
         ast = parse_program(text)
     except GraphQLSyntaxError as exc:
-        return [_syntax_diagnostic(exc)]
+        return [error_diagnostic(exc)]
     return analyze_program(ast, schema)
 
 
@@ -869,10 +873,13 @@ def analyze_pattern_text(
     try:
         decl = parse_graph_decl(text)
     except GraphQLSyntaxError as exc:
-        return [_syntax_diagnostic(exc)]
+        return [error_diagnostic(exc)]
     return analyze_pattern(decl, schema, standalone=True)
 
 
-def _syntax_diagnostic(exc: GraphQLSyntaxError) -> Diagnostic:
+def error_diagnostic(
+    exc: Union[GraphQLSyntaxError, GraphQLCompileError], code: str = "GQL000"
+) -> Diagnostic:
+    """A front-end exception as an error diagnostic at its position."""
     span = Span(exc.line, exc.column) if exc.line else None
-    return Diagnostic("GQL000", Severity.ERROR, str(exc), span)
+    return Diagnostic(code, Severity.ERROR, str(exc), span)

@@ -47,6 +47,7 @@ from .lang import compile_pattern_text
 from .matching import baseline_options, optimized_options
 from .runtime import ExecutionContext, Outcome
 from .storage import GraphDatabase, graph_to_text, load_collection
+from .storage.database import answer_rows
 
 #: Outcome -> process exit code (partial-but-valid results still exit 0).
 EXIT_BY_OUTCOME = {
@@ -473,22 +474,14 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_match(args: argparse.Namespace) -> int:
-    """``repro-gql match``: match (or explain) a pattern over a data file."""
-    collection = load_collection(args.data, directed=args.directed)
-    pattern_text = Path(args.pattern).read_text(encoding="utf-8")
-    pattern = compile_pattern_text(pattern_text)
+def _match_setup(args: argparse.Namespace):
+    """What ``match`` and ``explain`` share: the data file registered as
+    document ``data``, the pattern text, planner options and a context."""
     database = GraphDatabase()
-    database.register("data", collection)
+    database.load("data", args.data, directed=args.directed)
+    pattern_text = Path(args.pattern).read_text(encoding="utf-8")
     options = (baseline_options(limit=args.limit) if args.baseline
                else optimized_options(limit=args.limit))
-    if args.explain:
-        for position, graph in enumerate(collection):
-            matcher = database.matcher_for(graph)
-            for ground in (pattern.ground()
-                           if hasattr(pattern, "ground") else [pattern]):
-                print(matcher.explain(ground, options))
-        return 0
     # the answer cap is part of the context so the cap terminates the
     # search from the inside (TRUNCATED) instead of slicing afterwards
     context = ExecutionContext(
@@ -497,6 +490,15 @@ def cmd_match(args: argparse.Namespace) -> int:
         max_results=args.limit,
         max_memory=args.max_memory,
     )
+    return database, pattern_text, options, context
+
+
+def cmd_match(args: argparse.Namespace) -> int:
+    """``repro-gql match``: match (or explain) a pattern over a data file."""
+    if args.explain:
+        return cmd_explain(argparse.Namespace(**vars(args), analyze=False))
+    database, pattern_text, options, context = _match_setup(args)
+    pattern = compile_pattern_text(pattern_text)
     with _tracing_to(args.trace_out):
         reports = database.match("data", pattern, options, context=context)
     if args.json:
@@ -504,10 +506,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         document = {
             "graphs": {
                 name: {
-                    "mappings": [
-                        {"nodes": dict(m.nodes), "edges": dict(m.edges)}
-                        for m in report.mappings
-                    ],
+                    "mappings": answer_rows({name: report})[0],
                     "outcome": report.outcome.to_dict(),
                     "degradation": list(report.degradation),
                     "stages": report.stats_dict(),
@@ -548,29 +547,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
     estimates.  ``--analyze`` additionally runs the query and attaches
     per-phase timings, search counters and the governance outcome.
     """
-    from .obs.explain import explain_document, render_text
+    from .obs.explain import explain_query, render_text
 
-    collection = load_collection(args.data, directed=args.directed)
-    pattern_text = Path(args.pattern).read_text(encoding="utf-8")
-    pattern = compile_pattern_text(pattern_text)
-    database = GraphDatabase()
-    database.register("data", collection)
-    options = (baseline_options(limit=args.limit) if args.baseline
-               else optimized_options(limit=args.limit))
-    context = None
-    if args.analyze:
-        context = ExecutionContext(
-            timeout=args.timeout,
-            max_steps=args.max_steps,
-            max_results=args.limit,
-            max_memory=args.max_memory,
-        )
-    document = explain_document(database, "data", pattern, options,
-                                analyze=args.analyze, context=context)
-    from .analysis import analyze_pattern_text, infer_schema, to_wire
-
-    document["diagnostics"] = to_wire(
-        analyze_pattern_text(pattern_text, infer_schema(collection)))
+    database, pattern_text, options, context = _match_setup(args)
+    if not args.analyze:
+        context = None
+    document = explain_query(database, "data", pattern_text, options,
+                             analyze=args.analyze, context=context)
     if args.json:
         print(json.dumps(document, indent=2, sort_keys=True))
     else:

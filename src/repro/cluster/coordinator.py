@@ -51,7 +51,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..obs.trace import span, tracer
 from ..runtime import Outcome, QueryOutcome, partial_outcome, rejected_outcome
 from ..service.admission import REASON_INVALID_QUERY
-from ..service.cache import LRUCache
+from ..service.cache import LRUCache, PreparedQueryCache
 from ..service.client import ServiceClient
 from ..service.resilience import BreakerRegistry
 from .shardmap import ShardMap, ShardMove, slice_document
@@ -206,9 +206,9 @@ class ClusterCoordinator:
                                          cooldown=breaker_cooldown)
                          if breaker_threshold > 0 else None)
         self.result_cache = LRUCache(result_cache_size)
-        #: query text -> error diagnostics, so repeated fan-outs of the
+        #: query text -> prepared query, so repeated fan-outs of the
         #: same (valid or invalid) text skip re-analysis
-        self._validation_cache = LRUCache(min(result_cache_size, 256))
+        self._prepared = PreparedQueryCache(min(result_cache_size, 256))
         self._counters: Dict[str, int] = {}
         self._counter_lock = threading.Lock()
         #: last snapshot version each replica reported per slice, the
@@ -223,17 +223,6 @@ class ClusterCoordinator:
     def _count(self, name: str, n: int = 1) -> None:
         with self._counter_lock:
             self._counters[name] = self._counters.get(name, 0) + n
-
-    def _validate(self, query_text: str) -> Tuple[Dict[str, Any], ...]:
-        """Error-severity diagnostics for *query_text* (cached)."""
-        cached = self._validation_cache.get(query_text)
-        if cached is not None:
-            return cached
-        from ..analysis import analyze_pattern_text, errors_only, to_wire
-
-        errors = tuple(to_wire(errors_only(analyze_pattern_text(query_text))))
-        self._validation_cache.put(query_text, errors)
-        return errors
 
     def stats(self) -> Dict[str, Any]:
         """Coordinator counters, cache stats and breaker states."""
@@ -348,7 +337,7 @@ class ClusterCoordinator:
         # validate once at the coordinator: an invalid query would be
         # rejected identically by every shard, so fanning it out only
         # multiplies the same refusal by the shard count
-        errors = self._validate(query_text)
+        errors = self._prepared.prepare(query_text)[0].errors
         if errors:
             self._count("invalid_queries")
             outcome = rejected_outcome(REASON_INVALID_QUERY)

@@ -13,7 +13,7 @@ Three compilation contexts share the same surface syntax:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from ..core.flwr import Assignment, FLWRQuery, ForClause, Program
 from ..core.graph import Graph
@@ -41,8 +41,11 @@ from .ast import (
     TupleAst,
     UnifyAst,
 )
-from .errors import GraphQLCompileError
+from .errors import GraphQLCompileError, GraphQLSyntaxError
 from .parser import parse_graph_decl, parse_program
+
+if TYPE_CHECKING:
+    from ..analysis.diagnostics import Diagnostic
 
 
 def _err(message: str, node: Any = None) -> GraphQLCompileError:
@@ -476,3 +479,31 @@ def compile_pattern_text(text: str, check: bool = True) -> GraphPattern:
 
         _raise_on_analysis_errors(analyze_pattern(decl))
     return compile_pattern(decl)
+
+
+def prepare_pattern_text(
+    text: str,
+) -> Tuple[List[Diagnostic], Optional[GraphPattern]]:
+    """Query text to ``(error diagnostics, compiled pattern)``.
+
+    The one admission-time preparation of a served query: parsed once,
+    analyzed once, and compiled only when the analyzer found no
+    error-severity finding.  Never raises on bad text: a syntax error
+    is the single ``GQL000`` diagnostic, a construct the analyzer passes
+    but the compiler refuses the single ``GQL012``.  Exactly one of the
+    two results is empty.
+    """
+    from ..analysis.analyzer import analyze_pattern, error_diagnostic
+    from ..analysis.diagnostics import errors_only
+
+    try:
+        decl = parse_graph_decl(text)
+    except GraphQLSyntaxError as exc:
+        return [error_diagnostic(exc)], None
+    errors = errors_only(analyze_pattern(decl))
+    if errors:
+        return errors, None
+    try:
+        return [], compile_pattern(decl)
+    except GraphQLCompileError as exc:
+        return [error_diagnostic(exc, "GQL012")], None

@@ -38,7 +38,6 @@ class RetrievalStats:
         self.scanned: Dict[str, int] = {}
         self.after_fu: Dict[str, int] = {}
         self.after_local: Dict[str, int] = {}
-        self.used_index: Dict[str, bool] = {}
         #: per pattern node: "attribute-index" | "label-index" | "scan"
         self.method: Dict[str, str] = {}
 
@@ -93,21 +92,17 @@ def retrieve_feasible_mates(
             candidate_ids = attribute_index.candidates_for(
                 motif_node.attrs, conjunction(preds)
             )
-            if stats is not None:
-                stats.used_index[name] = candidate_ids is not None
-                if candidate_ids is not None:
-                    stats.method[name] = "attribute-index"
+            if stats is not None and candidate_ids is not None:
+                stats.method[name] = "attribute-index"
         if candidate_ids is None and profile_index is not None:
             label = motif_node.attrs.get(label_attr)
             if label is not None:
                 candidate_ids = profile_index.nodes_with_label(label)
                 if stats is not None:
-                    stats.used_index[name] = True
                     stats.method[name] = "label-index"
         if candidate_ids is None:
             candidate_ids = graph.node_ids()
             if stats is not None:
-                stats.used_index[name] = False
                 stats.method[name] = "scan"
         if stats is not None:
             stats.scanned[name] = len(candidate_ids)

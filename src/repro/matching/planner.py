@@ -17,9 +17,10 @@ Every stage records its timing and the search-space size it produced in a
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.bindings import Mapping
 from ..core.graph import Graph
@@ -36,10 +37,14 @@ from ..runtime import (
 from .basic import SearchCounters, find_matches, scan_feasible_mates
 from .feasible_mates import RetrievalStats, retrieve_feasible_mates
 from .refinement import RefinementStats, refine_search_space, space_size
-from .search_order import CostModel, connected_order, greedy_order
+from .search_order import CostModel, connected_order, greedy_order, order_cost
 from .statistics import GraphStatistics
 
 logger = logging.getLogger(__name__)
+
+#: how the degradation note of a failed Algorithm 4.2 run starts (EXPLAIN
+#: reports ``refine: false`` for a plan that carries one)
+REFINEMENT_FAILED = "refinement failed"
 
 
 @dataclass
@@ -56,9 +61,9 @@ class MatchOptions:
     refine: bool = True               # run Algorithm 4.2
     refine_level: Optional[int] = None  # None => pattern size
     optimize_order: bool = True       # greedy cost-based order vs connected order
-    # a search order computed by an earlier run of the same query (the
-    # service's plan cache replays it here); used only when it covers
-    # exactly the pattern's nodes, otherwise recomputed
+    # a search order computed by an earlier run of the same pattern on
+    # the same graph; used only when it covers exactly the pattern's
+    # nodes, otherwise recomputed
     plan_order: Optional[Sequence[str]] = None
     gamma_mode: str = "frequency"     # "frequency" | "constant"
     gamma_const: float = 0.1
@@ -67,39 +72,66 @@ class MatchOptions:
     limit: Optional[int] = None
     label_attr: str = "label"
     use_attribute_index: bool = True
-    # measure the unpruned space for reduction ratios (benchmark
-    # instrumentation; skip it in latency-sensitive production paths)
-    compute_baseline: bool = True
 
 
 @dataclass
-class MatchReport:
-    """Search-space sizes, per-step timings and results of one run.
+class AccessPlan:
+    """What steps 0–4 decided for one ground pattern on one graph.
 
-    ``outcome`` records how the run ended (COMPLETE / TRUNCATED /
-    TIMED_OUT / CANCELLED, with steps and elapsed time); ``mappings``
-    holds whatever was found up to that point, so interrupted runs still
-    carry their partial results.  ``degradation`` lists every fallback
-    the planner took (missing/broken index, failed refinement, …) — an
-    empty list means the full pipeline ran as configured.
+    The single plan representation: :meth:`GraphMatcher.match` searches
+    it, EXPLAIN renders it.
+    ``baseline_space`` is the space after retrieval by F_u alone (the
+    denominator of the paper's reduction ratios), ``retrieved_space``
+    after local pruning, ``refined_space`` after Algorithm 4.2 — the
+    size of ``space``, which the search enumerates in ``order``.
+    ``degradation`` lists every fallback the planner took
+    (missing/broken index, failed refinement, …) — an empty list means
+    the full pipeline ran as configured.
     """
 
     baseline_space: int = 0
     retrieved_space: int = 0
     refined_space: int = 0
     times: Dict[str, float] = field(default_factory=dict)
-    retrieval: Optional[RetrievalStats] = None
+    retrieval: RetrievalStats = field(default_factory=RetrievalStats)
     refinement: Optional[RefinementStats] = None
-    search: Optional[SearchCounters] = None
+    space: Dict[str, List[str]] = field(default_factory=dict, repr=False)
     order: List[str] = field(default_factory=list)
-    mappings: List[Mapping] = field(default_factory=list)
+    #: "greedy" | "connected" | "plan-cache" | "declaration"
+    policy: str = ""
+    cost_model: Optional[CostModel] = field(default=None, repr=False)
     degradation: List[str] = field(default_factory=list)
-    outcome: QueryOutcome = field(default_factory=QueryOutcome)
 
     @property
     def total_time(self) -> float:
         """Sum of all step times (seconds)."""
         return sum(self.times.values())
+
+    def estimate(self) -> Tuple[float, float]:
+        """``(estimated cost, estimated result size)`` of searching
+        ``space`` in ``order`` (Definitions 4.11–4.13).
+
+        Computed on demand: only EXPLAIN reads it, the search does not.
+        """
+        if self.cost_model is None:
+            return (0.0, 0.0)
+        sizes = {name: len(mates) for name, mates in self.space.items()}
+        return order_cost(self.order, sizes, self.cost_model)
+
+
+@dataclass
+class MatchReport(AccessPlan):
+    """The access plan of one run plus what searching it produced.
+
+    ``outcome`` records how the run ended (COMPLETE / TRUNCATED /
+    TIMED_OUT / CANCELLED, with steps and elapsed time); ``mappings``
+    holds whatever was found up to that point, so interrupted runs still
+    carry their partial results.
+    """
+
+    search: Optional[SearchCounters] = None
+    mappings: List[Mapping] = field(default_factory=list)
+    outcome: QueryOutcome = field(default_factory=QueryOutcome)
 
     def reduction_ratio(self, stage: str = "refined") -> float:
         """Search-space reduction ratio against the baseline space."""
@@ -126,12 +158,12 @@ class MatchReport:
                 "refined": self.refined_space,
             },
             "order": list(self.order),
-            "retrieval": ({
+            "retrieval": {
                 "scanned": dict(retrieval.scanned),
                 "feasible_mates": dict(retrieval.after_fu),
                 "after_pruning": dict(retrieval.after_local),
                 "method": dict(retrieval.method),
-            } if retrieval is not None else None),
+            },
             "refinement": ({
                 "levels_run": refinement.levels_run,
                 "pairs_checked": refinement.pairs_checked,
@@ -215,30 +247,21 @@ class GraphMatcher:
         options: Optional[MatchOptions] = None,
         context: Optional[ExecutionContext] = None,
     ) -> MatchReport:
-        """Run the full access-method pipeline on one ground pattern.
+        """Run the full access-method pipeline on one ground pattern:
+        :meth:`plan` (steps 0–4), then the backtracking search.
 
         With a *context*, every stage is governed: deadline expiry, step
         budget exhaustion or cancellation stop the run, the interruption
         is recorded on the context, and the report carries a structured
         :class:`~repro.runtime.QueryOutcome` plus whatever mappings the
-        search had produced.  Failures of auxiliary structures (indexes,
-        statistics, refinement) never abort the query: the planner walks
-        a degradation ladder — indexed retrieval, then on-the-fly local
-        pruning, then the basic scan matcher — and records each step
-        taken in ``report.degradation``.
+        search had produced.
         """
         opts = options or MatchOptions()
         report = MatchReport()
         with trace_span("match.query", graph=self.graph.name or "<anon>") as sp:
             try:
-                self.refresh()
-            except Exception as exc:
-                self._degrade(report, f"index refresh failed ({exc}); "
-                                      "matching with stale structures")
-            for message in getattr(self, "build_errors", ()):
-                report.degradation.append(message)
-            try:
-                self._match_pipeline(pattern, opts, report, context)
+                self._plan(report, pattern, opts, context)
+                self._search(pattern, opts, report, context)
             except ExecutionInterrupted as exc:
                 if context is None:
                     raise
@@ -248,103 +271,100 @@ class GraphMatcher:
             sp.incr("mappings", len(report.mappings))
         return report
 
-    def _degrade(self, report: MatchReport, message: str) -> None:
-        report.degradation.append(message)
+    def plan(
+        self,
+        pattern: GroundPattern,
+        options: Optional[MatchOptions] = None,
+        context: Optional[ExecutionContext] = None,
+    ) -> AccessPlan:
+        """Steps 0–4 without the search: the access plan EXPLAIN renders.
+
+        Failures of auxiliary structures (indexes, statistics,
+        refinement) never abort planning: the planner walks a
+        degradation ladder — indexed retrieval, then on-the-fly local
+        pruning, then the basic scan matcher — and records each step
+        taken in ``plan.degradation``.  Interruptions from *context*
+        propagate as :class:`~repro.runtime.ExecutionInterrupted`.
+        """
+        return self._plan(AccessPlan(), pattern, options or MatchOptions(),
+                          context)
+
+    def _degrade(self, plan: AccessPlan, message: str) -> None:
+        plan.degradation.append(message)
         logger.warning("%r: %s", self.graph, message)
 
     def _retrieve(
         self,
         pattern: GroundPattern,
         opts: MatchOptions,
-        report: MatchReport,
-        local: str,
-        stats: Optional[RetrievalStats] = None,
+        plan: AccessPlan,
     ) -> Dict[str, List[str]]:
-        """One retrieval attempt, walking the degradation ladder on error.
+        """Retrieval + local pruning, down the degradation ladder on error.
 
         Rung 0: configured indexes.  Rung 1: no indexes — the exact F_u
         scan with local pruning computed on the fly.  Rung 2: the basic
         matcher's full scan (no pruning at all).  Interruptions from the
         governance context always propagate.
         """
-        try:
-            return retrieve_feasible_mates(
-                pattern,
-                self.graph,
-                attribute_index=(
-                    self.attribute_index if opts.use_attribute_index else None
-                ),
-                profile_index=self.profile_index,
-                local=local,
-                radius=opts.radius,
-                label_attr=opts.label_attr,
-                stats=stats,
-            )
-        except ExecutionInterrupted:
-            raise
-        except Exception as exc:
-            self._degrade(
-                report,
-                f"indexed retrieval (local={local!r}) failed ({exc}); "
-                "retrying without indexes",
-            )
-        try:
-            return retrieve_feasible_mates(
-                pattern,
-                self.graph,
-                attribute_index=None,
-                profile_index=None,
-                local=local,
-                radius=opts.radius,
-                label_attr=opts.label_attr,
-                stats=stats,
-            )
-        except ExecutionInterrupted:
-            raise
-        except Exception as exc:
-            self._degrade(
-                report,
-                f"unindexed retrieval failed ({exc}); "
-                "falling back to the basic scan matcher",
-            )
-        return scan_feasible_mates(pattern, self.graph)
+        ladder = (
+            ("indexed retrieval (local={local!r}) failed ({exc}); "
+             "retrying without indexes",
+             self.attribute_index if opts.use_attribute_index else None,
+             self.profile_index),
+            ("unindexed retrieval failed ({exc}); "
+             "falling back to the basic scan matcher", None, None),
+        )
+        for failure, attribute_index, profile_index in ladder:
+            try:
+                return retrieve_feasible_mates(
+                    pattern,
+                    self.graph,
+                    attribute_index=attribute_index,
+                    profile_index=profile_index,
+                    local=opts.local,
+                    radius=opts.radius,
+                    label_attr=opts.label_attr,
+                    stats=plan.retrieval,
+                )
+            except ExecutionInterrupted:
+                raise
+            except Exception as exc:
+                self._degrade(plan,
+                              failure.format(local=opts.local, exc=exc))
+        space = scan_feasible_mates(pattern, self.graph)
+        for name, mates in space.items():
+            plan.retrieval.method[name] = "scan"
+            plan.retrieval.after_fu[name] = len(mates)
+            plan.retrieval.after_local[name] = len(mates)
+        return space
 
-    def _match_pipeline(
+    def _plan(
         self,
+        plan: AccessPlan,
         pattern: GroundPattern,
         opts: MatchOptions,
-        report: MatchReport,
         context: Optional[ExecutionContext],
-    ) -> None:
+    ) -> AccessPlan:
         graph = self.graph
+        try:
+            self.refresh()
+        except Exception as exc:
+            self._degrade(plan, f"index refresh failed ({exc}); "
+                                "matching with stale structures")
+        plan.degradation.extend(self.build_errors)
         if context is not None:
             context.check()
 
-        # Step 0: baseline space (retrieval by F_u only) for reduction ratios
-        baseline: Optional[Dict[str, List[str]]] = None
-        if opts.compute_baseline or opts.local == "none":
-            started = time.perf_counter()
-            with trace_span("match.retrieve_baseline") as sp:
-                baseline = self._retrieve(pattern, opts, report, local="none")
-                sp.incr("space", space_size(baseline))
-            report.times["retrieve_baseline"] = time.perf_counter() - started
-            report.baseline_space = space_size(baseline)
-
-        # Step 1+2: retrieval with local pruning
-        if opts.local == "none":
-            assert baseline is not None
-            space = baseline
-            report.times["local_pruning"] = 0.0
-        else:
-            started = time.perf_counter()
-            with trace_span("match.prune", local=opts.local) as sp:
-                retrieval_stats = RetrievalStats()
-                space = self._retrieve(pattern, opts, report, local=opts.local,
-                                       stats=retrieval_stats)
-                sp.incr("space", space_size(space))
-            report.times["local_pruning"] = time.perf_counter() - started
-            report.retrieval = retrieval_stats
-        report.retrieved_space = space_size(space)
+        # Steps 0-2: retrieval (index or scan, then the exact F_u check)
+        # and local pruning.  The space after F_u alone is the baseline
+        # the reduction ratios divide by.
+        started = time.perf_counter()
+        with trace_span("match.prune", local=opts.local) as sp:
+            space = self._retrieve(pattern, opts, plan)
+            sp.incr("space", space_size(space))
+        plan.times["local_pruning"] = time.perf_counter() - started
+        plan.baseline_space = math.prod(plan.retrieval.after_fu.values())
+        plan.retrieved_space = space_size(space)
 
         # Step 3: joint reduction (Algorithm 4.2)
         if opts.refine:
@@ -361,58 +381,55 @@ class GraphMatcher:
                         context=context,
                     )
                 except ExecutionInterrupted:
-                    report.times["refine"] = time.perf_counter() - started
+                    plan.times["refine"] = time.perf_counter() - started
                     raise
                 except Exception as exc:
-                    self._degrade(report, f"refinement failed ({exc}); "
-                                          "searching the unrefined space")
+                    self._degrade(plan, f"{REFINEMENT_FAILED} ({exc}); "
+                                        "searching the unrefined space")
                 sp.incr("pairs_removed", refinement_stats.pairs_removed)
-            report.times["refine"] = time.perf_counter() - started
-            report.refinement = refinement_stats
-        report.refined_space = space_size(space)
+            plan.times["refine"] = time.perf_counter() - started
+            plan.refinement = refinement_stats
+        plan.space = space
+        plan.refined_space = space_size(space)
 
         # Step 4: search order
         started = time.perf_counter()
         with trace_span("match.order") as sp:
             sizes = {name: len(candidates)
                      for name, candidates in space.items()}
-            if (opts.plan_order is not None
-                    and set(opts.plan_order) == set(space.keys())):
-                order, policy = list(opts.plan_order), "plan-cache"
-            else:
-                try:
-                    if opts.optimize_order:
-                        model = CostModel(
-                            pattern.motif,
-                            stats=(self.stats if opts.gamma_mode == "frequency"
-                                   else None),
-                            gamma_const=opts.gamma_const,
-                            label_attr=opts.label_attr,
-                            directed=graph.directed,
-                        )
-                        order, policy = (
-                            greedy_order(pattern.motif, sizes, model), "greedy")
-                    else:
-                        order, policy = (
-                            connected_order(pattern.motif, sizes), "connected")
-                except Exception as exc:
-                    self._degrade(
-                        report,
-                        f"search-order optimization failed ({exc}); "
-                        "using declaration order")
-                    order, policy = pattern.node_names(), "declaration"
-            sp.annotate(policy=policy)
-        report.times["order"] = time.perf_counter() - started
-        report.order = order
-        self._search(pattern, opts, report, space, order, context)
+            model = plan.cost_model = CostModel(
+                pattern.motif,
+                stats=self.stats if opts.gamma_mode == "frequency" else None,
+                gamma_const=opts.gamma_const,
+                label_attr=opts.label_attr,
+                directed=graph.directed,
+            )
+            try:
+                if (opts.plan_order is not None
+                        and set(opts.plan_order) == set(space)):
+                    plan.order, plan.policy = (
+                        list(opts.plan_order), "plan-cache")
+                elif opts.optimize_order:
+                    plan.order, plan.policy = (
+                        greedy_order(pattern.motif, sizes, model), "greedy")
+                else:
+                    plan.order, plan.policy = (
+                        connected_order(pattern.motif, sizes), "connected")
+            except Exception as exc:
+                self._degrade(
+                    plan,
+                    f"search-order optimization failed ({exc}); "
+                    "using declaration order")
+                plan.order, plan.policy = pattern.node_names(), "declaration"
+            sp.annotate(policy=plan.policy)
+        plan.times["order"] = time.perf_counter() - started
+        return plan
 
     def _search(
         self,
         pattern: GroundPattern,
         opts: MatchOptions,
         report: MatchReport,
-        space: Dict[str, List[str]],
-        order: Sequence[str],
         context: Optional[ExecutionContext],
     ) -> None:
         # Step 5: the backtracking search (Algorithm 4.1)
@@ -423,8 +440,8 @@ class GraphMatcher:
                 report.mappings = find_matches(
                     pattern,
                     self.graph,
-                    candidates=space,
-                    order=order,
+                    candidates=report.space,
+                    order=report.order,
                     exhaustive=opts.exhaustive,
                     limit=opts.limit,
                     counters=counters,
@@ -435,69 +452,6 @@ class GraphMatcher:
                 report.search = counters
                 sp.incr("results", counters.results)
                 sp.incr("candidates_tried", counters.candidates_tried)
-
-    def explain(
-        self,
-        pattern: GroundPattern,
-        options: Optional[MatchOptions] = None,
-    ) -> str:
-        """A readable access plan: stages, space sizes, order, cost.
-
-        Runs retrieval/pruning/ordering (not the final search) and
-        renders what the pipeline would do — the graph-database analogue
-        of ``EXPLAIN``.
-        """
-        opts = options or MatchOptions()
-        space = retrieve_feasible_mates(
-            pattern, self.graph,
-            attribute_index=self.attribute_index if opts.use_attribute_index
-            else None,
-            profile_index=self.profile_index,
-            local=opts.local, radius=opts.radius,
-            label_attr=opts.label_attr,
-        )
-        lines = [f"match {pattern!r} on {self.graph!r}"]
-        lines.append(
-            f"  1. retrieve + local pruning [{opts.local}]: "
-            + ", ".join(f"{u}:{len(c)}" for u, c in space.items())
-        )
-        if opts.refine:
-            refined = refine_search_space(
-                pattern.motif, self.graph, space, level=opts.refine_level
-            )
-            lines.append(
-                "  2. refine (Algorithm 4.2): "
-                + ", ".join(f"{u}:{len(c)}" for u, c in refined.items())
-            )
-            space = refined
-        else:
-            lines.append("  2. refine: skipped")
-        sizes = {u: len(c) for u, c in space.items()}
-        model = CostModel(
-            pattern.motif,
-            stats=self.stats if opts.gamma_mode == "frequency" else None,
-            gamma_const=opts.gamma_const,
-            label_attr=opts.label_attr,
-            directed=self.graph.directed,
-        )
-        if opts.optimize_order:
-            order = greedy_order(pattern.motif, sizes, model)
-            policy = "greedy cost-based"
-        else:
-            order = connected_order(pattern.motif, sizes)
-            policy = "connected"
-        from .search_order import order_cost
-
-        cost, size = order_cost(order, sizes, model)
-        lines.append(f"  3. search order [{policy}]: {' > '.join(order)}")
-        lines.append(
-            f"     estimated cost {cost:.3g}, estimated results {size:.3g}"
-        )
-        lines.append(
-            f"  4. search (Algorithm 4.1), space size "
-            f"{space_size(space)}"
-        )
-        return "\n".join(lines)
 
     def match_pattern(
         self,

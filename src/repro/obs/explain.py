@@ -17,19 +17,19 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from ..analysis import analyze_pattern_text, schema_for_document, to_wire
 from ..core.pattern import GraphPattern, GroundPattern
-from ..matching.feasible_mates import RetrievalStats, retrieve_feasible_mates
-from ..matching.planner import GraphMatcher, MatchOptions
-from ..matching.refinement import refine_search_space, space_size
-from ..matching.search_order import (
-    CostModel,
-    connected_order,
-    greedy_order,
-    order_cost,
+from ..lang.compiler import compile_pattern_text
+from ..matching.planner import (
+    REFINEMENT_FAILED,
+    GraphMatcher,
+    MatchOptions,
+    MatchReport,
 )
 from ..runtime import ExecutionContext
 
-__all__ = ["explain_ground", "explain_document", "render_text"]
+__all__ = ["explain_ground", "explain_document", "explain_query",
+           "render_text"]
 
 
 def _estimated_mates(matcher: GraphMatcher, ground: GroundPattern,
@@ -54,52 +54,17 @@ def explain_ground(
 ) -> Dict[str, Any]:
     """The access plan of one ground pattern on one graph, as a dict.
 
-    Always runs retrieval + pruning + refinement + ordering (cheap, no
-    search) to report *actual* candidate counts next to the statistics
-    *estimates*; with ``analyze=True`` additionally runs the full
-    pipeline (search included) under *context* and attaches timings,
-    search counters, degradation notes and the outcome.
+    Renders :meth:`GraphMatcher.plan` (retrieval + pruning + refinement
+    + ordering, no search): *actual* candidate counts next to the
+    statistics *estimates*.  With ``analyze=True`` the plan rendered is
+    the one carried by the report of a single :meth:`GraphMatcher.match`
+    run under *context*, whose timings, search counters and outcome are
+    attached.
     """
-    opts = options or MatchOptions(compute_baseline=False)
-    matcher.refresh()
-    graph = matcher.graph
-    retrieval = RetrievalStats()
-    local = opts.local if opts.local != "none" else "none"
-    space = retrieve_feasible_mates(
-        ground, graph,
-        attribute_index=(matcher.attribute_index
-                         if opts.use_attribute_index else None),
-        profile_index=matcher.profile_index,
-        local=local, radius=opts.radius,
-        label_attr=opts.label_attr, stats=retrieval,
-    )
-    retrieved_space = space_size(space)
-    refine_error: Optional[str] = None
-    refined = space
-    if opts.refine:
-        try:
-            refined = refine_search_space(
-                ground.motif, graph, space, level=opts.refine_level)
-        except Exception as exc:
-            refine_error = str(exc)
-            refined = space
-
-    sizes = {name: len(candidates) for name, candidates in refined.items()}
-    model = CostModel(
-        ground.motif,
-        stats=matcher.stats if opts.gamma_mode == "frequency" else None,
-        gamma_const=opts.gamma_const,
-        label_attr=opts.label_attr,
-        directed=graph.directed,
-    )
-    if opts.plan_order is not None and set(opts.plan_order) == set(sizes):
-        order, policy = list(opts.plan_order), "plan-cache"
-    elif opts.optimize_order:
-        order, policy = greedy_order(ground.motif, sizes, model), "greedy"
-    else:
-        order, policy = connected_order(ground.motif, sizes), "connected"
-    cost, estimated_results = order_cost(order, sizes, model)
-
+    opts = options or MatchOptions()
+    plan = (matcher.match(ground, opts, context=context) if analyze
+            else matcher.plan(ground, opts))
+    retrieval = plan.retrieval
     nodes: List[Dict[str, Any]] = []
     for name in ground.node_names():
         nodes.append({
@@ -111,46 +76,37 @@ def explain_ground(
             "scanned": retrieval.scanned.get(name, 0),
             "feasible_mates": retrieval.after_fu.get(name, 0),
             "after_pruning": retrieval.after_local.get(name, 0),
-            "refined": len(refined.get(name, ())),
+            "refined": len(plan.space.get(name, ())),
         })
 
+    estimated_cost, estimated_results = plan.estimate()
     report: Dict[str, Any] = {
-        "graph": graph.name or "<anon>",
+        "graph": matcher.graph.name or "<anon>",
         "pattern_nodes": len(nodes),
         "local": opts.local,
-        "refine": bool(opts.refine) and refine_error is None,
-        "order": list(order),
-        "order_policy": policy,
-        "estimated_cost": cost,
+        # false when Algorithm 4.2 was off or failed (the unrefined
+        # space is what gets searched then)
+        "refine": bool(opts.refine) and not any(
+            note.startswith(REFINEMENT_FAILED) for note in plan.degradation),
+        "order": list(plan.order),
+        "order_policy": plan.policy,
+        "estimated_cost": estimated_cost,
         "estimated_results": estimated_results,
         "spaces": {
-            "retrieved": retrieved_space,
-            "refined": space_size(refined),
+            "baseline": plan.baseline_space,
+            "retrieved": plan.retrieved_space,
+            "refined": plan.refined_space,
         },
         "nodes": nodes,
+        "degradation": list(plan.degradation),
     }
-    if refine_error is not None:
-        report["refine_error"] = refine_error
-    if analyze:
-        run = matcher.match(ground, opts, context=context)
-        search = run.search
+    if isinstance(plan, MatchReport):
+        stages = plan.stats_dict()
         report["actual"] = {
-            "mappings": len(run.mappings),
-            "outcome": run.outcome.to_dict(),
-            "times": dict(run.times),
-            "total_time": run.total_time,
-            "order": list(run.order),
-            "spaces": {
-                "retrieved": run.retrieved_space,
-                "refined": run.refined_space,
-            },
-            "search": ({
-                "candidates_tried": search.candidates_tried,
-                "check_calls": search.check_calls,
-                "partial_states": search.partial_states,
-                "results": search.results,
-            } if search is not None else None),
-            "degradation": list(run.degradation),
+            "mappings": len(plan.mappings),
+            "outcome": plan.outcome.to_dict(),
+            **{key: stages[key] for key in (
+                "times", "total_time", "order", "spaces", "search")},
         }
     return report
 
@@ -162,14 +118,12 @@ def explain_document(
     options: Optional[MatchOptions] = None,
     analyze: bool = False,
     context: Optional[ExecutionContext] = None,
-    grammar=None,
-    max_depth: int = 8,
 ) -> Dict[str, Any]:
     """EXPLAIN a (possibly non-ground) pattern over every graph of a
     registered document; returns one JSON-ready dict."""
     grounds: List[GroundPattern]
     if isinstance(pattern, GraphPattern):
-        grounds = list(pattern.ground(grammar, max_depth))
+        grounds = pattern.ground()
     else:
         grounds = [pattern]
     graphs: List[Dict[str, Any]] = []
@@ -184,6 +138,30 @@ def explain_document(
         "derivations": len(grounds),
         "graphs": graphs,
     }
+
+
+def explain_query(
+    database,
+    document: str,
+    query_text: str,
+    options: Optional[MatchOptions] = None,
+    analyze: bool = False,
+    context: Optional[ExecutionContext] = None,
+) -> Dict[str, Any]:
+    """EXPLAIN pattern *text* over a registered document.
+
+    What ``repro-gql explain``, ``match --explain`` and the service's
+    ``explain`` op all return: :func:`explain_document` of the compiled
+    text, with the analyzer's findings riding along under
+    ``"diagnostics"`` (schema-aware: the document is registered, so the
+    observed schema is available for free).
+    """
+    explained = explain_document(
+        database, document, compile_pattern_text(query_text), options,
+        analyze=analyze, context=context)
+    explained["diagnostics"] = to_wire(analyze_pattern_text(
+        query_text, schema_for_document(database, document)))
+    return explained
 
 
 def render_text(document: Dict[str, Any]) -> str:
@@ -218,8 +196,8 @@ def render_text(document: Dict[str, Any]) -> str:
             f"  estimated cost {entry['estimated_cost']:.3g}, "
             f"estimated results {entry['estimated_results']:.3g}, "
             f"search space {entry['spaces']['refined']}")
-        if entry.get("refine_error"):
-            lines.append(f"  refinement failed: {entry['refine_error']}")
+        for note in entry.get("degradation", ()):
+            lines.append(f"  degraded: {note}")
         actual = entry.get("actual")
         if actual:
             lines.append(
@@ -239,6 +217,4 @@ def render_text(document: Dict[str, Any]) -> str:
                     f"checks={search['check_calls']} "
                     f"states={search['partial_states']} "
                     f"results={search['results']}")
-            for note in actual.get("degradation", ()):
-                lines.append(f"  degraded: {note}")
     return "\n".join(lines)

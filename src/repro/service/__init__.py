@@ -5,8 +5,8 @@ package turns them into a *service* — the shape the ROADMAP's "heavy
 traffic" north star requires:
 
 * :class:`QueryService` — the facade: a bounded worker pool, admission
-  control with per-client quotas and load shedding, a prepared-query /
-  plan cache, an LRU result cache invalidated by graph versions, and
+  control with per-client quotas and load shedding, a text-keyed
+  prepared-query cache, an LRU result cache invalidated by graph versions, and
   per-request cancellation built on the runtime governance primitives.
 * :class:`QueryServer` / :class:`ServiceClient` — a newline-delimited
   JSON wire protocol over TCP (``repro-gql serve``), with graceful drain
@@ -18,19 +18,16 @@ See ``docs/service.md`` for the protocol specification and tuning notes.
 """
 
 from .admission import AdmissionController
-from .cache import CachedPlan, LRUCache, PlanCache, ResultCache
+from .cache import LRUCache, ResultCache
 from .config import ServiceConfig
-from .metrics import LatencyHistogram, ServiceMetrics
+from .metrics import ServiceMetrics
 from .service import QueryRequest, QueryResponse, QueryService
 from .client import ServiceClient
 from .server import QueryServer
 
 __all__ = [
     "AdmissionController",
-    "CachedPlan",
     "LRUCache",
-    "LatencyHistogram",
-    "PlanCache",
     "QueryRequest",
     "QueryResponse",
     "QueryServer",

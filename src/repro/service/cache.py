@@ -1,19 +1,20 @@
-"""Prepared-query (plan) and result caches for the query service.
+"""Prepared-query and result caches for the query service.
 
-Both caches key on ``(document, query text, options signature, document
-version)``.  The version component is the sum of the registered graphs'
-mutation counters (:attr:`repro.core.graph.Graph.version` increments on
-every node/edge change), so *any* mutation makes every older entry
-unreachable — stale answers are impossible by construction and the dead
-entries age out of the LRU instead of needing an invalidation sweep.
+The prepared-query cache is keyed by query *text* alone: parsing,
+analysis and compilation depend on nothing else, so one admission-time
+lookup serves validation and execution, whatever the document, options
+or data version (:class:`PreparedQueryCache`).
 
-The plan cache stores compile artifacts (the compiled pattern and, for
-single-graph documents, the search order the planner chose), saving the
-parse/compile/order work on repeated queries.  The result cache stores
-the final rows plus the outcome, but only for runs whose outcome is
-deterministic given the key: ``COMPLETE``, or ``TRUNCATED`` by a cap
-that is itself part of the key — the options signature covers the
-answer cap *and* the effective step/memory budgets
+The result cache keys on ``(document, query text, options signature,
+document version)``.  The version component is the sum of the registered
+graphs' mutation counters (:attr:`repro.core.graph.Graph.version`
+increments on every node/edge change), so *any* mutation makes every
+older entry unreachable — stale answers are impossible by construction
+and the dead entries age out of the LRU instead of needing an
+invalidation sweep.  It stores the final rows plus the outcome, but only
+for runs whose outcome is deterministic given the key: ``COMPLETE``, or
+``TRUNCATED`` by a cap that is itself part of the key — the options
+signature covers the answer cap *and* the effective step/memory budgets
 (:meth:`QueryService._options_key`), so a budget-truncated partial
 answer is only replayed to requests with identical budgets.  A
 ``TIMED_OUT`` run under one caller's deadline must never be replayed to
@@ -24,9 +25,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
+from ..analysis.diagnostics import to_wire
+from ..lang.compiler import prepare_pattern_text
 from ..runtime import Outcome, QueryOutcome
 
 
@@ -96,18 +99,30 @@ class LRUCache:
             }
 
 
-@dataclass
-class CachedPlan:
-    """Compile artifacts of one prepared query.
+@dataclass(frozen=True)
+class PreparedQuery:
+    """One query text after its single parse + analysis (+ compile).
 
-    ``orders`` maps graph names to the search order the planner chose on
-    the first execution; later executions replay it through
-    :attr:`repro.matching.MatchOptions.plan_order` and skip the
-    cost-model work.
+    ``errors`` holds the error-severity diagnostics in wire form; it is
+    empty exactly when ``pattern`` (the compiled pattern) is present.
     """
 
-    pattern: Any
-    orders: Dict[str, List[str]] = field(default_factory=dict)
+    errors: Tuple[Dict[str, Any], ...] = ()
+    pattern: Any = None
+
+
+class PreparedQueryCache(LRUCache):
+    """Text-keyed LRU of :class:`PreparedQuery` (valid or not)."""
+
+    def prepare(self, text: str) -> Tuple[PreparedQuery, bool]:
+        """The prepared form of *text*, and whether it was cached."""
+        prepared = self.get(text)
+        if prepared is not None:
+            return prepared, True
+        errors, pattern = prepare_pattern_text(text)
+        prepared = PreparedQuery(tuple(to_wire(errors)), pattern)
+        self.put(text, prepared)
+        return prepared, False
 
 
 CacheKey = Tuple[str, str, Hashable, int]
@@ -115,16 +130,12 @@ CacheKey = Tuple[str, str, Hashable, int]
 
 def make_key(document: str, query_text: str, options_key: Hashable,
              version: int) -> CacheKey:
-    """The canonical cache key shared by both caches."""
+    """The result-cache key."""
     return (document, query_text, options_key, version)
 
 
-class PlanCache(LRUCache):
-    """LRU of :class:`CachedPlan` keyed by (doc, text, options, version)."""
-
-
 class ResultCache(LRUCache):
-    """LRU of ``(rows, QueryOutcome)`` keyed like the plan cache."""
+    """LRU of ``(rows, QueryOutcome)`` keyed by :func:`make_key`."""
 
     #: Outcomes that are a pure function of the cache key and therefore
     #: safe to replay to other callers.

@@ -45,7 +45,8 @@ class ServiceConfig:
     default_max_results: Optional[int] = 1000
     default_max_memory: Optional[int] = None
 
-    # cache capacities (entries); 0 disables the cache
+    # cache capacities (entries); 0 disables the cache.  The plan cache
+    # holds one prepared query (diagnostics + compiled pattern) per text.
     plan_cache_size: int = 256
     result_cache_size: int = 256
 
@@ -89,14 +90,6 @@ class ServiceConfig:
     # (client, request id / idempotency key) so client retries are
     # answered without re-executing.  0 disables the table.
     dup_table_size: int = 512
-
-    # admission-time static analysis: textual queries with error-severity
-    # diagnostics (unbound variables, syntax errors) are answered
-    # REJECTED/invalid_query without ever reaching a worker.  The verdict
-    # is cached per query text; 0 disables the cache, False disables the
-    # check entirely.
-    validate_queries: bool = True
-    validation_cache_size: int = 256
 
     def __post_init__(self) -> None:
         if self.workers < 1:

@@ -4,32 +4,17 @@ The instruments now live in a :class:`repro.obs.metrics.MetricsRegistry`
 (one per :class:`~repro.service.service.QueryService`), so the same
 numbers that feed the ``stats`` wire response are scrapeable as
 Prometheus text via ``repro-gql stats --format prometheus`` or the
-``serve --metrics-port`` endpoint.  The public surface of
-:class:`ServiceMetrics` is unchanged: ``count()``, ``record_outcome()``,
-``snapshot()``, ``summary()``, and plain-integer attribute reads
-(``metrics.result_cache_hits`` …) all keep working.
-
-``LatencyHistogram`` and ``DEFAULT_BUCKETS`` are back-compat aliases of
-:class:`repro.obs.metrics.Histogram` and its default bucket bounds.
+``serve --metrics-port`` endpoint.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS as DEFAULT_BUCKETS,
-    Histogram as LatencyHistogram,
-    MetricsRegistry,
-)
+from ..obs.metrics import MetricsRegistry
 from ..runtime import Outcome
 
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "LatencyHistogram",
-    "MetricsRegistry",
-    "ServiceMetrics",
-]
+__all__ = ["ServiceMetrics"]
 
 #: Integer counters the service bumps by name via ``count()``; each is
 #: exported as ``repro_service_<name>_total``.
@@ -58,8 +43,8 @@ _COUNTER_HELP = {
     "cancelled_requests": "Requests cancelled by an explicit cancel call.",
     "result_cache_hits": "Result-cache hits.",
     "result_cache_misses": "Result-cache misses.",
-    "plan_cache_hits": "Plan-cache hits (replayed search orders).",
-    "plan_cache_misses": "Plan-cache misses.",
+    "plan_cache_hits": "Prepared-query cache hits (query text seen before).",
+    "plan_cache_misses": "Prepared-query cache misses (new query text).",
     "watchdog_recycles": "Stuck workers the pool watchdog recycled.",
     "watchdog_abandoned": "Queued requests the watchdog abandoned as "
                           "TIMED_OUT without recycling the pool (no "
@@ -101,13 +86,9 @@ class ServiceMetrics:
         #: per-client retried-arrival counters (attempt > 1 on the wire)
         self._client_retries: Dict[str, object] = {}
 
-    def __getattr__(self, name: str) -> int:
-        # plain-attribute reads (metrics.result_cache_hits == int) keep
-        # the pre-registry API working for callers and tests
-        counters = self.__dict__.get("_counters")
-        if counters and name in counters:
-            return counters[name].value
-        raise AttributeError(name)
+    def value(self, name: str) -> int:
+        """The current value of one of the named counters."""
+        return self._counters[name].value
 
     @property
     def outcomes(self) -> Dict[str, int]:

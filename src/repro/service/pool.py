@@ -3,9 +3,10 @@
 The matcher is pure Python, so thread workers interleave on the GIL;
 ``ServiceConfig(use_processes=True)`` runs queries in worker *processes*
 instead.  Each worker receives the registered documents once, as GraphQL
-text via the pool initializer, and rebuilds graphs + matchers lazily on
-first use — after that, queries ship only their pattern text and budget
-numbers across the process boundary.
+text via the pool initializer, and registers them in its own
+:class:`~repro.storage.database.GraphDatabase` — after that, queries
+ship only their pattern text, options and budget numbers across the
+process boundary.
 
 Trade-offs (documented in docs/service.md): per-request cancellation
 cannot reach a worker process (the token lives in the parent), and the
@@ -15,76 +16,42 @@ the parent require re-registering the document to be visible.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
+
+from ..lang.compiler import compile_pattern_text
+from ..matching.planner import MatchOptions
+from ..runtime import ExecutionContext
+from ..storage.database import GraphDatabase
+from ..storage.serializer import collection_from_text
 
 #: Per-process state installed by :func:`pool_init`.
 _STATE: Dict[str, Any] = {}
 
 
 def pool_init(docs_payload: Dict[str, Tuple[str, bool]]) -> None:
-    """Pool initializer: stash document text, build matchers lazily."""
-    _STATE["payload"] = docs_payload
-    _STATE["matchers"] = {}
-
-
-def _matchers_for(document: str):
-    """The (lazily built) matchers of one document in this worker."""
-    from ..matching.planner import GraphMatcher
-    from ..storage.serializer import collection_from_text
-
-    matchers = _STATE.setdefault("matchers", {})
-    if document not in matchers:
-        payload = _STATE.get("payload", {})
-        if document not in payload:
-            raise KeyError(f"unknown document {document!r}")
-        text, directed = payload[document]
-        collection = collection_from_text(text, directed=directed)
-        matchers[document] = [
-            (graph.name or f"#{position}", GraphMatcher(graph))
-            for position, graph in enumerate(collection)
-        ]
-    return matchers[document]
+    """Pool initializer: register every document in this worker's database
+    (matchers and their indexes are still built on first use)."""
+    database = GraphDatabase()
+    for name, (text, directed) in docs_payload.items():
+        database.register(name, collection_from_text(text, directed=directed))
+    _STATE["database"] = database
 
 
 def pool_execute(
     document: str,
     pattern_text: str,
-    options_kwargs: Dict[str, Any],
-    governance: Dict[str, Optional[float]],
+    options: MatchOptions,
+    governance: Dict[str, Any],
 ) -> Tuple[List[Dict[str, Any]], Dict[str, Any], List[str]]:
     """Run one query in a worker process.
 
     Returns ``(rows, outcome_dict, degradation_notes)`` — plain
     JSON-ready values, so the result pickles cheaply back to the parent.
+    The parent validated *pattern_text* at admission, so it is compiled
+    unchecked here.
     """
-    from ..core.pattern import GroundPattern
-    from ..lang.compiler import compile_pattern_text
-    from ..matching.planner import MatchOptions
-    from ..runtime import ExecutionContext
-
-    pattern = compile_pattern_text(pattern_text)
-    options = MatchOptions(**options_kwargs)
-    context = ExecutionContext(
-        timeout=governance.get("timeout"),
-        max_steps=governance.get("max_steps"),
-        max_results=governance.get("max_results"),
-        max_memory=governance.get("max_memory"),
-    )
-    rows: List[Dict[str, Any]] = []
-    notes: List[str] = []
-    for name, matcher in _matchers_for(document):
-        if context.is_interrupted:
-            break
-        if isinstance(pattern, GroundPattern):
-            report = matcher.match(pattern, options, context=context)
-        else:
-            report = matcher.match_pattern(pattern, options, context=context)
-        for mapping in report.mappings:
-            rows.append({
-                "graph": name,
-                "nodes": dict(mapping.nodes),
-                "edges": dict(mapping.edges),
-            })
-        for note in report.degradation:
-            notes.append(f"{name}: {note}")
+    pattern = compile_pattern_text(pattern_text, check=False)
+    context = ExecutionContext(**governance)
+    rows, notes = _STATE["database"].execute(
+        document, pattern, options, context=context)
     return rows, context.outcome().to_dict(), notes

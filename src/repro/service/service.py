@@ -5,7 +5,8 @@ adds everything the library-level matcher lacks for serving traffic:
 
 * a bounded worker pool (threads by default, processes opt-in),
 * admission control (global + per-client bounds, structured rejection),
-* a prepared-query/plan cache and a version-invalidated result cache,
+* a text-keyed prepared-query cache and a version-invalidated result
+  cache,
 * per-request :class:`~repro.runtime.ExecutionContext` governance with
   cancellation by request id,
 * metrics for every decision the service takes.
@@ -23,7 +24,7 @@ import logging
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -38,8 +39,7 @@ from typing import (
 from ..core.collection import GraphCollection
 from ..core.graph import Graph
 from ..core.pattern import GraphPattern, GroundPattern
-from ..lang.compiler import compile_pattern_text
-from ..matching.planner import baseline_options, optimized_options
+from ..matching.planner import MatchOptions, baseline_options, optimized_options
 from ..obs.metrics import MetricsRegistry, render_prometheus
 from ..obs.slowlog import SlowQueryEntry, SlowQueryLog
 from ..obs.trace import span as trace_span, tracer
@@ -51,14 +51,14 @@ from ..runtime import (
     shed_outcome,
 )
 from ..storage.database import GraphDatabase
-from ..storage.serializer import collection_to_text
+from ..storage.serializer import collection_to_text, load_collection
 from .admission import (
     REASON_DRAINING,
     REASON_DUPLICATE_ID,
     REASON_INVALID_QUERY,
     AdmissionController,
 )
-from .cache import CachedPlan, LRUCache, PlanCache, ResultCache, make_key
+from .cache import PreparedQuery, PreparedQueryCache, ResultCache, make_key
 from .config import ServiceConfig
 from .metrics import ServiceMetrics
 from .pool import pool_execute, pool_init
@@ -168,6 +168,8 @@ class _Inflight:
     token: CancellationToken
     future: "Future[QueryResponse]"
     submitted_at: float
+    #: the admission-time prepared query (None for a compiled pattern)
+    prepared: Optional[PreparedQuery] = None
     root: Any = None
     #: watchdog wall-clock budget (seconds) once a worker starts the
     #: request; None when the request has no effective timeout
@@ -194,11 +196,10 @@ class QueryService:
         self.slow_log = SlowQueryLog(self.config.slow_log_size,
                                      self.config.slow_log_threshold)
         self.admission = AdmissionController(self.config)
-        self.plan_cache = PlanCache(self.config.plan_cache_size)
+        #: query text -> its one parse + analysis + compile, consulted
+        #: once per request at admission
+        self.plan_cache = PreparedQueryCache(self.config.plan_cache_size)
         self.result_cache = ResultCache(self.config.result_cache_size)
-        #: query text -> tuple of error-severity diagnostic dicts
-        #: (empty tuple == valid); consulted at admission, microseconds
-        self._validation_cache = LRUCache(self.config.validation_cache_size)
         self.breakers = BreakerRegistry(
             threshold=max(1, self.config.breaker_threshold),
             cooldown=self.config.breaker_cooldown)
@@ -291,15 +292,7 @@ class QueryService:
 
     def load(self, name: str, path, directed: bool = False) -> None:
         """Load and register a collection from a GraphQL file."""
-        if self.database.durable_store is not None:
-            from ..storage.serializer import load_collection
-
-            self.database.register_durable(
-                name, load_collection(path, directed=directed))
-        else:
-            self.database.load(name, path, directed=directed)
-        if self.config.use_processes:
-            self._restart_pool()
+        self.register(name, load_collection(path, directed=directed))
 
     def document_version(self, document: str) -> int:
         """The cache-invalidation counter of one document.
@@ -367,12 +360,13 @@ class QueryService:
             # admission, breakers or the pool ever see it — no worker,
             # no quota, no probe slot is spent on a request that can
             # only fail
-            errors = self._validate(request)
-            if errors:
+            prepared = self._prepare(request)
+            if prepared is not None and prepared.errors:
                 self.metrics.count("invalid_queries")
                 return self._reject(
                     request, REASON_INVALID_QUERY, root=root,
-                    detail={"diagnostics": list(errors)}, probe=False)
+                    detail={"diagnostics": list(prepared.errors)},
+                    probe=False)
             with trace_span("service.admission") as sp:
                 shed_reason, retry_after = self._shed_check(request)
                 if shed_reason is not None:
@@ -412,7 +406,7 @@ class QueryService:
             budget = self._watchdog_budget_for(request)
             entry = _Inflight(
                 request=request, token=token, future=outer,
-                submitted_at=submitted_at, root=root,
+                submitted_at=submitted_at, prepared=prepared, root=root,
                 watchdog_budget=budget,
                 hard_deadline=(None if budget is None
                                else time.monotonic() + budget),
@@ -434,13 +428,17 @@ class QueryService:
                 executor = self._ensure_executor()
                 self._ensure_watchdog()
                 if self.config.use_processes:
+                    if prepared is None:
+                        raise TypeError(
+                            "process-pool execution requires query text, not "
+                            "a compiled pattern (it must cross the process "
+                            "boundary)")
                     key = self._process_cache_key(request)
                     dispatch = tracer().start("service.dispatch",
                                               parent=root, mode="process")
                     inner = executor.submit(
-                        pool_execute, request.document,
-                        self._pattern_text(request),
-                        self._options_kwargs(request),
+                        pool_execute, request.document, request.query,
+                        self._options_for(request),
                         self._governance_kwargs(request),
                     )
                     entry.inner = inner
@@ -462,26 +460,18 @@ class QueryService:
         """Synchronous convenience wrapper around :meth:`submit`."""
         return self.submit(QueryRequest(query=query, **kwargs)).result()
 
-    def _validate(self, request: QueryRequest) -> Tuple[Dict[str, Any], ...]:
-        """Error-severity diagnostics for a textual query (cached).
+    def _prepare(self, request: QueryRequest) -> Optional[PreparedQuery]:
+        """The prepared form of a textual query: the request's one
+        plan-cache lookup, serving validation now and execution later.
 
-        Compiled patterns pass through untouched (their text was already
-        validated wherever it was compiled), as does everything when
-        ``validate_queries`` is off.
+        Compiled patterns pass through as ``None`` (their text was
+        validated wherever it was compiled).
         """
-        if not self.config.validate_queries:
-            return ()
         if not isinstance(request.query, str):
-            return ()
-        cached = self._validation_cache.get(request.query)
-        if cached is not None:
-            return cached
-        from ..analysis import analyze_pattern_text, errors_only, to_wire
-
-        errors = tuple(
-            to_wire(errors_only(analyze_pattern_text(request.query))))
-        self._validation_cache.put(request.query, errors)
-        return errors
+            return None
+        prepared, hit = self.plan_cache.prepare(request.query)
+        self.metrics.count("plan_cache_hits" if hit else "plan_cache_misses")
+        return prepared
 
     def _reject(self, request: QueryRequest, reason: str,
                 root=None, detail: Optional[Dict[str, Any]] = None,
@@ -751,14 +741,13 @@ class QueryService:
 
     # -- execution ------------------------------------------------------------
 
-    def _options_for(self, request: QueryRequest):
+    def _options_for(self, request: QueryRequest) -> MatchOptions:
         limit = request.limit
         if self.config.default_max_results is not None:
             limit = (self.config.default_max_results if limit is None
                      else min(limit, self.config.default_max_results))
         build = baseline_options if request.baseline else optimized_options
-        # serving path: skip the benchmark-only baseline-space measurement
-        return build(limit=limit, compute_baseline=False)
+        return build(limit=limit)
 
     def _options_key(self, request: QueryRequest) -> Hashable:
         opts = self._options_for(request)
@@ -776,11 +765,6 @@ class QueryService:
                                 self.config.default_max_memory),
         )
 
-    def _options_kwargs(self, request: QueryRequest) -> Dict[str, Any]:
-        opts = self._options_for(request)
-        return {f: getattr(opts, f) for f in (
-            "local", "refine", "optimize_order", "limit", "compute_baseline")}
-
     def _governance_kwargs(self, request: QueryRequest) -> Dict[str, Any]:
         context = self.config.derive_context(
             timeout=request.timeout, max_steps=request.max_steps,
@@ -792,14 +776,6 @@ class QueryService:
             "max_results": context.max_results,
             "max_memory": context.max_memory,
         }
-
-    def _pattern_text(self, request: QueryRequest) -> str:
-        if not isinstance(request.query, str):
-            raise TypeError(
-                "process-pool execution requires query text, not a "
-                "compiled pattern (it must cross the process boundary)"
-            )
-        return request.query
 
     def _cache_key(self, request: QueryRequest):
         """The cache key of a request, or None when uncacheable."""
@@ -836,24 +812,8 @@ class QueryService:
             return None
         return self.result_cache.get(key)
 
-    def _compile(self, request: QueryRequest):
-        """The compiled pattern, via the plan cache for text queries."""
-        if not isinstance(request.query, str):
-            return request.query, None
-        key = self._cache_key(request)
-        if key is None:
-            return compile_pattern_text(request.query), None
-        plan = self.plan_cache.get(key)
-        if plan is not None:
-            self.metrics.count("plan_cache_hits")
-            return plan.pattern, plan
-        self.metrics.count("plan_cache_misses")
-        plan = CachedPlan(pattern=compile_pattern_text(request.query))
-        self.plan_cache.put(key, plan)
-        return plan.pattern, plan
-
     def _run_local(self, entry: _Inflight) -> None:
-        """Worker-thread body: compile, match, serialize, cache.
+        """Worker-thread body: match, serialize, cache.
 
         ``entry.root`` is the request's trace span started in
         :meth:`submit`; activating it here re-parents this worker
@@ -897,29 +857,11 @@ class QueryService:
                 notes: List[str] = []
                 error: Optional[str] = None
                 try:
-                    pattern, plan = self._compile(request)
-                    options = self._options_for(request)
-                    if plan is not None and len(plan.orders) == 1:
-                        options = replace(
-                            options,
-                            plan_order=next(iter(plan.orders.values())))
-                    reports = self.database.match(request.document, pattern,
-                                                  options, context=context)
-                    for name, report in reports.items():
-                        for mapping in report.mappings:
-                            rows.append({
-                                "graph": name,
-                                "nodes": dict(mapping.nodes),
-                                "edges": dict(mapping.edges),
-                            })
-                        for note in report.degradation:
-                            notes.append(f"{name}: {note}")
-                    if (plan is not None and not plan.orders
-                            and isinstance(pattern, GroundPattern)
-                            and len(reports) == 1):
-                        name, report = next(iter(reports.items()))
-                        if report.order:
-                            plan.orders[name] = list(report.order)
+                    pattern = (request.query if entry.prepared is None
+                               else entry.prepared.pattern)
+                    rows, notes = self.database.execute(
+                        request.document, pattern,
+                        self._options_for(request), context=context)
                     self.metrics.count("executed")
                 except Exception as exc:
                     logger.exception("query %s failed", request.request_id)
@@ -954,11 +896,7 @@ class QueryService:
         error: Optional[str] = None
         outcome = QueryOutcome()
         try:
-            payload = inner.result()
-            if len(payload) == 3:
-                rows, outcome_dict, notes = payload
-            else:  # an old-style worker (rolling restart)
-                rows, outcome_dict = payload
+            rows, outcome_dict, notes = inner.result()
             outcome = QueryOutcome.from_dict(outcome_dict)
             self.metrics.count("executed")
             # the worker reports its own execution time; the remainder
@@ -980,7 +918,7 @@ class QueryService:
             results=rows, outcome=outcome,
             cache="miss" if key is not None else "bypass",
             elapsed=time.perf_counter() - submitted_at, error=error,
-            degradation=list(notes),
+            degradation=notes,
         )
         self._finish(request, response, submitted_at, outer, root=root)
 
@@ -1086,23 +1024,15 @@ class QueryService:
         serving path.  ``analyze=True`` runs the query for real under a
         governance context derived from the service defaults.
         """
-        from ..analysis import analyze_pattern_text, to_wire
-        from ..analysis.schema import schema_for_document
-        from ..obs.explain import explain_document  # avoids an import cycle
+        from ..obs.explain import explain_query  # avoids an import cycle
 
         request = QueryRequest(query=query_text, document=document,
                                baseline=baseline, limit=limit)
-        options = self._options_for(request)
         context = (self.config.derive_context(timeout=timeout)
                    if analyze else None)
-        explained = explain_document(
-            self.database, document, compile_pattern_text(query_text),
-            options, analyze=analyze, context=context)
-        # the analyzer's findings ride along (schema-aware: the document
-        # is registered, so the observed schema is available for free)
-        explained["diagnostics"] = to_wire(analyze_pattern_text(
-            query_text, schema_for_document(self.database, document)))
-        return explained
+        return explain_query(
+            self.database, document, query_text, self._options_for(request),
+            analyze=analyze, context=context)
 
     def stats(self) -> Dict[str, Any]:
         """The ``stats`` response: metrics + cache + admission state."""
@@ -1169,7 +1099,7 @@ class QueryService:
             "in_flight": self.admission.in_flight,
             "documents": len(self.database.names()),
             "breakers": self.breakers.state_counts(),
-            "watchdog_recycles": self.metrics.watchdog_recycles,
+            "watchdog_recycles": self.metrics.value("watchdog_recycles"),
             "shed": self.metrics.shed_snapshot(),
             "recovery": (self.recovery.to_dict()
                          if self.recovery is not None else None),

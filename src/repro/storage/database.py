@@ -10,7 +10,7 @@ end-to-end.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..core.collection import GraphCollection
 from ..core.graph import Graph
@@ -21,6 +21,30 @@ from ..runtime import ExecutionContext
 from .graphstore import GraphStore
 from .serializer import _atomic_write_text, load_collection, save_collection
 from .wal import RecoveryResult
+
+
+def answer_rows(
+    reports: Dict[str, MatchReport],
+) -> Tuple[List[Dict[str, Any]], List[str]]:
+    """Per-graph match reports in their serving shape: ``(rows, notes)``.
+
+    The one place a mapping becomes a JSON-ready
+    ``{"graph": name, "nodes": {...}, "edges": {...}}`` row (in graph
+    order) and a degradation note gets the prefix of the graph it
+    concerns.
+    """
+    rows: List[Dict[str, Any]] = []
+    notes: List[str] = []
+    for name, report in reports.items():
+        for mapping in report.mappings:
+            rows.append({
+                "graph": name,
+                "nodes": dict(mapping.nodes),
+                "edges": dict(mapping.edges),
+            })
+        for note in report.degradation:
+            notes.append(f"{name}: {note}")
+    return rows, notes
 
 
 class GraphDatabase:
@@ -46,6 +70,16 @@ class GraphDatabase:
         if isinstance(collection, Graph):
             collection = GraphCollection([collection], name=name)
         collection.name = collection.name or name
+        replaced = self._collections.get(name)
+        if replaced is not None and replaced is not collection:
+            # a matcher holds its graph, statistics and indexes: drop the
+            # ones only the replaced collection used, or every re-register
+            # leaks a collection's worth of them
+            kept = {id(graph) for graph in collection}
+            for graph in replaced:
+                if id(graph) not in kept:
+                    self._matchers.pop(id(graph), None)
+            self._collection_indexes.pop(name, None)
         self._collections[name] = collection
 
     def doc(self, name: str) -> GraphCollection:
@@ -158,15 +192,11 @@ class GraphDatabase:
 
     # -- access methods --------------------------------------------------------------
 
-    def matcher_for(self, graph: Graph, radius: int = 1) -> GraphMatcher:
+    def matcher_for(self, graph: Graph) -> GraphMatcher:
         """The cached access-method pipeline for one data graph."""
-        key = id(graph)
-        matcher = self._matchers.get(key)
-        if matcher is None or matcher.profile_index is None or (
-            matcher.profile_index.radius != radius
-        ):
-            matcher = GraphMatcher(graph, radius=radius)
-            self._matchers[key] = matcher
+        matcher = self._matchers.get(id(graph))
+        if matcher is None:
+            matcher = self._matchers[id(graph)] = GraphMatcher(graph)
         return matcher
 
     def match(
@@ -198,6 +228,19 @@ class GraphDatabase:
                                                context=context)
             reports[graph.name or f"#{position}"] = report
         return reports
+
+    def execute(
+        self,
+        document: str,
+        pattern: Union[GraphPattern, GroundPattern, str],
+        options: Optional[MatchOptions] = None,
+        context: Optional[ExecutionContext] = None,
+    ) -> Tuple[List[Dict[str, Any]], List[str]]:
+        """Run a pattern over a document: :func:`answer_rows` of
+        :meth:`match`, what the service's thread and process workers
+        return."""
+        return answer_rows(
+            self.match(document, pattern, options, context=context))
 
     def collection_index_for(self, document: str, max_length: int = 3):
         """The cached path index of a document (built on first use).

@@ -10,6 +10,8 @@ hedge timer itself.
 import threading
 import time
 
+import pytest
+
 from repro.cluster import ClusterCoordinator, ShardMap
 from repro.runtime import Outcome, QueryOutcome
 from repro.service.client import ClientReply
@@ -95,14 +97,19 @@ def build(shards, replication=1, **kwargs):
     return coordinator
 
 
-def test_invalid_query_is_rejected_before_fan_out():
+@pytest.mark.parametrize("text, code", [
+    ("graph P { node v1; } where Q.x > 1", "GQL001"),
+    # passes the analyzer, refused by the compiler
+    ("graph P { node a <label=x>; }", "GQL012"),
+])
+def test_invalid_query_is_rejected_before_fan_out(text, code):
     shards = [ScriptedShard(rows=2), ScriptedShard(rows=3)]
     coordinator = build(shards)
-    reply = coordinator.query("graph P { node v1; } where Q.x > 1")
+    reply = coordinator.query(text)
     assert reply.outcome.status is Outcome.REJECTED
     assert reply.outcome.reason == "invalid_query"
     diags = reply.outcome.detail["diagnostics"]
-    assert diags and diags[0]["code"] == "GQL001"
+    assert diags and diags[0]["code"] == code
     # no shard ever saw the query
     assert all(shard.query_connections == 0 for shard in shards)
     assert coordinator.stats()["counters"]["invalid_queries"] == 1

@@ -116,8 +116,12 @@ class TestExplainFlag:
                      "--explain"]) == 0
         out = capsys.readouterr().out
         assert "search order" in out
-        assert "Algorithm 4.2" in out
+        assert "refine=on" in out
         assert "Mapping(" not in out  # no search was run
+        # one source: `explain` prints exactly the same
+        assert main(["explain", triangle_file,
+                     "--pattern", str(pattern)]) == 0
+        assert capsys.readouterr().out == out
 
 
 @pytest.fixture

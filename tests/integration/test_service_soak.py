@@ -128,7 +128,7 @@ class TestServiceSoak:
                                              default_max_results=2000))
         service.register("data", build_document())
         try:
-            hits_before = service.metrics.result_cache_hits
+            hits_before = service.metrics.value("result_cache_hits")
 
             start = time.perf_counter()
             cold = service.execute(CACHED_QUERY)
@@ -140,7 +140,7 @@ class TestServiceSoak:
             warm = service.execute(CACHED_QUERY)
             warm_elapsed = time.perf_counter() - start
             assert warm.cache == "hit"
-            assert service.metrics.result_cache_hits == hits_before + 1
+            assert service.metrics.value("result_cache_hits") == hits_before + 1
             assert warm.results == cold.results
             assert warm_elapsed < cold_elapsed / 5, (
                 f"cache hit not >=5x faster: cold={cold_elapsed:.4f}s "

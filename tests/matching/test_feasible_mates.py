@@ -33,7 +33,7 @@ class TestIndexDrivenRetrieval:
         space = retrieve_feasible_mates(pattern, g, attribute_index=index,
                                         stats=stats)
         assert sorted(space["u"]) == ["n2", "n3", "n4"]
-        assert stats.used_index["u"]
+        assert stats.method["u"] != "scan"
         # only the indexed candidates were scanned, not all 5 nodes
         assert stats.scanned["u"] == 3
 
@@ -47,7 +47,7 @@ class TestIndexDrivenRetrieval:
             pattern, paper_graph, profile_index=profile_index, stats=stats
         )
         assert sorted(space["u"]) == ["B1", "B2"]
-        assert stats.used_index["u"]
+        assert stats.method["u"] != "scan"
 
     def test_full_scan_when_nothing_indexable(self, paper_graph):
         motif = SimpleMotif()
@@ -56,7 +56,7 @@ class TestIndexDrivenRetrieval:
         stats = RetrievalStats()
         space = retrieve_feasible_mates(pattern, paper_graph, stats=stats)
         assert len(space["u"]) == 6
-        assert not stats.used_index["u"]
+        assert stats.method["u"] == "scan"
 
     def test_index_retrieval_still_applies_full_fu(self):
         """Index gives a superset; the exact F_u check must still run."""

@@ -17,9 +17,12 @@ from repro.datalog import match_with_datalog
 from repro.matching import (
     GraphMatcher,
     MatchOptions,
+    baseline_options,
     brute_force_matches,
     find_matches,
+    optimized_options,
 )
+from repro.obs.explain import explain_ground
 from repro.sqlbaseline import SQLGraphMatcher
 
 LABELS = "ABC"
@@ -140,3 +143,36 @@ def test_directed_pipeline_matches_brute_force(seed):
     matcher = GraphMatcher(graph)
     report = matcher.match(pattern, MatchOptions(local="profile", refine=True))
     assert mapping_set(report.mappings) == expected
+
+
+def assert_explain_is_the_plan_match_runs(matcher, pattern):
+    """EXPLAIN and match() read one plan: same order, policy and spaces
+    under both presets and under a replayed ``plan_order``."""
+    replayed = matcher.match(pattern, optimized_options()).order
+    for options in (optimized_options(), baseline_options(),
+                    optimized_options(plan_order=replayed)):
+        report = matcher.match(pattern, options)
+        entry = explain_ground(matcher, pattern, options)
+        assert entry["order"] == report.order
+        assert entry["order_policy"] == report.policy
+        assert entry["spaces"] == {
+            "baseline": report.baseline_space,
+            "retrieved": report.retrieved_space,
+            "refined": report.refined_space,
+        }
+    assert report.policy == "plan-cache" and report.order == replayed
+
+
+def test_explain_equals_match_plan_on_the_paper_example(paper_graph,
+                                                        triangle_pattern):
+    assert_explain_is_the_plan_match_runs(GraphMatcher(paper_graph),
+                                          triangle_pattern)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_explain_equals_match_plan(seed):
+    rng = random.Random(seed)
+    graph = random_graph(rng, rng.randint(3, 8), rng.randint(2, 12))
+    pattern = random_pattern(rng, rng.randint(1, 4), rng.randint(0, 4))
+    assert_explain_is_the_plan_match_runs(GraphMatcher(graph), pattern)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.matching import GraphMatcher, MatchOptions, baseline_options
 from repro.obs.explain import explain_document, explain_ground, render_text
+from repro.obs.trace import SpanCollector, tracer
 from repro.storage import GraphDatabase
 
 
@@ -40,6 +41,24 @@ def test_baseline_options_skip_pruning_and_refinement(paper_graph,
         # no local pruning: the feasible mates survive untouched
         assert row["after_pruning"] == row["feasible_mates"]
         assert row["refined"] == row["feasible_mates"]
+
+
+def test_failed_refinement_reports_refine_off(paper_graph, triangle_pattern,
+                                              monkeypatch):
+    """A refinement failure is a degradation note, and ``refine`` says
+    the unrefined space is what gets searched."""
+    import repro.matching.planner as planner
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(planner, "refine_search_space", broken)
+    report = explain_ground(GraphMatcher(paper_graph), triangle_pattern)
+    assert report["refine"] is False
+    assert report["spaces"]["refined"] == report["spaces"]["retrieved"]
+    (note,) = report["degradation"]
+    assert note.startswith("refinement failed (boom)")
+    assert "refine=off" in render_text({"graphs": [report]})
 
 
 def test_analyze_attaches_actuals_matching_a_real_run(paper_graph,
@@ -87,3 +106,28 @@ def test_unlabeled_nodes_fall_back_to_scans(paper_graph):
     for row in report["nodes"]:
         assert row["retrieval"] == "scan"
         assert row["estimated_mates"] == paper_graph.num_nodes()
+
+
+STAGES = ("match.prune", "match.refine", "match.order")
+
+
+def test_each_stage_runs_once_per_match_and_per_explained_graph(
+        paper_graph, triangle_pattern):
+    """One pass through steps 0-4, however the pipeline is entered: no
+    second baseline retrieval, no re-plan before EXPLAIN ANALYZE's run."""
+    matcher = GraphMatcher(paper_graph)
+    collector = SpanCollector()
+    with tracer().session(collector):
+        matcher.match(triangle_pattern)
+    assert [len(collector.by_name(name)) for name in STAGES] == [1, 1, 1]
+    assert not collector.by_name("match.retrieve_baseline")
+
+    database = GraphDatabase()
+    database.register("data", paper_graph)
+    for analyze, searches in ((False, 0), (True, 1)):
+        collector = SpanCollector()
+        with tracer().session(collector):
+            explain_document(database, "data", triangle_pattern,
+                             analyze=analyze)
+        assert [len(collector.by_name(name)) for name in STAGES] == [1, 1, 1]
+        assert len(collector.by_name("match.search")) == searches

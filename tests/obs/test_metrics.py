@@ -48,7 +48,7 @@ def test_bisect_bucketing_matches_the_linear_reference():
 def test_cumulative_buckets_are_monotone_and_end_at_total():
     hist = Histogram(buckets=(0.1, 1.0))
     for value in (0.05, 0.5, 0.5, 5.0):
-        hist.record(value)  # the back-compat alias
+        hist.observe(value)
     pairs = hist.cumulative_buckets()
     assert pairs == [(0.1, 1), (1.0, 3), (float("inf"), 4)]
     snap = hist.snapshot()

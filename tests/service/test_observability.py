@@ -1,6 +1,7 @@
 """Observability through the service: traces, metrics, slow log, explain."""
 
 import json
+import threading
 
 import pytest
 
@@ -98,6 +99,10 @@ class TestRequestTracing:
         service = make_service(workers=1, queue_depth=0, per_client=8,
                                default_timeout=30.0)
         service.register("dense", dense)
+        # hold the blocker on its worker until the second request has
+        # been turned away (the heavy query alone finishes in ~10 ms)
+        release = threading.Event()
+        service.execute_hook = lambda request: release.wait(10)
         collector = SpanCollector()
         try:
             with tracer().session(collector):
@@ -106,6 +111,7 @@ class TestRequestTracing:
                     use_cache=False))
                 rejected = service.submit(QueryRequest(
                     query=EDGE_QUERY, request_id="shed")).result()
+                release.set()
                 service.cancel("blocker", reason="test over")
                 blocker.result()
             assert rejected.outcome.status.value == "REJECTED"
@@ -180,9 +186,9 @@ class TestMetricsExposition:
             assert parsed["repro_service_request_seconds_count"] == 2
             assert parsed["repro_service_in_flight"] == 0
             assert parsed["repro_service_documents"] == 1
-            # back-compat plain-int counters still agree
-            assert service.metrics.submitted == 2
-            assert service.metrics.admitted == 2
+            # the counter accessor agrees with the scrape
+            assert service.metrics.value("submitted") == 2
+            assert service.metrics.value("admitted") == 2
         finally:
             service.shutdown(timeout=0)
 

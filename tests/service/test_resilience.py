@@ -341,7 +341,7 @@ class TestPoolWatchdog:
             )).result(timeout=10)
             assert hung.outcome.status is Outcome.TIMED_OUT
             assert "watchdog" in hung.outcome.reason
-            assert service.metrics.watchdog_recycles == 1
+            assert service.metrics.value("watchdog_recycles") == 1
             assert service.admission.in_flight == 0
 
             # the pool self-healed: new queries run, caches intact
@@ -394,8 +394,8 @@ class TestPoolWatchdog:
                 assert response.outcome.status is Outcome.TIMED_OUT
                 assert "still queued" in response.outcome.reason
             # a backlog is not a wedged worker: the pool stays intact
-            assert service.metrics.watchdog_recycles == 0
-            assert service.metrics.watchdog_abandoned == 3
+            assert service.metrics.value("watchdog_recycles") == 0
+            assert service.metrics.value("watchdog_abandoned") == 3
             release.set()
             done = busy.result(timeout=10)
             assert done.outcome.status is Outcome.COMPLETE

@@ -21,6 +21,10 @@ def make_service(**overrides) -> QueryService:
 EDGE_QUERY = ('graph P { node u1 <label="L001">; node u2 <label="L002">; '
               'edge e1 (u1, u2); }')
 
+#: texts the analyzer passes but ``compile_pattern`` refuses
+COMPILER_REFUSED = ["graph P { node a <label=x>; }",
+                    "graph P { node a; unify a, a where a.x > 1; }"]
+
 
 def dense_service(**overrides) -> QueryService:
     """A service over a dense one-label graph (slow exhaustive queries)."""
@@ -88,7 +92,7 @@ class TestResultCache:
             assert cold.cache == "miss"
             assert warm.cache == "hit"
             assert warm.results == cold.results
-            assert service.metrics.result_cache_hits == 1
+            assert service.metrics.value("result_cache_hits") == 1
 
     def test_mutation_invalidates_via_version(self):
         with make_service() as service:
@@ -132,11 +136,11 @@ class TestResultCache:
             assert first.outcome.status is Outcome.TIMED_OUT
             second = service.execute(HEAVY_QUERY, timeout=0.1)
             assert second.cache == "miss"  # never served from cache
-            assert service.metrics.result_cache_hits == 0
+            assert service.metrics.value("result_cache_hits") == 0
 
 
 class TestPlanCache:
-    def test_prepared_query_replays_the_search_order(self):
+    def test_prepared_query_is_reused_when_execution_repeats(self):
         with make_service() as service:
             cold = service.execute(EDGE_QUERY, use_cache=True)
             # drop only the result entries so execution happens again
@@ -144,7 +148,34 @@ class TestPlanCache:
             warm = service.execute(EDGE_QUERY)
             assert warm.cache == "miss"
             assert warm.results == cold.results
-            assert service.metrics.plan_cache_hits == 1
+            assert service.metrics.value("plan_cache_hits") == 1
+
+    @pytest.mark.parametrize("text", [
+        EDGE_QUERY, "graph P { node v1; } where Q.x > 1", "graph P { node",
+        *COMPILER_REFUSED])
+    def test_each_query_text_is_parsed_once(self, monkeypatch, text):
+        """One parse per new text — valid, invalid, unparsable or refused
+        by the compiler — and none for a repeat, whichever layer would
+        have asked for it."""
+        import repro.analysis.analyzer as analyzer
+        import repro.lang.compiler as compiler
+        from repro.lang.parser import parse_graph_decl
+
+        parsed = []
+
+        def counting(source):
+            parsed.append(source)
+            return parse_graph_decl(source)
+
+        monkeypatch.setattr(compiler, "parse_graph_decl", counting)
+        monkeypatch.setattr(analyzer, "parse_graph_decl", counting)
+        with make_service() as service:
+            first = service.execute(text, use_cache=False)
+            assert parsed == [text]
+            again = service.execute(text, use_cache=False)
+            assert parsed == [text]
+            assert again.outcome.status is first.outcome.status
+            assert again.results == first.results
 
 
 class TestGovernance:
@@ -232,6 +263,26 @@ class TestAdmission:
             assert after["executed"] == before["executed"]  # no worker burned
             assert after["submitted"] == after["admitted"] + after["rejected"]
 
+    @pytest.mark.parametrize("text", COMPILER_REFUSED)
+    def test_compiler_refusal_is_an_invalid_query(self, text):
+        """A text the analyzer passes but the compiler refuses resolves
+        its future like any other invalid query: REJECTED before
+        admission, counted, cached, never an exception out of submit."""
+        with make_service() as service:
+            future = service.submit(QueryRequest(query=text))
+            response = future.result(timeout=30)
+            assert response.outcome.status is Outcome.REJECTED
+            assert response.outcome.reason == "invalid_query"
+            (diag,) = response.outcome.detail["diagnostics"]
+            assert diag["code"] == "GQL012" and diag["line"] == 1
+            assert service.execute(text).outcome.status is Outcome.REJECTED
+            snap = service.stats()
+            assert snap["invalid_queries"] == snap["rejected"] == 2
+            assert snap["submitted"] == snap["admitted"] + snap["rejected"]
+            assert snap["admitted"] == snap["executed"] == 0
+            assert snap["plan_cache"]["misses"] == 1
+            assert snap["plan_cache"]["hits"] == 1
+
     def test_warnings_do_not_reject(self):
         # a disconnected pattern is a WARNING: admission only acts on
         # error-severity findings
@@ -240,22 +291,17 @@ class TestAdmission:
                 'graph P { node u1 <label="L001">; node u2 <label="L002">; }')
             assert response.outcome.status is Outcome.COMPLETE
 
-    def test_validation_can_be_disabled(self):
-        with make_service(validate_queries=False) as service:
-            response = service.execute(
-                "graph P { node v1; } where Q.x > 1")
-            # the query reaches a worker and fails there instead
-            assert response.outcome.status is not Outcome.REJECTED
-            assert response.error is not None
-            assert service.stats()["invalid_queries"] == 0
-
     def test_validation_verdicts_are_cached(self):
         with make_service() as service:
             bad = "graph P { node v1; } where Q.x > 1"
             service.execute(bad)
             service.execute(bad)
-            assert service.stats()["invalid_queries"] == 2
-            assert service._validation_cache.hits >= 1
+            snap = service.stats()
+            assert snap["invalid_queries"] == 2
+            # the verdict lives in the prepared-query cache: one miss for
+            # the new text, one hit for its repeat
+            assert snap["plan_cache"]["misses"] == 1
+            assert snap["plan_cache"]["hits"] == 1
 
     def test_stats_snapshot_shape(self):
         with make_service() as service:
@@ -274,9 +320,9 @@ class TestAdmission:
             service.execute(EDGE_QUERY)  # hit
             snap = service.stats()
             assert snap["result_cache"]["hits"] == (
-                service.metrics.result_cache_hits) == 1
+                service.metrics.value("result_cache_hits")) == 1
             assert snap["result_cache"]["misses"] == (
-                service.metrics.result_cache_misses) == 1
+                service.metrics.value("result_cache_misses")) == 1
             # the raw LRU probe counters are namespaced, not merged over
             assert set(snap["result_cache"]["lru"]) == {"hits", "misses"}
             assert set(snap["plan_cache"]["lru"]) == {"hits", "misses"}
@@ -286,7 +332,7 @@ class TestAdmission:
             response = service.execute(HEAVY_QUERY, timeout=0.1)
             assert response.outcome.status is Outcome.TIMED_OUT
             # TIMED_OUT is never admitted, so no miss is recorded
-            assert service.metrics.result_cache_misses == 0
+            assert service.metrics.value("result_cache_misses") == 0
 
 
 class TestLifecycle:
@@ -335,3 +381,29 @@ class TestProcessPool:
                              service.execute(EDGE_QUERY)):
                 assert response.cache == "bypass"
                 assert response.error is None
+
+
+    @pytest.mark.parametrize("query", [
+        'graph P { node a <label="C">; node b <label="O">; '
+        'edge e1 (a, b); }',
+        'graph P { node a <label="N">; } | { node a <label="S">; }',
+    ], ids=["ground", "two-derivations"])
+    def test_thread_and_process_pools_answer_identically(self, query):
+        """Both pools run GraphDatabase.execute: same rows in the same
+        order and the same degradation notes on a multi-graph document."""
+        from repro.datasets.molecules import molecule_collection
+
+        answers = []
+        for use_processes in (False, True):
+            with QueryService(ServiceConfig(
+                    workers=2, use_processes=use_processes)) as service:
+                service.register("mols",
+                                 molecule_collection(num_molecules=6, seed=3))
+                response = service.execute(query, document="mols",
+                                           use_cache=False)
+                assert response.error is None
+                assert response.outcome.status is Outcome.COMPLETE
+                answers.append((response.results, response.degradation))
+        threaded, forked = answers
+        assert threaded == forked
+        assert len({row["graph"] for row in threaded[0]}) > 1

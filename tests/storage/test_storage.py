@@ -72,6 +72,27 @@ class TestGraphDatabase:
         with pytest.raises(KeyError):
             GraphDatabase().doc("nope")
 
+    def test_reregistering_a_document_drops_its_old_matchers(self):
+        """Matchers hold their graph, statistics and indexes: replacing
+        a collection must not keep the replaced one's alive."""
+        from repro.datasets.molecules import molecule_collection
+
+        database = GraphDatabase()
+        for seed in range(50):
+            fresh = molecule_collection(
+                num_molecules=GraphDatabase.COLLECTION_INDEX_THRESHOLD,
+                seed=seed)
+            database.register("mols", fresh)
+            database.match("mols", 'graph P { node a <label="C">; }')
+            assert database.collection_index_for("mols") is not None
+            assert len(database._matchers) == len(fresh)
+            assert len(database._collection_indexes) == 1
+        # re-registering the same (mutated-in-place) collection keeps
+        # its matchers: they refresh themselves by Graph.version
+        kept = dict(database._matchers)
+        database.register("mols", fresh)
+        assert database._matchers == kept
+
     def test_match_with_pattern_text(self, paper_graph):
         db = GraphDatabase()
         db.register("net", paper_graph)
