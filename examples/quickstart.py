@@ -33,7 +33,7 @@ def main() -> None:
 
     # -- 3. match with the paper's optimized access methods -----------------
     matcher = GraphMatcher(graph)
-    report = matcher.match_pattern(pattern, optimized_options())
+    report = matcher.match(pattern.single(), optimized_options())
     print(f"search space: {report.baseline_space} -> "
           f"{report.retrieved_space} (profiles) -> "
           f"{report.refined_space} (refined)")

@@ -19,9 +19,9 @@ union, difference) are complete; everything else here is sugar over them.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Optional, Sequence, Union
 
-from ..matching.basic import find_matches
+from ..matching.planner import MatchOptions, MemberRun, match_members
 from ..runtime import ExecutionContext
 from .bindings import MatchedGraph, as_graph
 from .collection import GraphCollection
@@ -33,12 +33,13 @@ from .template import GraphTemplate
 PatternLike = Union[GraphPattern, GroundPattern]
 
 
-def _ground_patterns(
-    pattern: PatternLike, grammar=None, max_depth: int = 8
-) -> List[GroundPattern]:
-    if isinstance(pattern, GroundPattern):
-        return [pattern]
-    return pattern.ground(grammar, max_depth)
+def matched_graphs(runs: Iterable[MemberRun]) -> GraphCollection:
+    """The runs of :func:`match_members` as matched graphs ⟨Φ, P, G⟩."""
+    out = GraphCollection()
+    for run in runs:
+        for mapping in run.report.mappings:
+            out.add(MatchedGraph(mapping, run.ground, run.matcher.graph))
+    return out
 
 
 def select(
@@ -46,7 +47,6 @@ def select(
     pattern: PatternLike,
     exhaustive: bool = True,
     limit: Optional[int] = None,
-    matcher_factory: Optional[Callable[[Graph], "object"]] = None,
     grammar=None,
     max_depth: int = 8,
     context: Optional[ExecutionContext] = None,
@@ -55,44 +55,17 @@ def select(
 
     Returns a collection of :class:`MatchedGraph`.  With ``exhaustive``
     every mapping of every graph is returned (a graph can match in many
-    places); otherwise at most one mapping per graph.
-
-    *matcher_factory* optionally supplies an access-method pipeline (a
-    :class:`~repro.matching.planner.GraphMatcher` per graph); by default
-    the basic Algorithm 4.1 with scan retrieval is used, which is the
-    right choice for collections of small graphs.
+    places); otherwise at most one mapping per graph.  *limit* caps the
+    mappings of each graph.  :func:`~repro.matching.planner.match_members`
+    runs the members and picks each one's access method.
 
     *context* governs the whole selection: the per-graph searches share
     its deadline/budgets, and an interrupted selection returns the
     matches found so far (check ``context.outcome()`` for the status).
     """
-    grounds: List[GroundPattern] = _ground_patterns(pattern, grammar, max_depth)
-    out = GraphCollection()
-    for graph_like in collection:
-        if context is not None and context.is_interrupted:
-            break
-        graph = as_graph(graph_like)
-        for ground in grounds:
-            if matcher_factory is not None:
-                matcher = matcher_factory(graph)
-                from ..matching.planner import MatchOptions
-
-                report = matcher.match(
-                    ground,
-                    MatchOptions(exhaustive=exhaustive, limit=limit),
-                    context=context,
-                )
-                mappings = report.mappings
-            else:
-                mappings = find_matches(
-                    ground, graph, exhaustive=exhaustive, limit=limit,
-                    context=context,
-                )
-            for mapping in mappings:
-                out.add(MatchedGraph(mapping, ground, graph))
-            if mappings and not exhaustive:
-                break
-    return out
+    return matched_graphs(match_members(
+        collection, pattern.ground(grammar, max_depth),
+        MatchOptions(exhaustive=exhaustive, limit=limit), context=context))
 
 
 def cartesian_product(
@@ -215,8 +188,7 @@ def project(
     from .predicate import AttrRef
 
     matched = select(collection, pattern)
-    grounds = _ground_patterns(pattern)
-    pattern_name = grounds[0].name or "P"
+    pattern_name = pattern.name or "P"
     template = GraphTemplate([pattern_name])
     template.add_node(
         "v1",

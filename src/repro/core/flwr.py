@@ -27,13 +27,22 @@ from .template import GraphTemplate
 
 
 class DocumentSource(Protocol):
-    """Anything that can resolve ``doc(name)`` to a collection."""
+    """Anything that can resolve ``doc(name)`` to a collection and select
+    from it."""
 
     def doc(self, name: str) -> GraphCollection:  # pragma: no cover - protocol
         ...
 
+    def select(self, name: str, pattern: GraphPattern, exhaustive: bool = True,
+               context: Optional[ExecutionContext] = None, grammar=None,
+               ) -> GraphCollection:
+        """σ_P over the named document.  A source that keeps access
+        methods for its documents (``GraphDatabase``) overrides this."""
+        return select(self.doc(name), pattern, exhaustive=exhaustive,
+                      grammar=grammar, context=context)
 
-class DictSource:
+
+class DictSource(DocumentSource):
     """A document source backed by a plain dict (handy in tests)."""
 
     def __init__(self, docs: Dict[str, GraphCollection]) -> None:
@@ -83,50 +92,25 @@ class ForClause:
         context: Optional[ExecutionContext] = None,
     ) -> List[Union[Graph, MatchedGraph]]:
         """Evaluate the clause to the list of bindings, in document order."""
-        with trace_span("flwr.for", source=self.source) as sp:
-            out = self._bindings(database, env, grammar, context)
-            sp.incr("bindings", len(out))
-        return out
-
-    def _bindings(
-        self,
-        database: DocumentSource,
-        env: Dict[str, Any],
-        grammar=None,
-        context: Optional[ExecutionContext] = None,
-    ) -> List[Union[Graph, MatchedGraph]]:
-        collection = database.doc(self.source)
         out: List[Union[Graph, MatchedGraph]] = []
-        if self.pattern is not None:
-            # route big graphs through the database's cached access-method
-            # pipeline (indexes + refinement); small graphs scan directly
-            matcher_factory = None
-            if hasattr(database, "matcher_for"):
-                big = max((g.num_nodes() for g in collection
-                           if isinstance(g, Graph)), default=0)
-                if big >= 256:
-                    matcher_factory = database.matcher_for  # type: ignore[attr-defined]
-            matched = select(
-                collection,
-                self.pattern,
-                exhaustive=self.exhaustive,
-                grammar=grammar,
-                matcher_factory=matcher_factory,
-                context=context,
-            )
-            candidates: List[Union[Graph, MatchedGraph]] = list(matched)
-        else:
-            candidates = list(collection)
-        for binding in candidates:
-            if context is not None:
-                context.tick()
-            if self.where is not None:
-                scope = Scope(
-                    {self.binding_name: binding, **env}, fallback=binding
-                )
-                if not self.where.holds(scope):
-                    continue
-            out.append(binding)
+        with trace_span("flwr.for", source=self.source) as sp:
+            if self.pattern is not None:
+                candidates = database.select(
+                    self.source, self.pattern, exhaustive=self.exhaustive,
+                    context=context, grammar=grammar)
+            else:
+                candidates = database.doc(self.source)
+            for binding in candidates:
+                if context is not None:
+                    context.tick()
+                if self.where is not None:
+                    scope = Scope(
+                        {self.binding_name: binding, **env}, fallback=binding
+                    )
+                    if not self.where.holds(scope):
+                        continue
+                out.append(binding)
+            sp.incr("bindings", len(out))
         return out
 
 

@@ -83,6 +83,10 @@ class GroundPattern:
 
     # -- convenience -----------------------------------------------------------------
 
+    def ground(self, grammar=None, max_depth: int = 8) -> List["GroundPattern"]:
+        """Its own only derivation (mirrors :meth:`GraphPattern.ground`)."""
+        return [self]
+
     def node_names(self) -> List[str]:
         """Pattern node names in declaration order."""
         return self.motif.node_names()

@@ -157,6 +157,8 @@ class PathIndex:
         self.max_length = max_length
         self.label_fn = label_fn
         self._directed = any(g.directed for g in collection)
+        #: versions at build time: the holder rebuilds once they differ
+        self.member_versions = [graph.version for graph in collection]
         self._features: List[Counter] = [
             enumerate_label_paths(graph, max_length, label_fn)
             for graph in collection

@@ -20,11 +20,11 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..core.bindings import Mapping
+from ..core.bindings import Mapping, as_graph
 from ..core.graph import Graph
-from ..core.pattern import GraphPattern, GroundPattern
+from ..core.pattern import GroundPattern
 from ..index.attribute_index import AttributeIndexSet
 from ..index.profile_index import ProfileIndex
 from ..obs.trace import span as trace_span
@@ -61,17 +61,12 @@ class MatchOptions:
     refine: bool = True               # run Algorithm 4.2
     refine_level: Optional[int] = None  # None => pattern size
     optimize_order: bool = True       # greedy cost-based order vs connected order
-    # a search order computed by an earlier run of the same pattern on
-    # the same graph; used only when it covers exactly the pattern's
-    # nodes, otherwise recomputed
-    plan_order: Optional[Sequence[str]] = None
     gamma_mode: str = "frequency"     # "frequency" | "constant"
     gamma_const: float = 0.1
     radius: int = 1
     exhaustive: bool = True
     limit: Optional[int] = None
     label_attr: str = "label"
-    use_attribute_index: bool = True
 
 
 @dataclass
@@ -97,7 +92,7 @@ class AccessPlan:
     refinement: Optional[RefinementStats] = None
     space: Dict[str, List[str]] = field(default_factory=dict, repr=False)
     order: List[str] = field(default_factory=list)
-    #: "greedy" | "connected" | "plan-cache" | "declaration"
+    #: "greedy" | "connected" | "declaration"
     policy: str = ""
     cost_model: Optional[CostModel] = field(default=None, repr=False)
     degradation: List[str] = field(default_factory=list)
@@ -132,6 +127,18 @@ class MatchReport(AccessPlan):
     search: Optional[SearchCounters] = None
     mappings: List[Mapping] = field(default_factory=list)
     outcome: QueryOutcome = field(default_factory=QueryOutcome)
+
+    def absorb(self, other: "MatchReport") -> None:
+        """Fold in a later derivation's report on the same graph: mappings
+        union, times and spaces add up, the outcome is the later run's."""
+        self.mappings.extend(other.mappings)
+        for key, value in other.times.items():
+            self.times[key] = self.times.get(key, 0.0) + value
+        self.baseline_space += other.baseline_space
+        self.retrieved_space += other.retrieved_space
+        self.refined_space += other.refined_space
+        self.degradation.extend(other.degradation)
+        self.outcome = other.outcome
 
     def reduction_ratio(self, stage: str = "refined") -> float:
         """Search-space reduction ratio against the baseline space."""
@@ -309,8 +316,7 @@ class GraphMatcher:
         ladder = (
             ("indexed retrieval (local={local!r}) failed ({exc}); "
              "retrying without indexes",
-             self.attribute_index if opts.use_attribute_index else None,
-             self.profile_index),
+             self.attribute_index, self.profile_index),
             ("unindexed retrieval failed ({exc}); "
              "falling back to the basic scan matcher", None, None),
         )
@@ -405,11 +411,7 @@ class GraphMatcher:
                 directed=graph.directed,
             )
             try:
-                if (opts.plan_order is not None
-                        and set(opts.plan_order) == set(space)):
-                    plan.order, plan.policy = (
-                        list(opts.plan_order), "plan-cache")
-                elif opts.optimize_order:
+                if opts.optimize_order:
                     plan.order, plan.policy = (
                         greedy_order(pattern.motif, sizes, model), "greedy")
                 else:
@@ -453,45 +455,78 @@ class GraphMatcher:
                 sp.incr("results", counters.results)
                 sp.incr("candidates_tried", counters.candidates_tried)
 
-    def match_pattern(
-        self,
-        pattern: GraphPattern,
-        options: Optional[MatchOptions] = None,
-        grammar=None,
-        max_depth: int = 8,
-        context: Optional[ExecutionContext] = None,
-    ) -> MatchReport:
-        """Match a (possibly recursive) pattern: union over derivations.
 
-        The answer cap (``options.limit``) applies to the union: each
-        derivation's search only runs for the answers still missing, and
-        matching stops entirely once the cap is met — no derivation ever
-        over-produces results that would then be thrown away.
-        """
-        opts = options or MatchOptions()
-        merged: Optional[MatchReport] = None
-        for ground in pattern.ground(grammar, max_depth):
-            remaining_opts = opts
-            if opts.limit is not None and merged is not None:
-                remaining = opts.limit - len(merged.mappings)
-                if remaining <= 0:
-                    break
-                remaining_opts = replace(opts, limit=remaining)
-            report = self.match(ground, remaining_opts, context=context)
-            if merged is None:
-                merged = report
-            else:
-                merged.mappings.extend(report.mappings)
-                for key, value in report.times.items():
-                    merged.times[key] = merged.times.get(key, 0.0) + value
-                merged.baseline_space += report.baseline_space
-                merged.retrieved_space += report.retrieved_space
-                merged.refined_space += report.refined_space
-                merged.degradation.extend(report.degradation)
-                merged.outcome = report.outcome
+#: The access-method policy of :func:`match_members`: a member with fewer
+#: nodes than this runs the baseline plan on an index-less matcher (the
+#: paper's category 1, many small graphs), any other the requested options
+#: on the indexed matcher (category 2).  Measured in docs/access_methods.md.
+SMALL_MEMBER_NODES = 24
+
+
+class MemberRun(NamedTuple):
+    """One derivation of a pattern run (or planned) on one member graph."""
+
+    position: int            # of the member in its collection
+    matcher: GraphMatcher    # ``matcher.graph`` is the member
+    options: MatchOptions    # the options that really ran (the policy's)
+    ground: GroundPattern
+    report: AccessPlan       # a MatchReport unless planned only
+
+
+def match_members(
+    collection: Iterable,
+    grounds: Sequence[GroundPattern],
+    options: Optional[MatchOptions] = None,
+    matchers: Optional[Dict[int, GraphMatcher]] = None,
+    context: Optional[ExecutionContext] = None,
+    search: bool = True,
+) -> Iterator[MemberRun]:
+    """σ_P over a collection: the one member loop every selection runs.
+
+    Matches the derivations *grounds* of one pattern against each member
+    of *collection* and yields one :class:`MemberRun` per derivation run.
+    A member's derivations are one answer set: ``options.limit`` — or one
+    mapping when ``exhaustive`` is off — caps them together, and each
+    search only runs for the answers still missing.  *context* governs
+    every search; once it trips, the rest is skipped.  ``search=False``
+    yields :meth:`GraphMatcher.plan` results instead (EXPLAIN).
+
+    Which matcher and options a member gets is decided here and nowhere
+    else, from its node count (:data:`SMALL_MEMBER_NODES`).  *matchers*
+    is the caller's cache (``id(graph)`` → indexed matcher) when the
+    collection is a registered document; without one a big member gets
+    a matcher for this call only, as a small one always does.
+    """
+    matchers = {} if matchers is None else matchers
+    requested = options or MatchOptions()
+    small_options = replace(requested, local="none", refine=False, optimize_order=False)
+    cap = 1 if requested.limit is None and not requested.exhaustive else requested.limit
+    for position, member in enumerate(collection):
+        graph = as_graph(member)
+        if graph.num_nodes() < SMALL_MEMBER_NODES:
+            # nothing worth caching: no index, statistics of a few nodes
+            matcher = GraphMatcher(graph, build_attribute_index=False,
+                                   build_profile_index=False)
+            member_options = small_options
+        else:
+            matcher = matchers.get(id(graph))
+            if matcher is None or matcher.graph is not graph:
+                matcher = matchers[id(graph)] = GraphMatcher(graph)
+            member_options = requested
+        found = 0
+        for index, ground in enumerate(grounds):
             if context is not None and context.is_interrupted:
-                break
-        return merged if merged is not None else MatchReport()
+                return
+            if not search:
+                report: AccessPlan = matcher.plan(ground, member_options)
+            else:
+                if cap is not None and index:
+                    if found >= cap:
+                        break
+                    member_options = replace(member_options, limit=cap - found)
+                report = matcher.match(ground, member_options, context=context)
+                found += len(report.mappings)
+            yield MemberRun(position, matcher, member_options, ground, report)
 
 
 def baseline_options(**overrides) -> MatchOptions:

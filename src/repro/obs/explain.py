@@ -18,10 +18,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..analysis import analyze_pattern_text, schema_for_document, to_wire
-from ..core.pattern import GraphPattern, GroundPattern
+from ..core.pattern import GroundPattern
 from ..lang.compiler import compile_pattern_text
 from ..matching.planner import (
     REFINEMENT_FAILED,
+    AccessPlan,
     GraphMatcher,
     MatchOptions,
     MatchReport,
@@ -64,6 +65,11 @@ def explain_ground(
     opts = options or MatchOptions()
     plan = (matcher.match(ground, opts, context=context) if analyze
             else matcher.plan(ground, opts))
+    return _render_plan(matcher, ground, opts, plan)
+
+
+def _render_plan(matcher: GraphMatcher, ground: GroundPattern,
+                 opts: MatchOptions, plan: AccessPlan) -> Dict[str, Any]:
     retrieval = plan.retrieval
     nodes: List[Dict[str, Any]] = []
     for name in ground.node_names():
@@ -120,23 +126,18 @@ def explain_document(
     context: Optional[ExecutionContext] = None,
 ) -> Dict[str, Any]:
     """EXPLAIN a (possibly non-ground) pattern over every graph of a
-    registered document; returns one JSON-ready dict."""
-    grounds: List[GroundPattern]
-    if isinstance(pattern, GraphPattern):
-        grounds = pattern.ground()
-    else:
-        grounds = [pattern]
-    graphs: List[Dict[str, Any]] = []
-    for graph in database.doc(document):
-        matcher = database.matcher_for(graph)
-        for ground in grounds:
-            graphs.append(explain_ground(matcher, ground, options,
-                                         analyze=analyze, context=context))
+    registered document; returns one JSON-ready dict.  Each entry
+    renders a run of the database's own member loop: the plan (and, with
+    *analyze*, the very run) ``match`` gives that member."""
+    grounds = pattern.ground()
     return {
         "document": document,
         "analyze": bool(analyze),
         "derivations": len(grounds),
-        "graphs": graphs,
+        "graphs": [
+            _render_plan(run.matcher, run.ground, run.options, run.report)
+            for run in database.member_runs(document, grounds, options,
+                                            context, search=analyze)],
     }
 
 

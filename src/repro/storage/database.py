@@ -10,13 +10,20 @@ end-to-end.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from ..core.algebra import matched_graphs
 from ..core.collection import GraphCollection
 from ..core.graph import Graph
 from ..core.pattern import GraphPattern, GroundPattern
 from ..lang.compiler import compile_pattern_text, compile_program
-from ..matching.planner import GraphMatcher, MatchOptions, MatchReport
+from ..matching.planner import (
+    GraphMatcher,
+    MatchOptions,
+    MatchReport,
+    MemberRun,
+    match_members,
+)
 from ..runtime import ExecutionContext
 from .graphstore import GraphStore
 from .serializer import _atomic_write_text, load_collection, save_collection
@@ -192,12 +199,14 @@ class GraphDatabase:
 
     # -- access methods --------------------------------------------------------------
 
-    def matcher_for(self, graph: Graph) -> GraphMatcher:
-        """The cached access-method pipeline for one data graph."""
-        matcher = self._matchers.get(id(graph))
-        if matcher is None:
-            matcher = self._matchers[id(graph)] = GraphMatcher(graph)
-        return matcher
+    def member_runs(self, document: str, grounds: Sequence[GroundPattern],
+                    options: Optional[MatchOptions] = None,
+                    context: Optional[ExecutionContext] = None,
+                    search: bool = True) -> Iterator[MemberRun]:
+        """:func:`~repro.matching.planner.match_members` over a registered
+        document, with this database's cached per-graph matchers."""
+        return match_members(self.doc(document), grounds, options,
+                             self._matchers, context, search)
 
     def match(
         self,
@@ -208,25 +217,24 @@ class GraphDatabase:
     ) -> Dict[str, MatchReport]:
         """Match a pattern against every graph of a document.
 
-        Returns one :class:`MatchReport` per graph, keyed by graph name
-        (or positional index when unnamed).  Pattern text is compiled on
-        the fly.  A *context* is shared by the per-graph searches: once
-        it trips, remaining graphs are skipped and each produced report
-        carries the outcome snapshot at the time it finished.
+        Returns one :class:`MatchReport` per graph (derivations merged),
+        keyed by graph name (or positional index when unnamed).  Pattern
+        text is compiled on the fly.  A *context* is shared by the
+        searches: once it trips, remaining graphs are skipped and each
+        report carries the outcome snapshot at the time it finished.
         """
         if isinstance(pattern, str):
             pattern = compile_pattern_text(pattern)
         reports: Dict[str, MatchReport] = {}
-        for position, graph in enumerate(self.doc(document)):
-            if context is not None and context.is_interrupted:
-                break
-            matcher = self.matcher_for(graph)
-            if isinstance(pattern, GroundPattern):
-                report = matcher.match(pattern, options, context=context)
+        merged_position = None
+        for run in self.member_runs(document, pattern.ground(), options,
+                                    context):
+            name = run.matcher.graph.name or f"#{run.position}"
+            if run.position == merged_position:
+                reports[name].absorb(run.report)
             else:
-                report = matcher.match_pattern(pattern, options,
-                                               context=context)
-            reports[graph.name or f"#{position}"] = report
+                reports[name] = run.report
+                merged_position = run.position
         return reports
 
     def execute(
@@ -243,7 +251,8 @@ class GraphDatabase:
             self.match(document, pattern, options, context=context))
 
     def collection_index_for(self, document: str, max_length: int = 3):
-        """The cached path index of a document (built on first use).
+        """The cached path index of a document (rebuilt when the document
+        or a member graph changed).
 
         Only collections of at least :data:`COLLECTION_INDEX_THRESHOLD`
         graphs are indexed; smaller ones return ``None`` (scanning wins).
@@ -254,7 +263,8 @@ class GraphDatabase:
         if len(collection) < self.COLLECTION_INDEX_THRESHOLD:
             return None
         index = self._collection_indexes.get(document)
-        if index is None or index.collection is not collection:
+        if (index is None or index.collection is not collection
+                or index.member_versions != [g.version for g in collection]):
             index = PathIndex(collection, max_length=max_length)
             self._collection_indexes[document] = index
         return index
@@ -265,39 +275,30 @@ class GraphDatabase:
         pattern: Union[GraphPattern, GroundPattern, str],
         exhaustive: bool = True,
         context: Optional[ExecutionContext] = None,
+        grammar=None,
     ) -> GraphCollection:
-        """σ_P over a document, using filter+verify for big collections.
+        """σ_P over a document, as matched graphs; big collections are
+        filtered by their path index first (filter + verify).
 
-        Small collections (and patterns without label constraints) fall
-        back to a plain scan; results are identical either way.  When the
-        collection path index cannot be built (e.g. a storage fault), the
-        selection degrades to the plain scan instead of failing.
+        The filter only narrows which members are matched: results are
+        identical either way, and when the index cannot be built (e.g. a
+        storage fault) every member is matched instead of failing.
         """
-        from ..core.algebra import select as scan_select
-
         if isinstance(pattern, str):
             pattern = compile_pattern_text(pattern)
-        if isinstance(pattern, GraphPattern):
-            grounds = pattern.ground()
-        else:
-            grounds = [pattern]
+        grounds = pattern.ground(grammar)
+        members: Iterable[Graph] = self.doc(document)
         try:
             index = self.collection_index_for(document)
         except Exception:
             index = None
-        if index is None:
-            out = GraphCollection()
-            for ground in grounds:
-                out.extend(scan_select(self.doc(document), ground,
-                                       exhaustive=exhaustive,
-                                       context=context))
-            return out
-        out = GraphCollection()
-        for ground in grounds:
-            if context is not None and context.is_interrupted:
-                break
-            out.extend(index.select(ground, exhaustive=exhaustive))
-        return out
+        if index is not None:
+            # a member matches when any derivation does
+            members = [index.collection[position] for position in sorted(
+                set().union(*map(index.candidate_positions, grounds)))]
+        return matched_graphs(match_members(
+            members, grounds, MatchOptions(exhaustive=exhaustive),
+            self._matchers, context))
 
     # -- full query execution ------------------------------------------------------------
 

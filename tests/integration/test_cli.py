@@ -115,8 +115,9 @@ class TestExplainFlag:
         assert main(["match", triangle_file, "--pattern", str(pattern),
                      "--explain"]) == 0
         out = capsys.readouterr().out
-        assert "search order" in out
-        assert "refine=on" in out
+        assert "search order [connected]" in out
+        # a 6-node member gets the baseline plan (planner.SMALL_MEMBER_NODES)
+        assert "local=none, refine=off" in out
         assert "Mapping(" not in out  # no search was run
         # one source: `explain` prints exactly the same
         assert main(["explain", triangle_file,

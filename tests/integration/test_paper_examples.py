@@ -33,7 +33,7 @@ class TestSection1Examples:
             } where u1.company = u2.company
         """)
         matcher = GraphMatcher(g)
-        report = matcher.match_pattern(pattern, optimized_options())
+        report = matcher.match(pattern.single(), optimized_options())
         pairs = {
             frozenset((m.nodes["u1"], m.nodes["u2"])) for m in report.mappings
         }

@@ -10,6 +10,7 @@ from repro.matching import (
     baseline_options,
     optimized_options,
 )
+from repro.matching.planner import match_members
 
 
 class TestPipeline:
@@ -93,7 +94,7 @@ class TestPipeline:
 
 
 class TestRecursivePatterns:
-    def test_match_pattern_unions_derivations(self, paper_graph):
+    def test_match_members_unions_derivations(self, paper_graph):
         from repro.core.motif import Disjunction
 
         a = MotifBlock()
@@ -101,8 +102,9 @@ class TestRecursivePatterns:
         b = MotifBlock()
         b.add_node("u", attrs={"label": "C"})
         pattern = GraphPattern(Disjunction([a, b]), name="AorC")
-        matcher = GraphMatcher(paper_graph)
-        report = matcher.match_pattern(pattern)
-        labels = {paper_graph.node(m.nodes["u"]).label for m in report.mappings}
+        mappings = [m for run in match_members([paper_graph],
+                                               pattern.ground())
+                    for m in run.report.mappings]
+        labels = {paper_graph.node(m.nodes["u"]).label for m in mappings}
         assert labels == {"A", "C"}
-        assert len(report.mappings) == 4
+        assert len(mappings) == 4

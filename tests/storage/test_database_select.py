@@ -7,6 +7,9 @@ from repro.datasets import (
     ring_with_side_chain_pattern,
     tiny_dblp,
 )
+from repro.lang.compiler import compile_pattern_text
+from repro.matching import MatchOptions
+from repro.runtime import ExecutionContext, Outcome
 from repro.storage import GraphDatabase
 
 
@@ -76,3 +79,76 @@ class TestDatabasePersistence:
 
         with pytest.raises(FileNotFoundError):
             GraphDatabase.open(tmp_path)
+
+
+def answers(collection):
+    return sorted((m.graph.name, sorted(m.mapping.nodes.items()))
+                  for m in collection)
+
+
+def served(db, document, pattern, **kwargs):
+    return sorted((name, sorted(mapping.nodes.items()))
+                  for name, report in db.match(document, pattern,
+                                               **kwargs).items()
+                  for mapping in report.mappings)
+
+
+class TestOneSelectionOperator:
+    """``select`` and ``match`` used to be separate loops that disagreed."""
+
+    XX_BOND = ('graph P { node a <label="X">; node b <label="X">; '
+               'edge e (a, b); }')
+
+    def test_select_sees_an_in_place_write(self):
+        """The path index is rebuilt when a member graph was mutated and
+        the same collection object re-registered."""
+        db = GraphDatabase()
+        collection = molecule_collection(num_molecules=40, seed=2)
+        db.register("mols", collection)
+        assert answers(db.select("mols", self.XX_BOND)) == served(
+            db, "mols", self.XX_BOND) == []
+        stale = db.collection_index_for("mols")
+        for graph in (collection[3], collection[17]):
+            graph.add_node("x1", label="X")
+            graph.add_node("x2", label="X")
+            graph.add_edge("x1", "x2", bond="single")
+            graph.add_edge(graph.node_ids()[0], "x1", bond="single")
+        db.register("mols", collection)
+        assert db.collection_index_for("mols") is not stale
+        after = answers(db.select("mols", self.XX_BOND, exhaustive=False))
+        assert [name for name, _ in after] == ["mol17", "mol3"]
+        assert after == served(db, "mols", self.XX_BOND,
+                               options=MatchOptions(exhaustive=False))
+
+    def test_indexed_select_is_governed(self):
+        """A budget reaches the verify searches of the filter+verify
+        path: partial collection, non-COMPLETE outcome."""
+        db = GraphDatabase()
+        db.register("mols", molecule_collection(num_molecules=80, seed=2))
+        assert db.collection_index_for("mols") is not None
+        pattern = ring_with_side_chain_pattern("C")
+        everything = db.select("mols", pattern)
+        context = ExecutionContext(max_steps=5)
+        partial = db.select("mols", pattern, context=context)
+        assert context.outcome().status is Outcome.TRUNCATED
+        assert len(partial) < len(everything)
+        served_context = ExecutionContext(max_steps=5)
+        db.match("mols", pattern, context=served_context)
+        assert served_context.outcome().status is Outcome.TRUNCATED
+
+    def test_first_match_mode_is_one_mapping_per_graph(self):
+        """``exhaustive=False`` caps a graph's derivations together."""
+        either = compile_pattern_text(
+            'graph P { { node u <label="C">; } | { node u <label="N">; } }')
+        assert len(either.ground()) == 2
+        db = GraphDatabase()
+        collection = molecule_collection(num_molecules=40, seed=2)
+        db.register("mols", collection)
+        both = sum(
+            1 for graph in collection
+            if {"C", "N"} & {node.label for node in graph.nodes()})
+        assert both == len(collection)
+        assert len(scan_select(collection, either, exhaustive=False)) == both
+        assert len(db.select("mols", either, exhaustive=False)) == both
+        assert len(served(db, "mols", either,
+                          options=MatchOptions(exhaustive=False))) == both

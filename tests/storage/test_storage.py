@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Graph
+from repro.core import Graph, GraphCollection
 from repro.datasets import dblp_collection, tiny_dblp
 from repro.matching import optimized_options
 from repro.storage import (
@@ -75,15 +75,18 @@ class TestGraphDatabase:
     def test_reregistering_a_document_drops_its_old_matchers(self):
         """Matchers hold their graph, statistics and indexes: replacing
         a collection must not keep the replaced one's alive."""
-        from repro.datasets.molecules import molecule_collection
+        from repro.datasets import erdos_renyi_graph
+        from repro.matching.planner import SMALL_MEMBER_NODES
 
         database = GraphDatabase()
-        for seed in range(50):
-            fresh = molecule_collection(
-                num_molecules=GraphDatabase.COLLECTION_INDEX_THRESHOLD,
-                seed=seed)
+        for seed in range(20):
+            # members big enough to get a cached, indexed matcher
+            fresh = GraphCollection([
+                erdos_renyi_graph(SMALL_MEMBER_NODES, 30, num_labels=3,
+                                  seed=100 * seed + member)
+                for member in range(GraphDatabase.COLLECTION_INDEX_THRESHOLD)])
             database.register("mols", fresh)
-            database.match("mols", 'graph P { node a <label="C">; }')
+            database.match("mols", 'graph P { node a <label="L000">; }')
             assert database.collection_index_for("mols") is not None
             assert len(database._matchers) == len(fresh)
             assert len(database._collection_indexes) == 1
@@ -103,12 +106,17 @@ class TestGraphDatabase:
         assert set(reports) == {"G"}
         assert len(reports["G"].mappings) == 2  # A1-B1 (x1) ... check below
 
-    def test_matcher_cached(self, paper_graph):
+    def test_matcher_cached(self, triangle_pattern):
+        from repro.datasets import erdos_renyi_graph
+
+        graph = erdos_renyi_graph(60, 120, num_labels=3, seed=1)
         db = GraphDatabase()
-        db.register("net", paper_graph)
-        first = db.matcher_for(paper_graph)
-        again = db.matcher_for(paper_graph)
-        assert first is again
+        db.register("net", graph)
+        db.match("net", triangle_pattern)
+        (first,) = db._matchers.values()
+        assert first.graph is graph
+        db.select("net", triangle_pattern)
+        assert list(db._matchers.values()) == [first]
 
     def test_save_and_load(self, tmp_path):
         db = GraphDatabase()
