@@ -38,7 +38,6 @@ from .core import (
     MatchedGraph,
     SimpleMotif,
 )
-from .interop import from_networkx, to_networkx
 from .lang import compile_pattern_text, compile_program
 from .matching import GraphMatcher, MatchOptions, baseline_options, optimized_options
 from .runtime import (
@@ -76,7 +75,5 @@ __all__ = [
     "ExecutionInterrupted",
     "Outcome",
     "QueryOutcome",
-    "from_networkx",
-    "to_networkx",
     "__version__",
 ]

@@ -1,7 +1,5 @@
 """Access methods for the selection operator (Section 4 of the paper)."""
 
-from .approximate import ApproximateMatch, find_approximate_matches
-from .isomorphism import deduplicate_isomorphic, isomorphic, isomorphism_mapping
 from .basic import (
     SearchCounters,
     brute_force_matches,
@@ -29,7 +27,6 @@ from .planner import (
     baseline_options,
     optimized_options,
 )
-from .reachability import ReachabilityIndex, match_path_pattern
 from .refinement import (
     RefinementStats,
     refine_search_space,
@@ -46,11 +43,6 @@ from .search_order import (
 from .statistics import GraphStatistics
 
 __all__ = [
-    "ApproximateMatch",
-    "find_approximate_matches",
-    "deduplicate_isomorphic",
-    "isomorphic",
-    "isomorphism_mapping",
     "SearchCounters",
     "brute_force_matches",
     "find_matches",
@@ -71,8 +63,6 @@ __all__ = [
     "MatchReport",
     "baseline_options",
     "optimized_options",
-    "ReachabilityIndex",
-    "match_path_pattern",
     "RefinementStats",
     "refine_search_space",
     "space_reduction_ratio",

@@ -6,11 +6,14 @@ lookup serves validation and execution, whatever the document, options
 or data version (:class:`PreparedQueryCache`).
 
 The result cache keys on ``(document, query text, options signature,
-document version)``.  The version component is the sum of the registered
-graphs' mutation counters (:attr:`repro.core.graph.Graph.version`
-increments on every node/edge change), so *any* mutation makes every
-older entry unreachable — stale answers are impossible by construction
-and the dead entries age out of the LRU instead of needing an
+version)``.  The version component pairs the document's registration
+number (:meth:`GraphDatabase.registration`, bumped when a different
+collection object is registered) with the sum of its graphs' mutation
+counters (:attr:`repro.core.graph.Graph.version` increments on every
+node/edge change).  The sum alone is not an identity — two different
+collections can add up alike — but within one registered object it
+only grows, so any mutation or replacement makes every older entry
+unreachable.  The dead entries age out of the LRU instead of needing an
 invalidation sweep.  It stores the final rows plus the outcome, but only
 for runs whose outcome is deterministic given the key: ``COMPLETE``, or
 ``TRUNCATED`` by a cap that is itself part of the key — the options
@@ -125,11 +128,11 @@ class PreparedQueryCache(LRUCache):
         return prepared, False
 
 
-CacheKey = Tuple[str, str, Hashable, int]
+CacheKey = Tuple[str, str, Hashable, Hashable]
 
 
 def make_key(document: str, query_text: str, options_key: Hashable,
-             version: int) -> CacheKey:
+             version: Hashable) -> CacheKey:
     """The result-cache key."""
     return (document, query_text, options_key, version)
 

@@ -19,10 +19,11 @@ class ServiceConfig:
 
     Sizing rules of thumb:
 
-    * ``workers`` bounds CPU use.  The matcher is pure Python, so thread
-      workers only overlap during the interpreter's frequent GIL yields;
-      ``use_processes=True`` trades per-request cancellation and shared
-      graph mutation for true CPU parallelism.
+    * ``workers`` is the number of worker threads.  The matcher is pure
+      Python, so they only overlap during the interpreter's frequent GIL
+      yields: more workers bound tail latency behind one slow query, not
+      CPU use.  Serving from several cores means several processes —
+      the cluster's shard servers (docs/cluster.md).
     * ``queue_depth`` is how many admitted requests may *wait* beyond the
       ones actively running.  Admission rejects (it never blocks) once
       ``workers + queue_depth`` requests are in flight — load shedding
@@ -37,7 +38,6 @@ class ServiceConfig:
     workers: int = 4
     queue_depth: int = 16
     per_client: int = 8
-    use_processes: bool = False
 
     # per-request governance defaults (None = unlimited)
     default_timeout: Optional[float] = 30.0

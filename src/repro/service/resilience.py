@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+
+from .cache import LRUCache
 
 __all__ = [
     "STATE_CLOSED",
@@ -256,7 +258,7 @@ class QueueWaitEstimator:
             return len(self._waits)
 
 
-class DuplicateRequestTable:
+class DuplicateRequestTable(LRUCache):
     """A bounded LRU of completed responses keyed by (client, key).
 
     The server consults it before executing a query that carries an
@@ -268,14 +270,6 @@ class DuplicateRequestTable:
     never enter the table.
     """
 
-    def __init__(self, capacity: int = 512) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, Dict[str, Any]]" = OrderedDict()
-        self.hits = 0
-
     def get(self, key: Hashable) -> Optional[Dict[str, Any]]:
         """The stored response of a repeated request, or None.
 
@@ -283,29 +277,9 @@ class DuplicateRequestTable:
         ``duplicate`` marker, the echoed id) but must not mutate nested
         values, which stay shared with the stored entry.
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return dict(entry)
+        entry = super().get(key)
+        return None if entry is None else dict(entry)
 
     def put(self, key: Hashable, response: Dict[str, Any]) -> None:
         """Remember one completed response for future duplicates."""
-        if self.capacity == 0:
-            return
-        with self._lock:
-            self._entries[key] = dict(response)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"size": len(self._entries), "capacity": self.capacity,
-                    "hits": self.hits}
+        super().put(key, dict(response))

@@ -63,6 +63,9 @@ class GraphDatabase:
 
     def __init__(self) -> None:
         self._collections: Dict[str, GraphCollection] = {}
+        #: per-document count of registrations that changed the
+        #: collection object (see :meth:`registration`)
+        self._registrations: Dict[str, int] = {}
         self._matchers: Dict[int, GraphMatcher] = {}
         self._collection_indexes: Dict[str, "object"] = {}
         self._store: Optional[GraphStore] = None
@@ -78,16 +81,26 @@ class GraphDatabase:
             collection = GraphCollection([collection], name=name)
         collection.name = collection.name or name
         replaced = self._collections.get(name)
-        if replaced is not None and replaced is not collection:
-            # a matcher holds its graph, statistics and indexes: drop the
-            # ones only the replaced collection used, or every re-register
-            # leaks a collection's worth of them
-            kept = {id(graph) for graph in collection}
-            for graph in replaced:
-                if id(graph) not in kept:
-                    self._matchers.pop(id(graph), None)
-            self._collection_indexes.pop(name, None)
+        if replaced is not collection:
+            self._registrations[name] = self._registrations.get(name, 0) + 1
+            if replaced is not None:
+                # a matcher holds its graph, statistics and indexes: drop
+                # the ones only the replaced collection used, or every
+                # re-register leaks a collection's worth of them
+                kept = {id(graph) for graph in collection}
+                for graph in replaced:
+                    if id(graph) not in kept:
+                        self._matchers.pop(id(graph), None)
+                self._collection_indexes.pop(name, None)
         self._collections[name] = collection
+
+    def registration(self, name: str) -> int:
+        """Which collection object is registered under *name*: bumped
+        whenever a registration replaces the object, unchanged by a
+        re-registration of the same (possibly mutated) object — that one
+        is tracked by its graphs' :attr:`Graph.version` instead.  Raises
+        ``KeyError`` for an unknown document."""
+        return self._registrations[name]
 
     def doc(self, name: str) -> GraphCollection:
         """Resolve ``doc(name)`` (FLWR data source)."""
@@ -245,8 +258,7 @@ class GraphDatabase:
         context: Optional[ExecutionContext] = None,
     ) -> Tuple[List[Dict[str, Any]], List[str]]:
         """Run a pattern over a document: :func:`answer_rows` of
-        :meth:`match`, what the service's thread and process workers
-        return."""
+        :meth:`match`, what the service's workers return."""
         return answer_rows(
             self.match(document, pattern, options, context=context))
 

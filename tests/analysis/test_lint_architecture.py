@@ -47,11 +47,76 @@ class TestDetection:
             assert codes(src, in_matching=True) == ["A002"], src
 
 
+def plant(repo, files):
+    """Write ``{relative path: source}`` under *repo*; returns the package
+    root ``repo/src/repro``."""
+    for relative, src in files.items():
+        path = repo / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(src))
+    return repo / "src" / "repro"
+
+
+def unreached(repo, files):
+    return sorted(lint.unreached_modules(plant(repo, files), repo,
+                                         entry_modules=("repro.main",)))
+
+
+class TestUnreachedModules:
+    BASE = {
+        "src/repro/__init__.py": "",
+        "src/repro/main.py": "from .used import f\nf()\n",
+        "src/repro/used.py": "def f(): pass\n",
+    }
+
+    def test_planted_orphan_is_a003(self, tmp_path):
+        root = plant(tmp_path, {**self.BASE,
+                                "src/repro/orphan.py": "X = 1\n"})
+        findings = lint.check_tree(root, tmp_path,
+                                   entry_modules=("repro.main",))
+        assert [(path.name, code) for path, code, _ in findings] == [
+            ("orphan.py", "A003")]
+
+    def test_tests_and_inits_do_not_count_but_examples_do(self, tmp_path):
+        files = {**self.BASE,
+                 "src/repro/orphan.py": "X = 1\n",
+                 "src/repro/demo_only.py": "Y = 1\n",
+                 "src/repro/sub/__init__.py": "from ..orphan import X\n",
+                 "tests/test_orphan.py": "from repro.orphan import X\n",
+                 "examples/demo.py": "import repro.demo_only\n"}
+        assert unreached(tmp_path, files) == ["repro.orphan"]
+
+    def test_re_export_counts_only_when_the_name_is_used(self, tmp_path):
+        files = {**self.BASE,
+                 "src/repro/pkg/__init__.py": "from .impl import thing\n",
+                 "src/repro/pkg/impl.py": "def thing(): pass\n",
+                 "src/repro/__init__.py": "from .pkg import thing\n",
+                 "bench/run.py": "from repro.pkg import thing\n"}
+        assert unreached(tmp_path, files) == ["repro.pkg.impl"]
+        for importer in ("from repro.pkg import thing\nthing()\n",
+                         "from repro import thing as t\nt()\n",
+                         "import repro.pkg\nrepro.pkg.thing()\n",
+                         "from repro import pkg\npkg.thing()\n"):
+            files["bench/run.py"] = importer
+            assert unreached(tmp_path, files) == [], importer
+
+    def test_entry_modules_are_never_orphans(self, tmp_path):
+        files = {**self.BASE, "src/repro/main.py": "X = 1\n"}
+        assert unreached(tmp_path, files) == ["repro.used"]
+
+
 class TestRealTree:
     def test_src_repro_is_clean(self):
         root = _TOOL.parents[1] / "src" / "repro"
         for path in sorted(root.rglob("*.py")):
             assert lint.check_file(path, root) == [], f"findings in {path}"
+        assert lint.check_tree(root) == []
+
+    def test_kept_unreached_modules_are_exactly_the_unreached_ones(self):
+        """A waiver whose module gained a caller (or was deleted) must
+        leave :data:`KEPT_UNREACHED` with it."""
+        root = _TOOL.parents[1] / "src" / "repro"
+        assert set(lint.unreached_modules(root)) == set(lint.KEPT_UNREACHED)
 
     def test_the_guard_knows_where_matching_lives(self):
         root = _TOOL.parents[1] / "src" / "repro"

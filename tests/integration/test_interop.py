@@ -4,8 +4,9 @@ import networkx as nx
 
 from repro.core import Graph, GroundPattern
 from repro.core.motif import clique_motif
-from repro.interop import from_networkx, to_networkx
 from repro.matching import GraphMatcher, optimized_options
+
+from tests.interop import from_networkx, to_networkx
 
 
 class TestToNetworkx:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from repro.core import Graph
 from repro.core.motif import cycle_motif, path_motif
-from repro.interop import from_networkx
-from repro.matching.isomorphism import (
+
+from tests.interop import from_networkx
+from tests.isomorphism import (
     deduplicate_isomorphic,
     isomorphic,
     isomorphism_mapping,

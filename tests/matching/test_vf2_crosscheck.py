@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from repro.core import Graph, GroundPattern
 from repro.core.motif import SimpleMotif
-from repro.interop import to_networkx
 from repro.matching import GraphMatcher, find_matches, optimized_options
+
+from tests.interop import to_networkx
 
 
 def vf2_matches(pattern: GroundPattern, graph: Graph):

@@ -408,21 +408,6 @@ class TestPoolWatchdog:
             assert response.outcome.status is Outcome.COMPLETE
             assert service._watchdog is None
 
-    def test_process_pool_recycle_preserves_document_versions(self):
-        with make_service(use_processes=True, workers=2) as service:
-            first = service.submit(QueryRequest(
-                query=EDGE_QUERY, limit=10)).result(timeout=60)
-            assert first.outcome.status is Outcome.COMPLETE
-            # process mode feeds the shed estimator too (round-trip
-            # minus worker-reported execution time)
-            assert len(service.queue_wait) >= 1
-            service._recycle_pool("test recycle")
-            second = service.submit(QueryRequest(
-                query=EDGE_QUERY, limit=10, use_cache=False,
-            )).result(timeout=60)
-            assert second.outcome.status is Outcome.COMPLETE
-            assert second.results == first.results
-
 
 class TestHealthReady:
     def test_health_and_ready_lifecycle(self):

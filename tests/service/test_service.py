@@ -102,6 +102,46 @@ class TestResultCache:
             response = service.execute(EDGE_QUERY)
             assert response.cache == "miss"
 
+    def test_another_collection_with_the_same_version_sum_misses(self):
+        """Registering a different collection whose member versions add
+        up to the old sum must not replay the old collection's rows."""
+        from repro.core import Graph
+
+        def one_edge(label):
+            graph = Graph("g")
+            graph.add_node("x", label=label)
+            graph.add_node("y", label=label)
+            graph.add_edge("x", "y")
+            return graph
+
+        query = ('graph P { node a <label="A">; node b <label="A">; '
+                 'edge e (a, b); }')
+        with QueryService(ServiceConfig(workers=1)) as service:
+            service.register("data", one_edge("A"))
+            first = service.execute(query)
+            assert (first.cache, len(first.results)) == ("miss", 2)
+            version = service.document_version("data")
+            service.register("data", one_edge("B"))
+            assert service.document_version("data") == version
+            again = service.execute(query)
+            assert again.results == service.execute(
+                query, use_cache=False).results == []
+            assert again.cache == "miss"
+
+    def test_same_object_re_register_keeps_its_entries(self):
+        """Re-registering the registered object changes nothing for the
+        cache; an in-place write before it invalidates via the version."""
+        with make_service() as service:
+            collection = service.database.doc("data")
+            cold = service.execute(EDGE_QUERY)
+            service.register("data", collection)
+            warm = service.execute(EDGE_QUERY)
+            assert (cold.cache, warm.cache) == ("miss", "hit")
+            collection[0].add_node("fresh", label="L001")
+            service.register("data", collection)
+            assert [service.execute(EDGE_QUERY).cache
+                    for _ in range(2)] == ["miss", "hit"]
+
     def test_no_cache_request_bypasses(self):
         with make_service() as service:
             service.execute(EDGE_QUERY)
@@ -351,59 +391,3 @@ class TestLifecycle:
         service.shutdown(timeout=0.2)
         response = future.result(timeout=30)
         assert response.outcome.status is Outcome.CANCELLED
-
-
-@pytest.mark.slow
-class TestProcessPool:
-    def test_process_pool_round_trip(self):
-        with make_service(use_processes=True) as service:
-            responses = [service.execute(EDGE_QUERY, use_cache=False)
-                         for _ in range(2)]
-            for response in responses:
-                assert response.error is None
-                assert response.outcome.status is Outcome.COMPLETE
-            # identical rows to the thread path
-            with make_service() as threaded:
-                assert (threaded.execute(EDGE_QUERY).results
-                        == responses[0].results)
-
-    def test_stale_pool_snapshot_is_never_cached(self):
-        """Workers match the snapshot from pool start; once the parent's
-        graphs drift from it, their rows must not enter the cache."""
-        with make_service(use_processes=True) as service:
-            first = service.execute(EDGE_QUERY)
-            assert first.cache == "miss"
-            graph = service.database.doc("data")[0]
-            # in-place mutation, no re-register: the pool keeps serving
-            # the old snapshot while the live version moves on
-            graph.add_node("fresh", label="L001")
-            for response in (service.execute(EDGE_QUERY),
-                             service.execute(EDGE_QUERY)):
-                assert response.cache == "bypass"
-                assert response.error is None
-
-
-    @pytest.mark.parametrize("query", [
-        'graph P { node a <label="C">; node b <label="O">; '
-        'edge e1 (a, b); }',
-        'graph P { node a <label="N">; } | { node a <label="S">; }',
-    ], ids=["ground", "two-derivations"])
-    def test_thread_and_process_pools_answer_identically(self, query):
-        """Both pools run GraphDatabase.execute: same rows in the same
-        order and the same degradation notes on a multi-graph document."""
-        from repro.datasets.molecules import molecule_collection
-
-        answers = []
-        for use_processes in (False, True):
-            with QueryService(ServiceConfig(
-                    workers=2, use_processes=use_processes)) as service:
-                service.register("mols",
-                                 molecule_collection(num_molecules=6, seed=3))
-                response = service.execute(query, document="mols",
-                                           use_cache=False)
-                assert response.error is None
-                assert response.outcome.status is Outcome.COMPLETE
-                answers.append((response.results, response.degradation))
-        threaded, forked = answers
-        assert threaded == forked
-        assert len({row["graph"] for row in threaded[0]}) > 1
