@@ -8,7 +8,6 @@ Usage examples::
     repro-gql match data.gql --pattern query.gql --json --trace-out spans.jsonl
     repro-gql explain data.gql --pattern query.gql [--analyze] [--json]
     repro-gql run program.gql --doc DBLP=papers.gql --out result.gql
-    repro-gql stress --seed 7 --queries 20 --timeout 5 --workers 4
     repro-gql serve data.gql --port 7687 --workers 4
     repro-gql serve --synthetic 1000 --port 0 --metrics-port 9090
     repro-gql serve data.gql --store state.db --fsync commit
@@ -19,7 +18,7 @@ Usage examples::
     repro-gql cluster serve --shards 3
     repro-gql cluster route --endpoints 127.0.0.1:7687,127.0.0.1:7688 \
         --pattern query.gql --json
-    repro-gql cluster smoke --shards 3 --queries 40
+    repro-gql cluster status --state cluster.json
 
 Files use the GraphQL concrete syntax (see ``repro.storage.serializer``);
 a data file holds one or more ``graph`` declarations.
@@ -35,7 +34,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import random
 import signal
 import sys
 import threading
@@ -187,45 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run)
     _add_trace(run)
 
-    stress = sub.add_parser(
-        "stress",
-        help="random queries on a synthetic graph under a global deadline",
-    )
-    stress.add_argument("--seed", type=int, default=0,
-                        help="RNG seed controlling graph and queries")
-    stress.add_argument("--nodes", type=int, default=300,
-                        help="synthetic graph size")
-    stress.add_argument("--edges", type=int, default=None,
-                        help="edge count (default 3x nodes)")
-    stress.add_argument("--labels", type=int, default=20,
-                        help="distinct node labels")
-    stress.add_argument("--queries", type=int, default=20,
-                        help="how many random queries to run")
-    stress.add_argument("--size", type=int, default=6,
-                        help="pattern size (nodes per query)")
-    stress.add_argument("--timeout", type=float, default=5.0,
-                        metavar="SECONDS",
-                        help="global wall-clock deadline for the whole run")
-    stress.add_argument("--max-steps", type=int, default=None, metavar="N",
-                        help="per-query step budget")
-    stress.add_argument("--limit", type=int, default=1000,
-                        help="per-query answer cap")
-    stress.add_argument("--baseline", action="store_true",
-                        help="disable the optimized access methods "
-                             "(runs under the same per-query timeout as "
-                             "the optimized path)")
-    stress.add_argument("--workers", type=int, default=4,
-                        help="query-service worker threads")
-    stress.add_argument("--queue-depth", type=int, default=None,
-                        help="admission queue depth (default: accept the "
-                             "whole batch; lower it to exercise load "
-                             "shedding)")
-    stress.add_argument("--per-query-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-query deadline (default: the global "
-                             "deadline; both the optimized and --baseline "
-                             "paths honor it)")
-
     serve = sub.add_parser(
         "serve",
         help="serve queries over TCP (newline-delimited JSON protocol)",
@@ -352,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = sub.add_parser(
         "cluster",
         help="sharded serving: boot local shards, route scatter-gather "
-             "queries, run the partial-failure smoke",
+             "queries, probe shard status",
     )
     csub = cluster.add_subparsers(dest="cluster_command", required=True)
 
@@ -411,37 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit rows + outcome + per-shard "
                              "accounting as JSON")
     _add_trace(croute)
-
-    csmoke = csub.add_parser(
-        "smoke",
-        help="boot a cluster, soak it, SIGKILL one shard mid-run, and "
-             "audit the PARTIAL accounting (exit 0 only when sound)",
-    )
-    csmoke.add_argument("--shards", type=int, default=3,
-                        help="shard servers to launch (default 3)")
-    csmoke.add_argument("--queries", type=int, default=40,
-                        help="fan-outs to run across the soak")
-    csmoke.add_argument("--molecules", type=int, default=48,
-                        help="graphs in the synthetic collection")
-    csmoke.add_argument("--seed", type=int, default=97,
-                        help="collection generator seed")
-    csmoke.add_argument("--no-kill", action="store_true",
-                        help="skip the mid-soak SIGKILL (healthy-path "
-                             "check only)")
-    csmoke.add_argument("--hedge-after", type=float, default=None,
-                        metavar="SECONDS",
-                        help="enable hedging during the soak")
-    csmoke.add_argument("--timeout", type=float, default=8.0,
-                        metavar="SECONDS",
-                        help="per-fan-out deadline")
-    csmoke.add_argument("--replication", type=int, default=1,
-                        metavar="R",
-                        help="replicas per slice; R >= 2 runs the "
-                             "zero-PARTIAL drill (supervised failover "
-                             "instead of PARTIAL replies)")
-    csmoke.add_argument("--report", default=None, metavar="PATH",
-                        help="also write the JSON report here (written "
-                             "on failure too, for CI artifacts)")
 
     cstatus = csub.add_parser(
         "status",
@@ -684,81 +612,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_stress(args: argparse.Namespace) -> int:
-    """``repro-gql stress``: a service soak test under a global deadline.
-
-    Generates a seeded synthetic graph, then alternates between random
-    clique queries (labels drawn from the graph) and connected-subgraph
-    extractions (guaranteed at least one hit).  The whole batch is
-    submitted through a :class:`~repro.service.QueryService` — the same
-    admission-control/worker-pool path ``repro-gql serve`` uses — so
-    ``stress`` doubles as a server soak test.  Every query (``--baseline``
-    included) runs under the same per-query timeout; a watchdog cancels
-    whatever is still in flight when the global deadline expires.
-    """
-    from .datasets.queries import clique_query, extract_connected_query
-    from .datasets.random_graphs import erdos_renyi_graph
-    from .service import QueryRequest, QueryService, ServiceConfig
-
-    rng = random.Random(args.seed)
-    edges = args.edges if args.edges is not None else 3 * args.nodes
-    graph = erdos_renyi_graph(args.nodes, edges, num_labels=args.labels,
-                              seed=args.seed, name="stress")
-    label_pool = sorted({node.label for node in graph.nodes() if node.label})
-    print(f"graph: {graph.num_nodes()} nodes, {graph.num_edges()} edges, "
-          f"{len(label_pool)} labels (seed {args.seed})")
-    per_query_timeout = (args.per_query_timeout
-                         if args.per_query_timeout is not None
-                         else args.timeout)
-    queue_depth = (args.queue_depth if args.queue_depth is not None
-                   else max(0, args.queries - args.workers))
-    config = ServiceConfig(
-        workers=args.workers,
-        queue_depth=queue_depth,
-        per_client=max(1, args.queries),
-        default_timeout=per_query_timeout,
-        default_max_steps=args.max_steps,
-        default_max_results=args.limit,
-    )
-    service = QueryService(config)
-    service.register("stress", graph)
-    submissions = []
-    for index in range(args.queries):
-        if index % 2 == 0:
-            kind = "clique"
-            query = clique_query(args.size, label_pool, rng)
-        else:
-            kind = "extract"
-            query = extract_connected_query(graph, args.size, rng)
-        request = QueryRequest(query=query, document="stress",
-                               client="stress", baseline=args.baseline)
-        submissions.append((index, kind, service.submit(request)))
-    watchdog = threading.Timer(
-        args.timeout,
-        lambda: service.cancel_all("global stress deadline expired"))
-    watchdog.daemon = True
-    watchdog.start()
-    histogram = {status: 0 for status in Outcome}
-    try:
-        for index, kind, future in submissions:
-            response = future.result()
-            histogram[response.outcome.status] += 1
-            print(f"q{index:02d} {kind:7s} size={args.size}: "
-                  f"{len(response.results)} mapping(s) [{response.outcome}]")
-    finally:
-        watchdog.cancel()
-        service.shutdown(timeout=0)
-    print("histogram: " + "  ".join(
-        f"{status.value}={count}" for status, count in histogram.items()
-        if count or status is not Outcome.CANCELLED
-    ))
-    snapshot = service.metrics.snapshot()
-    print(f"service: admitted={snapshot['admitted']} "
-          f"rejected={snapshot['rejected']} "
-          f"p95={snapshot['latency']['p95'] * 1000:.1f}ms")
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro-gql serve``: the TCP query service.
 
@@ -857,7 +710,7 @@ def _serve(args: argparse.Namespace) -> int:
           f"({config.workers} thread worker(s), queue {config.queue_depth}, "
           f"timeout {config.default_timeout:g}s)", flush=True)
     # machine-readable startup line: with ``--port 0`` the OS picks the
-    # port, and supervisors (repro.cluster bootstrap, smoke harnesses)
+    # port, and supervisors (repro.cluster bootstrap, process tests)
     # need the *actual* bound address without scraping the prose banner
     ready_payload = {"ready": True, "host": host, "port": port,
                      "documents": sorted(service.database.names())}
@@ -933,9 +786,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         return _cluster_serve(args)
     if args.cluster_command == "route":
         return _cluster_route(args)
-    if args.cluster_command == "status":
-        return _cluster_status(args)
-    return _cluster_smoke(args)
+    return _cluster_status(args)
 
 
 def _cluster_serve(args: argparse.Namespace) -> int:
@@ -1081,34 +932,6 @@ def _cluster_route(args: argparse.Namespace) -> int:
     return EXIT_BY_OUTCOME[reply.outcome.status]
 
 
-def _cluster_smoke(args: argparse.Namespace) -> int:
-    from .cluster.smoke import run_smoke
-
-    try:
-        report = run_smoke(shards=args.shards, molecules=args.molecules,
-                           queries=args.queries, seed=args.seed,
-                           kill=not args.no_kill,
-                           query_timeout=args.timeout,
-                           hedge_after=args.hedge_after,
-                           replication=args.replication)
-    except Exception as exc:
-        # the drill crashing IS a failure: still leave a report behind
-        # for the CI artifact upload
-        report = {"ok": False,
-                  "problems": [f"smoke crashed: "
-                               f"{type(exc).__name__}: {exc}"]}
-        if args.report:
-            Path(args.report).write_text(
-                json.dumps(report, indent=2, sort_keys=True),
-                encoding="utf-8")
-        raise
-    rendered = json.dumps(report, indent=2, sort_keys=True)
-    if args.report:
-        Path(args.report).write_text(rendered + "\n", encoding="utf-8")
-    print(rendered)
-    return 0 if report["ok"] else 1
-
-
 def _render_result(result) -> str:
     if isinstance(result, Graph):
         return graph_to_text(result)
@@ -1129,7 +952,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {"info": cmd_info, "match": cmd_match, "run": cmd_run,
                 "check": cmd_check,
                 "explain": cmd_explain, "stats": cmd_stats,
-                "stress": cmd_stress, "serve": cmd_serve,
+                "serve": cmd_serve,
                 "recover": cmd_recover, "checkpoint": cmd_checkpoint,
                 "cluster": cmd_cluster}
     try:

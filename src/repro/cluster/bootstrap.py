@@ -18,7 +18,7 @@ and an optional :class:`~repro.cluster.supervisor.ShardSupervisor`
 The returned :class:`LocalCluster` is the test/ops handle: it builds
 coordinators wired to the live endpoints (updated in place on
 supervised restarts), SIGKILLs individual shards (the failover drills
-in ``tests/integration`` and the smoke harness), and tears everything
+in ``tests/integration/test_cluster_soak.py``), and tears everything
 down.
 """
 

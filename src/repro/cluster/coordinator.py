@@ -53,6 +53,7 @@ from ..runtime import Outcome, QueryOutcome, partial_outcome, rejected_outcome
 from ..service.admission import REASON_INVALID_QUERY
 from ..service.cache import LRUCache, PreparedQueryCache
 from ..service.client import ServiceClient
+from ..service.config import ServiceConfig
 from ..service.resilience import BreakerRegistry
 from .shardmap import ShardMap, ShardMove, slice_document
 
@@ -207,8 +208,10 @@ class ClusterCoordinator:
                          if breaker_threshold > 0 else None)
         self.result_cache = LRUCache(result_cache_size)
         #: query text -> prepared query, so repeated fan-outs of the
-        #: same (valid or invalid) text skip re-analysis
-        self._prepared = PreparedQueryCache(min(result_cache_size, 256))
+        #: same (valid or invalid) text skip re-analysis; sized apart
+        #: from the result cache, which callers disable to observe
+        #: every fan-out
+        self.plan_cache = PreparedQueryCache(ServiceConfig.plan_cache_size)
         self._counters: Dict[str, int] = {}
         self._counter_lock = threading.Lock()
         #: last snapshot version each replica reported per slice, the
@@ -233,6 +236,7 @@ class ClusterCoordinator:
         return {
             "counters": counters,
             "result_cache": self.result_cache.stats(),
+            "plan_cache": self.plan_cache.stats(),
             "breakers": (self.breakers.state_counts()
                          if self.breakers is not None else {}),
             "breaker_detail": (self.breakers.snapshot()
@@ -337,7 +341,7 @@ class ClusterCoordinator:
         # validate once at the coordinator: an invalid query would be
         # rejected identically by every shard, so fanning it out only
         # multiplies the same refusal by the shard count
-        errors = self._prepared.prepare(query_text)[0].errors
+        errors = self.plan_cache.prepare(query_text)[0].errors
         if errors:
             self._count("invalid_queries")
             outcome = rejected_outcome(REASON_INVALID_QUERY)

@@ -22,7 +22,7 @@ in-flight traffic fails over *to* a replica and later traffic drifts
 *back* once the primary returns.
 
 Stats (:meth:`ShardSupervisor.stats`) and the bounded event log feed
-``repro-gql cluster status`` and the smoke report; with a
+``repro-gql cluster status`` and the cluster soak test; with a
 :class:`~repro.obs.metrics.MetricsRegistry` attached, restarts also
 tick ``repro_cluster_shard_restarts_total``.
 """

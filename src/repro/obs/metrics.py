@@ -363,8 +363,8 @@ def render_json(registry: MetricsRegistry) -> Dict[str, Any]:
 
 
 # --------------------------------------------------------------------------
-# A small text-format parser (tests + the smoke harness use it to check
-# that what we expose is really scrapeable)
+# A small text-format parser (the tests use it to check that what we
+# expose is really scrapeable)
 # --------------------------------------------------------------------------
 
 _SAMPLE_RE = re.compile(

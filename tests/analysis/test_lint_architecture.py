@@ -73,7 +73,7 @@ class TestUnreachedModules:
         root = plant(tmp_path, {**self.BASE,
                                 "src/repro/orphan.py": "X = 1\n"})
         findings = lint.check_tree(root, tmp_path,
-                                   entry_modules=("repro.main",))
+                                   entry_modules=("repro.main",), kept={})
         assert [(path.name, code) for path, code, _ in findings] == [
             ("orphan.py", "A003")]
 
@@ -103,6 +103,14 @@ class TestUnreachedModules:
     def test_entry_modules_are_never_orphans(self, tmp_path):
         files = {**self.BASE, "src/repro/main.py": "X = 1\n"}
         assert unreached(tmp_path, files) == ["repro.used"]
+
+    def test_listed_module_without_a_file_is_a003(self, tmp_path):
+        root = plant(tmp_path, self.BASE)
+        findings = lint.check_tree(
+            root, tmp_path, entry_modules=("repro.main", "repro.gone"),
+            kept={"repro.sub.deleted": "reason"})
+        assert [(path.name, code) for path, code, _ in findings] == [
+            ("gone.py", "A003"), ("deleted.py", "A003")]
 
 
 class TestRealTree:

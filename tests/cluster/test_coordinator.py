@@ -115,6 +115,29 @@ def test_invalid_query_is_rejected_before_fan_out(text, code):
     assert coordinator.stats()["counters"]["invalid_queries"] == 1
 
 
+def test_disabling_the_result_cache_keeps_the_plan_cache(monkeypatch):
+    """``result_cache_size=0`` observes every fan-out; it must not also
+    re-parse and re-analyze the same text on each one."""
+    import repro.service.cache as cache
+
+    prepared = []
+    real_prepare = cache.prepare_pattern_text
+
+    def counting(text):
+        prepared.append(text)
+        return real_prepare(text)
+
+    monkeypatch.setattr(cache, "prepare_pattern_text", counting)
+    shard = ScriptedShard(rows=1)
+    coordinator = build([shard], result_cache_size=0)
+    for _ in range(5):
+        assert coordinator.query(QUERY).cache == "miss"
+    assert shard.query_connections == 5
+    assert prepared == [QUERY]
+    stats = coordinator.stats()["plan_cache"]
+    assert (stats["hits"], stats["misses"]) == (4, 1)
+
+
 def test_all_shards_merge_to_complete_with_full_accounting():
     coordinator = build([ScriptedShard(rows=2), ScriptedShard(rows=3)])
     reply = coordinator.query(QUERY)

@@ -208,26 +208,6 @@ class TestGovernance:
                      "--timeout", "30"]) == 0
 
 
-class TestStress:
-    def test_histogram_printed(self, capsys):
-        code = main(["stress", "--seed", "1", "--nodes", "60",
-                     "--queries", "4", "--size", "3", "--timeout", "30"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "histogram:" in out
-        assert "COMPLETE=" in out
-        assert out.count("q0") == 4  # one line per query
-
-    def test_seed_controls_generation(self, capsys):
-        main(["stress", "--seed", "5", "--nodes", "50", "--queries", "2",
-              "--size", "3", "--timeout", "30"])
-        first = capsys.readouterr().out.splitlines()[0]
-        main(["stress", "--seed", "5", "--nodes", "50", "--queries", "2",
-              "--size", "3", "--timeout", "30"])
-        second = capsys.readouterr().out.splitlines()[0]
-        assert first == second  # the graph line is seed-deterministic
-
-
 class TestClusterStatus:
     def test_status_reads_the_state_file_and_probes_shards(
             self, tmp_path, capsys):

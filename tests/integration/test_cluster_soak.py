@@ -1,62 +1,133 @@
-"""4-shard scatter-gather soak with a mid-run SIGKILL.
+"""Scatter-gather soak with a mid-run SIGKILL.
 
-Acceptance criteria from the cluster issue: a 4-shard fan-out keeps
+The contract: a 4-shard fan-out keeps
 answering after one shard is SIGKILLed mid-soak — every reply turns
 PARTIAL with exact per-shard accounting (``submitted == merged +
-failed``), the dead shard is named, and nothing hangs.
+failed``), the dead shard is named, and nothing hangs.  With every
+slice on two supervised shards the same kill must be invisible: zero
+PARTIAL replies, and the restarted victim serves its slice again.
 
 Real subprocesses, real SIGKILL, real TCP: this is the test that fails
-if the coordinator can deadlock on a half-open connection.
+if the coordinator can deadlock on a half-open connection.  Each test
+boots (or shares through a fixture) a cluster whose victim it killed
+itself, so every test also passes when run alone.
 """
 
 import time
+from collections import Counter
 
 import pytest
 
 from repro.cluster import launch_cluster
-from repro.cluster.smoke import SMOKE_QUERY, run_smoke
 from repro.datasets.molecules import molecule_collection
 from repro.runtime import Outcome
 
 SHARDS = 4
+#: aromatic-ring carbons: a couple hundred matches over the collection,
+#: spread across every shard's slice
+QUERY = ('graph P { node a <label="C">; node b <label="C">; '
+         'edge e1 (a, b); }')
+MERGED = {Outcome.COMPLETE, Outcome.TRUNCATED}
+
+
+def boot():
+    return launch_cluster(molecule_collection(num_molecules=48, seed=23),
+                          num_shards=SHARDS, workers=2, query_timeout=8.0)
+
+
+def pick_victim(cluster) -> str:
+    """A shard whose own slice is nonempty (killing an empty shard would
+    prove nothing about failover)."""
+    return [s for s in cluster.shard_map.shards
+            if cluster.assignment.get(s)][-1]
+
+
+def audit(reply) -> None:
+    """The books every reply must balance, dead shard or not."""
+    assert reply.submitted == reply.merged + reply.failed
+    detail = reply.outcome.detail
+    assert (detail["submitted"], detail["merged"], detail["failed"]) == (
+        reply.submitted, reply.merged, reply.failed)
+    if reply.outcome.status is not Outcome.TRUNCATED:
+        assert len(reply.results) == sum(
+            entry["rows"] for entry in detail["shards"].values()
+            if entry["merged"])
+
+
+def soak(cluster, queries):
+    """Run *queries* audited fan-outs, SIGKILLing a data-holding shard
+    halfway; returns ``(coordinator, victim, {phase: status counts})``."""
+    victim = pick_victim(cluster)
+    replicated = cluster.shard_map.replication_factor > 1
+    coordinator = cluster.coordinator(
+        timeout=8.0,
+        # observe every fan-out, not a replay of the first one
+        result_cache_size=0,
+        # the probe interval stays far below the soak length so the
+        # post-kill phase records real connection failures, not just
+        # breaker fast-fails
+        breaker_cooldown=0.5)
+    phases = {"healthy": Counter(), "degraded": Counter()}
+    for index in range(queries):
+        if index == queries // 2:
+            cluster.kill(victim)
+        phase = "healthy" if index < queries // 2 else "degraded"
+        reply = coordinator.query(QUERY, limit=500)
+        audit(reply)
+        phases[phase][reply.outcome.status] += 1
+        if phase == "healthy":
+            assert reply.failed == 0 and reply.results, index
+        elif replicated:
+            assert reply.failed == 0, index
+        else:
+            assert not reply.outcome.detail["shards"][victim]["merged"]
+    return coordinator, victim, phases
+
+
+def await_recovery(cluster, coordinator, victim, timeout=30.0) -> None:
+    """Wait for the supervisor to restart *victim*, then for traffic to
+    drift back to it once its breaker's half-open probe succeeds."""
+    deadline = time.monotonic() + timeout
+    supervisor = cluster.supervisor
+    while not (supervisor.stats()["restarts"] >= 1
+               and cluster.shards[victim].alive):
+        assert time.monotonic() < deadline, supervisor.stats()
+        time.sleep(0.1)
+    while True:
+        reply = coordinator.query(QUERY, limit=500)
+        audit(reply)
+        entry = reply.outcome.detail["shards"].get(victim, {})
+        if entry.get("merged") and entry.get("replica_used") == victim:
+            return
+        assert time.monotonic() < deadline, f"{victim} never served again"
+        time.sleep(0.2)
 
 
 @pytest.fixture(scope="module")
-def cluster():
-    booted = launch_cluster(
-        molecule_collection(num_molecules=48, seed=23),
-        num_shards=SHARDS, workers=2, query_timeout=8.0)
-    try:
-        yield booted
-    finally:
-        booted.shutdown()
+def degraded():
+    """A 4-shard cluster with one data-holding shard already SIGKILLed."""
+    with boot() as cluster:
+        victim = pick_victim(cluster)
+        cluster.kill(victim)
+        yield cluster, victim
 
 
-def test_soak_survives_a_sigkill_with_exact_accounting(cluster):
-    report = run_smoke(shards=SHARDS, queries=24, kill=True,
-                       cluster=cluster)
-    assert report["problems"] == []
-    assert report["ok"] is True
-    # both phases actually ran and produced only the expected statuses
-    assert set(report["phases"]["healthy"]) <= {"COMPLETE", "TRUNCATED"}
-    assert set(report["phases"]["degraded"]) == {"PARTIAL"}
-    assert sum(report["phases"]["degraded"].values()) == 12
+def test_soak_survives_a_sigkill_with_exact_accounting():
+    with boot() as cluster:
+        _, _, phases = soak(cluster, queries=24)
+    assert set(phases["healthy"]) <= MERGED
+    assert phases["degraded"] == {Outcome.PARTIAL: 12}
 
 
-def test_partial_replies_after_the_kill_name_the_dead_shard(cluster):
-    victim = report_victim(cluster)
+def test_partial_replies_after_the_kill_name_the_dead_shard(degraded):
+    cluster, victim = degraded
     coordinator = cluster.coordinator(timeout=8.0, result_cache_size=0,
                                       breaker_threshold=0)
-    deadline = time.monotonic() + 30.0
-    reply = coordinator.query(SMOKE_QUERY, limit=500)
-    while time.monotonic() < deadline:
-        if reply.outcome.status is Outcome.PARTIAL:
-            break
-        reply = coordinator.query(SMOKE_QUERY, limit=500)
+    reply = coordinator.query(QUERY, limit=500)
+    audit(reply)
     assert reply.outcome.status is Outcome.PARTIAL
     detail = reply.outcome.detail
     assert detail["submitted"] == SHARDS
-    assert detail["submitted"] == detail["merged"] + detail["failed"]
     dead = detail["shards"][victim]
     assert dead["merged"] is False and dead.get("error")
     # the survivors' rows are present and tagged with their shard
@@ -65,36 +136,26 @@ def test_partial_replies_after_the_kill_name_the_dead_shard(cluster):
     assert len(live_shards) == detail["merged"]
 
 
-def report_victim(cluster) -> str:
-    """The shard the module's smoke run killed."""
-    dead = [sid for sid, sp in cluster.shards.items() if not sp.alive]
-    assert len(dead) == 1
-    return dead[0]
-
-
 def test_replicated_soak_absorbs_a_sigkill_with_zero_partials():
     # R=2 + supervision: the same drill, but the kill must be invisible
     # (no PARTIAL replies) and the victim must return before teardown
-    report = run_smoke(shards=3, queries=16, kill=True, replication=2)
-    assert report["problems"] == []
-    assert report["ok"] is True
-    assert report["replication"] == 2 and report["supervised"]
-    # every degraded-phase reply merged all slices via replicas
-    assert set(report["phases"]["degraded"]) <= {"COMPLETE", "TRUNCATED"}
-    assert "PARTIAL" not in report["phases"]["degraded"]
-    assert report["coordinator"]["counters"]["failovers"] >= 1
-    recovery = report["recovery"]
-    assert recovery["restarted"] is True
-    assert recovery["primary_serving_again"] is True
-    assert recovery["supervisor"]["restarts"] >= 1
+    with launch_cluster(molecule_collection(num_molecules=48, seed=97),
+                        num_shards=3, replication_factor=2,
+                        supervise=True) as cluster:
+        coordinator, victim, phases = soak(cluster, queries=16)
+        assert set(phases["healthy"]) | set(phases["degraded"]) <= MERGED
+        assert coordinator.stats()["counters"]["failovers"] >= 1
+        await_recovery(cluster, coordinator, victim)
 
 
-def test_no_fanout_hangs_past_its_deadline(cluster):
-    # one shard is already dead (module fixture order): the fan-out must
-    # come back within timeout + merge slack, never hang on the corpse
+def test_no_fanout_hangs_past_its_deadline(degraded):
+    # the fan-out must come back within timeout + merge slack, never
+    # hang on the corpse
+    cluster, _ = degraded
     coordinator = cluster.coordinator(timeout=2.0, result_cache_size=0)
     started = time.monotonic()
-    reply = coordinator.query(SMOKE_QUERY, limit=100)
+    reply = coordinator.query(QUERY, limit=100)
     elapsed = time.monotonic() - started
     assert elapsed < 6.0
     assert reply.submitted == reply.merged + reply.failed
+    assert reply.failed == 1

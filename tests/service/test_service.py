@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro.datasets.random_graphs import erdos_renyi_graph
+from repro.matching.planner import SMALL_MEMBER_NODES
 from repro.runtime import Outcome
 from repro.service import QueryRequest, QueryService, ServiceConfig
 
@@ -27,11 +28,12 @@ COMPILER_REFUSED = ["graph P { node a <label=x>; }",
 
 
 def dense_service(**overrides) -> QueryService:
-    """A service over a dense one-label graph (slow exhaustive queries)."""
+    """A service over a dense one-label graph (slow exhaustive queries),
+    large enough that baseline and optimized requests plan differently."""
     from repro.core import Graph
 
     graph = Graph("dense")
-    ids = [f"v{i}" for i in range(22)]
+    ids = [f"v{i}" for i in range(SMALL_MEMBER_NODES)]
     for node_id in ids:
         graph.add_node(node_id, label="A")
     for i, a in enumerate(ids):
@@ -233,6 +235,18 @@ class TestGovernance:
             response = service.execute(HEAVY_QUERY, timeout=0.1)
             assert response.outcome.status is Outcome.TIMED_OUT
             assert response.outcome.steps > 0
+
+    def test_baseline_request_honours_the_deadline(self):
+        """Scan retrieval without pruning runs under the same per-request
+        deadline: the deadline ends it, not the watchdog's wall."""
+        with dense_service() as service:
+            started = time.monotonic()
+            response = service.execute(HEAVY_QUERY, timeout=0.2,
+                                       baseline=True, use_cache=False)
+            elapsed = time.monotonic() - started
+            assert response.outcome.status is Outcome.TIMED_OUT
+            assert not response.outcome.reason.startswith("watchdog")
+            assert elapsed < service.config.watchdog_multiple * 0.2
 
     def test_cancel_in_flight_request(self):
         with dense_service() as service:

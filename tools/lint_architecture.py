@@ -18,7 +18,9 @@ its last caller:
         with ``python -m`` (:data:`ENTRY_MODULES`).  Tests do not count,
         and a package re-export counts only when the importing module
         uses the re-exported name.  :data:`KEPT_UNREACHED` names the
-        exceptions, each with its reason.
+        exceptions, each with its reason.  A name in either list whose
+        module file is gone is an A003 finding too, so neither list
+        keeps stale entries.
 
 Run: ``python tools/lint_architecture.py [root]`` (defaults to
 ``src/repro``; A003 reads the importer trees beside ``src/``); exits
@@ -30,12 +32,11 @@ import sys
 from pathlib import Path
 
 #: modules CI runs with ``python -m``: entry points, never orphans
-ENTRY_MODULES = ("repro.__main__", "repro.service.smoke",
-                 "repro.storage.crashfuzz")
+ENTRY_MODULES = ("repro.__main__", "repro.storage.crashfuzz")
 #: trees outside the package whose imports count (``tests/`` does not)
 IMPORTER_DIRS = ("bench", "benchmarks", "examples")
 #: unreached modules kept on purpose, each with its reason; the self-test
-#: fails once an entry is reached (or gone), so the list cannot go stale
+#: fails once an entry is reached, and A003 once its module is gone
 KEPT_UNREACHED = {
     "repro.datalog.translate":
         "the paper's §3.5 Datalog translation: a differential oracle for "
@@ -199,15 +200,25 @@ def unreached_modules(root, repo=None, entry_modules=ENTRY_MODULES):
             and name not in entry_modules}
 
 
-def check_tree(root, repo=None, entry_modules=ENTRY_MODULES):
+def check_tree(root, repo=None, entry_modules=ENTRY_MODULES,
+               kept=KEPT_UNREACHED):
     """A003 findings for the package at *root*: ``[(path, code, message)]``."""
-    return [(path, "A003",
-             f"{name} is imported by no module under src/, bench/, "
-             f"benchmarks/ or examples/ (delete it, or move it beside "
-             f"its only users)")
-            for name, path in unreached_modules(
-                root, repo, entry_modules).items()
-            if name not in KEPT_UNREACHED]
+    root = Path(root).resolve()
+    findings = []
+    for name in sorted({*entry_modules, *kept}):
+        path = root.parent.joinpath(*name.split(".")).with_suffix(".py")
+        if not path.exists():
+            findings.append((path, "A003",
+                             f"{name} is listed in ENTRY_MODULES or "
+                             f"KEPT_UNREACHED but has no module file "
+                             f"(drop the entry)"))
+    for name, path in unreached_modules(root, repo, entry_modules).items():
+        if name not in kept:
+            findings.append((path, "A003",
+                             f"{name} is imported by no module under src/, "
+                             f"bench/, benchmarks/ or examples/ (delete it, "
+                             f"or move it beside its only users)"))
+    return findings
 
 
 def main():
