@@ -9,7 +9,7 @@ Usage examples::
     repro-gql explain data.gql --pattern query.gql [--analyze] [--json]
     repro-gql run program.gql --doc DBLP=papers.gql --out result.gql
     repro-gql serve data.gql --port 7687 --workers 4
-    repro-gql serve --synthetic 1000 --port 0 --metrics-port 9090
+    repro-gql serve data.gql --port 0 --metrics-port 9090
     repro-gql serve data.gql --store state.db --fsync commit
     repro-gql serve --store state.db --port 0      # resume from the store
     repro-gql stats --port 7687 --format prometheus
@@ -191,15 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("data", nargs="?", default=None,
                        help="GraphQL data file to serve as document 'data'")
-    serve.add_argument("--synthetic", type=int, default=None, metavar="N",
-                       help="serve a seeded synthetic graph of N nodes "
-                            "instead of a data file")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="RNG seed for --synthetic")
-    serve.add_argument("--labels", type=int, default=20,
-                       help="distinct labels for --synthetic")
-    serve.add_argument("--edges", type=int, default=None,
-                       help="edge count for --synthetic (default 3x nodes)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=7687,
@@ -216,12 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="default per-query deadline (requests may "
                             "tighten, never exceed it)")
-    serve.add_argument("--max-steps", type=int, default=None, metavar="N",
-                       help="default per-query step budget")
     serve.add_argument("--limit", type=int, default=1000,
                        help="default per-query answer cap")
-    serve.add_argument("--plan-cache", type=int, default=256,
-                       help="plan cache entries (0 disables)")
     serve.add_argument("--result-cache", type=int, default=256,
                        help="result cache entries (0 disables)")
     serve.add_argument("--drain-timeout", type=float, default=5.0,
@@ -271,10 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="how often the pool watchdog scans for "
                             "stuck workers")
-    serve.add_argument("--dup-table-size", type=int, default=512,
-                       metavar="N",
-                       help="completed responses remembered for "
-                            "idempotent client retries (0 disables)")
     _add_common(serve)
     _add_trace(serve)
 
@@ -615,19 +598,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro-gql serve``: the TCP query service.
 
-    Serves the given data file (or a seeded synthetic graph) as document
-    ``data`` over the newline-delimited JSON protocol (see
+    Serves the given data file (or the documents of ``--store``) as
+    document ``data`` over the newline-delimited JSON protocol (see
     ``docs/service.md``).  SIGTERM/SIGINT trigger a graceful drain: the
     listening socket closes immediately, in-flight queries finish or are
     cancelled at the drain deadline, and final metrics are printed.
     """
-    if args.data is not None and args.synthetic is not None:
-        print("error: serve takes a data file or --synthetic N, not both",
-              file=sys.stderr)
-        return 2
-    if args.data is None and args.synthetic is None and args.store is None:
-        print("error: serve needs a data file, --synthetic N, or --store",
-              file=sys.stderr)
+    if args.data is None and args.store is None:
+        print("error: serve needs a data file or --store", file=sys.stderr)
         return 2
     # the trace session covers the whole lifecycle — recovery and
     # registration (WAL spans) included, not just the serve loop
@@ -643,9 +621,7 @@ def _serve(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         per_client=args.per_client,
         default_timeout=args.timeout,
-        default_max_steps=args.max_steps,
         default_max_results=args.limit,
-        plan_cache_size=args.plan_cache,
         result_cache_size=args.result_cache,
         drain_timeout=args.drain_timeout,
         store_path=args.store,
@@ -657,7 +633,6 @@ def _serve(args: argparse.Namespace) -> int:
         breaker_cooldown=args.breaker_cooldown,
         watchdog_multiple=args.watchdog_multiple,
         watchdog_interval=args.watchdog_interval,
-        dup_table_size=args.dup_table_size,
     )
     service = QueryService(config)
     if service.recovery is not None:
@@ -671,16 +646,9 @@ def _serve(args: argparse.Namespace) -> int:
               flush=True)
     if args.data is not None:
         service.load("data", args.data, directed=args.directed)
-    elif args.synthetic is not None:
-        from .datasets.random_graphs import erdos_renyi_graph
-
-        edges = args.edges if args.edges is not None else 3 * args.synthetic
-        service.register("data", erdos_renyi_graph(
-            args.synthetic, edges, num_labels=args.labels,
-            seed=args.seed, name="data"))
     if not service.database.names():
         print("error: --store holds no documents yet; give a data file "
-              "or --synthetic for the first run", file=sys.stderr)
+              "for the first run", file=sys.stderr)
         service.shutdown(timeout=0)
         return 2
     primary = (service.database.names()[0]

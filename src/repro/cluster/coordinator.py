@@ -51,9 +51,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..obs.trace import span, tracer
 from ..runtime import Outcome, QueryOutcome, partial_outcome, rejected_outcome
 from ..service.admission import REASON_INVALID_QUERY
-from ..service.cache import LRUCache, PreparedQueryCache
+from ..service.cache import PLAN_CACHE_SIZE, LRUCache, PreparedQueryCache
 from ..service.client import ServiceClient
-from ..service.config import ServiceConfig
 from ..service.resilience import BreakerRegistry
 from .shardmap import ShardMap, ShardMove, slice_document
 
@@ -211,7 +210,7 @@ class ClusterCoordinator:
         #: same (valid or invalid) text skip re-analysis; sized apart
         #: from the result cache, which callers disable to observe
         #: every fan-out
-        self.plan_cache = PreparedQueryCache(ServiceConfig.plan_cache_size)
+        self.plan_cache = PreparedQueryCache(PLAN_CACHE_SIZE)
         self._counters: Dict[str, int] = {}
         self._counter_lock = threading.Lock()
         #: last snapshot version each replica reported per slice, the
@@ -432,7 +431,8 @@ class ClusterCoordinator:
                     self._count("failovers")
                 admitted = False
                 if self.breakers is not None:
-                    allowed, retry_after = self.breakers.allow(replica)
+                    allowed, retry_after = self.breakers.allow(
+                        replica, holder=answer)
                     if not allowed:
                         self._count("breaker_skips")
                         errors.append(describe(
@@ -444,7 +444,7 @@ class ClusterCoordinator:
                 endpoint = self.endpoints.get(replica)
                 if endpoint is None:
                     if admitted:
-                        self.breakers.release_probe(replica)
+                        self.breakers.release_probe(replica, answer)
                     errors.append(describe(replica, "no endpoint"))
                     continue
                 # leave each not-yet-tried replica a fair share of the

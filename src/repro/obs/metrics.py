@@ -68,7 +68,9 @@ class Counter:
         self._lock = threading.Lock()
 
     def inc(self, n: float = 1) -> None:
-        """Add *n* to the counter."""
+        """Add *n* (never negative: a counter only goes up)."""
+        if n < 0:
+            raise ValueError(f"counter {self.name!r} cannot decrease")
         with self._lock:
             self._value += n
 

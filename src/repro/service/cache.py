@@ -114,6 +114,11 @@ class PreparedQuery:
     pattern: Any = None
 
 
+#: Prepared-query entries (one per distinct query text) the service and
+#: the cluster coordinator each keep.
+PLAN_CACHE_SIZE = 256
+
+
 class PreparedQueryCache(LRUCache):
     """Text-keyed LRU of :class:`PreparedQuery` (valid or not)."""
 

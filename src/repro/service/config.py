@@ -33,6 +33,8 @@ class ServiceConfig:
     * the ``default_*`` budgets seed each admitted request's
       :class:`~repro.runtime.ExecutionContext`; a request may *tighten*
       them but never exceed ``default_timeout`` (the service-level SLO).
+      Step and memory budgets have no service default: a request's own
+      ``max_steps`` / ``max_memory`` (if any) are its budgets.
     """
 
     workers: int = 4
@@ -41,13 +43,9 @@ class ServiceConfig:
 
     # per-request governance defaults (None = unlimited)
     default_timeout: Optional[float] = 30.0
-    default_max_steps: Optional[int] = None
     default_max_results: Optional[int] = 1000
-    default_max_memory: Optional[int] = None
 
-    # cache capacities (entries); 0 disables the cache.  The plan cache
-    # holds one prepared query (diagnostics + compiled pattern) per text.
-    plan_cache_size: int = 256
+    # result cache capacity (entries); 0 disables the cache
     result_cache_size: int = 256
 
     # seconds shutdown waits for in-flight queries before cancelling them
@@ -70,7 +68,6 @@ class ServiceConfig:
     # shed_min_samples waits have been observed.
     shed_enabled: bool = True
     shed_min_samples: int = 10
-    shed_window: int = 256
 
     # per-client circuit breaker: breaker_threshold consecutive
     # failures/timeouts open the circuit for breaker_cooldown seconds
@@ -86,11 +83,6 @@ class ServiceConfig:
     watchdog_multiple: float = 4.0
     watchdog_interval: float = 0.25
 
-    # duplicate-request table: completed responses remembered per
-    # (client, request id / idempotency key) so client retries are
-    # answered without re-executing.  0 disables the table.
-    dup_table_size: int = 512
-
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
@@ -104,8 +96,6 @@ class ServiceConfig:
             raise ValueError("slow_log_threshold must be >= 0")
         if self.shed_min_samples < 1:
             raise ValueError("shed_min_samples must be >= 1")
-        if self.shed_window < 1:
-            raise ValueError("shed_window must be >= 1")
         if self.breaker_threshold < 0:
             raise ValueError("breaker_threshold must be >= 0")
         if self.breaker_cooldown <= 0:
@@ -114,8 +104,6 @@ class ServiceConfig:
             raise ValueError("watchdog_multiple must be >= 0")
         if self.watchdog_interval <= 0:
             raise ValueError("watchdog_interval must be > 0")
-        if self.dup_table_size < 0:
-            raise ValueError("dup_table_size must be >= 0")
         from ..storage.wal import check_fsync_policy
 
         check_fsync_policy(self.fsync)
@@ -151,8 +139,8 @@ class ServiceConfig:
         """
         return ExecutionContext(
             timeout=self.tighten(timeout, self.default_timeout),
-            max_steps=self.tighten(max_steps, self.default_max_steps),
+            max_steps=max_steps,
             max_results=self.tighten(max_results, self.default_max_results),
-            max_memory=self.tighten(max_memory, self.default_max_memory),
+            max_memory=max_memory,
             token=token,
         )

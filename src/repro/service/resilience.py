@@ -77,23 +77,27 @@ class CircuitBreaker:
         self.opened_total = 0  # times the circuit has opened (monotone)
         self._probe_in_flight = False
         self._probe_started_at: Optional[float] = None
+        self._probe_holder: object = None
 
-    def allow(self) -> Tuple[bool, Optional[float]]:
+    def allow(self, holder: object = None) -> Tuple[bool, Optional[float]]:
         """Whether a request may pass, plus a retry-after hint when not.
 
         The hint is the seconds until the next HALF_OPEN probe slot —
-        what the shed response carries back to the client.
+        what the shed response carries back to the client.  A HALF_OPEN
+        pass hands the probe slot to *holder*, the only caller
+        :meth:`release_probe` will take it back from.
         """
         with self._lock:
             if self.state == STATE_CLOSED:
                 return True, None
             now = self._clock()
             if self.state == STATE_OPEN:
-                remaining = (self.opened_at or now) + self.cooldown - now
+                opened = now if self.opened_at is None else self.opened_at
+                remaining = opened + self.cooldown - now
                 if remaining > 0:
                     return False, remaining
                 self.state = STATE_HALF_OPEN
-                self._probe_in_flight = False
+                self._clear_probe()
             # HALF_OPEN: exactly one probe at a time.  A probe whose
             # outcome never arrived (its request was turned away
             # downstream, its connection died mid-flight) must not hold
@@ -105,21 +109,30 @@ class CircuitBreaker:
                     return False, max(0.0, started + self.cooldown - now)
             self._probe_in_flight = True
             self._probe_started_at = now
+            self._probe_holder = holder
             return True, None
 
-    def release_probe(self) -> None:
+    def release_probe(self, holder: object) -> None:
         """Give back a HALF_OPEN probe slot without an outcome.
 
         Called when a request the breaker admitted is turned away
-        before it executes (admission full, deadline shed, duplicate
-        id, submit failure) or finishes with a neutral outcome: the
-        probe neither succeeded nor failed, so the next request should
-        get the slot instead of waiting out the lost-probe timeout.
+        before it executes or finishes with a neutral outcome: the probe
+        neither succeeded nor failed, so the next request should get the
+        slot instead of waiting out the lost-probe timeout.  Only the
+        probe's *holder* can give it back — any other request ending
+        neutrally (one admitted while CLOSED, say) leaves a live probe
+        alone, or the next request would become a second concurrent
+        probe.
         """
         with self._lock:
-            if self.state == STATE_HALF_OPEN:
-                self._probe_in_flight = False
-                self._probe_started_at = None
+            # a holder is recorded only while its probe is in flight
+            if holder is not None and holder is self._probe_holder:
+                self._clear_probe()
+
+    def _clear_probe(self) -> None:
+        self._probe_in_flight = False
+        self._probe_started_at = None
+        self._probe_holder = None
 
     def record_success(self) -> None:
         """A finished request succeeded: reset towards CLOSED.
@@ -135,8 +148,7 @@ class CircuitBreaker:
             self.state = STATE_CLOSED
             self.consecutive_failures = 0
             self.opened_at = None
-            self._probe_in_flight = False
-            self._probe_started_at = None
+            self._clear_probe()
 
     def record_failure(self) -> None:
         """A finished request failed/timed out: count towards OPEN."""
@@ -148,8 +160,7 @@ class CircuitBreaker:
                     self.opened_total += 1
                 self.state = STATE_OPEN
                 self.opened_at = self._clock()
-                self._probe_in_flight = False
-                self._probe_started_at = None
+                self._clear_probe()
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-ready view for ``stats()``."""
@@ -186,9 +197,10 @@ class BreakerRegistry:
                 self._breakers[client] = breaker
             return breaker
 
-    def allow(self, client: str) -> Tuple[bool, Optional[float]]:
-        """Shorthand for ``breaker(client).allow()``."""
-        return self.breaker(client).allow()
+    def allow(self, client: str,
+              holder: object = None) -> Tuple[bool, Optional[float]]:
+        """Shorthand for ``breaker(client).allow(holder)``."""
+        return self.breaker(client).allow(holder)
 
     def record(self, client: str, failed: bool) -> None:
         """Account one finished request for *client*."""
@@ -198,12 +210,12 @@ class BreakerRegistry:
         else:
             breaker.record_success()
 
-    def release_probe(self, client: str) -> None:
-        """Return *client*'s HALF_OPEN probe slot without an outcome."""
+    def release_probe(self, client: str, holder: object) -> None:
+        """Return *client*'s HALF_OPEN probe slot if *holder* holds it."""
         with self._lock:
             breaker = self._breakers.get(client)
         if breaker is not None:
-            breaker.release_probe()
+            breaker.release_probe(holder)
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Every known client's breaker state (for ``stats()``)."""

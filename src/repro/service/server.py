@@ -38,6 +38,9 @@ from .service import QueryRequest, QueryService
 
 logger = logging.getLogger(__name__)
 
+#: Completed responses the duplicate-request table remembers per server.
+DUP_TABLE_SIZE = 512
+
 
 class _Handler(socketserver.StreamRequestHandler):
     """One connection: a sequential request/response session."""
@@ -129,8 +132,7 @@ class QueryServer(socketserver.ThreadingTCPServer):
         # final metrics/slow-log dump
         self._handlers: Dict[Any, threading.Thread] = {}
         self._handlers_lock = threading.Lock()
-        size = service.config.dup_table_size
-        self.dup_table = (DuplicateRequestTable(size) if size > 0 else None)
+        self.dup_table = DuplicateRequestTable(DUP_TABLE_SIZE)
         super().__init__(address, _Handler)
 
     def _track_handler(self, handler: Any) -> None:
@@ -284,8 +286,6 @@ class QueryServer(socketserver.ThreadingTCPServer):
         client-supplied request id identifies retries of the same call.
         Queries with neither (server-generated ids) are never deduped.
         """
-        if self.dup_table is None:
-            return None
         idem = message.get("idempotency_key")
         if isinstance(idem, str) and idem:
             return (client, "key", idem)

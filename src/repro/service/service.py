@@ -25,16 +25,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Hashable,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 from ..core.collection import GraphCollection
 from ..core.graph import Graph
@@ -43,22 +34,14 @@ from ..matching.planner import MatchOptions, baseline_options, optimized_options
 from ..obs.metrics import MetricsRegistry, render_prometheus
 from ..obs.slowlog import SlowQueryEntry, SlowQueryLog
 from ..obs.trace import span as trace_span, tracer
-from ..runtime import (
-    CancellationToken,
-    Outcome,
-    QueryOutcome,
-    rejected_outcome,
-    shed_outcome,
-)
+from ..runtime import (CancellationToken, Outcome, QueryOutcome,
+                       rejected_outcome, shed_outcome)
 from ..storage.database import GraphDatabase
 from ..storage.serializer import load_collection
-from .admission import (
-    REASON_DRAINING,
-    REASON_DUPLICATE_ID,
-    REASON_INVALID_QUERY,
-    AdmissionController,
-)
-from .cache import PreparedQuery, PreparedQueryCache, ResultCache, make_key
+from .admission import (REASON_DRAINING, REASON_DUPLICATE_ID,
+                        REASON_INVALID_QUERY, AdmissionController)
+from .cache import (PLAN_CACHE_SIZE, PreparedQuery, PreparedQueryCache,
+                    ResultCache, make_key)
 from .config import ServiceConfig
 from .metrics import ServiceMetrics
 from .resilience import BreakerRegistry, QueueWaitEstimator
@@ -152,29 +135,43 @@ class QueryResponse:
 
 @dataclass
 class _Inflight:
-    """One admitted request's service-side state.
+    """One request's service-side state, from :meth:`QueryService.submit`
+    to :meth:`QueryService._complete`.
 
-    ``hard_deadline`` (monotonic seconds) is the watchdog's wall: a
-    request unfinished past it is considered stuck and abandoned.  It
-    is anchored at submit but *re-anchored* when a worker actually
-    starts the request, so time spent merely queued behind a backlog
-    never counts as "stuck worker".  ``claimed`` flips when a worker
-    thread actually starts the request, which is what lets a pool
-    recycle resubmit still-queued work without double-running it.
+    ``slot`` and ``admitted`` record how far the turn-away stages let the
+    request in: the quota stage gives it an admission slot, the unique-id
+    stage puts it in the in-flight map, after which it counts as
+    admitted.  ``hard_deadline`` (monotonic seconds) is the watchdog's
+    wall: a request unfinished past it is considered stuck and
+    abandoned.  It is anchored at admission but *re-anchored* when a
+    worker actually starts the request, so time spent merely queued
+    behind a backlog never counts as "stuck worker".  ``claimed`` flips
+    when a worker thread actually starts the request, which is what lets
+    a pool recycle resubmit still-queued work without double-running it.
     """
 
     request: QueryRequest
-    token: CancellationToken
-    future: "Future[QueryResponse]"
-    submitted_at: float
+    #: the ``service.request`` trace span (a no-op span when disabled)
+    root: Any
+    token: CancellationToken = field(default_factory=CancellationToken)
+    future: "Future[QueryResponse]" = field(default_factory=Future)
     #: the admission-time prepared query (None for a compiled pattern)
     prepared: Optional[PreparedQuery] = None
-    root: Any = None
+    slot: bool = False
+    admitted: bool = False
+    submitted_at: float = 0.0
     #: watchdog wall-clock budget (seconds) once a worker starts the
     #: request; None when the request has no effective timeout
     watchdog_budget: Optional[float] = None
     hard_deadline: Optional[float] = None
     claimed: bool = False
+
+
+def _reply(request: QueryRequest, outcome: QueryOutcome,
+           **fields: Any) -> QueryResponse:
+    """A response to *request* carrying *outcome*."""
+    return QueryResponse(request_id=request.request_id,
+                         client=request.client, outcome=outcome, **fields)
 
 
 class QueryService:
@@ -194,14 +191,17 @@ class QueryService:
         self.admission = AdmissionController(self.config)
         #: query text -> its one parse + analysis + compile, consulted
         #: once per request at admission
-        self.plan_cache = PreparedQueryCache(self.config.plan_cache_size)
+        self.plan_cache = PreparedQueryCache(PLAN_CACHE_SIZE)
         self.result_cache = ResultCache(self.config.result_cache_size)
         self.breakers = BreakerRegistry(
             threshold=max(1, self.config.breaker_threshold),
             cooldown=self.config.breaker_cooldown)
         self.queue_wait = QueueWaitEstimator(
-            window=self.config.shed_window,
             min_samples=self.config.shed_min_samples)
+        #: the turn-away stages :meth:`submit` runs, in order
+        self._stages = (self._validate, self._check_breaker,
+                        self._check_deadline, self._check_quota,
+                        self._check_unique_id)
         self._register_gauges()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._in_flight: Dict[str, _Inflight] = {}
@@ -296,12 +296,19 @@ class QueryService:
     # -- the executor ---------------------------------------------------------
 
     def _ensure_executor(self):
+        """The worker pool, started on first use with its watchdog."""
         with self._lock:
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
                     max_workers=self.config.workers,
                     thread_name_prefix="repro-query",
                 )
+            if (self._watchdog is None and not self._closed
+                    and self.config.watchdog_multiple > 0):
+                self._watchdog = threading.Thread(
+                    target=self._watchdog_loop,
+                    name="repro-pool-watchdog", daemon=True)
+                self._watchdog.start()
             return self._executor
 
     # -- submission -----------------------------------------------------------
@@ -309,212 +316,210 @@ class QueryService:
     def submit(self, request: QueryRequest) -> "Future[QueryResponse]":
         """Admit and schedule one request; never blocks.
 
-        The returned future resolves to a :class:`QueryResponse` in every
-        case — rejection and internal errors included — so callers can
-        account ``admitted + rejected == submitted`` without exception
-        handling.
+        The request runs the turn-away stages in order — validate,
+        breaker, deadline shed, quota, unique in-flight id — and the first
+        that refuses it ends it REJECTED or SHED.  A request that passes
+        them all is counted admitted, once, and ends as a result-cache
+        hit, an executed run, or a watchdog abandon.  Every one of those
+        endings goes through :meth:`_complete`, so the returned future
+        resolves to a :class:`QueryResponse` in every case and
+        ``submitted == admitted + rejected + shed`` holds by
+        construction.
         """
         self.metrics.count("submitted")
-        root = tracer().start(
+        entry = _Inflight(request, tracer().start(
             "service.request", remote=request.trace_parent,
             request_id=request.request_id,
-            client=request.client, document=request.document)
-        with tracer().activate(root):
-            # static analysis first: an invalid query is rejected before
-            # admission, breakers or the pool ever see it — no worker,
-            # no quota, no probe slot is spent on a request that can
-            # only fail
-            prepared = self._prepare(request)
-            if prepared is not None and prepared.errors:
-                self.metrics.count("invalid_queries")
-                return self._reject(
-                    request, REASON_INVALID_QUERY, root=root,
-                    detail={"diagnostics": list(prepared.errors)},
-                    probe=False)
-            with trace_span("service.admission") as sp:
-                shed_reason, retry_after = self._shed_check(request)
-                if shed_reason is not None:
-                    sp.annotate(shed=shed_reason)
-                else:
-                    reason = self.admission.try_admit(request.client)
-                    if reason is not None:
-                        sp.annotate(rejected=reason)
-            if shed_reason is not None:
-                return self._shed(request, shed_reason, retry_after,
-                                  root=root)
-            if reason is not None:
-                return self._reject(request, reason, root=root)
-            self.metrics.count("admitted")
-            submitted_at = time.perf_counter()
-
-            # serve result-cache hits synchronously: no worker, microseconds
-            with trace_span("service.cache_probe") as probe:
-                cached = self._cache_lookup(request)
-                probe.annotate(hit=cached is not None)
-            if cached is not None:
-                rows, outcome = cached
-                self.metrics.count("result_cache_hits")
-                response = QueryResponse(
-                    request_id=request.request_id, client=request.client,
-                    results=rows, outcome=outcome, cache="hit",
-                    elapsed=time.perf_counter() - submitted_at,
-                )
-                self._finish(request, response, submitted_at, outer=None,
-                             root=root, tracked=False)
-                done: "Future[QueryResponse]" = Future()
-                done.set_result(response)
-                return done
-
-            token = CancellationToken()
-            outer: "Future[QueryResponse]" = Future()
-            budget = self._watchdog_budget_for(request)
-            entry = _Inflight(
-                request=request, token=token, future=outer,
-                submitted_at=submitted_at, prepared=prepared, root=root,
-                watchdog_budget=budget,
-                hard_deadline=(None if budget is None
-                               else time.monotonic() + budget),
-            )
-            with self._lock:
-                # the id is the cancellation handle, so it must be unique
-                # among in-flight requests — a second insert would orphan
-                # the first request's token and make cancel() unreachable
-                if request.request_id in self._in_flight:
-                    self.admission.release(request.client)
-                    self.metrics.count("admitted", -1)
-                    duplicate = True
-                else:
-                    self._in_flight[request.request_id] = entry
-                    duplicate = False
-            if duplicate:
-                return self._reject(request, REASON_DUPLICATE_ID, root=root)
-            try:
-                self._ensure_watchdog()
-                self._ensure_executor().submit(self._run_local, entry)
-            except Exception as exc:  # pool shut down under us => shed load
-                logger.warning("submit failed for %s: %s",
-                               request.request_id, exc)
-                self._release(request)
-                self.metrics.count("admitted", -1)
-                return self._reject(request, REASON_DRAINING, root=root)
-        return outer
+            client=request.client, document=request.document))
+        with tracer().activate(entry.root):
+            response = self._admit(entry)
+            if response is None:
+                response = self._start(entry)
+            if response is not None:
+                self._complete(entry, response)
+        return entry.future
 
     def execute(self, query: PatternLike, **kwargs) -> QueryResponse:
         """Synchronous convenience wrapper around :meth:`submit`."""
         return self.submit(QueryRequest(query=query, **kwargs)).result()
 
-    def _prepare(self, request: QueryRequest) -> Optional[PreparedQuery]:
-        """The prepared form of a textual query: the request's one
-        plan-cache lookup, serving validation now and execution later.
+    def _admit(self, entry: _Inflight) -> Optional[QueryResponse]:
+        """Run the turn-away stages; the first refusal is the response.
 
-        Compiled patterns pass through as ``None`` (their text was
-        validated wherever it was compiled).
+        ``admitted`` is counted here, after the last stage that can turn
+        the request away, and never taken back.
         """
-        if not isinstance(request.query, str):
-            return None
-        prepared, hit = self.plan_cache.prepare(request.query)
-        self.metrics.count("plan_cache_hits" if hit else "plan_cache_misses")
-        return prepared
+        with trace_span("service.admission") as span:
+            for stage in self._stages:
+                refusal = stage(entry)
+                if refusal is not None:
+                    kind = "shed" if refusal.shed else "rejected"
+                    span.annotate(**{kind: refusal.outcome.reason})
+                    return refusal
+        self.metrics.count("admitted")
+        return None
 
-    def _reject(self, request: QueryRequest, reason: str,
-                root=None, detail: Optional[Dict[str, Any]] = None,
-                probe: bool = True) -> "Future[QueryResponse]":
-        # most rejects happen after the breaker check admitted the
-        # request, so a HALF_OPEN probe slot may be riding on it;
-        # validation rejects (probe=False) precede the breaker check
-        if probe:
-            self._release_probe(request.client)
-        self.metrics.count("rejected")
-        self.metrics.record_outcome(Outcome.REJECTED)
-        outcome = rejected_outcome(reason)
-        if detail:
-            outcome.detail.update(detail)
-        response = QueryResponse(
-            request_id=request.request_id, client=request.client,
-            outcome=outcome, cache="bypass",
-        )
-        if root is not None:
-            root.annotate(status=Outcome.REJECTED.value, reason=reason)
-            root.finish()
-        done: "Future[QueryResponse]" = Future()
-        done.set_result(response)
-        return done
-
-    # -- resilience: shedding, breakers, the watchdog -------------------------
-
-    def _shed_check(
-            self, request: QueryRequest
-    ) -> Tuple[Optional[str], Optional[float]]:
-        """Whether to shed this request, plus a retry-after hint.
-
-        Two reasons to shed: the client's circuit breaker is open, or
-        the request's whole deadline is below the observed p95 queue
-        wait — it would expire in the queue, so starting it only wastes
-        a worker.
-        """
-        if self.config.breaker_threshold > 0:
-            allowed, retry_after = self.breakers.allow(request.client)
-            if not allowed:
-                self.metrics.record_shed("breaker")
-                return (f"circuit breaker open for client "
-                        f"{request.client!r}", retry_after)
-        if self.config.shed_enabled:
-            effective = self.config.tighten(request.timeout,
-                                            self.config.default_timeout)
-            if effective is not None:
-                p95 = self.queue_wait.p95()
-                if p95 is not None and effective < p95:
-                    self.metrics.record_shed("deadline")
-                    # the breaker may have just spent its HALF_OPEN
-                    # probe slot on this request: give it back
-                    self._release_probe(request.client)
-                    return (f"deadline {effective:g}s is below the "
-                            f"observed p95 queue wait {p95:.3f}s",
-                            round(p95, 3))
-        return None, None
-
-    def _release_probe(self, client: str) -> None:
-        """Return a breaker probe slot taken by a request that was
-        turned away before it could execute.
-
-        Without this, a HALF_OPEN probe shed/rejected downstream would
-        resolve to neither success nor failure and the slot would stay
-        occupied until the lost-probe timeout."""
-        if self.config.breaker_threshold > 0:
-            self.breakers.release_probe(client)
-
-    def _shed(self, request: QueryRequest, reason: str,
-              retry_after: Optional[float],
-              root=None) -> "Future[QueryResponse]":
-        self.metrics.record_outcome(Outcome.SHED)
-        response = QueryResponse(
-            request_id=request.request_id, client=request.client,
-            outcome=shed_outcome(reason), cache="bypass",
-            retry_after=retry_after,
-        )
-        if root is not None:
-            root.annotate(status=Outcome.SHED.value, reason=reason)
-            root.finish()
-        done: "Future[QueryResponse]" = Future()
-        done.set_result(response)
-        return done
-
-    def _watchdog_budget_for(self, request: QueryRequest) -> Optional[float]:
-        """The watchdog wall-clock budget of one request, or None.
-
-        A worker that has not produced a result after
-        ``watchdog_multiple`` times the request's *effective* timeout is
-        wedged — the cooperative deadline inside the worker fired long
-        ago and was ignored.  Requests with no effective timeout are
-        never watched (there is no deadline to multiply).
-        """
-        if self.config.watchdog_multiple <= 0:
-            return None
+    def _start(self, entry: _Inflight) -> Optional[QueryResponse]:
+        """Serve an admitted request's result-cache hit on the spot, or
+        hand it to the pool (None: a worker now owns its ending)."""
+        request = entry.request
+        entry.submitted_at = time.perf_counter()
+        # a worker with no result after watchdog_multiple x the effective
+        # timeout is wedged: its cooperative deadline fired long ago and
+        # was ignored (no effective timeout, nothing to multiply)
         effective = self.config.tighten(request.timeout,
                                         self.config.default_timeout)
-        if effective is None:
+        if self.config.watchdog_multiple > 0 and effective is not None:
+            entry.watchdog_budget = self.config.watchdog_multiple * effective
+            entry.hard_deadline = time.monotonic() + entry.watchdog_budget
+        # serve result-cache hits synchronously: no worker, microseconds
+        with trace_span("service.cache_probe") as probe:
+            key = self._cache_key(request)
+            cached = None if key is None else self.result_cache.get(key)
+            probe.annotate(hit=cached is not None)
+        if cached is not None:
+            rows, outcome = cached
+            self.metrics.count("result_cache_hits")
+            return _reply(request, outcome, results=rows, cache="hit",
+                          elapsed=time.perf_counter() - entry.submitted_at)
+        try:
+            self._ensure_executor().submit(self._run_local, entry)
+        except Exception as exc:  # the pool was shut down under us
+            logger.warning("submit failed for %s: %s",
+                           request.request_id, exc)
+            return _reply(request, QueryOutcome(status=Outcome.CANCELLED,
+                                                reason=REASON_DRAINING))
+        return None
+
+    # -- the turn-away stages, in order ---------------------------------------
+    # Each lets the request through (None) or returns the REJECTED/SHED
+    # response that ends it, having bumped exactly one of the
+    # ``rejected`` / ``shed`` counters.
+
+    def _rejection(self, request: QueryRequest, reason: str,
+                   **detail: Any) -> QueryResponse:
+        self.metrics.count("rejected")
+        outcome = rejected_outcome(reason)
+        outcome.detail.update(detail)
+        return _reply(request, outcome)
+
+    def _shedding(self, request: QueryRequest, kind: str, reason: str,
+                  retry_after: Optional[float]) -> QueryResponse:
+        self.metrics.record_shed(kind)
+        return _reply(request, shed_outcome(reason), retry_after=retry_after)
+
+    def _validate(self, entry: _Inflight) -> Optional[QueryResponse]:
+        """Static analysis, through the request's one plan-cache lookup
+        (serving validation now and execution later).
+
+        An invalid query is rejected before the breaker, the quota or
+        the pool ever see it.  Compiled patterns pass (their text was
+        validated wherever it was compiled).
+        """
+        request = entry.request
+        if not isinstance(request.query, str):
             return None
-        return self.config.watchdog_multiple * effective
+        entry.prepared, hit = self.plan_cache.prepare(request.query)
+        self.metrics.count("plan_cache_hits" if hit else "plan_cache_misses")
+        if not entry.prepared.errors:
+            return None
+        self.metrics.count("invalid_queries")
+        return self._rejection(request, REASON_INVALID_QUERY,
+                               diagnostics=list(entry.prepared.errors))
+
+    def _check_breaker(self, entry: _Inflight) -> Optional[QueryResponse]:
+        """Shed while the client's circuit breaker is open.  A HALF_OPEN
+        pass makes this request the probe holder until it completes."""
+        if self.config.breaker_threshold <= 0:
+            return None
+        request = entry.request
+        allowed, retry_after = self.breakers.allow(request.client,
+                                                   holder=request)
+        if allowed:
+            return None
+        return self._shedding(
+            request, "breaker",
+            f"circuit breaker open for client {request.client!r}",
+            retry_after)
+
+    def _check_deadline(self, entry: _Inflight) -> Optional[QueryResponse]:
+        """Shed a request whose whole deadline is below the observed p95
+        queue wait: it would expire in the queue, so starting it only
+        wastes a worker."""
+        if not self.config.shed_enabled:
+            return None
+        effective = self.config.tighten(entry.request.timeout,
+                                        self.config.default_timeout)
+        p95 = None if effective is None else self.queue_wait.p95()
+        if p95 is None or effective >= p95:
+            return None
+        return self._shedding(
+            entry.request, "deadline",
+            f"deadline {effective:g}s is below the observed p95 queue "
+            f"wait {p95:.3f}s", round(p95, 3))
+
+    def _check_quota(self, entry: _Inflight) -> Optional[QueryResponse]:
+        """Admission control: draining, the global bound, the client's
+        quota.  Passing takes an admission slot."""
+        reason = self.admission.try_admit(entry.request.client)
+        if reason is not None:
+            return self._rejection(entry.request, reason)
+        entry.slot = True
+        return None
+
+    def _check_unique_id(self, entry: _Inflight) -> Optional[QueryResponse]:
+        """Track the request by id; the id must be unique in flight.
+
+        The id is the cancellation handle: a second insert would orphan
+        the first request's token and make ``cancel()`` unreachable.
+        """
+        request = entry.request
+        with self._lock:
+            duplicate = request.request_id in self._in_flight
+            if not duplicate:
+                entry.admitted = True
+                self._in_flight[request.request_id] = entry
+        if duplicate:
+            return self._rejection(request, REASON_DUPLICATE_ID)
+        return None
+
+    # -- the one ending -------------------------------------------------------
+
+    def _complete(self, entry: _Inflight, response: QueryResponse,
+                  counter: Optional[str] = None) -> bool:
+        """End one request — turned away, cache hit, executed or
+        abandoned — and return whether this call owned the ending.
+
+        An admitted request is owned by whoever pops its in-flight entry
+        first; a late result from a worker the watchdog abandoned finds
+        the entry gone and is dropped.  The owner frees the admission
+        slot, bumps *counter* (the watchdog's tally), records the
+        outcome (and, when admitted, the latency), feeds the breaker,
+        finishes the root span, offers an admitted request to the slow
+        log, and resolves the future.
+        """
+        request, outcome = entry.request, response.outcome
+        latency = None
+        if entry.admitted:
+            with self._lock:
+                if self._in_flight.get(request.request_id) is not entry:
+                    return False
+                del self._in_flight[request.request_id]
+            latency = time.perf_counter() - entry.submitted_at
+        if entry.slot:
+            self.admission.release(request.client)
+        if counter is not None:
+            self.metrics.count(counter)
+        self.metrics.record_outcome(outcome.status, latency=latency)
+        self._record_breaker(request, response)
+        entry.root.annotate(status=outcome.status.value,
+                            cache=response.cache, reason=outcome.reason)
+        entry.root.finish()
+        if latency is not None:
+            self._record_slow(request, response, latency, entry.root)
+        if not entry.future.done():
+            entry.future.set_result(response)
+        return True
 
     def _record_breaker(self, request: QueryRequest,
                         response: QueryResponse) -> None:
@@ -528,19 +533,11 @@ class QueryService:
             self.breakers.record(request.client, failed=False)
         else:
             # CANCELLED / REJECTED / SHED are neutral: not the query's
-            # fault — but if this request held the HALF_OPEN probe slot
+            # fault — but if this request holds the HALF_OPEN probe slot
             # it must give it back, or no probe ever resolves
-            self.breakers.release_probe(request.client)
+            self.breakers.release_probe(request.client, holder=request)
 
-    def _ensure_watchdog(self) -> None:
-        if self.config.watchdog_multiple <= 0:
-            return
-        with self._lock:
-            if self._watchdog is None and not self._closed:
-                self._watchdog = threading.Thread(
-                    target=self._watchdog_loop,
-                    name="repro-pool-watchdog", daemon=True)
-                self._watchdog.start()
+    # -- the watchdog ---------------------------------------------------------
 
     def _watchdog_loop(self) -> None:
         while not self._watchdog_stop.wait(self.config.watchdog_interval):
@@ -583,20 +580,14 @@ class QueryService:
                 len(stuck))
 
     def _abandon(self, entry: _Inflight, stuck_worker: bool = True) -> None:
-        """Answer a stuck request TIMED_OUT and free its slot.
+        """Answer a stuck request TIMED_OUT, then cancel its token.
 
         The wedged worker may still complete eventually; its late
-        ``_finish`` finds the entry gone and drops the result instead of
-        double-releasing admission.  ``stuck_worker`` is False for a
-        request no worker ever started (abandoned over a queue backlog,
-        or a failed resubmit after a recycle).
+        :meth:`_complete` finds the entry gone and drops the result.
+        ``stuck_worker`` is False for a request no worker ever started
+        (abandoned over a queue backlog, or a failed resubmit after a
+        recycle).
         """
-        request = entry.request
-        with self._lock:
-            if self._in_flight.get(request.request_id) is not entry:
-                return  # finished (or already abandoned) in the race
-            del self._in_flight[request.request_id]
-        self.admission.release(request.client)
         if stuck_worker:
             reason = (f"watchdog: no result after "
                       f"{self.config.watchdog_multiple:g}x the effective "
@@ -605,25 +596,15 @@ class QueryService:
             reason = (f"watchdog: still queued after "
                       f"{self.config.watchdog_multiple:g}x the effective "
                       f"timeout; abandoned without running")
-        entry.token.cancel(reason)
-        self.metrics.count("watchdog_recycles" if stuck_worker
-                           else "watchdog_abandoned")
         latency = time.perf_counter() - entry.submitted_at
-        response = QueryResponse(
-            request_id=request.request_id, client=request.client,
-            outcome=QueryOutcome(status=Outcome.TIMED_OUT, reason=reason,
-                                 elapsed=latency),
-            cache="bypass", elapsed=latency,
-        )
-        self.metrics.record_outcome(Outcome.TIMED_OUT, latency=latency)
-        self._record_breaker(request, response)
-        if entry.root is not None:
-            entry.root.annotate(status=Outcome.TIMED_OUT.value,
-                                watchdog="recycled")
-            entry.root.finish()
-        self._record_slow(request, response, latency, entry.root)
-        if not entry.future.done():
-            entry.future.set_result(response)
+        response = _reply(
+            entry.request, QueryOutcome(status=Outcome.TIMED_OUT,
+                                        reason=reason, elapsed=latency),
+            elapsed=latency)
+        if self._complete(entry, response,
+                          counter=("watchdog_recycles" if stuck_worker
+                                   else "watchdog_abandoned")):
+            entry.token.cancel(reason)
 
     def _recycle_pool(self, reason: str) -> None:
         """Replace the worker pool without waiting for wedged workers.
@@ -666,14 +647,8 @@ class QueryService:
         # effective step/memory budgets — either can TRUNCATE a run, and
         # a budget-truncated partial answer must never be replayed to a
         # request with looser budgets
-        return (
-            "baseline" if request.baseline else "optimized",
-            opts.limit,
-            self.config.tighten(request.max_steps,
-                                self.config.default_max_steps),
-            self.config.tighten(request.max_memory,
-                                self.config.default_max_memory),
-        )
+        return ("baseline" if request.baseline else "optimized",
+                opts.limit, request.max_steps, request.max_memory)
 
     def _cache_key(self, request: QueryRequest):
         """The cache key of a request, or None when uncacheable.
@@ -693,12 +668,6 @@ class QueryService:
         return make_key(request.document, request.query,
                         self._options_key(request), version)
 
-    def _cache_lookup(self, request: QueryRequest):
-        key = self._cache_key(request)
-        if key is None:
-            return None
-        return self.result_cache.get(key)
-
     def _run_local(self, entry: _Inflight) -> None:
         """Worker-thread body: match, serialize, cache.
 
@@ -710,9 +679,7 @@ class QueryService:
         both cancelled-and-resubmitted runs on whichever executor claims
         it first, and an entry the watchdog abandoned never starts.
         """
-        request, token = entry.request, entry.token
-        submitted_at, outer, root = (entry.submitted_at, entry.future,
-                                     entry.root)
+        request = entry.request
         with self._lock:
             if (self._in_flight.get(request.request_id) is not entry
                     or entry.claimed):
@@ -726,14 +693,14 @@ class QueryService:
                                        + entry.watchdog_budget)
         # the queue wait just ended: this sample is what deadline-aware
         # shedding compares incoming deadlines against
-        self.queue_wait.observe(time.perf_counter() - submitted_at)
+        self.queue_wait.observe(time.perf_counter() - entry.submitted_at)
         if self.execute_hook is not None:
             self.execute_hook(request)
-        with tracer().activate(root):
+        with tracer().activate(entry.root):
             with trace_span("service.execute"):
                 context = self.config.derive_context(
                     timeout=request.timeout, max_steps=request.max_steps,
-                    max_memory=request.max_memory, token=token,
+                    max_memory=request.max_memory, token=entry.token,
                 )
                 # key the caches on the document version *before*
                 # execution, so a mutation racing with this query can
@@ -757,49 +724,12 @@ class QueryService:
                 if (error is None and key is not None
                         and self.result_cache.admit(key, rows, outcome)):
                     self.metrics.count("result_cache_misses")
-                response = QueryResponse(
-                    request_id=request.request_id, client=request.client,
-                    results=rows, outcome=outcome,
+                response = _reply(
+                    request, outcome, results=rows,
                     cache="miss" if key is not None else "bypass",
-                    elapsed=time.perf_counter() - submitted_at, error=error,
-                    degradation=notes,
-                )
-            self._finish(request, response, submitted_at, outer, root=root)
-
-    def _release(self, request: QueryRequest, tracked: bool = True) -> bool:
-        """Free one request's admission slot (idempotent).
-
-        Returns True when this call owned the completion.  ``tracked``
-        requests release only if their in-flight entry was still
-        present — the watchdog may have abandoned them (and released
-        the slot) already.  Untracked requests (cache hits, which never
-        enter the in-flight map) always release.
-        """
-        with self._lock:
-            popped = self._in_flight.pop(request.request_id, None) is not None
-        if popped or not tracked:
-            self.admission.release(request.client)
-            return True
-        return False
-
-    def _finish(self, request: QueryRequest, response: QueryResponse,
-                submitted_at: float,
-                outer: Optional["Future[QueryResponse]"],
-                root=None, tracked: bool = True) -> None:
-        if not self._release(request, tracked=tracked):
-            # the watchdog abandoned this request: the client was
-            # answered and accounted long ago — drop the late result
-            return
-        latency = time.perf_counter() - submitted_at
-        self.metrics.record_outcome(response.outcome.status, latency=latency)
-        self._record_breaker(request, response)
-        if root is not None:
-            root.annotate(status=response.outcome.status.value,
-                          cache=response.cache)
-            root.finish()
-        self._record_slow(request, response, latency, root)
-        if outer is not None and not outer.done():
-            outer.set_result(response)
+                    elapsed=time.perf_counter() - entry.submitted_at,
+                    error=error, degradation=notes)
+            self._complete(entry, response)
 
     def _record_slow(self, request: QueryRequest, response: QueryResponse,
                      latency: float, root=None) -> None:

@@ -110,6 +110,14 @@ def test_registry_rejects_kind_mismatch_and_bad_names():
         registry.counter("0bad-name")
 
 
+def test_counters_only_go_up():
+    counter = MetricsRegistry().counter("repro_up_total")
+    counter.inc(0)
+    with pytest.raises(ValueError):
+        counter.inc(-1)
+    assert counter.value == 0
+
+
 def test_callback_gauge_reads_live_and_survives_failures():
     registry = MetricsRegistry()
     box = {"value": 3}

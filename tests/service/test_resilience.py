@@ -102,13 +102,31 @@ class TestCircuitBreaker:
         breaker = CircuitBreaker(threshold=1, cooldown=5.0, clock=clock)
         breaker.record_failure()
         clock.now += 6.0
-        assert breaker.allow() == (True, None)  # the probe
+        probe = object()
+        assert breaker.allow(probe) == (True, None)  # the probe
         assert not breaker.allow()[0]
         # the probe request was turned away downstream (shed/rejected):
         # giving the slot back re-opens it to the very next request
-        breaker.release_probe()
+        breaker.release_probe(probe)
         assert breaker.allow() == (True, None)
         assert breaker.state == STATE_HALF_OPEN
+
+    def test_only_the_probe_holder_releases_it(self):
+        # a clock starting at 0.0: an opened_at of 0 is a real instant
+        clock = FakeClock(0.0)
+        registry = BreakerRegistry(threshold=1, cooldown=5.0, clock=clock)
+        straggler, probe = object(), object()
+        assert registry.allow("c", holder=straggler) == (True, None)
+        registry.record("c", failed=True)  # OPEN at t=0
+        clock.now += 6.0
+        assert registry.allow("c", holder=probe) == (True, None)
+        assert registry.allow("c") == (False, 5.0)
+        # the request admitted while CLOSED ends neutrally: the live
+        # probe stays held, no second concurrent probe is let through
+        registry.release_probe("c", straggler)
+        assert registry.allow("c") == (False, 5.0)
+        registry.release_probe("c", probe)
+        assert registry.allow("c") == (True, None)
 
     def test_lost_probe_times_out_and_is_reoffered(self):
         clock = FakeClock()

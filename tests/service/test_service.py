@@ -1,13 +1,17 @@
 """QueryService facade: execution, caching, cancellation, governance."""
 
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.datasets.random_graphs import erdos_renyi_graph
 from repro.matching.planner import SMALL_MEMBER_NODES
+from repro.obs.trace import SpanCollector, tracer
 from repro.runtime import Outcome
 from repro.service import QueryRequest, QueryService, ServiceConfig
+from repro.service.resilience import BreakerRegistry
 
 
 def make_service(**overrides) -> QueryService:
@@ -387,6 +391,130 @@ class TestAdmission:
             assert response.outcome.status is Outcome.TIMED_OUT
             # TIMED_OUT is never admitted, so no miss is recorded
             assert service.metrics.value("result_cache_misses") == 0
+
+
+def fake_clock_breakers(service) -> list:
+    """Give *service* threshold-1 breakers on a settable clock."""
+    now = [100.0]
+    service.breakers = BreakerRegistry(threshold=1, cooldown=5.0,
+                                       clock=lambda: now[0])
+    return now
+
+
+class TestRequestAccounting:
+    #: every way a request ends: the one counter that moves, the status
+    ENDINGS = {
+        "invalid text": ("rejected", Outcome.REJECTED),
+        "breaker shed": ("shed", Outcome.SHED),
+        "deadline shed": ("shed", Outcome.SHED),
+        "queue full": ("rejected", Outcome.REJECTED),
+        "client quota": ("rejected", Outcome.REJECTED),
+        "duplicate id": ("rejected", Outcome.REJECTED),
+        "hand-off failure": ("admitted", Outcome.CANCELLED),
+        "draining": ("rejected", Outcome.REJECTED),
+        "cache hit": ("admitted", Outcome.COMPLETE),
+        "executed miss": ("admitted", Outcome.COMPLETE),
+        "watchdog abandon": ("admitted", Outcome.TIMED_OUT),
+    }
+
+    @pytest.mark.parametrize("ending", list(ENDINGS))
+    def test_every_ending_is_accounted_once(self, ending):
+        """One counter moves by one, the root span finishes and the
+        future resolves once, the slot comes back, no probe stays held
+        (the request under test is the HALF_OPEN probe wherever it gets
+        past the breaker)."""
+        counter, status = self.ENDINGS[ending]
+        service = make_service(workers=2, queue_depth=0, per_client=1,
+                               shed_min_samples=1, watchdog_multiple=2.0,
+                               watchdog_interval=0.02)
+        now = fake_clock_breakers(service)
+        gate = threading.Event()
+        service.execute_hook = lambda request: (
+            gate.wait(10) if request.request_id.startswith("block") else None)
+        blockers = [service.submit(QueryRequest(
+            query=EDGE_QUERY, client=client, request_id=f"block-{client}",
+            use_cache=False)) for client in {
+                "queue full": ["b1", "b2"], "client quota": ["c"],
+                "duplicate id": ["b1"]}.get(ending, [])]
+        target = QueryRequest(query=EDGE_QUERY, client="c", use_cache=False)
+        if ending == "invalid text":
+            target.query = "graph P { node"
+        elif ending == "deadline shed":
+            service.queue_wait.observe(2.0)
+            target.timeout = 0.1
+        elif ending == "duplicate id":
+            target.request_id = "block-b1"
+        elif ending == "hand-off failure":
+            service._executor = ThreadPoolExecutor(1)
+            service._executor.shutdown()
+        elif ending == "draining":
+            service.admission.start_draining()
+        elif ending == "cache hit":
+            service.execute(EDGE_QUERY)
+            target.use_cache = True
+        elif ending == "watchdog abandon":
+            target.request_id, target.timeout = "block-wd", 0.05
+        service.breakers.record("c", failed=True)
+        if ending != "breaker shed":
+            now[0] += 6.0  # cooldown over: the next "c" request probes
+        before, collector, resolved = service.stats(), SpanCollector(), []
+        with tracer().session(collector):
+            future = service.submit(target)
+            future.add_done_callback(resolved.append)
+            response = future.result(timeout=10)
+        after = service.stats()
+        assert response.outcome.status is status
+        moved = {name: after[name] - before[name]
+                 for name in ("submitted", "admitted", "rejected")}
+        moved["shed"] = after["shed"]["total"] - before["shed"]["total"]
+        assert moved == {"submitted": 1, "admitted": 0, "rejected": 0,
+                         "shed": 0, counter: 1}
+        roots = [span for span in collector.by_name("service.request")
+                 if span.tags["client"] == "c"
+                 and span.tags["request_id"] == target.request_id]
+        assert len(roots) == 1 and roots[0].tags["status"] == status.value
+        assert not service.breakers.breaker("c")._probe_in_flight
+        gate.set()
+        for blocker in blockers:
+            blocker.result(timeout=10)
+        service.shutdown()
+        assert resolved == [future]
+        assert service.admission.in_flight == 0 and not service._in_flight
+
+    def test_cancelled_straggler_keeps_a_live_probe(self):
+        with dense_service() as service:
+            now = fake_clock_breakers(service)
+            straggler = QueryRequest(query=HEAVY_QUERY, client="c",
+                                     use_cache=False)
+            future = service.submit(straggler)  # admitted while CLOSED
+            service.breakers.record("c", failed=True)
+            now[0] += 6.0
+            assert service.breakers.allow("c", holder=object()) == (True,
+                                                                      None)
+            service.cancel(straggler.request_id)
+            assert future.result(timeout=30).outcome.status is (
+                Outcome.CANCELLED)
+            # the straggler never held the probe: it must not free it
+            assert service.breakers.allow("c") == (False, 5.0)
+
+    def test_admitted_is_never_taken_back(self, monkeypatch):
+        with dense_service() as service:
+            counter = service.metrics._counters["admitted"]
+            steps, inc = [], counter.inc
+            monkeypatch.setattr(counter, "inc",
+                                lambda n=1: (steps.append(n), inc(n)))
+            first = service.submit(QueryRequest(
+                query=HEAVY_QUERY, request_id="dup", use_cache=False))
+            assert service.submit(QueryRequest(
+                query=HEAVY_QUERY, request_id="dup", use_cache=False)
+            ).result(timeout=5).rejected
+            service.cancel("dup")
+            first.result(timeout=30)
+            service._executor.shutdown()  # the next hand-off fails
+            handed = service.submit(QueryRequest(
+                query=HEAVY_QUERY, use_cache=False)).result(timeout=5)
+            assert steps == [1, 1]  # no -1 from either turn-back path
+            assert handed.outcome.status is Outcome.CANCELLED
 
 
 class TestLifecycle:
