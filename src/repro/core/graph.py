@@ -267,6 +267,14 @@ class Graph:
         edge_id = self._edge_by_pair.get((source, target))
         return self._edges[edge_id] if edge_id is not None else None
 
+    def edge_pairs(self) -> Mapping[Tuple[str, str], str]:
+        """The O(1) end-point-pair hashtable, read-only: ``(source,
+        target)`` -> id of the first edge joining them.  An undirected
+        edge is keyed both ways, a directed one only in its direction,
+        so a probe is exactly :meth:`edge_between` without the edge
+        object (what Algorithm 4.1's ``Check`` needs)."""
+        return self._edge_by_pair
+
     def nodes(self) -> Iterator[Node]:
         """Iterate over nodes in insertion order."""
         return iter(self._nodes.values())

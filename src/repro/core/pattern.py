@@ -11,7 +11,7 @@ graph iff one of its derived ground patterns matches (Section 3.2).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .bindings import Mapping, MatchedGraph
 from .graph import Edge, Graph, Node
@@ -36,21 +36,44 @@ class GroundPattern:
             predicate, node_names, edge_names
         )
         self.predicate = predicate
+        self._node_tests: Dict[str, Callable[[Node], bool]] = {}
 
     # -- element predicates (F_u, F_e) ------------------------------------------
 
     def node_matches(self, pattern_node_name: str, data_node: Node) -> bool:
         """Evaluate F_u: declarative tuple constraints plus pushed predicate."""
-        motif_node = self.motif.node(pattern_node_name)
-        if not data_node.tuple.matches_constraints(motif_node.tag, motif_node.attrs):
-            return False
-        scope = Scope({pattern_node_name: data_node}, fallback=data_node)
-        if motif_node.predicate is not None and not motif_node.predicate.holds(scope):
-            return False
-        pushed = self.decomposed.node_preds.get(pattern_node_name)
-        if pushed is not None and not pushed.holds(scope):
-            return False
-        return True
+        return self.node_test(pattern_node_name)(data_node)
+
+    def node_test(self, pattern_node_name: str) -> Callable[[Node], bool]:
+        """F_u of one pattern node as a one-argument test, compiled once:
+        the motif node, its tag and attributes and its predicates (its
+        own and the pushed-down one) are resolved here, not per
+        candidate, and a :class:`Scope` is built only when a predicate
+        exists."""
+        test = self._node_tests.get(pattern_node_name)
+        if test is None:
+            test = self._node_tests[pattern_node_name] = self._compile_node_test(
+                pattern_node_name)
+        return test
+
+    def _compile_node_test(self, name: str) -> Callable[[Node], bool]:
+        motif_node = self.motif.node(name)
+        tag, attrs = motif_node.tag, motif_node.attrs
+        predicates = tuple(
+            p for p in (motif_node.predicate, self.decomposed.node_preds.get(name))
+            if p is not None)
+
+        def test(data_node: Node) -> bool:
+            if not data_node.tuple.matches_constraints(tag, attrs):
+                return False
+            if predicates:
+                scope = Scope({name: data_node}, fallback=data_node)
+                for predicate in predicates:
+                    if not predicate.holds(scope):
+                        return False
+            return True
+
+        return test
 
     def edge_matches(self, pattern_edge_name: str, data_edge: Edge) -> bool:
         """Evaluate F_e for a candidate data edge."""

@@ -4,6 +4,8 @@ Section 5.1: *"We index the node labels using a hashtable, and store the
 neighborhood subgraphs and profiles with radius 1 as well."*  This module
 is that store: per node, the profile (always precomputed — it is cheap)
 and the neighborhood subgraph (computed lazily and cached — it is big).
+A profile is stored as its label -> count vector, the form the §4.2
+pruning test reads; the sorted sequence is derived on demand.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from ..matching.neighborhood import (
     LabelFn,
     default_label,
     neighborhood_subgraph,
-    profile,
+    profile_counts,
+    sorted_labels,
 )
 from .hash_index import HashIndex
 
@@ -34,19 +37,28 @@ class ProfileIndex:
         self.radius = radius
         self.label_fn = label_fn
         self.label_index = HashIndex()
-        self._profiles: Dict[str, Tuple[Any, ...]] = {}
         self._subgraphs: Dict[str, Graph] = {}
+        labels: Dict[str, Any] = {}
         for node in graph.nodes():
-            self.label_index.insert(label_fn(node), node.id)
-            self._profiles[node.id] = profile(graph, node.id, radius, label_fn)
+            labels[node.id] = label = label_fn(node)
+            self.label_index.insert(label, node.id)
             if eager_subgraphs:
                 self._subgraphs[node.id] = neighborhood_subgraph(
                     graph, node.id, radius
                 )
+        self._counts: Dict[str, Dict[Any, int]] = {
+            node_id: profile_counts(graph, node_id, radius, labels.__getitem__)
+            for node_id in labels
+        }
+
+    def counts_of(self, node_id: str) -> Dict[Any, int]:
+        """The stored profile of a node as label -> count (read-only)."""
+        return self._counts[node_id]
 
     def profile_of(self, node_id: str) -> Tuple[Any, ...]:
-        """The stored profile of a node."""
-        return self._profiles[node_id]
+        """The stored profile of a node as a sorted label sequence."""
+        return sorted_labels(label for label, count in self._counts[node_id].items()
+                             for _ in range(count))
 
     def subgraph_of(self, node_id: str) -> Graph:
         """The neighborhood subgraph of a node (cached)."""
@@ -63,5 +75,5 @@ class ProfileIndex:
     def __repr__(self) -> str:
         return (
             f"ProfileIndex(radius={self.radius}, "
-            f"nodes={len(self._profiles)})"
+            f"nodes={len(self._counts)})"
         )

@@ -11,7 +11,7 @@ graph-wide predicate is evaluated and the mapping reported.  The
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..core.bindings import Mapping
 from ..core.graph import Graph
@@ -42,9 +42,8 @@ def scan_feasible_mates(pattern: GroundPattern, graph: Graph) -> Dict[str, List[
     """Feasible mates by full scan: Phi(u) = {v | F_u(v)} (Definition 4.8)."""
     space: Dict[str, List[str]] = {}
     for name in pattern.node_names():
-        space[name] = [
-            node.id for node in graph.nodes() if pattern.node_matches(name, node)
-        ]
+        fu = pattern.node_test(name)
+        space[name] = [node.id for node in graph.nodes() if fu(node)]
     return space
 
 
@@ -87,52 +86,60 @@ def find_matches(
         on the context, so callers can report a structured outcome).
         The context's answer/memory caps also terminate the search
         early, inside the recursion.
+
+    The order fixes which pattern nodes are mapped at every depth, so
+    ``Check``'s work is planned once, before searching: per depth, the
+    pattern edges back to earlier (or pinned) nodes, each with the
+    direction to probe and whether its F_e can fail at all.
     """
     if candidates is None:
         candidates = scan_feasible_mates(pattern, graph)
+    pins = initial or {}
     node_names = pattern.node_names()
-    if order is None:
-        order = [n for n in node_names if not initial or n not in initial]
-    else:
-        order = [n for n in order if not initial or n not in initial]
-    missing = set(node_names) - set(order) - set(initial or ())
+    order = [n for n in (node_names if order is None else order)
+             if n not in pins]
+    missing = set(node_names) - set(order) - set(pins)
     if missing:
         raise ValueError(f"search order misses pattern nodes: {sorted(missing)}")
-
-    directed = graph.directed
-    # Section 4.1: "to avoid repeated evaluation of edge predicates,
-    # another hashtable can be used to store evaluated pairs of edges"
-    edge_memo: Dict[tuple, bool] = {}
     if not exhaustive and limit is None:
         limit = 1
 
+    # Assignments are overwritten, never undone: depth i rewrites its
+    # node and back edges before anything deeper reads them, and a
+    # mapping is copied out only when every depth has just written its
+    # own, so the entries (and their order) equal a fresh assignment's.
     mapping = Mapping()
+    nodes, edges = mapping.nodes, mapping.edges
     used: set[str] = set()
     results: List[Mapping] = []
+    check = _compile_check(pattern, graph, nodes, edges)
 
-    if initial:
-        for pattern_name, node_id in initial.items():
-            if not graph.has_node(node_id):
-                return []
-            if node_id in used:
-                return []
-            if not pattern.node_matches(pattern_name, graph.node(node_id)):
-                return []
-            mapping.nodes[pattern_name] = node_id
-            used.add(node_id)
-        # verify edges among the pinned nodes themselves (each pair is
-        # checked twice, once from each side; harmless)
-        for pattern_name, node_id in initial.items():
-            if not _check(pattern, graph, mapping, pattern_name, node_id,
-                          directed, counters, edge_memo):
-                return []
-            _record_edges(pattern, graph, mapping, pattern_name, node_id, directed)
+    # pinned nodes: all mapped first, then each checked against every pin
+    for name, node_id in pins.items():
+        if (not graph.has_node(node_id) or node_id in used
+                or not pattern.node_matches(name, graph.node(node_id))):
+            return []
+        nodes[name] = node_id
+        used.add(node_id)
+    for name, node_id in pins.items():
+        if counters is not None:
+            counters.check_calls += 1
+        if not check(_back_edges(pattern, name, pins, graph.directed), node_id):
+            return []
+
+    mapped = set(pins)
+    steps = []
+    for u in order:
+        mapped.add(u)
+        steps.append((u, candidates.get(u, ()),
+                      _back_edges(pattern, u, mapped, graph.directed)))
+    depth = len(steps)
 
     def search(i: int) -> bool:
         """Return True when the search should stop early."""
         if counters is not None:
             counters.partial_states += 1
-        if i == len(order):
+        if i == depth:
             if pattern.residual_holds(mapping, graph):
                 results.append(mapping.copy())
                 if counters is not None:
@@ -144,26 +151,22 @@ def find_matches(
                 if limit is not None and len(results) >= limit:
                     return True
             return False
-        u = order[i]
-        for v in candidates.get(u, ()):  # free candidates for u
+        u, mates, back = steps[i]
+        for v in mates:  # free candidates for u
             if v in used:
                 continue
             if context is not None:
                 context.tick()
             if counters is not None:
                 counters.candidates_tried += 1
-            if not _check(pattern, graph, mapping, u, v, directed, counters,
-                          edge_memo):
+                counters.check_calls += 1
+            nodes[u] = v  # a pattern self-loop probes (v, v)
+            if not check(back, v):
                 continue
-            mapping.nodes[u] = v
             used.add(v)
-            saved_edges = dict(mapping.edges)
-            _record_edges(pattern, graph, mapping, u, v, directed)
             if search(i + 1):
                 return True
-            del mapping.nodes[u]
             used.discard(v)
-            mapping.edges = saved_edges
         return False
 
     try:
@@ -177,92 +180,68 @@ def find_matches(
     return results
 
 
-def _check(
+#: One back edge of a search step: (pattern edge name, the mapped pattern
+#: node at its other end, whether the data pair is probed as (v, w) rather
+#: than (w, v), whether its F_e holds for every data edge).
+BackEdge = Tuple[str, str, bool, bool]
+
+
+def _back_edges(
+    pattern: GroundPattern,
+    u: str,
+    mapped: Collection[str],
+    directed: bool,
+) -> Tuple[BackEdge, ...]:
+    """The pattern edges ``Check(u, v)`` verifies, in incident-edge
+    order: those whose other end is in *mapped* (a self-loop counts)."""
+    out = []
+    decomposed_edges = pattern.decomposed.edge_preds
+    for edge in pattern.motif.incident_edges(u):
+        other = edge.target if edge.source == u else edge.source
+        if other in mapped:
+            trivial = (edge.tag is None and not edge.attrs
+                       and edge.predicate is None
+                       and edge.name not in decomposed_edges)
+            out.append((edge.name, other, not directed or edge.source == u,
+                        trivial))
+    return tuple(out)
+
+
+def _compile_check(
     pattern: GroundPattern,
     graph: Graph,
-    mapping: Mapping,
-    u: str,
-    v: str,
-    directed: bool,
-    counters: Optional[SearchCounters],
-    edge_memo: Optional[Dict[tuple, bool]] = None,
-) -> bool:
-    """``Check(u_i, v)``: edges back to already-mapped pattern nodes."""
-    if counters is not None:
-        counters.check_calls += 1
-    motif = pattern.motif
-    for edge in motif.incident_edges(u):
-        other = edge.target if edge.source == u else edge.source
-        if other == u:
-            # pattern self-loop: v must carry a matching self-loop
-            data_edge = graph.edge_between(v, v)
-            if data_edge is None or not _edge_ok(pattern, edge.name,
-                                                 data_edge, edge_memo):
+    nodes: Dict[str, str],
+    edges: Dict[str, str],
+) -> Callable[[Tuple[BackEdge, ...], str], bool]:
+    """``Check(u_i, v)`` over a precomputed back-edge plan.
+
+    One probe of the end-point-pair hashtable per back edge; F_e only for
+    edges whose F_e can fail, memoized per (pattern edge, data edge) —
+    Section 4.1: "to avoid repeated evaluation of edge predicates,
+    another hashtable can be used to store evaluated pairs of edges".
+    Each data edge found is recorded in *edges* under its pattern edge.
+    """
+    pair_get = graph.edge_pairs().get
+    data_edge = graph.edge
+    memo: Dict[Tuple[str, str], bool] = {}
+
+    def check(back: Tuple[BackEdge, ...], v: str) -> bool:
+        for name, other, forward, trivial in back:
+            w = nodes[other]
+            edge_id = pair_get((v, w) if forward else (w, v))
+            if edge_id is None:
                 return False
-            continue
-        if other not in mapping.nodes:
-            continue
-        w = mapping.nodes[other]
-        if directed:
-            if edge.source == u:
-                data_edge = _directed_edge(graph, v, w)
-            else:
-                data_edge = _directed_edge(graph, w, v)
-        else:
-            data_edge = graph.edge_between(v, w)
-        if data_edge is None:
-            return False
-        if not _edge_ok(pattern, edge.name, data_edge, edge_memo):
-            return False
-    return True
+            if not trivial:
+                ok = memo.get((name, edge_id))
+                if ok is None:
+                    ok = memo[name, edge_id] = pattern.edge_matches(
+                        name, data_edge(edge_id))
+                if not ok:
+                    return False
+            edges[name] = edge_id
+        return True
 
-
-def _edge_ok(pattern, edge_name: str, data_edge, memo) -> bool:
-    """Memoized edge-predicate evaluation (the Section 4.1 hashtable)."""
-    if memo is None:
-        return pattern.edge_matches(edge_name, data_edge)
-    key = (edge_name, data_edge.id)
-    cached = memo.get(key)
-    if cached is None:
-        cached = pattern.edge_matches(edge_name, data_edge)
-        memo[key] = cached
-    return cached
-
-
-def _directed_edge(graph: Graph, source: str, target: str):
-    """The directed data edge source->target, or None."""
-    edge = graph.edge_between(source, target)
-    if edge is not None and edge.source == source and edge.target == target:
-        return edge
-    return None
-
-
-def _record_edges(
-    pattern: GroundPattern,
-    graph: Graph,
-    mapping: Mapping,
-    u: str,
-    v: str,
-    directed: bool,
-) -> None:
-    """Record data-edge assignments for pattern edges now fully mapped."""
-    motif = pattern.motif
-    for edge in motif.incident_edges(u):
-        other = edge.target if edge.source == u else edge.source
-        if other == u:
-            data_edge = graph.edge_between(v, v)
-        elif other in mapping.nodes:
-            w = mapping.nodes[other]
-            if directed:
-                src = v if edge.source == u else w
-                dst = w if edge.source == u else v
-                data_edge = _directed_edge(graph, src, dst)
-            else:
-                data_edge = graph.edge_between(v, w)
-        else:
-            continue
-        if data_edge is not None:
-            mapping.edges[edge.name] = data_edge.id
+    return check
 
 
 def brute_force_matches(
@@ -302,3 +281,11 @@ def _assignment_ok(pattern: GroundPattern, graph: Graph, mapping: Mapping) -> bo
             return False
         mapping.edges[edge.name] = data_edge.id
     return pattern.residual_holds(mapping, graph)
+
+
+def _directed_edge(graph: Graph, source: str, target: str):
+    """The directed data edge source->target, or None."""
+    edge = graph.edge_between(source, target)
+    if edge is not None and edge.source == source and edge.target == target:
+        return edge
+    return None

@@ -9,22 +9,31 @@ Retrieval proceeds in two stages:
    profile subsequence test or the exact neighborhood-subgraph
    sub-isomorphism test (Definition 4.10).
 
+Everything that depends only on the pattern node — its compiled F_u,
+its profile as ``(label, count)`` pairs — is computed once per pattern
+node, not once per candidate.
+
 Soundness: both pruning tests are necessary conditions of a full match,
 so pruning never loses answers (verified by property tests).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional
 
 from ..core.graph import Graph
 from ..core.pattern import GroundPattern
+from ..core.predicate import conjunction
 from ..index.attribute_index import AttributeIndexSet
 from ..index.profile_index import ProfileIndex
 from .neighborhood import (
+    default_label,
     motif_profile,
     neighborhood_subisomorphic,
+    pattern_label,
     profile_contained,
+    profile_counts,
 )
 
 #: Local pruning strategies, weakest to strongest.
@@ -55,7 +64,6 @@ def retrieve_feasible_mates(
     profile_index: Optional[ProfileIndex] = None,
     local: str = "none",
     radius: int = 1,
-    label_attr: str = "label",
     stats: Optional[RetrievalStats] = None,
 ) -> Dict[str, List[str]]:
     """The search space ``Phi`` after retrieval and local pruning.
@@ -80,6 +88,7 @@ def retrieve_feasible_mates(
         raise ValueError(
             f"profile index radius {profile_index.radius} != requested {radius}"
         )
+    node = graph.node
     space: Dict[str, List[str]] = {}
     for name in pattern.node_names():
         motif_node = pattern.motif.node(name)
@@ -87,15 +96,13 @@ def retrieve_feasible_mates(
         if attribute_index is not None:
             pushed = pattern.decomposed.node_preds.get(name)
             preds = [p for p in (motif_node.predicate, pushed) if p is not None]
-            from ..core.predicate import conjunction
-
             candidate_ids = attribute_index.candidates_for(
                 motif_node.attrs, conjunction(preds)
             )
             if stats is not None and candidate_ids is not None:
                 stats.method[name] = "attribute-index"
         if candidate_ids is None and profile_index is not None:
-            label = motif_node.attrs.get(label_attr)
+            label = pattern_label(motif_node)
             if label is not None:
                 candidate_ids = profile_index.nodes_with_label(label)
                 if stats is not None:
@@ -107,32 +114,21 @@ def retrieve_feasible_mates(
         if stats is not None:
             stats.scanned[name] = len(candidate_ids)
         # exact F_u check (Definition 4.8)
-        feasible = [
-            node_id
-            for node_id in candidate_ids
-            if pattern.node_matches(name, graph.node(node_id))
-        ]
+        fu = pattern.node_test(name)
+        feasible = [node_id for node_id in candidate_ids if fu(node(node_id))]
         if stats is not None:
             stats.after_fu[name] = len(feasible)
         # local pruning
         if local == "profile":
-            needed = motif_profile(pattern.motif, name, radius, attr=label_attr)
+            need = Counter(motif_profile(pattern.motif, name, radius)).items()
             if profile_index is not None:
-                feasible = [
-                    node_id
-                    for node_id in feasible
-                    if profile_contained(needed, profile_index.profile_of(node_id))
-                ]
-            else:
-                from .neighborhood import profile as node_profile
-
-                feasible = [
-                    node_id
-                    for node_id in feasible
-                    if profile_contained(
-                        needed, node_profile(graph, node_id, radius)
-                    )
-                ]
+                counts_of = profile_index.counts_of
+            else:  # the unindexed rung counts each candidate's profile here
+                label_of = lambda node_id: default_label(node(node_id))
+                counts_of = lambda node_id: profile_counts(graph, node_id,
+                                                           radius, label_of)
+            feasible = [node_id for node_id in feasible
+                        if profile_contained(need, counts_of(node_id))]
         elif local == "subgraph":
             feasible = [
                 node_id

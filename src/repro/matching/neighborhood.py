@@ -9,28 +9,43 @@ neighborhood subgraph of ``u`` is sub-isomorphic to that of ``v`` with
 Profiles are the light-weight alternative: the lexicographically sorted
 sequence of node labels in the neighborhood subgraph.  The pruning test is
 then multiset containment ("a profile is a subsequence of the other"),
-which is far cheaper than a subgraph-isomorphism test.
+which is far cheaper than a subgraph-isomorphism test.  It is evaluated
+as count dominance — every label the pattern needs occurs at least as
+often around the candidate — over per-label count vectors
+(:func:`profile_counts`), the same relation without sorting or
+re-counting per candidate.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from typing import Any, Callable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..core.graph import Graph
-from ..core.motif import SimpleMotif
+from ..core.motif import MotifNode, SimpleMotif
 from ..core.pattern import GroundPattern
 
 #: Maps a node-like object to the label used in profiles.
 LabelFn = Callable[[Any], Any]
 
+#: The attribute that carries a node's label, on data and pattern side.
+LABEL_ATTR = "label"
+
 
 def default_label(node: Any) -> Any:
     """The conventional label: the ``label`` attribute, else the tag."""
-    label = node.get("label") if hasattr(node, "get") else None
+    label = node.get(LABEL_ATTR) if hasattr(node, "get") else None
     if label is None and getattr(node, "tag", None) is not None:
         return node.tag
     return label
+
+
+def pattern_label(node: MotifNode) -> Any:
+    """The label a pattern node requires, or ``None`` when it requires
+    none.  Only a declared ``label`` constraint counts: a tag-only
+    pattern node also matches data nodes whose :func:`default_label` is
+    their ``label`` attribute, so it pins no label."""
+    return node.attrs.get(LABEL_ATTR)
 
 
 def nodes_within_radius(graph: Graph, center: str, radius: int) -> List[str]:
@@ -62,26 +77,46 @@ def profile(
     label_fn: LabelFn = default_label,
 ) -> Tuple[Any, ...]:
     """The profile of a node: sorted labels of its neighborhood subgraph."""
-    labels = [
+    return sorted_labels(
         label_fn(graph.node(node_id))
         for node_id in nodes_within_radius(graph, center, radius)
-    ]
-    return tuple(sorted(labels, key=_sort_key))
+    )
 
 
-def _sort_key(label: Any) -> Tuple[str, str]:
-    # labels may mix None/str/int; sort stably by type name then repr
-    return (type(label).__name__, str(label))
+def sorted_labels(labels: Iterable[Any]) -> Tuple[Any, ...]:
+    """Labels in profile order: labels may mix None/str/int, so they sort
+    stably by type name, then by their string form."""
+    return tuple(sorted(labels, key=lambda label: (type(label).__name__,
+                                                   str(label))))
+
+
+def profile_counts(
+    graph: Graph,
+    center: str,
+    radius: int,
+    label_of: Callable[[str], Any],
+) -> Dict[Any, int]:
+    """The profile of a node as a count vector: label -> occurrences.
+    *label_of* maps a node id to its label (a :data:`LabelFn` applied to
+    the node, looked up once per node by :class:`ProfileIndex`)."""
+    counts: Dict[Any, int] = {}
+    for node_id in nodes_within_radius(graph, center, radius):
+        label = label_of(node_id)
+        counts[label] = counts.get(label, 0) + 1
+    return counts
 
 
 def profile_contained(
-    pattern_profile: Tuple[Any, ...],
-    data_profile: Tuple[Any, ...],
+    need: Iterable[Tuple[Any, int]],
+    have: Mapping[Any, int],
 ) -> bool:
-    """Multiset containment: every pattern label is covered by the data."""
-    need = Counter(pattern_profile)
-    have = Counter(data_profile)
-    return all(have[label] >= count for label, count in need.items())
+    """Multiset containment as count dominance: every ``(label, count)``
+    the pattern needs (its profile counted once per pattern node) is
+    covered by the data node's count vector."""
+    for label, count in need:
+        if have.get(label, 0) < count:
+            return False
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -112,7 +147,6 @@ def motif_profile(
     motif: SimpleMotif,
     center: str,
     radius: int,
-    attr: str = "label",
 ) -> Tuple[Any, ...]:
     """Pattern-node profile: sorted required labels within the radius.
 
@@ -123,9 +157,9 @@ def motif_profile(
     labels = []
     for name in motif_nodes_within_radius(motif, center, radius):
         node = motif.node(name)
-        if attr in node.attrs:
-            labels.append(node.attrs[attr])
-    return tuple(sorted(labels, key=_sort_key))
+        if LABEL_ATTR in node.attrs:
+            labels.append(pattern_label(node))
+    return sorted_labels(labels)
 
 
 def motif_neighborhood(

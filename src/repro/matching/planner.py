@@ -66,7 +66,6 @@ class MatchOptions:
     radius: int = 1
     exhaustive: bool = True
     limit: Optional[int] = None
-    label_attr: str = "label"
 
 
 @dataclass
@@ -198,10 +197,8 @@ class GraphMatcher:
         radius: int = 1,
         build_attribute_index: bool = True,
         build_profile_index: bool = True,
-        label_attr: str = "label",
     ) -> None:
         self.graph = graph
-        self.label_attr = label_attr
         self._radius = radius
         self._build_attribute_index = build_attribute_index
         self._build_profile_index = build_profile_index
@@ -329,7 +326,6 @@ class GraphMatcher:
                     profile_index=profile_index,
                     local=opts.local,
                     radius=opts.radius,
-                    label_attr=opts.label_attr,
                     stats=plan.retrieval,
                 )
             except ExecutionInterrupted:
@@ -407,7 +403,6 @@ class GraphMatcher:
                 pattern.motif,
                 stats=self.stats if opts.gamma_mode == "frequency" else None,
                 gamma_const=opts.gamma_const,
-                label_attr=opts.label_attr,
                 directed=graph.directed,
             )
             try:

@@ -20,6 +20,7 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.motif import SimpleMotif
+from .neighborhood import pattern_label
 from .statistics import GraphStatistics
 
 
@@ -31,17 +32,15 @@ class CostModel:
         motif: SimpleMotif,
         stats: Optional[GraphStatistics] = None,
         gamma_const: float = 0.1,
-        label_attr: str = "label",
         directed: bool = False,
     ) -> None:
         self.motif = motif
         self.stats = stats
         self.gamma_const = gamma_const
-        self.label_attr = label_attr
         self.directed = directed
 
     def _node_label(self, name: str):
-        return self.motif.node(name).attrs.get(self.label_attr)
+        return pattern_label(self.motif.node(name))
 
     def edge_probability(self, source: str, target: str) -> float:
         """P(e(u, v)) for one pattern edge, per the configured mode."""

@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Optional
 from ..analysis import analyze_pattern_text, schema_for_document, to_wire
 from ..core.pattern import GroundPattern
 from ..lang.compiler import compile_pattern_text
+from ..matching.neighborhood import pattern_label
 from ..matching.planner import (
     REFINEMENT_FAILED,
     AccessPlan,
@@ -34,13 +35,13 @@ __all__ = ["explain_ground", "explain_document", "explain_query",
 
 
 def _estimated_mates(matcher: GraphMatcher, ground: GroundPattern,
-                     name: str, label_attr: str) -> int:
+                     name: str) -> int:
     """The statistics-based candidate estimate for one pattern node.
 
     Labelled nodes estimate by label frequency (what the cost model
     uses); unlabelled nodes fall back to the whole node count.
     """
-    label = ground.motif.node(name).attrs.get(label_attr)
+    label = pattern_label(ground.motif.node(name))
     if label is not None and matcher.stats is not None:
         return matcher.stats.node_frequency(label)
     return matcher.graph.num_nodes()
@@ -75,10 +76,9 @@ def _render_plan(matcher: GraphMatcher, ground: GroundPattern,
     for name in ground.node_names():
         nodes.append({
             "node": name,
-            "label": ground.motif.node(name).attrs.get(opts.label_attr),
+            "label": pattern_label(ground.motif.node(name)),
             "retrieval": retrieval.method.get(name, "scan"),
-            "estimated_mates": _estimated_mates(matcher, ground, name,
-                                                opts.label_attr),
+            "estimated_mates": _estimated_mates(matcher, ground, name),
             "scanned": retrieval.scanned.get(name, 0),
             "feasible_mates": retrieval.after_fu.get(name, 0),
             "after_pruning": retrieval.after_local.get(name, 0),

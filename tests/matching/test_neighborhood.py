@@ -1,5 +1,7 @@
 """Unit tests for neighborhood subgraphs and profiles (Section 4.2)."""
 
+from collections import Counter
+
 from repro.core import GroundPattern
 from repro.matching import (
     motif_profile,
@@ -56,10 +58,13 @@ class TestProfiles:
         assert "A" in profile(paper_graph, "A1", 1)
 
     def test_containment(self):
-        assert profile_contained(("A", "B"), ("A", "B", "C"))
-        assert profile_contained((), ("A",))
-        assert not profile_contained(("A", "A"), ("A", "B"))
-        assert not profile_contained(("D",), ("A", "B", "C"))
+        def contained(need, have):
+            return profile_contained(Counter(need).items(), Counter(have))
+
+        assert contained(("A", "B"), ("A", "B", "C"))
+        assert contained((), ("A",))
+        assert not contained(("A", "A"), ("A", "B"))
+        assert not contained(("D",), ("A", "B", "C"))
 
     def test_motif_profile_ignores_unconstrained_nodes(self):
         from repro.core.motif import SimpleMotif

@@ -1,13 +1,16 @@
 """Unit tests for the full access-method pipeline (GraphMatcher)."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro.core import GraphPattern, GroundPattern
-from repro.core.motif import MotifBlock, clique_motif
+from repro.core import Graph, GraphPattern, GroundPattern
+from repro.core.motif import MotifBlock, SimpleMotif, clique_motif
 from repro.matching import (
     GraphMatcher,
     MatchOptions,
     baseline_options,
+    brute_force_matches,
     optimized_options,
 )
 from repro.matching.planner import match_members
@@ -91,6 +94,33 @@ class TestPipeline:
             "profile", True, True,
         )
         assert opt.limit == 7
+
+    def test_one_label_definition(self):
+        """Constraints on an attribute other than ``label`` are F_u only:
+        profile pruning reads ``label`` on both sides, so it keeps every
+        answer (a per-query label attribute used to drop them all)."""
+        graph = Graph("G")
+        for node_id, label, kind in (("n0", "a", "x"), ("n1", "b", "y"),
+                                     ("n2", "c", "x")):
+            graph.add_node(node_id, label=label, kind=kind)
+        graph.add_edge("n0", "n1")
+        graph.add_edge("n1", "n2")
+        motif = SimpleMotif()
+        motif.add_node("u", attrs={"kind": "x"})
+        motif.add_node("w", attrs={"kind": "y"})
+        motif.add_edge("u", "w")
+        pattern = GroundPattern(motif)
+        expected = {frozenset(m.nodes.items())
+                    for m in brute_force_matches(pattern, graph)}
+        assert len(expected) == 2
+        matcher = GraphMatcher(graph)
+        for local in ("none", "profile", "subgraph"):
+            report = matcher.match(pattern, MatchOptions(local=local))
+            assert {frozenset(m.nodes.items())
+                    for m in report.mappings} == expected, local
+        assert "label_attr" not in {f.name for f in fields(MatchOptions)}
+        with pytest.raises(TypeError):
+            GraphMatcher(graph, label_attr="kind")
 
 
 class TestRecursivePatterns:
