@@ -1,4 +1,4 @@
-"""Static analysis for GraphQL queries and Datalog programs.
+"""Static analysis for GraphQL queries.
 
 The analyzer inspects the *syntactic* AST (before compilation) and
 reports structured :class:`Diagnostic` findings — scope errors, schema
@@ -14,7 +14,6 @@ from .analyzer import (
     analyze_program,
     analyze_text,
 )
-from .datalog import analyze_datalog, analyze_rule
 from .diagnostics import (
     Diagnostic,
     Severity,
@@ -38,11 +37,9 @@ __all__ = [
     "Diagnostic",
     "Severity",
     "Span",
-    "analyze_datalog",
     "analyze_pattern",
     "analyze_pattern_text",
     "analyze_program",
-    "analyze_rule",
     "analyze_text",
     "errors_only",
     "has_errors",

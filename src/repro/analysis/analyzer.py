@@ -102,9 +102,6 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     # not an analyzer finding: what prepare_pattern_text reports when a
     # text the analyzer passed is refused by the compiler
     "GQL012": (Severity.ERROR, "construct the compiler refuses"),
-    "DLG001": (Severity.ERROR, "unsafe head variable"),
-    "DLG002": (Severity.ERROR, "unsafe negated/builtin variable"),
-    "DLG003": (Severity.ERROR, "program is not stratifiable"),
 }
 
 

@@ -1,8 +1,8 @@
 """Structured diagnostics: what the static analyzer reports.
 
-A :class:`Diagnostic` is one finding — a stable ``code`` (``GQL001`` …,
-``DLG001`` …), a :class:`Severity`, a human message and an optional
-source :class:`Span`.  Diagnostics are plain values: the analyzer
+A :class:`Diagnostic` is one finding — a stable ``code`` (``GQL001`` …),
+a :class:`Severity`, a human message and an optional source
+:class:`Span`.  Diagnostics are plain values: the analyzer
 produces them, and every consumer (compiler, ``repro-gql check``, the
 service's admission validation, EXPLAIN) decides independently which
 severities it acts on.
@@ -19,8 +19,8 @@ class Severity(Enum):
     """How actionable a finding is.
 
     ``ERROR`` — the query is wrong: it cannot produce the intended
-    result (unbound variable, unsafe Datalog rule).  The compiler
-    refuses these by default and the service rejects them at admission.
+    result (syntax error, unbound variable).  The compiler refuses
+    these by default and the service rejects them at admission.
 
     ``WARNING`` — the query is legal under semistructured semantics but
     almost surely a bug (unknown attribute, always-false predicate,

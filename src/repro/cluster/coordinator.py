@@ -3,9 +3,9 @@
 The :class:`ClusterCoordinator` is a *client-side* fan-out: it owns no
 graphs, only a :class:`~repro.cluster.shardmap.ShardMap` and one wire
 endpoint per shard.  A query is submitted to every shard that owns part
-of the document, the per-shard answers stream back over independent
-connections, and the coordinator merges them under one global limit and
-one global deadline.
+of the document: each slice's leg is a future that returns that slice's
+:class:`ShardAnswer`, rows included, and the coordinator merges exactly
+one answer per slice under one global limit and one global deadline.
 
 Failure handling reuses the service's resilience vocabulary:
 
@@ -30,8 +30,9 @@ Failure handling reuses the service's resilience vocabulary:
   versions the replicas of one slice report — a mismatch is counted
   (``version_divergence``) and logged, never silently merged over;
 * **partial results**: shards that answered merge, shards that did not
-  are named in the ``PARTIAL`` outcome's ``detail["shards"]``, and the
-  accounting invariant ``submitted == merged + failed`` always holds.
+  are named, with an error, in the ``PARTIAL`` outcome's
+  ``detail["shards"]``; one answer per slice makes the accounting
+  invariant ``submitted == merged + failed`` hold by construction.
 
 Merged results are cached per target set; explicit
 :meth:`ClusterCoordinator.move` invalidates exactly the entries whose
@@ -45,7 +46,9 @@ import logging
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ThreadPoolExecutor, as_completed, wait
+from concurrent.futures import TimeoutError as FuturesTimeout
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs.trace import span, tracer
@@ -61,6 +64,11 @@ logger = logging.getLogger(__name__)
 #: shard terminal states whose rows are complete for that shard
 _MERGEABLE = (Outcome.COMPLETE, Outcome.TRUNCATED)
 
+#: seconds the fan-out waits past the global deadline: attempt deadlines
+#: never pass it, but a race reads replies 0.05 s beyond its own, and a
+#: leg whose reply arrived just in time must still copy its rows
+_DEADLINE_GRACE = 0.25
+
 
 @dataclass
 class ShardAnswer:
@@ -68,7 +76,8 @@ class ShardAnswer:
 
     shard: str
     ok: bool
-    rows: int = 0
+    #: this slice's rows, each tagged with its ``"shard"``
+    results: List[Dict[str, Any]] = field(default_factory=list, repr=False)
     outcome: Optional[QueryOutcome] = None
     error: Optional[str] = None
     elapsed: float = 0.0
@@ -80,6 +89,10 @@ class ShardAnswer:
     attempts: int = 0
     #: the snapshot version the serving replica reported, if any
     version: Optional[int] = None
+
+    @property
+    def rows(self) -> int:
+        return len(self.results)
 
     def accounting(self) -> Dict[str, Any]:
         """The JSON-ready per-shard entry of ``detail["shards"]``."""
@@ -150,11 +163,17 @@ class ClusterReply:
         }
 
 
-def _default_client_factory(host: str, port: int,
-                            timeout: Optional[float],
-                            client_name: str) -> ServiceClient:
-    return ServiceClient(host, port, timeout=timeout,
-                         client_name=client_name)
+@dataclass(frozen=True)
+class _Request:
+    """What every leg of one fan-out sends, its deadline and the span
+    the legs hang under (a replicated leg retargets the document)."""
+
+    text: str
+    document: str
+    #: the remaining ``ServiceClient.query`` keywords, the same per leg
+    options: Dict[str, Any]
+    deadline: float
+    span: Any
 
 
 class ClusterCoordinator:
@@ -165,16 +184,15 @@ class ClusterCoordinator:
     reference**, so a supervisor that restarts a shard on a fresh port
     can update the mapping in place and the next fan-out dials the new
     endpoint.  *client_factory* is the seam tests use to substitute
-    in-process fakes for TCP clients; it receives
-    ``(host, port, timeout, client_name)`` and must return an object
-    with the :class:`~repro.service.client.ServiceClient` context
-    manager + ``query`` surface.
+    in-process fakes for TCP clients; it is called like
+    :class:`~repro.service.client.ServiceClient` (the default) and must
+    return an object with its context manager + ``query`` / ``cancel``
+    surface.
 
     ``hedge_after=None`` disables hedging; ``breaker_threshold=0``
-    disables the per-replica breakers.  ``attempt_timeout`` caps each
-    replica attempt (the default carves the remaining deadline evenly
-    across the replicas not yet tried, so the last replica of a
-    preference list always gets a turn).
+    disables the per-replica breakers.  Each replica attempt gets an
+    even share of the remaining deadline across the replicas not yet
+    tried, so the last replica of a preference list always gets a turn.
     """
 
     def __init__(
@@ -184,12 +202,11 @@ class ClusterCoordinator:
         *,
         timeout: float = 30.0,
         hedge_after: Optional[float] = None,
-        attempt_timeout: Optional[float] = None,
         breaker_threshold: int = 4,
         breaker_cooldown: float = 5.0,
         result_cache_size: int = 128,
         client_name: str = "coordinator",
-        client_factory: Callable[..., Any] = _default_client_factory,
+        client_factory: Callable[..., Any] = ServiceClient,
     ) -> None:
         missing = [s for s in shard_map.shards if s not in endpoints]
         if missing:
@@ -199,7 +216,6 @@ class ClusterCoordinator:
                           else dict(endpoints))
         self.timeout = timeout
         self.hedge_after = hedge_after
-        self.attempt_timeout = attempt_timeout
         self.client_name = client_name
         self.client_factory = client_factory
         self.breakers = (BreakerRegistry(threshold=breaker_threshold,
@@ -362,32 +378,27 @@ class ClusterCoordinator:
                                     answers=list(cached.answers),
                                     cache="hit", error=cached.error)
         self._count("fanouts")
-        deadline = time.monotonic() + budget
-        answers: List[Optional[ShardAnswer]] = [None] * len(targets)
-        rows_by_shard: Dict[str, List[Dict[str, Any]]] = {}
-        rows_lock = threading.Lock()
+        started = time.monotonic()
+        deadline = started + budget
         with span("cluster.query", document=document,
                   shards=len(targets)) as root:
-            workers = []
-            for index, shard in enumerate(targets):
-                worker = threading.Thread(
-                    target=self._query_shard,
-                    args=(shard, index, answers, rows_by_shard, rows_lock,
-                          root, query_text, document, limit, max_steps,
-                          baseline, use_shard_cache, deadline),
-                    name=f"fanout-{shard}", daemon=True)
-                workers.append(worker)
-                worker.start()
-            for worker in workers:
-                worker.join(max(0.0, deadline - time.monotonic()) + 0.25)
-        with rows_lock:
-            # freeze both sides: a worker that outlived the deadline may
-            # still be mutating its answer, and the merge must stay
-            # internally consistent (submitted == merged + failed)
-            row_snapshot = {s: list(r) for s, r in rows_by_shard.items()}
-            frozen = [replace(a) if a is not None else None
-                      for a in answers]
-        reply = self._merge(targets, frozen, row_snapshot, limit)
+            request = _Request(query_text, document, dict(
+                limit=limit, max_steps=max_steps, baseline=baseline,
+                no_cache=not use_shard_cache), deadline, root)
+            pool = ThreadPoolExecutor(max_workers=max(1, len(targets)),
+                                      thread_name_prefix="fanout")
+            legs = [pool.submit(self._query_shard, shard, request)
+                    for shard in targets]
+            wait(legs, timeout=max(0.0, deadline - time.monotonic())
+                 + _DEADLINE_GRACE)
+            pool.shutdown(wait=False)
+        # a leg still running is abandoned: its exchanges end by their
+        # own budgets, and nothing reads its answer
+        answers = [leg.result() if leg.done() else ShardAnswer(
+            shard=shard, ok=False, elapsed=time.monotonic() - started,
+            error="no answer inside the cluster deadline")
+            for shard, leg in zip(targets, legs)]
+        reply = self._merge(answers, limit)
         if cache_key is not None and reply.error is None \
                 and not reply.partial:
             # only full merges are worth replaying; a PARTIAL answer
@@ -395,9 +406,7 @@ class ClusterCoordinator:
             self.result_cache.put(cache_key, reply)
         return reply
 
-    def _query_shard(self, shard, index, answers, rows_by_shard, rows_lock,
-                     parent_span, query_text, document, limit, max_steps,
-                     baseline, use_shard_cache, deadline) -> None:
+    def _query_shard(self, shard: str, request: _Request) -> ShardAnswer:
         """One slice's fan-out leg: walk the preference list in order.
 
         Each replica attempt gets a carved per-attempt budget; connect
@@ -407,11 +416,11 @@ class ClusterCoordinator:
         """
         started = time.monotonic()
         answer = ShardAnswer(shard=shard, ok=False)
-        answers[index] = answer
         replicated = self.shard_map.replication_factor > 1
         prefs = (self.shard_map.preference_list(shard) if replicated
                  else [shard])
-        doc = slice_document(document, shard) if replicated else document
+        doc = (slice_document(request.document, shard) if replicated
+               else request.document)
         errors: List[str] = []
 
         def describe(replica: str, message: str) -> str:
@@ -419,11 +428,11 @@ class ClusterCoordinator:
             # failover replicas need naming in error strings
             return message if replica == shard else f"{replica}: {message}"
 
-        child = tracer().start("cluster.shard", parent=parent_span,
+        child = tracer().start("cluster.shard", parent=request.span,
                                shard=shard)
         try:
             for position, replica in enumerate(prefs):
-                remaining = deadline - time.monotonic()
+                remaining = request.deadline - time.monotonic()
                 if remaining <= 0:
                     errors.append("cluster deadline exhausted")
                     break
@@ -447,18 +456,13 @@ class ClusterCoordinator:
                         self.breakers.release_probe(replica, answer)
                     errors.append(describe(replica, "no endpoint"))
                     continue
-                # leave each not-yet-tried replica a fair share of the
-                # deadline so the last one always gets a turn
-                budget = remaining / (len(prefs) - position)
-                if self.attempt_timeout is not None:
-                    budget = min(budget, self.attempt_timeout)
-                if position == len(prefs) - 1:
-                    budget = remaining  # the last hope gets everything
                 answer.attempts = position + 1
+                # leave each not-yet-tried replica a fair share of the
+                # deadline; the last one gets everything left
                 reply, error = self._attempt_replica(
-                    replica, endpoint, child, answer, query_text, doc,
-                    limit, max_steps, baseline, use_shard_cache,
-                    min(deadline, time.monotonic() + budget))
+                    replica, endpoint, request, doc, child, answer,
+                    min(request.deadline, time.monotonic()
+                        + remaining / (len(prefs) - position)))
                 if self.breakers is not None:
                     # a decoded mergeable answer is the only success; a
                     # refusal/interruption/app error counts against the
@@ -485,13 +489,8 @@ class ClusterCoordinator:
                     if version is not None:
                         answer.version = version
                         self._observe_version(shard, replica, version)
-                    with rows_lock:
-                        rows_by_shard[shard] = [
-                            dict(row, shard=shard)
-                            for row in reply.results]
-                    # rows land before the flag flips: a deadline-expired
-                    # merge that reads ok=True always finds the rows too
-                    answer.rows = len(reply.results)
+                    answer.results = [dict(row, shard=shard)
+                                      for row in reply.results]
                     answer.ok = True
                     break
                 # the replica answered with a refusal or interruption
@@ -502,6 +501,10 @@ class ClusterCoordinator:
             if not answer.ok and answer.error is None:
                 answer.error = ("; ".join(errors) if errors
                                 else "no replica answered")
+        except Exception as exc:
+            # a malformed reply fails this slice, not the whole fan-out
+            logger.exception("fan-out leg for slice %s failed", shard)
+            answer.error = f"fan-out leg failed: {exc}"
         finally:
             answer.elapsed = time.monotonic() - started
             child.annotate(merged=answer.ok, rows=answer.rows,
@@ -511,163 +514,117 @@ class ClusterCoordinator:
                            **({"error": answer.error}
                               if answer.error else {}))
             child.finish()
+        return answer
 
-    def _attempt_replica(self, replica, endpoint, child, answer,
-                         query_text, document, limit, max_steps, baseline,
-                         use_shard_cache, attempt_deadline
+    def _attempt_replica(self, replica: str, endpoint: Tuple[str, int],
+                         request: _Request, document: str, child: Any,
+                         answer: ShardAnswer, attempt_deadline: float
                          ) -> Tuple[Optional[Any], Optional[str]]:
         """One replica's exchange, hedged when configured.
 
         Returns ``(reply, None)`` on any decoded reply and ``(None,
-        error)`` on connect failure / attempt timeout.  When the hedge
-        race produced a loser still in flight, its request id is sent a
-        ``cancel`` wire op so it stops burning shard worker capacity.
+        error)`` on connect failure / attempt timeout.  The hedge race is
+        two futures on a two-worker pool, first answer wins; a loser
+        still in flight is sent a ``cancel`` wire op (so it stops burning
+        shard worker capacity) from that pool, off the leg's path.
         """
         host, port = endpoint
+        name = f"{self.client_name}/{replica}"
         idempotency = f"fanout-{uuid.uuid4().hex}"
-        state: Dict[str, Any] = {"ids": {}, "errors": []}
-        state_lock = threading.Lock()
-        done = threading.Event()
-        expected = [1]
 
-        def attempt(tag: str) -> None:
-            request_id = f"{idempotency}-{tag}"
-            with state_lock:
-                state["ids"][tag] = request_id
+        def exchange(request_id: str) -> Any:
+            budget = attempt_deadline - time.monotonic()
+            if budget <= 0:
+                raise TimeoutError("attempt budget exhausted")
+            with tracer().activate(child), self.client_factory(
+                    host, port, timeout=budget, client_name=name) as client:
+                return client.query(
+                    request.text, document=document, request_id=request_id,
+                    timeout=budget, idempotency_key=idempotency,
+                    **request.options)
+
+        def cancel(request_id: str) -> None:
+            # best effort: the loser stops burning shard worker capacity
             try:
-                budget = attempt_deadline - time.monotonic()
-                if budget <= 0:
-                    raise TimeoutError("attempt budget exhausted")
-                with tracer().activate(child):
-                    client = self.client_factory(
-                        host, port, timeout=budget,
-                        client_name=f"{self.client_name}/{replica}")
-                    with client:
-                        got = client.query(
-                            query_text, document=document,
-                            request_id=request_id,
-                            limit=limit, timeout=budget,
-                            max_steps=max_steps, baseline=baseline,
-                            no_cache=not use_shard_cache,
-                            idempotency_key=idempotency)
-                with state_lock:
-                    if "reply" not in state:
-                        state["reply"] = got
-                        state["tag"] = tag
-            except Exception as exc:
-                with state_lock:
-                    state["errors"].append(f"{tag}: {exc}")
-            finally:
-                with state_lock:
-                    # the exchange is decided once a reply landed or
-                    # every launched attempt has failed
-                    if "reply" in state or \
-                            len(state["errors"]) >= expected[0]:
-                        done.set()
+                with self.client_factory(host, port, timeout=1.0,
+                                         client_name=name) as client:
+                    found = client.cancel(request_id, reason="hedge loser")
+                self._count("hedge_cancelled" if found
+                            else "hedge_cancel_noop")
+            except Exception:
+                self._count("hedge_cancel_failed")
 
-        primary = threading.Thread(target=attempt, args=("primary",),
-                                   name=f"fanout-{replica}-1", daemon=True)
-        primary.start()
-        hedged = False
-        if self.hedge_after is not None:
-            done.wait(min(self.hedge_after,
-                          max(0.0, attempt_deadline - time.monotonic())))
-            if not done.is_set() and \
-                    attempt_deadline - time.monotonic() > 0:
-                self._count("hedges")
-                hedged = True
-                answer.hedged = True
-                with state_lock:
-                    expected[0] = 2
-                hedge = threading.Thread(
-                    target=attempt, args=("hedge",),
-                    name=f"fanout-{replica}-2", daemon=True)
-                hedge.start()
-        done.wait(max(0.0, attempt_deadline - time.monotonic()) + 0.05)
-        with state_lock:
-            reply = state.get("reply")
-            errors = list(state["errors"])
-            won_by = state.get("tag")
-            ids = dict(state["ids"])
-        if reply is not None and hedged:
-            failed_tags = {e.split(":", 1)[0] for e in errors}
-            loser = "hedge" if won_by == "primary" else "primary"
-            if loser in ids and loser not in failed_tags:
-                self._cancel_request(replica, host, port, ids[loser])
-        if reply is None:
-            return None, ("; ".join(errors) if errors
-                          else "no answer inside the attempt deadline")
-        if won_by == "hedge":
-            self._count("hedge_wins")
-            answer.hedge_won = True
-        return reply, None
-
-    def _cancel_request(self, replica: str, host: str, port: int,
-                        target_id: str) -> None:
-        """Best-effort cancel of a losing hedged request."""
+        race = ThreadPoolExecutor(max_workers=2,
+                                  thread_name_prefix=f"fanout-{replica}")
+        racers = {race.submit(exchange, f"{idempotency}-primary"): "primary"}
+        errors: List[str] = []
         try:
-            client = self.client_factory(
-                host, port, timeout=1.0,
-                client_name=f"{self.client_name}/{replica}")
-            with client:
-                found = client.cancel(target_id, reason="hedge loser")
-            self._count("hedge_cancelled" if found
-                        else "hedge_cancel_noop")
-        except Exception:
-            self._count("hedge_cancel_failed")
+            if self.hedge_after is not None:
+                done, _ = wait(racers, timeout=min(self.hedge_after, max(
+                    0.0, attempt_deadline - time.monotonic())))
+                if not done and attempt_deadline - time.monotonic() > 0:
+                    self._count("hedges")
+                    answer.hedged = True
+                    racers[race.submit(exchange, f"{idempotency}-hedge")] = "hedge"
+            for future in as_completed(racers, timeout=max(
+                    0.0, attempt_deadline - time.monotonic()) + 0.05):
+                try:
+                    reply = future.result()
+                except Exception as exc:
+                    errors.append(f"{racers[future]}: {exc}")
+                    continue
+                for loser, tag in racers.items():
+                    if not loser.done():
+                        race.submit(cancel, f"{idempotency}-{tag}")
+                if racers[future] == "hedge":
+                    self._count("hedge_wins")
+                    answer.hedge_won = True
+                return reply, None
+        except FuturesTimeout:
+            pass
+        finally:
+            race.shutdown(wait=False)
+        return None, ("; ".join(errors) if errors
+                      else "no answer inside the attempt deadline")
 
     # -- the merge ------------------------------------------------------------
 
-    def _merge(self, targets, answers, rows_by_shard,
+    def _merge(self, answers: List[ShardAnswer],
                limit: Optional[int]) -> ClusterReply:
-        final: List[ShardAnswer] = [
-            a if a is not None else ShardAnswer(shard=s, ok=False,
-                                                error="never dispatched")
-            for s, a in zip(targets, answers)]
-        ok_shards = {a.shard for a in final if a.ok}
-        rows: List[Dict[str, Any]] = []
-        truncated = False
-        for shard in targets:  # deterministic shard order
-            if shard in ok_shards:
-                rows.extend(rows_by_shard.get(shard, ()))
-        for answer in final:
-            if answer.ok and answer.outcome is not None \
-                    and answer.outcome.status is Outcome.TRUNCATED:
-                truncated = True
+        # one answer per target, in target order: a deterministic merge
+        rows = [row for a in answers if a.ok for row in a.results]
+        truncated = any(a.ok and a.outcome is not None
+                        and a.outcome.status is Outcome.TRUNCATED
+                        for a in answers)
         if limit is not None and len(rows) > limit:
             rows = rows[:limit]
             truncated = True
-        merged = sum(1 for a in final if a.ok)
-        failed = len(final) - merged
+        merged = sum(1 for a in answers if a.ok)
+        failed = len(answers) - merged
         detail = {
-            "submitted": len(final),
+            "submitted": len(answers),
             "merged": merged,
             "failed": failed,
             "map_version": self.shard_map.version,
             "replication_factor": self.shard_map.replication_factor,
-            "shards": {a.shard: a.accounting() for a in final},
+            "shards": {a.shard: a.accounting() for a in answers},
         }
-        steps = sum(a.outcome.steps for a in final
-                    if a.outcome is not None)
         if failed == 0:
-            status = Outcome.TRUNCATED if truncated else Outcome.COMPLETE
-            reason = ("global limit reached across shards"
-                      if truncated else "")
-            outcome = QueryOutcome(status=status, reason=reason,
-                                   steps=steps, results=len(rows),
-                                   detail=detail)
             self._count("complete")
-            return ClusterReply(results=rows, outcome=outcome,
-                                answers=final)
-        self._count("partials")
-        failed_ids = sorted(a.shard for a in final if not a.ok)
-        outcome = partial_outcome(
-            f"{failed}/{len(final)} shard(s) did not answer: "
-            + ", ".join(failed_ids), detail=detail)
-        outcome.steps = steps
+            outcome = QueryOutcome(
+                status=Outcome.TRUNCATED if truncated else Outcome.COMPLETE,
+                reason=("global limit reached across shards"
+                        if truncated else ""), detail=detail)
+        else:
+            self._count("partials")
+            outcome = partial_outcome(
+                f"{failed}/{len(answers)} shard(s) did not answer: "
+                + ", ".join(sorted(a.shard for a in answers if not a.ok)),
+                detail=detail)
+        outcome.steps = sum(a.outcome.steps for a in answers
+                            if a.outcome is not None)
         outcome.results = len(rows)
-        error = None
-        if merged == 0:
-            error = "every shard failed; no rows merged"
-        return ClusterReply(results=rows, outcome=outcome,
-                            answers=final, error=error)
+        return ClusterReply(
+            results=rows, outcome=outcome, answers=answers,
+            error=("every shard failed; no rows merged"
+                   if failed and not merged else None))

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Dict, Optional
@@ -136,10 +135,8 @@ class CancellationToken:
 class QueryOutcome:
     """A structured execution result: status plus accounting.
 
-    ``phase_times`` maps phase names (``"search"``, ``"refine"``,
-    ``"fixpoint"``…) to seconds spent; ``steps`` is the total number of
-    governed work units (candidate extensions, derived facts, rows
-    examined) the execution performed.
+    ``steps`` is the total number of governed work units (candidate
+    extensions, derived facts, rows examined) the execution performed.
     """
 
     status: Outcome = Outcome.COMPLETE
@@ -148,7 +145,6 @@ class QueryOutcome:
     results: int = 0
     memory_used: int = 0
     elapsed: float = 0.0
-    phase_times: Dict[str, float] = field(default_factory=dict)
     #: structured extras a terminal state may carry — per-shard
     #: accounting for ``PARTIAL``, degradation notes, ...; empty for
     #: plain single-node outcomes (and then omitted from the wire form)
@@ -182,7 +178,6 @@ class QueryOutcome:
             "results": self.results,
             "memory_used": self.memory_used,
             "elapsed": self.elapsed,
-            "phase_times": dict(self.phase_times),
         }
         if self.detail:
             payload["detail"] = dict(self.detail)
@@ -203,10 +198,6 @@ class QueryOutcome:
             results=int(data.get("results", 0)),
             memory_used=int(data.get("memory_used", 0)),
             elapsed=float(data.get("elapsed", 0.0)),
-            phase_times={
-                str(k): float(v)
-                for k, v in dict(data.get("phase_times", {})).items()
-            },
             detail=dict(data.get("detail") or {}),
         )
 
@@ -313,7 +304,6 @@ class ExecutionContext:
         self.steps = 0
         self.results = 0
         self.memory_used = 0
-        self.phase_times: Dict[str, float] = {}
         self.interrupted: Optional[ExecutionInterrupted] = None
         self._truncated_reason: Optional[str] = None
         self._since_check = 0
@@ -377,17 +367,6 @@ class ExecutionContext:
 
     # -- accounting -----------------------------------------------------------
 
-    @contextmanager
-    def phase(self, name: str):
-        """Accumulate wall-clock time spent in a named phase."""
-        started = self._clock()
-        try:
-            yield self
-        finally:
-            self.phase_times[name] = (
-                self.phase_times.get(name, 0.0) + self._clock() - started
-            )
-
     @property
     def elapsed(self) -> float:
         """Seconds since the context was created."""
@@ -422,7 +401,6 @@ class ExecutionContext:
             results=self.results,
             memory_used=self.memory_used,
             elapsed=self.elapsed,
-            phase_times=dict(self.phase_times),
         )
 
 

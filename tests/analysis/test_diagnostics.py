@@ -18,7 +18,7 @@ class TestCodeRegistry:
         for code, (severity, title) in CODES.items():
             assert isinstance(severity, Severity)
             assert title
-        assert {"GQL000", "GQL001", "GQL009", "DLG003"} <= set(CODES)
+        assert {"GQL000", "GQL001", "GQL009", "GQL012"} <= set(CODES)
 
     def test_severity_ranks_order(self):
         assert (Severity.ERROR.rank > Severity.WARNING.rank
@@ -34,7 +34,7 @@ class TestWireForm:
         assert Diagnostic.from_dict(data) == d
 
     def test_unknown_span_omitted_from_wire(self):
-        d = Diagnostic("DLG001", Severity.ERROR, "unsafe")
+        d = Diagnostic("GQL012", Severity.ERROR, "refused")
         assert "line" not in d.to_dict()
         assert Diagnostic.from_dict(d.to_dict()).span is None
 
@@ -50,8 +50,8 @@ class TestRender:
         assert d.render("q.gql") == "q.gql:2:5: warning GQL004 typo?"
 
     def test_without_position(self):
-        d = Diagnostic("DLG003", Severity.ERROR, "cycle")
-        assert d.render() == "<query>: error DLG003 cycle"
+        d = Diagnostic("GQL012", Severity.ERROR, "refused")
+        assert d.render() == "<query>: error GQL012 refused"
 
 
 class TestFilters:
@@ -78,5 +78,5 @@ class TestFilters:
     def test_sort_is_source_order_with_unknown_spans_last(self):
         a = Diagnostic("GQL004", Severity.WARNING, "w", Span(5, 1))
         b = Diagnostic("GQL001", Severity.ERROR, "e", Span(2, 3))
-        c = Diagnostic("DLG001", Severity.ERROR, "no span")
+        c = Diagnostic("GQL012", Severity.ERROR, "no span")
         assert sort_diagnostics([a, c, b]) == [b, a, c]

@@ -82,6 +82,14 @@ class ScriptedClient:
                       if shard.version is not None else {}))
 
 
+def assert_failures_named(reply):
+    """Every shard that did not merge says why."""
+    for shard, entry in reply.outcome.detail["shards"].items():
+        if not entry["merged"]:
+            assert isinstance(entry.get("error"), str) and entry["error"], \
+                f"{shard} failed without an error: {entry}"
+
+
 def build(shards, replication=1, **kwargs):
     """A coordinator over scripted shards keyed ``shard0..shardN``."""
     table = {f"shard{i}": shard for i, shard in enumerate(shards)}
@@ -220,7 +228,13 @@ def test_hedge_races_a_second_connection_and_the_fast_one_wins():
     counters = coordinator.stats()["counters"]
     assert counters["hedges"] == 1 and counters["hedge_wins"] == 1
     # the losing (stalled) request was cancelled, not left to burn a
-    # shard worker: the loser's id reached the shard's cancel op
+    # shard worker: the loser's id reached the shard's cancel op (the
+    # cancel travels off the leg's path, so it may land just after)
+    waited_until = time.monotonic() + 1.0
+    while counters.get("hedge_cancelled", 0) < 1 \
+            and time.monotonic() < waited_until:
+        time.sleep(0.01)
+        counters = coordinator.stats()["counters"]
     assert counters["hedge_cancelled"] == 1
     assert len(slow.cancelled) == 1
     assert slow.cancelled[0].endswith("-primary")
@@ -425,3 +439,85 @@ def test_targeted_fanout_touches_only_the_owning_shard():
     assert shards[0].connections == 0
     assert shards[1].connections == 1
     assert [row["shard"] for row in reply.results] == ["shard1"]
+
+
+def test_shard_slower_than_the_deadline_is_partial_and_says_why():
+    slow = ScriptedShard(rows=1, delay=3.0)
+    coordinator = build([ScriptedShard(rows=2), slow], timeout=0.5)
+    started = time.monotonic()
+    reply = coordinator.query(QUERY)
+    assert time.monotonic() - started < 0.5 + 0.5
+    assert reply.outcome.status is Outcome.PARTIAL
+    assert reply.submitted == 2 == reply.merged + reply.failed
+    assert [row["shard"] for row in reply.results] == ["shard0"] * 2
+    assert_failures_named(reply)
+
+
+def test_primary_stalling_past_its_share_fails_over_to_the_replica():
+    # R=2 over two shards: the slice whose primary is shard0 gives it
+    # half the deadline, then the replica gets what is left
+    stalled = ScriptedShard(rows=1, delay=2.0)
+    coordinator = build([stalled, ScriptedShard(rows=1)], replication=2,
+                        timeout=1.0, result_cache_size=0)
+    victim_slice = next(s for s in ("shard0", "shard1")
+                        if coordinator.shard_map.preference_list(s)[0]
+                        == "shard0")
+    reply = coordinator.query(QUERY)
+    assert reply.outcome.status is Outcome.COMPLETE
+    entry = reply.outcome.detail["shards"][victim_slice]
+    assert entry["replica_used"] == "shard1" and entry["failovers"] == 1
+    assert coordinator.stats()["counters"]["failovers"] == 1
+    assert_failures_named(reply)
+
+
+class StallingCancelClient(ScriptedClient):
+    def cancel(self, target, reason=""):
+        time.sleep(2.0)
+        return super().cancel(target, reason)
+
+
+def test_won_hedge_is_merged_even_when_the_losers_cancel_stalls():
+    # the hedge answers at ~0.1 s; the cancel of the stalled first
+    # connection takes 2 s, far past the 0.6 s deadline — the reply must
+    # not wait for it
+    slow = ScriptedShard(rows=1,
+                         delay=lambda conn: 3.0 if conn == 1 else 0.0)
+    shards = [ScriptedShard(rows=1), slow]
+    coordinator = build(shards, hedge_after=0.1, timeout=0.6)
+    coordinator.client_factory = lambda host, port, timeout=None, \
+        client_name="": StallingCancelClient(shards[port])
+    started = time.monotonic()
+    reply = coordinator.query(QUERY)
+    assert time.monotonic() - started < 1.0
+    assert reply.outcome.status is Outcome.COMPLETE
+    entry = reply.outcome.detail["shards"]["shard1"]
+    assert entry["merged"] is True and entry["hedge_won"] is True
+    assert_failures_named(reply)
+
+
+def test_malformed_shard_reply_fails_only_its_slice():
+    class MalformedClient(ScriptedClient):
+        def query(self, query_text, **kwargs):
+            reply = super().query(query_text, **kwargs)
+            reply.results = ["not a row"]
+            return reply
+
+    shards = [ScriptedShard(rows=2), ScriptedShard(rows=1)]
+    coordinator = build(shards)
+    coordinator.client_factory = lambda host, port, timeout=None, \
+        client_name="": (MalformedClient if port == 1
+                         else ScriptedClient)(shards[port])
+    reply = coordinator.query(QUERY)
+    assert reply.outcome.status is Outcome.PARTIAL
+    assert reply.merged == 1 and len(reply.results) == 2
+    assert "fan-out leg failed" in \
+        reply.outcome.detail["shards"]["shard1"]["error"]
+    assert_failures_named(reply)
+
+
+def test_empty_target_list_is_a_complete_empty_reply():
+    coordinator = build([ScriptedShard(rows=1)])
+    reply = coordinator.query(QUERY, shard_ids=[], use_cache=False)
+    assert reply.outcome.status is Outcome.COMPLETE
+    assert reply.error is None
+    assert reply.submitted == 0 and reply.results == []

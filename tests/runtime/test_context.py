@@ -152,15 +152,6 @@ class TestOutcome:
         context.mark_interrupted(QueryCancelled("stop"))
         assert context.outcome().status is Outcome.CANCELLED
 
-    def test_phase_times_accumulate(self):
-        clock = FakeClock()
-        context = ExecutionContext(clock=clock)
-        with context.phase("search"):
-            clock.now += 1.0
-        with context.phase("search"):
-            clock.now += 0.5
-        assert context.outcome().phase_times["search"] == pytest.approx(1.5)
-
     def test_str_mentions_status_and_reason(self):
         text = str(QueryOutcome(status=Outcome.TIMED_OUT, reason="slow",
                                 steps=7, elapsed=0.25))

@@ -31,7 +31,6 @@ def test_every_terminal_state_round_trips(status):
     outcome = QueryOutcome(
         status=status, reason=f"because {status.value.lower()}",
         steps=1234, results=56, memory_used=7890, elapsed=0.125,
-        phase_times={"search": 0.08, "refine": 0.04},
     )
     back = roundtrip(outcome)
     assert back.status is status
@@ -40,7 +39,6 @@ def test_every_terminal_state_round_trips(status):
     assert back.results == 56
     assert back.memory_used == 7890
     assert back.elapsed == pytest.approx(0.125)
-    assert back.phase_times == outcome.phase_times
     assert back.detail == {}
 
 

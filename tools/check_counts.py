@@ -1,12 +1,14 @@
-"""Gate the access methods' deterministic work counts per commit.
+"""Gate the benchmark's deterministic work counts per commit.
 
-Runs ``bench/run.py --quick --trace 1`` on the two library workloads and
-compares the ``matching.*`` entries of ``run.EXACT_COUNTS`` (retrieved
-and refined ratios, refinement pairs checked, search candidates and
-states, hit ratio, answers per query) with the checked-in expectation
-``tools/matching_counts_quick.json``.  A change that moves any of them
-changed what the matcher prunes, refines away or tries, not merely how
-fast it does so.
+Runs ``bench/run.py --quick --trace 1`` on every workload and compares
+all of ``run.EXACT_COUNTS`` — the matcher's retrieved and refined
+ratios, refinement pairs, search candidates and states, hit ratio and
+answers per query; the service's cache hit ratios, rejections and
+sheds; the store's WAL bytes and appends per write, write
+amplification and recovery verdict; the SQL baseline's rows examined;
+spans per query — with the checked-in expectation
+``tools/exact_counts_quick.json``.  A change that moves any of them
+changed what the system does, not merely how fast it does it.
 
     python tools/check_counts.py            # compare; exit 1 on a mismatch
     python tools/check_counts.py --write    # record the current counts
@@ -26,23 +28,20 @@ from pathlib import Path
 from typing import Dict
 
 ROOT = Path(__file__).resolve().parent.parent
-EXPECTED = ROOT / "tools" / "matching_counts_quick.json"
-WORKLOADS = ("ppi_clique", "er_subgraph")
+EXPECTED = ROOT / "tools" / "exact_counts_quick.json"
 
 sys.path.insert(0, str(ROOT))
-from bench.run import EXACT_COUNTS  # noqa: E402
-
-MATCHING_COUNTS = [name for name in EXACT_COUNTS if name.startswith("matching.")]
+from bench.run import EXACT_COUNTS, WORKLOADS  # noqa: E402
 
 
 def measure(workload: str) -> Dict[str, float]:
-    """The matching counts of one quick traced run of *workload*."""
+    """The exact counts of one quick traced run of *workload*."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--quick",
          "--trace", "1", "--workload", workload],
         cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
     metrics = json.loads(done.stdout.strip().splitlines()[-1])["metrics"]
-    return {name: metrics[name]["value"] for name in MATCHING_COUNTS}
+    return {name: metrics[name]["value"] for name in EXACT_COUNTS}
 
 
 def main(argv=None) -> int:
@@ -50,11 +49,11 @@ def main(argv=None) -> int:
     parser.add_argument("--write", action="store_true",
                         help=f"record the counts in {EXPECTED.relative_to(ROOT)}")
     args = parser.parse_args(argv)
-    measured = {workload: measure(workload) for workload in WORKLOADS}
+    measured = {workload: measure(workload) for workload in sorted(WORKLOADS)}
     if args.write:
         EXPECTED.write_text(json.dumps(measured, indent=2, sort_keys=True) + "\n",
                             encoding="utf-8")
-        print(f"wrote {len(WORKLOADS) * len(MATCHING_COUNTS)} counts to "
+        print(f"wrote {len(measured) * len(EXACT_COUNTS)} counts to "
               f"{EXPECTED.relative_to(ROOT)}")
         return 0
     expected = json.loads(EXPECTED.read_text(encoding="utf-8"))

@@ -41,10 +41,6 @@ KEPT_UNREACHED = {
     "repro.datalog.translate":
         "the paper's §3.5 Datalog translation: a differential oracle for "
         "the matcher (ROADMAP), reached from tests only",
-    "repro.analysis.datalog":
-        "DLG001-DLG003 checks of Datalog programs, which have no text "
-        "syntax an entry layer could feed them; decide wire-or-delete in "
-        "a later PR",
 }
 
 
