@@ -1,8 +1,6 @@
-"""Index structures: B-trees, hash indexes, attribute and profile stores."""
+"""Index structures: attribute, profile and path-feature stores."""
 
 from .attribute_index import AttributeIndexSet
-from .btree import BTree
-from .hash_index import HashIndex
 from .path_index import (
     PathIndex,
     PathIndexStats,
@@ -13,8 +11,6 @@ from .profile_index import ProfileIndex
 
 __all__ = [
     "AttributeIndexSet",
-    "BTree",
-    "HashIndex",
     "PathIndex",
     "PathIndexStats",
     "enumerate_label_paths",

@@ -4,63 +4,74 @@
 structures such as B-trees.  This allows for fast retrieval of feasible
 mates and avoids a full scan of all nodes."*
 
-:class:`AttributeIndexSet` maintains one B-tree per indexed attribute name
-and answers the *indexable* part of a pattern-node predicate:
+:class:`AttributeIndexSet` keeps, per indexed attribute name, a hash
+table from value to the ids of the nodes carrying it (in node order) and
+the sorted distinct values.  It answers the *indexable* part of a
+pattern-node predicate:
 
-* declarative tuple constraints ``<label="A">`` become point lookups;
-* pushed-down comparisons ``where year > 2000`` become range scans.
+* declarative tuple constraints ``<label="A">`` become hash lookups;
+* pushed-down comparisons ``where year > 2000`` become two bisections
+  over the sorted values.
 
-Anything not indexable is re-checked by the caller, so index retrieval is
-always a superset of the true feasible mates before F_u filtering.
+Keys follow F_u's comparison semantics (``core.predicate._compare``):
+bool, int and float form one numeric class (``True == 1 == 1.0``), str
+another, and no value of one class equals or orders against the other.
+NaN equals and orders against nothing, so it is left out.  Anything not
+indexable is re-checked by the caller, so index retrieval is always a
+superset of the true feasible mates before F_u filtering.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.graph import Graph
 from ..core.predicate import AttrRef, BinOp, Expr, Literal
-from .btree import BTree
+
+#: (comparison class, value): equal keys are exactly F_u-equal values
+Key = Tuple[str, Any]
 
 
 class AttributeIndexSet:
-    """B-tree indexes over selected node attributes of one graph."""
+    """Hash and sorted-key indexes over node attributes of one graph."""
 
     def __init__(self, graph: Graph, attributes: Optional[List[str]] = None) -> None:
         self.graph = graph
-        self._trees: Dict[str, BTree] = {}
-        if attributes is None:
-            attributes = sorted(self._discover_attributes(graph))
-        for attr in attributes:
-            self.build(attr)
-
-    @staticmethod
-    def _discover_attributes(graph: Graph) -> Set[str]:
-        names: Set[str] = set()
+        #: attribute -> key -> node ids in node order
+        self._postings: Dict[str, Dict[Key, List[str]]] = (
+            {} if attributes is None else {attr: {} for attr in attributes})
         for node in graph.nodes():
-            names.update(node.tuple.names())
-        return names
-
-    def build(self, attr: str) -> None:
-        """(Re)build the index for one attribute name."""
-        tree = BTree()
-        for node in self.graph.nodes():
-            value = node.get(attr)
-            if value is not None:
-                tree.insert(_typed_key(value), node.id)
-        self._trees[attr] = tree
+            for attr, value in node.tuple.items():
+                postings = self._postings.get(attr)
+                if postings is None:
+                    if attributes is not None:
+                        continue
+                    postings = self._postings[attr] = {}
+                key = _typed_key(value)
+                if key is not None:
+                    postings.setdefault(key, []).append(node.id)
+        #: attribute -> comparison class -> sorted distinct values
+        self._sorted: Dict[str, Dict[str, List[Any]]] = {}
+        for attr, postings in self._postings.items():
+            by_class: Dict[str, List[Any]] = {}
+            for kind, value in postings:
+                by_class.setdefault(kind, []).append(value)
+            for values in by_class.values():
+                values.sort()
+            self._sorted[attr] = by_class
 
     def has_index(self, attr: str) -> bool:
         """Whether the attribute is indexed."""
-        return attr in self._trees
+        return attr in self._postings
 
     def attributes(self) -> List[str]:
         """Indexed attribute names."""
-        return list(self._trees)
+        return list(self._postings)
 
     def lookup_eq(self, attr: str, value: Any) -> List[str]:
         """Node ids whose attribute equals *value*."""
-        return self._trees[attr].get(_typed_key(value))
+        return list(self._postings[attr].get(_typed_key(value), ()))
 
     def lookup_range(
         self,
@@ -70,17 +81,25 @@ class AttributeIndexSet:
         include_low: bool = True,
         include_high: bool = True,
     ) -> List[str]:
-        """Node ids whose attribute lies in the given range."""
-        tree = self._trees[attr]
-        return [
-            payload
-            for _, payload in tree.range(
-                _typed_key(low) if low is not None else None,
-                _typed_key(high) if high is not None else None,
-                include_low,
-                include_high,
-            )
-        ]
+        """Node ids whose attribute lies in the given range, in key order.
+
+        A bound admits only values of its own comparison class; without
+        bounds every indexed value qualifies.
+        """
+        kinds = {_kind(bound) for bound in (low, high) if bound is not None}
+        if None in kinds or len(kinds) > 1:
+            return []  # a NaN bound, or bounds no one value satisfies both of
+        by_class, postings = self._sorted[attr], self._postings[attr]
+        found: List[str] = []
+        for kind in kinds or sorted(by_class):
+            values = by_class.get(kind, [])
+            start = 0 if low is None else (
+                bisect_left if include_low else bisect_right)(values, low)
+            stop = len(values) if high is None else (
+                bisect_right if include_high else bisect_left)(values, high)
+            for value in values[start:stop]:
+                found.extend(postings[kind, value])
+        return found
 
     # -- predicate-driven retrieval ------------------------------------------------
 
@@ -118,13 +137,18 @@ class AttributeIndexSet:
         return min(options, key=len)
 
 
-def _typed_key(value: Any) -> Tuple[str, Any]:
-    """Make keys totally ordered even across value types."""
-    if isinstance(value, bool):
-        return ("bool", value)
-    if isinstance(value, (int, float)):
-        return ("num", value)
-    return (type(value).__name__, value)
+def _kind(value: Any) -> Optional[str]:
+    """The comparison class of a value; ``None`` for NaN."""
+    if isinstance(value, (int, float)):  # bool is an int
+        return "num" if value == value else None
+    if isinstance(value, str):
+        return "str"
+    return type(value).__name__
+
+
+def _typed_key(value: Any) -> Optional[Key]:
+    kind = _kind(value)
+    return None if kind is None else (kind, value)
 
 
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "=="}

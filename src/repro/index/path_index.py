@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.collection import GraphCollection
 from ..core.graph import Graph
 from ..core.pattern import GroundPattern
-from ..matching.neighborhood import LabelFn, default_label
+from ..matching.neighborhood import LABEL_ATTR, default_label
 
 PathFeature = Tuple[Any, ...]
 
@@ -76,13 +76,9 @@ def _enumerate_paths(
     return features
 
 
-def enumerate_label_paths(
-    graph: Graph,
-    max_length: int,
-    label_fn: LabelFn = default_label,
-) -> Counter:
+def enumerate_label_paths(graph: Graph, max_length: int) -> Counter:
     """Count the label paths of a data graph (the index features)."""
-    labels = {node.id: label_fn(node) for node in graph.nodes()}
+    labels = {node.id: default_label(node) for node in graph.nodes()}
     return _enumerate_paths(
         graph.node_ids(),
         graph.neighbors,
@@ -95,7 +91,6 @@ def enumerate_label_paths(
 def pattern_features(
     pattern: GroundPattern,
     max_length: int,
-    label_attr: str = "label",
     directed: bool = False,
 ) -> Counter:
     """Label-path features a pattern *requires* of any containing graph.
@@ -105,9 +100,9 @@ def pattern_features(
     """
     motif = pattern.motif
     constrained = {
-        name: motif.node(name).attrs[label_attr]
+        name: motif.node(name).attrs[LABEL_ATTR]
         for name in motif.node_names()
-        if label_attr in motif.node(name).attrs
+        if LABEL_ATTR in motif.node(name).attrs
     }
 
     def neighbors(name: str) -> List[str]:
@@ -151,16 +146,14 @@ class PathIndex:
         self,
         collection: GraphCollection,
         max_length: int = 3,
-        label_fn: LabelFn = default_label,
     ) -> None:
         self.collection = collection
         self.max_length = max_length
-        self.label_fn = label_fn
         self._directed = any(g.directed for g in collection)
         #: versions at build time: the holder rebuilds once they differ
         self.member_versions = [graph.version for graph in collection]
         self._features: List[Counter] = [
-            enumerate_label_paths(graph, max_length, label_fn)
+            enumerate_label_paths(graph, max_length)
             for graph in collection
         ]
         # inverted index: feature -> graph positions containing it
@@ -172,12 +165,10 @@ class PathIndex:
     def candidate_positions(
         self,
         pattern: GroundPattern,
-        label_attr: str = "label",
         stats: Optional[PathIndexStats] = None,
     ) -> List[int]:
         """Collection positions that may contain the pattern."""
-        required = pattern_features(pattern, self.max_length, label_attr,
-                                    self._directed)
+        required = pattern_features(pattern, self.max_length, self._directed)
         if stats is not None:
             stats.collection_size = len(self.collection)
         if not required:
@@ -203,13 +194,12 @@ class PathIndex:
         self,
         pattern: GroundPattern,
         exhaustive: bool = True,
-        label_attr: str = "label",
         stats: Optional[PathIndexStats] = None,
     ) -> GraphCollection:
         """Filter-and-verify selection over the collection."""
         from ..core.algebra import select as verify_select
 
-        positions = self.candidate_positions(pattern, label_attr, stats)
+        positions = self.candidate_positions(pattern, stats)
         survivors = GraphCollection([self.collection[p] for p in positions])
         result = verify_select(survivors, pattern, exhaustive=exhaustive)
         if stats is not None:

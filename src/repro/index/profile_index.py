@@ -1,9 +1,11 @@
 """Precomputed neighborhood subgraphs and profiles for a data graph.
 
 Section 5.1: *"We index the node labels using a hashtable, and store the
-neighborhood subgraphs and profiles with radius 1 as well."*  This module
-is that store: per node, the profile (always precomputed — it is cheap)
-and the neighborhood subgraph (computed lazily and cached — it is big).
+neighborhood subgraphs and profiles with radius 1 as well."*  The label
+hashtable is the ``label`` index of
+:class:`~repro.index.attribute_index.AttributeIndexSet`; this module is
+the rest: per node, the profile (always precomputed — it is cheap) and
+the neighborhood subgraph (computed lazily and cached — it is big).
 A profile is stored as its label -> count vector, the form the §4.2
 pruning test reads; the sorted sequence is derived on demand.
 """
@@ -14,38 +16,21 @@ from typing import Any, Dict, Tuple
 
 from ..core.graph import Graph
 from ..matching.neighborhood import (
-    LabelFn,
     default_label,
     neighborhood_subgraph,
     profile_counts,
     sorted_labels,
 )
-from .hash_index import HashIndex
 
 
 class ProfileIndex:
-    """Per-node profiles, neighborhood subgraphs and a label hash index."""
+    """Per-node profiles and neighborhood subgraphs."""
 
-    def __init__(
-        self,
-        graph: Graph,
-        radius: int = 1,
-        label_fn: LabelFn = default_label,
-        eager_subgraphs: bool = False,
-    ) -> None:
+    def __init__(self, graph: Graph, radius: int = 1) -> None:
         self.graph = graph
         self.radius = radius
-        self.label_fn = label_fn
-        self.label_index = HashIndex()
         self._subgraphs: Dict[str, Graph] = {}
-        labels: Dict[str, Any] = {}
-        for node in graph.nodes():
-            labels[node.id] = label = label_fn(node)
-            self.label_index.insert(label, node.id)
-            if eager_subgraphs:
-                self._subgraphs[node.id] = neighborhood_subgraph(
-                    graph, node.id, radius
-                )
+        labels = {node.id: default_label(node) for node in graph.nodes()}
         self._counts: Dict[str, Dict[Any, int]] = {
             node_id: profile_counts(graph, node_id, radius, labels.__getitem__)
             for node_id in labels
@@ -67,10 +52,6 @@ class ProfileIndex:
             cached = neighborhood_subgraph(self.graph, node_id, self.radius)
             self._subgraphs[node_id] = cached
         return cached
-
-    def nodes_with_label(self, label: Any) -> list:
-        """Node ids carrying the given label (hashtable lookup)."""
-        return self.label_index.get(label)
 
     def __repr__(self) -> str:
         return (

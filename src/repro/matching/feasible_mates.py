@@ -2,8 +2,8 @@
 
 Retrieval proceeds in two stages:
 
-1. **Retrieve** candidates for each pattern node — by full scan, by the
-   label hashtable, or by attribute B-trees (predicate pushdown), always
+1. **Retrieve** candidates for each pattern node — by the attribute
+   index (label hashtable, predicate pushdown) or by full scan, always
    followed by the exact F_u check so the result equals Definition 4.8.
 2. **Prune locally** with neighborhood information: either the cheap
    profile subsequence test or the exact neighborhood-subgraph
@@ -31,7 +31,6 @@ from .neighborhood import (
     default_label,
     motif_profile,
     neighborhood_subisomorphic,
-    pattern_label,
     profile_contained,
     profile_counts,
 )
@@ -47,7 +46,7 @@ class RetrievalStats:
         self.scanned: Dict[str, int] = {}
         self.after_fu: Dict[str, int] = {}
         self.after_local: Dict[str, int] = {}
-        #: per pattern node: "attribute-index" | "label-index" | "scan"
+        #: per pattern node: "attribute-index" | "scan"
         self.method: Dict[str, str] = {}
 
     def __repr__(self) -> str:
@@ -71,7 +70,7 @@ def retrieve_feasible_mates(
     Parameters
     ----------
     attribute_index:
-        Optional per-attribute B-trees; used to avoid full scans when the
+        Optional per-attribute indexes; used to avoid full scans when the
         pattern node carries indexable constraints.
     profile_index:
         Precomputed profiles/neighborhood subgraphs; required for
@@ -101,12 +100,6 @@ def retrieve_feasible_mates(
             )
             if stats is not None and candidate_ids is not None:
                 stats.method[name] = "attribute-index"
-        if candidate_ids is None and profile_index is not None:
-            label = pattern_label(motif_node)
-            if label is not None:
-                candidate_ids = profile_index.nodes_with_label(label)
-                if stats is not None:
-                    stats.method[name] = "label-index"
         if candidate_ids is None:
             candidate_ids = graph.node_ids()
             if stats is not None:

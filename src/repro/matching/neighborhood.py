@@ -25,9 +25,6 @@ from ..core.graph import Graph
 from ..core.motif import MotifNode, SimpleMotif
 from ..core.pattern import GroundPattern
 
-#: Maps a node-like object to the label used in profiles.
-LabelFn = Callable[[Any], Any]
-
 #: The attribute that carries a node's label, on data and pattern side.
 LABEL_ATTR = "label"
 
@@ -70,15 +67,10 @@ def neighborhood_subgraph(graph: Graph, center: str, radius: int) -> Graph:
     return graph.induced_subgraph(nodes_within_radius(graph, center, radius))
 
 
-def profile(
-    graph: Graph,
-    center: str,
-    radius: int,
-    label_fn: LabelFn = default_label,
-) -> Tuple[Any, ...]:
+def profile(graph: Graph, center: str, radius: int) -> Tuple[Any, ...]:
     """The profile of a node: sorted labels of its neighborhood subgraph."""
     return sorted_labels(
-        label_fn(graph.node(node_id))
+        default_label(graph.node(node_id))
         for node_id in nodes_within_radius(graph, center, radius)
     )
 
@@ -97,8 +89,8 @@ def profile_counts(
     label_of: Callable[[str], Any],
 ) -> Dict[Any, int]:
     """The profile of a node as a count vector: label -> occurrences.
-    *label_of* maps a node id to its label (a :data:`LabelFn` applied to
-    the node, looked up once per node by :class:`ProfileIndex`)."""
+    *label_of* maps a node id to its :func:`default_label` (looked up
+    once per node by :class:`ProfileIndex`)."""
     counts: Dict[Any, int] = {}
     for node_id in nodes_within_radius(graph, center, radius):
         label = label_of(node_id)

@@ -2,7 +2,7 @@
 
 :class:`GraphMatcher` composes the four stages the paper evaluates:
 
-1. retrieval of feasible mates (scan / label hashtable / attribute B-tree);
+1. retrieval of feasible mates (attribute index or scan);
 2. local pruning by profiles or neighborhood subgraphs (Section 4.2);
 3. joint reduction of the search space by pseudo-subgraph-isomorphism
    refinement (Section 4.3);
@@ -189,19 +189,14 @@ class GraphMatcher:
 
     Build one matcher per data graph; indexes and statistics are computed
     once and reused across queries, as a database system would.
+    ``indexed=False`` builds neither index: retrieval scans and local
+    pruning counts profiles on the fly.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        radius: int = 1,
-        build_attribute_index: bool = True,
-        build_profile_index: bool = True,
-    ) -> None:
+    def __init__(self, graph: Graph, radius: int = 1, indexed: bool = True) -> None:
         self.graph = graph
         self._radius = radius
-        self._build_attribute_index = build_attribute_index
-        self._build_profile_index = build_profile_index
+        self._indexed = indexed
         self._rebuild()
 
     def _rebuild(self) -> None:
@@ -215,13 +210,12 @@ class GraphMatcher:
             self.stats = None
             self._note_build_error("graph statistics", exc)
         self.attribute_index: Optional[AttributeIndexSet] = None
-        if self._build_attribute_index:
+        self.profile_index: Optional[ProfileIndex] = None
+        if self._indexed:
             try:
                 self.attribute_index = AttributeIndexSet(self.graph)
             except Exception as exc:
                 self._note_build_error("attribute index", exc)
-        self.profile_index: Optional[ProfileIndex] = None
-        if self._build_profile_index:
             try:
                 self.profile_index = ProfileIndex(self.graph,
                                                   radius=self._radius)
@@ -500,8 +494,7 @@ def match_members(
         graph = as_graph(member)
         if graph.num_nodes() < SMALL_MEMBER_NODES:
             # nothing worth caching: no index, statistics of a few nodes
-            matcher = GraphMatcher(graph, build_attribute_index=False,
-                                   build_profile_index=False)
+            matcher = GraphMatcher(graph, indexed=False)
             member_options = small_options
         else:
             matcher = matchers.get(id(graph))

@@ -15,21 +15,20 @@ from collections import Counter
 from typing import Any, Dict, Tuple
 
 from ..core.graph import Graph
-from .neighborhood import LabelFn, default_label
+from .neighborhood import default_label
 
 
 class GraphStatistics:
     """Label and label-pair frequencies of a data graph."""
 
-    def __init__(self, graph: Graph, label_fn: LabelFn = default_label) -> None:
+    def __init__(self, graph: Graph) -> None:
         self.num_nodes = graph.num_nodes()
         self.num_edges = graph.num_edges()
-        self.label_fn = label_fn
         self.label_freq: Counter = Counter()
         self.pair_freq: Counter = Counter()
         labels: Dict[str, Any] = {}
         for node in graph.nodes():
-            label = label_fn(node)
+            label = default_label(node)
             labels[node.id] = label
             self.label_freq[label] += 1
         for edge in graph.edges():

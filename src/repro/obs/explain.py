@@ -1,7 +1,7 @@
 """EXPLAIN / EXPLAIN ANALYZE for the access-method pipeline.
 
 Renders what the planner will do with a pattern — per-node retrieval
-method (attribute index / label hashtable / scan), estimated vs. actual
+method (attribute index or scan), estimated vs. actual
 feasible-mate, pruned and refined candidate counts, the chosen search
 order and its cost-model estimates — and, with ``analyze=True``, runs
 the query for real and attaches per-phase timings, search counters and

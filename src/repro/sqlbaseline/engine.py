@@ -4,7 +4,7 @@ Executes :class:`~repro.sqlbaseline.sql_parser.SelectQuery` objects with
 the strategy a default-configured MySQL/MyISAM would use on the Fig. 4.2
 workload: a left-deep pipeline of index-nested-loop joins in FROM order.
 For each table in turn, the applicable equality predicates against
-already-bound tables (or literals) drive a B-tree/index lookup; remaining
+already-bound tables (or literals) drive an index lookup; remaining
 predicates are filtered as soon as both sides are bound.
 
 This implementation deliberately has **no graph knowledge**: it sees only

@@ -1,16 +1,16 @@
 """Relations (tables) for the SQL baseline engine.
 
 The paper's comparison system stores a graph in two tables —
-``V(vid, label)`` and ``E(vid1, vid2)`` — with B-tree indexes on every
-column (Section 5).  This module provides the table abstraction those
-experiments need: fixed columns, tuple rows, per-column B-tree indexes.
+``V(vid, label)`` and ``E(vid1, vid2)`` — with MySQL's B-tree indexes on
+every column (Section 5).  This module provides the table abstraction those
+experiments need: fixed columns, tuple rows, per-column indexes.  The
+engine only ever looks an index up by equality, so an index is a hash
+table from value to row ids.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
-
-from ..index.btree import BTree
 
 
 class SchemaError(ValueError):
@@ -27,7 +27,8 @@ class Relation:
         self.columns = list(columns)
         self._col_index = {c: i for i, c in enumerate(self.columns)}
         self.rows: List[Tuple[Any, ...]] = []
-        self._indexes: Dict[str, BTree] = {}
+        #: column -> value -> row ids in row order
+        self._indexes: Dict[str, Dict[Any, List[int]]] = {}
 
     def column_position(self, column: str) -> int:
         """The position of a column in each row tuple."""
@@ -45,8 +46,8 @@ class Relation:
         row_tuple = tuple(row)
         position = len(self.rows)
         self.rows.append(row_tuple)
-        for column, tree in self._indexes.items():
-            tree.insert(row_tuple[self.column_position(column)], position)
+        for column, index in self._indexes.items():
+            _index_row(index, row_tuple[self._col_index[column]], position)
 
     def insert_many(self, rows: Sequence[Sequence[Any]]) -> None:
         """Append several rows."""
@@ -54,12 +55,12 @@ class Relation:
             self.insert(row)
 
     def create_index(self, column: str) -> None:
-        """Build (or rebuild) a B-tree index on one column."""
+        """Build (or rebuild) an equality index on one column."""
         position = self.column_position(column)
-        tree = BTree()
+        index: Dict[Any, List[int]] = {}
         for row_id, row in enumerate(self.rows):
-            tree.insert(row[position], row_id)
-        self._indexes[column] = tree
+            _index_row(index, row[position], row_id)
+        self._indexes[column] = index
 
     def has_index(self, column: str) -> bool:
         """Whether the column is indexed."""
@@ -69,25 +70,7 @@ class Relation:
         """Row ids whose column equals *value* (requires an index)."""
         if column not in self._indexes:
             raise SchemaError(f"no index on {self.name}.{column}")
-        return self._indexes[column].get(value)
-
-    def index_range(
-        self,
-        column: str,
-        low: Any = None,
-        high: Any = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> List[int]:
-        """Row ids whose column falls in the range (requires an index)."""
-        if column not in self._indexes:
-            raise SchemaError(f"no index on {self.name}.{column}")
-        return [
-            row_id
-            for _, row_id in self._indexes[column].range(
-                low, high, include_low, include_high
-            )
-        ]
+        return list(self._indexes[column].get(value, ()))
 
     def scan(self) -> Iterator[Tuple[int, Tuple[Any, ...]]]:
         """Iterate ``(row_id, row)`` pairs."""
@@ -98,6 +81,11 @@ class Relation:
 
     def __repr__(self) -> str:
         return f"Relation({self.name!r}, cols={self.columns}, rows={len(self.rows)})"
+
+
+def _index_row(index: Dict[Any, List[int]], value: Any, row_id: int) -> None:
+    if value == value:  # NaN equals nothing, so no lookup may find it
+        index.setdefault(value, []).append(row_id)
 
 
 class RelationalDatabase:

@@ -10,8 +10,8 @@ The data graph is stored in two tables::
 A ground graph pattern becomes the multi-join SQL query of Fig. 4.2: one
 ``V`` alias per pattern node (with its label predicate), one ``E`` alias
 per pattern edge (joined on both end points), and pairwise ``<>``
-constraints for injectivity.  B-tree indexes are built on every column,
-matching the paper's MySQL setup.
+constraints for injectivity.  Every column is indexed, matching the
+paper's MySQL setup.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import List, Optional
 from ..core.bindings import Mapping
 from ..core.graph import Graph
 from ..core.pattern import GroundPattern
+from ..matching.neighborhood import LABEL_ATTR
 from .engine import ExecutionStats, SQLEngine
 from .relation import RelationalDatabase
 
@@ -32,28 +33,25 @@ class TranslationError(ValueError):
 def load_graph(
     graph: Graph,
     database: Optional[RelationalDatabase] = None,
-    label_attr: str = "label",
-    build_indexes: bool = True,
 ) -> RelationalDatabase:
     """Populate V and E tables from a graph (Fig. 4.2 storage)."""
     database = database if database is not None else RelationalDatabase()
     v_table = database.create_table("V", ["vid", "label"])
     e_table = database.create_table("E", ["vid1", "vid2"])
     for node in graph.nodes():
-        v_table.insert((node.id, node.get(label_attr)))
+        v_table.insert((node.id, node.get(LABEL_ATTR)))
     for edge in graph.edges():
         e_table.insert((edge.source, edge.target))
         if not graph.directed and edge.source != edge.target:
             e_table.insert((edge.target, edge.source))
-    if build_indexes:
-        for column in ("vid", "label"):
-            v_table.create_index(column)
-        for column in ("vid1", "vid2"):
-            e_table.create_index(column)
+    for column in ("vid", "label"):
+        v_table.create_index(column)
+    for column in ("vid1", "vid2"):
+        e_table.create_index(column)
     return database
 
 
-def pattern_to_sql(pattern: GroundPattern, label_attr: str = "label") -> str:
+def pattern_to_sql(pattern: GroundPattern) -> str:
     """Render a ground pattern as the Fig. 4.2 multi-join SQL query.
 
     Only label-equality node constraints are expressible in the V/E
@@ -71,14 +69,14 @@ def pattern_to_sql(pattern: GroundPattern, label_attr: str = "label") -> str:
     conditions: List[str] = []
     for name in node_names:
         motif_node = motif.node(name)
-        unsupported = set(motif_node.attrs) - {label_attr}
+        unsupported = set(motif_node.attrs) - {LABEL_ATTR}
         if unsupported or motif_node.predicate is not None or (
             pattern.decomposed.node_preds.get(name) is not None
         ):
             raise TranslationError(
                 f"pattern node {name!r} has constraints outside the V/E schema"
             )
-        label = motif_node.attrs.get(label_attr)
+        label = motif_node.attrs.get(LABEL_ATTR)
         if label is not None:
             conditions.append(f"{node_alias[name]}.label = {_sql_literal(label)}")
     edge_aliases: List[str] = []
@@ -119,15 +117,9 @@ class SQLGraphMatcher:
     and convert result rows back to mappings.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        label_attr: str = "label",
-        join_order: str = "from",
-    ) -> None:
+    def __init__(self, graph: Graph, join_order: str = "from") -> None:
         self.graph = graph
-        self.label_attr = label_attr
-        self.database = load_graph(graph, label_attr=label_attr)
+        self.database = load_graph(graph)
         self.engine = SQLEngine(self.database, join_order=join_order)
 
     def match(
@@ -145,7 +137,7 @@ class SQLGraphMatcher:
         store undirected edges once per orientation, so the row set
         corresponds 1:1 to injective mappings.
         """
-        sql = pattern_to_sql(pattern, self.label_attr)
+        sql = pattern_to_sql(pattern)
         rows = self.engine.execute(
             sql, limit=limit, stats=stats, max_rows_examined=max_rows_examined,
             context=context,
@@ -155,4 +147,4 @@ class SQLGraphMatcher:
 
     def sql_for(self, pattern: GroundPattern) -> str:
         """The SQL text the matcher would execute (for inspection/tests)."""
-        return pattern_to_sql(pattern, self.label_attr)
+        return pattern_to_sql(pattern)

@@ -1,41 +1,18 @@
-"""Unit tests for hash, attribute and profile indexes."""
+"""Unit and property tests for the attribute, profile and relation
+indexes."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import Graph
+from repro.core import Graph, GroundPattern
+from repro.core.motif import SimpleMotif
 from repro.core.predicate import AttrRef, BinOp, Literal, conjunction
-from repro.index import AttributeIndexSet, HashIndex, ProfileIndex
+from repro.index import AttributeIndexSet, ProfileIndex
+from repro.sqlbaseline import Relation
 
 
 def ref(path):
     return AttrRef(tuple(path.split(".")))
-
-
-class TestHashIndex:
-    def test_insert_get(self):
-        index = HashIndex()
-        index.insert("A", "n1")
-        index.insert("A", "n2")
-        index.insert("B", "n3")
-        assert index.get("A") == ["n1", "n2"]
-        assert index.get("Z") == []
-        assert len(index) == 3
-        assert "A" in index and "Z" not in index
-
-    def test_delete(self):
-        index = HashIndex()
-        index.insert("A", "n1")
-        index.insert("A", "n2")
-        assert index.delete("A", "n1")
-        assert index.get("A") == ["n2"]
-        assert index.delete("A")
-        assert "A" not in index
-        assert not index.delete("A")
-        assert not index.delete("Z", "x")
-
-    def test_items(self):
-        index = HashIndex()
-        index.insert("A", 1)
-        assert dict(index.items()) == {"A": [1]}
 
 
 class TestAttributeIndexSet:
@@ -112,10 +89,6 @@ class TestProfileIndex:
         for node in paper_graph.nodes():
             assert index.profile_of(node.id) == profile(paper_graph, node.id, 1)
 
-    def test_label_lookup(self, paper_graph):
-        index = ProfileIndex(paper_graph, radius=1)
-        assert sorted(index.nodes_with_label("A")) == ["A1", "A2"]
-
     def test_subgraph_cached(self, paper_graph):
         index = ProfileIndex(paper_graph, radius=1)
         first = index.subgraph_of("A1")
@@ -123,6 +96,82 @@ class TestProfileIndex:
         assert first is again
         assert set(first.node_ids()) == {"A1", "B1", "C2"}
 
-    def test_eager_subgraphs(self, paper_graph):
-        index = ProfileIndex(paper_graph, radius=1, eager_subgraphs=True)
-        assert index.subgraph_of("B1").num_nodes() == 4
+
+# -- properties: an index lookup is the scan it replaces ----------------------
+
+#: values F_u tells apart only by ``==`` and ``<``: ``True == 1 == 1.0``,
+#: ``"1"`` is neither, NaN equals and orders against nothing
+VALUES = st.one_of(
+    st.sampled_from([0, 1, 1.0, True, False, -2, 2.5, "1", "a", "b",
+                     float("nan"), float("inf")]),
+    st.integers(-3, 3),
+    st.floats(-3, 3),
+    st.text("ab1", max_size=2),
+)
+
+
+def _kind(value):
+    return "str" if isinstance(value, str) else "num"
+
+
+def _f_u(predicate):
+    """F_u of a one-node pattern carrying *predicate*."""
+    motif = SimpleMotif()
+    motif.add_node("u", predicate=predicate)
+    return GroundPattern(motif).node_test("u")
+
+
+def _value_graph(values):
+    graph = Graph()
+    for i, value in enumerate(values):
+        if value is None:
+            graph.add_node(f"n{i}")
+        else:
+            graph.add_node(f"n{i}", v=value)
+    return graph
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.none(), VALUES), max_size=12), VALUES, VALUES)
+def test_attribute_lookups_equal_the_f_u_scan(values, bound, other):
+    graph = _value_graph(values)
+    nodes = list(graph.nodes())
+    index = AttributeIndexSet(graph)
+    if not index.has_index("v"):
+        return
+    assert index.lookup_eq("v", bound) == [
+        node.id for node in nodes if node.get("v") == bound]
+    for low, high in ((bound, None), (None, bound), (bound, other)):
+        for include_low in (True, False):
+            for include_high in (True, False):
+                conditions = []
+                if low is not None:
+                    conditions.append(BinOp(">=" if include_low else ">",
+                                            ref("v"), Literal(low)))
+                if high is not None:
+                    conditions.append(BinOp("<=" if include_high else "<",
+                                            ref("v"), Literal(high)))
+                accepts = _f_u(conjunction(conditions))
+                accepted = {node.id for node in nodes if accepts(node)}
+                found = index.lookup_range("v", low, high,
+                                           include_low, include_high)
+                assert len(found) == len(set(found))
+                assert set(found) >= accepted
+                # exact within the bound's comparison class
+                kind = _kind(bound)
+                assert {node_id for node_id in found
+                        if _kind(graph.node(node_id).get("v")) == kind
+                        } == accepted
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(VALUES, max_size=10), st.lists(VALUES, max_size=10), VALUES)
+def test_relation_index_lookup_equals_a_scan(before, after, probe):
+    relation = Relation("T", ["k", "v"])
+    relation.insert_many([(i, value) for i, value in enumerate(before)])
+    relation.create_index("v")
+    relation.insert_many([(len(before) + i, value)
+                          for i, value in enumerate(after)])
+    for value in [probe] + before + after:
+        assert relation.index_lookup("v", value) == [
+            row_id for row_id, row in relation.scan() if row[1] == value]

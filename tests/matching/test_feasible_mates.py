@@ -23,7 +23,7 @@ def year_graph() -> Graph:
 
 
 class TestIndexDrivenRetrieval:
-    def test_range_predicate_uses_btree(self):
+    def test_range_predicate_uses_sorted_keys(self):
         g = year_graph()
         index = AttributeIndexSet(g)
         motif = SimpleMotif()
@@ -36,18 +36,6 @@ class TestIndexDrivenRetrieval:
         assert stats.method["u"] != "scan"
         # only the indexed candidates were scanned, not all 5 nodes
         assert stats.scanned["u"] == 3
-
-    def test_label_hash_fallback(self, paper_graph):
-        profile_index = ProfileIndex(paper_graph, radius=1)
-        motif = SimpleMotif()
-        motif.add_node("u", attrs={"label": "B"})
-        pattern = GroundPattern(motif)
-        stats = RetrievalStats()
-        space = retrieve_feasible_mates(
-            pattern, paper_graph, profile_index=profile_index, stats=stats
-        )
-        assert sorted(space["u"]) == ["B1", "B2"]
-        assert stats.method["u"] != "scan"
 
     def test_full_scan_when_nothing_indexable(self, paper_graph):
         motif = SimpleMotif()
@@ -71,6 +59,47 @@ class TestIndexDrivenRetrieval:
         pattern = GroundPattern(motif)
         space = retrieve_feasible_mates(pattern, g, attribute_index=index)
         assert space["u"] == ["n0"]
+
+
+def indexed_and_scanned(graph, predicate=None, attrs=None):
+    """The feasible mates of one pattern node, by index and by scan."""
+    motif = SimpleMotif()
+    motif.add_node("u", attrs=attrs, predicate=predicate)
+    pattern = GroundPattern(motif)
+    indexed = retrieve_feasible_mates(pattern, graph,
+                                      attribute_index=AttributeIndexSet(graph))
+    return indexed["u"], retrieve_feasible_mates(pattern, graph)["u"]
+
+
+class TestIndexedEqualsScan:
+    """Index keys follow F_u's ``==`` and ``<``: the index may not drop a
+    node the scan keeps."""
+
+    def test_bool_int_and_float_are_one_key(self):
+        g = Graph()
+        g.add_node("a", flag=1)
+        g.add_node("b", flag=True)
+        g.add_node("c", flag=1.0)
+        g.add_node("d", flag="1")
+        for attrs, predicate in (
+                ({"flag": 1}, None),
+                ({"flag": True}, None),
+                (None, BinOp(">=", ref("flag"), Literal(1))),
+                (None, BinOp(">", Literal(2), ref("flag")))):
+            indexed, scanned = indexed_and_scanned(g, predicate, attrs)
+            assert scanned == ["a", "b", "c"]
+            assert indexed == scanned
+
+    def test_nan_values_do_not_hide_answers(self):
+        g = Graph()
+        for i, year in enumerate([2001, float("nan"), 1999, 2003.5,
+                                  float("nan"), 2000, 1998.0, 2002]):
+            g.add_node(f"n{i}", year=year)
+        for op in (">", ">=", "<", "<=", "=="):
+            for bound in (1997, 1999, 2000.0, 2002, 2004, float("nan")):
+                predicate = BinOp(op, ref("year"), Literal(bound))
+                indexed, scanned = indexed_and_scanned(g, predicate)
+                assert sorted(indexed) == sorted(scanned), (op, bound)
 
 
 class TestValidation:

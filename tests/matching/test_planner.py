@@ -79,8 +79,7 @@ class TestPipeline:
         assert len(report.mappings) == 1
 
     def test_without_indexes(self, paper_graph, triangle_pattern):
-        matcher = GraphMatcher(paper_graph, build_attribute_index=False,
-                               build_profile_index=False)
+        matcher = GraphMatcher(paper_graph, indexed=False)
         report = matcher.match(triangle_pattern, optimized_options())
         assert len(report.mappings) == 1
 

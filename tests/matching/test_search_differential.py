@@ -11,7 +11,10 @@ with ``exhaustive=False`` and with ``limit``.
 
 The profile property checks §4.2 pruning on labels of mixed types and
 on nodes that only carry a tag, both with the profile index and on the
-unindexed rung that counts profiles on the fly.
+unindexed rung that counts profiles on the fly.  Its nodes also carry a
+``v`` attribute mixing bool, int, float, str and NaN, constrained by
+``<v=lit>`` and by ``v OP lit`` / ``lit OP v`` predicates, so indexed
+retrieval must agree with F_u on ``True == 1 == 1.0 != "1"`` and on NaN.
 """
 
 from __future__ import annotations
@@ -120,6 +123,8 @@ def test_find_matches_equals_brute_force(seed, directed):
 
 MIXED_LABELS = ("A", "B", 1, 2, None)
 TAGS = (None, "T", "A")
+MIXED_VALUES = (1, 1.0, True, False, 0, 2, 2.5, "1", "a", float("nan"), None)
+COMPARISONS = ("==", "<", "<=", ">", ">=")
 
 
 def _mixed_graph(rng: random.Random) -> Graph:
@@ -127,6 +132,9 @@ def _mixed_graph(rng: random.Random) -> Graph:
     for i in range(rng.randint(3, 8)):
         label = rng.choice(MIXED_LABELS)
         attrs = {} if label is None else {"label": label}
+        value = rng.choice(MIXED_VALUES)
+        if value is not None:
+            attrs["v"] = value
         graph.add_node(f"n{i}", tag=rng.choice(TAGS), **attrs)
     ids = graph.node_ids()
     for _ in range(rng.randint(2, 14)):
@@ -136,23 +144,37 @@ def _mixed_graph(rng: random.Random) -> Graph:
     return graph
 
 
+def _value_test(rng: random.Random, root=()) -> BinOp:
+    """``v OP lit`` or ``lit OP v`` over a random mixed-type literal."""
+    ref = AttrRef(root + ("v",))
+    literal = Literal(rng.choice(MIXED_VALUES[:-1]))
+    op = rng.choice(COMPARISONS)
+    return BinOp(op, ref, literal) if rng.random() < 0.5 else BinOp(op, literal, ref)
+
+
 def _mixed_pattern(rng: random.Random) -> GroundPattern:
     motif = SimpleMotif()
     for i in range(rng.randint(1, 3)):
         roll = rng.random()
         if roll < 0.5:
-            label = rng.choice([lab for lab in MIXED_LABELS if lab is not None])
-            motif.add_node(f"u{i}", attrs={"label": label})
-        elif roll < 0.8:
-            motif.add_node(f"u{i}", tag=rng.choice(("T", "A")))
+            attrs = {"label": rng.choice([lab for lab in MIXED_LABELS
+                                          if lab is not None])}
+        elif roll < 0.7:
+            attrs = {"v": rng.choice(MIXED_VALUES[:-1])}
         else:
-            motif.add_node(f"u{i}")
+            attrs = None
+        tag = rng.choice(("T", "A")) if attrs is None and roll < 0.85 else None
+        predicate = _value_test(rng) if rng.random() < 0.3 else None
+        motif.add_node(f"u{i}", tag=tag, attrs=attrs, predicate=predicate)
     names = motif.node_names()
     for _ in range(rng.randint(0, 3)):
         a, b = rng.choice(names), rng.choice(names)
         if a != b and not motif.edges_between(a, b):
             motif.add_edge(a, b)
-    return GroundPattern(motif)
+    # a pushed-down F_u from the graph-wide predicate
+    predicate = (_value_test(rng, (rng.choice(names),))
+                 if rng.random() < 0.3 else None)
+    return GroundPattern(motif, predicate=predicate)
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,8 +185,7 @@ def test_profile_pruning_sound_on_mixed_labels(seed):
     pattern = _mixed_pattern(rng)
     expected = _answers(brute_force_matches(pattern, graph))
     indexed = GraphMatcher(graph)
-    unindexed = GraphMatcher(graph, build_attribute_index=False,
-                             build_profile_index=False)
+    unindexed = GraphMatcher(graph, indexed=False)
     for matcher in (indexed, unindexed):
         for refine in (False, True):
             report = matcher.match(pattern, MatchOptions(refine=refine))

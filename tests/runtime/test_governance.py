@@ -169,8 +169,7 @@ class TestDegradationLadder:
     def test_no_index_matcher_matches_indexed_results(self, paper_graph,
                                                       triangle_pattern):
         indexed = GraphMatcher(paper_graph)
-        bare = GraphMatcher(paper_graph, build_attribute_index=False,
-                            build_profile_index=False)
+        bare = GraphMatcher(paper_graph, indexed=False)
         assert (len(indexed.match(triangle_pattern).mappings)
                 == len(bare.match(triangle_pattern).mappings) == 1)
 

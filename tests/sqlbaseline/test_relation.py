@@ -45,12 +45,6 @@ class TestRelation:
         r.insert(("n1", "A"))
         assert r.index_lookup("label", "A") == [0]
 
-    def test_index_range(self):
-        r = Relation("T", ["k"])
-        r.insert_many([(3,), (1,), (7,)])
-        r.create_index("k")
-        assert sorted(r.index_range("k", 2, 7)) == [0, 2]
-
 
 class TestDatabase:
     def test_create_and_lookup(self):
