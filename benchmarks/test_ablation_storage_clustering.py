@@ -9,7 +9,7 @@ step in a disk-resident system.
 """
 
 import random
-
+from collections import OrderedDict
 
 from harness import print_table
 from repro.datasets import erdos_renyi_graph, ppi_network
@@ -31,24 +31,40 @@ def scrambled_copy(graph, seed=0):
     return out
 
 
+class PageLRU:
+    """An LRU of page ids: the hits of a *capacity*-frame buffer pool."""
+
+    def __init__(self, capacity):
+        self.capacity, self.hits, self.reads = capacity, 0, 0
+        self._frames = OrderedDict()
+
+    def read(self, page_no):
+        self.reads += 1
+        if page_no in self._frames:
+            self.hits += 1
+            self._frames.move_to_end(page_no)
+        else:
+            self._frames[page_no] = None
+            if len(self._frames) > self.capacity:
+                self._frames.popitem(last=False)
+
+
 def _traversal_hit_rate(store, graph, capacity=6, walk_length=4000, seed=3):
     """Hit rate of a random-walk neighborhood traversal through a small
-    buffer pool over the store's node->page placement."""
-    from repro.storage import BufferPool
-
-    pool = BufferPool(store.pagefile, capacity=capacity)
+    LRU of pages over the store's node->page placement."""
+    lru = PageLRU(capacity)
     rng = random.Random(seed)
     node_ids = graph.node_ids()
     current = node_ids[rng.randrange(len(node_ids))]
     placement = store._node_pages
     for _ in range(walk_length):
-        pool.read_page(placement[current])
+        lru.read(placement[current])
         neighbors = graph.all_neighbors(current)
         for neighbor in neighbors:
-            pool.read_page(placement[neighbor])
+            lru.read(placement[neighbor])
         current = (neighbors[rng.randrange(len(neighbors))]
                    if neighbors else node_ids[rng.randrange(len(node_ids))])
-    return pool.stats.hit_rate
+    return lru.hits / lru.reads
 
 
 def run_experiment(tmp_dir):

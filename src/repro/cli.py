@@ -704,6 +704,18 @@ def _serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _no_store(path: str) -> bool:
+    """Report a store path with neither a page file nor a WAL (a
+    mistyped path must not create an empty store); a WAL alone is a
+    store whose page file recovery rebuilds."""
+    from .storage.wal import wal_path_for
+
+    if Path(path).exists() or Path(wal_path_for(path)).exists():
+        return False
+    print(f"error: no store at {path}", file=sys.stderr)
+    return True
+
+
 def cmd_recover(args: argparse.Namespace) -> int:
     """``repro-gql recover``: offline WAL recovery of a store file.
 
@@ -714,6 +726,8 @@ def cmd_recover(args: argparse.Namespace) -> int:
     """
     from .storage.wal import recover
 
+    if _no_store(args.store):
+        return 2
     result = recover(args.store)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
@@ -733,7 +747,9 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
     """``repro-gql checkpoint``: recover, sync pages, truncate the WAL."""
     from .storage import GraphStore
 
-    store = GraphStore(args.store, durable=True)
+    if _no_store(args.store):
+        return 2
+    store = GraphStore(args.store)
     recovery = store.recovery.to_dict()
     freed = store.checkpoint()
     wal_bytes = store.wal.size

@@ -1,6 +1,5 @@
 """Persistence: GraphQL-syntax serialization and the database facade."""
 
-from .buffer import BufferPool, BufferStats
 from .database import GraphDatabase
 from .faults import CrashPoint, FaultStats, FaultyPageFile, SimulatedCrash
 from .graphstore import GraphStore
@@ -28,7 +27,6 @@ from .wal import (
     FSYNC_COMMIT,
     FSYNC_NEVER,
     RecoveryResult,
-    WalError,
     WriteAheadLog,
     recover,
     scan_wal,
@@ -36,8 +34,6 @@ from .wal import (
 )
 
 __all__ = [
-    "BufferPool",
-    "BufferStats",
     "ChecksumError",
     "CrashPoint",
     "FSYNC_ALWAYS",
@@ -55,7 +51,6 @@ __all__ = [
     "SlottedPage",
     "StorageError",
     "TransientIOError",
-    "WalError",
     "WriteAheadLog",
     "collection_from_text",
     "collection_to_text",

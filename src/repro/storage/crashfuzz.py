@@ -158,7 +158,7 @@ def run_crash_point(workload: CrashFuzzWorkload, directory: str,
     path = os.path.join(directory, "store.db")
     crash = CrashPoint(point, tear=True,
                        seed=workload.seed * 100003 + point)
-    store = GraphStore(path, durable=True, fsync=fsync, crashpoint=crash)
+    store = GraphStore(path, fsync=fsync, crashpoint=crash)
     committed = 0
     crashed = False
     try:
@@ -171,7 +171,7 @@ def run_crash_point(workload: CrashFuzzWorkload, directory: str,
     # are legal; a save that returned must be durable
     attempted = committed + 1 if crashed else committed
     try:
-        recovered_store = GraphStore(path, durable=True, fsync="never")
+        recovered_store = GraphStore(path, fsync="never")
     except Exception as exc:
         return f"reopen after crash at op {point} failed: {exc!r}"
     try:
@@ -191,7 +191,7 @@ def run_crash_point(workload: CrashFuzzWorkload, directory: str,
         if scan_wal(wal_path_for(path)).records:
             return f"crash at op {point}: checkpoint left WAL records"
         recovered_store.close()
-        clean = GraphStore(path, durable=True, fsync="never")
+        clean = GraphStore(path, fsync="never")
         if not clean.recovery.clean:
             return (f"crash at op {point}: second reopen still had to "
                     f"repair: {clean.recovery.to_dict()}")
@@ -227,8 +227,7 @@ def fuzz(seed: int, min_points: int = 200,
             os.makedirs(count_dir, exist_ok=True)
             counter = CrashPoint(NEVER)
             store = GraphStore(os.path.join(count_dir, "store.db"),
-                               durable=True, fsync=fsync,
-                               crashpoint=counter)
+                               fsync=fsync, crashpoint=counter)
             workload.run(store)
             store.close(checkpoint=False)
             shutil.rmtree(count_dir)

@@ -26,7 +26,7 @@ from ..matching.planner import (
 )
 from ..runtime import ExecutionContext
 from .graphstore import GraphStore
-from .serializer import _atomic_write_text, load_collection, save_collection
+from .serializer import load_collection
 from .wal import RecoveryResult
 
 
@@ -116,25 +116,6 @@ class GraphDatabase:
         """Load a collection from a GraphQL text file."""
         self.register(name, load_collection(path, directed=directed))
 
-    def save(self, name: str, path: Union[str, Path]) -> None:
-        """Save a collection to a GraphQL text file."""
-        save_collection(self.doc(name), path)
-
-    def save_all(self, directory: Union[str, Path]) -> None:
-        """Persist every collection to a directory (one ``.gql`` file per
-        document plus a ``MANIFEST`` listing names and directedness)."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        manifest_lines = []
-        for name in self.names():
-            collection = self.doc(name)
-            directed = any(g.directed for g in collection)
-            filename = f"{name}.gql"
-            save_collection(collection, directory / filename)
-            manifest_lines.append(f"{name}\t{filename}\t{int(directed)}")
-        _atomic_write_text(directory / "MANIFEST",
-                           "\n".join(manifest_lines) + "\n")
-
     # -- the durable-mutation path ---------------------------------------------
 
     @property
@@ -143,8 +124,7 @@ class GraphDatabase:
         return self._store
 
     def attach_durable(self, path: Union[str, Path],
-                       fsync: str = "commit",
-                       clustering: str = "bfs") -> RecoveryResult:
+                       fsync: str = "commit") -> RecoveryResult:
         """Open a WAL-backed :class:`GraphStore` as the mutation backend.
 
         Recovery runs first (replaying committed transactions, cutting
@@ -156,8 +136,7 @@ class GraphDatabase:
         """
         if self._store is not None:
             raise RuntimeError("a durable store is already attached")
-        store = GraphStore(str(path), clustering=clustering,
-                           durable=True, fsync=fsync)
+        store = GraphStore(str(path), fsync=fsync)
         self._store = store
         self.recovery = store.recovery
         for name, collection in store.load_documents().items():
@@ -193,22 +172,6 @@ class GraphDatabase:
             return
         store, self._store = self._store, None
         store.close(checkpoint=checkpoint)
-
-    @classmethod
-    def open(cls, directory: Union[str, Path]) -> "GraphDatabase":
-        """Reopen a database directory written by :meth:`save_all`."""
-        directory = Path(directory)
-        manifest = directory / "MANIFEST"
-        if not manifest.exists():
-            raise FileNotFoundError(f"no MANIFEST in {directory}")
-        database = cls()
-        for line in manifest.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            name, filename, directed = line.split("\t")
-            database.load(name, directory / filename,
-                          directed=bool(int(directed)))
-        return database
 
     # -- access methods --------------------------------------------------------------
 

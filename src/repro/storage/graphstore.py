@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import struct
 from collections import deque
+from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.collection import GraphCollection
 from ..core.graph import Graph
 from ..core.tuples import AttributeTuple
 from .pager import PageFile, RecordFile, StorageError
-from .wal import RecoveryResult, WriteAheadLog, recover, wal_path_for
+from .wal import RecoveryResult, WriteAheadLog
 
 _TYPE_INT = 0
 _TYPE_FLOAT = 1
@@ -137,11 +138,11 @@ def encode_document_marker(name: str) -> bytes:
 
 
 class GraphStore:
-    """Persist and reload graphs in a page file.
+    """Persist and reload graphs in a logged page file.
 
-    With ``durable=True`` the store opens with crash recovery (replaying
-    the write-ahead log next to the page file), wraps every save in a
-    WAL transaction, and exposes :meth:`checkpoint`.  *fsync* is the
+    Opening runs crash recovery (replaying the write-ahead log next to
+    the page file), every save is one WAL transaction, and
+    :meth:`checkpoint` truncates the log.  *fsync* is the
     durability/throughput trade-off (``always``/``commit``/``never``,
     see :mod:`repro.storage.wal`); *crashpoint* threads a
     :class:`~repro.storage.faults.CrashPoint` into both the page file
@@ -149,31 +150,26 @@ class GraphStore:
     """
 
     def __init__(self, path: str, clustering: str = "bfs",
-                 durable: bool = False, fsync: str = "commit",
-                 run_recovery: bool = True, crashpoint=None) -> None:
+                 fsync: str = "commit", crashpoint=None) -> None:
         if clustering not in ("bfs", "insertion"):
             raise ValueError(f"unknown clustering policy {clustering!r}")
         self.clustering = clustering
-        self.durable = durable
-        self.recovery: Optional[RecoveryResult] = None
         self.checkpoints = 0
-        if durable:
-            if run_recovery:
-                self.recovery = recover(path, sync=fsync != "never")
-            self.pagefile = PageFile(path, fsync=fsync)
-            wal = WriteAheadLog(wal_path_for(path), fsync=fsync)
-            if crashpoint is not None:
-                self.pagefile.crashpoint = crashpoint
-                wal.crashpoint = crashpoint
-            self.pagefile.attach_wal(wal)
-        else:
-            self.pagefile = PageFile(path)
+        self.pagefile = PageFile(path, fsync=fsync)
+        if crashpoint is not None:
+            self.pagefile.crashpoint = crashpoint
+            self.pagefile.wal.crashpoint = crashpoint
         self.records = RecordFile(self.pagefile)
         self._node_pages: Dict[str, int] = {}
 
     @property
-    def wal(self) -> Optional[WriteAheadLog]:
-        """The attached write-ahead log (durable stores only)."""
+    def recovery(self) -> RecoveryResult:
+        """What opening the store found and repaired."""
+        return self.pagefile.recovery
+
+    @property
+    def wal(self) -> WriteAheadLog:
+        """The page file's write-ahead log."""
         return self.pagefile.wal
 
     @property
@@ -218,46 +214,32 @@ class GraphStore:
                 encode_edge(edge.id, edge.source, edge.target, edge.tuple)
             )
 
-    def save(self, graph: Graph) -> None:
-        """Write one graph (header, nodes in cluster order, edges).
-
-        On a durable store the whole graph is one WAL transaction: a
-        crash anywhere inside leaves either the previous committed state
-        or the complete new graph, never a torn middle.
-        """
-        if self.durable:
-            self.pagefile.begin()
-            try:
-                self._write_graph(graph)
-            except BaseException:
-                self.pagefile.abort()
-                raise
-            self.pagefile.commit()
-            return
-        self._write_graph(graph)
-
-    def save_document(self, name: str,
-                      graphs: Union[GraphCollection, List[Graph]]) -> None:
-        """Write a full snapshot of one named document atomically.
-
-        One WAL transaction covers the document marker and every member
-        graph (plain append without a marker on non-durable stores).
-        """
-        def write_all() -> None:
-            self.records.insert(encode_document_marker(name))
-            for graph in graphs:
-                self._write_graph(graph)
-
-        if not self.durable:
-            write_all()
-            return
+    @contextmanager
+    def _transaction(self) -> Iterator[None]:
+        """One WAL transaction: a crash anywhere inside leaves either the
+        previous committed state or everything written in the block."""
         self.pagefile.begin()
         try:
-            write_all()
+            yield
         except BaseException:
             self.pagefile.abort()
             raise
         self.pagefile.commit()
+
+    def save(self, graph: Graph) -> None:
+        """Write one graph (header, nodes in cluster order, edges) as
+        one transaction."""
+        with self._transaction():
+            self._write_graph(graph)
+
+    def save_document(self, name: str,
+                      graphs: Union[GraphCollection, List[Graph]]) -> None:
+        """Write a full snapshot of one named document atomically: one
+        transaction covers the document marker and every member graph."""
+        with self._transaction():
+            self.records.insert(encode_document_marker(name))
+            for graph in graphs:
+                self._write_graph(graph)
 
     # -- reading ------------------------------------------------------------------
 
@@ -373,17 +355,16 @@ class GraphStore:
     def checkpoint(self) -> int:
         """Sync pages, truncate the WAL; returns log bytes freed."""
         freed = self.pagefile.checkpoint()
-        if self.durable:
-            self.checkpoints += 1
+        self.checkpoints += 1
         return freed
 
     def close(self, checkpoint: bool = True) -> None:
-        """Close the underlying page file (and WAL).
+        """Close the underlying page file and WAL.
 
-        A durable store checkpoints first by default, so a cleanly
-        closed store restarts with an empty log and a no-op recovery.
+        The store checkpoints first by default, so a cleanly closed
+        store restarts with an empty log and a no-op recovery.
         """
-        if self.durable and checkpoint and not self.pagefile.in_transaction:
+        if checkpoint and not self.pagefile.in_transaction:
             self.checkpoint()
         self.pagefile.close()
 

@@ -5,12 +5,12 @@ disks for efficient storage and fast retrieval"*, including *"how to
 decompose the large graph into small chunks and preserve locality"*.
 This module is a working answer at the classic-textbook level:
 
-* :class:`PageFile` — a file of fixed-size pages with a free list and a
-  header page;
+* :class:`PageFile` — an append-only file of fixed-size pages behind a
+  header page, every write logged (:mod:`repro.storage.wal`);
 * :class:`SlottedPage` — variable-length records inside a page through a
   slot directory (forward-growing records, backward-growing slots);
 * :class:`RecordFile` — record ids ``(page, slot)`` over a page file,
-  with insert / read / delete and full-scan.
+  with insert / read and full-scan.
 
 :mod:`repro.storage.graphstore` builds graph persistence and the BFS
 clustering heuristic on top.
@@ -27,7 +27,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 PAGE_SIZE = 4096
 _MAGIC = b"GQLP"
 # magic, page_count, free_list_head, store_version (u64, appended by the
-# durability work — old files read zeros out of the header padding)
+# durability work — old files read zeros out of the header padding).
+# Pages are never freed, so the free-list head is always written as _NO_PAGE.
 _HEADER_FMT = "<4sIIQ"
 _NO_PAGE = 0xFFFFFFFF
 
@@ -49,62 +50,64 @@ class ChecksumError(StorageError):
 
 
 class PageFile:
-    """A file of fixed-size pages with allocate/free and a header.
+    """A logged, append-only file of fixed-size pages with a header.
 
-    Page 0 is the header; data pages start at 1.  Freed pages form a
-    singly-linked free list threaded through their first four bytes.
+    Page 0 is the header; data pages start at 1 and are only ever
+    appended.  Opening runs :func:`~repro.storage.wal.recover` on the
+    write-ahead log at ``<path>.wal`` (its result is :attr:`recovery`)
+    and then appends to that log.
 
-    With a write-ahead log attached (:meth:`attach_wal`), page writes
-    become transactional under a **no-steal** policy: between
-    :meth:`begin` and :meth:`commit`, images accumulate in a pending
-    buffer (reads see them — read-your-writes), commit frames them into
-    the WAL, fsyncs it (the durability point), and only then writes the
-    pages.  A crash at any step leaves either the old state (commit
-    record never became durable) or a state the WAL replay repairs.
-    ``store_version`` in the header counts committed transactions and is
-    what lets :class:`~repro.core.graph.Graph` versions stay monotone
-    across recoveries.
+    Every write after the header written at creation is transactional
+    under a **no-steal** policy: between :meth:`begin` and
+    :meth:`commit`, images accumulate in a pending buffer (reads see
+    them — read-your-writes), commit frames them into the WAL, fsyncs it
+    (the durability point), and only then writes the pages.  A write
+    outside :meth:`begin` is its own one-write transaction.  A crash at
+    any step leaves either the old state (commit record never became
+    durable) or a state the WAL replay repairs.  ``store_version`` in
+    the header counts committed transactions and is what lets
+    :class:`~repro.core.graph.Graph` versions stay monotone across
+    recoveries.  *fsync* is the policy of both files (``always`` /
+    ``commit`` / ``never``).
     """
 
     def __init__(self, path: str, fsync: str = "never") -> None:
+        # wal.py imports this module's PAGE_SIZE / StorageError
+        from .wal import WriteAheadLog, recover, wal_path_for
+
         self.path = path
         self.fsync_policy = fsync
-        #: attached :class:`~repro.storage.wal.WriteAheadLog`, if any
-        self.wal = None
         #: optional :class:`~repro.storage.faults.CrashPoint` guarding
         #: raw file writes and fsyncs
         self.crashpoint = None
         self.store_version = 0
         self._txn: Optional[int] = None
         self._pending: Dict[int, bytes] = {}
+        #: what opening found and repaired in the log
+        self.recovery = recover(path, sync=fsync != "never")
         create = not os.path.exists(path) or os.path.getsize(path) == 0
         # unbuffered, like the WAL: an abandoned handle (crash) must
         # never hold page bytes that could flush after recovery ran
         self._file = open(path, "r+b" if not create else "w+b",
                           buffering=0)
         if create:
+            # the one write outside the log: there is nothing to recover
+            # yet, and an empty file is simply created again on reopen
             self._page_count = 1
-            self._free_head = _NO_PAGE
-            self._file.write(b"\x00" * PAGE_SIZE)
-            self._write_header()
+            self._raw_write(0, self._header_image())
         else:
             self._read_header()
+        self.wal = WriteAheadLog(wal_path_for(path), fsync=fsync)
 
     # -- header -----------------------------------------------------------------
 
     def _header_image(self) -> bytes:
         header = struct.pack(_HEADER_FMT, _MAGIC, self._page_count,
-                             self._free_head, self.store_version)
+                             _NO_PAGE, self.store_version)
         return header.ljust(PAGE_SIZE, b"\x00")[:PAGE_SIZE]
 
     def _write_header(self) -> None:
-        if self.wal is not None:
-            # with a log attached the header page is a page like any
-            # other: it must never reach the file outside a transaction
-            self.write_page(0, self._header_image())
-            return
-        self._raw_write(0, self._header_image())
-        self._file.flush()
+        self.write_page(0, self._header_image())
 
     def _read_header(self) -> None:
         header_size = struct.calcsize(_HEADER_FMT)
@@ -115,7 +118,7 @@ class PageFile:
                 f"{self.path}: truncated header ({len(raw)} bytes, "
                 f"need {header_size}); not a page file or badly damaged"
             )
-        magic, page_count, free_head, version = struct.unpack(
+        magic, page_count, _free_head, version = struct.unpack(
             _HEADER_FMT, raw)
         if magic != _MAGIC:
             raise StorageError(
@@ -136,7 +139,6 @@ class PageFile:
                 "the file is truncated"
             )
         self._page_count = page_count
-        self._free_head = free_head
         self.store_version = version
 
     # -- page access ---------------------------------------------------------------
@@ -171,34 +173,22 @@ class PageFile:
             self._file.write(data)
 
     def write_page(self, page_no: int, data: bytes) -> None:
-        """Write one full page.
-
-        With a WAL attached, the write joins the open transaction's
-        pending buffer (a write outside any transaction is wrapped in
-        an implicit single-write transaction, so no page write can ever
-        bypass the log)."""
+        """Write one full page into the open transaction's pending
+        buffer (outside one, an implicit single-write transaction wraps
+        it, so no page write can ever bypass the log)."""
         if len(data) != PAGE_SIZE:
             raise StorageError("page data must be exactly PAGE_SIZE bytes")
         if page_no >= self._page_count:
             raise StorageError(f"page {page_no} out of range")
-        if self.wal is not None:
-            if self._txn is None:
-                self.begin()
-                self._pending[page_no] = bytes(data)
-                self.commit()
-            else:
-                self._pending[page_no] = bytes(data)
-            return
-        self._raw_write(page_no, data)
+        if self._txn is None:
+            self.begin()
+            self._pending[page_no] = bytes(data)
+            self.commit()
+        else:
+            self._pending[page_no] = bytes(data)
 
     def allocate_page(self) -> int:
-        """Allocate a page (reusing the free list when possible)."""
-        if self._free_head != _NO_PAGE:
-            page_no = self._free_head
-            raw = self.read_page(page_no)
-            (self._free_head,) = struct.unpack("<I", raw[:4])
-            self._write_header()
-            return page_no
+        """Append a zeroed page and return its number."""
         page_no = self._page_count
         self._page_count += 1
         # physical zero-extension happens immediately even inside a
@@ -208,20 +198,7 @@ class PageFile:
         self._write_header()
         return page_no
 
-    def free_page(self, page_no: int) -> None:
-        """Return a page to the free list."""
-        if page_no == 0 or page_no >= self._page_count:
-            raise StorageError(f"cannot free page {page_no}")
-        data = struct.pack("<I", self._free_head).ljust(PAGE_SIZE, b"\x00")
-        self.write_page(page_no, data)
-        self._free_head = page_no
-        self._write_header()
-
     # -- durability -----------------------------------------------------------
-
-    def attach_wal(self, wal) -> None:
-        """Route all further page writes through a write-ahead log."""
-        self.wal = wal
 
     @property
     def in_transaction(self) -> bool:
@@ -230,8 +207,6 @@ class PageFile:
 
     def begin(self) -> int:
         """Open a WAL transaction; page writes buffer until commit."""
-        if self.wal is None:
-            raise StorageError("no write-ahead log attached")
         if self._txn is not None:
             raise StorageError("transaction already open (no nesting)")
         self._txn = self.wal.begin()
@@ -267,23 +242,17 @@ class PageFile:
         """Drop the open transaction's buffered writes.
 
         The WAL never receives a COMMIT for the transaction id, so
-        recovery discards anything already framed.  In-memory header
-        state (page count, free list) may run ahead of the committed
-        header; that only over-reserves zero pages, which reopening
-        resolves.
+        recovery discards anything already framed.  The in-memory page
+        count may run ahead of the committed header; that only
+        over-reserves zero pages, which reopening resolves.
         """
         self._txn = None
         self._pending = {}
 
-    def flush(self, sync: Optional[bool] = None) -> None:
-        """Flush buffered writes; fsync according to the policy.
-
-        ``sync=True`` forces an fsync, ``sync=False`` suppresses it, and
-        the default follows ``fsync_policy`` (``never`` skips it)."""
+    def flush(self) -> None:
+        """Flush buffered writes; fsync unless the policy is ``never``."""
         self._file.flush()
-        if sync is None:
-            sync = self.fsync_policy != "never"
-        if sync:
+        if self.fsync_policy != "never":
             if self.crashpoint is not None:
                 self.crashpoint.barrier(
                     lambda: os.fsync(self._file.fileno()))
@@ -294,32 +263,24 @@ class PageFile:
         """Sync the page file, then truncate the WAL; returns bytes freed.
 
         Everything the log was protecting is durably in the pages after
-        the sync, so the log restarts empty.  No-op without a WAL.
+        the sync, so the log restarts empty.
         """
-        if self.wal is None:
-            return 0
         if self._txn is not None:
             raise StorageError("cannot checkpoint inside a transaction")
-        self.flush(sync=self.fsync_policy != "never")
+        self.flush()
         return self.wal.truncate()
 
     def close(self) -> None:
-        """Flush and close the backing file (and the WAL, if attached).
+        """Flush and close the page file and its WAL.
 
         An open transaction is aborted, not committed: close during an
         exception unwind must not make half-applied work durable.
         """
         if self._txn is not None:
             self.abort()
-        if self.wal is not None:
-            # committed state already persisted its own header; a plain
-            # header rewrite here would bypass the log
-            self._file.flush()
-            self._file.close()
-            self.wal.close()
-            return
-        self._write_header()
+        self._file.flush()
         self._file.close()
+        self.wal.close()
 
     def __enter__(self) -> "PageFile":
         return self
@@ -330,16 +291,13 @@ class PageFile:
 
 # slotted page layout:
 #   [u16 slot_count][u16 free_offset][u32 crc32] ...records...   ...slots...
-# each slot: [u16 offset][u16 length]; offset 0xFFFF marks a deleted slot
-# (offset 0 cannot be used as a tombstone — it would clash with legal
-# zero-length records, and real offsets start past the page header).
+# each slot: [u16 offset][u16 length].
 # The CRC32 covers the whole page image with the crc field zeroed; it is
 # stamped by to_bytes() (i.e. on every write-out) and verified when a
 # page image is parsed, so torn writes and bit flips are detected at
 # read time instead of surfacing as garbled records later.
 _PAGE_HEADER = struct.Struct("<HHI")
 _SLOT = struct.Struct("<HH")
-_DELETED = 0xFFFF
 _CRC_OFFSET = 4  # byte offset of the u32 crc within the page header
 
 
@@ -408,23 +366,14 @@ class SlottedPage:
         return slot
 
     def read(self, slot: int) -> bytes:
-        """Read a record by slot (StorageError when deleted)."""
+        """Read a record by slot."""
         offset, length = self._read_slot(slot)
-        if offset == _DELETED:
-            raise StorageError(f"slot {slot} is deleted")
         return bytes(self._buf[offset:offset + length])
 
-    def delete(self, slot: int) -> None:
-        """Mark a slot deleted (space is reclaimed on page rebuild)."""
-        self._read_slot(slot)  # range check
-        _SLOT.pack_into(self._buf, self._slot_position(slot), _DELETED, 0)
-
     def records(self) -> Iterator[Tuple[int, bytes]]:
-        """Iterate live ``(slot, record)`` pairs."""
+        """Iterate ``(slot, record)`` pairs."""
         for slot in range(self.slot_count):
-            offset, length = self._read_slot(slot)
-            if offset != _DELETED:
-                yield (slot, bytes(self._buf[offset:offset + length]))
+            yield (slot, self.read(slot))
 
     def to_bytes(self) -> bytes:
         """The raw page image, with a freshly stamped CRC32."""
@@ -512,15 +461,8 @@ class RecordFile:
         page = SlottedPage(self._read_page(page_no))
         return page.read(slot)
 
-    def delete(self, record_id: RecordId) -> None:
-        """Delete a record by id."""
-        page_no, slot = record_id
-        page = SlottedPage(self._read_page(page_no))
-        page.delete(slot)
-        self.pagefile.write_page(page_no, page.to_bytes())
-
     def scan(self) -> Iterator[Tuple[RecordId, bytes]]:
-        """Iterate all live records in page order."""
+        """Iterate all records in page order."""
         for page_no in self._data_pages:
             page = SlottedPage(self._read_page(page_no))
             for slot, record in page.records():

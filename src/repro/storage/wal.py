@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.trace import span as trace_span
-from .pager import PAGE_SIZE, StorageError
+from .pager import PAGE_SIZE
 
 #: Fsync policies accepted by the WAL and the page file.
 FSYNC_ALWAYS = "always"
@@ -356,7 +356,3 @@ def recover(path: str, wal_path: Optional[str] = None,
             if sync:
                 os.fsync(log.fileno())
     return result
-
-
-class WalError(StorageError):
-    """Transaction protocol misuse (nested begin, commit without begin)."""

@@ -1,5 +1,7 @@
 """Integration tests for the repro-gql command line."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -248,3 +250,51 @@ class TestClusterStatus:
             assert merged["map_version"] == 1
             assert merged["shards"][0]["shard"] == "shard0"
             assert merged["shards"][0]["breakers"] is not None
+
+
+@pytest.fixture
+def dirty_store(tmp_path):
+    """A store closed without a checkpoint: its WAL still holds the save."""
+    from repro.storage import GraphStore
+
+    path = str(tmp_path / "s.db")
+    store = GraphStore(path, fsync="never")
+    store.save_document("dblp", tiny_dblp())
+    store.close(checkpoint=False)
+    return path
+
+
+class TestStoreMaintenance:
+    def test_recover_replays_then_reports_clean(self, dirty_store, capsys):
+        assert main(["recover", dirty_store, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)[
+            "replayed_transactions"] >= 1
+        assert main(["recover", dirty_store]) == 0
+        assert "clean" in capsys.readouterr().out
+
+    def test_recover_rebuilds_a_missing_page_file(self, dirty_store, capsys):
+        from pathlib import Path
+
+        from repro.storage import GraphStore
+
+        Path(dirty_store).unlink()
+        assert main(["recover", dirty_store]) == 0
+        assert "replayed" in capsys.readouterr().out
+        with GraphStore(dirty_store, fsync="never") as store:
+            assert len(store.load_documents()["dblp"]) == 2
+
+    def test_checkpoint_reports_freed_bytes(self, dirty_store, capsys):
+        assert main(["checkpoint", dirty_store, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        # opening the store replayed and truncated the dirty log, so the
+        # checkpoint itself had nothing left to free
+        assert report["recovery"]["replayed_transactions"] >= 1
+        assert report["freed_bytes"] == 0
+        assert report["wal_bytes"] == 0
+
+    @pytest.mark.parametrize("command", ["recover", "checkpoint"])
+    def test_missing_store_is_an_error(self, tmp_path, capsys, command):
+        path = tmp_path / "typo.db"
+        assert main([command, str(path)]) == 2
+        assert f"error: no store at {path}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -67,7 +67,7 @@ class TestDatabaseDurable:
         database.register_durable("data", sample_graph())
         database.close_store()
 
-        store = GraphStore(path, durable=True, fsync="never",
+        store = GraphStore(path, fsync="never",
                            crashpoint=CrashPoint(crash_after=2, seed=1))
         with pytest.raises(SimulatedCrash):
             store.save_document("data", [sample_graph(extra=5)])

@@ -73,24 +73,3 @@ class TestAtomicSave:
         back = load_collection(path)
         assert len(back) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["c.gql"]
-
-    def test_manifest_save_all_is_atomic(self, tmp_path, monkeypatch):
-        from repro.storage import GraphDatabase
-
-        database = GraphDatabase()
-        database.register("d", make_graph("one"))
-        database.save_all(tmp_path)
-        manifest = (tmp_path / "MANIFEST").read_text(encoding="utf-8")
-
-        def exploding_replace(src, dst):
-            raise OSError("simulated crash before rename")
-
-        monkeypatch.setattr(os, "replace", exploding_replace)
-        database.register("extra", make_graph("two"))
-        with pytest.raises(OSError):
-            database.save_all(tmp_path)
-        monkeypatch.undo()
-        assert (tmp_path / "MANIFEST").read_text(
-            encoding="utf-8") == manifest
-        assert not [p for p in tmp_path.iterdir()
-                    if p.name.endswith(".tmp")]

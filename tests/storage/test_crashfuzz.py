@@ -18,8 +18,8 @@ def small_workload(seed: int = 3) -> CrashFuzzWorkload:
 
 def count_ops(workload: CrashFuzzWorkload, tmp_path) -> int:
     counter = CrashPoint(NEVER)
-    store = GraphStore(str(tmp_path / "count.db"), durable=True,
-                       fsync="never", crashpoint=counter)
+    store = GraphStore(str(tmp_path / "count.db"), fsync="never",
+                       crashpoint=counter)
     workload.run(store)
     store.close(checkpoint=False)
     return counter.ops

@@ -211,7 +211,7 @@ class TestFaultSmoke:
 
     def test_graphstore_roundtrip_under_read_faults(self, tmp_path,
                                                     monkeypatch):
-        def faulty(path):
+        def faulty(path, **_options):
             return FaultyPageFile(path, read_error_rate=FAULT_RATE, seed=11)
 
         monkeypatch.setattr("repro.storage.graphstore.PageFile", faulty)

@@ -132,9 +132,9 @@ class TestAttributeEdgeCases:
         g.add_node("n", text="uni — ✓\nnl", big=2 ** 62, neg=-7,
                    flag=True, ratio=0.1)
         path = str(tmp_path / "durable.db")
-        with GraphStore(path, durable=True, fsync="never") as store:
+        with GraphStore(path, fsync="never") as store:
             store.save_document("doc", [g])
-        with GraphStore(path, durable=True, fsync="never") as store:
+        with GraphStore(path, fsync="never") as store:
             back = store.load_documents()["doc"][0]
         assert back.equals(g)
         assert back.version == g.version

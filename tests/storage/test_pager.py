@@ -1,7 +1,5 @@
 """Unit and property tests for the page-based storage layer."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,20 +23,6 @@ class TestPageFile:
         with PageFile(path) as pf:
             assert pf.read_page(page_no) == b"x" * PAGE_SIZE
             assert pf.num_pages == 2
-
-    def test_free_list_reuse(self, tmp_path):
-        with PageFile(str(tmp_path / "t.db")) as pf:
-            a = pf.allocate_page()
-            b = pf.allocate_page()
-            pf.free_page(a)
-            reused = pf.allocate_page()
-            assert reused == a
-            assert pf.allocate_page() == b + 1
-
-    def test_cannot_free_header(self, tmp_path):
-        with PageFile(str(tmp_path / "t.db")) as pf:
-            with pytest.raises(StorageError):
-                pf.free_page(0)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.db"
@@ -72,14 +56,6 @@ class TestSlottedPage:
         reloaded = SlottedPage(page.to_bytes())
         assert reloaded.read(slot) == b"payload"
 
-    def test_delete(self):
-        page = SlottedPage()
-        slot = page.insert(b"bye")
-        page.delete(slot)
-        with pytest.raises(StorageError):
-            page.read(slot)
-        assert list(page.records()) == []
-
     def test_full_page_rejects(self):
         page = SlottedPage()
         assert page.insert(b"x" * MAX_RECORD) is not None
@@ -92,13 +68,6 @@ class TestSlottedPage:
         after = page.free_space()
         assert before - after == 5 + 4  # record + one slot entry
 
-    def test_records_iteration_skips_deleted(self):
-        page = SlottedPage()
-        keep = page.insert(b"keep")
-        drop = page.insert(b"drop")
-        page.delete(drop)
-        assert [(s, r) for s, r in page.records()] == [(keep, b"keep")]
-
 
 class TestRecordFile:
     def test_insert_read_delete(self, tmp_path):
@@ -106,9 +75,6 @@ class TestRecordFile:
             rf = RecordFile(pf)
             rid = rf.insert(b"record one")
             assert rf.read(rid) == b"record one"
-            rf.delete(rid)
-            with pytest.raises(StorageError):
-                rf.read(rid)
 
     def test_spills_to_new_pages(self, tmp_path):
         with PageFile(str(tmp_path / "r.db")) as pf:
@@ -145,12 +111,10 @@ class TestRecordFile:
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.binary(min_size=0, max_size=300), max_size=60),
-       st.integers(0, 10 ** 6))
-def test_record_file_behaves_like_list(tmp_path_factory, payloads, seed):
-    """Property: insert/delete/scan agree with an in-memory reference."""
+@given(st.lists(st.binary(min_size=0, max_size=300), max_size=60))
+def test_record_file_behaves_like_list(tmp_path_factory, payloads):
+    """Property: insert/scan agree with an in-memory reference."""
     tmp = tmp_path_factory.mktemp("prop")
-    rng = random.Random(seed)
     with PageFile(str(tmp / "p.db")) as pf:
         rf = RecordFile(pf)
         live = {}
@@ -158,10 +122,6 @@ def test_record_file_behaves_like_list(tmp_path_factory, payloads, seed):
             rid = rf.insert(payload)
             assert rid not in live
             live[rid] = payload
-            if live and rng.random() < 0.25:
-                victim = rng.choice(list(live))
-                rf.delete(victim)
-                del live[victim]
         assert dict(rf.scan()) == live
         for rid, payload in live.items():
             assert rf.read(rid) == payload

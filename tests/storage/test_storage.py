@@ -122,7 +122,7 @@ class TestGraphDatabase:
         db = GraphDatabase()
         db.register("D", tiny_dblp())
         path = tmp_path / "d.gql"
-        db.save("D", path)
+        save_collection(db.doc("D"), path)
         db2 = GraphDatabase()
         db2.load("D", path)
         assert len(db2.doc("D")) == 2

@@ -20,13 +20,6 @@ from repro.storage.wal import (
 )
 
 
-def durable_pagefile(path):
-    pf = PageFile(str(path), fsync="never")
-    wal = WriteAheadLog(wal_path_for(str(path)), fsync="never")
-    pf.attach_wal(wal)
-    return pf
-
-
 class TestFraming:
     def test_append_scan_roundtrip(self, tmp_path):
         path = str(tmp_path / "t.wal")
@@ -81,7 +74,7 @@ class TestFraming:
 
 class TestTransactions:
     def test_commit_persists_and_logs(self, tmp_path):
-        pf = durable_pagefile(tmp_path / "p.db")
+        pf = PageFile(str(tmp_path / "p.db"))
         page = pf.allocate_page()  # header update = its own implicit txn
         commits_before = sum(
             r.kind == REC_COMMIT for r in scan_wal(pf.wal.path).records)
@@ -97,7 +90,7 @@ class TestTransactions:
         pf.close()
 
     def test_abort_discards_pending(self, tmp_path):
-        pf = durable_pagefile(tmp_path / "p.db")
+        pf = PageFile(str(tmp_path / "p.db"))
         page = pf.allocate_page()
         pf.begin()
         pf.write_page(page, b"B" * PAGE_SIZE)
@@ -108,7 +101,7 @@ class TestTransactions:
 
     def test_implicit_transaction_outside_begin(self, tmp_path):
         """No write can bypass the WAL: a bare write_page auto-commits."""
-        pf = durable_pagefile(tmp_path / "p.db")
+        pf = PageFile(str(tmp_path / "p.db"))
         page = pf.allocate_page()
         before = pf.store_version
         pf.write_page(page, b"C" * PAGE_SIZE)
@@ -119,7 +112,7 @@ class TestTransactions:
 
     def test_store_version_counts_commits(self, tmp_path):
         path = tmp_path / "p.db"
-        pf = durable_pagefile(path)
+        pf = PageFile(str(path))
         page = pf.allocate_page()
         for i in range(3):
             pf.begin()
@@ -131,14 +124,8 @@ class TestTransactions:
         assert reopened.store_version == version
         reopened.close()
 
-    def test_begin_requires_wal(self, tmp_path):
-        pf = PageFile(str(tmp_path / "plain.db"))
-        with pytest.raises(StorageError):
-            pf.begin()
-        pf.close()
-
     def test_nested_begin_rejected(self, tmp_path):
-        pf = durable_pagefile(tmp_path / "p.db")
+        pf = PageFile(str(tmp_path / "p.db"))
         pf.begin()
         with pytest.raises(StorageError):
             pf.begin()
@@ -149,7 +136,7 @@ class TestTransactions:
 class TestRecovery:
     def test_recover_replays_committed(self, tmp_path):
         path = str(tmp_path / "p.db")
-        pf = durable_pagefile(path)
+        pf = PageFile(path)
         page = pf.allocate_page()
         pf.begin()
         pf.write_page(page, b"D" * PAGE_SIZE)
@@ -171,7 +158,7 @@ class TestRecovery:
     def test_uncommitted_records_discarded(self, tmp_path):
         path = str(tmp_path / "p.db")
         wal_path = wal_path_for(path)
-        pf = durable_pagefile(path)
+        pf = PageFile(path)
         page = pf.allocate_page()
         pf.begin()
         pf.write_page(page, b"E" * PAGE_SIZE)
@@ -191,7 +178,7 @@ class TestRecovery:
 
     def test_recovery_truncates_wal_and_is_idempotent(self, tmp_path):
         path = str(tmp_path / "p.db")
-        pf = durable_pagefile(path)
+        pf = PageFile(path)
         page = pf.allocate_page()
         pf.write_page(page, b"F" * PAGE_SIZE)
         pf.close()
@@ -203,7 +190,7 @@ class TestRecovery:
         del first
 
     def test_checkpoint_truncates(self, tmp_path):
-        pf = durable_pagefile(tmp_path / "p.db")
+        pf = PageFile(str(tmp_path / "p.db"))
         page = pf.allocate_page()
         pf.write_page(page, b"G" * PAGE_SIZE)
         assert pf.wal.size > 0
@@ -214,12 +201,42 @@ class TestRecovery:
         pf.close()
 
     def test_checkpoint_inside_transaction_rejected(self, tmp_path):
-        pf = durable_pagefile(tmp_path / "p.db")
+        pf = PageFile(str(tmp_path / "p.db"))
         pf.begin()
         with pytest.raises(StorageError):
             pf.checkpoint()
         pf.abort()
         pf.close()
+
+
+class TestEveryPageFileIsLogged:
+    """A bare ``PageFile`` owns its log: writes reach ``<path>.wal`` and
+    opening replays it, with no WAL or ``recover()`` call by the caller."""
+
+    def test_bare_write_commits_to_the_wal(self, tmp_path):
+        path = str(tmp_path / "p.db")
+        pf = PageFile(path)
+        page = pf.allocate_page()
+        pf.write_page(page, b"H" * PAGE_SIZE)
+        pf.close()
+        records = scan_wal(path + ".wal").records
+        assert any(r.kind == REC_COMMIT for r in records)
+        assert any(r.kind == REC_PAGE and r.page_no == page
+                   for r in records)
+
+    def test_open_replays_a_committed_page(self, tmp_path):
+        path = str(tmp_path / "p.db")
+        pf = PageFile(path)
+        page = pf.allocate_page()
+        pf.write_page(page, b"I" * PAGE_SIZE)
+        pf.close()
+        with open(path, "r+b") as handle:  # the page write never landed
+            handle.seek(page * PAGE_SIZE)
+            handle.write(b"\x00" * PAGE_SIZE)
+        reopened = PageFile(path)
+        assert reopened.recovery.replayed_transactions >= 1
+        assert reopened.read_page(page) == b"I" * PAGE_SIZE
+        reopened.close()
 
 
 class TestCrashPoint:
@@ -256,16 +273,15 @@ class TestCrashPoint:
         g2.add_node("b", label="B")
         g2.add_edge("a", "b")
         path = str(tmp_path / "s.db")
-        with GraphStore(path, durable=True, fsync="never") as store:
+        with GraphStore(path, fsync="never") as store:
             store.save_document("doc", [g1])
             ops_for_first = store.pagefile.crashpoint  # none attached
         assert ops_for_first is None
         crash = CrashPoint(crash_after=2, seed=3)
-        store = GraphStore(path, durable=True, fsync="never",
-                           crashpoint=crash)
+        store = GraphStore(path, fsync="never", crashpoint=crash)
         with pytest.raises(SimulatedCrash):
             store.save_document("doc", [g2])
-        recovered = GraphStore(path, durable=True, fsync="never")
+        recovered = GraphStore(path, fsync="never")
         docs = recovered.load_documents()
         back = docs["doc"][0]
         assert back.equals(g1) or back.equals(g2)  # prefix contract
