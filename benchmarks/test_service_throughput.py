@@ -134,15 +134,14 @@ CLUSTER_QUERIES = 4
 
 def _cluster_soak(cluster, queries=CLUSTER_QUERIES):
     """Mean per-fan-out latency with every cache off (pure execution)."""
-    coordinator = cluster.coordinator(timeout=120.0, result_cache_size=0)
-    warm = coordinator.query(CHAIN_QUERY, limit=100000,
-                             use_shard_cache=False)
+    coordinator = cluster.coordinator(timeout=120.0)
+    warm = coordinator.query(CHAIN_QUERY, limit=100000, use_cache=False)
     assert warm.failed == 0, f"warm-up lost shards: {warm.outcome}"
     rows = len(warm.results)
     started = time.monotonic()
     for _ in range(queries):
         reply = coordinator.query(CHAIN_QUERY, limit=100000,
-                                  use_shard_cache=False)
+                                  use_cache=False)
         assert reply.failed == 0
         assert len(reply.results) == rows  # sharding never changes answers
     return (time.monotonic() - started) / queries, rows

@@ -658,18 +658,7 @@ def _serve(args: argparse.Namespace) -> int:
     host, port = server.address
     exporter = None
     if args.metrics_port is not None:
-        from .obs.httpexport import MetricsHTTPExporter
-
-        def ready_probe():
-            ready, reason = service.ready()
-            if ready and server.draining:
-                return False, "draining"
-            return ready, reason
-
-        exporter = MetricsHTTPExporter(
-            service.metrics_text, json_fn=service.stats,
-            host=args.host, port=args.metrics_port,
-            health_fn=service.health, ready_fn=ready_probe)
+        exporter = server.metrics_exporter(args.host, args.metrics_port)
         exporter.start()
         metrics_host, metrics_port = exporter.address
         print(f"metrics on {metrics_host}:{metrics_port} "

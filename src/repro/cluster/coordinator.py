@@ -22,9 +22,10 @@ Failure handling reuses the service's resilience vocabulary:
   (``replica_used``) and ``PARTIAL`` is produced only when an *entire*
   preference list is exhausted;
 * a **hedge**: when a replica has not answered after ``hedge_after``
-  seconds, an identical request (same idempotency key) is raced on a
-  second connection and the first answer wins; the losing request is
-  sent a ``cancel`` wire op so it stops burning shard worker capacity;
+  seconds, the same query is raced on a second connection under its own
+  request id (``...-hedge`` beside ``...-primary``) and the first answer
+  wins; the loser is sent a ``cancel`` wire op naming its id so it stops
+  burning shard worker capacity;
 * a **divergence check**: every mergeable answer carries the snapshot
   version of the document it ran over, and the coordinator compares the
   versions the replicas of one slice report — a mismatch is counted
@@ -34,10 +35,11 @@ Failure handling reuses the service's resilience vocabulary:
   ``detail["shards"]``; one answer per slice makes the accounting
   invariant ``submitted == merged + failed`` hold by construction.
 
-Merged results are cached per target set; explicit
-:meth:`ClusterCoordinator.move` invalidates exactly the entries whose
-shards were touched, and a map-version change the coordinator did not
-perform itself flushes the cache wholesale (safe over exact).
+The coordinator keeps no answers of its own: every fan-out reaches the
+shards, whose version-keyed result caches are the only replay, so a
+write on a shard is seen by the next query.  Placement changes go
+through :meth:`ShardMap.move <repro.cluster.shardmap.ShardMap.move>`
+directly.
 """
 
 from __future__ import annotations
@@ -54,10 +56,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..obs.trace import span, tracer
 from ..runtime import Outcome, QueryOutcome, partial_outcome, rejected_outcome
 from ..service.admission import REASON_INVALID_QUERY
-from ..service.cache import PLAN_CACHE_SIZE, LRUCache, PreparedQueryCache
+from ..service.cache import PLAN_CACHE_SIZE, PreparedQueryCache
 from ..service.client import ServiceClient
 from ..service.resilience import BreakerRegistry
-from .shardmap import ShardMap, ShardMove, slice_document
+from .shardmap import ShardMap, slice_document
 
 logger = logging.getLogger(__name__)
 
@@ -131,7 +133,6 @@ class ClusterReply:
     results: List[Dict[str, Any]] = field(default_factory=list)
     outcome: QueryOutcome = field(default_factory=QueryOutcome)
     answers: List[ShardAnswer] = field(default_factory=list)
-    cache: str = "miss"
     error: Optional[str] = None
 
     @property
@@ -158,7 +159,6 @@ class ClusterReply:
             "ok": self.error is None,
             "results": list(self.results),
             "outcome": self.outcome.to_dict(),
-            "cache": self.cache,
             **({"error": self.error} if self.error else {}),
         }
 
@@ -204,7 +204,6 @@ class ClusterCoordinator:
         hedge_after: Optional[float] = None,
         breaker_threshold: int = 4,
         breaker_cooldown: float = 5.0,
-        result_cache_size: int = 128,
         client_name: str = "coordinator",
         client_factory: Callable[..., Any] = ServiceClient,
     ) -> None:
@@ -221,20 +220,15 @@ class ClusterCoordinator:
         self.breakers = (BreakerRegistry(threshold=breaker_threshold,
                                          cooldown=breaker_cooldown)
                          if breaker_threshold > 0 else None)
-        self.result_cache = LRUCache(result_cache_size)
         #: query text -> prepared query, so repeated fan-outs of the
-        #: same (valid or invalid) text skip re-analysis; sized apart
-        #: from the result cache, which callers disable to observe
-        #: every fan-out
+        #: same (valid or invalid) text skip re-analysis; it holds
+        #: validation verdicts, never answers
         self.plan_cache = PreparedQueryCache(PLAN_CACHE_SIZE)
         self._counters: Dict[str, int] = {}
         self._counter_lock = threading.Lock()
         #: last snapshot version each replica reported per slice, the
         #: read-side divergence check's memory
         self._slice_versions: Dict[str, Dict[str, int]] = {}
-        #: the map version whose cache entries are exactly maintained;
-        #: an out-of-band bump flushes the cache wholesale
-        self._map_version_seen = shard_map.version
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -243,14 +237,13 @@ class ClusterCoordinator:
             self._counters[name] = self._counters.get(name, 0) + n
 
     def stats(self) -> Dict[str, Any]:
-        """Coordinator counters, cache stats and breaker states."""
+        """Coordinator counters, plan-cache stats and breaker states."""
         with self._counter_lock:
             counters = dict(self._counters)
             slice_versions = {s: dict(v)
                               for s, v in self._slice_versions.items()}
         return {
             "counters": counters,
-            "result_cache": self.result_cache.stats(),
             "plan_cache": self.plan_cache.stats(),
             "breakers": (self.breakers.state_counts()
                          if self.breakers is not None else {}),
@@ -279,56 +272,6 @@ class ClusterCoordinator:
                 "slice %s: replica %s reports snapshot version %s but "
                 "peer(s) reported %s", shard, replica, version, mismatched)
 
-    # -- placement changes ----------------------------------------------------
-
-    def move(self, graph_id: str, shard: str) -> List[ShardMove]:
-        """Pin a graph to a shard and drop the cache entries the move
-        made stale (the caller transfers the data itself)."""
-        moves = self.shard_map.move(graph_id, shard)
-        if moves:
-            self.invalidate_shards({m.src for m in moves if m.src}
-                                   | {m.dst for m in moves})
-        # the bump (if any) is now exactly accounted for: entries from
-        # untouched shards stay valid
-        self._map_version_seen = self.shard_map.version
-        return moves
-
-    def invalidate_shards(self, shard_ids) -> int:
-        """Drop cached merges that involved any of *shard_ids*.
-
-        Replication widens "involved": an entry targeting slice ``s``
-        also depends on every replica in ``s``'s preference list, so a
-        move touching a replica drops it too.
-        """
-        doomed = set(shard_ids)
-
-        def affected(key) -> bool:
-            for target in key[-1]:
-                if target in doomed:
-                    return True
-                if self.shard_map.replication_factor > 1 and \
-                        doomed & set(self.shard_map.preference_list(target)):
-                    return True
-            return False
-
-        dropped = self.result_cache.invalidate(affected)
-        self._count("cache_invalidated", dropped)
-        return dropped
-
-    def _check_map_version(self) -> None:
-        """Flush the cache after an out-of-band map change.
-
-        Mutations routed through :meth:`move` invalidate exactly the
-        entries they touched; a version bump this coordinator did not
-        perform (an operator editing the shared map) has no move list,
-        so every entry is suspect and the whole cache is dropped.
-        """
-        version = self.shard_map.version
-        if version != self._map_version_seen:
-            dropped = self.result_cache.invalidate()
-            self._count("cache_invalidated", dropped)
-            self._map_version_seen = version
-
     # -- the fan-out ----------------------------------------------------------
 
     def query(
@@ -341,7 +284,6 @@ class ClusterCoordinator:
         max_steps: Optional[int] = None,
         baseline: bool = False,
         use_cache: bool = True,
-        use_shard_cache: bool = True,
         shard_ids: Optional[List[str]] = None,
     ) -> ClusterReply:
         """Run one pattern/FLWR query across the cluster.
@@ -349,9 +291,8 @@ class ClusterCoordinator:
         *shard_ids* restricts the fan-out (a routed single-graph lookup
         uses ``[shard_map.owner(graph_id)]``); the default is every
         shard — a whole-collection match may find answers anywhere.
-        *use_cache* governs the coordinator's merged-result cache,
-        *use_shard_cache* the shards' own result caches (benchmarks
-        disable both to measure execution, not replay).
+        ``use_cache=False`` sends ``no_cache`` to the shards, bypassing
+        their result caches (benchmarks measure execution, not replay).
         """
         # validate once at the coordinator: an invalid query would be
         # rejected identically by every shard, so fanning it out only
@@ -361,22 +302,10 @@ class ClusterCoordinator:
             self._count("invalid_queries")
             outcome = rejected_outcome(REASON_INVALID_QUERY)
             outcome.detail["diagnostics"] = list(errors)
-            return ClusterReply(outcome=outcome, cache="bypass")
+            return ClusterReply(outcome=outcome)
         budget = self.timeout if timeout is None else timeout
         targets = list(shard_ids) if shard_ids is not None \
             else self.shard_map.shards
-        cache_key = None
-        if use_cache and use_shard_cache and max_steps is None:
-            self._check_map_version()
-            cache_key = (document, query_text,
-                         limit, baseline, tuple(sorted(targets)))
-            cached = self.result_cache.get(cache_key)
-            if cached is not None:
-                self._count("cache_hits")
-                return ClusterReply(results=list(cached.results),
-                                    outcome=cached.outcome,
-                                    answers=list(cached.answers),
-                                    cache="hit", error=cached.error)
         self._count("fanouts")
         started = time.monotonic()
         deadline = started + budget
@@ -384,7 +313,7 @@ class ClusterCoordinator:
                   shards=len(targets)) as root:
             request = _Request(query_text, document, dict(
                 limit=limit, max_steps=max_steps, baseline=baseline,
-                no_cache=not use_shard_cache), deadline, root)
+                no_cache=not use_cache), deadline, root)
             pool = ThreadPoolExecutor(max_workers=max(1, len(targets)),
                                       thread_name_prefix="fanout")
             legs = [pool.submit(self._query_shard, shard, request)
@@ -398,13 +327,7 @@ class ClusterCoordinator:
             shard=shard, ok=False, elapsed=time.monotonic() - started,
             error="no answer inside the cluster deadline")
             for shard, leg in zip(targets, legs)]
-        reply = self._merge(answers, limit)
-        if cache_key is not None and reply.error is None \
-                and not reply.partial:
-            # only full merges are worth replaying; a PARTIAL answer
-            # must retry the failed shards, not be served from cache
-            self.result_cache.put(cache_key, reply)
-        return reply
+        return self._merge(answers, limit)
 
     def _query_shard(self, shard: str, request: _Request) -> ShardAnswer:
         """One slice's fan-out leg: walk the preference list in order.
@@ -530,7 +453,8 @@ class ClusterCoordinator:
         """
         host, port = endpoint
         name = f"{self.client_name}/{replica}"
-        idempotency = f"fanout-{uuid.uuid4().hex}"
+        # one id per racer: it is the handle the loser's cancel names
+        fanout = f"fanout-{uuid.uuid4().hex}"
 
         def exchange(request_id: str) -> Any:
             budget = attempt_deadline - time.monotonic()
@@ -540,8 +464,7 @@ class ClusterCoordinator:
                     host, port, timeout=budget, client_name=name) as client:
                 return client.query(
                     request.text, document=document, request_id=request_id,
-                    timeout=budget, idempotency_key=idempotency,
-                    **request.options)
+                    timeout=budget, **request.options)
 
         def cancel(request_id: str) -> None:
             # best effort: the loser stops burning shard worker capacity
@@ -556,7 +479,7 @@ class ClusterCoordinator:
 
         race = ThreadPoolExecutor(max_workers=2,
                                   thread_name_prefix=f"fanout-{replica}")
-        racers = {race.submit(exchange, f"{idempotency}-primary"): "primary"}
+        racers = {race.submit(exchange, f"{fanout}-primary"): "primary"}
         errors: List[str] = []
         try:
             if self.hedge_after is not None:
@@ -565,7 +488,7 @@ class ClusterCoordinator:
                 if not done and attempt_deadline - time.monotonic() > 0:
                     self._count("hedges")
                     answer.hedged = True
-                    racers[race.submit(exchange, f"{idempotency}-hedge")] = "hedge"
+                    racers[race.submit(exchange, f"{fanout}-hedge")] = "hedge"
             for future in as_completed(racers, timeout=max(
                     0.0, attempt_deadline - time.monotonic()) + 0.05):
                 try:
@@ -575,7 +498,7 @@ class ClusterCoordinator:
                     continue
                 for loser, tag in racers.items():
                     if not loser.done():
-                        race.submit(cancel, f"{idempotency}-{tag}")
+                        race.submit(cancel, f"{fanout}-{tag}")
                 if racers[future] == "hedge":
                     self._count("hedge_wins")
                     answer.hedge_won = True

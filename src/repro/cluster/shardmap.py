@@ -14,9 +14,8 @@ data file, and any tooling inspecting a serialized map.
 
 The map is **versioned**: every mutation (:meth:`add_shard`,
 :meth:`remove_shard`, :meth:`move`) bumps ``version`` and returns the
-:class:`ShardMove` list it caused, so callers (the coordinator's result
-cache, most importantly) can invalidate exactly the state the moves
-made stale.
+:class:`ShardMove` list it caused, so a caller moving data knows
+exactly which graphs changed hands.
 
 **Replication** (``replication_factor=R``) extends placement from one
 owner to an ordered *preference list* of R distinct shards per graph

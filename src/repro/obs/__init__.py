@@ -6,7 +6,7 @@ Three independent cores, importable without dragging in the engine:
   path, a context-local current span, and a JSONL sink for offline
   reconstruction;
 - :mod:`repro.obs.metrics` — a process-wide registry of counters,
-  gauges and histograms with Prometheus text and JSON renderers;
+  gauges and histograms with a Prometheus text renderer;
 - :mod:`repro.obs.slowlog` — a keep-the-N-slowest request log.
 
 :mod:`repro.obs.explain` (EXPLAIN/ANALYZE) and
@@ -22,7 +22,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     parse_prometheus_text,
-    render_json,
     render_prometheus,
 )
 from .slowlog import SlowQueryEntry, SlowQueryLog
@@ -49,7 +48,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "parse_prometheus_text",
-    "render_json",
     "render_prometheus",
     "SlowQueryEntry",
     "SlowQueryLog",

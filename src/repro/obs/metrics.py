@@ -1,11 +1,12 @@
-"""Counters, gauges and histograms with Prometheus/JSON renderers.
+"""Counters, gauges and histograms with a Prometheus renderer.
 
 A :class:`MetricsRegistry` is a named family store: ``counter()`` /
 ``gauge()`` / ``histogram()`` get-or-create an instrument, optionally
 distinguished by static labels (``labels={"status": "COMPLETE"}``).
 :func:`render_prometheus` writes the classic text exposition format
 (``# HELP`` / ``# TYPE`` headers, cumulative ``_bucket{le="..."}``
-samples) and :func:`render_json` a JSON mirror of the same data.
+samples).  The JSON view of a service is its ``stats()`` document, not
+a mirror of the registry.
 
 :class:`Histogram` has fixed sorted bucket bounds, :func:`bisect.bisect_left`
 bucket lookup instead of a linear scan, and cumulative Prometheus-style
@@ -31,7 +32,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "render_prometheus",
-    "render_json",
     "parse_prometheus_text",
 ]
 
@@ -86,7 +86,7 @@ class Counter:
 
 
 class Gauge:
-    """A settable value, or a live callback read at collection time."""
+    """A live value: a callback read at collection time."""
 
     kind = "gauge"
 
@@ -97,30 +97,15 @@ class Gauge:
         self.help = help
         self.labels = dict(labels or {})
         self.fn = fn
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        """Set the gauge (ignored for callback gauges)."""
-        with self._lock:
-            self._value = value
-
-    def inc(self, n: float = 1) -> None:
-        """Adjust the gauge by *n* (ignored for callback gauges)."""
-        with self._lock:
-            self._value += n
 
     @property
     def value(self):
-        """The current value (callback gauges read their source; a
-        failing callback reads as 0 rather than breaking a scrape)."""
-        if self.fn is not None:
-            try:
-                return self.fn()
-            except Exception:
-                return 0
-        with self._lock:
-            return self._value
+        """The callback's current value (0 without a callback; a failing
+        callback reads as 0 rather than breaking a scrape)."""
+        try:
+            return self.fn() if self.fn is not None else 0
+        except Exception:
+            return 0
 
     def snapshot(self):
         """JSON-ready value."""
@@ -259,7 +244,7 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "",
               labels: Optional[Dict[str, str]] = None,
               fn: Optional[Callable[[], float]] = None) -> Gauge:
-        """Get or create a gauge (optionally callback-backed)."""
+        """Get or create a gauge read from *fn*."""
         gauge = self._instrument(
             name, "gauge", help, labels,
             lambda: Gauge(name, help, labels, fn=fn))
@@ -293,14 +278,6 @@ class MetricsRegistry:
                 ],
             })
         return out
-
-    def snapshot(self) -> Dict[str, Any]:
-        """One JSON document of every family (the JSON renderer)."""
-        return {family["name"]: {
-            "kind": family["kind"],
-            "help": family["help"],
-            "samples": family["samples"],
-        } for family in self.collect()}
 
 
 # --------------------------------------------------------------------------
@@ -357,11 +334,6 @@ def render_prometheus(registry: MetricsRegistry) -> str:
                 lines.append(f"{name}{_labels_text(labels)}"
                              f" {_fmt(sample['value'])}")
     return "\n".join(lines) + "\n"
-
-
-def render_json(registry: MetricsRegistry) -> Dict[str, Any]:
-    """The JSON rendering of a registry (``snapshot`` by another name)."""
-    return registry.snapshot()
 
 
 # --------------------------------------------------------------------------

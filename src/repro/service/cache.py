@@ -14,7 +14,9 @@ node/edge change).  The sum alone is not an identity — two different
 collections can add up alike — but within one registered object it
 only grows, so any mutation or replacement makes every older entry
 unreachable.  The dead entries age out of the LRU instead of needing an
-invalidation sweep.  It stores the final rows plus the outcome, but only
+invalidation sweep, and this is the only cache that replays a served
+answer: the server's retries and the cluster coordinator's fan-outs
+both reach it (or run again) rather than keeping answers of their own.  It stores the final rows plus the outcome, but only
 for runs whose outcome is deterministic given the key: ``COMPLETE``, or
 ``TRUNCATED`` by a cap that is itself part of the key — the options
 signature covers the answer cap *and* the effective step/memory budgets
@@ -73,18 +75,6 @@ class LRUCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-
-    def invalidate(self, predicate=None) -> int:
-        """Drop entries (all, or those whose key satisfies *predicate*)."""
-        with self._lock:
-            if predicate is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-                return dropped
-            doomed = [k for k in self._entries if predicate(k)]
-            for key in doomed:
-                del self._entries[key]
-            return len(doomed)
 
     def __len__(self) -> int:
         with self._lock:

@@ -34,7 +34,6 @@ class ClientReply:
     cache: str = "bypass"
     error: Optional[str] = None
     retry_after: Optional[float] = None
-    duplicate: bool = False
     #: per-document snapshot versions the server answered against
     #: (replica divergence checks compare these)
     versions: Dict[str, int] = field(default_factory=dict)
@@ -65,7 +64,8 @@ class ServiceClient:
     up to N extra attempts on connection failures, timeouts and
     protocol desync, reconnecting with full-jitter exponential backoff
     and tagging each resend with an ``attempt`` counter so the server
-    can answer declared retries from its duplicate-request table.
+    can count retried arrivals.  A resent query runs again (or hits the
+    server's version-keyed result cache): nothing replays a stale answer.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 7687,
@@ -219,15 +219,11 @@ class ServiceClient:
         max_memory: Optional[int] = None,
         baseline: bool = False,
         no_cache: bool = False,
-        idempotency_key: Optional[str] = None,
     ) -> ClientReply:
         """Run one pattern query; returns a typed :class:`ClientReply`.
 
         Queries are read-only, so they are retried whenever the client
-        has ``retries`` configured.  Passing *idempotency_key* lets the
-        server answer a retry from its duplicate-request table instead
-        of executing twice (the replayed reply carries
-        ``duplicate=True``).
+        has ``retries`` configured.
         """
         message: Dict[str, Any] = {
             "op": "query", "query": query_text, "document": document,
@@ -235,8 +231,6 @@ class ServiceClient:
         }
         if request_id is not None:
             message["id"] = request_id
-        if idempotency_key is not None:
-            message["idempotency_key"] = idempotency_key
         for key, value in (("limit", limit), ("timeout", timeout),
                            ("max_steps", max_steps),
                            ("max_memory", max_memory)):
@@ -260,7 +254,6 @@ class ServiceClient:
             error=reply.get("error"),
             retry_after=(float(retry_after)
                          if retry_after is not None else None),
-            duplicate=bool(reply.get("duplicate", False)),
             versions={str(doc): int(version) for doc, version
                       in (reply.get("versions") or {}).items()},
             raw=reply,

@@ -31,7 +31,6 @@ _COUNTER_NAMES = (
     "plan_cache_misses",
     "watchdog_recycles",
     "watchdog_abandoned",
-    "duplicate_requests",
 )
 
 _COUNTER_HELP = {
@@ -49,8 +48,6 @@ _COUNTER_HELP = {
     "watchdog_abandoned": "Queued requests the watchdog abandoned as "
                           "TIMED_OUT without recycling the pool (no "
                           "worker had started them).",
-    "duplicate_requests": "Retried requests answered from the "
-                          "duplicate-request table.",
 }
 
 
@@ -174,7 +171,6 @@ class ServiceMetrics:
             "shed": self.shed_snapshot(),
             "watchdog_recycles": self._counters["watchdog_recycles"].value,
             "watchdog_abandoned": self._counters["watchdog_abandoned"].value,
-            "duplicate_requests": self._counters["duplicate_requests"].value,
             "client_retries": self.client_retries,
             "outcomes": self.outcomes,
             "latency": self.latency.snapshot(),

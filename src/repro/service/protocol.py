@@ -21,9 +21,7 @@ Requests (``op`` selects the operation)::
     {"op": "ready", "id": "r1"}
 
 ``query`` additionally accepts ``"attempt"`` (1-based retry counter, for
-the server's retried-arrival metric), ``"idempotency_key"`` (opting a
-mutation-bearing retry into the duplicate-request table) and a remote
-trace context — ``"trace"``/``"parent"`` integer span ids — under which
+the server's retried-arrival metric) and a remote trace context — ``"trace"``/``"parent"`` integer span ids — under which
 the server roots its request span, so a multi-process fan-out (see
 :mod:`repro.cluster`) reconstructs offline as one trace tree; ``health``
 returns a liveness report and ``ready`` a boolean plus reason and the
@@ -45,6 +43,11 @@ Responses always echo ``id`` and carry ``ok``::
 ``outcome`` is exactly :meth:`repro.runtime.QueryOutcome.to_dict` — the
 same serialization ``repro-gql match --json`` prints, so tooling can
 consume both uniformly.
+
+Every op is read-only, so a retried request (same ``id``, ``attempt``
+> 1) simply runs again.  The only replayed answer is a result-cache
+``"hit"``, whose key includes the document's version: a write makes it
+unreachable.  Unknown request fields are ignored.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
-"""Service resilience primitives: breakers, shed policy, dedup table.
+"""Service resilience primitives: breakers and the shed policy.
 
 The serving path of :class:`~repro.service.QueryService` must *bend,
-not break* under adversarial load.  This module holds the three
+not break* under adversarial load.  This module holds the two
 mechanisms that make that happen, each deliberately tiny and lock-cheap:
 
 * :class:`CircuitBreaker` / :class:`BreakerRegistry` — a per-client
@@ -16,14 +16,13 @@ mechanisms that make that happen, each deliberately tiny and lock-cheap:
   request whose whole deadline is below the p95 queue wait cannot
   possibly finish in time, so the service sheds it immediately with a
   structured ``SHED`` outcome (deadline-aware load shedding).
-* :class:`DuplicateRequestTable` — the server side of the client's
-  retry contract.  A retried request that carries the same id (or an
-  explicit ``idempotency_key``) after its first attempt already
-  completed is answered from this table instead of being executed
-  again, which is what makes retrying mutations safe.
+
+A retried query is not answered from any table here: every wire op is
+read-only, so a retry simply runs again, or hits the version-keyed
+result cache (:mod:`repro.service.cache`) like any repeat.
 
 Everything here is deterministic and dependency-free; the chaos harness
-(``tests/service/chaos.py``) drives all three through real sockets.
+(``tests/service/chaos.py``) drives both through real sockets.
 """
 
 from __future__ import annotations
@@ -31,9 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
-
-from .cache import LRUCache
+from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = [
     "STATE_CLOSED",
@@ -42,7 +39,6 @@ __all__ = [
     "CircuitBreaker",
     "BreakerRegistry",
     "QueueWaitEstimator",
-    "DuplicateRequestTable",
 ]
 
 #: Breaker states (stable strings: they appear in stats and metrics).
@@ -269,29 +265,3 @@ class QueueWaitEstimator:
         with self._lock:
             return len(self._waits)
 
-
-class DuplicateRequestTable(LRUCache):
-    """A bounded LRU of completed responses keyed by (client, key).
-
-    The server consults it before executing a query that carries an
-    explicit request id or ``idempotency_key``: a key seen before is
-    answered with the stored response (marked ``"duplicate": true``)
-    instead of running again.  Only *useful* executed responses
-    (COMPLETE/TRUNCATED) are stored — shed, rejected, timed-out,
-    cancelled and internal-error responses must stay retryable, so they
-    never enter the table.
-    """
-
-    def get(self, key: Hashable) -> Optional[Dict[str, Any]]:
-        """The stored response of a repeated request, or None.
-
-        Returns a *top-level* copy: callers may add/replace keys (the
-        ``duplicate`` marker, the echoed id) but must not mutate nested
-        values, which stay shared with the stored entry.
-        """
-        entry = super().get(key)
-        return None if entry is None else dict(entry)
-
-    def put(self, key: Hashable, response: Dict[str, Any]) -> None:
-        """Remember one completed response for future duplicates."""
-        super().put(key, dict(response))

@@ -32,14 +32,9 @@ from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
 )
-from ..runtime import Outcome
-from .resilience import DuplicateRequestTable
 from .service import QueryRequest, QueryService
 
 logger = logging.getLogger(__name__)
-
-#: Completed responses the duplicate-request table remembers per server.
-DUP_TABLE_SIZE = 512
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -132,7 +127,6 @@ class QueryServer(socketserver.ThreadingTCPServer):
         # final metrics/slow-log dump
         self._handlers: Dict[Any, threading.Thread] = {}
         self._handlers_lock = threading.Lock()
-        self.dup_table = DuplicateRequestTable(DUP_TABLE_SIZE)
         super().__init__(address, _Handler)
 
     def _track_handler(self, handler: Any) -> None:
@@ -155,6 +149,37 @@ class QueryServer(socketserver.ThreadingTCPServer):
         """The bound (host, port) — port resolved when bound with 0."""
         return self.server_address[:2]
 
+    def health(self) -> Dict[str, Any]:
+        """The service's liveness report, draining once shutdown began.
+
+        The wire ``health`` op and the HTTP ``/health`` route both
+        answer from here, so they agree from the moment
+        :meth:`shutdown_gracefully` sets the flag.
+        """
+        report = self.service.health()
+        if self.draining:
+            report["status"], report["draining"] = "draining", True
+        return report
+
+    def ready(self) -> Tuple[bool, str]:
+        """The service's readiness, refused once shutdown began (the
+        wire ``ready`` op and the HTTP ``/ready`` route)."""
+        ready, reason = self.service.ready()
+        if ready and self.draining:
+            return False, "draining"
+        return ready, reason
+
+    def metrics_exporter(self, host: str = "127.0.0.1", port: int = 0):
+        """The ``serve --metrics-port`` HTTP exporter (not yet started):
+        ``/metrics`` and ``/stats`` from the service, ``/health`` and
+        ``/ready`` from this server, exactly as the wire ops answer."""
+        from ..obs.httpexport import MetricsHTTPExporter
+
+        return MetricsHTTPExporter(
+            self.service.metrics_text, json_fn=self.service.stats,
+            host=host, port=port,
+            health_fn=self.health, ready_fn=self.ready)
+
     def handle_message(self, line: bytes) -> Dict[str, Any]:
         """Decode, dispatch and answer one request line."""
         try:
@@ -172,15 +197,10 @@ class QueryServer(socketserver.ThreadingTCPServer):
                         "version": PROTOCOL_VERSION,
                         "draining": self.draining}
             if op == "health":
-                report = self.service.health()
-                report["draining"] = bool(report["draining"]
-                                          or self.draining)
                 return {"id": request_id, "ok": True, "op": "health",
-                        "health": report}
+                        "health": self.health()}
             if op == "ready":
-                ready, reason = self.service.ready()
-                if ready and self.draining:
-                    ready, reason = False, "draining"
+                ready, reason = self.ready()
                 host, port = self.address
                 return {"id": request_id, "ok": True, "op": "ready",
                         "ready": ready, "reason": reason,
@@ -219,24 +239,9 @@ class QueryServer(socketserver.ThreadingTCPServer):
         client = str(message.get("client", "anon"))
         attempt = message.get("attempt")
         if isinstance(attempt, int) and attempt > 1:
+            # every op is read-only: a retry runs again (or hits the
+            # version-keyed result cache), it is only counted here
             self.service.note_retry(client)
-        dup_key = self._dup_key(message, request_id, client)
-        # only a declared retry (an idempotency key or attempt > 1) may
-        # *read* the table: separate client instances restart their id
-        # counters, so a bare id match is not proof of a retry
-        is_retry = (isinstance(message.get("idempotency_key"), str)
-                    or (isinstance(attempt, int) and attempt > 1))
-        if dup_key is not None and is_retry:
-            cached = self.dup_table.get(dup_key)
-            if cached is not None:
-                self.service.metrics.count("duplicate_requests")
-                replay = dict(cached)
-                replay["duplicate"] = True
-                if isinstance(request_id, str) and request_id:
-                    # echo the *incoming* id: a key-based retry may
-                    # arrive under a fresh wire id
-                    replay["id"] = request_id
-                return replay
         request = QueryRequest(
             query=message["query"],
             document=message.get("document", "data"),
@@ -267,31 +272,7 @@ class QueryServer(socketserver.ThreadingTCPServer):
                     self.service.document_version(request.document)}
         except KeyError:
             pass  # unknown document: the outcome already says so
-        if (dup_key is not None and payload["ok"]
-                and response.outcome.status in
-                (Outcome.COMPLETE, Outcome.TRUNCATED)):
-            # remember only *useful* executed outcomes: shed, rejected
-            # and errored requests never ran, and timed-out/cancelled
-            # ones produced nothing worth replaying — a retry of any of
-            # those should get a fresh attempt, not the old refusal
-            self.dup_table.put(dup_key, payload)
         return payload
-
-    def _dup_key(self, message: Dict[str, Any],
-                 request_id: Optional[str],
-                 client: str) -> Optional[Tuple[str, str, str]]:
-        """The duplicate-request table key for this query, if any.
-
-        An explicit ``idempotency_key`` opts any query in; otherwise a
-        client-supplied request id identifies retries of the same call.
-        Queries with neither (server-generated ids) are never deduped.
-        """
-        idem = message.get("idempotency_key")
-        if isinstance(idem, str) and idem:
-            return (client, "key", idem)
-        if isinstance(request_id, str) and request_id:
-            return (client, "id", request_id)
-        return None
 
     # -- lifecycle ------------------------------------------------------------
 

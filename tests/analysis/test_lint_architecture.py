@@ -1,4 +1,5 @@
-"""The one-member-loop architecture guard (tools/lint_architecture.py)."""
+"""The one-member-loop and one-answer-cache architecture guard
+(tools/lint_architecture.py)."""
 
 import importlib.util
 import textwrap
@@ -10,9 +11,9 @@ lint = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(lint)
 
 
-def codes(src, in_matching=False):
+def codes(src, in_matching=False, in_cache=False):
     return [code for _, code, _ in lint.check_source(
-        textwrap.dedent(src), in_matching=in_matching)]
+        textwrap.dedent(src), in_matching=in_matching, in_cache=in_cache)]
 
 
 class TestDetection:
@@ -45,6 +46,29 @@ class TestDetection:
                     "options.matcher_factory(graph)"):
             assert codes(src) == ["A002"], src
             assert codes(src, in_matching=True) == ["A002"], src
+
+    def test_planted_lru_subclass_is_a004(self):
+        src = """
+            from .cache import LRUCache
+            class ReplayTable(LRUCache):
+                pass
+        """
+        assert codes(src) == ["A004"]
+        assert codes(src, in_cache=True) == []
+
+    def test_planted_bare_lru_instance_is_a004(self):
+        src = """
+            from ..service import cache
+            answers = cache.LRUCache(128)
+        """
+        assert codes(src) == ["A004"]
+        assert codes(src, in_cache=True) == []
+
+    def test_re_exporting_lru_is_not_a004(self):
+        assert codes("""
+            from .cache import LRUCache, ResultCache
+            __all__ = ["LRUCache", "ResultCache"]
+        """) == []
 
 
 def plant(repo, files):
@@ -125,6 +149,13 @@ class TestRealTree:
         leave :data:`KEPT_UNREACHED` with it."""
         root = _TOOL.parents[1] / "src" / "repro"
         assert set(lint.unreached_modules(root)) == set(lint.KEPT_UNREACHED)
+
+    def test_the_guard_knows_where_the_caches_live(self):
+        # the clean tree above includes this file's two subclasses
+        root = _TOOL.parents[1] / "src" / "repro"
+        cache = root / "service" / "cache.py"
+        assert "(LRUCache)" in cache.read_text()
+        assert lint.check_file(cache, root) == []
 
     def test_the_guard_knows_where_matching_lives(self):
         root = _TOOL.parents[1] / "src" / "repro"

@@ -2,7 +2,7 @@
 
 The coordinator's client factory is the seam: these tests substitute
 scripted fakes for TCP clients, so merge order, PARTIAL accounting,
-hedging, breakers and cache invalidation are each exercised
+hedging, breakers and version-fresh answers are each exercised
 deterministically — no sockets, no subprocesses, no sleeps beyond the
 hedge timer itself.
 """
@@ -123,9 +123,9 @@ def test_invalid_query_is_rejected_before_fan_out(text, code):
     assert coordinator.stats()["counters"]["invalid_queries"] == 1
 
 
-def test_disabling_the_result_cache_keeps_the_plan_cache(monkeypatch):
-    """``result_cache_size=0`` observes every fan-out; it must not also
-    re-parse and re-analyze the same text on each one."""
+def test_five_fanouts_prepare_the_text_once(monkeypatch):
+    """Every fan-out reaches the shards, but the text is parsed and
+    analyzed once: the plan cache holds verdicts, never answers."""
     import repro.service.cache as cache
 
     prepared = []
@@ -137,9 +137,9 @@ def test_disabling_the_result_cache_keeps_the_plan_cache(monkeypatch):
 
     monkeypatch.setattr(cache, "prepare_pattern_text", counting)
     shard = ScriptedShard(rows=1)
-    coordinator = build([shard], result_cache_size=0)
+    coordinator = build([shard])
     for _ in range(5):
-        assert coordinator.query(QUERY).cache == "miss"
+        assert coordinator.query(QUERY).merged == 1
     assert shard.query_connections == 5
     assert prepared == [QUERY]
     stats = coordinator.stats()["plan_cache"]
@@ -243,8 +243,7 @@ def test_hedge_races_a_second_connection_and_the_fast_one_wins():
 def test_breaker_opens_after_repeated_failures_and_skips_the_shard():
     dead = ScriptedShard(error=ConnectionError("down"))
     coordinator = build([ScriptedShard(rows=1), dead],
-                        breaker_threshold=2, breaker_cooldown=30.0,
-                        result_cache_size=0)
+                        breaker_threshold=2, breaker_cooldown=30.0)
     coordinator.query(QUERY)
     coordinator.query(QUERY)  # two failures: the breaker opens
     assert dead.connections == 2
@@ -256,35 +255,30 @@ def test_breaker_opens_after_repeated_failures_and_skips_the_shard():
     assert coordinator.stats()["counters"]["breaker_skips"] == 1
 
 
-def test_result_cache_hits_and_move_invalidation():
-    shard = ScriptedShard(rows=2)
-    coordinator = build([shard, ScriptedShard(rows=1)])
-    cold = coordinator.query(QUERY)
-    warm = coordinator.query(QUERY)
-    assert cold.cache == "miss" and warm.cache == "hit"
-    assert warm.results == cold.results
-    assert shard.connections == 1  # the hit never touched the shard
-    # an explicit placement change invalidates the affected entries
-    graph = warm.results[0]["graph"]
-    src = coordinator.shard_map.owner(graph)
-    dst = next(s for s in coordinator.shard_map.shards if s != src)
-    moves = coordinator.move(graph, dst)
-    assert [m.dst for m in moves] == [dst]
-    after = coordinator.query(QUERY)
-    assert after.cache == "miss"
-    assert shard.connections == 2
-
-
 def test_partial_replies_are_never_cached():
+    """The recovered shard merges: nothing replays the PARTIAL."""
     flaky = ScriptedShard(error=ConnectionError("down"))
     coordinator = build([ScriptedShard(rows=1), flaky])
     first = coordinator.query(QUERY)
     assert first.partial
     flaky.error = None  # the shard recovers
     second = coordinator.query(QUERY)
-    assert second.cache == "miss"
     assert second.outcome.status is Outcome.COMPLETE
     assert second.merged == 2
+
+
+def test_a_shard_write_is_seen_by_the_next_identical_query():
+    # a write on the shard changes its rows and its reported version;
+    # the coordinator keeps no answers, so the repeat sees the new data
+    shard = ScriptedShard(rows=2, version=1)
+    coordinator = build([shard])
+    before = coordinator.query(QUERY)
+    assert len(before.results) == 2
+    shard.rows, shard.version = 5, 2
+    after = coordinator.query(QUERY)
+    assert len(after.results) == 5
+    assert after.outcome.detail["shards"]["shard0"]["version"] == 2
+    assert shard.query_connections == 2
 
 
 def test_failover_serves_a_dead_slice_from_its_replica():
@@ -293,8 +287,7 @@ def test_failover_serves_a_dead_slice_from_its_replica():
     dead = ScriptedShard(error=ConnectionRefusedError("refused"))
     live = ScriptedShard(rows=3)
     table = {"shard0": dead, "shard1": live}
-    coordinator = build([dead, live], replication=2,
-                        result_cache_size=0)
+    coordinator = build([dead, live], replication=2)
     victim_slice = next(s for s in table
                         if coordinator.shard_map.preference_list(s)[0]
                         == "shard0")
@@ -315,7 +308,7 @@ def test_exhausted_preference_list_degrades_to_partial():
         [ScriptedShard(error=ConnectionError("down0")),
          ScriptedShard(error=ConnectionError("down1")),
          ScriptedShard(rows=2)],
-        replication=2, result_cache_size=0)
+        replication=2)
     # find a slice whose two replicas are the two dead processes
     doomed = [s for s in ("shard0", "shard1", "shard2")
               if set(coordinator.shard_map.preference_list(s)) ==
@@ -334,8 +327,7 @@ def test_shed_replica_fails_over_but_app_error_is_definitive():
     shedding = ScriptedShard(rows=0, status=Outcome.SHED,
                              reason="queue full")
     healthy = ScriptedShard(rows=2)
-    coordinator = build([shedding, healthy], replication=2,
-                        result_cache_size=0)
+    coordinator = build([shedding, healthy], replication=2)
     slice0 = next(s for s in ("shard0", "shard1")
                   if coordinator.shard_map.preference_list(s)[0]
                   == "shard0")
@@ -350,7 +342,7 @@ def test_shed_replica_fails_over_but_app_error_is_definitive():
             reply.error = "syntax error at line 1"
             return reply
     broken = build([ScriptedShard(rows=1), ScriptedShard(rows=1)],
-                   replication=2, result_cache_size=0)
+                   replication=2)
     broken.client_factory = lambda host, port, timeout=None, \
         client_name="": AppErrorClient(ScriptedShard(rows=1))
     reply = broken.query(QUERY)
@@ -363,8 +355,7 @@ def test_shed_replica_fails_over_but_app_error_is_definitive():
 def test_replica_version_divergence_is_counted_not_merged_over():
     primary = ScriptedShard(rows=2, version=5)
     secondary = ScriptedShard(rows=2, version=7)  # stale/ahead replica
-    coordinator = build([primary, secondary], replication=2,
-                        result_cache_size=0, breaker_threshold=0)
+    coordinator = build([primary, secondary], replication=2, breaker_threshold=0)
     slice0 = next(s for s in ("shard0", "shard1")
                   if coordinator.shard_map.preference_list(s)[0]
                   == "shard0")
@@ -380,54 +371,6 @@ def test_replica_version_divergence_is_counted_not_merged_over():
     assert coordinator.stats()["counters"]["version_divergence"] >= 1
     # the rows still merged: divergence is observed, never a failure
     assert second.outcome.status is Outcome.COMPLETE
-
-
-def test_move_invalidates_exactly_the_affected_cache_entries():
-    shards = [ScriptedShard(rows=1), ScriptedShard(rows=1),
-              ScriptedShard(rows=1)]
-    coordinator = build(shards)
-    graph = "mol-under-test"
-    src = coordinator.shard_map.owner(graph)
-    others = [s for s in coordinator.shard_map.shards if s != src]
-    dst, untouched = others[0], others[1]
-    for target in (src, dst, untouched):
-        assert coordinator.query(QUERY, shard_ids=[target]).cache \
-            == "miss"
-    # all three targeted entries are now warm
-    for target in (src, dst, untouched):
-        assert coordinator.query(QUERY, shard_ids=[target]).cache \
-            == "hit"
-    coordinator.move(graph, dst)
-    # entries touching the move's src/dst dropped; the bystander lives
-    assert coordinator.query(QUERY, shard_ids=[src]).cache == "miss"
-    assert coordinator.query(QUERY, shard_ids=[dst]).cache == "miss"
-    assert coordinator.query(QUERY, shard_ids=[untouched]).cache \
-        == "hit"
-
-
-def test_out_of_band_map_version_bump_flushes_the_whole_cache():
-    coordinator = build([ScriptedShard(rows=1), ScriptedShard(rows=1)])
-    assert coordinator.query(QUERY).cache == "miss"
-    assert coordinator.query(QUERY).cache == "hit"
-    # a mutation NOT routed through coordinator.move: no move list, so
-    # every entry is suspect
-    coordinator.shard_map.move("some-graph", "shard1")
-    if coordinator.shard_map.version == coordinator._map_version_seen:
-        coordinator.shard_map.version += 1  # the move was a no-op pin
-    assert coordinator.query(QUERY).cache == "miss"
-
-
-def test_replicated_invalidation_drops_entries_via_replica_overlap():
-    shards = [ScriptedShard(rows=1) for _ in range(3)]
-    coordinator = build(shards, replication=2)
-    target = coordinator.shard_map.shards[0]
-    replica = coordinator.shard_map.preference_list(target)[1]
-    assert coordinator.query(QUERY, shard_ids=[target]).cache == "miss"
-    assert coordinator.query(QUERY, shard_ids=[target]).cache == "hit"
-    # invalidating the REPLICA must drop the entry targeted at the
-    # primary: a failover could have served it from there
-    coordinator.invalidate_shards({replica})
-    assert coordinator.query(QUERY, shard_ids=[target]).cache == "miss"
 
 
 def test_targeted_fanout_touches_only_the_owning_shard():
@@ -458,7 +401,7 @@ def test_primary_stalling_past_its_share_fails_over_to_the_replica():
     # half the deadline, then the replica gets what is left
     stalled = ScriptedShard(rows=1, delay=2.0)
     coordinator = build([stalled, ScriptedShard(rows=1)], replication=2,
-                        timeout=1.0, result_cache_size=0)
+                        timeout=1.0)
     victim_slice = next(s for s in ("shard0", "shard1")
                         if coordinator.shard_map.preference_list(s)[0]
                         == "shard0")

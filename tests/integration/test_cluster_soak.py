@@ -61,8 +61,6 @@ def soak(cluster, queries):
     replicated = cluster.shard_map.replication_factor > 1
     coordinator = cluster.coordinator(
         timeout=8.0,
-        # observe every fan-out, not a replay of the first one
-        result_cache_size=0,
         # the probe interval stays far below the soak length so the
         # post-kill phase records real connection failures, not just
         # breaker fast-fails
@@ -121,8 +119,7 @@ def test_soak_survives_a_sigkill_with_exact_accounting():
 
 def test_partial_replies_after_the_kill_name_the_dead_shard(degraded):
     cluster, victim = degraded
-    coordinator = cluster.coordinator(timeout=8.0, result_cache_size=0,
-                                      breaker_threshold=0)
+    coordinator = cluster.coordinator(timeout=8.0, breaker_threshold=0)
     reply = coordinator.query(QUERY, limit=500)
     audit(reply)
     assert reply.outcome.status is Outcome.PARTIAL
@@ -152,7 +149,7 @@ def test_no_fanout_hangs_past_its_deadline(degraded):
     # the fan-out must come back within timeout + merge slack, never
     # hang on the corpse
     cluster, _ = degraded
-    coordinator = cluster.coordinator(timeout=2.0, result_cache_size=0)
+    coordinator = cluster.coordinator(timeout=2.0)
     started = time.monotonic()
     reply = coordinator.query(QUERY, limit=100)
     elapsed = time.monotonic() - started

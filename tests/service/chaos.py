@@ -254,8 +254,7 @@ def client_worker(index: int, seed: int, address: Tuple[str, int],
             try:
                 reply = client.query(
                     query, timeout=timeout, limit=50,
-                    no_cache=(rng.random() < 0.3),
-                    idempotency_key=f"soak-{seed}-{index}-{q}")
+                    no_cache=(rng.random() < 0.3))
             except (ConnectionError, ProtocolError, OSError) as exc:
                 # a typed client error is a structured termination too:
                 # the caller knows the call failed and can re-issue it
@@ -273,7 +272,6 @@ def client_worker(index: int, seed: int, address: Tuple[str, int],
             record.append({"client": index, "q": q,
                            "status": status if reply.ok
                            else "server_error",
-                           "duplicate": reply.duplicate,
                            "elapsed": elapsed})
     finally:
         client.close()
@@ -351,7 +349,6 @@ def soak(seed: int) -> Dict[str, object]:
             "rejected": stats["rejected"],
             "shed": stats["shed"],
             "watchdog_recycles": stats["watchdog_recycles"],
-            "duplicate_requests": stats["duplicate_requests"],
             "client_retries": stats["client_retries"],
             "breaker_states": stats["resilience"]["breaker_states"],
         },

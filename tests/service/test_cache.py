@@ -32,15 +32,6 @@ class TestLRU:
         assert cache.get("a") is None
         assert len(cache) == 0
 
-    def test_invalidate_all_and_by_predicate(self):
-        cache = LRUCache(capacity=8)
-        for i in range(4):
-            cache.put(("doc", i), i)
-        assert cache.invalidate(lambda key: key[1] % 2 == 0) == 2
-        assert len(cache) == 2
-        assert cache.invalidate() == 2
-        assert len(cache) == 0
-
 
 class TestResultCache:
     def outcome(self, status: Outcome) -> QueryOutcome:

@@ -1,9 +1,12 @@
-"""Resilience layer: breakers, shedding, watchdog, dedup, chaos proxy."""
+"""Resilience layer: breakers, shedding, watchdog, retries, probes, chaos
+proxy."""
 
 import json
 import socket
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -23,7 +26,6 @@ from repro.service.resilience import (
     STATE_OPEN,
     BreakerRegistry,
     CircuitBreaker,
-    DuplicateRequestTable,
     QueueWaitEstimator,
 )
 
@@ -188,32 +190,6 @@ class TestQueueWaitEstimator:
             estimator.observe(wait)
         assert len(estimator) == 4
         assert estimator.p95() == pytest.approx(1.0)
-
-
-class TestDuplicateRequestTable:
-    def test_roundtrip_returns_a_top_level_copy(self):
-        table = DuplicateRequestTable(capacity=4)
-        table.put(("c", "id", "q1"), {"ok": True, "n": 1})
-        stored = table.get(("c", "id", "q1"))
-        stored["duplicate"] = True  # the server's replay annotation
-        assert "duplicate" not in table.get(("c", "id", "q1"))
-        assert table.get(("c", "id", "nope")) is None
-        assert table.stats()["hits"] == 2
-
-    def test_lru_eviction(self):
-        table = DuplicateRequestTable(capacity=2)
-        table.put("a", {"n": 1})
-        table.put("b", {"n": 2})
-        table.get("a")  # refresh a
-        table.put("c", {"n": 3})  # evicts b
-        assert table.get("b") is None
-        assert table.get("a") is not None
-
-    def test_capacity_zero_disables(self):
-        table = DuplicateRequestTable(capacity=0)
-        table.put("a", {"n": 1})
-        assert table.get("a") is None
-        assert len(table) == 0
 
 
 class TestDeadlineShedding:
@@ -482,60 +458,69 @@ class TestWireResilience:
             assert "breakers" in health and "shed" in health
             assert client.ready() == (True, "ok")
 
-    def test_declared_retry_replays_from_dup_table(self, server):
+    def test_declared_retry_after_a_write_returns_the_new_rows(self,
+                                                                server):
+        # a retry runs against the current data: the answer to a query
+        # is a function of the query and the document, never of an
+        # earlier attempt's reply
         with connect(server, name="dup") as client:
-            first = client.query(EDGE_QUERY, limit=10,
-                                 idempotency_key="op-42")
-            assert first.ok and not first.duplicate
-            reply = client.call({
+            first = client.query(EDGE_QUERY)
+            assert first.ok and first.results
+            server.service.register("data", erdos_renyi_graph(
+                40, 60, num_labels=5, seed=3, name="g"))
+            fresh = client.query(EDGE_QUERY)
+            assert fresh.versions != first.versions
+            assert fresh.results != first.results
+            retry = client.call({
                 "op": "query", "query": EDGE_QUERY, "document": "data",
-                "client": "dup", "limit": 10, "id": first.request_id,
-                "idempotency_key": "op-42", "attempt": 2,
+                "client": "dup", "id": first.request_id, "attempt": 2,
             })
-            assert reply["duplicate"] is True
-            assert reply["results"] == first.raw["results"]
-            stats = client.stats()
-            assert stats["duplicate_requests"] == 1
-            assert stats["client_retries"] == {"dup": 1}
+            assert retry["results"] == fresh.raw["results"]
+            assert retry["versions"] == fresh.raw["versions"]
+            assert client.stats()["client_retries"] == {"dup": 1}
 
-    def test_timed_out_response_is_not_replayed_to_a_retry(self):
-        from concurrent.futures import Future
+    def test_no_cache_retry_of_a_completed_query_runs_again(self, server):
+        with connect(server, name="fresh") as client:
+            first = client.query(EDGE_QUERY)
+            assert first.outcome.status is Outcome.COMPLETE
+            executed = client.stats()["executed"]
+            retry = client.call({
+                "op": "query", "query": EDGE_QUERY, "document": "data",
+                "client": "fresh", "id": first.request_id, "attempt": 2,
+                "no_cache": True,
+            })
+            assert retry["cache"] == "bypass"
+            assert retry["results"] == first.raw["results"]
+            assert client.stats()["executed"] == executed + 1
 
-        from repro.runtime import QueryOutcome
-        from repro.service.service import QueryResponse
-
+    def test_http_and_wire_probes_agree_while_draining(self):
+        # the window between shutdown_gracefully setting the flag and
+        # the service's own drain: every probe must already say so
         service = make_service()
         srv = QueryServer(service, ("127.0.0.1", 0))
+        exporter = srv.metrics_exporter().start()
+        host, port = exporter.address
         try:
-            statuses = [Outcome.TIMED_OUT, Outcome.COMPLETE]
-
-            def fake_submit(request):
-                future = Future()
-                future.set_result(QueryResponse(
-                    request_id=request.request_id, client=request.client,
-                    outcome=QueryOutcome(status=statuses.pop(0)),
-                ))
-                return future
-
-            service.submit = fake_submit
-            message = {"op": "query", "query": EDGE_QUERY, "client": "r",
-                       "id": "q1", "idempotency_key": "k1"}
-            first = srv.handle_message(json.dumps(message).encode())
-            assert first["outcome"]["status"] == "TIMED_OUT"
-            # the declared retry of a timed-out attempt must run fresh,
-            # not be answered with the replayed timeout
-            second = srv.handle_message(
-                json.dumps({**message, "attempt": 2}).encode())
-            assert "duplicate" not in second
-            assert second["outcome"]["status"] == "COMPLETE"
-            # ... and only the useful outcome entered the table
-            third = srv.handle_message(
-                json.dumps({**message, "attempt": 3}).encode())
-            assert third.get("duplicate") is True
-            assert third["outcome"]["status"] == "COMPLETE"
+            srv._draining.set()
+            assert service.health()["status"] == "ok"  # not draining yet
+            health = srv.handle_message(b'{"op": "health", "id": "h"}')
+            assert health["health"]["status"] == "draining"
+            assert health["health"]["draining"] is True
+            ready = srv.handle_message(b'{"op": "ready", "id": "r"}')
+            assert (ready["ready"], ready["reason"]) == (False, "draining")
+            url = f"http://{host}:{port}"
+            with urllib.request.urlopen(url + "/health", timeout=5) as r:
+                http_health = json.loads(r.read())
+            assert http_health["status"] == "draining"
+            assert http_health["draining"] is True
+            with pytest.raises(urllib.error.HTTPError) as refused:
+                urllib.request.urlopen(url + "/ready", timeout=5)
+            assert refused.value.code == 503
+            assert json.loads(refused.value.read()) == {
+                "ready": False, "reason": "draining"}
         finally:
+            exporter.close()
             srv.server_close()
-            del service.submit
             service.shutdown()
 
     def test_undeclared_id_reuse_is_not_replayed(self, server):
@@ -546,7 +531,6 @@ class TestWireResilience:
         with connect(server, name="anon") as two:
             second = two.query(EDGE_QUERY, limit=1)
         assert first.request_id == second.request_id
-        assert not second.duplicate
         assert len(second.results) <= 1
 
     def test_empty_line_gets_a_structured_error(self, server):

@@ -189,10 +189,9 @@ class TestPlanCache:
     def test_prepared_query_is_reused_when_execution_repeats(self):
         with make_service() as service:
             cold = service.execute(EDGE_QUERY, use_cache=True)
-            # drop only the result entries so execution happens again
-            service.result_cache.invalidate()
-            warm = service.execute(EDGE_QUERY)
-            assert warm.cache == "miss"
+            # bypass only the result cache so execution happens again
+            warm = service.execute(EDGE_QUERY, use_cache=False)
+            assert warm.cache == "bypass"
             assert warm.results == cold.results
             assert service.metrics.value("plan_cache_hits") == 1
 

@@ -1,4 +1,5 @@
-"""Architecture guard: one member loop, and no module nothing reaches.
+"""Architecture guard: one member loop, one answer cache, and no module
+nothing reaches.
 
 ``repro.matching.planner.match_members`` is the only routine that matches
 a pattern against the members of a collection and the only place that
@@ -21,6 +22,11 @@ its last caller:
         exceptions, each with its reason.  A name in either list whose
         module file is gone is an A003 finding too, so neither list
         keeps stale entries.
+  A004  a module outside ``repro/service/cache.py`` calls ``LRUCache(...)``
+        or defines a class based on it (a served answer is replayed only
+        by the version-keyed ``ResultCache``, query text only by
+        ``PreparedQueryCache``; a third cache of answers would have no
+        data version in its key)
 
 Run: ``python tools/lint_architecture.py [root]`` (defaults to
 ``src/repro``; A003 reads the importer trees beside ``src/``); exits
@@ -55,10 +61,21 @@ def _identifier(node):
     return None
 
 
-def check_source(src, filename="<source>", in_matching=False):
+def check_source(src, filename="<source>", in_matching=False,
+                 in_cache=False):
     """All findings for one source text: ``[(lineno, code, message)]``."""
     found = set()
     for node in ast.walk(ast.parse(src, filename=filename)):
+        if not in_cache and (
+                (isinstance(node, ast.Call)
+                 and _identifier(node.func) == "LRUCache")
+                or (isinstance(node, ast.ClassDef)
+                    and any(_identifier(base) == "LRUCache"
+                            for base in node.bases))):
+            found.add((node.lineno, "A004",
+                       "LRUCache used outside repro/service/cache.py "
+                       "(replay answers through ResultCache, query text "
+                       "through PreparedQueryCache)"))
         if (not in_matching and isinstance(node, ast.Call)
                 and _identifier(node.func) == "find_matches"):
             found.add((node.lineno, "A001",
@@ -72,8 +89,10 @@ def check_source(src, filename="<source>", in_matching=False):
 
 
 def check_file(path, root):
-    in_matching = path.relative_to(root).parts[0] == "matching"
-    return check_source(path.read_text(), str(path), in_matching)
+    relative = path.relative_to(root).parts
+    return check_source(path.read_text(), str(path),
+                        in_matching=relative[0] == "matching",
+                        in_cache=relative == ("service", "cache.py"))
 
 
 class _ModuleTree:
