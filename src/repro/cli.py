@@ -813,7 +813,6 @@ def _cluster_status(args: argparse.Namespace) -> int:
     from .service.client import ServiceClient
 
     state = json.loads(Path(args.state).read_text(encoding="utf-8"))
-    map_info = state.get("map", {})
     supervisor = state.get("supervisor") or {}
     abandoned = supervisor.get("abandoned", {})
     rows = []
@@ -841,8 +840,8 @@ def _cluster_status(args: argparse.Namespace) -> int:
             **probe,
         })
     merged = {
-        "map_version": map_info.get("version"),
-        "replication_factor": map_info.get("replication_factor", 1),
+        "replication_factor": state.get("map", {}).get(
+            "replication_factor", 1),
         "supervisor": supervisor,
         "shards": rows,
         "ok": all_ok,
@@ -850,8 +849,7 @@ def _cluster_status(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(merged, indent=2, sort_keys=True))
         return 0 if all_ok else 1
-    print(f"map v{merged['map_version']} "
-          f"R={merged['replication_factor']} "
+    print(f"R={merged['replication_factor']} "
           f"({len(rows)} shard(s), "
           f"{supervisor.get('restarts', 0)} supervised restart(s))")
     for row in rows:

@@ -2,7 +2,8 @@
 
 A cluster splits one graph collection across N independent
 :mod:`repro.service` servers ("shards") by consistent-hashing each
-member graph's id onto the ring (:class:`ShardMap`).  A
+member graph's id onto the ring (:class:`ShardMap`, fixed for the
+cluster's life: each slice's data is written once, at launch).  A
 :class:`ClusterCoordinator` fans a query out to the owning shards over
 the ndjson wire protocol, merges the per-shard answers under one global
 limit and deadline, and hedges requests to slow shards.
@@ -27,7 +28,7 @@ because a slice fails over as a whole (see
 identical no matter which replica served it.
 """
 
-from .shardmap import ShardMap, ShardMove, slice_document
+from .shardmap import ShardMap, slice_document
 from .coordinator import ClusterCoordinator, ClusterReply, ShardAnswer
 from .bootstrap import LocalCluster, ShardProcess, launch_cluster, wait_ready
 from .supervisor import ShardSupervisor
@@ -38,7 +39,6 @@ __all__ = [
     "LocalCluster",
     "ShardAnswer",
     "ShardMap",
-    "ShardMove",
     "ShardProcess",
     "ShardSupervisor",
     "launch_cluster",

@@ -294,12 +294,34 @@ def _write_store(store_path: Path, documents: Dict[str, List[Any]],
         database.close_store()
 
 
+def shard_documents(shard_map: ShardMap, collection: GraphCollection,
+                    document: str) -> Dict[str, Dict[str, List[Any]]]:
+    """What each shard's store holds: document name -> member graphs.
+
+    Every slice whose preference list names a shard lands in that
+    shard's store, the primary's own slice included, under
+    ``document@primary`` (:func:`slice_document`) when R >= 2 and under
+    *document* itself when R = 1.
+    """
+    by_name = {graph.name: graph for graph in collection}
+    if len(by_name) != len(collection):
+        raise ValueError("collection has duplicate graph names; "
+                         "placement needs unique graph ids")
+    replicated = shard_map.replication_factor > 1
+    stores: Dict[str, Dict[str, List[Any]]] = {
+        shard: {} for shard in shard_map.shards}
+    for primary, names in shard_map.split(by_name).items():
+        doc = slice_document(document, primary) if replicated else document
+        for replica in shard_map.preference_list(primary):
+            stores[replica][doc] = [by_name[name] for name in names]
+    return stores
+
+
 def launch_cluster(
     collection: GraphCollection,
     num_shards: int = 3,
     *,
     document: str = "data",
-    replicas: int = 64,
     replication_factor: int = 1,
     workers: int = 2,
     query_timeout: float = 10.0,
@@ -308,7 +330,6 @@ def launch_cluster(
     serve_args: Sequence[str] = (),
     fsync: str = "commit",
     supervise: bool = False,
-    supervisor_args: Optional[Dict[str, Any]] = None,
 ) -> LocalCluster:
     """Split *collection* over *num_shards* local servers and boot them.
 
@@ -323,16 +344,9 @@ def launch_cluster(
     ready — already started shards are torn down again, so a failed
     boot leaks nothing.
     """
-    names = [graph.name for graph in collection]
-    if len(set(names)) != len(names):
-        raise ValueError("collection has duplicate graph names; "
-                         "placement needs unique graph ids")
     shard_ids = [f"shard{i}" for i in range(num_shards)]
-    shard_map = ShardMap(shard_ids, replicas=replicas,
-                         replication_factor=replication_factor)
-    replicated = shard_map.replication_factor > 1
-    assignment = shard_map.split(names)
-    by_name = {graph.name: graph for graph in collection}
+    shard_map = ShardMap(shard_ids, replication_factor)
+    stores = shard_documents(shard_map, collection, document)
     tmp = None
     if workdir is None:
         tmp = tempfile.TemporaryDirectory(prefix="repro-cluster-")
@@ -344,17 +358,7 @@ def launch_cluster(
     try:
         for shard_id in shard_ids:
             store_path = workdir / f"{shard_id}.store"
-            # every slice whose preference list names this shard lands
-            # in its store — the primary's own slice included
-            documents: Dict[str, List[Any]] = {}
-            stored_ids: List[str] = []
-            for primary in shard_ids:
-                if shard_id not in shard_map.preference_list(primary):
-                    continue
-                doc = (slice_document(document, primary) if replicated
-                       else document)
-                documents[doc] = [by_name[n] for n in assignment[primary]]
-                stored_ids.extend(assignment[primary])
+            documents = stores[shard_id]
             _write_store(store_path, documents, fsync)
             command = _server_command(store_path, workers, query_timeout,
                                       fsync, serve_args)
@@ -365,7 +369,9 @@ def launch_cluster(
             shard = ShardProcess(
                 shard_id=shard_id, process=process,
                 host="", port=0, data_path=store_path,
-                graph_ids=stored_ids, command=command, env=env,
+                graph_ids=[graph.name for graphs in documents.values()
+                           for graph in graphs],
+                command=command, env=env,
                 cwd=str(workdir))
             shards[shard_id] = shard
             payload = wait_ready(process, timeout=ready_timeout,
@@ -378,14 +384,14 @@ def launch_cluster(
         if tmp is not None:
             tmp.cleanup()
         raise
-    cluster = LocalCluster(shard_map, shards, document, workdir, _tmp=tmp,
-                           assignment=assignment)
+    cluster = LocalCluster(
+        shard_map, shards, document, workdir, _tmp=tmp,
+        assignment=shard_map.split(graph.name for graph in collection))
     if supervise:
         from .supervisor import ShardSupervisor
 
         cluster.supervisor = ShardSupervisor(
-            cluster, ready_timeout=ready_timeout,
-            **(supervisor_args or {}))
+            cluster, ready_timeout=ready_timeout)
         cluster.supervisor.start()
     return cluster
 

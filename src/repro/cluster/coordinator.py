@@ -37,9 +37,9 @@ Failure handling reuses the service's resilience vocabulary:
 
 The coordinator keeps no answers of its own: every fan-out reaches the
 shards, whose version-keyed result caches are the only replay, so a
-write on a shard is seen by the next query.  Placement changes go
-through :meth:`ShardMap.move <repro.cluster.shardmap.ShardMap.move>`
-directly.
+write on a shard is seen by the next query.  The shard map is fixed
+for the cluster's life, so every fan-out covers exactly the slices the
+shards were launched with.
 """
 
 from __future__ import annotations
@@ -249,9 +249,8 @@ class ClusterCoordinator:
                          if self.breakers is not None else {}),
             "breaker_detail": (self.breakers.snapshot()
                                if self.breakers is not None else {}),
-            "map_version": self.shard_map.version,
             "replication_factor": self.shard_map.replication_factor,
-            "shards": self.shard_map.shards,
+            "shards": list(self.shard_map.shards),
             "slice_versions": slice_versions,
         }
 
@@ -304,8 +303,8 @@ class ClusterCoordinator:
             outcome.detail["diagnostics"] = list(errors)
             return ClusterReply(outcome=outcome)
         budget = self.timeout if timeout is None else timeout
-        targets = list(shard_ids) if shard_ids is not None \
-            else self.shard_map.shards
+        targets = list(self.shard_map.shards if shard_ids is None
+                       else shard_ids)
         self._count("fanouts")
         started = time.monotonic()
         deadline = started + budget
@@ -528,7 +527,6 @@ class ClusterCoordinator:
             "submitted": len(answers),
             "merged": merged,
             "failed": failed,
-            "map_version": self.shard_map.version,
             "replication_factor": self.shard_map.replication_factor,
             "shards": {a.shard: a.accounting() for a in answers},
         }

@@ -22,9 +22,7 @@ in-flight traffic fails over *to* a replica and later traffic drifts
 *back* once the primary returns.
 
 Stats (:meth:`ShardSupervisor.stats`) and the bounded event log feed
-``repro-gql cluster status`` and the cluster soak test; with a
-:class:`~repro.obs.metrics.MetricsRegistry` attached, restarts also
-tick ``repro_cluster_shard_restarts_total``.
+``repro-gql cluster status`` and the cluster soak test.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ class ShardSupervisor:
                  backoff_base: float = 0.25,
                  backoff_max: float = 4.0,
                  ready_timeout: float = 30.0,
-                 metrics=None,
                  client_factory=None) -> None:
         if restart_budget < 0:
             raise ValueError("restart_budget must be >= 0")
@@ -63,10 +60,6 @@ class ShardSupervisor:
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
         self.ready_timeout = ready_timeout
-        self._restart_counter = (
-            metrics.counter("repro_cluster_shard_restarts_total",
-                            "shards restarted by the supervisor")
-            if metrics is not None else None)
         if client_factory is None:
             from ..service.client import ServiceClient
 
@@ -81,6 +74,9 @@ class ShardSupervisor:
         self._unready: Dict[str, int] = {}
         #: monotonic time before which a shard's next restart may not run
         self._next_attempt: Dict[str, float] = {}
+        #: failed respawns per shard: they spend the restart budget and
+        #: grow the backoff just as successful ones do
+        self._failed: Dict[str, int] = {}
         self._abandoned: Dict[str, str] = {}
         self._events: List[Dict[str, Any]] = []
         self._restarts = 0
@@ -147,12 +143,24 @@ class ShardSupervisor:
                          f"{misses} consecutive unready probes "
                          f"(last: {reason})")
 
+    def _attempts(self, shard_id: str, shard) -> int:
+        """Respawns tried so far, successful or not (under the lock)."""
+        return shard.restarts + self._failed.get(shard_id, 0)
+
+    def _back_off(self, shard_id: str, shard) -> float:
+        """Hold the shard's next restart for a delay that doubles with
+        every attempt (under the lock); returns the delay."""
+        delay = min(self.backoff_max, self.backoff_base
+                    * (2 ** (self._attempts(shard_id, shard) - 1)))
+        self._next_attempt[shard_id] = time.monotonic() + delay
+        return delay
+
     def _handle_dead(self, shard_id: str, shard) -> None:
         now = time.monotonic()
         with self._lock:
             if now < self._next_attempt.get(shard_id, 0.0):
                 return  # still backing off
-            if shard.restarts >= self.restart_budget:
+            if self._attempts(shard_id, shard) >= self.restart_budget:
                 self._abandoned[shard_id] = (
                     f"restart budget ({self.restart_budget}) exhausted")
                 message = self._abandoned[shard_id]
@@ -168,9 +176,8 @@ class ShardSupervisor:
         except Exception as exc:
             with self._lock:
                 self._restart_failures += 1
-                delay = min(self.backoff_max,
-                            self.backoff_base * (2 ** shard.restarts))
-                self._next_attempt[shard_id] = time.monotonic() + delay
+                self._failed[shard_id] = self._failed.get(shard_id, 0) + 1
+                delay = self._back_off(shard_id, shard)
             self._record("restart_failed", shard_id,
                          f"{type(exc).__name__}: {exc}; "
                          f"next attempt in {delay:.2f}s")
@@ -179,13 +186,9 @@ class ShardSupervisor:
         with self._lock:
             self._restarts += 1
             self._unready.pop(shard_id, None)
-            delay = min(self.backoff_max,
-                        self.backoff_base * (2 ** (shard.restarts - 1)))
             # backoff applies to the NEXT death too: a shard that dies
             # right after recovering should not hot-loop
-            self._next_attempt[shard_id] = time.monotonic() + delay
-        if self._restart_counter is not None:
-            self._restart_counter.inc()
+            self._back_off(shard_id, shard)
         banner = (f"recovered {shard_id}: restarted from "
                   f"{shard.data_path} on {shard.host}:{shard.port} "
                   f"(restart #{shard.restarts})")

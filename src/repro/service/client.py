@@ -59,9 +59,8 @@ class ServiceClient:
     the one knob every connect honours, including retry reconnects.
 
     Retries are off by default (``retries=0``), preserving strict
-    one-shot semantics.  With ``retries=N`` the client retries
-    *idempotent* calls (queries, reads, cancels — all read-only here)
-    up to N extra attempts on connection failures, timeouts and
+    one-shot semantics.  With ``retries=N`` the client retries every
+    call (every op is read-only) up to N extra attempts on connection failures, timeouts and
     protocol desync, reconnecting with full-jitter exponential backoff
     and tagging each resend with an ``attempt`` counter so the server
     can count retried arrivals.  A resent query runs again (or hits the
@@ -133,14 +132,13 @@ class ServiceClient:
 
     # -- the protocol ---------------------------------------------------------
 
-    def call(self, message: Dict[str, Any],
-             retryable: bool = False) -> Dict[str, Any]:
+    def call(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Send one request dict, block for its response dict.
 
-        With *retryable* true (idempotent calls only) and ``retries``
-        configured, connection failures, timeouts and response desync
-        trigger a reconnect-and-resend, all attempts sharing one
-        overall ``timeout`` budget.
+        Every op is read-only, so with ``retries`` configured,
+        connection failures, timeouts and response desync trigger a
+        reconnect-and-resend, all attempts sharing one overall
+        ``timeout`` budget.
         """
         message.setdefault("id", f"{self.client_name}-{next(self._ids)}")
         # propagate trace context: with tracing enabled, the server roots
@@ -150,7 +148,7 @@ class ServiceClient:
         if active.enabled:
             message.setdefault("trace", active.trace_id)
             message.setdefault("parent", active.span_id)
-        attempts = (self.retries + 1) if retryable else 1
+        attempts = self.retries + 1
         deadline = (time.monotonic() + self.timeout
                     if self.timeout is not None else None)
         last_exc: Optional[Exception] = None
@@ -240,7 +238,7 @@ class ServiceClient:
             message["baseline"] = True
         if no_cache:
             message["no_cache"] = True
-        reply = self.call(message, retryable=True)
+        reply = self.call(message)
         outcome = (QueryOutcome.from_dict(reply["outcome"])
                    if isinstance(reply.get("outcome"), dict)
                    else QueryOutcome())
@@ -263,7 +261,7 @@ class ServiceClient:
                reason: str = "cancelled by client") -> bool:
         """Cancel an in-flight request by id; True when it was found."""
         reply = self.call({"op": "cancel", "target": target,
-                           "reason": reason}, retryable=True)
+                           "reason": reason})
         if not reply.get("ok"):
             raise ProtocolError(reply.get("error", "cancel failed"))
         return bool(reply.get("cancelled"))
@@ -277,7 +275,7 @@ class ServiceClient:
         message: Dict[str, Any] = {"op": "stats"}
         if format is not None:
             message["format"] = format
-        reply = self.call(message, retryable=True)
+        reply = self.call(message)
         if not reply.get("ok"):
             raise ProtocolError(reply.get("error", "stats failed"))
         if format == "prometheus":
@@ -304,28 +302,28 @@ class ServiceClient:
         for key, value in (("limit", limit), ("timeout", timeout)):
             if value is not None:
                 message[key] = value
-        reply = self.call(message, retryable=True)
+        reply = self.call(message)
         if not reply.get("ok"):
             raise ProtocolError(reply.get("error", "explain failed"))
         return reply["explain"]
 
     def ping(self) -> Dict[str, Any]:
         """Round-trip liveness check; returns the server's ping reply."""
-        reply = self.call({"op": "ping"}, retryable=True)
+        reply = self.call({"op": "ping"})
         if not reply.get("ok"):
             raise ProtocolError(reply.get("error", "ping failed"))
         return reply
 
     def health(self) -> Dict[str, Any]:
         """The server's liveness report (drain, recovery, breakers)."""
-        reply = self.call({"op": "health"}, retryable=True)
+        reply = self.call({"op": "health"})
         if not reply.get("ok"):
             raise ProtocolError(reply.get("error", "health failed"))
         return reply["health"]
 
     def ready(self) -> Tuple[bool, str]:
         """Whether the server is accepting work, plus the reason."""
-        reply = self.call({"op": "ready"}, retryable=True)
+        reply = self.call({"op": "ready"})
         if not reply.get("ok"):
             raise ProtocolError(reply.get("error", "ready failed"))
         return bool(reply.get("ready")), str(reply.get("reason", ""))

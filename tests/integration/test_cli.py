@@ -225,7 +225,7 @@ class TestClusterStatus:
             assert "shard0" in out and "shard1" in out
             assert out.count("ready") >= 2
             assert "restarts=0" in out
-            assert "map v1" in out
+            assert "R=1" in out
             # kill one shard: status degrades and the exit code says so
             cluster.kill("shard1")
             cluster.write_state(state)
@@ -247,7 +247,8 @@ class TestClusterStatus:
                          "--json"]) == 0
             merged = json_mod.loads(capsys.readouterr().out)
             assert merged["ok"] is True
-            assert merged["map_version"] == 1
+            assert merged["replication_factor"] == 1
+            assert "map_version" not in merged
             assert merged["shards"][0]["shard"] == "shard0"
             assert merged["shards"][0]["breakers"] is not None
 
