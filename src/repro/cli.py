@@ -209,12 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "tighten, never exceed it)")
     serve.add_argument("--limit", type=int, default=1000,
                        help="default per-query answer cap")
-    serve.add_argument("--result-cache", type=int, default=256,
-                       help="result cache entries (0 disables)")
-    serve.add_argument("--drain-timeout", type=float, default=5.0,
-                       metavar="SECONDS",
-                       help="how long shutdown waits for in-flight "
-                            "queries before cancelling them")
     serve.add_argument("--store", default=None, metavar="PATH",
                        help="WAL-backed store file: recovery runs on "
                             "startup, registrations are write-through "
@@ -230,21 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "on this port (0 picks a free one; GET "
                             "/metrics for the text exposition, /stats "
                             "for JSON)")
-    serve.add_argument("--slow-log-size", type=int, default=32,
-                       help="keep the N slowest over-threshold requests "
-                            "(0 disables the slow-query log)")
-    serve.add_argument("--slow-log-threshold", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="only record requests slower than this in "
-                            "the slow-query log")
-    serve.add_argument("--no-shed", action="store_true",
-                       help="disable deadline-aware load shedding "
-                            "(requests whose deadline cannot be met "
-                            "get queued instead of SHED)")
     serve.add_argument("--breaker-threshold", type=int, default=8,
                        metavar="N",
                        help="consecutive failures/timeouts that open a "
-                            "client's circuit breaker (0 disables)")
+                            "client's circuit breaker (>= 1)")
     serve.add_argument("--breaker-cooldown", type=float, default=5.0,
                        metavar="SECONDS",
                        help="how long an open breaker sheds before the "
@@ -252,12 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--watchdog-multiple", type=float, default=4.0,
                        metavar="X",
                        help="recycle a worker stuck past X times the "
-                            "request's effective timeout (0 disables "
-                            "the pool watchdog)")
-    serve.add_argument("--watchdog-interval", type=float, default=0.25,
-                       metavar="SECONDS",
-                       help="how often the pool watchdog scans for "
-                            "stuck workers")
+                            "request's effective timeout (> 0)")
     _add_common(serve)
     _add_trace(serve)
 
@@ -357,14 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     cstatus = csub.add_parser(
         "status",
         help="one line per shard: endpoint, alive/ready, breaker "
-             "states, restart count, map version",
+             "states, restart count",
     )
     cstatus.add_argument("--state", required=True, metavar="PATH",
                          help="cluster-state file written by "
                               "'cluster serve --state'")
-    cstatus.add_argument("--probe-timeout", type=float, default=2.0,
-                         metavar="SECONDS",
-                         help="per-shard wire probe deadline")
     cstatus.add_argument("--json", action="store_true",
                          help="emit the full merged status as JSON")
 
@@ -622,17 +597,11 @@ def _serve(args: argparse.Namespace) -> int:
         per_client=args.per_client,
         default_timeout=args.timeout,
         default_max_results=args.limit,
-        result_cache_size=args.result_cache,
-        drain_timeout=args.drain_timeout,
         store_path=args.store,
         fsync=args.fsync,
-        slow_log_size=args.slow_log_size,
-        slow_log_threshold=args.slow_log_threshold,
-        shed_enabled=not args.no_shed,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
         watchdog_multiple=args.watchdog_multiple,
-        watchdog_interval=args.watchdog_interval,
     )
     service = QueryService(config)
     if service.recovery is not None:
@@ -810,6 +779,7 @@ def _cluster_serve(args: argparse.Namespace) -> int:
 
 def _cluster_status(args: argparse.Namespace) -> int:
     """``repro-gql cluster status``: probe the shards of a state file."""
+    from .cluster.supervisor import PROBE_TIMEOUT
     from .service.client import ServiceClient
 
     state = json.loads(Path(args.state).read_text(encoding="utf-8"))
@@ -823,7 +793,7 @@ def _cluster_status(args: argparse.Namespace) -> int:
         probe = {"alive": False, "ready": False,
                  "reason": "unreachable", "breakers": {}}
         try:
-            with ServiceClient(host, port, timeout=args.probe_timeout,
+            with ServiceClient(host, port, timeout=PROBE_TIMEOUT,
                                client_name="cluster-status") as client:
                 ready, reason = client.ready()
                 health = client.health()

@@ -35,15 +35,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Any,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..core import GraphCollection
 from .coordinator import ClusterCoordinator
@@ -51,6 +43,15 @@ from .shardmap import ShardMap, slice_document
 
 #: stdout/stderr lines kept per child for failure diagnostics
 TAIL_LINES = 20
+
+#: seconds a launched or respawned shard has to print its ready line
+READY_TIMEOUT = 30.0
+
+#: the document every launched cluster serves (sliced per shard)
+DOCUMENT = "data"
+
+#: the WAL fsync policy of every shard store
+FSYNC = "commit"
 
 
 def wait_ready(process: subprocess.Popen,
@@ -151,7 +152,7 @@ class ShardProcess:
             self.process.kill()
             self.process.wait()
 
-    def respawn(self, ready_timeout: float = 30.0) -> Dict[str, Any]:
+    def respawn(self) -> Dict[str, Any]:
         """Relaunch the shard from its durable store.
 
         The old process must already be dead.  On success the
@@ -167,7 +168,7 @@ class ShardProcess:
             stderr=subprocess.STDOUT, text=True,
             env=self.env, cwd=self.cwd)
         try:
-            payload = wait_ready(process, timeout=ready_timeout,
+            payload = wait_ready(process, timeout=READY_TIMEOUT,
                                  tail=self.output_tail)
         except BaseException:
             process.kill()
@@ -270,22 +271,20 @@ class LocalCluster:
         self.shutdown()
 
 
-def _server_command(store_path: Path, workers: int, timeout: float,
-                    fsync: str, extra_args: Sequence[str]) -> List[str]:
+def _server_command(store_path: Path, workers: int,
+                    timeout: float) -> List[str]:
     return [sys.executable, "-m", "repro", "serve",
-            "--store", str(store_path), "--fsync", fsync,
+            "--store", str(store_path), "--fsync", FSYNC,
             "--port", "0", "--host", "127.0.0.1",
-            "--workers", str(workers), "--timeout", str(timeout),
-            *extra_args]
+            "--workers", str(workers), "--timeout", str(timeout)]
 
 
-def _write_store(store_path: Path, documents: Dict[str, List[Any]],
-                 fsync: str) -> None:
+def _write_store(store_path: Path, documents: Dict[str, List[Any]]) -> None:
     """Write one shard's documents to its WAL-backed durable store."""
     from ..storage.database import GraphDatabase
 
     database = GraphDatabase()
-    database.attach_durable(store_path, fsync=fsync)
+    database.attach_durable(store_path, fsync=FSYNC)
     try:
         for name, graphs in documents.items():
             database.register_durable(
@@ -321,14 +320,9 @@ def launch_cluster(
     collection: GraphCollection,
     num_shards: int = 3,
     *,
-    document: str = "data",
     replication_factor: int = 1,
     workers: int = 2,
     query_timeout: float = 10.0,
-    ready_timeout: float = 30.0,
-    workdir: Optional[Path] = None,
-    serve_args: Sequence[str] = (),
-    fsync: str = "commit",
     supervise: bool = False,
 ) -> LocalCluster:
     """Split *collection* over *num_shards* local servers and boot them.
@@ -336,8 +330,9 @@ def launch_cluster(
     Placement is by the member graphs' names through a fresh
     :class:`ShardMap`.  Every shard's slice is written to the durable
     store of each shard in its preference list (``replication_factor``
-    of them); with R >= 2 each owner serves the slice under the shared
-    ``document@primary`` name so a coordinator can fail over without
+    of them), in a fresh temporary directory the cluster removes on
+    shutdown; with R >= 2 each owner serves the slice under the shared
+    ``data@primary`` name so a coordinator can fail over without
     losing answers.  ``supervise=True`` attaches a
     :class:`~repro.cluster.supervisor.ShardSupervisor` that restarts
     dead shards from their stores.  Raises if any child fails to report
@@ -346,22 +341,17 @@ def launch_cluster(
     """
     shard_ids = [f"shard{i}" for i in range(num_shards)]
     shard_map = ShardMap(shard_ids, replication_factor)
-    stores = shard_documents(shard_map, collection, document)
-    tmp = None
-    if workdir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-cluster-")
-        workdir = Path(tmp.name)
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
+    stores = shard_documents(shard_map, collection, DOCUMENT)
+    tmp = tempfile.TemporaryDirectory(prefix="repro-cluster-")
+    workdir = Path(tmp.name)
     env = _child_env()
     shards: Dict[str, ShardProcess] = {}
     try:
         for shard_id in shard_ids:
             store_path = workdir / f"{shard_id}.store"
             documents = stores[shard_id]
-            _write_store(store_path, documents, fsync)
-            command = _server_command(store_path, workers, query_timeout,
-                                      fsync, serve_args)
+            _write_store(store_path, documents)
+            command = _server_command(store_path, workers, query_timeout)
             process = subprocess.Popen(
                 command, stdout=subprocess.PIPE,
                 stderr=subprocess.STDOUT, text=True, env=env,
@@ -374,24 +364,22 @@ def launch_cluster(
                 command=command, env=env,
                 cwd=str(workdir))
             shards[shard_id] = shard
-            payload = wait_ready(process, timeout=ready_timeout,
+            payload = wait_ready(process, timeout=READY_TIMEOUT,
                                  tail=shard.output_tail)
             shard.host = str(payload["host"])
             shard.port = int(payload["port"])
     except BaseException:
         for shard in shards.values():
             shard.kill()
-        if tmp is not None:
-            tmp.cleanup()
+        tmp.cleanup()
         raise
     cluster = LocalCluster(
-        shard_map, shards, document, workdir, _tmp=tmp,
+        shard_map, shards, DOCUMENT, workdir, _tmp=tmp,
         assignment=shard_map.split(graph.name for graph in collection))
     if supervise:
         from .supervisor import ShardSupervisor
 
-        cluster.supervisor = ShardSupervisor(
-            cluster, ready_timeout=ready_timeout)
+        cluster.supervisor = ShardSupervisor(cluster)
         cluster.supervisor.start()
     return cluster
 

@@ -54,7 +54,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs.trace import span, tracer
-from ..runtime import Outcome, QueryOutcome, partial_outcome, rejected_outcome
+from ..runtime import (ANSWER_OUTCOMES, Outcome, QueryOutcome,
+                       partial_outcome, rejected_outcome)
 from ..service.admission import REASON_INVALID_QUERY
 from ..service.cache import PLAN_CACHE_SIZE, PreparedQueryCache
 from ..service.client import ServiceClient
@@ -62,9 +63,6 @@ from ..service.resilience import BreakerRegistry
 from .shardmap import ShardMap, slice_document
 
 logger = logging.getLogger(__name__)
-
-#: shard terminal states whose rows are complete for that shard
-_MERGEABLE = (Outcome.COMPLETE, Outcome.TRUNCATED)
 
 #: seconds the fan-out waits past the global deadline: attempt deadlines
 #: never pass it, but a race reads replies 0.05 s beyond its own, and a
@@ -189,8 +187,7 @@ class ClusterCoordinator:
     return an object with its context manager + ``query`` / ``cancel``
     surface.
 
-    ``hedge_after=None`` disables hedging; ``breaker_threshold=0``
-    disables the per-replica breakers.  Each replica attempt gets an
+    ``hedge_after=None`` disables hedging.  Each replica attempt gets an
     even share of the remaining deadline across the replicas not yet
     tried, so the last replica of a preference list always gets a turn.
     """
@@ -204,7 +201,6 @@ class ClusterCoordinator:
         hedge_after: Optional[float] = None,
         breaker_threshold: int = 4,
         breaker_cooldown: float = 5.0,
-        client_name: str = "coordinator",
         client_factory: Callable[..., Any] = ServiceClient,
     ) -> None:
         missing = [s for s in shard_map.shards if s not in endpoints]
@@ -215,11 +211,9 @@ class ClusterCoordinator:
                           else dict(endpoints))
         self.timeout = timeout
         self.hedge_after = hedge_after
-        self.client_name = client_name
         self.client_factory = client_factory
-        self.breakers = (BreakerRegistry(threshold=breaker_threshold,
-                                         cooldown=breaker_cooldown)
-                         if breaker_threshold > 0 else None)
+        self.breakers = BreakerRegistry(threshold=breaker_threshold,
+                                        cooldown=breaker_cooldown)
         #: query text -> prepared query, so repeated fan-outs of the
         #: same (valid or invalid) text skip re-analysis; it holds
         #: validation verdicts, never answers
@@ -245,10 +239,8 @@ class ClusterCoordinator:
         return {
             "counters": counters,
             "plan_cache": self.plan_cache.stats(),
-            "breakers": (self.breakers.state_counts()
-                         if self.breakers is not None else {}),
-            "breaker_detail": (self.breakers.snapshot()
-                               if self.breakers is not None else {}),
+            "breakers": self.breakers.state_counts(),
+            "breaker_detail": self.breakers.snapshot(),
             "replication_factor": self.shard_map.replication_factor,
             "shards": list(self.shard_map.shards),
             "slice_versions": slice_versions,
@@ -360,22 +352,18 @@ class ClusterCoordinator:
                     break
                 if position > 0:
                     self._count("failovers")
-                admitted = False
-                if self.breakers is not None:
-                    allowed, retry_after = self.breakers.allow(
-                        replica, holder=answer)
-                    if not allowed:
-                        self._count("breaker_skips")
-                        errors.append(describe(
-                            replica, "breaker open"
-                            + (f" (retry in {retry_after:.2f}s)"
-                               if retry_after is not None else "")))
-                        continue
-                    admitted = True
+                allowed, retry_after = self.breakers.allow(
+                    replica, holder=answer)
+                if not allowed:
+                    self._count("breaker_skips")
+                    errors.append(describe(
+                        replica, "breaker open"
+                        + (f" (retry in {retry_after:.2f}s)"
+                           if retry_after is not None else "")))
+                    continue
                 endpoint = self.endpoints.get(replica)
                 if endpoint is None:
-                    if admitted:
-                        self.breakers.release_probe(replica, answer)
+                    self.breakers.release_probe(replica, answer)
                     errors.append(describe(replica, "no endpoint"))
                     continue
                 answer.attempts = position + 1
@@ -385,15 +373,13 @@ class ClusterCoordinator:
                     replica, endpoint, request, doc, child, answer,
                     min(request.deadline, time.monotonic()
                         + remaining / (len(prefs) - position)))
-                if self.breakers is not None:
-                    # a decoded mergeable answer is the only success; a
-                    # refusal/interruption/app error counts against the
-                    # replica just as it did pre-replication
-                    self.breakers.record(
-                        replica,
-                        failed=(reply is None or reply.error is not None
-                                or reply.outcome.status
-                                not in _MERGEABLE))
+                # a decoded answer is the only success; a
+                # refusal/interruption/app error counts against the
+                # replica just as it did pre-replication
+                self.breakers.record(
+                    replica,
+                    failed=(reply is None or reply.error is not None
+                            or reply.outcome.status not in ANSWER_OUTCOMES))
                 if reply is None:
                     errors.append(describe(replica, error))
                     continue
@@ -405,7 +391,7 @@ class ClusterCoordinator:
                     # definitive rather than failover-eligible
                     answer.error = describe(replica, reply.error)
                     break
-                if reply.outcome.status in _MERGEABLE:
+                if reply.outcome.status in ANSWER_OUTCOMES:
                     versions = getattr(reply, "versions", None) or {}
                     version = versions.get(doc)
                     if version is not None:
@@ -451,7 +437,7 @@ class ClusterCoordinator:
         shard worker capacity) from that pool, off the leg's path.
         """
         host, port = endpoint
-        name = f"{self.client_name}/{replica}"
+        name = f"coordinator/{replica}"
         # one id per racer: it is the handle the loser's cancel names
         fanout = f"fanout-{uuid.uuid4().hex}"
 

@@ -37,35 +37,34 @@ logger = logging.getLogger(__name__)
 #: bounded event log length (the supervisor may run for hours)
 MAX_EVENTS = 200
 
+#: seconds one wire readiness probe may take
+PROBE_TIMEOUT = 2.0
+
 
 class ShardSupervisor:
     """Daemon thread that keeps a local cluster's shards serving."""
 
     def __init__(self, cluster, *,
                  poll_interval: float = 0.25,
-                 probe_timeout: float = 2.0,
                  unready_threshold: int = 3,
                  restart_budget: int = 3,
                  backoff_base: float = 0.25,
                  backoff_max: float = 4.0,
-                 ready_timeout: float = 30.0,
                  client_factory=None) -> None:
         if restart_budget < 0:
             raise ValueError("restart_budget must be >= 0")
         self.cluster = cluster
         self.poll_interval = poll_interval
-        self.probe_timeout = probe_timeout
         self.unready_threshold = unready_threshold
         self.restart_budget = restart_budget
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
-        self.ready_timeout = ready_timeout
         if client_factory is None:
             from ..service.client import ServiceClient
 
             def client_factory(host: str, port: int):
                 return ServiceClient(host, port,
-                                     timeout=self.probe_timeout,
+                                     timeout=PROBE_TIMEOUT,
                                      client_name="supervisor")
         self._client_factory = client_factory
         self._lock = threading.Lock()
@@ -172,7 +171,7 @@ class ShardSupervisor:
         rc = shard.process.poll()
         self._record("down", shard_id, f"process exited rc={rc}")
         try:
-            shard.respawn(ready_timeout=self.ready_timeout)
+            shard.respawn()
         except Exception as exc:
             with self._lock:
                 self._restart_failures += 1

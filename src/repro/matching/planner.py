@@ -61,8 +61,6 @@ class MatchOptions:
     refine: bool = True               # run Algorithm 4.2
     refine_level: Optional[int] = None  # None => pattern size
     optimize_order: bool = True       # greedy cost-based order vs connected order
-    gamma_mode: str = "frequency"     # "frequency" | "constant"
-    gamma_const: float = 0.1
     radius: int = 1
     exhaustive: bool = True
     limit: Optional[int] = None
@@ -394,11 +392,7 @@ class GraphMatcher:
             sizes = {name: len(candidates)
                      for name, candidates in space.items()}
             model = plan.cost_model = CostModel(
-                pattern.motif,
-                stats=self.stats if opts.gamma_mode == "frequency" else None,
-                gamma_const=opts.gamma_const,
-                directed=graph.directed,
-            )
+                pattern.motif, stats=self.stats, directed=graph.directed)
             try:
                 if opts.optimize_order:
                     plan.order, plan.policy = (

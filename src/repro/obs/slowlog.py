@@ -1,7 +1,6 @@
 """A ring-buffered slow-query log.
 
-Keeps the N *slowest* requests at or above a latency threshold (a
-threshold of 0.0 keeps the N slowest of all requests).  Eviction is by
+Keeps the N *slowest* requests (32 in the service).  Eviction is by
 elapsed time: when the log is full, a new entry replaces the current
 fastest entry only if it is slower — so the log always holds the worst
 offenders seen so far, not merely the most recent ones.
@@ -74,11 +73,12 @@ class SlowQueryEntry:
 
 
 class SlowQueryLog:
-    """Thread-safe store of the N slowest over-threshold requests."""
+    """Thread-safe store of the N slowest requests."""
 
-    def __init__(self, capacity: int = 32, threshold: float = 0.0) -> None:
-        self.capacity = max(0, int(capacity))
-        self.threshold = max(0.0, float(threshold))
+    def __init__(self, capacity: int = 32) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
         #: min-heap of (elapsed, seq, entry) — the root is the fastest
         #: logged entry, i.e. the next eviction victim
         self._heap: List[tuple] = []
@@ -89,8 +89,6 @@ class SlowQueryLog:
 
     def record(self, entry: SlowQueryEntry) -> bool:
         """Offer one entry; returns whether it was kept."""
-        if self.capacity == 0 or entry.elapsed < self.threshold:
-            return False
         if len(entry.query) > MAX_QUERY_CHARS:
             entry.query = entry.query[:MAX_QUERY_CHARS] + "..."
         item = (entry.elapsed, next(self._seq), entry)

@@ -1,6 +1,7 @@
 """Resource governance for query execution (deadlines, budgets, cancellation)."""
 
 from .context import (
+    ANSWER_OUTCOMES,
     BudgetExhausted,
     CancellationToken,
     DeadlineExceeded,
@@ -18,6 +19,7 @@ from .context import (
 )
 
 __all__ = [
+    "ANSWER_OUTCOMES",
     "BudgetExhausted",
     "CancellationToken",
     "DeadlineExceeded",

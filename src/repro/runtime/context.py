@@ -69,6 +69,13 @@ class Outcome(str, Enum):
         return self.value
 
 
+#: The outcomes that are an answer: the rows are the query's whole
+#: answer, or its whole answer up to a cap that is part of the request.
+#: Only these are replayed from the result cache, merged by the cluster
+#: coordinator, and counted as a success by a circuit breaker.
+ANSWER_OUTCOMES = frozenset({Outcome.COMPLETE, Outcome.TRUNCATED})
+
+
 class ExecutionInterrupted(RuntimeError):
     """Base of all governance interruptions (partial results are valid)."""
 

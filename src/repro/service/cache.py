@@ -35,7 +35,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..analysis.diagnostics import to_wire
 from ..lang.compiler import prepare_pattern_text
-from ..runtime import Outcome, QueryOutcome
+from ..runtime import ANSWER_OUTCOMES, QueryOutcome
 
 
 class LRUCache:
@@ -108,6 +108,9 @@ class PreparedQuery:
 #: the cluster coordinator each keep.
 PLAN_CACHE_SIZE = 256
 
+#: Answers (one per distinct result-cache key) the service keeps.
+RESULT_CACHE_SIZE = 256
+
 
 class PreparedQueryCache(LRUCache):
     """Text-keyed LRU of :class:`PreparedQuery` (valid or not)."""
@@ -135,14 +138,12 @@ def make_key(document: str, query_text: str, options_key: Hashable,
 class ResultCache(LRUCache):
     """LRU of ``(rows, QueryOutcome)`` keyed by :func:`make_key`."""
 
-    #: Outcomes that are a pure function of the cache key and therefore
-    #: safe to replay to other callers.
-    CACHEABLE = (Outcome.COMPLETE, Outcome.TRUNCATED)
-
     def admit(self, key: CacheKey, rows: List[Dict[str, Any]],
               outcome: QueryOutcome) -> bool:
-        """Store a finished query iff its outcome is deterministic."""
-        if outcome.status not in self.CACHEABLE:
+        """Store a finished query iff its outcome is an answer
+        (:data:`~repro.runtime.ANSWER_OUTCOMES`): those are a pure
+        function of the cache key and therefore safe to replay."""
+        if outcome.status not in ANSWER_OUTCOMES:
             return False
         self.put(key, (rows, outcome))
         return True

@@ -45,43 +45,24 @@ class ServiceConfig:
     default_timeout: Optional[float] = 30.0
     default_max_results: Optional[int] = 1000
 
-    # result cache capacity (entries); 0 disables the cache
-    result_cache_size: int = 256
-
-    # seconds shutdown waits for in-flight queries before cancelling them
-    drain_timeout: float = 5.0
-
-    # slow-query log: keep the slow_log_size slowest requests whose
-    # latency is >= slow_log_threshold seconds (0.0 = the slowest of all)
-    slow_log_size: int = 32
-    slow_log_threshold: float = 0.0
-
     # durable storage: when set, the service opens this WAL-backed
     # GraphStore on startup (running crash recovery), registers every
     # document it holds, and writes register/load mutations through it
     store_path: Optional[str] = None
     fsync: str = "commit"
 
-    # deadline-aware load shedding: a request whose effective timeout is
-    # below the observed p95 queue wait is shed with a SHED outcome and
-    # a retry-after hint.  The estimator stays cold (never sheds) until
-    # shed_min_samples waits have been observed.
-    shed_enabled: bool = True
-    shed_min_samples: int = 10
-
     # per-client circuit breaker: breaker_threshold consecutive
     # failures/timeouts open the circuit for breaker_cooldown seconds
-    # (then one HALF_OPEN probe decides).  0 disables the breaker.
+    # (then one HALF_OPEN probe decides)
     breaker_threshold: int = 8
     breaker_cooldown: float = 5.0
 
     # pool watchdog: a request still unfinished after
     # watchdog_multiple x its effective timeout is considered *stuck*
     # (the worker is wedged past any cooperative deadline), answered
-    # TIMED_OUT, and its pool is recycled.  0 disables the watchdog;
-    # requests without an effective timeout are never watched.
+    # TIMED_OUT, and its pool is recycled; requests without an
+    # effective timeout are never watched
     watchdog_multiple: float = 4.0
-    watchdog_interval: float = 0.25
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -90,20 +71,12 @@ class ServiceConfig:
             raise ValueError("queue_depth must be >= 0")
         if self.per_client < 1:
             raise ValueError("per_client must be >= 1")
-        if self.slow_log_size < 0:
-            raise ValueError("slow_log_size must be >= 0")
-        if self.slow_log_threshold < 0:
-            raise ValueError("slow_log_threshold must be >= 0")
-        if self.shed_min_samples < 1:
-            raise ValueError("shed_min_samples must be >= 1")
-        if self.breaker_threshold < 0:
-            raise ValueError("breaker_threshold must be >= 0")
+        if self.breaker_threshold < 1:
+            raise ValueError("breaker_threshold must be >= 1")
         if self.breaker_cooldown <= 0:
             raise ValueError("breaker_cooldown must be > 0")
-        if self.watchdog_multiple < 0:
-            raise ValueError("watchdog_multiple must be >= 0")
-        if self.watchdog_interval <= 0:
-            raise ValueError("watchdog_interval must be > 0")
+        if self.watchdog_multiple <= 0:
+            raise ValueError("watchdog_multiple must be > 0")
         from ..storage.wal import check_fsync_policy
 
         check_fsync_policy(self.fsync)

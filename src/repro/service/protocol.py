@@ -44,6 +44,14 @@ Responses always echo ``id`` and carry ``ok``::
 same serialization ``repro-gql match --json`` prints, so tooling can
 consume both uniformly.
 
+The optional fields of ``query`` and ``explain`` are checked before
+anything is submitted: ``limit``, ``max_steps`` and ``max_memory`` are
+integers >= 1, ``timeout`` is a finite number >= 0, ``document`` and
+``client`` are strings, and ``baseline``, ``no_cache`` and ``analyze``
+are booleans (JSON ``null`` is the same as leaving a field out).  A
+request that breaks one of these rules is answered ``ok: false`` and
+never reaches admission, so it is not counted as submitted.
+
 Every op is read-only, so a retried request (same ``id``, ``attempt``
 > 1) simply runs again.  The only replayed answer is a result-cache
 ``"hit"``, whose key includes the document's version: a write makes it
@@ -53,7 +61,8 @@ unreachable.  Unknown request fields are ignored.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+import math
+from typing import Any, Callable, Dict, Optional, Tuple
 
 #: Protocol revision, echoed by ``ping``.
 PROTOCOL_VERSION = 1
@@ -68,6 +77,30 @@ VALID_OPS = ("query", "cancel", "stats", "explain", "ping",
 
 class ProtocolError(ValueError):
     """A malformed request or response line."""
+
+
+def _positive_int(value: Any) -> bool:
+    return type(value) is int and value >= 1
+
+
+def _non_negative_number(value: Any) -> bool:
+    return (type(value) in (int, float) and math.isfinite(value)
+            and value >= 0)
+
+
+#: The optional ``query``/``explain`` fields: the check each value must
+#: pass, and what the error says it should be.
+QUERY_FIELDS: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    "limit": (_positive_int, "an integer >= 1"),
+    "max_steps": (_positive_int, "an integer >= 1"),
+    "max_memory": (_positive_int, "an integer >= 1"),
+    "timeout": (_non_negative_number, "a number >= 0"),
+    "document": (lambda value: isinstance(value, str), "a string"),
+    "client": (lambda value: isinstance(value, str), "a string"),
+    "baseline": (lambda value: isinstance(value, bool), "a boolean"),
+    "no_cache": (lambda value: isinstance(value, bool), "a boolean"),
+    "analyze": (lambda value: isinstance(value, bool), "a boolean"),
+}
 
 
 def encode(message: Dict[str, Any]) -> bytes:
@@ -109,6 +142,12 @@ def validate_request(message: Dict[str, Any]) -> str:
     if op in ("query", "explain") and not isinstance(
             message.get("query"), str):
         raise ProtocolError(f'"{op}" op requires a "query" text field')
+    if op in ("query", "explain"):
+        for key, (valid, expected) in QUERY_FIELDS.items():
+            value = message.get(key)
+            if value is not None and not valid(value):
+                raise ProtocolError(
+                    f'"{key}" must be {expected}, not {value!r:.60}')
     if op == "stats" and message.get("format") not in (
             None, "json", "prometheus"):
         raise ProtocolError(

@@ -177,6 +177,8 @@ class BreakerRegistry:
 
     def __init__(self, threshold: int = 5, cooldown: float = 5.0,
                  clock: Callable[[], float] = time.monotonic) -> None:
+        if threshold < 1:
+            raise ValueError("threshold must be >= 1")
         self.threshold = threshold
         self.cooldown = cooldown
         self._clock = clock

@@ -32,7 +32,7 @@ from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
 )
-from .service import QueryRequest, QueryService
+from .service import DRAIN_TIMEOUT, QueryRequest, QueryService
 
 logger = logging.getLogger(__name__)
 
@@ -97,6 +97,12 @@ class _Handler(socketserver.StreamRequestHandler):
             return True
         except (ConnectionError, OSError):
             return False
+
+
+def _field(message: Dict[str, Any], key: str, default: Any) -> Any:
+    """A request field, JSON null counting as absent."""
+    value = message.get(key)
+    return default if value is None else value
 
 
 def _without_results(response: Dict[str, Any], error: str) -> Dict[str, Any]:
@@ -214,7 +220,7 @@ class QueryServer(socketserver.ThreadingTCPServer):
             if op == "explain":
                 report = self.service.explain(
                     message["query"],
-                    document=message.get("document", "data"),
+                    document=_field(message, "document", "data"),
                     analyze=bool(message.get("analyze", False)),
                     baseline=bool(message.get("baseline", False)),
                     limit=message.get("limit"),
@@ -236,7 +242,7 @@ class QueryServer(socketserver.ThreadingTCPServer):
 
     def _handle_query(self, message: Dict[str, Any],
                       request_id: Optional[str]) -> Dict[str, Any]:
-        client = str(message.get("client", "anon"))
+        client = _field(message, "client", "anon")
         attempt = message.get("attempt")
         if isinstance(attempt, int) and attempt > 1:
             # every op is read-only: a retry runs again (or hits the
@@ -244,7 +250,7 @@ class QueryServer(socketserver.ThreadingTCPServer):
             self.service.note_retry(client)
         request = QueryRequest(
             query=message["query"],
-            document=message.get("document", "data"),
+            document=_field(message, "document", "data"),
             client=client,
             limit=message.get("limit"),
             timeout=message.get("timeout"),
@@ -281,10 +287,9 @@ class QueryServer(socketserver.ThreadingTCPServer):
         try:
             self.serve_forever(poll_interval=poll_interval)
         finally:
-            self._drained.wait(timeout=self.service.config.drain_timeout + 1)
+            self._drained.wait(timeout=DRAIN_TIMEOUT + 1)
 
-    def shutdown_gracefully(self,
-                            drain_timeout: Optional[float] = None) -> bool:
+    def shutdown_gracefully(self, drain_timeout: float = DRAIN_TIMEOUT) -> bool:
         """Refuse new work, drain in-flight queries, stop the pool.
 
         Safe to call from a signal handler thread.  Returns True when

@@ -34,19 +34,26 @@ from ..matching.planner import MatchOptions, baseline_options, optimized_options
 from ..obs.metrics import MetricsRegistry, render_prometheus
 from ..obs.slowlog import SlowQueryEntry, SlowQueryLog
 from ..obs.trace import span as trace_span, tracer
-from ..runtime import (CancellationToken, Outcome, QueryOutcome,
-                       rejected_outcome, shed_outcome)
+from ..runtime import (ANSWER_OUTCOMES, CancellationToken, Outcome,
+                       QueryOutcome, rejected_outcome, shed_outcome)
 from ..storage.database import GraphDatabase
 from ..storage.serializer import load_collection
 from .admission import (REASON_DRAINING, REASON_DUPLICATE_ID,
                         REASON_INVALID_QUERY, AdmissionController)
-from .cache import (PLAN_CACHE_SIZE, PreparedQuery, PreparedQueryCache,
-                    ResultCache, make_key)
+from .cache import (PLAN_CACHE_SIZE, RESULT_CACHE_SIZE, PreparedQuery,
+                    PreparedQueryCache, ResultCache, make_key)
 from .config import ServiceConfig
 from .metrics import ServiceMetrics
 from .resilience import BreakerRegistry, QueueWaitEstimator
 
 logger = logging.getLogger(__name__)
+
+#: Seconds :meth:`QueryService.drain` waits for in-flight queries before
+#: cancelling them, unless the caller passes its own deadline.
+DRAIN_TIMEOUT = 5.0
+
+#: Seconds between two pool-watchdog scans for stuck requests.
+WATCHDOG_INTERVAL = 0.25
 
 _request_ids = itertools.count(1)
 
@@ -186,18 +193,16 @@ class QueryService:
         self.database = database or GraphDatabase()
         self.registry = MetricsRegistry()
         self.metrics = ServiceMetrics(self.registry)
-        self.slow_log = SlowQueryLog(self.config.slow_log_size,
-                                     self.config.slow_log_threshold)
+        self.slow_log = SlowQueryLog()
         self.admission = AdmissionController(self.config)
         #: query text -> its one parse + analysis + compile, consulted
         #: once per request at admission
         self.plan_cache = PreparedQueryCache(PLAN_CACHE_SIZE)
-        self.result_cache = ResultCache(self.config.result_cache_size)
+        self.result_cache = ResultCache(RESULT_CACHE_SIZE)
         self.breakers = BreakerRegistry(
-            threshold=max(1, self.config.breaker_threshold),
+            threshold=self.config.breaker_threshold,
             cooldown=self.config.breaker_cooldown)
-        self.queue_wait = QueueWaitEstimator(
-            min_samples=self.config.shed_min_samples)
+        self.queue_wait = QueueWaitEstimator()
         #: the turn-away stages :meth:`submit` runs, in order
         self._stages = (self._validate, self._check_breaker,
                         self._check_deadline, self._check_quota,
@@ -233,12 +238,10 @@ class QueryService:
         reg.gauge("repro_service_documents",
                   "Registered document collections.",
                   fn=lambda: len(self.database.names()))
-        reg.gauge("repro_service_result_cache_size",
-                  "Entries in the result cache.",
-                  fn=lambda: self.result_cache.stats()["size"])
-        reg.gauge("repro_service_plan_cache_size",
-                  "Entries in the plan cache.",
-                  fn=lambda: self.plan_cache.stats()["size"])
+        for name, cache in (("result", self.result_cache),
+                            ("plan", self.plan_cache)):
+            reg.gauge(f"repro_service_{name}_cache_size",
+                      f"Entries in the {name} cache.", fn=cache.__len__)
 
         def _wal_bytes() -> int:
             store = self.database.durable_store
@@ -303,8 +306,7 @@ class QueryService:
                     max_workers=self.config.workers,
                     thread_name_prefix="repro-query",
                 )
-            if (self._watchdog is None and not self._closed
-                    and self.config.watchdog_multiple > 0):
+            if self._watchdog is None and not self._closed:
                 self._watchdog = threading.Thread(
                     target=self._watchdog_loop,
                     name="repro-pool-watchdog", daemon=True)
@@ -369,7 +371,7 @@ class QueryService:
         # was ignored (no effective timeout, nothing to multiply)
         effective = self.config.tighten(request.timeout,
                                         self.config.default_timeout)
-        if self.config.watchdog_multiple > 0 and effective is not None:
+        if effective is not None:
             entry.watchdog_budget = self.config.watchdog_multiple * effective
             entry.hard_deadline = time.monotonic() + entry.watchdog_budget
         # serve result-cache hits synchronously: no worker, microseconds
@@ -430,8 +432,6 @@ class QueryService:
     def _check_breaker(self, entry: _Inflight) -> Optional[QueryResponse]:
         """Shed while the client's circuit breaker is open.  A HALF_OPEN
         pass makes this request the probe holder until it completes."""
-        if self.config.breaker_threshold <= 0:
-            return None
         request = entry.request
         allowed, retry_after = self.breakers.allow(request.client,
                                                    holder=request)
@@ -445,9 +445,8 @@ class QueryService:
     def _check_deadline(self, entry: _Inflight) -> Optional[QueryResponse]:
         """Shed a request whose whole deadline is below the observed p95
         queue wait: it would expire in the queue, so starting it only
-        wastes a worker."""
-        if not self.config.shed_enabled:
-            return None
+        wastes a worker.  The estimator stays cold (never sheds) until
+        it has seen enough waits."""
         effective = self.config.tighten(entry.request.timeout,
                                         self.config.default_timeout)
         p95 = None if effective is None else self.queue_wait.p95()
@@ -524,12 +523,10 @@ class QueryService:
     def _record_breaker(self, request: QueryRequest,
                         response: QueryResponse) -> None:
         """Feed one finished request to its client's circuit breaker."""
-        if self.config.breaker_threshold <= 0:
-            return
         status = response.outcome.status
         if response.error is not None or status is Outcome.TIMED_OUT:
             self.breakers.record(request.client, failed=True)
-        elif status in (Outcome.COMPLETE, Outcome.TRUNCATED):
+        elif status in ANSWER_OUTCOMES:
             self.breakers.record(request.client, failed=False)
         else:
             # CANCELLED / REJECTED / SHED are neutral: not the query's
@@ -540,7 +537,7 @@ class QueryService:
     # -- the watchdog ---------------------------------------------------------
 
     def _watchdog_loop(self) -> None:
-        while not self._watchdog_stop.wait(self.config.watchdog_interval):
+        while not self._watchdog_stop.wait(WATCHDOG_INTERVAL):
             try:
                 self._watchdog_scan()
             except Exception:  # the watchdog itself must never die
@@ -734,8 +731,6 @@ class QueryService:
     def _record_slow(self, request: QueryRequest, response: QueryResponse,
                      latency: float, root=None) -> None:
         """Offer one finished request to the slow-query log."""
-        if self.slow_log.capacity == 0:
-            return
         spans = (root.top_spans() if root is not None and root.enabled
                  else {})
         self.slow_log.record(SlowQueryEntry(
@@ -891,15 +886,14 @@ class QueryService:
             return False, "no documents registered"
         return True, "ok"
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
+    def drain(self, timeout: float = DRAIN_TIMEOUT) -> bool:
         """Stop admitting, wait for in-flight work, cancel stragglers.
 
         Returns True when everything finished inside the deadline, False
         when stragglers had to be cancelled.
         """
         self.admission.start_draining()
-        deadline = time.monotonic() + (
-            timeout if timeout is not None else self.config.drain_timeout)
+        deadline = time.monotonic() + timeout
         clean = True
         while True:
             with self._lock:
@@ -918,7 +912,7 @@ class QueryService:
                 pass  # response futures never raise; timeout just loops
         return clean
 
-    def shutdown(self, timeout: Optional[float] = None) -> Dict[str, Any]:
+    def shutdown(self, timeout: float = DRAIN_TIMEOUT) -> Dict[str, Any]:
         """Drain, stop the pool, and return the final stats snapshot."""
         with self._lock:
             if self._closed:

@@ -355,7 +355,9 @@ def test_shed_replica_fails_over_but_app_error_is_definitive():
 def test_replica_version_divergence_is_counted_not_merged_over():
     primary = ScriptedShard(rows=2, version=5)
     secondary = ScriptedShard(rows=2, version=7)  # stale/ahead replica
-    coordinator = build([primary, secondary], replication=2, breaker_threshold=0)
+    # one forced failure below: the primary's breaker stays closed
+    coordinator = build([primary, secondary], replication=2,
+                        breaker_threshold=2)
     slice0 = next(s for s in ("shard0", "shard1")
                   if coordinator.shard_map.preference_list(s)[0]
                   == "shard0")

@@ -34,7 +34,7 @@ class FakeShard:
         self.data_path = "/tmp/fake.store"
         self.process = self._Process(self)
 
-    def respawn(self, ready_timeout=30.0):
+    def respawn(self):
         self.respawns += 1
         if self.respawn_error is not None:
             raise self.respawn_error

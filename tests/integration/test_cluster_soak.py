@@ -119,7 +119,8 @@ def test_soak_survives_a_sigkill_with_exact_accounting():
 
 def test_partial_replies_after_the_kill_name_the_dead_shard(degraded):
     cluster, victim = degraded
-    coordinator = cluster.coordinator(timeout=8.0, breaker_threshold=0)
+    # one query, so at most one failure per shard: no breaker opens
+    coordinator = cluster.coordinator(timeout=8.0, breaker_threshold=2)
     reply = coordinator.query(QUERY, limit=500)
     audit(reply)
     assert reply.outcome.status is Outcome.PARTIAL

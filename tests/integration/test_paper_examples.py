@@ -9,6 +9,7 @@ from repro.matching import (
     refine_search_space,
     retrieve_feasible_mates,
 )
+from repro.matching.search_order import CostModel, greedy_order
 
 
 class TestSection1Examples:
@@ -81,13 +82,18 @@ class TestSection4Examples:
         assert refined == {"u1": ["A1"], "u2": ["B1"], "u3": ["C2"]}
 
     def test_section_4_4_order_choice(self, paper_graph, triangle_pattern):
-        """On the {A1} x {B1,B2} x {C2} space, (A ⋈ C) ⋈ B wins."""
+        """On the {A1} x {B1,B2} x {C2} space, (A ⋈ C) ⋈ B wins, under
+        the paper's constant gamma and the matcher's frequency gamma."""
         matcher = GraphMatcher(paper_graph)
-        report = matcher.match(
-            triangle_pattern,
-            MatchOptions(local="profile", refine=False, optimize_order=True,
-                         gamma_mode="constant"),
-        )
+        options = MatchOptions(local="profile", refine=False,
+                               optimize_order=True)
+        plan = matcher.plan(triangle_pattern, options)
+        sizes = {name: len(mates) for name, mates in plan.space.items()}
+        assert sizes == {"u1": 1, "u2": 2, "u3": 1}
+        constant = CostModel(triangle_pattern.motif, stats=None)
+        assert greedy_order(triangle_pattern.motif, sizes, constant) == [
+            "u1", "u3", "u2"]
+        report = matcher.match(triangle_pattern, options)
         assert report.order == ["u1", "u3", "u2"]
 
 

@@ -5,10 +5,13 @@ which keeps the tests fast while still exercising real TCP sockets,
 the ndjson protocol, cross-connection cancellation and graceful drain.
 """
 
+import json
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Graph
 from repro.datasets.random_graphs import erdos_renyi_graph
@@ -132,6 +135,125 @@ class TestWireProtocol:
             assert stats["submitted"] >= 1
             assert stats["admitted"] + stats["rejected"] == stats["submitted"]
             assert "latency" in stats
+
+
+def message_server(**config):
+    """A server whose :meth:`QueryServer.handle_message` is driven
+    directly: every reply is back before the call returns."""
+    service = QueryService(ServiceConfig(workers=2, default_timeout=10.0,
+                                         **config))
+    service.register("data", erdos_renyi_graph(
+        30, 60, num_labels=5, seed=3, name="small"))
+    return QueryServer(service, ("127.0.0.1", 0))
+
+
+def send(srv, **fields):
+    message = {"op": "query", "query": FAST_QUERY, "client": "alice"}
+    message.update(fields)
+    return srv.handle_message(json.dumps(message).encode("utf-8"))
+
+
+def assert_accounted(service):
+    stats = service.stats()
+    assert stats["submitted"] == (stats["admitted"] + stats["rejected"]
+                                  + stats["shed"]["total"])
+    assert stats["in_flight"] == 0
+
+
+def close(srv):
+    srv.service.shutdown(timeout=0.5)
+    srv.server_close()
+
+
+class TestMalformedFields:
+    def test_bad_limit_neither_leaks_slots_nor_locks_the_client_out(self):
+        srv = message_server(per_client=2)
+        try:
+            for _ in range(2):
+                reply = send(srv, limit="x")
+                assert reply["ok"] is False and "outcome" not in reply
+            assert srv.service.admission.in_flight == 0
+            reply = send(srv, limit=5)
+            assert reply["ok"] is True
+            assert reply["outcome"]["status"] == "COMPLETE"
+            assert_accounted(srv.service)
+        finally:
+            close(srv)
+
+    def test_bad_timeout_is_never_counted(self):
+        srv = message_server()
+        try:
+            for _ in range(3):
+                reply = send(srv, timeout="x")
+                assert reply["ok"] is False and "outcome" not in reply
+            assert_accounted(srv.service)
+            assert srv.service.stats()["submitted"] == 0
+        finally:
+            close(srv)
+
+    @pytest.mark.parametrize("fields", [
+        {"limit": 0}, {"limit": -5}, {"limit": True}, {"limit": 2.5},
+        {"max_steps": "x"}, {"max_memory": 0}, {"timeout": -1},
+        {"timeout": False}, {"document": ["x"]}, {"client": 7},
+        {"baseline": "yes"}, {"no_cache": 1},
+    ])
+    def test_each_malformed_field_is_a_protocol_error(self, fields):
+        srv = message_server()
+        try:
+            reply = send(srv, **fields)
+            assert reply["ok"] is False and "outcome" not in reply
+            assert f'"{next(iter(fields))}"' in reply["error"]
+            assert srv.service.stats()["submitted"] == 0
+            explained = srv.handle_message(json.dumps(
+                {"op": "explain", "query": FAST_QUERY,
+                 **fields}).encode("utf-8"))
+            assert explained["ok"] is False and "explain" not in explained
+        finally:
+            close(srv)
+
+    def test_null_fields_count_as_absent(self):
+        srv = message_server()
+        try:
+            reply = send(srv, limit=None, timeout=None, document=None,
+                         client=None, baseline=None, no_cache=None)
+            assert reply["ok"] is True
+            assert reply["client"] == "anon"
+            assert reply["outcome"]["status"] == "COMPLETE"
+        finally:
+            close(srv)
+
+
+#: every kind of JSON value a query field could be sent as
+ANY_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.integers(-10 ** 12, 10 ** 12),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4), st.lists(st.integers(0, 3), max_size=2))
+QUERY_FIELDS = ("limit", "timeout", "max_steps", "max_memory",
+                "document", "client", "baseline", "no_cache")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.dictionaries(st.sampled_from(QUERY_FIELDS), ANY_JSON,
+                                max_size=4), min_size=1, max_size=4))
+def test_any_field_values_end_as_a_protocol_error_or_a_finished_query(
+        messages):
+    srv = message_server(per_client=2)
+    try:
+        for fields in messages:
+            before = srv.service.stats()["submitted"]
+            reply = send(srv, **fields)
+            submitted = srv.service.stats()["submitted"]
+            if "outcome" in reply:
+                # a finished query: admitted, turned away or failed
+                assert submitted == before + 1
+                assert reply["outcome"]["status"]
+            else:
+                assert reply["ok"] is False and reply["error"]
+                assert submitted == before
+            assert_accounted(srv.service)
+    finally:
+        close(srv)
 
 
 class TestOversizedResponse:

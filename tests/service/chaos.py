@@ -226,8 +226,7 @@ def build_service():
         workers=3, queue_depth=8, per_client=8,
         default_timeout=5.0, default_max_results=500,
         breaker_threshold=6, breaker_cooldown=0.5,
-        watchdog_multiple=4.0, watchdog_interval=0.1,
-        drain_timeout=5.0,
+        watchdog_multiple=4.0,
     )
     service = QueryService(config)
     service.register("data", erdos_renyi_graph(
@@ -333,7 +332,7 @@ def soak(seed: int) -> Dict[str, object]:
         f"shed={stats['shed']['total']}")
 
     proxy.close()
-    server.shutdown_gracefully()
+    server.shutdown_gracefully(drain_timeout=5.0)
     serve_thread.join(timeout=10)
 
     by_status = collections.Counter(r["status"] for r in records)

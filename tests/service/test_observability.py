@@ -3,8 +3,6 @@
 import json
 import threading
 
-import pytest
-
 from repro.datasets.random_graphs import erdos_renyi_graph
 from repro.obs.metrics import parse_prometheus_text
 from repro.obs.trace import SpanCollector, tracer
@@ -190,7 +188,7 @@ class TestMetricsExposition:
 
 class TestSlowLog:
     def test_over_threshold_requests_land_slowest_first(self):
-        service = make_service(slow_log_size=4, slow_log_threshold=0.0)
+        service = make_service()
         collector = SpanCollector()
         try:
             with tracer().session(collector):
@@ -207,23 +205,6 @@ class TestSlowLog:
         finally:
             service.shutdown(timeout=0)
 
-    def test_threshold_and_capacity_zero_suppress_entries(self):
-        quiet = make_service(slow_log_threshold=60.0)
-        disabled = make_service(slow_log_size=0)
-        try:
-            quiet.submit(QueryRequest(query=EDGE_QUERY)).result()
-            disabled.submit(QueryRequest(query=EDGE_QUERY)).result()
-            assert quiet.stats()["slow_queries"] == []
-            assert disabled.stats()["slow_queries"] == []
-        finally:
-            quiet.shutdown(timeout=0)
-            disabled.shutdown(timeout=0)
-
-    def test_config_rejects_negative_slow_log_values(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(slow_log_size=-1)
-        with pytest.raises(ValueError):
-            ServiceConfig(slow_log_threshold=-0.5)
 
 
 class TestWireOps:

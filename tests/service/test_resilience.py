@@ -192,11 +192,16 @@ class TestQueueWaitEstimator:
         assert estimator.p95() == pytest.approx(1.0)
 
 
+def warm_estimator(service, wait: float) -> None:
+    """Feed the queue-wait estimator the samples it needs to shed."""
+    for _ in range(service.queue_wait.min_samples):
+        service.queue_wait.observe(wait)
+
+
 class TestDeadlineShedding:
     def test_sheds_when_deadline_below_p95_wait(self):
-        with make_service(shed_min_samples=5) as service:
-            for _ in range(5):
-                service.queue_wait.observe(2.0)
+        with make_service() as service:
+            warm_estimator(service, 2.0)
             request = QueryRequest(query=EDGE_QUERY, timeout=0.1,
                                    client="impatient")
             response = service.submit(request).result(timeout=5)
@@ -213,23 +218,17 @@ class TestDeadlineShedding:
                                           + stats["rejected"] + 1)
 
     def test_generous_deadline_still_runs(self):
-        with make_service(shed_min_samples=5) as service:
-            for _ in range(5):
-                service.queue_wait.observe(0.001)
+        with make_service() as service:
+            warm_estimator(service, 0.001)
             response = service.submit(
                 QueryRequest(query=EDGE_QUERY, timeout=5.0)).result(timeout=10)
             assert response.outcome.status is Outcome.COMPLETE
 
     def test_cold_estimator_never_sheds(self):
-        with make_service(shed_min_samples=50) as service:
-            response = service.submit(
-                QueryRequest(query=EDGE_QUERY, timeout=0.001)
-            ).result(timeout=10)
-            assert response.outcome.status is not Outcome.SHED
-
-    def test_shed_disabled_by_config(self):
-        with make_service(shed_enabled=False, shed_min_samples=1) as service:
-            service.queue_wait.observe(10.0)
+        with make_service() as service:
+            # one sample short of warm: even a hopeless deadline runs
+            for _ in range(service.queue_wait.min_samples - 1):
+                service.queue_wait.observe(10.0)
             response = service.submit(
                 QueryRequest(query=EDGE_QUERY, timeout=0.001)
             ).result(timeout=10)
@@ -238,7 +237,7 @@ class TestDeadlineShedding:
 
 class TestBreakerShedding:
     def test_open_breaker_sheds_only_that_client(self):
-        with make_service(breaker_threshold=2, shed_enabled=False) as service:
+        with make_service(breaker_threshold=2) as service:
             service.breakers.record("hot", failed=True)
             service.breakers.record("hot", failed=True)
             shed = service.submit(QueryRequest(
@@ -254,8 +253,8 @@ class TestBreakerShedding:
             assert stats["resilience"]["breaker_states"][STATE_OPEN] == 1
 
     def test_timeouts_open_the_breaker_and_success_closes_it(self):
-        with make_service(breaker_threshold=2, breaker_cooldown=0.2,
-                          shed_enabled=False) as service:
+        with make_service(breaker_threshold=2,
+                          breaker_cooldown=0.2) as service:
             request = QueryRequest(query=EDGE_QUERY, client="slow")
             # the failure source must pass static analysis (a syntax-bad
             # query is now rejected before the breaker sees it), so fail
@@ -278,8 +277,8 @@ class TestBreakerShedding:
             assert breaker.state == STATE_CLOSED
 
     def test_turned_away_probe_releases_the_half_open_slot(self):
-        with make_service(breaker_threshold=1, breaker_cooldown=0.1,
-                          shed_min_samples=5) as service:
+        with make_service(breaker_threshold=1,
+                          breaker_cooldown=0.1) as service:
             error = service.submit(QueryRequest(
                 query=EDGE_QUERY, document="nope",
                 client="flaky")).result(timeout=5)
@@ -287,8 +286,7 @@ class TestBreakerShedding:
             breaker = service.breakers.breaker("flaky")
             assert breaker.state == STATE_OPEN
             time.sleep(0.15)  # cooldown elapses: HALF_OPEN next
-            for _ in range(5):
-                service.queue_wait.observe(2.0)
+            warm_estimator(service, 2.0)
             # the HALF_OPEN probe itself is deadline-shed downstream:
             # the slot must come back instead of wedging the breaker
             shed = service.submit(QueryRequest(
@@ -302,24 +300,11 @@ class TestBreakerShedding:
             assert probe.outcome.status is Outcome.COMPLETE
             assert breaker.state == STATE_CLOSED
 
-    def test_breaker_disabled_by_config(self):
-        with make_service(breaker_threshold=0) as service:
-            for _ in range(20):
-                service._record_breaker(
-                    QueryRequest(query=EDGE_QUERY, client="c"),
-                    service.submit(QueryRequest(
-                        query=EDGE_QUERY, document="nope", client="c")
-                    ).result(timeout=5))
-            response = service.submit(QueryRequest(
-                query=EDGE_QUERY, client="c")).result(timeout=10)
-            assert response.outcome.status is Outcome.COMPLETE
-
 
 class TestPoolWatchdog:
     def test_hung_worker_is_recycled_and_caches_survive(self):
         with make_service(workers=1, default_timeout=0.2,
-                          watchdog_multiple=2.0, watchdog_interval=0.05,
-                          shed_enabled=False) as service:
+                          watchdog_multiple=2.0) as service:
             warm = service.submit(
                 QueryRequest(query=EDGE_QUERY, limit=10)).result(timeout=10)
             assert warm.outcome.status is Outcome.COMPLETE
@@ -351,8 +336,7 @@ class TestPoolWatchdog:
 
     def test_late_result_from_abandoned_worker_is_dropped(self):
         with make_service(workers=1, default_timeout=0.1,
-                          watchdog_multiple=2.0, watchdog_interval=0.05,
-                          shed_enabled=False) as service:
+                          watchdog_multiple=2.0) as service:
             service.execute_hook = lambda request: time.sleep(0.8)
             response = service.submit(QueryRequest(
                 query=EDGE_QUERY, use_cache=False)).result(timeout=10)
@@ -366,9 +350,7 @@ class TestPoolWatchdog:
 
     def test_queued_backlog_is_abandoned_not_recycled(self):
         with make_service(workers=1, default_timeout=10.0,
-                          watchdog_multiple=2.0, watchdog_interval=0.05,
-                          shed_enabled=False,
-                          breaker_threshold=0) as service:
+                          watchdog_multiple=2.0) as service:
             release = threading.Event()
 
             def hook(request):
@@ -395,12 +377,25 @@ class TestPoolWatchdog:
             assert done.outcome.status is Outcome.COMPLETE
             assert service.admission.in_flight == 0
 
-    def test_watchdog_disabled_by_config(self):
-        with make_service(watchdog_multiple=0.0) as service:
+
+
+class TestSettings:
+    @pytest.mark.parametrize("setting", [
+        {"breaker_threshold": 0}, {"breaker_threshold": -1},
+        {"watchdog_multiple": 0.0}, {"watchdog_multiple": -2.0},
+    ])
+    def test_no_value_switches_the_breaker_or_watchdog_off(self, setting):
+        with pytest.raises(ValueError):
+            ServiceConfig(**setting)
+
+    def test_every_service_runs_breaker_shedder_and_watchdog(self):
+        with make_service() as service:
             response = service.submit(
                 QueryRequest(query=EDGE_QUERY)).result(timeout=10)
             assert response.outcome.status is Outcome.COMPLETE
-            assert service._watchdog is None
+            assert service._watchdog is not None
+            assert service.queue_wait.min_samples == 10
+            assert service.breakers.threshold == 8
 
 
 class TestHealthReady:

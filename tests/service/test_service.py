@@ -424,8 +424,7 @@ class TestRequestAccounting:
         past the breaker)."""
         counter, status = self.ENDINGS[ending]
         service = make_service(workers=2, queue_depth=0, per_client=1,
-                               shed_min_samples=1, watchdog_multiple=2.0,
-                               watchdog_interval=0.02)
+                               watchdog_multiple=2.0)
         now = fake_clock_breakers(service)
         gate = threading.Event()
         service.execute_hook = lambda request: (
@@ -439,7 +438,8 @@ class TestRequestAccounting:
         if ending == "invalid text":
             target.query = "graph P { node"
         elif ending == "deadline shed":
-            service.queue_wait.observe(2.0)
+            for _ in range(service.queue_wait.min_samples):
+                service.queue_wait.observe(2.0)
             target.timeout = 0.1
         elif ending == "duplicate id":
             target.request_id = "block-b1"
@@ -525,7 +525,7 @@ class TestLifecycle:
         assert response.rejected
 
     def test_shutdown_cancels_stragglers_past_the_deadline(self):
-        service = dense_service(drain_timeout=0.2)
+        service = dense_service()
         request = QueryRequest(query=HEAVY_QUERY, use_cache=False)
         future = service.submit(request)
         time.sleep(0.1)
