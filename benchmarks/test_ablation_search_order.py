@@ -56,7 +56,7 @@ def run_experiment():
                     query.motif, sizes_map,
                     CostModel(query.motif, stats=None, gamma_const=0.1),
                 ),
-                "connected": connected_order(query.motif, sizes_map),
+                "connected": connected_order(query.motif),
                 "declared": query.motif.node_names(),
             }
             import time

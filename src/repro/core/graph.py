@@ -16,7 +16,7 @@ Implementation notes that mirror Section 4.1 of the paper:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import AbstractSet, Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .tuples import AttributeTuple
 
@@ -316,6 +316,13 @@ class Graph:
         seen = dict.fromkeys(self._adj[node_id])
         seen.update(dict.fromkeys(self._radj[node_id]))
         return list(seen)
+
+    def neighbor_set(self, node_id: str) -> AbstractSet[str]:
+        """Neighbors ignoring direction as a read-only set: for an
+        undirected graph a live view of the adjacency, no copy."""
+        if not self.directed:
+            return self._adj[node_id].keys()
+        return self._adj[node_id].keys() | self._radj[node_id].keys()
 
     def degree(self, node_id: str) -> int:
         """Number of incident edges (in+out for directed graphs)."""

@@ -37,6 +37,7 @@ class GroundPattern:
         )
         self.predicate = predicate
         self._node_tests: Dict[str, Callable[[Node], bool]] = {}
+        self._shared_tests: Optional[Dict[str, str]] = None
 
     # -- element predicates (F_u, F_e) ------------------------------------------
 
@@ -55,6 +56,30 @@ class GroundPattern:
             test = self._node_tests[pattern_node_name] = self._compile_node_test(
                 pattern_node_name)
         return test
+
+    def shared_node_tests(self) -> Dict[str, str]:
+        """Pattern node -> the first node, in declaration order, with the
+        same F_u: the same tag and attributes (equal values of one type,
+        in one order) and no predicate, own or pushed down.  A node with
+        a predicate maps to itself.  Computed once per pattern, so
+        retrieval can run one index lookup and one F_u pass per group."""
+        if self._shared_tests is None:
+            first: Dict[Any, str] = {}
+            shared: Dict[str, str] = {}
+            for name in self.motif.node_names():
+                node = self.motif.node(name)
+                shared[name] = name
+                if (node.predicate is not None
+                        or self.decomposed.node_preds.get(name) is not None):
+                    continue
+                key = (node.tag, tuple((attr, type(value), value)
+                                       for attr, value in node.attrs.items()))
+                try:
+                    shared[name] = first.setdefault(key, name)
+                except TypeError:  # an unhashable attribute value
+                    pass
+            self._shared_tests = shared
+        return self._shared_tests
 
     def _compile_node_test(self, name: str) -> Callable[[Node], bool]:
         motif_node = self.motif.node(name)

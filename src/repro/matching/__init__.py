@@ -36,7 +36,6 @@ from .refinement import (
 from .search_order import (
     CostModel,
     connected_order,
-    exhaustive_order,
     greedy_order,
     order_cost,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "space_size",
     "CostModel",
     "connected_order",
-    "exhaustive_order",
     "greedy_order",
     "order_cost",
     "GraphStatistics",

@@ -10,14 +10,14 @@ mate.  Hopcroft and Karp's algorithm gives O(E * sqrt(V)).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, Mapping, Optional, Sequence
+from typing import Collection, Dict, Hashable, Mapping, Optional, Sequence
 
 INFINITY = float("inf")
 
 
 def hopcroft_karp(
     left: Sequence[Hashable],
-    adjacency: Mapping[Hashable, Sequence[Hashable]],
+    adjacency: Mapping[Hashable, Collection[Hashable]],
 ) -> Dict[Hashable, Hashable]:
     """Maximum matching of a bipartite graph.
 
@@ -76,13 +76,26 @@ def hopcroft_karp(
 
 def has_semi_perfect_matching(
     left: Sequence[Hashable],
-    adjacency: Mapping[Hashable, Sequence[Hashable]],
+    adjacency: Mapping[Hashable, Collection[Hashable]],
 ) -> bool:
     """Whether every left vertex can be matched (semi-perfect matching).
 
-    Fails fast when some left vertex has no candidates at all.
+    Fails fast when some left vertex has no candidates at all.  A greedy
+    pass (each left vertex takes its first free candidate) settles most
+    checks; Hopcroft–Karp runs only when the greedy pass leaves a left
+    vertex unmatched, so the verdict is always the maximum matching's.
     """
+    taken = set()
+    greedy = True
     for u in left:
-        if not adjacency.get(u):
+        candidates = adjacency.get(u)
+        if not candidates:
             return False
-    return len(hopcroft_karp(left, adjacency)) == len(left)
+        if greedy:
+            for v in candidates:
+                if v not in taken:
+                    taken.add(v)
+                    break
+            else:
+                greedy = False
+    return greedy or len(hopcroft_karp(left, adjacency)) == len(left)

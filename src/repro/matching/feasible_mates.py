@@ -11,7 +11,9 @@ Retrieval proceeds in two stages:
 
 Everything that depends only on the pattern node — its compiled F_u,
 its profile as ``(label, count)`` pairs — is computed once per pattern
-node, not once per candidate.
+node, not once per candidate.  Pattern nodes with the same F_u and no
+predicate (:meth:`~repro.core.pattern.GroundPattern.shared_node_tests`)
+share one index lookup and one F_u pass.
 
 Soundness: both pruning tests are necessary conditions of a full match,
 so pruning never loses answers (verified by property tests).
@@ -20,7 +22,7 @@ so pruning never loses answers (verified by property tests).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.graph import Graph
 from ..core.pattern import GroundPattern
@@ -88,28 +90,21 @@ def retrieve_feasible_mates(
             f"profile index radius {profile_index.radius} != requested {radius}"
         )
     node = graph.node
+    shared_tests = pattern.shared_node_tests()
+    # group representative -> (method, scanned, F_u survivors)
+    retrieved: Dict[str, Tuple[str, int, List[str]]] = {}
     space: Dict[str, List[str]] = {}
     for name in pattern.node_names():
-        motif_node = pattern.motif.node(name)
-        candidate_ids: Optional[List[str]] = None
-        if attribute_index is not None:
-            pushed = pattern.decomposed.node_preds.get(name)
-            preds = [p for p in (motif_node.predicate, pushed) if p is not None]
-            candidate_ids = attribute_index.candidates_for(
-                motif_node.attrs, conjunction(preds)
-            )
-            if stats is not None and candidate_ids is not None:
-                stats.method[name] = "attribute-index"
-        if candidate_ids is None:
-            candidate_ids = graph.node_ids()
-            if stats is not None:
-                stats.method[name] = "scan"
+        shared = retrieved.get(shared_tests[name])
+        if shared is None:
+            shared = retrieved[name] = _retrieve(
+                pattern, name, graph, attribute_index)
+            method, scanned, feasible = shared
+        else:  # the same F_u as an earlier node: reuse its survivors
+            method, scanned, feasible = shared[0], shared[1], list(shared[2])
         if stats is not None:
-            stats.scanned[name] = len(candidate_ids)
-        # exact F_u check (Definition 4.8)
-        fu = pattern.node_test(name)
-        feasible = [node_id for node_id in candidate_ids if fu(node(node_id))]
-        if stats is not None:
+            stats.method[name] = method
+            stats.scanned[name] = scanned
             stats.after_fu[name] = len(feasible)
         # local pruning
         if local == "profile":
@@ -139,3 +134,27 @@ def retrieve_feasible_mates(
             stats.after_local[name] = len(feasible)
         space[name] = feasible
     return space
+
+
+def _retrieve(
+    pattern: GroundPattern,
+    name: str,
+    graph: Graph,
+    attribute_index: Optional[AttributeIndexSet],
+) -> Tuple[str, int, List[str]]:
+    """``(method, candidates scanned, F_u survivors)`` of one pattern node:
+    the attribute index when it covers a constraint, else a scan, then
+    the exact F_u check (Definition 4.8)."""
+    candidate_ids: Optional[List[str]] = None
+    method = "attribute-index"
+    if attribute_index is not None:
+        motif_node = pattern.motif.node(name)
+        pushed = pattern.decomposed.node_preds.get(name)
+        preds = [p for p in (motif_node.predicate, pushed) if p is not None]
+        candidate_ids = attribute_index.candidates_for(
+            motif_node.attrs, conjunction(preds))
+    if candidate_ids is None:
+        candidate_ids, method = graph.node_ids(), "scan"
+    fu, node = pattern.node_test(name), graph.node
+    return (method, len(candidate_ids),
+            [node_id for node_id in candidate_ids if fu(node(node_id))])

@@ -389,17 +389,17 @@ class GraphMatcher:
         # Step 4: search order
         started = time.perf_counter()
         with trace_span("match.order") as sp:
-            sizes = {name: len(candidates)
-                     for name, candidates in space.items()}
             model = plan.cost_model = CostModel(
                 pattern.motif, stats=self.stats, directed=graph.directed)
             try:
                 if opts.optimize_order:
+                    sizes = {name: len(candidates)
+                             for name, candidates in space.items()}
                     plan.order, plan.policy = (
                         greedy_order(pattern.motif, sizes, model), "greedy")
                 else:
                     plan.order, plan.policy = (
-                        connected_order(pattern.motif, sizes), "connected")
+                        connected_order(pattern.motif), "connected")
             except Exception as exc:
                 self._degrade(
                     plan,

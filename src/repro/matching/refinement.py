@@ -19,7 +19,7 @@ Both implementation improvements from the paper are included:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.graph import Graph
 from ..core.motif import SimpleMotif
@@ -30,13 +30,12 @@ from .bipartite import has_semi_perfect_matching
 class RefinementStats:
     """Instrumentation: how much work the refinement performed."""
 
-    __slots__ = ("levels_run", "pairs_checked", "pairs_removed", "matchings")
+    __slots__ = ("levels_run", "pairs_checked", "pairs_removed")
 
     def __init__(self) -> None:
         self.levels_run = 0
         self.pairs_checked = 0
         self.pairs_removed = 0
-        self.matchings = 0
 
     def __repr__(self) -> str:
         return (
@@ -91,9 +90,12 @@ def refine_search_space(
     pattern_neighbors: Dict[str, List[str]] = {
         u: motif.neighbors(u) for u in node_names
     }
+    # each data node's neighbour set, fetched once per call
+    data_neighbors: Dict[str, AbstractSet[str]] = {}
+    neighbor_set = graph.neighbor_set
 
-    # marked pairs kept in insertion order (a dict) so runs are
-    # deterministic regardless of hash randomization
+    # marked pairs kept in a dict: no pair is queued twice.  The check
+    # order does not matter: every check of a level sees the same Phi
     marked: Dict[Tuple[str, str], None] = {}
     for u in node_names:
         for v in phi[u]:
@@ -107,39 +109,38 @@ def refine_search_space(
         # levels are synchronous: every check in level i sees Phi as of
         # the start of the level (exactly the Fig. 4.18 trace — A2 and C1
         # fall at level 1, B2 only at level 2 once A2's absence is
-        # visible); removals apply between levels
-        snapshot: Dict[str, Set[str]] = {u: set(s) for u, s in phi_sets.items()}
+        # visible); removals apply between levels, so Phi itself is the
+        # level's snapshot.  Every marked pair is checked and unmarked.
+        checks, marked = marked, {}
         removals: List[Tuple[str, str]] = []
-        for u, v in list(marked):
-            if v not in phi_sets[u]:
-                del marked[(u, v)]
-                continue
+        for u, v in checks:
             if context is not None:
                 context.tick()
             if stats is not None:
                 stats.pairs_checked += 1
+            neighbors_v = data_neighbors.get(v)
+            if neighbors_v is None:
+                neighbors_v = data_neighbors[v] = neighbor_set(v)
+            # B(u, v): each pattern neighbour's edges are the neighbours
+            # of v its Phi holds, one set intersection each
             neighbors_u = pattern_neighbors[u]
-            neighbors_v = graph.all_neighbors(v)
-            adjacency = {
-                up: [vp for vp in neighbors_v if vp in snapshot[up]]
-                for up in neighbors_u
-            }
-            if stats is not None:
-                stats.matchings += 1
-            del marked[(u, v)]
-            if not has_semi_perfect_matching(neighbors_u, adjacency):
+            if len(neighbors_u) == 1:  # B(u, v) has one left vertex
+                matched = not neighbors_v.isdisjoint(phi_sets[neighbors_u[0]])
+            else:
+                matched = has_semi_perfect_matching(neighbors_u, {
+                    up: neighbors_v & phi_sets[up] for up in neighbors_u})
+            if not matched:
                 removals.append((u, v))
         for u, v in removals:
             phi_sets[u].discard(v)
-            if stats is not None:
-                stats.pairs_removed += 1
+        if stats is not None:
+            stats.pairs_removed += len(removals)
+        # re-mark the pairs whose bipartite graph lost the removed node
         for u, v in removals:
-            neighbors_u = pattern_neighbors[u]
-            neighbors_v = graph.all_neighbors(v)
-            for up in neighbors_u:
-                for vp in neighbors_v:
-                    if vp in phi_sets[up]:
-                        marked[(up, vp)] = None
+            neighbors_v = data_neighbors[v]
+            for up in pattern_neighbors[u]:
+                for vp in neighbors_v & phi_sets[up]:
+                    marked[(up, vp)] = None
 
     return {u: [v for v in phi[u] if v in phi_sets[u]] for u in node_names}
 

@@ -10,14 +10,14 @@ Definitions 4.11–4.13::
 where the reduction factor ``gamma(i)`` is either a constant or the product
 of the probabilities of the pattern edges the join closes.  The optimizer
 follows the paper: left-deep plans only, chosen greedily (the join that
-minimizes estimated cost, with estimated result size as tie-break); an
-exhaustive enumerator is provided for validation on small patterns.
+minimizes estimated result size, with estimated cost as tie-break).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..core.motif import SimpleMotif
 from .neighborhood import pattern_label
@@ -25,7 +25,13 @@ from .statistics import GraphStatistics
 
 
 class CostModel:
-    """Estimates reduction factors for joins over pattern nodes."""
+    """Estimates reduction factors for joins over pattern nodes.
+
+    Each pattern node's closing edges are derived once per model, as
+    ``(other end, P(e))`` in incident-edge order (:attr:`closing`);
+    :meth:`gamma`, :func:`order_cost` and :func:`greedy_order` all read
+    that one table.
+    """
 
     def __init__(
         self,
@@ -39,30 +45,40 @@ class CostModel:
         self.gamma_const = gamma_const
         self.directed = directed
 
-    def _node_label(self, name: str):
-        return pattern_label(self.motif.node(name))
+    @cached_property
+    def closing(self) -> Dict[str, List[Tuple[str, float]]]:
+        """Pattern node -> ``(other end, P(e))`` of each incident edge, in
+        incident-edge order; derived on first use."""
+        probability = {edge.name: self.edge_probability(edge.source, edge.target)
+                       for edge in self.motif.edges()}
+        return {
+            name: [(edge.target if edge.source == name else edge.source,
+                    probability[edge.name])
+                   for edge in self.motif.incident_edges(name)]
+            for name in self.motif.node_names()
+        }
 
     def edge_probability(self, source: str, target: str) -> float:
         """P(e(u, v)) for one pattern edge, per the configured mode."""
         if self.stats is None:
             return self.gamma_const
         return self.stats.edge_probability(
-            self._node_label(source), self._node_label(target), self.directed
+            pattern_label(self.motif.node(source)),
+            pattern_label(self.motif.node(target)), self.directed
         )
 
-    def gamma(self, placed: Sequence[str], new_node: str) -> float:
+    def gamma(self, placed: Collection[str], new_node: str) -> float:
         """Reduction factor of joining *new_node* onto the placed set.
 
         The product of probabilities of the pattern edges between the new
         node and already-placed nodes (Definition 4.11); 1.0 when the join
-        closes no edge (a Cartesian step).
+        closes no edge (a Cartesian step).  Pass *placed* as a set when
+        calling in a loop.
         """
         factor = 1.0
-        placed_set = set(placed)
-        for edge in self.motif.incident_edges(new_node):
-            other = edge.target if edge.source == new_node else edge.source
-            if other in placed_set:
-                factor *= self.edge_probability(edge.source, edge.target)
+        for other, probability in self.closing[new_node]:
+            if other in placed:
+                factor *= probability
         return factor
 
 
@@ -76,11 +92,12 @@ def order_cost(
         return (0.0, 0.0)
     size = float(sizes[order[0]])
     total_cost = 0.0
-    for i in range(1, len(order)):
-        new_node = order[i]
+    placed = {order[0]}
+    for new_node in order[1:]:
         leaf_size = float(sizes[new_node])
         total_cost += size * leaf_size  # Cost(i) = Size(left) * Size(right)
-        size = size * leaf_size * model.gamma(order[:i], new_node)
+        size = size * leaf_size * model.gamma(placed, new_node)
+        placed.add(new_node)
     return (total_cost, size)
 
 
@@ -103,81 +120,69 @@ def greedy_order(
     names = motif.node_names()
     if len(names) <= 1:
         return list(names)
+    # node -> {neighbour: gamma({neighbour}, node)}, multiplied in the
+    # node's incident-edge order exactly as CostModel.gamma does
+    pair_gamma: Dict[str, Dict[str, float]] = {}
+    for name in names:
+        factors = pair_gamma[name] = {}
+        for other, probability in model.closing[name]:
+            factors[other] = factors.get(other, 1.0) * probability
 
-    def join_key(placed: Sequence[str], size: float, leaf: str) -> Tuple[float, float]:
-        cost = size * sizes[leaf]
-        new_size = size * sizes[leaf] * model.gamma(placed, leaf)
-        return (new_size, cost)
-
-    # first join: best pair
+    # first join: best pair (a leaf not adjacent to a keeps gamma 1.0)
     best_pair: Optional[Tuple[str, str]] = None
     best_key: Optional[Tuple[float, float]] = None
     for a, b in itertools.permutations(names, 2):
-        key = join_key([a], float(sizes[a]), b)
+        cost = float(sizes[a]) * sizes[b]
+        key = (cost * pair_gamma[b].get(a, 1.0), cost)
         if best_key is None or key < best_key:
             best_key = key
             best_pair = (a, b)
-    assert best_pair is not None
-    order = [best_pair[0], best_pair[1]]
-    size = float(sizes[best_pair[0]]) * sizes[best_pair[1]] * model.gamma(
-        [best_pair[0]], best_pair[1]
-    )
-    remaining = [n for n in names if n not in order]
-    while remaining:
+    assert best_pair is not None and best_key is not None
+    order = list(best_pair)
+    placed = set(order)
+    size = best_key[0]
+    # gamma(placed, leaf) per remaining leaf, in declaration order; it
+    # only changes when a neighbour of the leaf is placed
+    leaf_gamma = {n: 1.0 for n in names if n not in placed}
+    newly_placed: Sequence[str] = best_pair
+    while leaf_gamma:
+        for node in newly_placed:
+            for leaf in pair_gamma[node]:
+                if leaf in leaf_gamma:
+                    leaf_gamma[leaf] = model.gamma(placed, leaf)
         best_leaf = None
         best_key = None
-        for leaf in remaining:
-            key = join_key(order, size, leaf)
+        for leaf, gamma in leaf_gamma.items():
+            cost = size * sizes[leaf]
+            key = (cost * gamma, cost)
             if best_key is None or key < best_key:
                 best_key = key
                 best_leaf = leaf
         assert best_leaf is not None and best_key is not None
         order.append(best_leaf)
-        remaining.remove(best_leaf)
+        placed.add(best_leaf)
+        del leaf_gamma[best_leaf]
+        newly_placed = (best_leaf,)
         size = best_key[0]
     return order
 
 
-def exhaustive_order(
-    motif: SimpleMotif,
-    sizes: Dict[str, int],
-    model: CostModel,
-    max_nodes: int = 9,
-) -> List[str]:
-    """Optimal left-deep order by enumeration (validation / ablation only)."""
-    names = motif.node_names()
-    if len(names) > max_nodes:
-        raise ValueError(
-            f"exhaustive enumeration limited to {max_nodes} nodes "
-            f"(pattern has {len(names)})"
-        )
-    best_order: Optional[Tuple[str, ...]] = None
-    best_cost = float("inf")
-    for perm in itertools.permutations(names):
-        cost, _ = order_cost(perm, sizes, model)
-        if cost < best_cost:
-            best_cost = cost
-            best_order = perm
-    return list(best_order) if best_order is not None else list(names)
+def connected_order(motif: SimpleMotif) -> List[str]:
+    """A baseline order: declaration order, then BFS-connected.
 
-
-def connected_order(motif: SimpleMotif, sizes: Dict[str, int]) -> List[str]:
-    """A baseline order: smallest candidate set first, then BFS-connected.
-
-    Used as the "without optimized order" arm in the experiments — it uses
-    no cost model, only connectivity, mirroring a naive implementation.
+    Each component starts at its first node in declaration order and
+    grows breadth-first along pattern edges.  Used as the "without
+    optimized order" arm in the experiments — it uses no cost model and
+    no candidate-set sizes, only connectivity, mirroring a naive
+    implementation.
     """
     names = motif.node_names()
-    if not names:
-        return []
     order: List[str] = []
-    seen: set = set()
     remaining = set(names)
     while remaining:
         # start a new component at the declaration-order first node
         start = next(n for n in names if n in remaining)
         order.append(start)
-        seen.add(start)
         remaining.discard(start)
         frontier = [n for n in motif.neighbors(start) if n in remaining]
         while frontier:
@@ -185,7 +190,6 @@ def connected_order(motif: SimpleMotif, sizes: Dict[str, int]) -> List[str]:
             if nxt not in remaining:
                 continue
             order.append(nxt)
-            seen.add(nxt)
             remaining.discard(nxt)
             frontier.extend(n for n in motif.neighbors(nxt) if n in remaining)
     return order

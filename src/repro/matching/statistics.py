@@ -62,13 +62,16 @@ class GraphStatistics:
         """P(e(u, v)) conditioned on the end labels, with smoothing.
 
         Unlabeled pattern nodes (``label`` None on either side) fall back
-        to the global edge density so the estimate stays usable for
-        attribute-free patterns.
+        to the global edge density — edges over the n(n-1) ordered node
+        pairs of a directed graph, or the n(n-1)/2 unordered pairs of an
+        undirected one — so the estimate stays usable for attribute-free
+        patterns.
         """
         freq_a = self.node_frequency(label_a)
         freq_b = self.node_frequency(label_b)
         if label_a is None or label_b is None or freq_a == 0 or freq_b == 0:
-            possible = max(1, self.num_nodes * (self.num_nodes - 1) / 2)
+            pairs = self.num_nodes * (self.num_nodes - 1)
+            possible = max(1, pairs if directed else pairs / 2)
             return min(1.0, self.num_edges / possible)
         freq_edge = self.edge_frequency(label_a, label_b, directed)
         if freq_edge == 0:

@@ -52,6 +52,16 @@ class TestSemiPerfect:
     def test_semi_perfect_false_fast_path(self):
         assert not has_semi_perfect_matching(["a", "b"], {"a": ["1"], "b": []})
 
+    def test_greedy_pass_fails_hopcroft_karp_succeeds(self):
+        """The greedy pre-pass gives ``1`` to ``a`` and leaves ``b``
+        unmatched; Hopcroft–Karp re-routes ``a`` to ``2``."""
+        adjacency = {"a": ["1", "2"], "b": ["1"]}
+        assert has_semi_perfect_matching(["a", "b"], adjacency)
+
+    def test_greedy_pass_fails_and_no_matching_exists(self):
+        adjacency = {"a": ["1", "2"], "b": ["1"], "c": ["2"]}
+        assert not has_semi_perfect_matching(["a", "b", "c"], adjacency)
+
     def test_paper_example_b_b2(self, paper_graph):
         """Fig. 4.18, level 2: B(B, B2) has no semi-perfect matching once
         A2 has been removed from Phi(A)."""
@@ -87,3 +97,18 @@ def test_matching_size_matches_reference(n_left, n_right, mask):
     fast = len(hopcroft_karp(left, adjacency))
     slow = _reference_max_matching(left, adjacency)
     assert fast == slow
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2 ** 25 - 1))
+def test_semi_perfect_agrees_with_hopcroft_karp(n_left, n_right, mask):
+    """Property: the greedy-first check answers exactly whether the
+    maximum matching covers every left vertex."""
+    left = [f"l{i}" for i in range(n_left)]
+    right = [f"r{j}" for j in range(n_right)]
+    adjacency = {
+        l: [right[j] for j in range(n_right) if (mask >> (i * 5 + j)) & 1]
+        for i, l in enumerate(left)
+    }
+    expected = len(hopcroft_karp(left, adjacency)) == len(left)
+    assert has_semi_perfect_matching(left, adjacency) == expected

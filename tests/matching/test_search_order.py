@@ -2,15 +2,16 @@
 
 import pytest
 
+from repro.core import Graph
 from repro.core.motif import SimpleMotif, clique_motif, path_motif
 from repro.matching import (
     CostModel,
     GraphStatistics,
     connected_order,
-    exhaustive_order,
     greedy_order,
     order_cost,
 )
+from tests.matching.reference import exhaustive_order
 
 
 def triangle_sizes():
@@ -39,6 +40,22 @@ class TestCostModel:
         model = CostModel(motif, stats=stats)
         # freq(A-B edges)=2, freq(A)=2, freq(B)=2 -> P = 2/4
         assert model.edge_probability("u1", "u2") == pytest.approx(0.5)
+
+    def test_unlabeled_density_counts_ordered_pairs_when_directed(self):
+        """The unlabeled fallback is edges over the possible edges: the
+        n(n-1) ordered pairs of a directed graph, n(n-1)/2 otherwise."""
+        for directed, density in ((True, 3 / 12), (False, 3 / 6)):
+            graph = Graph(directed=directed)
+            for node_id in ("a", "b", "c", "d"):
+                graph.add_node(node_id)
+            for source, target in (("a", "b"), ("b", "c"), ("c", "d")):
+                graph.add_edge(source, target)
+            stats = GraphStatistics(graph)
+            assert stats.edge_probability(None, None, directed) == density
+            motif = path_motif(1)  # one edge, unlabeled ends
+            model = CostModel(motif, stats=stats, directed=directed)
+            first, second = motif.node_names()
+            assert model.gamma({first}, second) == density
 
     def test_paper_cost_example(self):
         """Section 4.4: cost((A⋈B)⋈C) = 2 + 2γ; cost((A⋈C)⋈B) = 1 + 2γ."""
@@ -109,7 +126,7 @@ class TestExhaustiveOrder:
 class TestConnectedOrder:
     def test_connected_when_possible(self):
         motif = path_motif(3)
-        order = connected_order(motif, {n: 1 for n in motif.node_names()})
+        order = connected_order(motif)
         placed = {order[0]}
         for name in order[1:]:
             assert any(n in placed for n in motif.neighbors(name))
@@ -119,5 +136,5 @@ class TestConnectedOrder:
         motif = SimpleMotif()
         motif.add_node("a")
         motif.add_node("b")
-        order = connected_order(motif, {"a": 1, "b": 1})
+        order = connected_order(motif)
         assert sorted(order) == ["a", "b"]
