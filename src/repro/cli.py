@@ -59,6 +59,18 @@ EXIT_BY_OUTCOME = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1 (an answer cap of 0
+    would still report one mapping, so it is refused)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--directed", action="store_true",
                         help="treat data graphs as directed")
@@ -120,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="file containing one graph pattern")
     match.add_argument("--baseline", action="store_true",
                        help="disable the optimized access methods")
-    match.add_argument("--limit", type=int, default=1000,
+    match.add_argument("--limit", type=_positive_int, default=1000,
                        help="answer cap (default 1000, as in the paper); "
                             "enforced inside the search, so hitting it "
                             "terminates early with a TRUNCATED outcome")
@@ -152,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the explain document as JSON (the "
                               "same shape the service 'explain' op "
                               "returns)")
-    explain.add_argument("--limit", type=int, default=1000,
+    explain.add_argument("--limit", type=_positive_int, default=1000,
                          help="answer cap for --analyze (default 1000)")
     _add_governance(explain)
     _add_common(explain)
@@ -207,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="default per-query deadline (requests may "
                             "tighten, never exceed it)")
-    serve.add_argument("--limit", type=int, default=1000,
+    serve.add_argument("--limit", type=_positive_int, default=1000,
                        help="default per-query answer cap")
     serve.add_argument("--store", default=None, metavar="PATH",
                        help="WAL-backed store file: recovery runs on "
@@ -318,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="the pattern query inline")
     croute.add_argument("--document", default="data",
                         help="document name on the shards (default data)")
-    croute.add_argument("--limit", type=int, default=1000,
+    croute.add_argument("--limit", type=_positive_int, default=1000,
                         help="global answer cap across all shards")
     croute.add_argument("--timeout", type=float, default=30.0,
                         metavar="SECONDS",

@@ -11,12 +11,15 @@ graph iff one of its derived ground patterns matches (Section 3.2).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from .bindings import Mapping, MatchedGraph
 from .graph import Edge, Graph, Node
 from .motif import GraphGrammar, MotifExpr, SimpleMotif
 from .predicate import DecomposedPredicate, Expr, Scope, decompose
+
+if TYPE_CHECKING:
+    from ..matching.symmetry import Symmetry
 
 
 class GroundPattern:
@@ -38,6 +41,7 @@ class GroundPattern:
         self.predicate = predicate
         self._node_tests: Dict[str, Callable[[Node], bool]] = {}
         self._shared_tests: Optional[Dict[str, str]] = None
+        self._symmetry: Dict[bool, "Symmetry"] = {}
 
     # -- element predicates (F_u, F_e) ------------------------------------------
 
@@ -80,6 +84,16 @@ class GroundPattern:
                     pass
             self._shared_tests = shared
         return self._shared_tests
+
+    def symmetry(self, directed: bool) -> "Symmetry":
+        """The pattern's automorphism group against data graphs of the
+        given directedness (:mod:`repro.matching.symmetry`), computed
+        once per pattern and flag."""
+        found = self._symmetry.get(directed)
+        if found is None:
+            from ..matching.symmetry import automorphisms
+            found = self._symmetry[directed] = automorphisms(self, directed)
+        return found
 
     def _compile_node_test(self, name: str) -> Callable[[Node], bool]:
         motif_node = self.motif.node(name)
@@ -166,6 +180,10 @@ class GraphPattern:
         self.motif = motif
         self.where = where
         self.name = name
+        # max_depth -> the derivations without a grammar: a prepared
+        # pattern is executed many times, and its ground patterns carry
+        # compiled F_u tests and the automorphism group
+        self._grounds: Dict[int, List[GroundPattern]] = {}
 
     def is_recursive(self) -> bool:
         """Whether the motif involves named-motif references."""
@@ -176,11 +194,20 @@ class GraphPattern:
         grammar: Optional[GraphGrammar] = None,
         max_depth: int = 8,
     ) -> List[GroundPattern]:
-        """Derive all ground patterns (one per disjunct / unrolling)."""
-        return [
-            GroundPattern(simple, self.where, name=self.name)
-            for simple in self.motif.expand(grammar, max_depth)
-        ]
+        """Derive all ground patterns (one per disjunct / unrolling).
+
+        Without a *grammar* the derivations are computed once per
+        *max_depth* and every call returns a new list of the same
+        :class:`GroundPattern` objects."""
+        grounds = self._grounds.get(max_depth) if grammar is None else None
+        if grounds is None:
+            grounds = [
+                GroundPattern(simple, self.where, name=self.name)
+                for simple in self.motif.expand(grammar, max_depth)
+            ]
+            if grammar is None:
+                self._grounds[max_depth] = grounds
+        return list(grounds)
 
     def single(self, grammar: Optional[GraphGrammar] = None) -> GroundPattern:
         """The unique ground pattern of a nonrecursive, disjunction-free motif."""

@@ -17,6 +17,7 @@ from ..core.bindings import Mapping
 from ..core.graph import Graph
 from ..core.pattern import GroundPattern
 from ..runtime import ExecutionContext, ExecutionInterrupted, mapping_cost
+from .symmetry import Getter
 
 
 class SearchCounters:
@@ -72,7 +73,9 @@ def find_matches(
         Return all mappings; when false, stop at the first.
     limit:
         Hard cap on the number of reported mappings (the paper terminates
-        queries with more than 1000 answers); ``None`` means no cap.
+        queries with more than 1000 answers); ``None`` means no cap, and
+        a cap below 1 is a :class:`ValueError`.  Which mappings fill a
+        cap is unspecified.
     initial:
         Pre-pinned assignments (used by the neighborhood-subgraph pruning
         check, which requires ``u`` mapped to ``v``).
@@ -91,7 +94,15 @@ def find_matches(
     ``Check``'s work is planned once, before searching: per depth, the
     pattern edges back to earlier (or pinned) nodes, each with the
     direction to probe and whether its F_e can fail at all.
+
+    Without pins, and when every orbit of the pattern's automorphism
+    group (:meth:`~repro.core.pattern.GroundPattern.symmetry`) has the
+    same candidates, the search finds one mapping ψ per automorphism
+    class and emits ψ∘g for every automorphism g at its leaf: the same
+    answers (node and edge key order included), found once.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     if candidates is None:
         candidates = scan_feasible_mates(pattern, graph)
     pins = initial or {}
@@ -135,23 +146,70 @@ def find_matches(
                       _back_edges(pattern, u, mapped, graph.directed)))
     depth = len(steps)
 
+    def accept(found: Mapping) -> bool:
+        """Report one complete mapping; True when the search should stop."""
+        results.append(found)
+        if counters is not None:
+            counters.results += 1
+        if context is not None and context.note_result(
+            memory=mapping_cost(found)
+        ):
+            return True
+        return limit is not None and len(results) >= limit
+
+    # Pattern symmetry: when the feasible mappings are closed under the
+    # pattern's automorphisms, search only the canonical mapping of each
+    # class and emit the rest at the leaf.  Per depth, ``bounds`` holds
+    # the earlier nodes a canonical mapping maps below and above this
+    # depth's node (the Grochow-Kellis constraints, checked at the depth
+    # that maps their second node); ``chain`` holds the group's coset
+    # representatives as getters over value tuples in the plain search's
+    # key order (nodes by depth, edges by depth and then back-edge order).
+    bounds: List[Tuple[Tuple[str, ...], Tuple[str, ...]]] = []
+    chain: Tuple[Tuple[Tuple[Getter, Getter], ...], ...] = ()
+    symmetry = None if pins else pattern.symmetry(graph.directed)
+    if (symmetry is not None and not symmetry.trivial
+            and symmetry.uniform(candidates)):
+        at = {u: i for i, u in enumerate(order)}
+        for i, u in enumerate(order):
+            bounds.append((
+                tuple(b for b, x in symmetry.constraints
+                      if x == u and at[b] < i),
+                tuple(x for b, x in symmetry.constraints
+                      if b == u and at[x] < i)))
+        node_keys = tuple(order)
+        edge_keys = tuple(name for step in steps for name, _, _, _ in step[2])
+        chain = symmetry.expansion(node_keys, edge_keys)
+
+        def expand(level: int, node_values: Tuple[str, ...],
+                   edge_values: Tuple[str, ...]) -> bool:
+            """Emit ψ∘g for every g of the group below *level*: the
+            identity, then each of the level's coset representatives."""
+            if level == len(chain):
+                found = Mapping()
+                found.nodes = dict(zip(node_keys, node_values))
+                found.edges = dict(zip(edge_keys, edge_values))
+                return pattern.residual_holds(found, graph) and accept(found)
+            if expand(level + 1, node_values, edge_values):
+                return True
+            for node_getter, edge_getter in chain[level]:
+                if expand(level + 1, node_getter(node_values),
+                          edge_getter(edge_values)):
+                    return True
+            return False
+
     def search(i: int) -> bool:
         """Return True when the search should stop early."""
         if counters is not None:
             counters.partial_states += 1
         if i == depth:
-            if pattern.residual_holds(mapping, graph):
-                results.append(mapping.copy())
-                if counters is not None:
-                    counters.results += 1
-                if context is not None and context.note_result(
-                    memory=mapping_cost(mapping)
-                ):
-                    return True
-                if limit is not None and len(results) >= limit:
-                    return True
-            return False
+            if chain:
+                return expand(0, tuple(nodes.values()), tuple(edges.values()))
+            return (pattern.residual_holds(mapping, graph)
+                    and accept(mapping.copy()))
         u, mates, back = steps[i]
+        if bounds:  # only canonical mappings: φ(b) < φ(x)
+            mates = _canonical_mates(mates, bounds[i], nodes)
         for v in mates:  # free candidates for u
             if v in used:
                 continue
@@ -178,6 +236,23 @@ def find_matches(
             raise
         context.mark_interrupted(exc)
     return results
+
+
+def _canonical_mates(
+    mates: Sequence[str],
+    bounds: Tuple[Tuple[str, ...], Tuple[str, ...]],
+    nodes: Dict[str, str],
+) -> Sequence[str]:
+    """The candidates above every data node mapped to ``bounds[0]`` and
+    below every one mapped to ``bounds[1]``."""
+    below, above = bounds
+    if below:
+        low = max([nodes[b] for b in below])
+        mates = [v for v in mates if v > low]
+    if above:
+        high = min([nodes[x] for x in above])
+        mates = [v for v in mates if v < high]
+    return mates
 
 
 #: One back edge of a search step: (pattern edge name, the mapped pattern

@@ -13,7 +13,9 @@ Everything that depends only on the pattern node — its compiled F_u,
 its profile as ``(label, count)`` pairs — is computed once per pattern
 node, not once per candidate.  Pattern nodes with the same F_u and no
 predicate (:meth:`~repro.core.pattern.GroundPattern.shared_node_tests`)
-share one index lookup and one F_u pass.
+share one index lookup and one F_u pass, and the nodes of one orbit of
+the pattern's automorphism group (:mod:`repro.matching.symmetry`) share
+one local pruning pass.
 
 Soundness: both pruning tests are necessary conditions of a full match,
 so pruning never loses answers (verified by property tests).
@@ -91,6 +93,10 @@ def retrieve_feasible_mates(
         )
     node = graph.node
     shared_tests = pattern.shared_node_tests()
+    # automorphic nodes have the same F_u survivors and neighbourhoods
+    # (up to the automorphism), so they keep the same candidates
+    orbit_of = (pattern.symmetry(graph.directed).orbit_of
+                if local != "none" else None)
     # group representative -> (method, scanned, F_u survivors)
     retrieved: Dict[str, Tuple[str, int, List[str]]] = {}
     space: Dict[str, List[str]] = {}
@@ -106,8 +112,11 @@ def retrieve_feasible_mates(
             stats.method[name] = method
             stats.scanned[name] = scanned
             stats.after_fu[name] = len(feasible)
-        # local pruning
-        if local == "profile":
+        # local pruning, once per orbit
+        first = name if orbit_of is None else orbit_of[name]
+        if first != name:
+            feasible = list(space[first])
+        elif local == "profile":
             need = Counter(motif_profile(pattern.motif, name, radius)).items()
             if profile_index is not None:
                 counts_of = profile_index.counts_of

@@ -63,7 +63,11 @@ class MatchOptions:
     optimize_order: bool = True       # greedy cost-based order vs connected order
     radius: int = 1
     exhaustive: bool = True
-    limit: Optional[int] = None
+    limit: Optional[int] = None       # None => no cap; else at least 1
+
+    def __post_init__(self) -> None:
+        if self.limit is not None and self.limit < 1:
+            raise ValueError(f"limit must be at least 1, got {self.limit}")
 
 
 @dataclass
@@ -360,8 +364,10 @@ class GraphMatcher:
         plan.baseline_space = math.prod(plan.retrieval.after_fu.values())
         plan.retrieved_space = space_size(space)
 
-        # Step 3: joint reduction (Algorithm 4.2)
+        # Step 3: joint reduction (Algorithm 4.2), once per orbit of the
+        # pattern's automorphisms
         if opts.refine:
+            symmetry = pattern.symmetry(graph.directed)
             started = time.perf_counter()
             with trace_span("match.refine") as sp:
                 refinement_stats = RefinementStats()
@@ -373,6 +379,7 @@ class GraphMatcher:
                         level=opts.refine_level,
                         stats=refinement_stats,
                         context=context,
+                        orbits=None if symmetry.trivial else symmetry.orbit_of,
                     )
                 except ExecutionInterrupted:
                     plan.times["refine"] = time.perf_counter() - started

@@ -19,7 +19,8 @@ Both implementation improvements from the paper are included:
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
+from collections import Counter
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.graph import Graph
 from ..core.motif import SimpleMotif
@@ -51,6 +52,7 @@ def refine_search_space(
     level: Optional[int] = None,
     stats: Optional[RefinementStats] = None,
     context: Optional[ExecutionContext] = None,
+    orbits: Optional[Mapping[str, str]] = None,
 ) -> Dict[str, List[str]]:
     """Run Algorithm 4.2 and return the reduced search space.
 
@@ -72,6 +74,15 @@ def refine_search_space(
         per pair check.  Interruptions propagate to the caller — a
         partially refined space is still sound (refinement only ever
         removes candidates), so the planner may keep what was computed.
+    orbits:
+        Optional map from each pattern node to the first node of its
+        orbit under the pattern's automorphisms
+        (:attr:`~repro.matching.symmetry.Symmetry.orbit_of`).  When every
+        orbit's members start with the same candidates, Φ stays the same
+        across each orbit level after level, so only the first member's
+        pairs are checked and the verdict holds for the whole orbit
+        through one shared Φ set.  ``stats`` still count every pair
+        decided, orbit members included.
 
     Notes
     -----
@@ -85,11 +96,30 @@ def refine_search_space(
 
     # Phi as name -> set for O(1) membership; preserve candidate order
     phi: Dict[str, List[str]] = {u: list(space.get(u, ())) for u in node_names}
-    phi_sets: Dict[str, Set[str]] = {u: set(ids) for u, ids in phi.items()}
-
     pattern_neighbors: Dict[str, List[str]] = {
         u: motif.neighbors(u) for u in node_names
     }
+    if orbits is not None and any(phi[u] != phi[orbits[u]]
+                                  for u in node_names):
+        orbits = None
+    phi_sets: Dict[str, Set[str]] = {}
+    if orbits is None:  # every node is its own orbit
+        members: Mapping[str, int] = dict.fromkeys(node_names, 1)
+        orbit_neighbors = pattern_neighbors
+        for u in node_names:
+            phi_sets[u] = set(phi[u])
+    else:
+        # one Phi set per orbit, checked through its first member; a
+        # removal re-marks every orbit next to a member of its orbit
+        members = Counter(orbits[u] for u in node_names)
+        orbit_neighbors = {u: [] for u in members}
+        for u in node_names:
+            first = orbits[u]
+            phi_sets[u] = phi_sets[first] if first != u else set(phi[u])
+            around = orbit_neighbors[first]
+            for up in pattern_neighbors[u]:
+                if orbits[up] not in around:
+                    around.append(orbits[up])
     # each data node's neighbour set, fetched once per call
     data_neighbors: Dict[str, AbstractSet[str]] = {}
     neighbor_set = graph.neighbor_set
@@ -97,7 +127,7 @@ def refine_search_space(
     # marked pairs kept in a dict: no pair is queued twice.  The check
     # order does not matter: every check of a level sees the same Phi
     marked: Dict[Tuple[str, str], None] = {}
-    for u in node_names:
+    for u in members:
         for v in phi[u]:
             marked[(u, v)] = None
 
@@ -117,7 +147,7 @@ def refine_search_space(
             if context is not None:
                 context.tick()
             if stats is not None:
-                stats.pairs_checked += 1
+                stats.pairs_checked += members[u]
             neighbors_v = data_neighbors.get(v)
             if neighbors_v is None:
                 neighbors_v = data_neighbors[v] = neighbor_set(v)
@@ -133,12 +163,12 @@ def refine_search_space(
                 removals.append((u, v))
         for u, v in removals:
             phi_sets[u].discard(v)
-        if stats is not None:
-            stats.pairs_removed += len(removals)
+            if stats is not None:
+                stats.pairs_removed += members[u]
         # re-mark the pairs whose bipartite graph lost the removed node
         for u, v in removals:
             neighbors_v = data_neighbors[v]
-            for up in pattern_neighbors[u]:
+            for up in orbit_neighbors[u]:
                 for vp in neighbors_v & phi_sets[up]:
                     marked[(up, vp)] = None
 

@@ -187,6 +187,31 @@ class TestGovernance:
         assert "total: 3 mapping(s)" in out
         assert "TRUNCATED" in out  # the cap stopped the search early
 
+    def test_limit_zero_is_a_usage_error(self, triangle_file, tmp_path,
+                                         capsys):
+        # a cap of 0 used to report one mapping; now argparse refuses it
+        pattern = tmp_path / "one.gql"
+        pattern.write_text('graph P { node u <label="A">; }')
+        with pytest.raises(SystemExit) as exc:
+            main(["match", triangle_file, "--pattern", str(pattern),
+                  "--limit", "0"])
+        assert exc.value.code == 2
+        assert "--limit: must be at least 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["explain", "data.gql", "--pattern", "p.gql"],
+        ["serve", "data.gql"],
+        ["cluster", "route", "--endpoints", "127.0.0.1:1",
+         "--query", "graph P { node u; }"],
+    ], ids=["explain", "serve", "cluster-route"])
+    @pytest.mark.parametrize("limit", ["0", "-3", "x"])
+    def test_every_limit_flag_takes_a_positive_int(self, argv, limit,
+                                                   capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--limit", limit])
+        assert exc.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+
     def test_uncapped_match_reports_complete(self, triangle_file, tmp_path,
                                              capsys):
         pattern = tmp_path / "q.gql"

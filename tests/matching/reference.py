@@ -6,6 +6,11 @@ retrieval of feasible mates (Section 4.2).  ``src/repro/matching``
 compiles each of them; ``test_planner_differential.py`` checks that the
 compiled forms return the same spaces, orders, estimates and counters.
 
+``find_matches`` is Algorithm 4.1 as it was before the search learned
+pattern symmetry: every automorphic mapping is found by search.
+``test_symmetry.py`` checks that the symmetry-aware search returns the
+same bag of mappings.
+
 ``exhaustive_order`` — the optimal left-deep order by enumeration — is
 only ever used to validate the greedy order, so it lives here too.
 """
@@ -16,6 +21,7 @@ import itertools
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.bindings import Mapping
 from repro.core.graph import Graph
 from repro.core.motif import SimpleMotif
 from repro.core.pattern import GroundPattern
@@ -28,6 +34,12 @@ from repro.matching import (
     RetrievalStats,
     hopcroft_karp,
 )
+from repro.matching.basic import (
+    SearchCounters,
+    _back_edges,
+    _compile_check,
+    scan_feasible_mates,
+)
 from repro.matching.feasible_mates import LOCAL_STRATEGIES
 from repro.matching.neighborhood import (
     default_label,
@@ -37,6 +49,7 @@ from repro.matching.neighborhood import (
     profile_contained,
     profile_counts,
 )
+from repro.runtime import ExecutionContext, ExecutionInterrupted, mapping_cost
 
 
 # -- Algorithm 4.2 ---------------------------------------------------------------
@@ -300,3 +313,139 @@ def retrieve_feasible_mates(
             stats.after_local[name] = len(feasible)
         space[name] = feasible
     return space
+
+
+# -- Algorithm 4.1 ---------------------------------------------------------------
+
+
+def find_matches(
+    pattern: GroundPattern,
+    graph: Graph,
+    candidates: Optional[Dict[str, Sequence[str]]] = None,
+    order: Optional[Sequence[str]] = None,
+    exhaustive: bool = True,
+    limit: Optional[int] = None,
+    initial: Optional[Dict[str, str]] = None,
+    counters: Optional[SearchCounters] = None,
+    context: Optional[ExecutionContext] = None,
+) -> List[Mapping]:
+    """Run Algorithm 4.1 and return the feasible mappings.
+
+    Parameters
+    ----------
+    candidates:
+        The search space ``Phi`` (pattern node name -> candidate node ids).
+        Computed by full scan when omitted.
+    order:
+        Search order over pattern node names (Section 4.4).  Defaults to
+        declaration order.
+    exhaustive:
+        Return all mappings; when false, stop at the first.
+    limit:
+        Hard cap on the number of reported mappings (the paper terminates
+        queries with more than 1000 answers); ``None`` means no cap.
+    initial:
+        Pre-pinned assignments (used by the neighborhood-subgraph pruning
+        check, which requires ``u`` mapped to ``v``).
+    counters:
+        Optional :class:`SearchCounters` to fill with search statistics.
+    context:
+        Optional :class:`~repro.runtime.ExecutionContext`.  The search
+        ticks it once per candidate extension; on deadline expiry, step
+        budget exhaustion or cancellation the search unwinds and the
+        mappings found so far are returned (the interruption is recorded
+        on the context, so callers can report a structured outcome).
+        The context's answer/memory caps also terminate the search
+        early, inside the recursion.
+
+    The order fixes which pattern nodes are mapped at every depth, so
+    ``Check``'s work is planned once, before searching: per depth, the
+    pattern edges back to earlier (or pinned) nodes, each with the
+    direction to probe and whether its F_e can fail at all.
+    """
+    if candidates is None:
+        candidates = scan_feasible_mates(pattern, graph)
+    pins = initial or {}
+    node_names = pattern.node_names()
+    order = [n for n in (node_names if order is None else order)
+             if n not in pins]
+    missing = set(node_names) - set(order) - set(pins)
+    if missing:
+        raise ValueError(f"search order misses pattern nodes: {sorted(missing)}")
+    if not exhaustive and limit is None:
+        limit = 1
+
+    # Assignments are overwritten, never undone: depth i rewrites its
+    # node and back edges before anything deeper reads them, and a
+    # mapping is copied out only when every depth has just written its
+    # own, so the entries (and their order) equal a fresh assignment's.
+    mapping = Mapping()
+    nodes, edges = mapping.nodes, mapping.edges
+    used: set[str] = set()
+    results: List[Mapping] = []
+    check = _compile_check(pattern, graph, nodes, edges)
+
+    # pinned nodes: all mapped first, then each checked against every pin
+    for name, node_id in pins.items():
+        if (not graph.has_node(node_id) or node_id in used
+                or not pattern.node_matches(name, graph.node(node_id))):
+            return []
+        nodes[name] = node_id
+        used.add(node_id)
+    for name, node_id in pins.items():
+        if counters is not None:
+            counters.check_calls += 1
+        if not check(_back_edges(pattern, name, pins, graph.directed), node_id):
+            return []
+
+    mapped = set(pins)
+    steps = []
+    for u in order:
+        mapped.add(u)
+        steps.append((u, candidates.get(u, ()),
+                      _back_edges(pattern, u, mapped, graph.directed)))
+    depth = len(steps)
+
+    def search(i: int) -> bool:
+        """Return True when the search should stop early."""
+        if counters is not None:
+            counters.partial_states += 1
+        if i == depth:
+            if pattern.residual_holds(mapping, graph):
+                results.append(mapping.copy())
+                if counters is not None:
+                    counters.results += 1
+                if context is not None and context.note_result(
+                    memory=mapping_cost(mapping)
+                ):
+                    return True
+                if limit is not None and len(results) >= limit:
+                    return True
+            return False
+        u, mates, back = steps[i]
+        for v in mates:  # free candidates for u
+            if v in used:
+                continue
+            if context is not None:
+                context.tick()
+            if counters is not None:
+                counters.candidates_tried += 1
+                counters.check_calls += 1
+            nodes[u] = v  # a pattern self-loop probes (v, v)
+            if not check(back, v):
+                continue
+            used.add(v)
+            if search(i + 1):
+                return True
+            used.discard(v)
+        return False
+
+    try:
+        if context is not None:
+            context.check()
+        search(0)
+    except ExecutionInterrupted as exc:
+        if context is None:
+            raise
+        context.mark_interrupted(exc)
+    return results

@@ -56,6 +56,15 @@ class TestSearch:
         pattern = GroundPattern(motif)
         assert len(find_matches(pattern, paper_graph, limit=3)) == 3
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_is_refused(self, paper_graph, limit):
+        # the cap was tested only after the first append, so limit=0
+        # used to return one mapping
+        motif = SimpleMotif()
+        motif.add_node("u")
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            find_matches(GroundPattern(motif), paper_graph, limit=limit)
+
     def test_injectivity(self):
         """Two same-label pattern nodes cannot map to the same data node."""
         graph = Graph()

@@ -71,6 +71,13 @@ class TestPipeline:
                                MatchOptions(limit=1))
         assert len(report.mappings) == 1
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_is_refused(self, limit):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            MatchOptions(limit=limit)
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            optimized_options(limit=limit)
+
     def test_first_match_mode(self, paper_graph):
         motif = clique_motif(["B"])
         matcher = GraphMatcher(paper_graph)

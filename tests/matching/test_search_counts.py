@@ -42,6 +42,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 #: Totals of :func:`count_totals` under ``PYTHONHASHSEED=0``, per string
 #: hash algorithm (siphash24 before Python 3.11, siphash13 from 3.11 on):
 #: the tie-breaks, and so the search counts, follow the hash values.
+#: The ``search.*`` and ``mappings`` totals were re-recorded when the
+#: search began to find one mapping per pattern automorphism class: the
+#: pins below come from a ``limit=3`` search, and which three mappings
+#: fill that cap changed (the uncapped answers and the retrieval and
+#: refinement totals did not).
 EXPECTED = {
     "siphash13": {
         "retrieval.scanned": 10530,
@@ -50,11 +55,11 @@ EXPECTED = {
         "refinement.levels_run": 55,
         "refinement.pairs_checked": 1689,
         "refinement.pairs_removed": 565,
-        "search.candidates_tried": 199222,
-        "search.check_calls": 199462,
-        "search.partial_states": 16620,
-        "search.results": 8349,
-        "mappings": 8349,
+        "search.candidates_tried": 162216,
+        "search.check_calls": 162456,
+        "search.partial_states": 9469,
+        "search.results": 8325,
+        "mappings": 8325,
     },
     "siphash24": {
         "retrieval.scanned": 10530,
@@ -63,11 +68,11 @@ EXPECTED = {
         "refinement.levels_run": 55,
         "refinement.pairs_checked": 1689,
         "refinement.pairs_removed": 565,
-        "search.candidates_tried": 203478,
-        "search.check_calls": 203718,
-        "search.partial_states": 16835,
-        "search.results": 8349,
-        "mappings": 8349,
+        "search.candidates_tried": 165840,
+        "search.check_calls": 166080,
+        "search.partial_states": 9663,
+        "search.results": 8325,
+        "mappings": 8325,
     },
 }
 

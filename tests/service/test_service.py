@@ -84,6 +84,32 @@ class TestExecution:
             assert response.outcome.detail["diagnostics"]
             assert response.results == []
 
+    def test_executions_of_one_text_reuse_its_ground_patterns(
+            self, monkeypatch):
+        from repro.core import pattern as pattern_module
+
+        built = []
+        original = pattern_module.GroundPattern.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        with make_service() as service:
+            first = service.execute(EDGE_QUERY, use_cache=False)
+            prepared, hit = service.plan_cache.prepare(EDGE_QUERY)
+            assert hit
+            grounds = prepared.pattern.ground()
+            monkeypatch.setattr(pattern_module.GroundPattern, "__init__",
+                                counting_init)
+            second = service.execute(EDGE_QUERY, use_cache=False)
+            assert second.cache != "hit"
+            assert built == []  # no derivation, F_u or group recompiled
+            again = prepared.pattern.ground()
+            assert again is not grounds  # a new list ...
+            assert all(a is b for a, b in zip(again, grounds))  # ... same objects
+            assert second.results == first.results
+
     def test_unknown_document_is_an_error_response(self):
         with make_service() as service:
             response = service.execute(EDGE_QUERY, document="nope")
