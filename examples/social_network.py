@@ -1,25 +1,19 @@
-"""Social-network analytics: patterns + aggregation + ranking.
+"""Social-network analytics: patterns, then counts over the matches.
 
 The paper's intro lists social networks among the graph-native domains.
 This example builds a directed follower network, finds structural
-patterns (reciprocal pairs, "broker" wedges), and runs the aggregation
-and ranking operators over the matches — graphs stay the unit of
-information end to end.
+patterns (reciprocal pairs, "broker" wedges, follow edges), and
+summarises the mappings with plain ``collections.Counter`` tallies.
 
 Run with:  python examples/social_network.py
 """
 
 import random
+from collections import Counter
 
-from repro.core import Graph, GraphCollection, GroundPattern
-from repro.core.aggregate import aggregate, order_by, top_k
+from repro.core import Graph, GroundPattern
 from repro.core.motif import SimpleMotif
-from repro.core.predicate import AttrRef
 from repro.matching import GraphMatcher, optimized_options
-
-
-def ref(path):
-    return AttrRef(tuple(path.split(".")))
 
 
 def build_network(num_users: int = 300, seed: int = 9) -> Graph:
@@ -82,24 +76,12 @@ def main() -> None:
     wedges = matcher.match(broker_pattern(), optimized_options(limit=5000))
     print(f"open wedges (a->m->b): {len(wedges.mappings)}")
 
-    # aggregation: which city's users broker the most wedges?
-    from repro.core.bindings import MatchedGraph
-
-    matched = GraphCollection(
-        [MatchedGraph(m, broker_pattern(), network)
-         for m in wedges.mappings]
-    )
-    per_city = aggregate(
-        matched,
-        [("wedges", "count", None)],
-        key=ref("m.city"),
-        key_name="city",
-    )
-    ranked = order_by(per_city, [(ref("wedges"), True)])
+    # which city's users broker the most wedges?
+    per_city = Counter(network.node(m["m"])["city"]
+                       for m in wedges.mappings)
     print("\nwedges brokered per city:")
-    for summary in ranked:
-        node = summary.node("r")
-        print(f"  {node['city']:>8}: {node['wedges']}")
+    for city, count in per_city.most_common():
+        print(f"  {city:>8}: {count}")
 
     # ranking: most-followed users via the one-edge pattern
     follow = SimpleMotif()
@@ -108,16 +90,11 @@ def main() -> None:
     follow.add_edge("src", "dst")
     report = matcher.match(GroundPattern(follow, name="F"),
                            optimized_options(limit=10000))
-    followed = GraphCollection(
-        [MatchedGraph(m, GroundPattern(follow, name="F"), network)
-         for m in report.mappings]
-    )
-    per_user = aggregate(followed, [("followers", "count", None)],
-                         key=ref("dst.handle"), key_name="handle")
+    per_user = Counter(network.node(m["dst"])["handle"]
+                       for m in report.mappings)
     print("\ntop celebrities:")
-    for summary in top_k(per_user, ref("followers"), 5):
-        node = summary.node("r")
-        print(f"  {node['handle']:>10}: {node['followers']} followers")
+    for handle, count in per_user.most_common(5):
+        print(f"  {handle:>10}: {count} followers")
 
 
 if __name__ == "__main__":

@@ -54,13 +54,6 @@ class CollectionSchema:
         return (name in self.node_attrs or name in self.edge_attrs
                 or name in self.graph_attrs)
 
-    def attr_buckets(self, name: str) -> Set[str]:
-        """Every type bucket observed for *name*, across element kinds."""
-        out: Set[str] = set()
-        for attrs in (self.node_attrs, self.edge_attrs, self.graph_attrs):
-            out |= attrs.get(name, set())
-        return out
-
 
 def _note(attrs: Dict[str, Set[str]], tuple_like: Iterable[str],
           getter: Callable[[str], object]) -> None:

@@ -107,10 +107,6 @@ class MatchedGraph:
         """The underlying graph G."""
         return self.graph
 
-    def matched_subgraph(self, name: Optional[str] = None) -> Graph:
-        """The subgraph of G induced by the matched nodes."""
-        return self.graph.induced_subgraph(self.mapping.nodes.values(), name=name)
-
     def nodes(self) -> Iterator[Node]:
         """Iterate nodes of the underlying graph."""
         return self.graph.nodes()

@@ -31,6 +31,11 @@ class SearchCounters:
         self.partial_states = 0
         self.results = 0
 
+    def add(self, other: "SearchCounters") -> None:
+        """Add another search's counts to these."""
+        for slot in self.__slots__:
+            setattr(self, slot, getattr(self, slot) + getattr(other, slot))
+
     def __repr__(self) -> str:
         return (
             f"SearchCounters(tried={self.candidates_tried}, "

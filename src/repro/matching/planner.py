@@ -131,8 +131,17 @@ class MatchReport(AccessPlan):
 
     def absorb(self, other: "MatchReport") -> None:
         """Fold in a later derivation's report on the same graph: mappings
-        union, times and spaces add up, the outcome is the later run's."""
+        union, times, spaces and work counters add up, the outcome is the
+        later run's."""
         self.mappings.extend(other.mappings)
+        if self.search is None:
+            self.search = other.search
+        elif other.search is not None:
+            self.search.add(other.search)
+        if self.refinement is None:
+            self.refinement = other.refinement
+        elif other.refinement is not None:
+            self.refinement.add(other.refinement)
         for key, value in other.times.items():
             self.times[key] = self.times.get(key, 0.0) + value
         self.baseline_space += other.baseline_space

@@ -38,6 +38,13 @@ class RefinementStats:
         self.pairs_checked = 0
         self.pairs_removed = 0
 
+    def add(self, other: "RefinementStats") -> None:
+        """Add another refinement's work to this one's (levels: the
+        deeper of the two)."""
+        self.levels_run = max(self.levels_run, other.levels_run)
+        self.pairs_checked += other.pairs_checked
+        self.pairs_removed += other.pairs_removed
+
     def __repr__(self) -> str:
         return (
             f"RefinementStats(levels={self.levels_run}, "

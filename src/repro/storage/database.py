@@ -194,7 +194,8 @@ class GraphDatabase:
         """Match a pattern against every graph of a document.
 
         Returns one :class:`MatchReport` per graph (derivations merged),
-        keyed by graph name (or positional index when unnamed).  Pattern
+        keyed by graph name (or ``#position`` when unnamed; a name an
+        earlier member already holds becomes ``name#position``).  Pattern
         text is compiled on the fly.  A *context* is shared by the
         searches: once it trips, remaining graphs are skipped and each
         report carries the outcome snapshot at the time it finished.
@@ -205,12 +206,14 @@ class GraphDatabase:
         merged_position = None
         for run in self.member_runs(document, pattern.ground(), options,
                                     context):
-            name = run.matcher.graph.name or f"#{run.position}"
             if run.position == merged_position:
                 reports[name].absorb(run.report)
-            else:
-                reports[name] = run.report
-                merged_position = run.position
+                continue
+            name = run.matcher.graph.name or f"#{run.position}"
+            if name in reports:
+                name = f"{name}#{run.position}"
+            reports[name] = run.report
+            merged_position = run.position
         return reports
 
     def execute(

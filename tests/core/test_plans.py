@@ -1,25 +1,35 @@
-"""Tests for algebraic plans and rewrite laws (Section 3.3)."""
+"""Algebraic plans (Section 3.3): operator nests over named documents, and
+the relational rewrite laws the paper says carry over.
 
-import random
+A plan here is a nest of :mod:`repro.core.algebra` calls over documents
+resolved through a :class:`DictSource`.  A filter is σ with a one-node
+pattern whose predicate compares the node's ``x`` or ``y`` with a
+constant.  Each rewrite test builds both sides of a law by hand and checks
+that they return the same graphs; no plan rewriter applies the laws
+(DESIGN.md, "Algebraic laws").  A selection returns matched graphs, so a
+law's set operator on selection results is taken over graph names or
+``(x, y)`` signatures.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DictSource, Graph, GraphCollection, GroundPattern
-from repro.core.motif import SimpleMotif
-from repro.core.plans import (
-    Compose,
-    Difference,
-    Doc,
-    Filter,
-    Product,
-    Select,
-    Union,
-    Values,
-    optimize,
+from repro.core import (
+    DictSource,
+    Graph,
+    GraphCollection,
+    GraphTemplate,
+    GroundPattern,
+    as_graph,
+    cartesian_product,
+    compose,
+    difference,
+    join,
+    select,
+    union,
 )
+from repro.core.motif import SimpleMotif
 from repro.core.predicate import AttrRef, BinOp, Literal
-from repro.core.template import GraphTemplate
 
 
 def ref(path):
@@ -27,10 +37,9 @@ def ref(path):
 
 
 def record(name, **attrs):
+    """A one-node graph whose node ``n`` carries *attrs*."""
     g = Graph(name)
-    for key, value in attrs.items():
-        g.tuple.set(key, value)
-    g.add_node("n")
+    g.add_node("n", **attrs)
     return g
 
 
@@ -42,155 +51,180 @@ def source():
     })
 
 
+def node_filter(predicate):
+    motif = SimpleMotif()
+    motif.add_node("u")
+    return GroundPattern(motif, predicate)
+
+
+def where(path, op, value):
+    return BinOp(op, ref(path), Literal(value))
+
+
+def conjunction(parts):
+    expr = parts[0]
+    for extra in parts[1:]:
+        expr = BinOp("&", expr, extra)
+    return expr
+
+
 def result_names(collection):
-    out = []
-    for item in collection:
-        graph = item.as_graph() if hasattr(item, "as_graph") else item
-        out.append(graph.name)
-    return sorted(filter(None, out))
+    return sorted(as_graph(item).name for item in collection)
+
+
+def pair_names(collection):
+    return sorted((graph.members["G1"].name, graph.members["G2"].name)
+                  for graph in collection)
 
 
 class TestEvaluation:
     def test_doc_and_filter(self):
-        plan = Filter(Doc("R"), BinOp(">", ref("x"), Literal(1)))
-        assert result_names(plan.evaluate(source())) == ["r2", "r3"]
+        plan = select(source().doc("R"), node_filter(where("u.x", ">", 1)))
+        assert result_names(plan) == ["r2", "r3"]
 
     def test_union_difference(self):
-        u = Union(Doc("R"), Doc("R"))
-        assert len(u.evaluate(source())) == 3  # set semantics dedupe
-        d = Difference(Doc("R"), Values(GraphCollection([record("r1", x=1)])))
-        assert result_names(d.evaluate(source())) == ["r2", "r3"]
+        r = source().doc("R")
+        assert len(union(r, r)) == 3  # set semantics dedupe
+        d = difference(r, GraphCollection([record("r1", x=1)]))
+        assert result_names(d) == ["r2", "r3"]
 
     def test_product_members(self):
-        plan = Product(Doc("R"), Doc("S"))
-        collection = plan.evaluate(source())
+        src = source()
+        collection = cartesian_product(src.doc("R"), src.doc("S"))
         assert len(collection) == 6
         assert set(collection[0].members) == {"G1", "G2"}
 
     def test_select(self):
         motif = SimpleMotif()
         motif.add_node("u")
-        plan = Select(Doc("R"), GroundPattern(motif))
-        assert len(plan.evaluate(source())) == 3
+        assert len(select(source().doc("R"), GroundPattern(motif))) == 3
 
     def test_compose(self):
         template = GraphTemplate(["P"])
-        template.add_node("v", attr_exprs={"copied": ref("P.x")})
-        plan = Compose(Doc("R"), template, param="P")
-        collection = plan.evaluate(source())
+        template.add_node("v", attr_exprs={"copied": ref("P.n.x")})
+        collection = compose(template, source().doc("R"))
         assert sorted(g.node("v")["copied"] for g in collection) == [1, 2, 3]
-
-    def test_describe(self):
-        plan = Filter(Product(Doc("R"), Doc("S")),
-                      BinOp("==", ref("G1.x"), ref("G2.y")))
-        text = plan.describe()
-        assert "Filter" in text and "Product" in text and "Doc(R)" in text
 
 
 class TestRewrites:
     def test_filter_cascade(self):
-        plan = Filter(Filter(Doc("R"), BinOp(">", ref("x"), Literal(1))),
-                      BinOp("<", ref("x"), Literal(3)))
-        optimized = optimize(plan)
-        assert isinstance(optimized, Filter)
-        assert isinstance(optimized.child, Doc)
-        assert result_names(optimized.evaluate(source())) == ["r2"]
+        r = source().doc("R")
+        twice = select(select(r, node_filter(where("u.x", ">", 1))),
+                       node_filter(where("u.x", "<", 3)))
+        once = select(r, node_filter(BinOp("&", where("u.x", ">", 1),
+                                           where("u.x", "<", 3))))
+        assert result_names(twice) == result_names(once) == ["r2"]
 
     def test_filter_through_union(self):
-        plan = Filter(Union(Doc("R"), Doc("R")),
-                      BinOp("==", ref("x"), Literal(2)))
-        optimized = optimize(plan)
-        assert isinstance(optimized, Union)
-        assert result_names(optimized.evaluate(source())) == ["r2"]
+        r = source().doc("R")
+        pattern = node_filter(where("u.x", "==", 2))
+        above = result_names(select(union(r, r), pattern))
+        below = (set(result_names(select(r, pattern)))
+                 | set(result_names(select(r, pattern))))
+        assert above == sorted(below) == ["r2"]
 
     def test_filter_through_difference(self):
-        plan = Filter(
-            Difference(Doc("R"), Values(GraphCollection([record("r3", x=3)]))),
-            BinOp(">", ref("x"), Literal(1)),
-        )
-        optimized = optimize(plan)
-        assert isinstance(optimized, Difference)
-        assert result_names(optimized.evaluate(source())) == ["r2"]
+        r = source().doc("R")
+        removed = GraphCollection([record("r3", x=3)])
+        pattern = node_filter(where("u.x", ">", 1))
+        above = result_names(select(difference(r, removed), pattern))
+        below = (set(result_names(select(r, pattern)))
+                 - set(result_names(select(removed, pattern))))
+        assert above == sorted(below) == ["r2"]
 
     def test_selection_pushdown_through_product(self):
-        predicate = BinOp(
-            "&",
-            BinOp(">", ref("G1.x"), Literal(1)),
-            BinOp("==", ref("G1.x"), ref("G2.y")),
-        )
-        plan = Filter(Product(Doc("R"), Doc("S")), predicate)
-        optimized = optimize(plan)
-        # the single-side conjunct moved below the product
-        assert isinstance(optimized, Filter)  # residual join condition
-        assert isinstance(optimized.child, Product)
-        assert isinstance(optimized.child.left, Filter)
-        before = _pairs(plan.evaluate(source()))
-        after = _pairs(optimized.evaluate(source()))
-        assert before == after == {(2, 2)}
+        src = source()
+        r, s = src.doc("R"), src.doc("S")
+        on_value = BinOp("==", ref("G1.n.x"), ref("G2.n.y"))
+        above = join(r, s, BinOp("&", where("G1.n.x", ">", 1), on_value))
+        # the single-side conjunct moved below the product; the join
+        # condition stays above it
+        below = join(select(r, node_filter(where("u.x", ">", 1))), s,
+                     on_value)
+        assert pair_names(above) == pair_names(below) == [("r2", "s1")]
 
     def test_pushdown_reduces_product_size(self):
-        predicate = BinOp("==", ref("G1.x"), Literal(1))
-        plan = Filter(Product(Doc("R"), Doc("S")), predicate)
-        optimized = optimize(plan)
+        src = source()
+        r, s = src.doc("R"), src.doc("S")
+        above = join(r, s, where("G1.n.x", "==", 1))
+        pushed = select(r, node_filter(where("u.x", "==", 1)))
         # pushing the filter shrinks the product input from 3 to 1 graph
-        assert isinstance(optimized, Product)
-        assert len(optimized.evaluate(source())) == 2  # 1 x 2
+        assert len(pushed) == 1
+        below = cartesian_product(pushed, s)
+        assert len(below) == 2  # 1 x 2
+        assert pair_names(above) == pair_names(below)
 
 
-def _pairs(collection):
-    out = set()
-    for composite in collection:
-        graph = composite.as_graph() if hasattr(composite, "as_graph") else composite
-        out.add((graph.members["G1"].get("x"), graph.members["G2"].get("y")))
-    return out
+records = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                   max_size=4)
+#: ``(operator, attribute, constant)`` of one comparison
+comparisons = st.tuples(st.sampled_from(["==", "!=", "<", ">"]),
+                        st.sampled_from("xy"), st.integers(0, 3))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10 ** 9))
-def test_optimize_preserves_semantics(seed):
-    """Property: optimized plans return exactly the same graphs."""
-    rng = random.Random(seed)
-    docs = {
-        "A": GraphCollection([
-            record(f"a{i}", x=rng.randint(0, 3), y=rng.randint(0, 3))
-            for i in range(rng.randint(0, 4))
-        ]),
-        "B": GraphCollection([
-            record(f"b{i}", x=rng.randint(0, 3))
-            for i in range(rng.randint(0, 4))
-        ]),
-    }
-    src = DictSource(docs)
+def collection_of(pairs):
+    """One single-node graph per ``(x, y)``."""
+    return GraphCollection([record(f"r{x}{y}", x=x, y=y) for x, y in pairs])
 
-    def random_pred(aliases):
-        base = []
-        for _ in range(rng.randint(1, 3)):
-            attr = rng.choice(["x", "y"])
-            path = (f"{rng.choice(aliases)}.{attr}"
-                    if aliases else attr)
-            op = rng.choice(["==", "!=", "<", ">"])
-            base.append(BinOp(op, ref(path), Literal(rng.randint(0, 3))))
-        expr = base[0]
-        for extra in base[1:]:
-            expr = BinOp("&", expr, extra)
-        return expr
 
-    choice = rng.randrange(4)
-    if choice == 0:
-        plan = Filter(Filter(Doc("A"), random_pred([])), random_pred([]))
-    elif choice == 1:
-        plan = Filter(Union(Doc("A"), Doc("B")), random_pred([]))
-    elif choice == 2:
-        plan = Filter(Difference(Doc("A"), Doc("B")), random_pred([]))
+def compare(node_path, comparison):
+    op, attr, value = comparison
+    return where(f"{node_path}.{attr}", op, value)
+
+
+def filtered(collection, comparisons_):
+    if not comparisons_:
+        return collection
+    return select(collection, node_filter(
+        conjunction([compare("u", c) for c in comparisons_])))
+
+
+def signature(graph):
+    node = as_graph(graph).node("n")
+    return node["x"], node["y"]
+
+
+def signatures(collection):
+    """Equal graphs here have equal ``(x, y)``, so sets of these compare
+    collections as sets."""
+    return {signature(graph) for graph in collection}
+
+
+def pair_signatures(collection):
+    return {(signature(graph.members["G1"]), signature(graph.members["G2"]))
+            for graph in collection}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=st.sampled_from(["cascade", "union", "difference", "product"]),
+    left=records,
+    right=records,
+    first=st.lists(comparisons, min_size=1, max_size=3),
+    second=st.lists(comparisons, min_size=1, max_size=3),
+    sides=st.lists(st.sampled_from(["G1", "G2"]), min_size=3, max_size=3),
+    joined=st.booleans(),
+)
+def test_optimize_preserves_semantics(case, left, right, first, second,
+                                      sides, joined):
+    """Property: each law's rewritten plan returns exactly the same graphs."""
+    c, d = collection_of(left), collection_of(right)
+    if case == "cascade":
+        twice = filtered(filtered(c, first), second)
+        assert signatures(twice) == signatures(filtered(c, first + second))
+    elif case == "union":
+        assert (signatures(filtered(union(c, d), first))
+                == signatures(filtered(c, first)) | signatures(filtered(d, first)))
+    elif case == "difference":
+        assert (signatures(filtered(difference(c, d), first))
+                == signatures(filtered(c, first)) - signatures(filtered(d, first)))
     else:
-        plan = Filter(Product(Doc("A"), Doc("B")),
-                      random_pred(["G1", "G2"]))
-    before = plan.evaluate(src)
-    after = optimize(plan).evaluate(src)
-    assert len(before) == len(after)
-    for graph_before in before:
-        target = graph_before if isinstance(graph_before, Graph) else graph_before.as_graph()
-        assert any(
-            (g if isinstance(g, Graph) else g.as_graph()).equals(target)
-            for g in after
-        )
+        conjuncts = list(zip(sides, first))
+        residual = [BinOp("==", ref("G1.n.x"), ref("G2.n.y"))] if joined else []
+        above = join(c, d, conjunction(
+            [compare(f"{side}.n", cmp) for side, cmp in conjuncts] + residual))
+        pushed_left = filtered(c, [cmp for side, cmp in conjuncts if side == "G1"])
+        pushed_right = filtered(d, [cmp for side, cmp in conjuncts if side == "G2"])
+        below = (join(pushed_left, pushed_right, conjunction(residual))
+                 if residual else cartesian_product(pushed_left, pushed_right))
+        assert pair_signatures(above) == pair_signatures(below)

@@ -1,8 +1,8 @@
 """Selection through the one member loop (``planner.match_members``)."""
 
-from repro.core import GraphCollection, GroundPattern, select
+from repro.core import (GraphCollection, GroundPattern, cartesian_product,
+                        select)
 from repro.core.motif import clique_motif
-from repro.core.plans import Doc, Product, Select
 from repro.datasets import erdos_renyi_graph
 from repro.matching import brute_force_matches
 from repro.matching.planner import SMALL_MEMBER_NODES, match_members
@@ -75,6 +75,6 @@ class TestSelectIsTheMemberLoop:
         db = GraphDatabase()
         db.register("net", paper_graph)
         pattern = GroundPattern(clique_motif(["A"]))
-        product = Select(Product(Doc("net"), Doc("net")), pattern)
-        assert len(product.evaluate(db)) > 0
+        product = cartesian_product(db.doc("net"), db.doc("net"))
+        assert len(select(product, pattern)) > 0
         assert db._matchers == {}

@@ -51,11 +51,6 @@ class TestExamples:
         assert "compounds match" in out
         assert "filter kept" in out
 
-    def test_algebra_plans(self, capsys):
-        out = run_example("algebra_plans", capsys)
-        assert "optimized plan" in out
-        assert "naive product size: 400" in out
-
     def test_social_network(self, capsys):
         out = run_example("social_network", capsys)
         assert "reciprocal follow pairs" in out

@@ -1,14 +1,17 @@
 """Tests for database-level selection with automatic collection indexing."""
 
+from repro.core import Graph, GraphCollection
 from repro.core import select as scan_select
 from repro.datasets import (
     benzene_ring_pattern,
+    erdos_renyi_graph,
     molecule_collection,
     ring_with_side_chain_pattern,
     tiny_dblp,
 )
 from repro.lang.compiler import compile_pattern_text
 from repro.matching import MatchOptions
+from repro.matching.planner import SMALL_MEMBER_NODES
 from repro.runtime import ExecutionContext, Outcome
 from repro.storage import GraphDatabase
 
@@ -161,3 +164,42 @@ class TestOneSelectionOperator:
         assert len(db.select("mols", either, exhaustive=False)) == both
         assert len(served(db, "mols", either,
                           options=MatchOptions(exhaustive=False))) == both
+
+    def test_members_sharing_a_name_keep_every_row(self):
+        """A repeated member name is keyed by position, so no member's
+        report overwrites another's on the served path."""
+        members = []
+        for _ in range(2):
+            graph = Graph("G")
+            graph.add_node("a", label="A")
+            members.append(graph)
+        db = GraphDatabase()
+        db.register("d", GraphCollection(members))
+        pattern = 'graph P { node v <label="A">; }'
+        rows, _ = db.execute("d", pattern)
+        assert len(rows) == len(db.select("d", pattern)) == 2
+        assert [row["graph"] for row in rows] == ["G", "G#1"]
+
+    def test_a_merged_report_counts_every_derivation(self):
+        """A disjunctive pattern's report adds up each block's search and
+        refinement work (levels: the deepest block's)."""
+        blocks = ['node u <label="L000">; node v <label="L001">; '
+                  'edge e (u, v);',
+                  'node u <label="L001">; node v <label="L001">; '
+                  'edge e (u, v);']
+        db = GraphDatabase()
+        db.register("g", GraphCollection([erdos_renyi_graph(
+            2 * SMALL_MEMBER_NODES, 120, num_labels=2, seed=4, name="g")]))
+        (report,) = db.match("g", "graph P { %s }" % " | ".join(
+            "{ %s }" % block for block in blocks)).values()
+        alone = [next(iter(db.match("g", "graph P { %s }" % block).values()))
+                 for block in blocks]
+        assert report.search.results == len(report.mappings) == sum(
+            len(block.mappings) for block in alone)
+        for counter in ("candidates_tried", "check_calls", "partial_states"):
+            assert getattr(report.search, counter) == sum(
+                getattr(block.search, counter) for block in alone)
+        assert report.refinement.pairs_checked == sum(
+            block.refinement.pairs_checked for block in alone)
+        assert report.refinement.levels_run == max(
+            block.refinement.levels_run for block in alone)
