@@ -377,12 +377,9 @@ def _match_setup(args: argparse.Namespace):
     pattern_text = Path(args.pattern).read_text(encoding="utf-8")
     options = (baseline_options(limit=args.limit) if args.baseline
                else optimized_options(limit=args.limit))
-    # the answer cap is part of the context so the cap terminates the
-    # search from the inside (TRUNCATED) instead of slicing afterwards
     context = ExecutionContext(
         timeout=args.timeout,
         max_steps=args.max_steps,
-        max_results=args.limit,
         max_memory=args.max_memory,
     )
     return database, pattern_text, options, context

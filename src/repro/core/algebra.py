@@ -56,7 +56,7 @@ def select(
     Returns a collection of :class:`MatchedGraph`.  With ``exhaustive``
     every mapping of every graph is returned (a graph can match in many
     places); otherwise at most one mapping per graph.  *limit* caps the
-    mappings of each graph.  :func:`~repro.matching.planner.match_members`
+    whole selection.  :func:`~repro.matching.planner.match_members`
     runs the members and picks each one's access method.
 
     *context* governs the whole selection: the per-graph searches share

@@ -119,6 +119,13 @@ class MatchedGraph:
         """Graph-level attribute of G."""
         return self.graph.get(attr, default)
 
+    def equals(self, other: Any) -> bool:
+        """The same node and edge mapping on an equal graph."""
+        return (isinstance(other, MatchedGraph)
+                and self.mapping.nodes == other.mapping.nodes
+                and self.mapping.edges == other.mapping.edges
+                and self.graph.equals(other.graph))
+
     def __repr__(self) -> str:
         return f"MatchedGraph({self.mapping!r} on {self.graph!r})"
 

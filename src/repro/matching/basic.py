@@ -75,7 +75,7 @@ def find_matches(
         Search order over pattern node names (Section 4.4).  Defaults to
         declaration order.
     exhaustive:
-        Return all mappings; when false, stop at the first.
+        Return all mappings; when false, stop at the first (any *limit*).
     limit:
         Hard cap on the number of reported mappings (the paper terminates
         queries with more than 1000 answers); ``None`` means no cap, and
@@ -92,8 +92,8 @@ def find_matches(
         budget exhaustion or cancellation the search unwinds and the
         mappings found so far are returned (the interruption is recorded
         on the context, so callers can report a structured outcome).
-        The context's answer/memory caps also terminate the search
-        early, inside the recursion.
+        The context's memory cap also terminates the search early,
+        inside the recursion.
 
     The order fixes which pattern nodes are mapped at every depth, so
     ``Check``'s work is planned once, before searching: per depth, the
@@ -117,7 +117,7 @@ def find_matches(
     missing = set(node_names) - set(order) - set(pins)
     if missing:
         raise ValueError(f"search order misses pattern nodes: {sorted(missing)}")
-    if not exhaustive and limit is None:
+    if not exhaustive:
         limit = 1
 
     # Assignments are overwritten, never undone: depth i rewrites its

@@ -484,11 +484,12 @@ def match_members(
 
     Matches the derivations *grounds* of one pattern against each member
     of *collection* and yields one :class:`MemberRun` per derivation run.
-    A member's derivations are one answer set: ``options.limit`` — or one
-    mapping when ``exhaustive`` is off — caps them together, and each
-    search only runs for the answers still missing.  *context* governs
-    every search; once it trips, the rest is skipped.  ``search=False``
-    yields :meth:`GraphMatcher.plan` results instead (EXPLAIN).
+    ``options.limit`` caps the query's whole answer: each search looks
+    only for the answers still missing, and the run that fills the cap
+    ends the loop ``TRUNCATED``.  ``exhaustive`` off keeps one mapping
+    per member.  *context* governs every search; once it is interrupted
+    or truncated, the rest is skipped.  ``search=False`` yields
+    :meth:`GraphMatcher.plan` results instead (EXPLAIN).
 
     Which matcher and options a member gets is decided here and nowhere
     else, from its node count (:data:`SMALL_MEMBER_NODES`).  *matchers*
@@ -499,7 +500,7 @@ def match_members(
     matchers = {} if matchers is None else matchers
     requested = options or MatchOptions()
     small_options = replace(requested, local="none", refine=False, optimize_order=False)
-    cap = 1 if requested.limit is None and not requested.exhaustive else requested.limit
+    remaining = requested.limit
     for position, member in enumerate(collection):
         graph = as_graph(member)
         if graph.num_nodes() < SMALL_MEMBER_NODES:
@@ -511,20 +512,28 @@ def match_members(
             if matcher is None or matcher.graph is not graph:
                 matcher = matchers[id(graph)] = GraphMatcher(graph)
             member_options = requested
-        found = 0
-        for index, ground in enumerate(grounds):
-            if context is not None and context.is_interrupted:
+        for ground in grounds:
+            if context is not None and context.is_stopped:
                 return
+            found = 0
             if not search:
                 report: AccessPlan = matcher.plan(ground, member_options)
             else:
-                if cap is not None and index:
-                    if found >= cap:
-                        break
-                    member_options = replace(member_options, limit=cap - found)
+                if remaining != member_options.limit:
+                    member_options = replace(member_options, limit=remaining)
                 report = matcher.match(ground, member_options, context=context)
-                found += len(report.mappings)
+                found = len(report.mappings)
+                if remaining is not None:
+                    remaining -= found
+                    if not remaining and context is not None:
+                        context.note_truncated(
+                            f"answer cap of {requested.limit} reached")
+                        report.outcome = context.outcome()
             yield MemberRun(position, matcher, member_options, ground, report)
+            if remaining == 0:
+                return
+            if found and not requested.exhaustive:
+                break  # one mapping per member
 
 
 def baseline_options(**overrides) -> MatchOptions:

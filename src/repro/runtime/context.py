@@ -9,8 +9,8 @@ the shared vocabulary for that:
 
 * :class:`ExecutionContext` — carried through the matcher, the FLWR
   evaluator, the algebra operators, the Datalog fixpoint and the SQL
-  baseline.  It holds a wall-clock deadline, a step budget, an
-  answer-set/memory cap and a cooperative :class:`CancellationToken`.
+  baseline.  It holds a wall-clock deadline, a step budget, a memory
+  cap and a cooperative :class:`CancellationToken`.
   Inner loops call :meth:`ExecutionContext.tick` once per unit of work;
   the expensive checks (clock reads, token polls) only run every
   ``check_every`` ticks.
@@ -266,9 +266,6 @@ class ExecutionContext:
     max_steps:
         Budget on governed work units — backtracking extensions, derived
         Datalog facts, SQL rows examined (``None`` = unlimited).
-    max_results:
-        Cap on reported answers; hitting it stops the search early with
-        a ``TRUNCATED`` outcome (the paper's 1000-answer termination).
     max_memory:
         Approximate cap in bytes on retained result mappings.
     token:
@@ -291,7 +288,6 @@ class ExecutionContext:
         self,
         timeout: Optional[float] = None,
         max_steps: Optional[int] = None,
-        max_results: Optional[int] = None,
         max_memory: Optional[int] = None,
         token: Optional[CancellationToken] = None,
         check_every: int = 128,
@@ -304,7 +300,6 @@ class ExecutionContext:
         self.timeout = timeout
         self.deadline = None if timeout is None else self.started_at + timeout
         self.max_steps = max_steps
-        self.max_results = max_results
         self.max_memory = max_memory
         self.token = token if token is not None else CancellationToken()
         self.check_every = check_every
@@ -345,16 +340,13 @@ class ExecutionContext:
     def note_result(self, count: int = 1, memory: int = 0) -> bool:
         """Account a reported answer; True when the search should stop.
 
-        Returning True (answer or memory cap reached) marks the
-        execution ``TRUNCATED``; the result that triggered the cap is
-        kept — the caps are "at least this many", like the paper's
-        1000-answer termination rule.
+        Returning True (memory cap reached) marks the execution
+        ``TRUNCATED``; the result that triggered the cap is kept.  The
+        answer cap is not the context's: it is the query's ``limit``,
+        which the member loop enforces.
         """
         self.results += count
         self.memory_used += memory
-        if self.max_results is not None and self.results >= self.max_results:
-            self.note_truncated(f"answer cap of {self.max_results} reached")
-            return True
         if self.max_memory is not None and self.memory_used >= self.max_memory:
             self.note_truncated(
                 f"memory cap of {self.max_memory} bytes reached"
@@ -386,9 +378,9 @@ class ExecutionContext:
         return max(0.0, self.deadline - self._clock())
 
     @property
-    def is_interrupted(self) -> bool:
-        """Whether a governed loop has already been unwound."""
-        return self.interrupted is not None
+    def is_stopped(self) -> bool:
+        """Whether an interruption or a cap ended the execution."""
+        return self.interrupted is not None or self._truncated_reason is not None
 
     def outcome(self) -> QueryOutcome:
         """A structured snapshot of the execution state so far."""

@@ -30,11 +30,11 @@ class ServiceConfig:
       with a structured ``REJECTED`` outcome instead of unbounded queues.
     * ``per_client`` caps one client's in-flight share so a single noisy
       client cannot monopolise the pool.
-    * the ``default_*`` budgets seed each admitted request's
-      :class:`~repro.runtime.ExecutionContext`; a request may *tighten*
-      them but never exceed ``default_timeout`` (the service-level SLO).
-      Step and memory budgets have no service default: a request's own
-      ``max_steps`` / ``max_memory`` (if any) are its budgets.
+    * ``default_timeout`` seeds each request's context deadline and
+      ``default_max_results`` caps its ``limit``; a request may
+      *tighten* either, never exceed it.  Step and memory budgets have
+      no service default: a request's own ``max_steps`` /
+      ``max_memory`` (if any) are its budgets.
     """
 
     workers: int = 4
@@ -100,20 +100,16 @@ class ServiceConfig:
         self,
         timeout: Optional[float] = None,
         max_steps: Optional[int] = None,
-        max_results: Optional[int] = None,
         max_memory: Optional[int] = None,
         token: Optional[CancellationToken] = None,
     ) -> ExecutionContext:
         """A per-request context from the service defaults.
 
-        Request overrides may only tighten the service budgets: the
-        effective limit is the smaller of the request's ask and the
-        configured default (an unlimited default accepts any ask).
+        A request's timeout may only tighten ``default_timeout``.
         """
         return ExecutionContext(
             timeout=self.tighten(timeout, self.default_timeout),
             max_steps=max_steps,
-            max_results=self.tighten(max_results, self.default_max_results),
             max_memory=max_memory,
             token=token,
         )

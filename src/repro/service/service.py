@@ -630,12 +630,9 @@ class QueryService:
     # -- execution ------------------------------------------------------------
 
     def _options_for(self, request: QueryRequest) -> MatchOptions:
-        limit = request.limit
-        if self.config.default_max_results is not None:
-            limit = (self.config.default_max_results if limit is None
-                     else min(limit, self.config.default_max_results))
         build = baseline_options if request.baseline else optimized_options
-        return build(limit=limit)
+        return build(limit=self.config.tighten(
+            request.limit, self.config.default_max_results))
 
     def _options_key(self, request: QueryRequest) -> Hashable:
         opts = self._options_for(request)

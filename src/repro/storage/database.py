@@ -196,8 +196,8 @@ class GraphDatabase:
         Returns one :class:`MatchReport` per graph (derivations merged),
         keyed by graph name (or ``#position`` when unnamed; a name an
         earlier member already holds becomes ``name#position``).  Pattern
-        text is compiled on the fly.  A *context* is shared by the
-        searches: once it trips, remaining graphs are skipped and each
+        text is compiled on the fly.  Once ``options.limit`` is filled or
+        a shared *context* trips, remaining graphs are skipped; each
         report carries the outcome snapshot at the time it finished.
         """
         if isinstance(pattern, str):

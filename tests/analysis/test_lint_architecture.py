@@ -1,5 +1,5 @@
-"""The one-member-loop and one-answer-cache architecture guard
-(tools/lint_architecture.py)."""
+"""The one-member-loop, one-answer-cache and one-answer-cap architecture
+guard (tools/lint_architecture.py)."""
 
 import importlib.util
 import textwrap
@@ -46,6 +46,21 @@ class TestDetection:
                     "options.matcher_factory(graph)"):
             assert codes(src) == ["A002"], src
             assert codes(src, in_matching=True) == ["A002"], src
+
+    def test_max_results_is_a005_wherever_it_appears(self):
+        for src in ("def derive(timeout=None, max_results=None): pass",
+                    "ExecutionContext(timeout=1.0, max_results=10)",
+                    "cap = context.max_results",
+                    "max_results = 1000"):
+            assert codes(src) == ["A005"], src
+            assert codes(src, in_matching=True) == ["A005"], src
+
+    def test_default_max_results_is_not_a005(self):
+        assert codes("""
+            ServiceConfig(default_max_results=10)
+            cap = config.default_max_results
+            def build(default_max_results=1000): pass
+        """) == []
 
     def test_planted_lru_subclass_is_a004(self):
         src = """

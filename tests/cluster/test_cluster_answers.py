@@ -11,6 +11,7 @@ answers, whichever process holds which member.
 """
 
 import json
+from collections import Counter
 from contextlib import ExitStack
 
 import pytest
@@ -110,6 +111,29 @@ def test_the_cluster_answers_what_one_service_answers(
     assert reply.outcome.status is Outcome.COMPLETE
     assert reply.merged == SHARDS
     assert canonical(reply.results) == canonical(expected)
+
+
+@pytest.mark.parametrize("replication", [1, 2])
+def test_a_capped_query_returns_limit_rows_on_both_paths(
+        collection, expected, replication):
+    """``limit`` caps the query's whole answer: one service and the
+    sharded cluster both return exactly *limit* rows, TRUNCATED, each a
+    sub-bag of the uncapped answer (which rows fill the cap may
+    differ)."""
+    limit = len(expected) // 3
+    shard_map = ShardMap([f"shard{i}" for i in range(SHARDS)], replication)
+    with ExitStack() as stack:
+        sharded = serve(stack, shard_map, collection).query(QUERY,
+                                                            limit=limit)
+        single = stack.enter_context(QueryService(ServiceConfig(workers=1)))
+        single.register("data", collection)
+        one = single.execute(QUERY, document="data", limit=limit)
+    whole = Counter(canonical(expected))
+    for rows, outcome in ((sharded.results, sharded.outcome),
+                          (one.results, one.outcome)):
+        assert len(rows) == limit
+        assert outcome.status is Outcome.TRUNCATED
+        assert not Counter(canonical(rows)) - whole
 
 
 def test_a_dead_shard_under_replication_keeps_the_answer_whole(

@@ -6,9 +6,9 @@ resolved through a :class:`DictSource`.  A filter is σ with a one-node
 pattern whose predicate compares the node's ``x`` or ``y`` with a
 constant.  Each rewrite test builds both sides of a law by hand and checks
 that they return the same graphs; no plan rewriter applies the laws
-(DESIGN.md, "Algebraic laws").  A selection returns matched graphs, so a
-law's set operator on selection results is taken over graph names or
-``(x, y)`` signatures.
+(DESIGN.md, "Algebraic laws").  The laws compare results by graph names
+or ``(x, y)`` signatures; set operators on selection results (matched
+graphs) are tested directly in ``TestEvaluation``.
 """
 
 from hypothesis import given, settings
@@ -24,6 +24,7 @@ from repro.core import (
     cartesian_product,
     compose,
     difference,
+    intersection,
     join,
     select,
     union,
@@ -87,6 +88,29 @@ class TestEvaluation:
         assert len(union(r, r)) == 3  # set semantics dedupe
         d = difference(r, GraphCollection([record("r1", x=1)]))
         assert result_names(d) == ["r2", "r3"]
+
+    def test_set_operators_on_selections(self):
+        """σ results are matched graphs: set operators compare the
+        mapping and the graph, not object identity."""
+        c = GraphCollection([record("r1", x=1), record("r2", x=2),
+                             record("r3", x=3)])
+        d = GraphCollection([record("r2", x=2), record("r4", x=4)])
+        above_one = node_filter(where("u.x", ">", 1))
+        left, right = select(c, above_one), select(d, above_one)
+        assert result_names(union(left, right)) == ["r2", "r3", "r4"]
+        assert result_names(difference(left, right)) == ["r3"]
+        assert result_names(intersection(left, right)) == ["r2"]
+
+    def test_set_operators_keep_distinct_mappings(self):
+        pair = Graph("pair")
+        pair.add_node("a", x=1)
+        pair.add_node("b", x=1)
+        matches = select(GraphCollection([pair]),
+                         node_filter(where("u.x", "==", 1)))
+        assert len(matches) == 2  # one graph, two mappings
+        assert len(union(matches, matches)) == 2
+        assert len(intersection(matches, matches)) == 2
+        assert len(difference(matches, matches)) == 0
 
     def test_product_members(self):
         src = source()

@@ -1,11 +1,17 @@
 """Selection through the one member loop (``planner.match_members``)."""
 
-from repro.core import (GraphCollection, GroundPattern, cartesian_product,
-                        select)
+from collections import Counter
+
+import pytest
+
+from repro.core import (Graph, GraphCollection, GroundPattern,
+                        cartesian_product, select)
 from repro.core.motif import clique_motif
 from repro.datasets import erdos_renyi_graph
-from repro.matching import brute_force_matches
+from repro.matching import (GraphMatcher, MatchOptions, brute_force_matches,
+                            find_matches)
 from repro.matching.planner import SMALL_MEMBER_NODES, match_members
+from repro.runtime import ExecutionContext, Outcome
 from repro.storage import GraphDatabase
 
 
@@ -78,3 +84,79 @@ class TestSelectIsTheMemberLoop:
         product = cartesian_product(db.doc("net"), db.doc("net"))
         assert len(select(product, pattern)) > 0
         assert db._matchers == {}
+
+
+def eight_a_members(count=5):
+    """*count* members, each with eight answers to :data:`ONE_A`; the
+    last one big enough for the indexed matcher."""
+    members = []
+    for m in range(count):
+        graph = Graph(f"m{m}")
+        size = SMALL_MEMBER_NODES if m == count - 1 else 8
+        for i in range(size):
+            graph.add_node(f"v{i}", label="A" if i < 8 else "B")
+        members.append(graph)
+    return GraphCollection(members)
+
+
+ONE_A = GroundPattern(clique_motif(["A"]))
+
+
+class TestFirstMatchIgnoresTheLimit:
+    """``exhaustive=False`` is one mapping per graph, whatever ``limit``."""
+
+    def test_find_matches(self):
+        for graph in eight_a_members():
+            assert len(find_matches(ONE_A, graph, exhaustive=False,
+                                    limit=5)) == 1
+
+    def test_graph_matcher(self):
+        for graph in eight_a_members():
+            report = GraphMatcher(graph).match(
+                ONE_A, MatchOptions(exhaustive=False, limit=5))
+            assert len(report.mappings) == 1
+
+    def test_algebra_select(self):
+        selected = select(eight_a_members(), ONE_A, exhaustive=False,
+                          limit=5)
+        assert Counter(m.graph.name for m in selected) == {
+            f"m{m}": 1 for m in range(5)}
+
+    def test_database_paths(self):
+        db = GraphDatabase()
+        db.register("d", eight_a_members())
+        reports = db.match("d", ONE_A, MatchOptions(exhaustive=False,
+                                                    limit=5))
+        assert {name: len(r.mappings) for name, r in reports.items()} == {
+            f"m{m}": 1 for m in range(5)}
+        selected = db.select("d", ONE_A, exhaustive=False)
+        assert Counter(m.graph.name for m in selected) == {
+            f"m{m}": 1 for m in range(5)}
+
+
+class TestLimitCapsTheQuery:
+    """``limit`` caps the answer over all members, not each member."""
+
+    @pytest.mark.parametrize("limit", [1, 3, 8, 13, 39, 40, 41])
+    def test_select_returns_a_prefix_of_the_answer(self, limit):
+        collection = eight_a_members()
+        selected = select(collection, ONE_A, limit=limit)
+        kept = min(40, limit)
+        assert len(selected) == kept
+        # members are visited in order: the cap keeps whole members first
+        counts = Counter(m.graph.name for m in selected)
+        assert list(counts.values()) == [8] * (kept // 8) + (
+            [kept % 8] if kept % 8 else [])
+
+    def test_the_capping_run_reports_truncated(self):
+        db = GraphDatabase()
+        db.register("d", eight_a_members())
+        context = ExecutionContext()
+        reports = db.match("d", ONE_A, MatchOptions(limit=11),
+                           context=context)
+        assert [len(r.mappings) for r in reports.values()] == [8, 3]
+        first, capping = reports.values()
+        assert first.outcome.complete
+        assert capping.outcome.status is Outcome.TRUNCATED
+        assert capping.outcome.reason == "answer cap of 11 reached"
+        assert context.outcome().status is Outcome.TRUNCATED

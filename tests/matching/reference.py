@@ -372,7 +372,7 @@ def find_matches(
     missing = set(node_names) - set(order) - set(pins)
     if missing:
         raise ValueError(f"search order misses pattern nodes: {sorted(missing)}")
-    if not exhaustive and limit is None:
+    if not exhaustive:
         limit = 1
 
     # Assignments are overwritten, never undone: depth i rewrites its

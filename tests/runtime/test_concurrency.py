@@ -10,7 +10,14 @@ import time
 
 import pytest
 
-from repro.core import Graph, GroundPattern, SimpleMotif, clique_motif
+from repro.core import (
+    Graph,
+    GraphCollection,
+    GroundPattern,
+    SimpleMotif,
+    clique_motif,
+    select,
+)
 from repro.matching import find_matches
 from repro.runtime import (
     CancellationToken,
@@ -137,8 +144,9 @@ class TestContextIndependence:
         results = {}
 
         def run(index):
-            context = ExecutionContext(max_results=50)
-            mappings = find_matches(pattern, graph, context=context)
+            context = ExecutionContext()
+            mappings = select(GraphCollection([graph]), pattern, limit=50,
+                              context=context)
             results[index] = (len(mappings), context.outcome().status)
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(6)]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import Graph, GraphCollection, GroundPattern, clique_motif, select
 from repro.runtime import (
     BudgetExhausted,
     CancellationToken,
@@ -89,14 +90,22 @@ class TestBudgets:
             context.check()
 
     def test_answer_cap_truncates(self):
-        context = ExecutionContext(max_results=3)
-        assert context.note_result() is False
-        assert context.note_result() is False
-        assert context.note_result() is True  # cap reached: stop, keep it
+        """The answer cap is the query's ``limit``: the member loop stops
+        the searches at it and records TRUNCATED on the context."""
+        pairs = GraphCollection()
+        for name in ("g1", "g2"):
+            pair = Graph(name)
+            pair.add_node("a", label="A")
+            pair.add_node("b", label="A")
+            pairs.add(pair)
+        context = ExecutionContext()
+        matches = select(pairs, GroundPattern(clique_motif(["A"])),
+                         limit=3, context=context)
+        assert len(matches) == 3  # of 4 answers
         outcome = context.outcome()
         assert outcome.status is Outcome.TRUNCATED
         assert outcome.results == 3
-        assert "answer cap" in outcome.reason
+        assert "answer cap of 3" in outcome.reason
 
     def test_memory_cap_truncates(self):
         context = ExecutionContext(max_memory=500)

@@ -11,6 +11,7 @@ import pytest
 from repro.core import Graph, GroundPattern, clique_motif
 from repro.datalog import Atom, BodyLiteral, Program, Rule, Var, evaluate
 from repro.matching import GraphMatcher, MatchOptions, find_matches
+from repro.matching.planner import match_members
 from repro.runtime import (
     CancellationToken,
     ExecutionContext,
@@ -55,9 +56,13 @@ class TestSearchGovernance:
         assert outcome.steps > 0
 
     def test_answer_cap_terminates_inside_search(self, many_a_graph):
-        context = ExecutionContext(max_results=5)
-        results = find_matches(SINGLE_A, many_a_graph, context=context)
-        assert len(results) == 5  # stopped at the cap, not sliced after
+        context = ExecutionContext()
+        [run] = match_members([many_a_graph], [SINGLE_A],
+                              MatchOptions(limit=5), context=context)
+        # stopped at the cap, not sliced after
+        assert run.report.search.results == 5
+        assert len(run.report.mappings) == 5
+        assert run.report.outcome.status is Outcome.TRUNCATED
         assert context.outcome().status is Outcome.TRUNCATED
 
     def test_step_budget_in_matcher_pipeline(self, many_a_graph):

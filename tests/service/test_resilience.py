@@ -307,7 +307,8 @@ class TestPoolWatchdog:
                           watchdog_multiple=2.0) as service:
             warm = service.submit(
                 QueryRequest(query=EDGE_QUERY, limit=10)).result(timeout=10)
-            assert warm.outcome.status is Outcome.COMPLETE
+            # more than 10 answers: a capped answer, cached all the same
+            assert warm.outcome.status is Outcome.TRUNCATED
             assert warm.cache == "miss"
 
             def hook(request):
@@ -327,12 +328,12 @@ class TestPoolWatchdog:
             service.execute_hook = None
             cached = service.submit(
                 QueryRequest(query=EDGE_QUERY, limit=10)).result(timeout=10)
-            assert cached.outcome.status is Outcome.COMPLETE
+            assert cached.outcome.status is Outcome.TRUNCATED
             assert cached.cache == "hit"
             fresh = service.submit(QueryRequest(
                 query=EDGE_QUERY, limit=10, use_cache=False,
             )).result(timeout=10)
-            assert fresh.outcome.status is Outcome.COMPLETE
+            assert fresh.outcome.status is Outcome.TRUNCATED
 
     def test_late_result_from_abandoned_worker_is_dropped(self):
         with make_service(workers=1, default_timeout=0.1,

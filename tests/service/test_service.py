@@ -57,6 +57,27 @@ HEAVY_QUERY = ("graph P { "
                + " }")
 
 
+def capped_service(**overrides) -> QueryService:
+    """A service over five members with eight answers each to
+    :data:`CAP_QUERY` (40 in all)."""
+    from repro.core import Graph, GraphCollection
+
+    members = []
+    for m in range(5):
+        graph = Graph(f"m{m}")
+        for i in range(8):
+            graph.add_node(f"v{i}", label="A")
+        members.append(graph)
+    defaults = dict(workers=1, default_timeout=10.0)
+    defaults.update(overrides)
+    service = QueryService(ServiceConfig(**defaults))
+    service.register("data", GraphCollection(members))
+    return service
+
+
+CAP_QUERY = 'graph P { node a <label="A">; }'
+
+
 class TestExecution:
     def test_execute_returns_rows_and_outcome(self):
         with make_service() as service:
@@ -249,15 +270,51 @@ class TestPlanCache:
             assert again.results == first.results
 
 
+class TestAnswerCap:
+    """``limit`` caps the query's whole answer, not each member's."""
+
+    def test_limit_caps_the_whole_answer(self):
+        with capped_service() as service:
+            response = service.execute(CAP_QUERY, limit=3)
+            assert len(response.results) == 3
+            assert response.outcome.status is Outcome.TRUNCATED
+            assert "answer cap of 3" in response.outcome.reason
+
+    def test_the_default_cap_stops_exactly_at_it(self):
+        with capped_service(default_max_results=10) as service:
+            response = service.execute(CAP_QUERY)
+            assert len(response.results) == 10
+            assert response.outcome.status is Outcome.TRUNCATED
+
+    def test_a_tighter_limit_beats_the_default_cap(self):
+        with capped_service(default_max_results=10) as service:
+            response = service.execute(CAP_QUERY, limit=3)
+            assert len(response.results) == 3
+            assert response.outcome.status is Outcome.TRUNCATED
+
+    def test_an_answer_that_fills_the_cap_is_truncated(self):
+        # reaching the cap stops the query: whether more answers exist
+        # is not looked into
+        with capped_service() as service:
+            response = service.execute(CAP_QUERY, limit=40)
+            assert len(response.results) == 40
+            assert response.outcome.status is Outcome.TRUNCATED
+
+
 class TestGovernance:
     def test_request_budgets_tighten_but_never_exceed_defaults(self):
         config = ServiceConfig(workers=1, default_timeout=5.0,
                                default_max_results=10)
-        context = config.derive_context(timeout=60.0, max_results=50)
+        context = config.derive_context(timeout=60.0)
         assert context.timeout == 5.0
-        assert context.max_results == 10
         tighter = config.derive_context(timeout=0.5)
         assert tighter.timeout == 0.5
+        with capped_service(default_timeout=5.0,
+                            default_max_results=10) as service:
+            looser = service.execute(CAP_QUERY, limit=50)
+            assert len(looser.results) == 10
+            assert looser.outcome.status is Outcome.TRUNCATED
+            assert "answer cap of 10" in looser.outcome.reason
 
     def test_per_request_timeout(self):
         with dense_service() as service:

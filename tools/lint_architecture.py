@@ -1,5 +1,5 @@
-"""Architecture guard: one member loop, one answer cache, and no module
-nothing reaches.
+"""Architecture guard: one member loop, one answer cache, one answer cap,
+and no module nothing reaches.
 
 ``repro.matching.planner.match_members`` is the only routine that matches
 a pattern against the members of a collection and the only place that
@@ -27,6 +27,10 @@ its last caller:
         by the version-keyed ``ResultCache``, query text only by
         ``PreparedQueryCache``; a third cache of answers would have no
         data version in its key)
+  A005  the name ``max_results`` reappears anywhere (a query's answer
+        cap is its ``limit``, counted by ``match_members`` across
+        members; ``default_max_results``, the service's ceiling on that
+        limit, is another identifier and allowed)
 
 Run: ``python tools/lint_architecture.py [root]`` (defaults to
 ``src/repro``; A003 reads the importer trees beside ``src/``); exits
@@ -47,6 +51,15 @@ KEPT_UNREACHED = {
     "repro.datalog.translate":
         "the paper's §3.5 Datalog translation: a differential oracle for "
         "the matcher (ROADMAP), reached from tests only",
+}
+
+
+#: identifiers of retired mechanisms: ``{name: (code, message)}``
+RETIRED_NAMES = {
+    "matcher_factory": ("A002", "matcher_factory is back (match_members "
+                                "picks each member's access method)"),
+    "max_results": ("A005", "max_results is back (a query's answer cap is "
+                            "its limit, which match_members enforces)"),
 }
 
 
@@ -81,10 +94,9 @@ def check_source(src, filename="<source>", in_matching=False,
             found.add((node.lineno, "A001",
                        "find_matches called outside repro/matching/ "
                        "(go through match_members or GraphMatcher.match)"))
-        if _identifier(node) == "matcher_factory":
-            found.add((node.lineno, "A002",
-                       "matcher_factory is back (match_members picks "
-                       "each member's access method)"))
+        retired = RETIRED_NAMES.get(_identifier(node))
+        if retired is not None:
+            found.add((node.lineno, *retired))
     return sorted(found)
 
 
