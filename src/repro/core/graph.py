@@ -21,14 +21,30 @@ from typing import AbstractSet, Any, Dict, Iterable, Iterator, List, Mapping, Op
 from .tuples import AttributeTuple
 
 
+_set_slot = object.__setattr__
+
+
+def _set_element_attr(element: Any, name: str, value: Any) -> None:
+    """``__setattr__`` of nodes and edges: a new ``tuple`` passes to the
+    graph that owns the old one and bumps its :attr:`Graph.version`."""
+    if name == "tuple":
+        old = getattr(element, "tuple", None)
+        owner = old._owner if old is not None else None
+        if owner is not None:
+            value = value.owned_by(owner)
+            owner.version += 1
+    _set_slot(element, name, value)
+
+
 class Node:
     """A graph node: an identifier plus an attribute tuple."""
 
     __slots__ = ("id", "tuple")
+    __setattr__ = _set_element_attr
 
     def __init__(self, node_id: str, attrs: Optional[AttributeTuple] = None) -> None:
-        self.id = node_id
-        self.tuple = attrs if attrs is not None else AttributeTuple()
+        _set_slot(self, "id", node_id)
+        _set_slot(self, "tuple", attrs if attrs is not None else AttributeTuple())
 
     def __getitem__(self, name: str) -> Any:
         return self.tuple[name]
@@ -55,6 +71,7 @@ class Edge:
     """A graph edge: an identifier, two end points, and attributes."""
 
     __slots__ = ("id", "source", "target", "tuple")
+    __setattr__ = _set_element_attr
 
     def __init__(
         self,
@@ -63,10 +80,10 @@ class Edge:
         target: str,
         attrs: Optional[AttributeTuple] = None,
     ) -> None:
-        self.id = edge_id
-        self.source = source
-        self.target = target
-        self.tuple = attrs if attrs is not None else AttributeTuple()
+        _set_slot(self, "id", edge_id)
+        _set_slot(self, "source", source)
+        _set_slot(self, "target", target)
+        _set_slot(self, "tuple", attrs if attrs is not None else AttributeTuple())
 
     def __getitem__(self, name: str) -> Any:
         return self.tuple[name]
@@ -116,7 +133,8 @@ class Graph:
         directed: bool = False,
     ) -> None:
         self.name = name
-        self.tuple = attrs if attrs is not None else AttributeTuple()
+        self._tuple = (attrs if attrs is not None
+                       else AttributeTuple()).owned_by(self)
         self.directed = directed
         self._nodes: Dict[str, Node] = {}
         self._edges: Dict[str, Edge] = {}
@@ -130,9 +148,21 @@ class Graph:
         self._next_edge = 0
         # named member subgraphs (used by Cartesian product / composition)
         self.members: Dict[str, "Graph"] = {}
-        # bumped on every structural mutation; index structures record the
-        # version they were built against and detect staleness
+        # bumped on every mutation, structural or of an attribute of the
+        # graph, a node or an edge (tuples are owned, see owned_by);
+        # index structures and memos record the version they were built
+        # against and detect staleness
         self.version = 0
+
+    @property
+    def tuple(self) -> AttributeTuple:
+        """The graph-level attribute tuple."""
+        return self._tuple
+
+    @tuple.setter
+    def tuple(self, attrs: AttributeTuple) -> None:
+        self._tuple = attrs.owned_by(self)
+        self.version += 1
 
     # -- construction --------------------------------------------------------
 
@@ -155,7 +185,7 @@ class Graph:
                     break
         elif node_id in self._nodes:
             raise ValueError(f"duplicate node id {node_id!r}")
-        node = Node(node_id, AttributeTuple(attrs, tag=tag))
+        node = Node(node_id, AttributeTuple(attrs, tag=tag).owned_by(self))
         self._nodes[node_id] = node
         self._adj[node_id] = {}
         if self.directed:
@@ -164,9 +194,11 @@ class Graph:
         return node
 
     def add_node_obj(self, node: Node) -> Node:
-        """Add a pre-built :class:`Node` (copies nothing)."""
+        """Add a pre-built :class:`Node` (copies nothing, unless its tuple
+        belongs to another graph)."""
         if node.id in self._nodes:
             raise ValueError(f"duplicate node id {node.id!r}")
+        _set_slot(node, "tuple", node.tuple.owned_by(self))
         self._nodes[node.id] = node
         self._adj[node.id] = {}
         if self.directed:
@@ -195,7 +227,8 @@ class Graph:
                     break
         elif edge_id in self._edges:
             raise ValueError(f"duplicate edge id {edge_id!r}")
-        edge = Edge(edge_id, source, target, AttributeTuple(attrs, tag=tag))
+        edge = Edge(edge_id, source, target,
+                    AttributeTuple(attrs, tag=tag).owned_by(self))
         self._edges[edge_id] = edge
         self._adj[source].setdefault(target, []).append(edge_id)
         if self.directed:

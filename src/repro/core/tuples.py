@@ -41,9 +41,15 @@ class AttributeTuple:
         True
         >>> t.tag
         'author'
+
+    A tuple that belongs to a graph (its own, or one of its nodes' or
+    edges') has that graph as *owner*: every :meth:`set` bumps the
+    owner's :attr:`~repro.core.graph.Graph.version`, so version-keyed
+    caches and durable writes see attribute edits as they see
+    structural ones.
     """
 
-    __slots__ = ("_tag", "_attrs")
+    __slots__ = ("_tag", "_attrs", "_owner")
 
     def __init__(
         self,
@@ -52,6 +58,7 @@ class AttributeTuple:
     ) -> None:
         self._tag = tag
         self._attrs: dict[str, Any] = {}
+        self._owner: Any = None
         if attrs:
             for name, value in attrs.items():
                 self._attrs[name] = check_scalar(name, value)
@@ -96,6 +103,8 @@ class AttributeTuple:
     def set(self, name: str, value: Any) -> None:
         """Set (or overwrite) one attribute."""
         self._attrs[name] = check_scalar(name, value)
+        if self._owner is not None:
+            self._owner.version += 1
 
     def update(self, attrs: Mapping[str, Any]) -> None:
         """Set several attributes at once."""
@@ -134,10 +143,20 @@ class AttributeTuple:
                     return False
         return True
 
+    def owned_by(self, owner: Any) -> "AttributeTuple":
+        """This tuple with *owner* (a graph) as its owner, or an owned
+        copy when another graph owns it already: a tuple bumps at most
+        one graph's version."""
+        if self._owner is owner:
+            return self
+        attrs = self if self._owner is None else self.copy()
+        attrs._owner = owner
+        return attrs
+
     # -- copying / equality -------------------------------------------------
 
     def copy(self) -> "AttributeTuple":
-        """An independent copy."""
+        """An independent copy (with no owner)."""
         return AttributeTuple(self._attrs, tag=self._tag)
 
     def __eq__(self, other: object) -> bool:

@@ -16,6 +16,7 @@ from ..core.collection import GraphCollection
 from ..core.graph import Graph
 from ..core.motif import SimpleMotif
 from ..core.pattern import GroundPattern
+from ..core.tuples import AttributeTuple
 
 ELEMENTS = ("C", "N", "O", "S", "P")
 #: Carbon dominates organic molecules.
@@ -40,8 +41,7 @@ def random_molecule(
     num_chains_range=(0, 3),
 ) -> Graph:
     """One compound: a ring plus random side chains."""
-    graph = Graph(name)
-    graph.tuple.set("compound", name)
+    graph = Graph(name, AttributeTuple({"compound": name}))
     ring_size = rng.randint(*ring_size_range)
     ring_nodes: List[str] = []
     for i in range(ring_size):

@@ -36,6 +36,12 @@ class SearchCounters:
         for slot in self.__slots__:
             setattr(self, slot, getattr(self, slot) + getattr(other, slot))
 
+    def copy(self) -> "SearchCounters":
+        """An independent copy of these counts."""
+        twin = SearchCounters()
+        twin.add(self)
+        return twin
+
     def __repr__(self) -> str:
         return (
             f"SearchCounters(tried={self.candidates_tried}, "

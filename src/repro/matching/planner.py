@@ -16,11 +16,13 @@ Every stage records its timing and the search-space size it produced in a
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
 from ..core.bindings import Mapping, as_graph
 from ..core.graph import Graph
@@ -31,8 +33,10 @@ from ..obs.trace import span as trace_span
 from ..runtime import (
     ExecutionContext,
     ExecutionInterrupted,
+    Outcome,
     QueryOutcome,
     current_outcome,
+    mapping_cost,
 )
 from .basic import SearchCounters, find_matches, scan_feasible_mates
 from .feasible_mates import RetrievalStats, retrieve_feasible_mates
@@ -122,12 +126,33 @@ class MatchReport(AccessPlan):
     ``outcome`` records how the run ended (COMPLETE / TRUNCATED /
     TIMED_OUT / CANCELLED, with steps and elapsed time); ``mappings``
     holds whatever was found up to that point, so interrupted runs still
-    carry their partial results.
+    carry their partial results.  ``replayed`` marks a report
+    :func:`match_members` replayed from the memoised run of the same
+    graph version instead of searching again; its ``times`` then hold
+    only the replay's own wall time (stage ``replay``).
     """
 
     search: Optional[SearchCounters] = None
     mappings: List[Mapping] = field(default_factory=list)
     outcome: QueryOutcome = field(default_factory=QueryOutcome)
+    replayed: bool = False
+
+    def copy(self) -> "MatchReport":
+        """A copy that shares nothing :meth:`absorb` or a caller changes:
+        its mappings, counters, times, order and notes are its own.  The
+        planned space and retrieval statistics (read-only once planned)
+        and the outcome (replaced, never changed) are shared."""
+        twin = MatchReport.__new__(MatchReport)
+        twin.__dict__.update(self.__dict__)
+        twin.times = dict(self.times)
+        twin.order = list(self.order)
+        twin.degradation = list(self.degradation)
+        if self.refinement is not None:
+            twin.refinement = copy.copy(self.refinement)
+        if self.search is not None:
+            twin.search = self.search.copy()
+        twin.mappings = [mapping.copy() for mapping in self.mappings]
+        return twin
 
     def absorb(self, other: "MatchReport") -> None:
         """Fold in a later derivation's report on the same graph: mappings
@@ -149,6 +174,7 @@ class MatchReport(AccessPlan):
         self.refined_space += other.refined_space
         self.degradation.extend(other.degradation)
         self.outcome = other.outcome
+        self.replayed = self.replayed and other.replayed
 
     def reduction_ratio(self, stage: str = "refined") -> float:
         """Search-space reduction ratio against the baseline space."""
@@ -167,6 +193,7 @@ class MatchReport(AccessPlan):
         refinement = self.refinement
         search = self.search
         return {
+            "replayed": self.replayed,
             "times": dict(self.times),
             "total_time": self.total_time,
             "spaces": {
@@ -201,13 +228,15 @@ class GraphMatcher:
     Build one matcher per data graph; indexes and statistics are computed
     once and reused across queries, as a database system would.
     ``indexed=False`` builds neither index: retrieval scans and local
-    pruning counts profiles on the fly.
+    pruning counts profiles on the fly.  Such a matcher also keeps
+    ``memo``, the complete runs of the current graph version that
+    :func:`match_members` replays (a rebuild starts it empty).
     """
 
     def __init__(self, graph: Graph, radius: int = 1, indexed: bool = True) -> None:
         self.graph = graph
         self._radius = radius
-        self._indexed = indexed
+        self.indexed = indexed
         self._rebuild()
 
     def _rebuild(self) -> None:
@@ -222,7 +251,11 @@ class GraphMatcher:
             self._note_build_error("graph statistics", exc)
         self.attribute_index: Optional[AttributeIndexSet] = None
         self.profile_index: Optional[ProfileIndex] = None
-        if self._indexed:
+        #: index-less matchers only: ground pattern -> {exhaustive:
+        #: _Recorded run of this graph version} (see match_members)
+        self.memo: Optional[WeakKeyDictionary] = (
+            None if self.indexed else WeakKeyDictionary())
+        if self.indexed:
             try:
                 self.attribute_index = AttributeIndexSet(self.graph)
             except Exception as exc:
@@ -472,6 +505,76 @@ class MemberRun(NamedTuple):
     report: AccessPlan       # a MatchReport unless planned only
 
 
+class _Recorded(NamedTuple):
+    """A complete run of a small member, kept in ``GraphMatcher.memo``."""
+
+    version: int             # of the graph the run searched
+    report: MatchReport      # a private copy
+    steps: int               # the context ticks the run took
+    memory: int              # the mapping_cost of its answers
+
+
+def _memoise(matcher: GraphMatcher, ground: GroundPattern,
+             options: MatchOptions, report: MatchReport,
+             version: int) -> None:
+    """Keep a small member's run for replay when it ran to its natural
+    end on graph *version*: COMPLETE, and not stopped by ``limit``."""
+    found = len(report.mappings)
+    if (report.outcome.status is not Outcome.COMPLETE
+            or matcher.graph.version != version
+            or (options.limit is not None and found >= options.limit)):
+        return
+    # the search ticks once per candidate tried, and a small member's
+    # plan runs no Algorithm 4.2, the only other ticking stage
+    steps = report.search.candidates_tried if report.search else 0
+    memory = sum(map(mapping_cost, report.mappings))
+    matcher.memo.setdefault(ground, {})[options.exhaustive] = _Recorded(
+        version, report.copy(), steps, memory)
+
+
+def _replay(matcher: GraphMatcher, ground: GroundPattern,
+            options: MatchOptions,
+            context: Optional[ExecutionContext]) -> Optional[MatchReport]:
+    """The memoised run of this graph version, replayed as if it ran
+    again; ``None`` when the member must run for real.
+
+    A replay checks *context* and charges it the recorded steps, results
+    and memory, so budgets and outcomes add up as for the real run.  It
+    is refused when ``options.limit`` or a budget would have stopped
+    that run part-way: the real run then truncates exactly as it would
+    without the memo.  The replayed report's ``times`` hold the replay's
+    own wall time (stage ``replay``), not the recorded run's stages.
+    """
+    started = time.perf_counter()
+    recorded = (matcher.memo.get(ground) or {}).get(options.exhaustive)
+    if recorded is None or recorded.version != matcher.graph.version:
+        return None
+    found = len(recorded.report.mappings)
+    if options.limit is not None and found >= options.limit:
+        return None
+    if context is not None:
+        if ((context.max_steps is not None
+             and context.steps + recorded.steps > context.max_steps)
+                or (context.max_memory is not None
+                    and context.memory_used + recorded.memory
+                    >= context.max_memory)):
+            return None
+        try:
+            context.check()
+        except ExecutionInterrupted:
+            return None  # the real run stops at its first check alike
+        context.charge(recorded.steps, found, recorded.memory)
+    with trace_span("match.query", graph=matcher.graph.name or "<anon>",
+                    replayed=True) as sp:
+        report = recorded.report.copy()
+        report.replayed = True
+        report.times = {"replay": time.perf_counter() - started}
+        report.outcome = current_outcome(context)
+        sp.annotate(status=report.outcome.status.value)
+        sp.incr("mappings", found)
+    return report
+
+
 def match_members(
     collection: Iterable,
     grounds: Sequence[GroundPattern],
@@ -492,26 +595,32 @@ def match_members(
     :meth:`GraphMatcher.plan` results instead (EXPLAIN).
 
     Which matcher and options a member gets is decided here and nowhere
-    else, from its node count (:data:`SMALL_MEMBER_NODES`).  *matchers*
-    is the caller's cache (``id(graph)`` → indexed matcher) when the
-    collection is a registered document; without one a big member gets
-    a matcher for this call only, as a small one always does.
+    else, from its node count (:data:`SMALL_MEMBER_NODES`): an indexed
+    matcher for a big member, an index-less one for a small member.
+    *matchers* is the caller's cache (``id(graph)`` → matcher) when the
+    collection is a registered document; without one every matcher
+    lives for this call only.  A small member's complete run is
+    memoised on its matcher per ground pattern and ``exhaustive``, for
+    the graph version it searched, and replayed (``report.replayed``)
+    until the graph changes — so after a write to one member, only that
+    member searches again.
     """
     matchers = {} if matchers is None else matchers
     requested = options or MatchOptions()
-    small_options = replace(requested, local="none", refine=False, optimize_order=False)
+    #: small? -> that policy's options, kept at the current ``remaining``
+    policy = {True: replace(requested, local="none", refine=False,
+                            optimize_order=False),
+              False: requested}
     remaining = requested.limit
     for position, member in enumerate(collection):
         graph = as_graph(member)
-        if graph.num_nodes() < SMALL_MEMBER_NODES:
-            # nothing worth caching: no index, statistics of a few nodes
-            matcher = GraphMatcher(graph, indexed=False)
-            member_options = small_options
-        else:
-            matcher = matchers.get(id(graph))
-            if matcher is None or matcher.graph is not graph:
-                matcher = matchers[id(graph)] = GraphMatcher(graph)
-            member_options = requested
+        small = graph.num_nodes() < SMALL_MEMBER_NODES
+        matcher = matchers.get(id(graph))
+        if (matcher is None or matcher.graph is not graph
+                or matcher.indexed == small):
+            matcher = matchers[id(graph)] = GraphMatcher(graph,
+                                                         indexed=not small)
+        member_options = policy[small]
         for ground in grounds:
             if context is not None and context.is_stopped:
                 return
@@ -520,8 +629,17 @@ def match_members(
                 report: AccessPlan = matcher.plan(ground, member_options)
             else:
                 if remaining != member_options.limit:
-                    member_options = replace(member_options, limit=remaining)
-                report = matcher.match(ground, member_options, context=context)
+                    member_options = policy[small] = replace(
+                        member_options, limit=remaining)
+                report = (_replay(matcher, ground, member_options, context)
+                          if small else None)
+                if report is None:
+                    version = graph.version
+                    report = matcher.match(ground, member_options,
+                                           context=context)
+                    if small:
+                        _memoise(matcher, ground, member_options, report,
+                                 version)
                 found = len(report.mappings)
                 if remaining is not None:
                     remaining -= found

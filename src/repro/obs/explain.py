@@ -112,7 +112,8 @@ def _render_plan(matcher: GraphMatcher, ground: GroundPattern,
             "mappings": len(plan.mappings),
             "outcome": plan.outcome.to_dict(),
             **{key: stages[key] for key in (
-                "times", "total_time", "order", "spaces", "search")},
+                "replayed", "times", "total_time", "order", "spaces",
+                "search")},
         }
     return report
 
@@ -204,7 +205,8 @@ def render_text(document: Dict[str, Any]) -> str:
             lines.append(
                 f"  actual: {actual['mappings']} mapping(s) in "
                 f"{actual['total_time'] * 1000:.1f} ms "
-                f"[{actual['outcome'].get('status', '?')}]")
+                f"[{actual['outcome'].get('status', '?')}"
+                f"{', replayed' if actual.get('replayed') else ''}]")
             times = actual.get("times", {})
             if times:
                 lines.append("  phase timings: " + ", ".join(

@@ -354,6 +354,16 @@ class ExecutionContext:
             return True
         return False
 
+    def charge(self, steps: int, results: int, memory: int) -> None:
+        """Account a recorded run at once: the state *steps* :meth:`tick`
+        calls and *results* :meth:`note_result` calls retaining *memory*
+        bytes leave behind, without their checks (the caller made sure
+        the budgets cover them and ran :meth:`check`)."""
+        self.steps += steps
+        self._since_check = (self._since_check + steps) % self.check_every
+        self.results += results
+        self.memory_used += memory
+
     def note_truncated(self, reason: str) -> None:
         """Record that a cap stopped the execution early (no exception)."""
         if self._truncated_reason is None:

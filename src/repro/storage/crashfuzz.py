@@ -1,9 +1,11 @@
 """Crash-point fuzzing: kill the write path everywhere, prove recovery.
 
 ``python -m repro.storage.crashfuzz --seed 7`` runs a deterministic
-mixed save/mutate workload against a durable :class:`GraphStore`, once
-per possible crash point: the :class:`~repro.storage.faults.CrashPoint`
-injector kills the write path (torn final write included) after N
+mixed save/mutate workload over multi-member documents against a
+durable :class:`GraphStore` — full snapshots, and member-replace writes
+of the one or two members a write changed — once per possible crash
+point: the :class:`~repro.storage.faults.CrashPoint` injector kills
+the write path (torn final write included) after N
 operations, for every N the workload performs.  After each simulated
 crash the store is reopened — which runs WAL recovery — and checked
 against the **committed-prefix contract**:
@@ -11,16 +13,17 @@ against the **committed-prefix contract**:
 * the recovered documents equal the workload state after exactly *j*
   operations for some ``committed <= j <= attempted`` (a commit whose
   call returned must survive; a commit in flight may land either way;
-  nothing else may appear) — no torn graphs, no CRC errors;
+  nothing else may appear) — no torn graphs, no CRC errors, and no
+  document mixing members from before and after a write;
 * every recovered :attr:`Graph.version` equals the version the graph
   had when that state was saved (monotone across the crash);
 * a checkpoint after recovery truncates the WAL to empty, and a second
   reopen finds a clean store.
 
-The workload is pure: ``state_at(doc, round)`` rebuilds any document's
-graph at any round from the seed alone, so the expected committed
-prefix never depends on surviving in-memory state — exactly like the
-restarted process the harness simulates.
+The workload is pure: ``document_at(doc, write)`` rebuilds any
+document's members after any write from the seed alone, so the
+expected committed prefix never depends on surviving in-memory state —
+exactly like the restarted process the harness simulates.
 
 The CI ``crash-recovery-fuzz`` job runs this for a seed matrix and
 uploads the JSON report of the failing point on failure.
@@ -47,14 +50,20 @@ from .wal import scan_wal, wal_path_for
 
 #: A crash budget no workload reaches — used to count total operations.
 NEVER = 10 ** 9
+#: member graphs per workload document
+MEMBERS = 3
 
 
 class CrashFuzzWorkload:
-    """A deterministic mixed save/mutate workload over several documents.
+    """A deterministic mixed write workload over several documents of
+    :data:`MEMBERS` member graphs each.
 
-    The op sequence interleaves documents; op *k* for a document saves a
-    fresh snapshot of that document's graph after one more mutation
-    round (nodes/edges added, an edge removed, attributes touched).
+    The op sequence interleaves documents; op ``(doc, k)`` is that
+    document's write *k*.  A write advances some members by one
+    mutation round (nodes/edges added, an edge removed, attributes
+    touched) and persists only those (:meth:`changed_members`), unless
+    it changed them all — the first write and every fourth one — which
+    saves a full snapshot.
     """
 
     def __init__(self, seed: int, docs: int = 3, rounds: int = 8,
@@ -62,7 +71,7 @@ class CrashFuzzWorkload:
         self.seed = seed
         self.docs = docs
         self.base_nodes = base_nodes
-        #: (document name, mutation round) per save operation
+        #: (document name, write number) per save operation
         self.ops: List[Tuple[str, int]] = []
         counters = {f"doc{d}": 0 for d in range(docs)}
         rng = random.Random(seed)
@@ -72,19 +81,20 @@ class CrashFuzzWorkload:
             self.ops.append((doc, counters[doc]))
 
     @lru_cache(maxsize=None)
-    def state_at(self, doc: str, rounds: int) -> Graph:
-        """The document's graph after *rounds* mutation rounds (pure)."""
+    def state_at(self, doc: str, rounds: int, member: int) -> Graph:
+        """One member graph after *rounds* mutation rounds (pure)."""
         index = int(doc[3:])
-        rng = random.Random(f"{self.seed}:{index}:base")
-        graph = Graph(doc, directed=index % 2 == 0)
-        n = self.base_nodes + index
+        key = f"{self.seed}:{index}.{member}"
+        rng = random.Random(f"{key}:base")
+        graph = Graph(f"{doc}.{member}", directed=index % 2 == 0)
+        n = self.base_nodes + index + member
         for i in range(n):
             graph.add_node(f"v{i}", label=f"L{i % 4}",
                            weight=rng.random() * 10)
         for i in range(n - 1):
             graph.add_edge(f"v{i}", f"v{i + 1}", kind="chain")
         for round_no in range(1, rounds + 1):
-            mrng = random.Random(f"{self.seed}:{index}:{round_no}")
+            mrng = random.Random(f"{key}:{round_no}")
             added = graph.add_node(f"r{round_no}",
                                    label=f"L{mrng.randrange(4)}",
                                    round=round_no)
@@ -98,19 +108,48 @@ class CrashFuzzWorkload:
                 graph.remove_edge(mrng.choice(removable))
         return graph
 
-    def expected_after(self, op_count: int) -> Dict[str, Graph]:
-        """The committed document states once *op_count* ops are durable."""
+    def changed_members(self, doc: str, write: int) -> Tuple[int, ...]:
+        """The members write *write* of *doc* changes: all of them on the
+        first write and on every fourth, two on the others of the form
+        4k + 2, else one."""
+        if write == 1 or write % 4 == 0:
+            return tuple(range(MEMBERS))
+        count = 2 if write % 4 == 2 else 1
+        rng = random.Random(f"{self.seed}:{doc}:write{write}")
+        return tuple(sorted(rng.sample(range(MEMBERS), count)))
+
+    def document_at(self, doc: str, write: int) -> List[Graph]:
+        """The document's members once its write *write* is durable."""
+        rounds = [0] * MEMBERS
+        for later in range(2, write + 1):
+            for member in self.changed_members(doc, later):
+                rounds[member] += 1
+        return [self.state_at(doc, round_no, member)
+                for member, round_no in enumerate(rounds)]
+
+    def expected_after(self, op_count: int) -> Dict[str, List[Graph]]:
+        """The committed documents once *op_count* ops are durable."""
         latest: Dict[str, int] = {}
-        for doc, round_no in self.ops[:op_count]:
-            latest[doc] = round_no
-        return {doc: self.state_at(doc, round_no)
-                for doc, round_no in latest.items()}
+        for doc, write in self.ops[:op_count]:
+            latest[doc] = write
+        return {doc: self.document_at(doc, write)
+                for doc, write in latest.items()}
+
+    def save(self, store: GraphStore, doc: str, write: int) -> None:
+        """Persist one op: a full snapshot when it changed every member,
+        else member-replace records for the members it changed."""
+        changed = self.changed_members(doc, write)
+        members = self.document_at(doc, write)
+        if len(changed) == MEMBERS:
+            store.save_document(doc, members)
+        else:
+            store.save_members(doc, [(m, members[m]) for m in changed])
 
     def run(self, store: GraphStore) -> int:
         """Apply every op; returns how many saves returned (committed)."""
         committed = 0
-        for doc, round_no in self.ops:
-            store.save_document(doc, [self.state_at(doc, round_no)])
+        for doc, write in self.ops:
+            self.save(store, doc, write)
             committed += 1
         return committed
 
@@ -139,15 +178,14 @@ class FuzzReport:
 
 
 def _documents_equal(recovered: Dict[str, GraphCollection],
-                     expected: Dict[str, Graph]) -> bool:
+                     expected: Dict[str, List[Graph]]) -> bool:
     if set(recovered) != set(expected):
         return False
-    for name, graph in expected.items():
-        collection = recovered[name]
-        if len(collection) != 1:
-            return False
-        back = collection[0]
-        if not back.equals(graph) or back.version != graph.version:
+    for name, graphs in expected.items():
+        back = list(recovered[name])
+        if len(back) != len(graphs) or not all(
+                got.equals(graph) and got.version == graph.version
+                for got, graph in zip(back, graphs)):
             return False
     return True
 
@@ -162,8 +200,8 @@ def run_crash_point(workload: CrashFuzzWorkload, directory: str,
     committed = 0
     crashed = False
     try:
-        for doc, round_no in workload.ops:
-            store.save_document(doc, [workload.state_at(doc, round_no)])
+        for doc, write in workload.ops:
+            workload.save(store, doc, write)
             committed += 1
     except SimulatedCrash:
         crashed = True

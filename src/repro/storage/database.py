@@ -69,6 +69,10 @@ class GraphDatabase:
         self._matchers: Dict[int, GraphMatcher] = {}
         self._collection_indexes: Dict[str, "object"] = {}
         self._store: Optional[GraphStore] = None
+        #: per durable document: the collection object the store last
+        #: wrote, its members and their versions as written
+        self._persisted: Dict[str, Tuple[GraphCollection, List[Graph],
+                                         List[int]]] = {}
         #: what opening the durable store found/repaired (see
         #: :meth:`attach_durable`); ``None`` until a store is attached
         self.recovery: Optional[RecoveryResult] = None
@@ -132,7 +136,9 @@ class GraphDatabase:
         with each graph's persisted :attr:`Graph.version` restored, so
         version-keyed caches stay monotone across the restart.  Further
         :meth:`register_durable` calls write through the store before
-        the in-memory registration becomes visible.
+        the in-memory registration becomes visible; a loaded document
+        counts as written, so re-registering it after a write to one
+        member persists that member only.
         """
         if self._store is not None:
             raise RuntimeError("a durable store is already attached")
@@ -141,23 +147,57 @@ class GraphDatabase:
         self.recovery = store.recovery
         for name, collection in store.load_documents().items():
             self.register(name, collection)
+            members = list(collection)
+            self._persisted[name] = (collection, members,
+                                     [graph.version for graph in members])
         return store.recovery
+
+    def _changed_members(self, name: str, collection: GraphCollection,
+                         members: List[Graph], versions: List[int],
+                         ) -> Optional[List[Tuple[int, Graph]]]:
+        """``(position, graph)`` of each of *members* whose version moved
+        since the store last wrote *collection* under *name*; ``None``
+        when a full snapshot is due instead (another collection object,
+        other member graphs, or every member changed)."""
+        written, written_members, written_versions = self._persisted.get(
+            name, (None, [], []))
+        if (written is not collection
+                or len(written_members) != len(members)
+                or any(graph is not before
+                       for graph, before in zip(members, written_members))):
+            return None
+        changed = [(position, graph) for position, (graph, version, before)
+                   in enumerate(zip(members, versions, written_versions))
+                   if version != before]
+        return None if len(changed) == len(members) else changed
 
     def register_durable(self, name: str,
                          collection: Union[GraphCollection, Graph]) -> None:
         """Persist a document through the WAL, then register it.
 
-        The store write is one transaction (document marker + every
-        member graph): a crash leaves either the previous registered
-        snapshot or the complete new one.  Write-through ordering means
-        a registration that returned is durable.
+        The store write is one transaction: a crash leaves either the
+        previous registered state or the complete new one.  Re-registering
+        the collection object the store last wrote, with the same member
+        graphs, writes only the members whose :attr:`Graph.version` moved
+        since (member-replace records, :meth:`GraphStore.save_members`;
+        nothing when none moved).  Anything else — a new collection, other
+        members, every member changed — writes a full snapshot (document
+        marker + every member graph).  Write-through ordering means a
+        registration that returned is durable.
         """
         if self._store is None:
             raise RuntimeError(
                 "no durable store attached (call attach_durable first)")
         if isinstance(collection, Graph):
             collection = GraphCollection([collection], name=name)
-        self._store.save_document(name, list(collection))
+        members = list(collection)
+        versions = [graph.version for graph in members]
+        changed = self._changed_members(name, collection, members, versions)
+        if changed is None:
+            self._store.save_document(name, members)
+        elif changed:
+            self._store.save_members(name, changed)
+        self._persisted[name] = (collection, members, versions)
         self.register(name, collection)
 
     def checkpoint(self) -> int:
@@ -171,6 +211,7 @@ class GraphDatabase:
         if self._store is None:
             return
         store, self._store = self._store, None
+        self._persisted.clear()
         store.close(checkpoint=checkpoint)
 
     # -- access methods --------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import struct
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..core.collection import GraphCollection
 from ..core.graph import Graph
@@ -34,6 +34,7 @@ _REC_GRAPH = 0
 _REC_NODE = 1
 _REC_EDGE = 2
 _REC_DOC = 3
+_REC_MEMBER = 4
 
 
 def _encode_value(value: Any) -> bytes:
@@ -116,10 +117,10 @@ def encode_graph_header(name: Optional[str], directed: bool,
     """Binary graph-header record.
 
     *version* persists :attr:`Graph.version` at save time, so a reload
-    (including crash recovery) restores a mutation counter no smaller
-    than any the running system handed out for this graph — service
-    caches keyed on the version can never alias across a recovery.
-    Records written before this field existed decode as version 0.
+    (including crash recovery) restores the mutation counter the running
+    system handed out for this saved state — service caches keyed on
+    the version can never alias across a recovery.  Records written
+    before this field existed keep the count the rebuild reaches.
     """
     return (bytes([_REC_GRAPH]) + _encode_str(name)
             + struct.pack("<B", int(directed)) + _encode_tuple(attrs)
@@ -133,8 +134,22 @@ def encode_document_marker(name: str) -> bytes:
     snapshot runs until the next marker.  Re-registering a document
     appends a fresh snapshot, and :meth:`GraphStore.load_documents`
     keeps the last one per name (the store is log-structured).
+
+    Between snapshots, a write that changed only some members appends a
+    member-replace record per changed member instead
+    (:func:`encode_member_marker`, :meth:`GraphStore.save_members`).
+    On load, each replaces one member of its document's last snapshot
+    in log order, and a later snapshot supersedes every member record
+    before it.
     """
     return bytes([_REC_DOC]) + _encode_str(name)
+
+
+def encode_member_marker(name: str, position: int) -> bytes:
+    """Binary member-replace record: the graph records that follow are
+    the new member at *position* of document *name*."""
+    return (bytes([_REC_MEMBER]) + _encode_str(name)
+            + struct.pack("<I", position))
 
 
 class GraphStore:
@@ -241,14 +256,26 @@ class GraphStore:
             for graph in graphs:
                 self._write_graph(graph)
 
+    def save_members(self, name: str,
+                     members: Iterable[Tuple[int, Graph]]) -> None:
+        """Replace some members of a stored document atomically: one
+        transaction covers a member-replace record and the graph of each
+        ``(position, graph)`` pair.  The document must already have a
+        snapshot with those positions."""
+        with self._transaction():
+            for position, graph in members:
+                self.records.insert(encode_member_marker(name, position))
+                self._write_graph(graph)
+
     # -- reading ------------------------------------------------------------------
 
     def _scan_events(self) -> Iterator[Tuple[str, Any]]:
-        """Decode the record stream into ``("doc", name)`` and
-        ``("graph", graph)`` events (edges resolved, versions restored)."""
+        """Decode the record stream into ``("doc", name)``,
+        ``("member", (name, position))`` and ``("graph", graph)`` events
+        (edges resolved, versions restored)."""
         current: Optional[Graph] = None
         pending_edges: List[Tuple[str, str, str, AttributeTuple]] = []
-        saved_version = 0
+        saved_version: Optional[int] = None
 
         def finish(graph: Optional[Graph]) -> Optional[Graph]:
             if graph is None:
@@ -257,10 +284,11 @@ class GraphStore:
                 edge = graph.add_edge(source, target, edge_id=edge_id)
                 edge.tuple = attrs
             pending_edges.clear()
-            # rebuilding performs at most as many mutations as the saved
-            # graph had seen, so restoring the saved counter never goes
-            # backwards — versions stay monotone across recoveries
-            graph.version = max(graph.version, saved_version)
+            # the saved counter comes back exactly, so versions stay
+            # monotone across recoveries; a pre-versioning record keeps
+            # the rebuild's own count
+            if saved_version is not None:
+                graph.version = saved_version
             return graph
 
         for _record_id, raw in self.records.scan():
@@ -272,6 +300,14 @@ class GraphStore:
                     yield ("graph", done)
                 name, _ = _decode_str(raw, 1)
                 yield ("doc", name or "")
+            elif kind == _REC_MEMBER:
+                done = finish(current)
+                current = None
+                if done is not None:
+                    yield ("graph", done)
+                name, offset = _decode_str(raw, 1)
+                (position,) = struct.unpack_from("<I", raw, offset)
+                yield ("member", (name or "", position))
             elif kind == _REC_GRAPH:
                 done = finish(current)
                 if done is not None:
@@ -280,7 +316,7 @@ class GraphStore:
                 (directed,) = struct.unpack_from("<B", raw, offset)
                 offset += 1
                 attrs, offset = _decode_tuple(raw, offset)
-                saved_version = 0
+                saved_version = None
                 if offset + 8 <= len(raw):  # pre-versioning records end here
                     (saved_version,) = struct.unpack_from("<Q", raw, offset)
                 current = Graph(name, attrs, directed=bool(directed))
@@ -312,25 +348,36 @@ class GraphStore:
                 if event == "graph"]
 
     def load_documents(self) -> Dict[str, GraphCollection]:
-        """Reload named documents (last snapshot per name wins).
+        """Reload named documents: the last snapshot per name, with the
+        member records written after it applied in log order.
 
         Graphs saved outside any document marker fall back to a document
         named after the graph (anonymous graphs group under ``"data"``).
         """
-        documents: Dict[str, GraphCollection] = {}
+        documents: Dict[str, List[Graph]] = {}
         current_doc: Optional[str] = None
+        replacing: Optional[Tuple[str, int]] = None
         for event, item in self._scan_events():
             if event == "doc":
                 current_doc = item
-                documents[item] = GraphCollection(name=item)
+                documents[item] = []
+            elif event == "member":
+                replacing = item
+            elif replacing is not None:
+                name, position = replacing
+                replacing = None
+                members = documents.get(name, [])
+                if position >= len(members):
+                    raise StorageError(
+                        f"member record for {name!r}[{position}] has no "
+                        "snapshot member to replace")
+                members[position] = item
+            elif current_doc is None:
+                documents.setdefault(item.name or "data", []).append(item)
             else:
-                if current_doc is None:
-                    name = item.name or "data"
-                    documents.setdefault(name, GraphCollection(name=name))
-                    documents[name].add(item)
-                else:
-                    documents[current_doc].add(item)
-        return documents
+                documents[current_doc].append(item)
+        return {name: GraphCollection(graphs, name=name)
+                for name, graphs in documents.items()}
 
     # -- locality measurement ------------------------------------------------------
 

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core import (Graph, GraphCollection, GroundPattern,
+from repro.core import (AttributeTuple, Graph, GraphCollection, GroundPattern,
                         cartesian_product, select)
 from repro.core.motif import clique_motif
 from repro.datasets import erdos_renyi_graph
@@ -43,9 +43,9 @@ class TestSelectIsTheMemberLoop:
         assert len(select(collection, pattern, exhaustive=True)) == 2
 
     def test_policy_is_decided_by_member_size(self):
-        """Below the constant: baseline plan on an index-less matcher that
-        is never cached; at or above it: the requested options on the
-        indexed, cached matcher."""
+        """Below the constant: baseline plan on a cached index-less
+        matcher; at or above it: the requested options on the cached
+        indexed matcher."""
         small = erdos_renyi_graph(SMALL_MEMBER_NODES - 1, 40, seed=3,
                                   name="small")
         big = erdos_renyi_graph(SMALL_MEMBER_NODES, 40, seed=3, name="big")
@@ -53,7 +53,10 @@ class TestSelectIsTheMemberLoop:
         cache = {}
         by_name = {run.matcher.graph.name: run for run in match_members(
             GraphCollection([small, big]), [pattern], matchers=cache)}
-        assert list(cache.values()) == [by_name["big"].matcher]
+        assert cache == {id(small): by_name["small"].matcher,
+                         id(big): by_name["big"].matcher}
+        assert not by_name["small"].matcher.indexed
+        assert by_name["big"].matcher.indexed
         assert by_name["small"].matcher.profile_index is None
         assert by_name["small"].matcher.attribute_index is None
         assert (by_name["small"].options.local,
@@ -160,3 +163,191 @@ class TestLimitCapsTheQuery:
         assert capping.outcome.status is Outcome.TRUNCATED
         assert capping.outcome.reason == "answer cap of 11 reached"
         assert context.outcome().status is Outcome.TRUNCATED
+
+
+def small_members(count=6):
+    """*count* members below the node-count constant, each with a few
+    ``L000``–``L001`` edges."""
+    return GraphCollection([
+        erdos_renyi_graph(12, 30, num_labels=2, seed=seed, name=f"s{seed}")
+        for seed in range(count)])
+
+
+EDGE = GroundPattern(clique_motif(["L000", "L001"]))
+
+
+def signature(run):
+    """What a member run returned and charged, wall time aside."""
+    report = run.report
+    outcome = report.outcome
+    return {
+        "position": run.position,
+        "plan": (report.policy, list(report.order),
+                 {name: list(mates) for name, mates in report.space.items()}),
+        "mappings": [(dict(m.nodes), dict(m.edges)) for m in report.mappings],
+        "search": repr(report.search),
+        "outcome": (outcome.status, outcome.reason, outcome.steps,
+                    outcome.results, outcome.memory_used),
+    }
+
+
+def member_loop(collection, options=None, context=None, matchers=None,
+                stop_after=None):
+    """``(signatures, replayed flags)`` of one member loop; with
+    *stop_after*, call it on the context once the first run is out."""
+    signatures, replayed = [], []
+    for run in match_members(collection, [EDGE], options,
+                             matchers=matchers, context=context):
+        signatures.append(signature(run))
+        replayed.append(run.report.replayed)
+        if stop_after is not None and len(signatures) == 1:
+            stop_after(context)
+    return signatures, replayed
+
+
+class TestSmallMemberMemo:
+    """A small member's complete run is replayed, indistinguishably."""
+
+    def warm(self, collection):
+        matchers = {}
+        _, replayed = member_loop(collection, matchers=matchers)
+        assert not any(replayed)
+        return matchers
+
+    def test_a_replay_equals_a_fresh_run(self):
+        collection = small_members()
+        matchers = self.warm(collection)
+        warm, replayed = member_loop(collection, context=ExecutionContext(),
+                                     matchers=matchers)
+        fresh, _ = member_loop(collection, context=ExecutionContext())
+        assert all(replayed)
+        assert warm == fresh
+        assert any(run["mappings"] for run in warm)
+
+    def test_a_write_reruns_only_that_member(self):
+        collection = small_members()
+        matchers = self.warm(collection)
+        collection[2].add_node("w", label="L000")
+        collection[2].add_edge("w", collection[2].node_ids()[0])
+        warm, replayed = member_loop(collection, matchers=matchers)
+        assert replayed == [position != 2
+                            for position in range(len(collection))]
+        assert warm == member_loop(collection)[0]
+
+    @pytest.mark.parametrize("edit", ["tuple.set", "node.tuple ="])
+    def test_an_attribute_edit_reruns_that_member(self, edit):
+        """A label write moves Graph.version, so the edited member
+        searches again and answers with the new label."""
+        collection = small_members()
+        matchers = self.warm(collection)
+        before = member_loop(collection, matchers=matchers)[0]
+        edited = collection[2]
+        node_id = next(iter(before[2]["mappings"][0][0].values()))
+        if edit == "tuple.set":
+            edited.node(node_id).tuple.set("label", "L999")
+        else:
+            edited.node(node_id).tuple = AttributeTuple({"label": "L999"})
+        warm, replayed = member_loop(collection, matchers=matchers)
+        assert replayed == [position != 2
+                            for position in range(len(collection))]
+        assert warm == member_loop(collection)[0]
+        assert len(warm[2]["mappings"]) < len(before[2]["mappings"])
+        assert all(node_id not in mapping[0].values()
+                   for mapping in warm[2]["mappings"])
+
+    def test_a_replay_reports_its_own_wall_time(self):
+        collection = small_members(2)
+        matchers = self.warm(collection)
+        for run in match_members(collection, [EDGE], matchers=matchers):
+            assert run.report.replayed
+            assert list(run.report.times) == ["replay"]
+            stats = run.report.stats_dict()
+            assert stats["replayed"] and list(stats["times"]) == ["replay"]
+            assert stats["total_time"] == run.report.times["replay"]
+
+    def test_a_member_grown_past_the_constant_gets_an_indexed_matcher(self):
+        collection = small_members(2)
+        matchers = self.warm(collection)
+        grown = collection[1]
+        for i in range(SMALL_MEMBER_NODES):
+            grown.add_node(f"w{i}", label="L000")
+        runs = list(match_members(collection, [EDGE], matchers=matchers))
+        assert runs[1].matcher.indexed and not runs[1].report.replayed
+        assert matchers[id(grown)] is runs[1].matcher
+
+    def test_step_budgets_below_the_recorded_run_truncate_as_uncached(self):
+        collection = small_members()
+        total = ExecutionContext()
+        member_loop(collection, context=total)
+        matchers = self.warm(collection)
+        for budget in range(0, total.steps + 2):
+            for check_every in (1, 3, 128):
+                def context():
+                    return ExecutionContext(max_steps=budget,
+                                            check_every=check_every)
+                warm, _ = member_loop(collection, context=context(),
+                                      matchers=matchers)
+                fresh, _ = member_loop(collection, context=context())
+                assert warm == fresh, (budget, check_every)
+
+    def test_memory_budgets_below_the_recorded_run_truncate_as_uncached(self):
+        collection = small_members()
+        total = ExecutionContext()
+        member_loop(collection, context=total)
+        matchers = self.warm(collection)
+        for budget in range(1, total.memory_used + 400, 97):
+            warm, _ = member_loop(collection, matchers=matchers,
+                                  context=ExecutionContext(max_memory=budget))
+            fresh, _ = member_loop(collection,
+                                   context=ExecutionContext(max_memory=budget))
+            assert warm == fresh, budget
+            if budget < total.memory_used:
+                assert warm[-1]["outcome"][0] is Outcome.TRUNCATED
+
+    def test_cancellation_stops_a_replay_before_the_next_member(self):
+        collection = small_members()
+        matchers = self.warm(collection)
+        warm, replayed = member_loop(
+            collection, context=ExecutionContext(), matchers=matchers,
+            stop_after=lambda context: context.token.cancel("stop"))
+        fresh, _ = member_loop(
+            collection, context=ExecutionContext(),
+            stop_after=lambda context: context.token.cancel("stop"))
+        assert warm == fresh
+        # the first run, then the member the cancelled check stopped
+        assert replayed == [True, False]
+        assert warm[1]["outcome"][:2] == (Outcome.CANCELLED, "stop")
+        assert warm[1]["mappings"] == []
+
+    def test_an_expired_deadline_stops_a_replay_before_the_next_member(self):
+        collection = small_members()
+        matchers = self.warm(collection)
+        for cache in (matchers, None):
+            now = [0.0]
+            context = ExecutionContext(timeout=1.0, clock=lambda: now[0])
+            runs, replayed = member_loop(
+                collection, context=context, matchers=cache,
+                stop_after=lambda _: now.__setitem__(0, 2.0))
+            assert replayed == [cache is not None, False]
+            assert runs[1]["outcome"][0] is Outcome.TIMED_OUT
+            assert runs[1]["mappings"] == []
+
+    def test_a_limit_below_a_memoised_answer_runs_the_member(self):
+        collection = small_members()
+        matchers = self.warm(collection)
+        answers = [len(run.report.mappings) for run in match_members(
+            collection, [EDGE], matchers=matchers)]
+        position = next(i for i, n in enumerate(answers) if n > 1)
+        limit = sum(answers[:position]) + answers[position] - 1
+        warm, replayed = member_loop(collection, MatchOptions(limit=limit),
+                                     context=ExecutionContext(),
+                                     matchers=matchers)
+        fresh, _ = member_loop(collection, MatchOptions(limit=limit),
+                               context=ExecutionContext())
+        assert warm == fresh
+        assert replayed == [True] * position + [False]
+        assert warm[-1]["outcome"][:2] == (Outcome.TRUNCATED,
+                                           f"answer cap of {limit} reached")
+        # the capped run was not memoised: an uncapped loop finds all
+        assert (member_loop(collection, matchers=matchers)[0]
+                == member_loop(collection)[0])

@@ -5,7 +5,11 @@ filter + verify), ``GraphDatabase.match`` (the served path) and a
 ``for P in doc(...)`` clause are thin callers of one member loop
 (``matching.planner.match_members``); they must return the answer set
 ``brute_force_matches`` defines, on collections either side of both
-access-method constants, before and after an in-place write.
+access-method constants, before and after an in-place write.  The memo
+leg interleaves writes to random members with repeated queries, so most
+small members are replayed from their memoised run: the answers stay
+the brute-force ones, and every run — replayed or not — reports the
+plan, counters and outcome a fresh, uncached run reports.
 """
 
 import random
@@ -17,8 +21,10 @@ from hypothesis import strategies as st
 from repro.core import ForClause, Graph, GraphCollection, GraphPattern, select
 from repro.core.motif import Disjunction, MotifBlock
 from repro.matching import MatchOptions, brute_force_matches
-from repro.matching.planner import SMALL_MEMBER_NODES
+from repro.matching.planner import SMALL_MEMBER_NODES, match_members
 from repro.obs.explain import explain_document
+from repro.runtime import ExecutionContext
+from repro.service import QueryService, ServiceConfig
 from repro.storage import GraphDatabase
 
 LABELS = "AB"
@@ -172,3 +178,77 @@ def test_every_selection_path_returns_the_brute_force_answers(seed,
         written.add_edge(anchor, f"w{i}")
     db.register("d", collection)
     check_all_paths(db, collection, pattern, rng)
+
+
+def run_signatures(runs):
+    """Per member run: what it planned, searched, found and charged."""
+    out = []
+    for run in runs:
+        report, outcome = run.report, run.report.outcome
+        out.append((run.position, report.policy, list(report.order),
+                    [(dict(m.nodes), dict(m.edges)) for m in report.mappings],
+                    repr(report.search),
+                    (outcome.status, outcome.steps, outcome.results,
+                     outcome.memory_used)))
+    return out
+
+
+def check_memo_paths(service, collection, pattern, options, truths):
+    """Every path against *truths* (the brute-force answer per
+    derivation); returns how many member runs were replayed."""
+    db = service.database
+    truth = sum(truths, Counter())
+    assert matched(db.select("d", pattern)) == truth, "db.select"
+    assert keyed((name, mapping)
+                 for name, report in db.match("d", pattern).items()
+                 for mapping in report.mappings) == truth, "db.match"
+    rows, _ = db.execute("d", pattern)
+    served = service.execute(pattern, document="d").results
+    for path, answer in (("db.execute", rows), ("QueryService", served)):
+        assert Counter((row["graph"], frozenset(row["nodes"].items()))
+                       for row in answer) == truth, path
+
+    grounds = pattern.ground()
+    explained = explain_document(db, "d", grounds[0], analyze=True)
+    assert {entry["graph"]: entry["actual"]["mappings"]
+            for entry in explained["graphs"]
+            if entry["actual"]["mappings"]} == dict(per_member(truths[0])), (
+        "EXPLAIN ANALYZE")
+
+    warm = list(db.member_runs("d", grounds, options, ExecutionContext()))
+    fresh = match_members(collection, grounds, options,
+                          context=ExecutionContext())
+    assert run_signatures(warm) == run_signatures(fresh)
+    return sum(run.report.replayed for run in warm)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 10 ** 9), st.sampled_from([1, 2]))
+def test_replayed_members_answer_like_fresh_runs(seed, derivations):
+    rng = random.Random(seed)
+    collection = random_collection(rng)
+    pattern = random_pattern(rng, derivations)
+    service = QueryService(ServiceConfig(workers=1,
+                                         default_max_results=None))
+    try:
+        service.register("d", collection)
+        replays = 0
+        for write in range(3):
+            truths = [keyed((graph.name, mapping) for graph in collection
+                            for mapping in brute_force_matches(ground, graph))
+                      for ground in pattern.ground()]
+            options = rng.choice([None, MatchOptions(exhaustive=False),
+                                  MatchOptions(limit=rng.randint(1, 6))])
+            for _ in range(2):
+                replays += check_memo_paths(service, collection, pattern,
+                                            options, truths)
+            written = collection[rng.randrange(len(collection))]
+            anchor = rng.choice(written.node_ids())
+            written.add_node(f"w{write}", label=rng.choice(LABELS))
+            written.add_edge(anchor, f"w{write}")
+            service.register("d", collection)
+        if any(graph.num_nodes() < SMALL_MEMBER_NODES
+               for graph in collection):
+            assert replays > 0
+    finally:
+        service.shutdown()

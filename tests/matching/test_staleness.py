@@ -1,6 +1,8 @@
 """Index staleness: matchers follow graph mutations automatically."""
 
-from repro.core import Graph, GroundPattern, clique_motif
+import copy
+
+from repro.core import AttributeTuple, Graph, GroundPattern, clique_motif
 from repro.matching import GraphMatcher, optimized_options
 
 
@@ -20,6 +22,46 @@ class TestVersioning:
         v3 = g.version
         g.remove_node("b")
         assert g.version > v3
+
+    def test_version_bumps_on_attribute_writes(self):
+        g = Graph()
+        node = g.add_node("a", label="A")
+        g.add_node("b")
+        edge = g.add_edge("a", "b")
+        writes = [
+            lambda: node.tuple.set("label", "B"),
+            lambda: node.tuple.update({"label": "C", "w": 1}),
+            lambda: setattr(node, "tuple", AttributeTuple({"label": "D"})),
+            lambda: node.tuple.set("label", "E"),  # the new tuple is owned
+            lambda: setattr(edge, "tuple", AttributeTuple({"w": 2})),
+            lambda: edge.tuple.set("w", 3),
+            lambda: g.tuple.set("year", 2008),
+            lambda: setattr(g, "tuple", AttributeTuple({"year": 2009})),
+            lambda: g.tuple.set("year", 2010),
+        ]
+        for write in writes:
+            before = g.version
+            write()
+            assert g.version > before
+        assert node["label"] == "E" and edge["w"] == 3 and g["year"] == 2010
+
+    def test_each_graph_owns_its_own_tuples(self):
+        """A write through a copy bumps the copy alone, and a tuple
+        another graph owns is copied when a second graph adopts it."""
+        g = Graph()
+        g.add_node("a", label="A")
+        for twin in (g.copy(), copy.deepcopy(g)):
+            before, twin_before = g.version, twin.version
+            twin.node("a").tuple.set("label", "B")
+            assert g.version == before and twin.version > twin_before
+            assert g.node("a")["label"] == "A"
+        other = Graph()
+        other.add_node("x")
+        other.node("x").tuple = g.node("a").tuple
+        assert other.node("x").tuple is not g.node("a").tuple
+        before = g.version
+        other.node("x").tuple.set("label", "Z")
+        assert g.version == before and g.node("a")["label"] == "A"
 
 
 class TestMatcherRefresh:

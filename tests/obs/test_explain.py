@@ -132,3 +132,29 @@ def test_each_stage_runs_once_per_match_and_per_explained_graph(
         # the 6-node member runs the baseline plan: no Algorithm 4.2
         assert [len(collector.by_name(name)) for name in STAGES] == [1, 0, 1]
         assert len(collector.by_name("match.search")) == searches
+
+
+def test_analyze_marks_a_replayed_member(paper_graph, triangle_pattern):
+    """EXPLAIN ANALYZE of an unchanged small member again replays its
+    memoised run: the same actuals, marked replayed, and no stage ran."""
+    database = GraphDatabase()
+    database.register("data", paper_graph)
+    (first,) = explain_document(database, "data", triangle_pattern,
+                                analyze=True)["graphs"]
+    collector = SpanCollector()
+    with tracer().session(collector):
+        document = explain_document(database, "data", triangle_pattern,
+                                    analyze=True)
+    (again,) = document["graphs"]
+    assert first["actual"]["replayed"] is False
+    assert again["actual"]["replayed"] is True
+    for key in ("mappings", "search", "order", "spaces"):
+        assert again["actual"][key] == first["actual"][key]
+    for key in ("status", "steps", "results", "memory_used"):
+        assert (again["actual"]["outcome"][key]
+                == first["actual"]["outcome"][key])
+    assert "[COMPLETE, replayed]" in render_text(document)
+    (query,) = collector.by_name("match.query")
+    assert query.tags["replayed"] is True
+    assert not any(collector.by_name(name) for name in STAGES)
+    assert not collector.by_name("match.search")

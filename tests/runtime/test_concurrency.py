@@ -158,3 +158,53 @@ class TestContextIndependence:
         for count, status in results.values():
             assert count == 50
             assert status is Outcome.TRUNCATED
+
+    def test_concurrent_queries_share_small_member_memos(self):
+        """Threads memoising and replaying the same small members, with
+        frequent switches, each get the whole answer and charges."""
+        import sys
+
+        from repro.storage import GraphDatabase
+
+        members = []
+        for m in range(8):
+            graph = Graph(f"m{m}")
+            for i in range(6 + m):
+                graph.add_node(f"v{i}", label="A")
+            for i in range(5 + m):
+                graph.add_edge(f"v{i}", f"v{i + 1}")
+            members.append(graph)
+        db = GraphDatabase()
+        db.register("d", GraphCollection(members))
+        pattern = GroundPattern(clique_motif(["A", "A"]))
+        expected = ExecutionContext()
+        truth = sorted((row["graph"], sorted(row["nodes"].items()))
+                       for row in db.execute("d", pattern,
+                                             context=expected)[0])
+        db = GraphDatabase()
+        db.register("d", GraphCollection(members))
+        failures = []
+
+        def run():
+            for _ in range(30):
+                context = ExecutionContext()
+                rows, _ = db.execute("d", pattern, context=context)
+                got = sorted((row["graph"], sorted(row["nodes"].items()))
+                             for row in rows)
+                if got != truth or context.steps != expected.steps:
+                    failures.append((len(got), context.steps))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert all(member.report.replayed
+                   for member in db.member_runs("d", pattern.ground()))

@@ -3,6 +3,7 @@
 
 
 from repro.storage.crashfuzz import (
+    MEMBERS,
     NEVER,
     CrashFuzzWorkload,
     fuzz,
@@ -31,13 +32,15 @@ class TestWorkload:
         b = CrashFuzzWorkload(11, docs=2, rounds=3)
         assert a.ops == b.ops
         for doc, round_no in a.ops:
-            assert a.state_at(doc, round_no).equals(b.state_at(doc, round_no))
+            for member in range(MEMBERS):
+                assert a.state_at(doc, round_no, member).equals(
+                    b.state_at(doc, round_no, member))
 
     def test_state_is_pure(self):
         """state_at(k) is a prefix-extension of state_at(k-1)'s history."""
         w = small_workload()
-        g1 = w.state_at("doc0", 1)
-        g2 = w.state_at("doc0", 2)
+        g1 = w.state_at("doc0", 1, 0)
+        g2 = w.state_at("doc0", 2, 0)
         assert "r1" in g2.node_ids()  # round 1's node survives round 2
         assert "r2" in g2.node_ids()
         assert "r2" not in g1.node_ids()

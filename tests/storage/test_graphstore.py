@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core import Graph
+from repro.core import AttributeTuple, Graph, GraphCollection
 from repro.datasets import erdos_renyi_graph, tiny_dblp
-from repro.storage.graphstore import GraphStore
+from repro.storage import GraphDatabase
+from repro.storage.graphstore import (GraphStore, encode_document_marker,
+                                      encode_member_marker)
 from repro.storage.pager import StorageError
 
 
@@ -138,6 +140,154 @@ class TestAttributeEdgeCases:
             back = store.load_documents()["doc"][0]
         assert back.equals(g)
         assert back.version == g.version
+
+
+def member(name: str, nodes: int) -> Graph:
+    graph = Graph(name)
+    for i in range(nodes):
+        graph.add_node(f"v{i}", label="AB"[i % 2])
+    return graph
+
+
+def record_kinds(path: str):
+    """``"doc"``/``"member"`` per marker record in the store, in order."""
+    names = {encode_document_marker("x")[0]: "doc",
+             encode_member_marker("x", 0)[0]: "member"}
+    with GraphStore(path, fsync="never") as store:
+        return [names[raw[0]] for _, raw in store.records.scan()
+                if raw[0] in names]
+
+
+def assert_same_members(loaded, expected):
+    assert len(loaded) == len(expected)
+    for back, graph in zip(loaded, expected):
+        assert back.equals(graph) and back.version == graph.version
+
+
+class TestMemberRecords:
+    """A write to some members of a document persists those members."""
+
+    def test_member_records_apply_after_a_snapshot(self, tmp_path):
+        path = str(tmp_path / "m.db")
+        members = [member(f"g{i}", 3) for i in range(3)]
+        grown = member("g1", 5)
+        renamed = member("g2-new", 1)
+        with GraphStore(path, fsync="never") as store:
+            store.save_document("doc", members)
+            store.save_members("doc", [(1, grown)])
+            store.save_members("doc", [(2, renamed), (1, member("g1", 6))])
+        with GraphStore(path, fsync="never") as store:
+            loaded = store.load_documents()["doc"]
+        assert_same_members(loaded, [members[0], member("g1", 6), renamed])
+        assert record_kinds(path) == ["doc", "member", "member", "member"]
+
+    def test_a_snapshot_supersedes_earlier_member_records(self, tmp_path):
+        path = str(tmp_path / "s.db")
+        with GraphStore(path, fsync="never") as store:
+            store.save_document("doc", [member("a", 2), member("b", 2)])
+            store.save_members("doc", [(0, member("a", 9))])
+            store.save_document("doc", [member("c", 1)])
+        with GraphStore(path, fsync="never") as store:
+            loaded = store.load_documents()["doc"]
+        assert_same_members(loaded, [member("c", 1)])
+
+    def test_a_member_record_needs_a_snapshot_member(self, tmp_path):
+        path = str(tmp_path / "x.db")
+        with GraphStore(path, fsync="never") as store:
+            store.save_document("doc", [member("a", 2)])
+            store.save_members("doc", [(1, member("b", 2))])
+            with pytest.raises(StorageError):
+                store.load_documents()
+
+    def test_register_durable_writes_only_changed_members(self, tmp_path):
+        path = str(tmp_path / "db.bin")
+        collection = GraphCollection([member(f"g{i}", 3) for i in range(4)])
+        db = GraphDatabase()
+        db.attach_durable(path, fsync="never")
+        db.register_durable("doc", collection)
+        collection[2].add_node("w", label="A")
+        db.register_durable("doc", collection)
+        db.register_durable("doc", collection)  # nothing moved: no write
+        collection[0].add_node("w", label="B")
+        collection[3].add_node("w", label="B")
+        db.register_durable("doc", collection)
+        db.close_store()
+        assert record_kinds(path) == ["doc", "member", "member", "member"]
+
+        reopened = GraphDatabase()
+        reopened.attach_durable(path, fsync="never")
+        loaded = reopened.doc("doc")
+        assert_same_members(loaded, list(collection))
+        # a loaded document counts as written: one member moves, one
+        # member record follows
+        loaded[1].add_node("w", label="A")
+        reopened.register_durable("doc", loaded)
+        reopened.close_store()
+        assert record_kinds(path)[-1] == "member"
+        with GraphStore(path, fsync="never") as store:
+            assert_same_members(store.load_documents()["doc"], list(loaded))
+
+    @pytest.mark.parametrize("edit", ["tuple.set", "tuple.update",
+                                      "node.tuple =", "edge.tuple =",
+                                      "graph.tuple ="])
+    def test_an_attribute_edit_is_persisted(self, tmp_path, edit):
+        """Attribute writes move Graph.version like structural ones, so
+        re-registering after an in-place edit persists the edited member,
+        also beside another member's structural change."""
+        path = str(tmp_path / "db.bin")
+        collection = GraphCollection([member(f"g{i}", 3) for i in range(3)])
+        for graph in collection:
+            graph.add_edge("v0", "v1", bond="single")
+        db = GraphDatabase()
+        db.attach_durable(path, fsync="never")
+        db.register_durable("doc", collection)
+        edited = collection[1]
+        if edit == "tuple.set":
+            edited.node("v0").tuple.set("label", "Z")
+        elif edit == "tuple.update":
+            edited.node("v0").tuple.update({"label": "Z", "mass": 3})
+        elif edit == "node.tuple =":
+            edited.node("v0").tuple = AttributeTuple({"label": "Z"})
+        elif edit == "edge.tuple =":
+            edited.edge(edited.edge_ids()[0]).tuple = AttributeTuple(
+                {"bond": "double"})
+        else:
+            edited.tuple = AttributeTuple({"compound": "Z"}, tag="mol")
+        db.register_durable("doc", collection)
+        assert record_kinds(path)[-1] == "member"
+        collection[0].add_node("w", label="B")
+        collection[2].node("v1").tuple.set("label", "Y")
+        db.register_durable("doc", collection)
+        db.close_store()
+        assert record_kinds(path) == ["doc", "member", "member", "member"]
+
+        reopened = GraphDatabase()
+        reopened.attach_durable(path, fsync="never")
+        assert_same_members(reopened.doc("doc"), list(collection))
+        reopened.close_store()
+
+    @pytest.mark.parametrize("change", ["add", "new collection",
+                                        "every member"])
+    def test_anything_else_writes_a_full_snapshot(self, tmp_path, change):
+        path = str(tmp_path / "db.bin")
+        collection = GraphCollection([member(f"g{i}", 3) for i in range(3)])
+        db = GraphDatabase()
+        db.attach_durable(path, fsync="never")
+        db.register_durable("doc", collection)
+        collection[0].add_node("w")
+        if change == "add":
+            collection.add(member("g3", 2))
+        elif change == "new collection":
+            collection = GraphCollection(list(collection))
+        else:
+            for graph in list(collection)[1:]:
+                graph.add_node("w")
+        db.register_durable("doc", collection)
+        db.close_store()
+        assert record_kinds(path) == ["doc", "doc"]
+        with GraphStore(path, fsync="never") as store:
+            assert_same_members(store.load_documents()["doc"],
+                                list(collection))
 
 
 class TestClustering:
