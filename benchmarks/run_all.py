@@ -22,7 +22,6 @@ import test_ablation_profile_radius
 import test_ablation_refinement_level
 import test_ablation_search_order
 import test_ablation_sql_join_order
-import test_ablation_storage_clustering
 import test_fig_4_20_clique_search_space
 import test_fig_4_21_clique_time
 import test_fig_4_22_synthetic_steps
@@ -57,15 +56,6 @@ def drivers():
         test_ablation_collection_index.report(rows, build)
 
     yield ("Collection index", collection_index)
-
-    def storage_clustering():
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            test_ablation_storage_clustering.report(
-                test_ablation_storage_clustering.run_experiment(tmp))
-
-    yield ("Storage clustering", storage_clustering)
     yield ("Service throughput", lambda: test_service_throughput.report(
         *test_service_throughput.run_experiment()))
 

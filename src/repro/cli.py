@@ -222,14 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--limit", type=_positive_int, default=1000,
                        help="default per-query answer cap")
     serve.add_argument("--store", default=None, metavar="PATH",
-                       help="WAL-backed store file: recovery runs on "
-                            "startup, registrations are write-through "
-                            "durable, shutdown checkpoints; with no data "
-                            "file the stored documents are served as-is")
+                       help="durable store file (one log): opening it "
+                            "is recovery, registrations are "
+                            "write-through durable, shutdown compacts "
+                            "it; with no data file the stored documents "
+                            "are served as-is")
     serve.add_argument("--fsync", default="commit",
-                       choices=("always", "commit", "never"),
-                       help="WAL fsync policy for --store "
-                            "(default: commit)")
+                       choices=("commit", "never"),
+                       help="fsync policy for --store: every commit "
+                            "(default) or never")
     serve.add_argument("--metrics-port", type=int, default=None,
                        metavar="PORT",
                        help="expose Prometheus metrics over plain HTTP "
@@ -266,16 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     recover_cmd = sub.add_parser(
         "recover",
-        help="run WAL recovery on a store file (idempotent) and report",
+        help="open a store file (cutting a torn tail) and report",
     )
-    recover_cmd.add_argument("store", help="store file (its WAL is "
-                                           "PATH + '.wal')")
+    recover_cmd.add_argument("store", help="store file")
     recover_cmd.add_argument("--json", action="store_true",
                              help="emit the recovery report as JSON")
 
     checkpoint_cmd = sub.add_parser(
         "checkpoint",
-        help="recover a store, sync its pages, and truncate the WAL",
+        help="open a store and compact it to one snapshot frame",
     )
     checkpoint_cmd.add_argument("store", help="store file")
     checkpoint_cmd.add_argument("--json", action="store_true",
@@ -592,7 +592,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("error: serve needs a data file or --store", file=sys.stderr)
         return 2
     # the trace session covers the whole lifecycle — recovery and
-    # registration (WAL spans) included, not just the serve loop
+    # registration (wal.* spans) included, not just the serve loop
     with _tracing_to(args.trace_out):
         return _serve(args)
 
@@ -615,11 +615,11 @@ def _serve(args: argparse.Namespace) -> int:
     service = QueryService(config)
     if service.recovery is not None:
         r = service.recovery
+        torn = (f", torn tail of {r.torn_bytes} byte(s) cut"
+                if r.torn_tail else "")
         print(f"store {args.store}: "
               f"{'clean open' if r.clean else 'recovered'} "
-              f"({r.replayed_transactions} txn(s) replayed, "
-              f"{r.discarded_records} record(s) discarded"
-              f"{', torn tail cut' if r.torn_tail else ''}); "
+              f"({r.frames} frame(s){torn}); "
               f"{len(service.database.names())} document(s) loaded",
               flush=True)
     if args.data is not None:
@@ -672,46 +672,42 @@ def _serve(args: argparse.Namespace) -> int:
 
 
 def _no_store(path: str) -> bool:
-    """Report a store path with neither a page file nor a WAL (a
-    mistyped path must not create an empty store); a WAL alone is a
-    store whose page file recovery rebuilds."""
-    from .storage.wal import wal_path_for
-
-    if Path(path).exists() or Path(wal_path_for(path)).exists():
+    """Report a missing store file (a mistyped path must not create an
+    empty store)."""
+    if Path(path).exists():
         return False
     print(f"error: no store at {path}", file=sys.stderr)
     return True
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    """``repro-gql recover``: offline WAL recovery of a store file.
+    """``repro-gql recover``: open a store file and report.
 
-    Replays committed transactions into the page file, discards
-    uncommitted records and any torn tail, then truncates the log.
-    Running it on a clean store is a no-op (recovery is idempotent); the
-    service performs the same repair automatically on startup.
+    Opening is the recovery: the log is read, committed frames are
+    checked, and a torn tail is cut.  A second run reports ``clean``;
+    the service does the same on startup.
     """
-    from .storage.wal import recover
+    from .storage import GraphStore
 
     if _no_store(args.store):
         return 2
-    result = recover(args.store)
+    store = GraphStore(args.store)
+    result = store.recovery
+    store.close(checkpoint=False)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
         return 0
     if result.clean:
-        print(f"{args.store}: clean (no WAL records to replay)")
+        print(f"{args.store}: clean ({result.frames} frame(s), "
+              f"{result.log_bytes} bytes)")
     else:
-        print(f"{args.store}: replayed {result.replayed_transactions} "
-              f"transaction(s) ({result.replayed_pages} page(s)), "
-              f"discarded {result.discarded_records} record(s)"
-              f"{', cut a torn tail' if result.torn_tail else ''}; "
-              f"WAL truncated from {result.wal_bytes} bytes")
+        print(f"{args.store}: recovered ({result.frames} frame(s)); "
+              f"cut a torn tail of {result.torn_bytes} byte(s)")
     return 0
 
 
 def cmd_checkpoint(args: argparse.Namespace) -> int:
-    """``repro-gql checkpoint``: recover, sync pages, truncate the WAL."""
+    """``repro-gql checkpoint``: open a store and compact it."""
     from .storage import GraphStore
 
     if _no_store(args.store):
@@ -719,15 +715,15 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
     store = GraphStore(args.store)
     recovery = store.recovery.to_dict()
     freed = store.checkpoint()
-    wal_bytes = store.wal.size
+    store_bytes = store.wal.size
     store.close(checkpoint=False)
     if args.json:
         print(json.dumps({"store": args.store, "recovery": recovery,
-                          "freed_bytes": freed, "wal_bytes": wal_bytes},
+                          "freed_bytes": freed, "store_bytes": store_bytes},
                          indent=2, sort_keys=True))
         return 0
-    print(f"{args.store}: checkpointed ({freed} WAL byte(s) freed, "
-          f"{wal_bytes} remaining)")
+    print(f"{args.store}: compacted ({freed} byte(s) freed, "
+          f"{store_bytes} remaining)")
     return 0
 
 

@@ -2,7 +2,7 @@
 
 :func:`launch_cluster` partitions a :class:`~repro.core.GraphCollection`
 with a :class:`~repro.cluster.shardmap.ShardMap`, writes every slice to
-the **durable store** (WAL-backed, see ``docs/robustness.md``) of each
+the **durable store** (one log file, see ``docs/robustness.md``) of each
 shard in its preference list, and launches one ``repro-gql serve
 --store ... --port 0`` subprocess per shard.  Each child announces its
 OS-assigned port on a machine-readable ``ready {...}`` stdout line (see
@@ -50,7 +50,7 @@ READY_TIMEOUT = 30.0
 #: the document every launched cluster serves (sliced per shard)
 DOCUMENT = "data"
 
-#: the WAL fsync policy of every shard store
+#: the fsync policy of every shard store
 FSYNC = "commit"
 
 
@@ -280,7 +280,7 @@ def _server_command(store_path: Path, workers: int,
 
 
 def _write_store(store_path: Path, documents: Dict[str, List[Any]]) -> None:
-    """Write one shard's documents to its WAL-backed durable store."""
+    """Write one shard's documents to its durable store."""
     from ..storage.database import GraphDatabase
 
     database = GraphDatabase()

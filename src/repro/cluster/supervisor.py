@@ -11,10 +11,10 @@ Liveness has two layers:
   counted unready, and after ``unready_threshold`` consecutive misses
   an ``unresponsive`` event is recorded for the operator.
 
-Dead shards are restarted **from their durable stores** (the WAL
-recovery path: :meth:`ShardProcess.respawn` replays the boot command
-against the same ``--store`` file) under exponential backoff and a
-per-shard ``restart_budget``; a shard that burns its budget is
+Dead shards are restarted **from their durable stores** (opening a
+store is its recovery: :meth:`ShardProcess.respawn` replays the boot
+command against the same ``--store`` file) under exponential backoff
+and a per-shard ``restart_budget``; a shard that burns its budget is
 abandoned with a terminal event rather than flapping forever.  Every
 successful restart publishes the child's fresh port into the cluster's
 live endpoint table — the one coordinators hold by reference — so

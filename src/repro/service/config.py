@@ -45,9 +45,10 @@ class ServiceConfig:
     default_timeout: Optional[float] = 30.0
     default_max_results: Optional[int] = 1000
 
-    # durable storage: when set, the service opens this WAL-backed
-    # GraphStore on startup (running crash recovery), registers every
-    # document it holds, and writes register/load mutations through it
+    # durable storage: when set, the service opens this log-file
+    # GraphStore on startup (opening is its recovery), registers every
+    # document it holds, and writes register/load mutations through it;
+    # fsync is "commit" or "never"
     store_path: Optional[str] = None
     fsync: str = "commit"
 

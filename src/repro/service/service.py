@@ -245,12 +245,10 @@ class QueryService:
 
         def _wal_bytes() -> int:
             store = self.database.durable_store
-            if store is not None and store.wal:
-                return store.wal.size
-            return 0
+            return store.wal.size if store is not None else 0
 
         reg.gauge("repro_store_wal_bytes",
-                  "Bytes in the write-ahead log (0 without a store).",
+                  "Bytes in the store's log file (0 without a store).",
                   fn=_wal_bytes)
         reg.gauge("repro_service_slow_log_entries",
                   "Entries currently held by the slow-query log.",
@@ -274,9 +272,9 @@ class QueryService:
                  collection: Union[GraphCollection, Graph]) -> None:
         """Register a graph/collection.
 
-        With a durable store attached, the document is WAL-committed
-        *before* it becomes visible to queries: a registration that
-        returned survives a crash."""
+        With a durable store attached, the document is committed to the
+        store's log *before* it becomes visible to queries: a
+        registration that returned survives a crash."""
         if self.database.durable_store is not None:
             self.database.register_durable(name, collection)
         else:
@@ -835,8 +833,7 @@ class QueryService:
             snapshot["durability"] = {
                 "store_path": self.config.store_path,
                 "fsync": self.config.fsync,
-                "store_version": store.store_version,
-                "wal_bytes": store.wal.size if store.wal else 0,
+                "wal_bytes": store.wal.size,
                 "checkpoints": store.checkpoints,
                 "recovery": (self.recovery.to_dict()
                              if self.recovery is not None else None),

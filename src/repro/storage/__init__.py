@@ -1,17 +1,9 @@
-"""Persistence: GraphQL-syntax serialization and the database facade."""
+"""Persistence: GraphQL-syntax serialization, the durable store (one
+log file of logical records) and the database facade."""
 
 from .database import GraphDatabase
-from .faults import CrashPoint, FaultStats, FaultyPageFile, SimulatedCrash
+from .faults import CrashPoint, FaultStats, FaultyLog, SimulatedCrash
 from .graphstore import GraphStore
-from .pager import (
-    PAGE_SIZE,
-    ChecksumError,
-    PageFile,
-    RecordFile,
-    SlottedPage,
-    StorageError,
-    TransientIOError,
-)
 from .serializer import (
     collection_from_text,
     collection_to_text,
@@ -23,32 +15,26 @@ from .serializer import (
     save_graph,
 )
 from .wal import (
-    FSYNC_ALWAYS,
     FSYNC_COMMIT,
     FSYNC_NEVER,
+    ChecksumError,
     RecoveryResult,
+    StorageError,
+    TransientIOError,
     WriteAheadLog,
-    recover,
-    scan_wal,
-    wal_path_for,
 )
 
 __all__ = [
     "ChecksumError",
     "CrashPoint",
-    "FSYNC_ALWAYS",
     "FSYNC_COMMIT",
     "FSYNC_NEVER",
     "FaultStats",
-    "FaultyPageFile",
+    "FaultyLog",
     "GraphDatabase",
     "GraphStore",
-    "PAGE_SIZE",
-    "PageFile",
-    "RecordFile",
     "RecoveryResult",
     "SimulatedCrash",
-    "SlottedPage",
     "StorageError",
     "TransientIOError",
     "WriteAheadLog",
@@ -58,9 +44,6 @@ __all__ = [
     "graph_to_text",
     "load_collection",
     "load_graph",
-    "recover",
     "save_collection",
     "save_graph",
-    "scan_wal",
-    "wal_path_for",
 ]

@@ -2,13 +2,17 @@
 
 ``python -m repro.storage.crashfuzz --seed 7`` runs a deterministic
 mixed save/mutate workload over multi-member documents against a
-durable :class:`GraphStore` — full snapshots, and member-replace writes
-of the one or two members a write changed — once per possible crash
-point: the :class:`~repro.storage.faults.CrashPoint` injector kills
-the write path (torn final write included) after N
-operations, for every N the workload performs.  After each simulated
-crash the store is reopened — which runs WAL recovery — and checked
-against the **committed-prefix contract**:
+durable :class:`GraphStore` — full snapshots, member-replace writes of
+the one or two members a write changed, and a compaction
+(:meth:`GraphStore.checkpoint`) after every
+:data:`CHECKPOINT_EVERY`-th save — once per possible crash point: the
+:class:`~repro.storage.faults.CrashPoint` injector kills the write path
+(torn final write included) after N operations, for every N the
+workload performs.  Every append, fsync and rename counts, the
+compaction's temp-file write, its fsync, the rename and the directory
+fsync included.  After each simulated crash the store is reopened —
+which is its recovery — and checked against the **committed-prefix
+contract**:
 
 * the recovered documents equal the workload state after exactly *j*
   operations for some ``committed <= j <= attempted`` (a commit whose
@@ -17,8 +21,8 @@ against the **committed-prefix contract**:
   document mixing members from before and after a write;
 * every recovered :attr:`Graph.version` equals the version the graph
   had when that state was saved (monotone across the crash);
-* a checkpoint after recovery truncates the WAL to empty, and a second
-  reopen finds a clean store.
+* a checkpoint after recovery compacts the log to at most one frame,
+  and a second reopen finds a clean store.
 
 The workload is pure: ``document_at(doc, write)`` rebuilds any
 document's members after any write from the seed alone, so the
@@ -46,12 +50,13 @@ from ..core.collection import GraphCollection
 from ..core.graph import Graph
 from .faults import CrashPoint, SimulatedCrash
 from .graphstore import GraphStore
-from .wal import scan_wal, wal_path_for
 
 #: A crash budget no workload reaches — used to count total operations.
 NEVER = 10 ** 9
 #: member graphs per workload document
 MEMBERS = 3
+#: the workload compacts the store after every this many saves
+CHECKPOINT_EVERY = 5
 
 
 class CrashFuzzWorkload:
@@ -145,13 +150,20 @@ class CrashFuzzWorkload:
         else:
             store.save_members(doc, [(m, members[m]) for m in changed])
 
-    def run(self, store: GraphStore) -> int:
-        """Apply every op; returns how many saves returned (committed)."""
-        committed = 0
+    def run(self, store: GraphStore,
+            progress: Optional[Dict[str, int]] = None) -> None:
+        """Apply every op, compacting the store after every
+        :data:`CHECKPOINT_EVERY`-th save.  *progress* counts the saves
+        begun (``attempted``) and the saves that returned
+        (``committed``), so a crash tells which state may be durable."""
+        progress = {} if progress is None else progress
+        progress.update(attempted=0, committed=0)
         for doc, write in self.ops:
+            progress["attempted"] += 1
             self.save(store, doc, write)
-            committed += 1
-        return committed
+            progress["committed"] += 1
+            if progress["committed"] % CHECKPOINT_EVERY == 0:
+                store.checkpoint()
 
 
 @dataclass
@@ -159,19 +171,26 @@ class FuzzReport:
     """Outcome of one fuzzing sweep (JSON-serializable for CI)."""
 
     seed: int
+    min_points: int = 0
     total_ops: int = 0
     points_run: int = 0
     failures: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return self.points_run > 0 and not self.failures
+        """Every point passed, and the workload reached *min_points*
+        crashable operations (a ``max_points`` cap on the sweep is
+        allowed and reported as ``capped``)."""
+        return (self.points_run > 0 and not self.failures
+                and self.total_ops >= self.min_points)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "seed": self.seed,
+            "min_points": self.min_points,
             "total_ops": self.total_ops,
             "points_run": self.points_run,
+            "capped": self.points_run < self.total_ops,
             "ok": self.ok,
             "failures": self.failures,
         }
@@ -196,18 +215,15 @@ def run_crash_point(workload: CrashFuzzWorkload, directory: str,
     path = os.path.join(directory, "store.db")
     crash = CrashPoint(point, tear=True,
                        seed=workload.seed * 100003 + point)
-    store = GraphStore(path, fsync=fsync, crashpoint=crash)
-    committed = 0
-    crashed = False
+    progress = {"attempted": 0, "committed": 0}
     try:
-        for doc, write in workload.ops:
-            workload.save(store, doc, write)
-            committed += 1
+        store = GraphStore(path, fsync=fsync, crashpoint=crash)
+        workload.run(store, progress)
     except SimulatedCrash:
-        crashed = True
+        pass
     # a save in flight when the crash hit may be durable or not — both
     # are legal; a save that returned must be durable
-    attempted = committed + 1 if crashed else committed
+    committed, attempted = progress["committed"], progress["attempted"]
     try:
         recovered_store = GraphStore(path, fsync="never")
     except Exception as exc:
@@ -226,8 +242,9 @@ def run_crash_point(workload: CrashFuzzWorkload, directory: str,
                 f"(docs: { {k: len(v) for k, v in documents.items()} })"
             )
         recovered_store.checkpoint()
-        if scan_wal(wal_path_for(path)).records:
-            return f"crash at op {point}: checkpoint left WAL records"
+        if len(recovered_store.wal.frames()) > 1:
+            return (f"crash at op {point}: compaction left more than one "
+                    "frame")
         recovered_store.close()
         clean = GraphStore(path, fsync="never")
         if not clean.recovery.clean:
@@ -252,9 +269,10 @@ def fuzz(seed: int, min_points: int = 200,
     *docs*/*rounds*/*base_nodes* shape the starting workload (the round
     count doubles until the workload has *min_points* crashable ops);
     *max_points* bounds the sweep for quick test runs — a bounded sweep
-    is reported as such, never as full coverage.
+    is reported as such, never as full coverage.  A workload that stops
+    growing below *min_points* fails the report.
     """
-    report = FuzzReport(seed=seed)
+    report = FuzzReport(seed=seed, min_points=min_points)
     workload = CrashFuzzWorkload(seed, docs=docs, rounds=rounds,
                                  base_nodes=base_nodes)
     own_tmp = directory is None
@@ -275,6 +293,10 @@ def fuzz(seed: int, min_points: int = 200,
             workload = CrashFuzzWorkload(seed, docs=docs, rounds=rounds,
                                          base_nodes=base_nodes)
         report.total_ops = counter.ops
+        if verbose and counter.ops < min_points:
+            print(f"crashfuzz seed={seed}: the workload stopped growing at "
+                  f"{counter.ops} crashable ops, below --min-points "
+                  f"{min_points}", flush=True)
         sweep_to = report.total_ops
         if max_points is not None and max_points < sweep_to:
             sweep_to = max_points
@@ -317,7 +339,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="bound the sweep (quick runs; the report "
                              "notes the cap)")
     parser.add_argument("--fsync", default="commit",
-                        choices=("always", "commit", "never"),
+                        choices=("commit", "never"),
                         help="fsync policy under test")
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="write a JSON report here")
@@ -329,8 +351,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             json.dump(report.to_dict(), handle, indent=2)
     status = "PASS" if report.ok else "FAIL"
     print(f"crashfuzz seed={report.seed}: {status} "
-          f"({report.points_run} points, {len(report.failures)} failure(s))",
-          flush=True)
+          f"({report.points_run} points of {report.total_ops} crashable "
+          f"ops, min {report.min_points}, {len(report.failures)} "
+          f"failure(s))", flush=True)
     return 0 if report.ok else 1
 
 

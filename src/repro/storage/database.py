@@ -124,21 +124,21 @@ class GraphDatabase:
 
     @property
     def durable_store(self) -> Optional[GraphStore]:
-        """The attached WAL-backed store, or ``None``."""
+        """The attached durable store, or ``None``."""
         return self._store
 
     def attach_durable(self, path: Union[str, Path],
                        fsync: str = "commit") -> RecoveryResult:
-        """Open a WAL-backed :class:`GraphStore` as the mutation backend.
+        """Open a durable :class:`GraphStore` as the mutation backend.
 
-        Recovery runs first (replaying committed transactions, cutting
-        torn tails), then every document the store holds is registered —
-        with each graph's persisted :attr:`Graph.version` restored, so
-        version-keyed caches stay monotone across the restart.  Further
-        :meth:`register_durable` calls write through the store before
-        the in-memory registration becomes visible; a loaded document
-        counts as written, so re-registering it after a write to one
-        member persists that member only.
+        Opening the store is its recovery (committed frames are read, a
+        torn tail is cut), then every document the store holds is
+        registered — with each graph's persisted :attr:`Graph.version`
+        restored, so version-keyed caches stay monotone across the
+        restart.  Further :meth:`register_durable` calls write through
+        the store before the in-memory registration becomes visible; a
+        loaded document counts as written, so re-registering it after a
+        write to one member persists that member only.
         """
         if self._store is not None:
             raise RuntimeError("a durable store is already attached")
@@ -173,7 +173,7 @@ class GraphDatabase:
 
     def register_durable(self, name: str,
                          collection: Union[GraphCollection, Graph]) -> None:
-        """Persist a document through the WAL, then register it.
+        """Persist a document through the store's log, then register it.
 
         The store write is one transaction: a crash leaves either the
         previous registered state or the complete new one.  Re-registering
@@ -201,13 +201,13 @@ class GraphDatabase:
         self.register(name, collection)
 
     def checkpoint(self) -> int:
-        """Checkpoint the durable store; returns WAL bytes freed."""
+        """Compact the durable store; returns the bytes freed."""
         if self._store is None:
             return 0
         return self._store.checkpoint()
 
     def close_store(self, checkpoint: bool = True) -> None:
-        """Checkpoint (by default) and close the durable store."""
+        """Compact (by default) and close the durable store."""
         if self._store is None:
             return
         store, self._store = self._store, None

@@ -1,41 +1,45 @@
-"""Storage fault injection: exercising the corruption/recovery paths.
+"""Storage fault injection: exercising the corruption and recovery paths.
 
-A disk-resident system's corruption handling is only trustworthy if the
-error paths actually run.  :class:`FaultyPageFile` wraps the page file
-with deterministic, seeded fault injection:
+A durable store's corruption handling is only trustworthy if the error
+paths actually run.  :class:`FaultyLog` wraps the store's log
+(:class:`~repro.storage.wal.WriteAheadLog`) with deterministic, seeded
+fault injection on its one read path and its one append path:
 
 * **transient read faults** (*read_error_rate*) — raise
-  :class:`~repro.storage.pager.TransientIOError`; each call re-rolls, so
-  a retrying reader (:class:`~repro.storage.pager.RecordFile`) recovers;
-* **persistent write faults** (*write_error_rate*) — raise
-  :class:`~repro.storage.pager.StorageError` before touching the file;
-* **torn pages** (*torn_write_rate*) — silently persist only a prefix of
-  the page, the classic partial-write failure; the per-page CRC32 in
-  :class:`~repro.storage.pager.SlottedPage` detects it on the next read;
+  :class:`~repro.storage.wal.TransientIOError`; each call re-rolls, so
+  the log's retrying read recovers;
+* **write faults** (*write_error_rate*) — raise
+  :class:`~repro.storage.wal.StorageError` before touching the file;
+* **torn appends** (*torn_write_rate*) — silently persist only a prefix
+  of the frame, the classic partial-write failure; the next open cuts
+  it as a torn tail;
 * **bit flips** (*corrupt_read_rate*) — flip one random bit in the data
-  returned from a read (the file itself stays intact), modelling bus or
-  media bit rot; again caught by the page CRC.
+  a read returns (the file itself stays intact), modelling bus or media
+  bit rot; the frame CRC catches it and open raises
+  :class:`~repro.storage.wal.ChecksumError`.
 
-The header page (page 0) is exempt from torn/bit-flip corruption by
-default so a harnessed file stays openable; set ``corrupt_header=True``
-to remove even that mercy.
+The file header (the magic) is exempt from bit flips by default so a
+harnessed file stays recognisable; set ``corrupt_header=True`` to remove
+even that mercy.
 
 Usage::
 
-    pf = FaultyPageFile(path, read_error_rate=0.05, seed=7)
-    rf = RecordFile(pf)          # retries ride over the 5% faults
-    ...
-    pf.stats.read_faults         # how many faults were injected
+    log = FaultyLog(path, read_error_rate=0.05, seed=7)
+    log.frames()          # the retrying read rides over the 5% faults
+    log.stats.read_faults # how many faults were injected
+
+:class:`CrashPoint` is the other half: it kills the write path at a
+chosen operation for the crash-fuzz harness.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Callable
 
-from .pager import PAGE_SIZE, PageFile, StorageError, TransientIOError
+from .wal import MAGIC, StorageError, TransientIOError, WriteAheadLog
 
 
 class SimulatedCrash(StorageError):
@@ -52,12 +56,12 @@ class SimulatedCrash(StorageError):
 class CrashPoint:
     """Kill the storage write path after N guarded operations.
 
-    Page-file writes, WAL appends and fsyncs each count as one
-    operation.  Operations ``1..crash_after-1`` proceed normally;
-    operation ``crash_after`` crashes: a *write* persists only a
-    seeded-random prefix (``tear=True``, the torn-write case — possibly
-    the empty prefix) before :class:`SimulatedCrash` is raised, a
-    *barrier* (fsync) raises before syncing.  A budget larger than the
+    Each file write, fsync and rename counts as one operation.
+    Operations ``1..crash_after-1`` proceed normally; operation
+    ``crash_after`` crashes: a *write* persists only a seeded-random
+    prefix (``tear=True``, the torn-write case — possibly the empty
+    prefix) before :class:`SimulatedCrash` is raised, a *barrier* (an
+    fsync or a rename) raises before it runs.  A budget larger than the
     workload never trips — which is how a harness counts a workload's
     total operations.
     """
@@ -98,12 +102,13 @@ class CrashPoint:
             f"({len(prefix)}/{len(data)} bytes persisted)"
         )
 
-    def barrier(self, sync: Callable[[], object]) -> None:
-        """Guard one fsync (the crashing barrier never syncs)."""
+    def barrier(self, step: Callable[[], object]) -> None:
+        """Guard one fsync or rename (the crashing barrier never runs
+        it)."""
         if self._arm():
             raise SimulatedCrash(
-                f"simulated crash on sync op {self.ops}")
-        sync()
+                f"simulated crash on barrier op {self.ops}")
+        step()
 
 
 @dataclass
@@ -112,19 +117,19 @@ class FaultStats:
 
     read_faults: int = 0
     write_faults: int = 0
-    torn_pages: int = 0
+    torn_appends: int = 0
     bit_flips: int = 0
-    torn_page_numbers: list = field(default_factory=list)
 
     @property
     def total(self) -> int:
         """All injected faults."""
         return (self.read_faults + self.write_faults
-                + self.torn_pages + self.bit_flips)
+                + self.torn_appends + self.bit_flips)
 
 
-class FaultyPageFile(PageFile):
-    """A :class:`PageFile` with seeded, configurable fault injection."""
+class FaultyLog(WriteAheadLog):
+    """A :class:`WriteAheadLog` with seeded, configurable fault
+    injection, armed from the open's first read on."""
 
     def __init__(
         self,
@@ -135,6 +140,7 @@ class FaultyPageFile(PageFile):
         corrupt_read_rate: float = 0.0,
         corrupt_header: bool = False,
         seed: int = 0,
+        **log_options,
     ) -> None:
         for name, rate in (("read_error_rate", read_error_rate),
                            ("write_error_rate", write_error_rate),
@@ -149,9 +155,8 @@ class FaultyPageFile(PageFile):
         self.corrupt_header = corrupt_header
         self.stats = FaultStats()
         self._rng = random.Random(seed)
-        self._armed = False  # keep construction (header I/O) fault-free
-        super().__init__(path)
         self._armed = True
+        super().__init__(path, **log_options)
 
     @contextmanager
     def suspended(self):
@@ -165,48 +170,31 @@ class FaultyPageFile(PageFile):
 
     # -- injected I/O ---------------------------------------------------------
 
-    def read_page(self, page_no: int) -> bytes:
+    def _read_file(self) -> bytes:
         if self._armed and self._rng.random() < self.read_error_rate:
             self.stats.read_faults += 1
             raise TransientIOError(
-                f"injected transient read fault on page {page_no}"
-            )
-        data = super().read_page(page_no)
-        if (self._armed
-                and (page_no != 0 or self.corrupt_header)
+                f"injected transient read fault on {self.path}")
+        data = super()._read_file()
+        start = 0 if self.corrupt_header else len(MAGIC)
+        if (self._armed and len(data) > start
                 and self._rng.random() < self.corrupt_read_rate):
             self.stats.bit_flips += 1
-            position = self._rng.randrange(len(data))
+            position = self._rng.randrange(start, len(data))
             flipped = bytearray(data)
             flipped[position] ^= 1 << self._rng.randrange(8)
             return bytes(flipped)
         return data
 
-    def write_page(self, page_no: int, data: bytes) -> None:
+    def _append(self, data: bytes) -> None:
         if self._armed and self._rng.random() < self.write_error_rate:
             self.stats.write_faults += 1
-            raise StorageError(
-                f"injected write failure on page {page_no}"
-            )
-        if (self._armed
-                and (page_no != 0 or self.corrupt_header)
-                and self._rng.random() < self.torn_write_rate):
-            # a torn write: only a prefix of the page reaches the disk,
-            # and the caller is not told — exactly how a power cut
-            # mid-write looks.  The page CRC catches it on read.
-            self.stats.torn_pages += 1
-            self.stats.torn_page_numbers.append(page_no)
-            prefix_len = self._rng.randrange(1, PAGE_SIZE)
-            torn = data[:prefix_len] + self._stale_suffix(page_no, prefix_len)
-            super().write_page(page_no, torn)
+            raise StorageError(f"injected write failure on {self.path}")
+        if self._armed and self._rng.random() < self.torn_write_rate:
+            # a torn append: only a prefix of the frame reaches the
+            # disk, and the caller is not told — exactly how a power cut
+            # mid-write looks.  The next open cuts it.
+            self.stats.torn_appends += 1
+            super()._append(data[:self._rng.randrange(1, len(data))])
             return
-        super().write_page(page_no, data)
-
-    def _stale_suffix(self, page_no: int, prefix_len: int) -> bytes:
-        """What the un-written tail of a torn page still holds on disk."""
-        with self.suspended():
-            try:
-                old = super().read_page(page_no)
-            except StorageError:
-                old = b"\x00" * PAGE_SIZE
-        return old[prefix_len:]
+        super()._append(data)

@@ -278,45 +278,57 @@ class TestClusterStatus:
             assert merged["shards"][0]["breakers"] is not None
 
 
+TORN_BYTES = 9
+
+
 @pytest.fixture
 def dirty_store(tmp_path):
-    """A store closed without a checkpoint: its WAL still holds the save."""
+    """A store closed without compaction, holding two snapshots of one
+    document and ending in a torn append."""
     from repro.storage import GraphStore
 
     path = str(tmp_path / "s.db")
     store = GraphStore(path, fsync="never")
     store.save_document("dblp", tiny_dblp())
+    store.save_document("dblp", tiny_dblp())
     store.close(checkpoint=False)
+    with open(path, "ab") as handle:
+        handle.write(b"\x01" * TORN_BYTES)  # a frame header cut short
     return path
 
 
 class TestStoreMaintenance:
     def test_recover_replays_then_reports_clean(self, dirty_store, capsys):
         assert main(["recover", dirty_store, "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)[
-            "replayed_transactions"] >= 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["frames"] == 2
+        assert report["torn_bytes"] == TORN_BYTES and not report["clean"]
         assert main(["recover", dirty_store]) == 0
         assert "clean" in capsys.readouterr().out
 
-    def test_recover_rebuilds_a_missing_page_file(self, dirty_store, capsys):
+    def test_recover_repairs_the_file_in_place(self, dirty_store, capsys):
         from pathlib import Path
 
         from repro.storage import GraphStore
 
-        Path(dirty_store).unlink()
+        size = Path(dirty_store).stat().st_size
         assert main(["recover", dirty_store]) == 0
-        assert "replayed" in capsys.readouterr().out
+        assert f"cut a torn tail of {TORN_BYTES} byte(s)" in (
+            capsys.readouterr().out)
+        assert Path(dirty_store).stat().st_size == size - TORN_BYTES
         with GraphStore(dirty_store, fsync="never") as store:
             assert len(store.load_documents()["dblp"]) == 2
 
     def test_checkpoint_reports_freed_bytes(self, dirty_store, capsys):
+        from pathlib import Path
+
         assert main(["checkpoint", dirty_store, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        # opening the store replayed and truncated the dirty log, so the
-        # checkpoint itself had nothing left to free
-        assert report["recovery"]["replayed_transactions"] >= 1
-        assert report["freed_bytes"] == 0
-        assert report["wal_bytes"] == 0
+        # opening cut the torn tail; compaction dropped the superseded
+        # snapshot
+        assert report["recovery"]["torn_tail"] is True
+        assert report["freed_bytes"] > 0
+        assert report["store_bytes"] == Path(dirty_store).stat().st_size
 
     @pytest.mark.parametrize("command", ["recover", "checkpoint"])
     def test_missing_store_is_an_error(self, tmp_path, capsys, command):

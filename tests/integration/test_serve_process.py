@@ -99,8 +99,8 @@ def test_durable_server_recovers_observes_and_drains(tmp_path):
             scraped = parse_prometheus_text(reply.read().decode("utf-8"))
         assert scraped["repro_service_submitted_total"] >= 1
     finally:
-        # a power cut: no drain and no checkpoint, so the load stays in
-        # the WAL and the restart must replay it
+        # a power cut: no drain and no compaction, so the restart must
+        # read the load back from the frames the first process committed
         first.kill()
         first.wait(timeout=30)
 
@@ -110,7 +110,7 @@ def test_durable_server_recovers_observes_and_drains(tmp_path):
     try:
         with ServiceClient(host, port) as client:
             recovery = client.stats()["durability"]["recovery"]
-            assert recovery["ran"] and recovery["wal_records"] > 0
+            assert recovery["ran"] and recovery["frames"] > 0
             assert rows(client.query(FAST_QUERY, limit=100)) == rows(before)
             slow = client.query(HEAVY_QUERY, timeout=0.2, no_cache=True)
             assert slow.outcome.status is Outcome.TIMED_OUT

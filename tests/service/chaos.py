@@ -2,7 +2,7 @@
 
 ``ChaosProxy`` sits between a :class:`~repro.service.client.ServiceClient`
 and a :class:`~repro.service.server.QueryServer` and injects transport
-faults the way :class:`repro.storage.faults.FaultyPageFile` injects disk
+faults the way :class:`repro.storage.faults.FaultyLog` injects disk
 faults: every decision comes from a ``random.Random`` seeded from
 ``(seed, connection index, direction)``, so a failing run is replayable
 by seed.  Fault kinds, each with its own rate:

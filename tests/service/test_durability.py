@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Graph
 from repro.service import QueryService, ServiceConfig
-from repro.storage import GraphDatabase, SimulatedCrash, scan_wal, wal_path_for
+from repro.storage import GraphDatabase, SimulatedCrash
 from repro.storage.faults import CrashPoint
 from repro.storage.graphstore import GraphStore
 
@@ -56,9 +56,15 @@ class TestDatabaseDurable:
         database = GraphDatabase()
         database.attach_durable(path, fsync="never")
         database.register_durable("data", sample_graph())
-        assert database.durable_store.wal.size > 0
+        database.register_durable("data", sample_graph(extra=2))
+        assert len(database.durable_store.wal.frames()) == 2
         database.close_store()
-        assert scan_wal(wal_path_for(path)).records == []
+        # closing compacted the log to one snapshot of the live state
+        store = GraphStore(path, fsync="never")
+        assert len(store.wal.frames()) == 1
+        assert store.load_documents()["data"][0].equals(
+            sample_graph(extra=2))
+        store.close(checkpoint=False)
 
     def test_crashed_write_recovers_previous_state(self, tmp_path):
         path = str(tmp_path / "db.bin")
@@ -68,7 +74,7 @@ class TestDatabaseDurable:
         database.close_store()
 
         store = GraphStore(path, fsync="never",
-                           crashpoint=CrashPoint(crash_after=2, seed=1))
+                           crashpoint=CrashPoint(crash_after=1, seed=1))
         with pytest.raises(SimulatedCrash):
             store.save_document("data", [sample_graph(extra=5)])
 
@@ -95,7 +101,8 @@ class TestServiceDurable:
         first = service.execute(QUERY, document="data")
         assert len(first.results) == 1
         stats = service.shutdown()
-        assert stats["durability"]["store_version"] >= 1
+        assert stats["durability"]["wal_bytes"] > 0
+        assert "store_version" not in stats["durability"]
 
         restarted = self.service(tmp_path)
         assert restarted.database.names() == ["data"]

@@ -2,24 +2,29 @@
 ``crash-recovery-fuzz`` job runs the full ≥200-point version)."""
 
 
+import pytest
+
 from repro.storage.crashfuzz import (
+    CHECKPOINT_EVERY,
     MEMBERS,
     NEVER,
     CrashFuzzWorkload,
     fuzz,
+    main,
     run_crash_point,
 )
-from repro.storage.faults import CrashPoint
+from repro.storage.faults import CrashPoint, SimulatedCrash
 from repro.storage.graphstore import GraphStore
 
 
 def small_workload(seed: int = 3) -> CrashFuzzWorkload:
-    return CrashFuzzWorkload(seed, docs=2, rounds=2, base_nodes=6)
+    """Six saves: one compaction after the fifth."""
+    return CrashFuzzWorkload(seed, docs=2, rounds=3, base_nodes=6)
 
 
 def count_ops(workload: CrashFuzzWorkload, tmp_path) -> int:
     counter = CrashPoint(NEVER)
-    store = GraphStore(str(tmp_path / "count.db"), fsync="never",
+    store = GraphStore(str(tmp_path / "count.db"), fsync="commit",
                        crashpoint=counter)
     workload.run(store)
     store.close(checkpoint=False)
@@ -53,10 +58,23 @@ class TestWorkload:
 
 
 class TestCrashSweep:
-    def test_every_point_recovers(self, tmp_path):
+    def test_every_point_recovers(self, tmp_path, monkeypatch):
         """A full sweep of a small workload: every crash point passes
-        the committed-prefix contract."""
+        the committed-prefix contract, the compaction's temp write, its
+        fsync, the rename and the directory fsync included."""
         workload = small_workload()
+        assert len(workload.ops) >= CHECKPOINT_EVERY
+        in_compaction = []
+        checkpoint = GraphStore.checkpoint
+
+        def watched(store):
+            try:
+                return checkpoint(store)
+            except SimulatedCrash:
+                in_compaction.append(store.wal.crashpoint.crash_after)
+                raise
+
+        monkeypatch.setattr(GraphStore, "checkpoint", watched)
         total = count_ops(workload, tmp_path)
         assert total >= 10
         failures = []
@@ -64,10 +82,11 @@ class TestCrashSweep:
             directory = tmp_path / f"p{point}"
             directory.mkdir()
             error = run_crash_point(workload, str(directory), point,
-                                    fsync="never")
+                                    fsync="commit")
             if error is not None:
                 failures.append(error)
         assert failures == []
+        assert len(in_compaction) == 4
 
     def test_fuzz_report_shape(self, tmp_path):
         report = fuzz(seed=5, min_points=1, directory=str(tmp_path),
@@ -79,9 +98,25 @@ class TestCrashSweep:
         assert payload["failures"] == []
         assert payload["seed"] == 5
 
-    def test_cli_entry(self, tmp_path, capsys):
-        from repro.storage.crashfuzz import main
+    def test_a_workload_below_min_points_fails(self, tmp_path):
+        """A workload that stops growing below --min-points is a FAIL,
+        even when every point it swept passed."""
+        report = fuzz(seed=5, min_points=10 ** 6, directory=str(tmp_path),
+                      fsync="never", verbose=False, docs=1, rounds=64,
+                      base_nodes=4, max_points=3)
+        assert report.points_run == 3 and report.failures == []
+        assert report.total_ops < report.min_points
+        assert not report.ok
+        assert report.to_dict()["capped"] is True
 
+    @pytest.mark.parametrize("min_points, code", [(1, 0), (10 ** 6, 1)])
+    def test_cli_exit_code_follows_min_points(self, capsys, min_points,
+                                              code):
+        assert main(["--seed", "4", "--min-points", str(min_points),
+                     "--max-points", "2", "--fsync", "never"]) == code
+        assert ("PASS" if code == 0 else "FAIL") in capsys.readouterr().out
+
+    def test_cli_entry(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         code = main(["--seed", "2", "--min-points", "1", "--max-points",
                      "8", "--fsync", "never", "--report", str(report_path)])

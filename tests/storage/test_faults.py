@@ -1,30 +1,24 @@
-"""Fault injection, page checksums and file-validation error paths.
+"""Fault injection, frame checksums and file-validation error paths.
 
-The smoke test at the bottom drives the whole storage stack through a
-FaultyPageFile at an injected read-fault rate taken from the
+The smoke tests at the bottom drive the whole storage stack through a
+FaultyLog at an injected read-fault rate taken from the
 ``REPRO_FAULT_RATE`` environment variable (default 5%), which is how the
-CI fault-injection job runs it.
+CI fault-injection job runs them.
 """
 
 import os
-import struct
 
 import pytest
 
 from repro.core import Graph
 from repro.storage import (
     ChecksumError,
-    FaultyPageFile,
+    FaultyLog,
     GraphStore,
     StorageError,
     TransientIOError,
 )
-from repro.storage.pager import (
-    PAGE_SIZE,
-    PageFile,
-    RecordFile,
-    SlottedPage,
-)
+from repro.storage.wal import MAGIC, WriteAheadLog
 
 FAULT_RATE = float(os.environ.get("REPRO_FAULT_RATE", "0.05"))
 
@@ -38,172 +32,194 @@ def rich_graph(name="g", nodes=40) -> Graph:
     return graph
 
 
-class TestPageChecksum:
-    def test_roundtrip_verifies(self):
-        page = SlottedPage()
-        page.insert(b"hello")
-        image = page.to_bytes()
-        reloaded = SlottedPage(image)
-        assert reloaded.read(0) == b"hello"
+def log_with(path, *payloads) -> str:
+    with WriteAheadLog(str(path), fsync="never") as log:
+        for payload in payloads:
+            log.commit(payload)
+    return str(path)
 
-    def test_bit_flip_detected(self):
-        page = SlottedPage()
-        page.insert(b"some record payload")
-        image = bytearray(page.to_bytes())
-        image[100] ^= 0x40  # one flipped bit anywhere in the page
+
+class TestFrameChecksum:
+    def test_roundtrip_verifies(self, tmp_path):
+        path = log_with(tmp_path / "ok.db", b"hello", b"world")
+        with WriteAheadLog(path, fsync="never") as log:
+            assert log.frames() == [b"hello", b"world"]
+
+    def test_bit_flip_detected(self, tmp_path):
+        """A payload bit flip in a committed frame that is not the last
+        raises on open, and the file is left untouched."""
+        path = log_with(tmp_path / "flip.db", b"some record payload",
+                        b"the last frame")
+        image = bytearray(open(path, "rb").read())
+        image[len(MAGIC) + 12 + 3] ^= 0x40
+        open(path, "wb").write(bytes(image))
         with pytest.raises(ChecksumError, match="checksum"):
-            SlottedPage(bytes(image))
+            WriteAheadLog(path, fsync="never")
+        assert open(path, "rb").read() == bytes(image)
 
-    def test_verification_can_be_skipped(self):
-        page = SlottedPage()
-        page.insert(b"x")
-        image = bytearray(page.to_bytes())
-        image[50] ^= 1
-        SlottedPage(bytes(image), verify=False)  # no raise
+    def test_damaged_length_is_not_cut_as_a_torn_tail(self, tmp_path):
+        """A flipped length that would run past the end of the file is
+        caught by the length check instead of being cut."""
+        path = log_with(tmp_path / "len.db", b"a" * 50, b"b" * 50)
+        image = bytearray(open(path, "rb").read())
+        image[len(MAGIC) + 4 + 2] ^= 0x01  # the first frame's length
+        open(path, "wb").write(bytes(image))
+        with pytest.raises(ChecksumError, match="length"):
+            WriteAheadLog(path, fsync="never")
+        assert open(path, "rb").read() == bytes(image)
 
-    def test_all_zero_page_is_fresh(self):
-        page = SlottedPage(b"\x00" * PAGE_SIZE)
-        assert page.slot_count == 0
-        assert page.insert(b"first") == 0
+    def test_zero_tail_is_cut(self, tmp_path):
+        """Zeros after the last frame (an extension whose data never
+        landed) are a torn tail, never a frame."""
+        path = log_with(tmp_path / "zero.db", b"kept")
+        with open(path, "ab") as handle:
+            handle.write(b"\x00" * 100)
+        with WriteAheadLog(path, fsync="never") as log:
+            assert log.recovery.torn_bytes == 100
+            assert log.frames() == [b"kept"]
 
 
 class TestFileValidation:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.db"
-        path.write_bytes(b"NOPE" + b"\x00" * (PAGE_SIZE - 4))
+        path.write_bytes(b"graph g { node a; };\n")
         with pytest.raises(StorageError, match="bad magic"):
-            PageFile(str(path))
+            WriteAheadLog(str(path))
+        # a foreign file is never cut or rewritten
+        assert path.read_bytes() == b"graph g { node a; };\n"
 
     def test_short_header(self, tmp_path):
         path = tmp_path / "tiny.db"
         path.write_bytes(b"GQ")
         with pytest.raises(StorageError, match="truncated header"):
-            PageFile(str(path))
+            WriteAheadLog(str(path))
 
     def test_truncated_file(self, tmp_path):
-        path = tmp_path / "trunc.db"
-        with PageFile(str(path)) as pagefile:
-            pagefile.allocate_page()
-            pagefile.allocate_page()
+        """A file cut inside its last frame keeps every whole frame."""
+        path = log_with(tmp_path / "trunc.db", b"one", b"two" * 40)
         with open(path, "r+b") as handle:
-            handle.truncate(PAGE_SIZE + 10)  # header says 3 pages
-        with pytest.raises(StorageError, match="truncated"):
-            PageFile(str(path))
-
-    def test_zero_page_count(self, tmp_path):
-        path = tmp_path / "zero.db"
-        header = struct.pack("<4sII", b"GQLP", 0, 0xFFFFFFFF)
-        path.write_bytes(header.ljust(PAGE_SIZE, b"\x00"))
-        with pytest.raises(StorageError, match="at least the header"):
-            PageFile(str(path))
+            handle.truncate(os.path.getsize(path) - 30)
+        with WriteAheadLog(path, fsync="never") as log:
+            assert log.recovery.torn_tail
+            assert log.frames() == [b"one"]
 
 
 class TestFaultInjection:
     def test_rates_validated(self, tmp_path):
         with pytest.raises(ValueError, match="read_error_rate"):
-            FaultyPageFile(str(tmp_path / "f.db"), read_error_rate=1.5)
+            FaultyLog(str(tmp_path / "f.db"), read_error_rate=1.5)
 
     def test_transient_faults_are_raised_and_counted(self, tmp_path):
-        pagefile = FaultyPageFile(str(tmp_path / "f.db"),
-                                  read_error_rate=1.0, seed=3)
-        pagefile.allocate_page()
+        log = FaultyLog(str(tmp_path / "f.db"), seed=3, fsync="never")
+        log.read_error_rate = 1.0
+        log.max_retries = 0
         with pytest.raises(TransientIOError, match="injected"):
-            pagefile.read_page(1)
-        assert pagefile.stats.read_faults == 1
+            log.frames()
+        assert log.stats.read_faults == 1
+
+    def test_open_reads_through_the_fault_injector(self, tmp_path):
+        """Opening is the log's read path too: a store whose every read
+        faults cannot be opened, after the bounded retries."""
+        path = log_with(tmp_path / "f.db", b"frame")
+        with pytest.raises(TransientIOError):
+            FaultyLog(path, read_error_rate=1.0, seed=3, fsync="never")
 
     def test_suspended_disables_injection(self, tmp_path):
-        pagefile = FaultyPageFile(str(tmp_path / "f.db"),
-                                  read_error_rate=1.0, seed=3)
-        pagefile.allocate_page()
-        with pagefile.suspended():
-            pagefile.read_page(1)  # no raise
+        log = FaultyLog(str(tmp_path / "f.db"), seed=3, fsync="never")
+        log.read_error_rate = 1.0
+        with log.suspended():
+            assert log.frames() == []  # no raise
 
     def test_write_fault_raises(self, tmp_path):
-        pagefile = FaultyPageFile(str(tmp_path / "f.db"),
-                                  write_error_rate=1.0, seed=3)
+        log = FaultyLog(str(tmp_path / "f.db"), write_error_rate=1.0,
+                        seed=3, fsync="never")
         with pytest.raises(StorageError, match="injected write"):
-            pagefile.write_page(0, b"\x00" * PAGE_SIZE)
+            log.commit(b"payload")
+        assert log.size == os.path.getsize(log.path) == len(MAGIC)
 
     def test_torn_write_detected_by_crc(self, tmp_path):
-        pagefile = FaultyPageFile(str(tmp_path / "torn.db"),
-                                  torn_write_rate=1.0, seed=5)
-        page_no = pagefile.allocate_page()
-        page = SlottedPage()
-        page.insert(b"A" * 2000)
-        page.insert(b"B" * 1500)
-        pagefile.write_page(page_no, page.to_bytes())
-        assert pagefile.stats.torn_pages == 1
-        with pagefile.suspended():
-            raw = pagefile.read_page(page_no)
-        with pytest.raises(ChecksumError):
-            SlottedPage(raw)
+        """A torn final append is cut on the next open; the frames
+        before it survive."""
+        path = str(tmp_path / "torn.db")
+        log = FaultyLog(path, torn_write_rate=1.0, seed=5, fsync="never")
+        with log.suspended():
+            log.commit(b"A" * 2000)
+        log.commit(b"B" * 1500)
+        assert log.stats.torn_appends == 1
+        log.close()
+        with WriteAheadLog(path, fsync="never") as reopened:
+            assert reopened.recovery.torn_tail
+            assert reopened.frames() == [b"A" * 2000]
 
     def test_bit_flip_on_read_detected_by_crc(self, tmp_path):
-        pagefile = FaultyPageFile(str(tmp_path / "rot.db"),
-                                  corrupt_read_rate=1.0, seed=7)
-        page_no = pagefile.allocate_page()
-        page = SlottedPage()
-        page.insert(b"precious data")
-        with pagefile.suspended():
-            pagefile.write_page(page_no, page.to_bytes())
-        raw = pagefile.read_page(page_no)
-        assert pagefile.stats.bit_flips == 1
+        path = log_with(tmp_path / "rot.db", b"precious data" * 20)
+        log = FaultyLog(path, seed=7, fsync="never")
+        log.corrupt_read_rate = 1.0
         with pytest.raises(ChecksumError):
-            SlottedPage(raw)
+            log.frames()
+        assert log.stats.bit_flips == 1
+        with log.suspended():  # the file itself is intact
+            assert log.frames() == [b"precious data" * 20]
 
     def test_header_page_exempt_by_default(self, tmp_path):
-        pagefile = FaultyPageFile(str(tmp_path / "h.db"),
-                                  corrupt_read_rate=1.0, seed=9)
-        raw = pagefile.read_page(0)
-        with pagefile.suspended():
-            clean = pagefile.read_page(0)
-        assert raw == clean  # page 0 was not bit-flipped
+        """Bit flips spare the magic unless corrupt_header is set."""
+        path = str(tmp_path / "h.db")
+        log = FaultyLog(path, corrupt_read_rate=1.0, seed=9, fsync="never")
+        assert log.read() == MAGIC  # nothing after the header to flip
+        log.corrupt_header = True
+        assert log.read() != MAGIC
+
+
+class PatientLog(FaultyLog):
+    """Retries set before the open's own read."""
+
+    max_retries = 10
+    retry_backoff = 0.0
 
 
 class TestRetries:
-    def test_recordfile_rides_over_transient_faults(self, tmp_path):
-        pagefile = FaultyPageFile(str(tmp_path / "retry.db"),
-                                  read_error_rate=0.4, seed=13)
-        records = RecordFile(pagefile, max_retries=10, retry_backoff=0.0)
-        ids = [records.insert(f"record-{i}".encode()) for i in range(50)]
-        for i, record_id in enumerate(ids):
-            assert records.read(record_id) == f"record-{i}".encode()
-        assert pagefile.stats.read_faults > 0
-        assert records.retries_performed >= pagefile.stats.read_faults
+    def test_open_rides_over_transient_faults(self, tmp_path):
+        path = log_with(tmp_path / "retry.db",
+                        *(f"record-{i}".encode() for i in range(50)))
+        log = PatientLog(path, read_error_rate=0.4, seed=13, fsync="never")
+        assert log.recovery.frames == 50
+        for _ in range(20):
+            assert log.frames() == [f"record-{i}".encode()
+                                    for i in range(50)]
+        assert log.stats.read_faults > 0
+        assert log.retries_performed == log.stats.read_faults
 
     def test_backoff_schedule_doubles(self, tmp_path):
-        """The injected sleep sees exactly 1ms, 2ms, 4ms, ... — the
+        """The injected sleep sees exactly 1ms, 2ms, 4ms, 8ms, 16ms — the
         documented bounded-exponential schedule, no wall clock burned."""
-        pagefile = FaultyPageFile(str(tmp_path / "sched.db"),
-                                  read_error_rate=1.0, seed=13)
-        pagefile.allocate_page()
+        log = FaultyLog(str(tmp_path / "sched.db"), seed=13, fsync="never")
+        log.read_error_rate = 1.0
         delays = []
-        records = RecordFile(pagefile, max_retries=5, retry_backoff=0.001,
-                             sleep=delays.append)
+        log.sleep = delays.append
         with pytest.raises(TransientIOError):
-            records.read((1, 0))
+            log.frames()
         assert delays == [0.001, 0.002, 0.004, 0.008, 0.016]
 
     def test_zero_backoff_never_sleeps(self, tmp_path):
-        pagefile = FaultyPageFile(str(tmp_path / "nosleep.db"),
-                                  read_error_rate=1.0, seed=13)
-        pagefile.allocate_page()
+        log = FaultyLog(str(tmp_path / "nosleep.db"), seed=13,
+                        fsync="never")
+        log.read_error_rate = 1.0
+        log.retry_backoff = 0.0
         delays = []
-        records = RecordFile(pagefile, max_retries=3, retry_backoff=0.0,
-                             sleep=delays.append)
+        log.sleep = delays.append
         with pytest.raises(TransientIOError):
-            records.read((1, 0))
+            log.frames()
         assert delays == []
 
     def test_retry_budget_is_bounded(self, tmp_path):
-        pagefile = FaultyPageFile(str(tmp_path / "hard.db"),
-                                  read_error_rate=1.0, seed=13)
-        pagefile.allocate_page()
-        records = RecordFile(pagefile, max_retries=3, retry_backoff=0.0)
+        log = FaultyLog(str(tmp_path / "hard.db"), seed=13, fsync="never")
+        log.read_error_rate = 1.0
+        log.max_retries = 3
+        log.retry_backoff = 0.0
         with pytest.raises(TransientIOError):
-            records.read((1, 0))
+            log.frames()
         # first attempt + 3 retries
-        assert pagefile.stats.read_faults == 4
+        assert log.stats.read_faults == 4
 
 
 class TestFaultSmoke:
@@ -211,25 +227,38 @@ class TestFaultSmoke:
 
     def test_graphstore_roundtrip_under_read_faults(self, tmp_path,
                                                     monkeypatch):
-        def faulty(path, **_options):
-            return FaultyPageFile(path, read_error_rate=FAULT_RATE, seed=11)
+        logs = []
 
-        monkeypatch.setattr("repro.storage.graphstore.PageFile", faulty)
+        def faulty(path, **options):
+            log = FaultyLog(path, read_error_rate=FAULT_RATE, seed=11,
+                            **options)
+            log.retry_backoff = 0.0
+            logs.append(log)
+            return log
+
+        monkeypatch.setattr("repro.storage.graphstore.WriteAheadLog",
+                            faulty)
         graph = rich_graph(nodes=120)
         path = str(tmp_path / "smoke.db")
-        with GraphStore(path) as store:
-            store.records.retry_backoff = 0.0
+        with GraphStore(path, fsync="never") as store:
             store.save(graph)
+            for _ in range(40):
+                (loaded,) = store.load_all()
+                assert loaded.equals(graph)
+        with GraphStore(path, fsync="never") as store:
             (loaded,) = store.load_all()
         assert loaded.equals(graph)
-        pagefile = store.pagefile
         if FAULT_RATE > 0:
-            assert pagefile.stats.read_faults > 0
+            assert sum(log.stats.read_faults for log in logs) > 0
 
-    def test_recordfile_workload_under_read_faults(self, tmp_path):
-        pagefile = FaultyPageFile(str(tmp_path / "wl.db"),
-                                  read_error_rate=FAULT_RATE, seed=17)
-        records = RecordFile(pagefile, retry_backoff=0.0)
-        payloads = {records.insert(os.urandom(64)): i for i in range(200)}
-        scanned = list(records.scan())
-        assert len(scanned) == len(payloads)
+    def test_log_workload_under_read_faults(self, tmp_path):
+        path = str(tmp_path / "wl.db")
+        log = FaultyLog(path, read_error_rate=FAULT_RATE, seed=17,
+                        fsync="never")
+        log.retry_backoff = 0.0
+        payloads = [os.urandom(64) for _ in range(200)]
+        for payload in payloads:
+            log.commit(payload)
+        for _ in range(20):
+            assert log.frames() == payloads
+        log.close()

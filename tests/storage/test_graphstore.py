@@ -1,13 +1,13 @@
-"""Unit tests for page-based graph persistence and locality clustering."""
+"""Unit tests for graph persistence as logical records in the store log."""
+
+from contextlib import contextmanager
 
 import pytest
 
 from repro.core import AttributeTuple, Graph, GraphCollection
 from repro.datasets import erdos_renyi_graph, tiny_dblp
-from repro.storage import GraphDatabase
-from repro.storage.graphstore import (GraphStore, encode_document_marker,
-                                      encode_member_marker)
-from repro.storage.pager import StorageError
+from repro.storage import GraphDatabase, StorageError
+from repro.storage.graphstore import GraphStore
 
 
 def rich_graph() -> Graph:
@@ -56,10 +56,6 @@ class TestRoundTrip:
             store.save(g)
             (loaded,) = store.load_all()
         assert loaded.equals(g)
-
-    def test_bad_policy(self, tmp_path):
-        with pytest.raises(ValueError):
-            GraphStore(str(tmp_path / "x.db"), clustering="random")
 
 
 class TestAttributeEdgeCases:
@@ -141,6 +137,34 @@ class TestAttributeEdgeCases:
         assert back.equals(g)
         assert back.version == g.version
 
+    def test_large_string_attributes(self, tmp_path):
+        """Values longer than a page, and than a u16 length, round-trip
+        through register_durable and a reopen."""
+        g = Graph("big")
+        g.add_node("a", note="x" * 5000, label="A")
+        g.add_node("b", blob="ü" * 35000)  # 70,000 bytes of UTF-8
+        g.add_edge("a", "b", text="y" * 70000)
+        path = str(tmp_path / "big.db")
+        db = GraphDatabase()
+        db.attach_durable(path, fsync="never")
+        db.register_durable("doc", g)
+        db.close_store(checkpoint=False)
+        reopened = GraphDatabase()
+        reopened.attach_durable(path, fsync="never")
+        (back,) = reopened.doc("doc")
+        assert back.equals(g) and back.version == g.version
+        assert back.node("b")["blob"] == "ü" * 35000
+        reopened.close_store()
+
+    @pytest.mark.parametrize("value", [2 ** 63, -(2 ** 63) - 1, "\ud800"])
+    def test_unencodable_values_raise_storage_error(self, tmp_path, value):
+        g = Graph("bad")
+        g.add_node("n", value=value)
+        with GraphStore(str(tmp_path / "bad.db"), fsync="never") as store:
+            with pytest.raises(StorageError):
+                store.save(g)
+            assert store.load_all() == []
+
 
 def member(name: str, nodes: int) -> Graph:
     graph = Graph(name)
@@ -149,13 +173,20 @@ def member(name: str, nodes: int) -> Graph:
     return graph
 
 
+@contextmanager
+def uncompacted(path: str):
+    """A store closed without compaction: its records stay as written."""
+    store = GraphStore(path, fsync="never")
+    try:
+        yield store
+    finally:
+        store.close(checkpoint=False)
+
+
 def record_kinds(path: str):
     """``"doc"``/``"member"`` per marker record in the store, in order."""
-    names = {encode_document_marker("x")[0]: "doc",
-             encode_member_marker("x", 0)[0]: "member"}
-    with GraphStore(path, fsync="never") as store:
-        return [names[raw[0]] for _, raw in store.records.scan()
-                if raw[0] in names]
+    with uncompacted(path) as store:
+        return [event for event, _ in store.events() if event != "graph"]
 
 
 def assert_same_members(loaded, expected):
@@ -172,18 +203,18 @@ class TestMemberRecords:
         members = [member(f"g{i}", 3) for i in range(3)]
         grown = member("g1", 5)
         renamed = member("g2-new", 1)
-        with GraphStore(path, fsync="never") as store:
+        with uncompacted(path) as store:
             store.save_document("doc", members)
             store.save_members("doc", [(1, grown)])
             store.save_members("doc", [(2, renamed), (1, member("g1", 6))])
-        with GraphStore(path, fsync="never") as store:
+        with uncompacted(path) as store:
             loaded = store.load_documents()["doc"]
         assert_same_members(loaded, [members[0], member("g1", 6), renamed])
         assert record_kinds(path) == ["doc", "member", "member", "member"]
 
     def test_a_snapshot_supersedes_earlier_member_records(self, tmp_path):
         path = str(tmp_path / "s.db")
-        with GraphStore(path, fsync="never") as store:
+        with uncompacted(path) as store:
             store.save_document("doc", [member("a", 2), member("b", 2)])
             store.save_members("doc", [(0, member("a", 9))])
             store.save_document("doc", [member("c", 1)])
@@ -193,7 +224,7 @@ class TestMemberRecords:
 
     def test_a_member_record_needs_a_snapshot_member(self, tmp_path):
         path = str(tmp_path / "x.db")
-        with GraphStore(path, fsync="never") as store:
+        with uncompacted(path) as store:
             store.save_document("doc", [member("a", 2)])
             store.save_members("doc", [(1, member("b", 2))])
             with pytest.raises(StorageError):
@@ -211,7 +242,7 @@ class TestMemberRecords:
         collection[0].add_node("w", label="B")
         collection[3].add_node("w", label="B")
         db.register_durable("doc", collection)
-        db.close_store()
+        db.close_store(checkpoint=False)
         assert record_kinds(path) == ["doc", "member", "member", "member"]
 
         reopened = GraphDatabase()
@@ -222,7 +253,7 @@ class TestMemberRecords:
         # member record follows
         loaded[1].add_node("w", label="A")
         reopened.register_durable("doc", loaded)
-        reopened.close_store()
+        reopened.close_store(checkpoint=False)
         assert record_kinds(path)[-1] == "member"
         with GraphStore(path, fsync="never") as store:
             assert_same_members(store.load_documents()["doc"], list(loaded))
@@ -258,7 +289,7 @@ class TestMemberRecords:
         collection[0].add_node("w", label="B")
         collection[2].node("v1").tuple.set("label", "Y")
         db.register_durable("doc", collection)
-        db.close_store()
+        db.close_store(checkpoint=False)
         assert record_kinds(path) == ["doc", "member", "member", "member"]
 
         reopened = GraphDatabase()
@@ -283,53 +314,32 @@ class TestMemberRecords:
             for graph in list(collection)[1:]:
                 graph.add_node("w")
         db.register_durable("doc", collection)
-        db.close_store()
+        db.close_store(checkpoint=False)
         assert record_kinds(path) == ["doc", "doc"]
         with GraphStore(path, fsync="never") as store:
             assert_same_members(store.load_documents()["doc"],
                                 list(collection))
 
-
-class TestClustering:
-    def test_bfs_order_visits_neighbors_together(self):
-        g = Graph()
-        for n in "abcdef":
-            g.add_node(n)
-        # two components: a-b-c chain and d-e-f chain
-        g.add_edge("a", "b")
-        g.add_edge("b", "c")
-        g.add_edge("d", "e")
-        g.add_edge("e", "f")
-        store = GraphStore.__new__(GraphStore)
-        store.clustering = "bfs"
-        order = store.node_order(g)
-        assert order.index("b") < order.index("d")  # component stays together
-
-    def test_bfs_improves_neighborhood_locality(self, tmp_path):
-        """BFS clustering touches no more pages per neighborhood than a
-        scrambled insertion order (usually strictly fewer)."""
-        import random
-
-        g = erdos_renyi_graph(800, 2400, seed=9)
-        # scramble declaration order so "insertion" is an adversary
-        ids = g.node_ids()
-        random.Random(1).shuffle(ids)
-        scrambled_order = Graph(directed=False)
-        for node_id in ids:
-            node = g.node(node_id)
-            scrambled_order.add_node(node_id, **dict(node.tuple.items()))
-        for edge in g.edges():
-            scrambled_order.add_edge(edge.source, edge.target)
-
-        spans = {}
-        for policy in ("bfs", "insertion"):
-            with GraphStore(str(tmp_path / f"{policy}.db"),
-                            clustering=policy) as store:
-                store.save(scrambled_order)
-                spans[policy] = store.neighborhood_page_span(scrambled_order)
-        assert spans["bfs"] <= spans["insertion"]
-
-    def test_span_requires_saved_graph(self, tmp_path):
-        with GraphStore(str(tmp_path / "s.db")) as store:
-            with pytest.raises(StorageError):
-                store.neighborhood_page_span(rich_graph())
+    @pytest.mark.parametrize("mutate", [False, True])
+    def test_compaction_keeps_what_was_registered(self, tmp_path, mutate):
+        """Compaction writes the documents as last registered, never a
+        member changed in place but not re-registered."""
+        path = str(tmp_path / "db.bin")
+        collection = GraphCollection([member(f"g{i}", 3) for i in range(3)])
+        db = GraphDatabase()
+        db.attach_durable(path, fsync="never")
+        db.register_durable("doc", collection)
+        collection[1].add_node("w", label="A")
+        db.register_durable("doc", collection)
+        registered = [graph.copy() for graph in collection]
+        versions = [graph.version for graph in collection]
+        if mutate:
+            collection[2].add_node("unregistered")
+        assert db.checkpoint() > 0
+        db.close_store(checkpoint=False)
+        with uncompacted(path) as store:
+            assert len(store.wal.frames()) == 1
+            loaded = list(store.load_documents()["doc"])
+        assert [graph.version for graph in loaded] == versions
+        assert all(back.equals(graph)
+                   for back, graph in zip(loaded, registered))

@@ -1,242 +1,278 @@
-"""Unit tests for the write-ahead log, transactions, and recovery."""
+"""Unit tests for the store's log: framing, commits, recovery, compaction."""
 
-import struct
+import os
 
 import pytest
 
 from repro.core import Graph
 from repro.storage.faults import CrashPoint, SimulatedCrash
 from repro.storage.graphstore import GraphStore
-from repro.storage.pager import PAGE_SIZE, PageFile, StorageError
 from repro.storage.wal import (
-    REC_BEGIN,
-    REC_COMMIT,
-    REC_PAGE,
+    MAGIC,
+    ChecksumError,
     RecoveryResult,
+    StorageError,
     WriteAheadLog,
-    recover,
-    scan_wal,
-    wal_path_for,
+    frame,
 )
+
+
+def graph(name: str = "g", nodes: int = 3) -> Graph:
+    g = Graph(name)
+    for i in range(nodes):
+        g.add_node(f"v{i}", label="AB"[i % 2])
+    for i in range(nodes - 1):
+        g.add_edge(f"v{i}", f"v{i + 1}")
+    return g
 
 
 class TestFraming:
     def test_append_scan_roundtrip(self, tmp_path):
-        path = str(tmp_path / "t.wal")
-        image = b"\xAB" * PAGE_SIZE
-        with WriteAheadLog(path, fsync="never") as wal:
-            wal.append(REC_BEGIN, 7)
-            wal.append(REC_PAGE, 7, struct.pack("<I", 5) + image)
-            wal.append(REC_COMMIT, 7)
-        scan = scan_wal(path)
-        assert [r.kind for r in scan.records] == [REC_BEGIN, REC_PAGE,
-                                                  REC_COMMIT]
-        assert [r.txn for r in scan.records] == [7, 7, 7]
-        assert scan.records[1].page_no == 5
-        assert scan.records[1].data == image
-        assert [r.lsn for r in scan.records] == [1, 2, 3]
-        assert not scan.torn_tail
+        path = str(tmp_path / "t.log")
+        payloads = [b"first", b"", b"\xAB" * 5000]
+        with WriteAheadLog(path, fsync="never") as log:
+            for payload in payloads:
+                log.commit(payload)
+            assert log.appends == 3
+        with WriteAheadLog(path, fsync="never") as log:
+            assert log.frames() == payloads
+            assert log.recovery.frames == 3
+            assert not log.recovery.torn_tail
+        assert os.path.getsize(path) == len(MAGIC) + sum(
+            len(frame(p)) for p in payloads)
 
     def test_torn_tail_is_cut_on_reopen(self, tmp_path):
-        path = str(tmp_path / "t.wal")
-        with WriteAheadLog(path, fsync="never") as wal:
-            wal.append(REC_BEGIN, 1)
-            wal.append(REC_COMMIT, 1)
+        path = str(tmp_path / "t.log")
+        with WriteAheadLog(path, fsync="never") as log:
+            log.commit(b"one")
+            log.commit(b"two")
+            valid = log.size
         with open(path, "ab") as handle:
-            handle.write(b"\x13\x37garbage torn tail")
-        scan = scan_wal(path)
-        assert scan.torn_tail
-        assert len(scan.records) == 2
-        # reopening truncates the torn tail and appends after it
-        with WriteAheadLog(path, fsync="never") as wal:
-            assert wal.size == scan.valid_bytes
-            wal.append(REC_BEGIN, 2)
-        assert len(scan_wal(path).records) == 3
+            handle.write(frame(b"three")[:7])  # a torn append
+        with WriteAheadLog(path, fsync="never") as log:
+            assert log.recovery.torn_tail
+            assert log.recovery.torn_bytes == 7
+            assert log.size == valid == os.path.getsize(path)
+            # the next append starts where the committed frames end
+            log.commit(b"three")
+        with WriteAheadLog(path, fsync="never") as log:
+            assert log.frames() == [b"one", b"two", b"three"]
 
-    def test_corrupt_record_stops_scan(self, tmp_path):
-        path = str(tmp_path / "t.wal")
-        with WriteAheadLog(path, fsync="never") as wal:
-            wal.append(REC_BEGIN, 1)
-            offset = wal.size
-            wal.append(REC_PAGE, 1, struct.pack("<I", 2) + b"x" * PAGE_SIZE)
+    def test_corrupt_frame_is_refused(self, tmp_path):
+        """A complete frame that fails its CRC is damage, not a torn
+        tail: open raises and leaves every byte where it was."""
+        path = str(tmp_path / "t.log")
+        with WriteAheadLog(path, fsync="never") as log:
+            log.commit(b"x" * 100)
+            log.commit(b"y" * 100)
         with open(path, "r+b") as handle:
-            handle.seek(offset + 40)  # inside the second record's body
+            handle.seek(len(MAGIC) + 40)  # inside the first payload
             handle.write(b"\xff")
-        scan = scan_wal(path)
-        assert len(scan.records) == 1  # CRC rejects the flipped record
-        assert scan.torn_tail
+        before = open(path, "rb").read()
+        with pytest.raises(ChecksumError, match="checksum"):
+            WriteAheadLog(path, fsync="never")
+        assert open(path, "rb").read() == before
 
     def test_missing_file_scans_empty(self, tmp_path):
-        scan = scan_wal(str(tmp_path / "absent.wal"))
-        assert scan.records == []
-        assert not scan.torn_tail
+        path = str(tmp_path / "absent.log")
+        with WriteAheadLog(path, fsync="never") as log:
+            assert log.frames() == []
+            assert log.recovery.clean
+        assert open(path, "rb").read() == MAGIC
+        assert not os.path.exists(path + ".tmp")
+
+
+class TestStoreFile:
+    """The log file is the whole store: created on first open, reopened
+    and appended to, scanned in commit order."""
+
+    def test_create_and_reopen(self, tmp_path):
+        path = str(tmp_path / "test.db")
+        with WriteAheadLog(path, fsync="never") as log:
+            log.commit(b"x" * 4096)
+        assert open(path, "rb").read(len(MAGIC)) == MAGIC
+        with WriteAheadLog(path, fsync="never") as log:
+            assert log.frames() == [b"x" * 4096]
+            assert log.recovery.clean
+
+    def test_bad_magic(self, tmp_path):
+        """A file in the retired page format is refused, not misread."""
+        path = tmp_path / "bad.db"
+        old = b"GQLP" + b"\x00" * 4096
+        path.write_bytes(old)
+        with pytest.raises(StorageError, match="bad magic"):
+            WriteAheadLog(str(path), fsync="never")
+        assert path.read_bytes() == old
+
+    def test_scan_order(self, tmp_path):
+        path = str(tmp_path / "r.db")
+        payloads = [f"rec{i}".encode() for i in range(50)]
+        with WriteAheadLog(path, fsync="never") as log:
+            for payload in payloads:
+                log.commit(payload)
+            assert log.frames() == payloads
+        with WriteAheadLog(path, fsync="never") as log:
+            assert log.frames() == payloads
+
+    def test_reopen_and_append(self, tmp_path):
+        path = str(tmp_path / "r.db")
+        with WriteAheadLog(path, fsync="never") as log:
+            log.commit(b"first")
+        with WriteAheadLog(path, fsync="never") as log:
+            log.commit(b"second")
+            assert log.frames() == [b"first", b"second"]
+        with WriteAheadLog(path, fsync="never") as log:
+            assert log.frames() == [b"first", b"second"]
+            assert log.recovery.frames == 2
 
 
 class TestTransactions:
     def test_commit_persists_and_logs(self, tmp_path):
-        pf = PageFile(str(tmp_path / "p.db"))
-        page = pf.allocate_page()  # header update = its own implicit txn
-        commits_before = sum(
-            r.kind == REC_COMMIT for r in scan_wal(pf.wal.path).records)
-        pf.begin()
-        pf.write_page(page, b"A" * PAGE_SIZE)
-        pf.commit()
-        assert pf.read_page(page) == b"A" * PAGE_SIZE
-        records = scan_wal(pf.wal.path).records
-        assert sum(r.kind == REC_COMMIT
-                   for r in records) == commits_before + 1
-        assert any(r.kind == REC_PAGE and r.page_no == page
-                   for r in records)
-        pf.close()
+        path = str(tmp_path / "s.db")
+        store = GraphStore(path, fsync="never")
+        before = store.wal.size
+        store.save_document("doc", [graph("a"), graph("b")])
+        assert store.wal.appends == 1  # one frame per transaction
+        assert store.wal.size > before
+        assert len(store.wal.frames()) == 1
+        store.close(checkpoint=False)
+        with GraphStore(path, fsync="never") as reopened:
+            assert [g.name for g in reopened.load_documents()["doc"]] == [
+                "a", "b"]
 
     def test_abort_discards_pending(self, tmp_path):
-        pf = PageFile(str(tmp_path / "p.db"))
-        page = pf.allocate_page()
-        pf.begin()
-        pf.write_page(page, b"B" * PAGE_SIZE)
-        assert pf.read_page(page) == b"B" * PAGE_SIZE  # read-your-writes
-        pf.abort()
-        assert pf.read_page(page) == b"\x00" * PAGE_SIZE
-        pf.close()
+        """A transaction that fails while being encoded writes nothing:
+        the whole frame is built before the one append."""
+        path = str(tmp_path / "s.db")
+        store = GraphStore(path, fsync="never")
+        store.save_document("doc", [graph()])
+        size = store.wal.size
+        bad = graph("bad")
+        bad.add_node("huge", big=2 ** 70)
+        with pytest.raises(StorageError, match="64-bit"):
+            store.save_document("doc", [graph("ok"), bad])
+        assert store.wal.size == size == os.path.getsize(path)
+        assert store.wal.appends == 1
+        store.close(checkpoint=False)
 
-    def test_implicit_transaction_outside_begin(self, tmp_path):
-        """No write can bypass the WAL: a bare write_page auto-commits."""
-        pf = PageFile(str(tmp_path / "p.db"))
-        page = pf.allocate_page()
-        before = pf.store_version
-        pf.write_page(page, b"C" * PAGE_SIZE)
-        assert pf.store_version == before + 1
-        kinds = [r.kind for r in scan_wal(pf.wal.path).records]
-        assert REC_COMMIT in kinds
-        pf.close()
-
-    def test_store_version_counts_commits(self, tmp_path):
-        path = tmp_path / "p.db"
-        pf = PageFile(str(path))
-        page = pf.allocate_page()
+    def test_frames_count_commits(self, tmp_path):
+        path = str(tmp_path / "s.db")
+        store = GraphStore(path, fsync="never")
         for i in range(3):
-            pf.begin()
-            pf.write_page(page, bytes([i]) * PAGE_SIZE)
-            pf.commit()
-        version = pf.store_version
-        pf.close()
-        reopened = PageFile(str(path))
-        assert reopened.store_version == version
-        reopened.close()
+            store.save(graph(f"g{i}"))
+        store.close(checkpoint=False)
+        reopened = GraphStore(path, fsync="never")
+        assert reopened.recovery.frames == 3
+        reopened.close()  # compacts to one frame
+        with GraphStore(path, fsync="never") as store:
+            assert store.recovery.frames == 1
+            assert [g.name for g in store.load_all()] == ["g0", "g1", "g2"]
 
-    def test_nested_begin_rejected(self, tmp_path):
-        pf = PageFile(str(tmp_path / "p.db"))
-        pf.begin()
-        with pytest.raises(StorageError):
-            pf.begin()
-        pf.abort()
-        pf.close()
+    def test_failed_append_leaves_no_partial_frame(self, tmp_path):
+        """After an append fails part-way, the next commit starts at the
+        committed end, so the partial bytes never sit mid-log."""
+        path = str(tmp_path / "s.db")
+        store = GraphStore(path, fsync="never")
+
+        def half_then_fail(data):
+            store.wal._file.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+        store.wal._append = half_then_fail
+        with pytest.raises(OSError):
+            store.save(graph("lost"))
+        del store.wal._append
+        store.save(graph("kept"))
+        store.close(checkpoint=False)
+        with GraphStore(path, fsync="never") as reopened:
+            assert reopened.recovery.clean
+            assert [g.name for g in reopened.load_all()] == ["kept"]
 
 
 class TestRecovery:
     def test_recover_replays_committed(self, tmp_path):
-        path = str(tmp_path / "p.db")
-        pf = PageFile(path)
-        page = pf.allocate_page()
-        pf.begin()
-        pf.write_page(page, b"D" * PAGE_SIZE)
-        pf.commit()
-        pf.close()
-        # clobber the committed page behind the pager's back (as if the
-        # page write never reached the disk); the WAL still holds the
-        # commit, so recovery must restore the page image
-        with open(path, "r+b") as handle:
-            handle.seek(page * PAGE_SIZE)
-            handle.write(b"\x00" * PAGE_SIZE)
-        result = recover(path)
-        assert isinstance(result, RecoveryResult)
-        assert result.replayed_transactions >= 1
-        reopened = PageFile(path)
-        assert reopened.read_page(page) == b"D" * PAGE_SIZE
+        path = str(tmp_path / "s.db")
+        store = GraphStore(path, fsync="never")
+        store.save_document("doc", [graph("a", 2)])
+        store.save_document("doc", [graph("a", 5)])
+        store.close(checkpoint=False)
+        reopened = GraphStore(path, fsync="never")
+        assert isinstance(reopened.recovery, RecoveryResult)
+        assert reopened.recovery.ran and reopened.recovery.frames == 2
+        (back,) = reopened.load_documents()["doc"]
+        assert back.equals(graph("a", 5))
         reopened.close()
 
     def test_uncommitted_records_discarded(self, tmp_path):
-        path = str(tmp_path / "p.db")
-        wal_path = wal_path_for(path)
-        pf = PageFile(path)
-        page = pf.allocate_page()
-        pf.begin()
-        pf.write_page(page, b"E" * PAGE_SIZE)
-        pf.commit()
-        pf.close()
-        # append a BEGIN + PAGE without a COMMIT (a crash mid-commit)
-        with WriteAheadLog(wal_path, fsync="never") as wal:
-            txn = wal.begin()
-            wal.append(REC_BEGIN, txn)
-            wal.append(REC_PAGE, txn,
-                       struct.pack("<I", page) + b"Z" * PAGE_SIZE)
-        result = recover(path)
-        assert result.discarded_records == 2
-        reopened = PageFile(path)
-        assert reopened.read_page(page) == b"E" * PAGE_SIZE
+        """A frame cut short never applies; the frames before it do."""
+        path = str(tmp_path / "s.db")
+        store = GraphStore(path, fsync="never")
+        store.save_document("doc", [graph("a", 2)])
+        size = store.wal.size
+        store.save_document("doc", [graph("a", 9)])
+        store.close(checkpoint=False)
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) - 10)
+        reopened = GraphStore(path, fsync="never")
+        assert reopened.recovery.torn_tail
+        assert reopened.recovery.frames == 1
+        (back,) = reopened.load_documents()["doc"]
+        assert back.equals(graph("a", 2))
+        assert os.path.getsize(path) == size
         reopened.close()
 
     def test_recovery_truncates_wal_and_is_idempotent(self, tmp_path):
-        path = str(tmp_path / "p.db")
-        pf = PageFile(path)
-        page = pf.allocate_page()
-        pf.write_page(page, b"F" * PAGE_SIZE)
-        pf.close()
-        first = recover(path)
-        assert scan_wal(wal_path_for(path)).records == []
-        second = recover(path)
-        assert second.clean
-        assert second.replayed_transactions == 0
-        del first
+        path = str(tmp_path / "s.db")
+        with WriteAheadLog(path, fsync="never") as log:
+            log.commit(b"kept")
+        with open(path, "ab") as handle:
+            handle.write(b"\x00" * 32)  # an extension whose data never landed
+        with WriteAheadLog(path, fsync="never") as first:
+            assert first.recovery.torn_bytes == 32
+        with WriteAheadLog(path, fsync="never") as second:
+            assert second.recovery.clean
+            assert second.frames() == [b"kept"]
 
     def test_checkpoint_truncates(self, tmp_path):
-        pf = PageFile(str(tmp_path / "p.db"))
-        page = pf.allocate_page()
-        pf.write_page(page, b"G" * PAGE_SIZE)
-        assert pf.wal.size > 0
-        freed = pf.checkpoint()
-        assert freed > 0
-        assert pf.wal.size == 0
-        assert pf.read_page(page) == b"G" * PAGE_SIZE
-        pf.close()
+        """Compaction rewrites the log as one snapshot frame of the live
+        documents: superseded snapshots and member records go."""
+        path = str(tmp_path / "s.db")
+        store = GraphStore(path, fsync="never")
+        for nodes in (2, 4, 6):
+            store.save_document("doc", [graph("a", nodes), graph("b")])
+        store.save_members("doc", [(1, graph("b", 7))])
+        store.save_document("other", [graph("c")])
+        live = store.load_documents()
+        before = store.wal.size
+        freed = store.checkpoint()
+        assert freed == before - store.wal.size > 0
+        assert store.wal.size == os.path.getsize(path)
+        assert len(store.wal.frames()) == 1
+        assert not os.path.exists(path + ".tmp")
+        compacted = store.load_documents()
+        assert list(compacted) == list(live)
+        for name, members in live.items():
+            for got, want in zip(compacted[name], members):
+                assert got.equals(want) and got.version == want.version
+        store.close(checkpoint=False)
 
-    def test_checkpoint_inside_transaction_rejected(self, tmp_path):
-        pf = PageFile(str(tmp_path / "p.db"))
-        pf.begin()
-        with pytest.raises(StorageError):
-            pf.checkpoint()
-        pf.abort()
-        pf.close()
+    def test_checkpoint_of_an_empty_store_keeps_the_header(self, tmp_path):
+        path = str(tmp_path / "s.db")
+        with GraphStore(path, fsync="never") as store:
+            assert store.checkpoint() == 0
+        assert open(path, "rb").read() == MAGIC
 
 
-class TestEveryPageFileIsLogged:
-    """A bare ``PageFile`` owns its log: writes reach ``<path>.wal`` and
-    opening replays it, with no WAL or ``recover()`` call by the caller."""
+class TestNoSideFile:
+    """The log is the store: one file at the store path, nothing beside it."""
 
     def test_bare_write_commits_to_the_wal(self, tmp_path):
-        path = str(tmp_path / "p.db")
-        pf = PageFile(path)
-        page = pf.allocate_page()
-        pf.write_page(page, b"H" * PAGE_SIZE)
-        pf.close()
-        records = scan_wal(path + ".wal").records
-        assert any(r.kind == REC_COMMIT for r in records)
-        assert any(r.kind == REC_PAGE and r.page_no == page
-                   for r in records)
-
-    def test_open_replays_a_committed_page(self, tmp_path):
-        path = str(tmp_path / "p.db")
-        pf = PageFile(path)
-        page = pf.allocate_page()
-        pf.write_page(page, b"I" * PAGE_SIZE)
-        pf.close()
-        with open(path, "r+b") as handle:  # the page write never landed
-            handle.seek(page * PAGE_SIZE)
-            handle.write(b"\x00" * PAGE_SIZE)
-        reopened = PageFile(path)
-        assert reopened.recovery.replayed_transactions >= 1
-        assert reopened.read_page(page) == b"I" * PAGE_SIZE
-        reopened.close()
+        path = str(tmp_path / "s.db")
+        with GraphStore(path, fsync="commit") as store:
+            store.save(graph())
+            assert store.wal.path == path
+            assert store.wal.size == os.path.getsize(path)
+        assert sorted(os.listdir(tmp_path)) == ["s.db"]
 
 
 class TestCrashPoint:
@@ -275,9 +311,8 @@ class TestCrashPoint:
         path = str(tmp_path / "s.db")
         with GraphStore(path, fsync="never") as store:
             store.save_document("doc", [g1])
-            ops_for_first = store.pagefile.crashpoint  # none attached
-        assert ops_for_first is None
-        crash = CrashPoint(crash_after=2, seed=3)
+            assert store.wal.crashpoint is None
+        crash = CrashPoint(crash_after=1, seed=3)
         store = GraphStore(path, fsync="never", crashpoint=crash)
         with pytest.raises(SimulatedCrash):
             store.save_document("doc", [g2])
@@ -287,3 +322,22 @@ class TestCrashPoint:
         assert back.equals(g1) or back.equals(g2)  # prefix contract
         assert back.version in (g1.version, g2.version)
         recovered.close()
+
+    @pytest.mark.parametrize("point", [1, 2, 3, 4])
+    def test_compaction_crash_keeps_old_or_new_file(self, tmp_path, point):
+        """The temp write, its fsync, the rename and the directory fsync
+        are each a crash point; every one leaves a whole store."""
+        path = str(tmp_path / "s.db")
+        store = GraphStore(path, fsync="commit")
+        store.save_document("doc", [graph("a", 2)])
+        store.save_document("doc", [graph("a", 4)])
+        store.close(checkpoint=False)
+        crash = CrashPoint(crash_after=point, seed=point)
+        store = GraphStore(path, fsync="commit", crashpoint=crash)
+        with pytest.raises(SimulatedCrash):
+            store.checkpoint()
+        with GraphStore(path, fsync="never") as reopened:
+            assert reopened.recovery.clean
+            assert reopened.recovery.frames == (1 if point == 4 else 2)
+            (back,) = reopened.load_documents()["doc"]
+            assert back.equals(graph("a", 4))
