@@ -30,9 +30,7 @@ Predicate analysis
 Plan lints
     ``GQL009`` (warning) — a pattern whose elements form two or more
     disconnected components with no cross predicate: the match is a
-    cartesian product.  ``GQL010`` (hint) — a node-level disjunctive
-    filter the index condition extractor cannot read, forcing a scan
-    where pattern disjunction blocks would ride the attribute index.
+    cartesian product.
 
 Severity semantics follow the data model: missing attributes make
 comparisons *false*, not errors, so "unknown attribute" is a warning
@@ -97,7 +95,6 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "GQL007": (Severity.WARNING, "conjunct is always false"),
     "GQL008": (Severity.HINT, "conjunct is always true"),
     "GQL009": (Severity.WARNING, "disconnected pattern (cartesian product)"),
-    "GQL010": (Severity.HINT, "disjunctive filter defeats the attribute index"),
     "GQL011": (Severity.WARNING, "empty value range"),
     # not an analyzer finding: what prepare_pattern_text reports when a
     # text the analyzer passed is refused by the compiler
@@ -470,8 +467,6 @@ class Analyzer:
                     ref)
         self._predicates(decl.where, context=kind)
         self._schema_element_where(decl.where, kind)
-        if kind == "node":
-            self._index_hint(decl)
 
     # -- scope ----------------------------------------------------------------
 
@@ -748,36 +743,6 @@ class Analyzer:
                       f"edge, a unify, or a cross predicate",
                       decl)
 
-    def _index_hint(self, node: NodeDeclAst) -> None:
-        """GQL010: a disjunctive filter the attribute index cannot serve.
-
-        The planner pushes conjunctive ``attr OP literal`` predicates
-        into the attribute index, but an ``|`` chain is opaque to the
-        condition extractor, so the node falls back to a full scan.
-        When every alternative is itself indexable, rewriting the
-        alternation as pattern disjunction blocks (Figs. 4.5/4.6) lets
-        each branch ride the index.
-        """
-        if node.where is None:
-            return
-        for conjunct in node.where.conjuncts():
-            alternatives = _disjuncts(conjunct)
-            if len(alternatives) < 2:
-                continue
-            if all(_attr_vs_literal(alt) is not None
-                   for alt in alternatives):
-                attrs = sorted({
-                    ".".join(_attr_vs_literal(alt)[0])  # type: ignore[index]
-                    for alt in alternatives})
-                self.emit(
-                    "GQL010",
-                    f"disjunctive filter over {', '.join(attrs)} forces a "
-                    f"scan (the index extractor only reads conjunctive "
-                    f"conditions); rewriting the alternatives as pattern "
-                    f"disjunction blocks lets each branch use the "
-                    f"attribute index",
-                    conjunct)
-
     # -- results --------------------------------------------------------------
 
     def result(self) -> List[Diagnostic]:
@@ -790,13 +755,6 @@ class Analyzer:
                 seen.add(key)
                 unique.append(diag)
         return sort_diagnostics(unique)
-
-
-def _disjuncts(expr: Expr) -> List[Expr]:
-    """Split a top-level ``|`` chain (the dual of ``conjuncts``)."""
-    if isinstance(expr, BinOp) and expr.op == "|":
-        return _disjuncts(expr.left) + _disjuncts(expr.right)
-    return [expr]
 
 
 def _attr_vs_literal(

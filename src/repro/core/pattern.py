@@ -11,7 +11,8 @@ graph iff one of its derived ground patterns matches (Section 3.2).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from collections import Counter
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .bindings import Mapping, MatchedGraph
 from .graph import Edge, Graph, Node
@@ -42,6 +43,7 @@ class GroundPattern:
         self._node_tests: Dict[str, Callable[[Node], bool]] = {}
         self._shared_tests: Optional[Dict[str, str]] = None
         self._symmetry: Dict[bool, "Symmetry"] = {}
+        self._profile_needs: Dict[int, Dict[str, Tuple[Tuple[Any, int], ...]]] = {}
 
     # -- element predicates (F_u, F_e) ------------------------------------------
 
@@ -84,6 +86,18 @@ class GroundPattern:
                     pass
             self._shared_tests = shared
         return self._shared_tests
+
+    def profile_needs(self, radius: int) -> Dict[str, Tuple[Tuple[Any, int], ...]]:
+        """Pattern node -> its §4.2 profile within *radius* as
+        ``(label, count)`` pairs (:func:`~repro.matching.neighborhood.motif_profile`
+        counted), computed once per pattern and radius."""
+        found = self._profile_needs.get(radius)
+        if found is None:
+            from ..matching.neighborhood import motif_profile
+            found = self._profile_needs[radius] = {
+                name: tuple(Counter(motif_profile(self.motif, name, radius)).items())
+                for name in self.motif.node_names()}
+        return found
 
     def symmetry(self, directed: bool) -> "Symmetry":
         """The pattern's automorphism group against data graphs of the

@@ -83,6 +83,10 @@ class Expr:
         """Split a top-level ``&`` chain into its conjuncts."""
         return [self]
 
+    def disjuncts(self) -> List["Expr"]:
+        """Split a top-level ``|`` chain into its alternatives."""
+        return [self]
+
     def to_graphql(self) -> str:
         """Render back to GraphQL concrete syntax."""
         raise NotImplementedError
@@ -185,6 +189,11 @@ class BinOp(Expr):
     def conjuncts(self) -> List[Expr]:
         if self.op == "&":
             return self.left.conjuncts() + self.right.conjuncts()
+        return [self]
+
+    def disjuncts(self) -> List[Expr]:
+        if self.op == "|":
+            return self.left.disjuncts() + self.right.disjuncts()
         return [self]
 
     def _collect_roots(self, out: Set[str]) -> None:

@@ -11,14 +11,16 @@ pattern-node predicate:
 
 * declarative tuple constraints ``<label="A">`` become hash lookups;
 * pushed-down comparisons ``where year > 2000`` become two bisections
-  over the sorted values.
+  over the sorted values;
+* a ``|`` chain of such comparisons becomes the union of their lookups.
 
 Keys follow F_u's comparison semantics (``core.predicate._compare``):
 bool, int and float form one numeric class (``True == 1 == 1.0``), str
 another, and no value of one class equals or orders against the other.
 NaN equals and orders against nothing, so it is left out.  Anything not
 indexable is re-checked by the caller, so index retrieval is always a
-superset of the true feasible mates before F_u filtering.
+superset of the true feasible mates before F_u filtering, and exactly
+them when :meth:`AttributeIndexSet.candidates_for` says so.
 """
 
 from __future__ import annotations
@@ -107,34 +109,41 @@ class AttributeIndexSet:
         self,
         required_attrs: Dict[str, Any],
         predicate: Optional[Expr] = None,
-    ) -> Optional[List[str]]:
-        """Candidate node ids for a pattern node, via the best usable index.
-
-        Chooses the most selective indexable condition (smallest result).
-        Returns ``None`` when nothing is indexable, in which case the
-        caller falls back to a full scan.
-        """
-        options: List[List[str]] = []
-        for attr, value in required_attrs.items():
-            if self.has_index(attr):
-                options.append(self.lookup_eq(attr, value))
-        for condition in _indexable_conditions(predicate):
-            attr, op, value = condition
-            if not self.has_index(attr):
-                continue
-            if op == "==":
-                options.append(self.lookup_eq(attr, value))
-            elif op == ">":
-                options.append(self.lookup_range(attr, low=value, include_low=False))
-            elif op == ">=":
-                options.append(self.lookup_range(attr, low=value))
-            elif op == "<":
-                options.append(self.lookup_range(attr, high=value, include_high=False))
-            elif op == "<=":
-                options.append(self.lookup_range(attr, high=value))
+    ) -> Tuple[Optional[List[str]], bool]:
+        """``(ids, exact)``: candidates for a pattern node from its most
+        selective indexable condition (a ``|`` chain of them is the union
+        of its lookups, in node order), ``None`` when nothing is
+        indexable; *exact* when they are precisely the nodes meeting one
+        ``str`` or ``num`` attribute and no predicate."""
+        # F_u reads a missing attribute as None, which no posting holds
+        options = [self.lookup_eq(attr, value)
+                   for attr, value in required_attrs.items()
+                   if self.has_index(attr) and value is not None]
+        for conjunct in predicate.conjuncts() if predicate is not None else ():
+            conditions = [_condition(alt) for alt in conjunct.disjuncts()]
+            if all(condition is not None and self.has_index(condition[0])
+                   for condition in conditions):
+                options.append(self._union(
+                    [self._lookup(*condition) for condition in conditions]))
         if not options:
-            return None
-        return min(options, key=len)
+            return None, False
+        exact = (predicate is None and len(required_attrs) == len(options) == 1
+                 and _kind(*required_attrs.values()) in ("str", "num"))
+        return min(options, key=len), exact
+
+    def _lookup(self, attr: str, op: str, value: Any) -> List[str]:
+        if op == "==":
+            return self.lookup_eq(attr, value)
+        if op[0] == ">":
+            return self.lookup_range(attr, low=value, include_low=op == ">=")
+        return self.lookup_range(attr, high=value, include_high=op == "<=")
+
+    def _union(self, lookups: List[List[str]]) -> List[str]:
+        """The ids of several lookups, each once, in node order."""
+        if len(lookups) == 1:
+            return lookups[0]
+        wanted = set().union(*lookups)
+        return [node_id for node_id in self.graph.node_ids() if node_id in wanted]
 
 
 def _kind(value: Any) -> Optional[str]:
@@ -154,23 +163,15 @@ def _typed_key(value: Any) -> Optional[Key]:
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "=="}
 
 
-def _indexable_conditions(predicate: Optional[Expr]):
-    """Extract ``attr OP literal`` conjuncts usable by an index.
-
-    Handles both orientations (``year > 2000`` and ``2000 < year``) and
-    only single-step references (a bare attribute name or ``u.attr``; the
-    last path element is the attribute).
-    """
-    if predicate is None:
-        return
-    for conjunct in predicate.conjuncts():
-        if not isinstance(conjunct, BinOp):
-            continue
-        op = conjunct.op
-        if op not in ("==", ">", ">=", "<", "<="):
-            continue
-        left, right = conjunct.left, conjunct.right
-        if isinstance(left, AttrRef) and isinstance(right, Literal):
-            yield (left.path[-1], op, right.value)
-        elif isinstance(left, Literal) and isinstance(right, AttrRef):
-            yield (right.path[-1], _FLIP[op], left.value)
+def _condition(expr: Expr) -> Optional[Tuple[str, str, Any]]:
+    """``(attr, op, value)`` of an index-readable ``attr OP literal``
+    comparison, in either orientation (``year > 2000``, ``2000 < year``);
+    a reference's last path element is the attribute."""
+    if not isinstance(expr, BinOp) or expr.op not in _FLIP:
+        return None
+    left, right = expr.left, expr.right
+    if isinstance(left, AttrRef) and isinstance(right, Literal):
+        return (left.path[-1], expr.op, right.value)
+    if isinstance(left, Literal) and isinstance(right, AttrRef):
+        return (right.path[-1], _FLIP[expr.op], left.value)
+    return None

@@ -3,15 +3,15 @@
 Retrieval proceeds in two stages:
 
 1. **Retrieve** candidates for each pattern node — by the attribute
-   index (label hashtable, predicate pushdown) or by full scan, always
-   followed by the exact F_u check so the result equals Definition 4.8.
+   index (label hashtable, predicate pushdown) or by full scan — then
+   check F_u on them unless the index answer is exact (Definition 4.8).
 2. **Prune locally** with neighborhood information: either the cheap
-   profile subsequence test or the exact neighborhood-subgraph
-   sub-isomorphism test (Definition 4.10).
+   profile test (an intersection of per-label holder sets) or the exact
+   neighborhood-subgraph sub-isomorphism test (Definition 4.10).
 
 Everything that depends only on the pattern node — its compiled F_u,
-its profile as ``(label, count)`` pairs — is computed once per pattern
-node, not once per candidate.  Pattern nodes with the same F_u and no
+its profile as ``(label, count)`` pairs — is computed once per pattern,
+not once per candidate.  Pattern nodes with the same F_u and no
 predicate (:meth:`~repro.core.pattern.GroundPattern.shared_node_tests`)
 share one index lookup and one F_u pass, and the nodes of one orbit of
 the pattern's automorphism group (:mod:`repro.matching.symmetry`) share
@@ -23,7 +23,6 @@ so pruning never loses answers (verified by property tests).
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from ..core.graph import Graph
@@ -32,8 +31,6 @@ from ..core.predicate import conjunction
 from ..index.attribute_index import AttributeIndexSet
 from ..index.profile_index import ProfileIndex
 from .neighborhood import (
-    default_label,
-    motif_profile,
     neighborhood_subisomorphic,
     profile_contained,
     profile_counts,
@@ -91,7 +88,6 @@ def retrieve_feasible_mates(
         raise ValueError(
             f"profile index radius {profile_index.radius} != requested {radius}"
         )
-    node = graph.node
     shared_tests = pattern.shared_node_tests()
     # automorphic nodes have the same F_u survivors and neighbourhoods
     # (up to the automorphism), so they keep the same candidates
@@ -117,28 +113,18 @@ def retrieve_feasible_mates(
         if first != name:
             feasible = list(space[first])
         elif local == "profile":
-            need = Counter(motif_profile(pattern.motif, name, radius)).items()
-            if profile_index is not None:
-                counts_of = profile_index.counts_of
-            else:  # the unindexed rung counts each candidate's profile here
-                label_of = lambda node_id: default_label(node(node_id))
-                counts_of = lambda node_id: profile_counts(graph, node_id,
-                                                           radius, label_of)
-            feasible = [node_id for node_id in feasible
-                        if profile_contained(need, counts_of(node_id))]
+            need = pattern.profile_needs(radius)[name]
+            if profile_index is None:  # the unindexed rung counts here
+                feasible = [node_id for node_id in feasible if profile_contained(
+                    need, profile_counts(graph, node_id, radius))]
+            elif need:
+                common = profile_index.containing(need)
+                feasible = [node_id for node_id in feasible if node_id in common]
         elif local == "subgraph":
-            feasible = [
-                node_id
-                for node_id in feasible
-                if neighborhood_subisomorphic(
-                    pattern, name, graph, node_id, radius,
-                    data_subgraph=(
-                        profile_index.subgraph_of(node_id)
-                        if profile_index is not None
-                        else None
-                    ),
-                )
-            ]
+            subgraph_of = (profile_index.subgraph_of if profile_index is not None
+                           else lambda node_id: None)
+            feasible = [node_id for node_id in feasible if neighborhood_subisomorphic(
+                pattern, name, graph, node_id, radius, subgraph_of(node_id))]
         if stats is not None:
             stats.after_local[name] = len(feasible)
         space[name] = feasible
@@ -153,17 +139,20 @@ def _retrieve(
 ) -> Tuple[str, int, List[str]]:
     """``(method, candidates scanned, F_u survivors)`` of one pattern node:
     the attribute index when it covers a constraint, else a scan, then
-    the exact F_u check (Definition 4.8)."""
+    the exact F_u check (Definition 4.8) unless the answer is exact."""
+    motif_node = pattern.motif.node(name)
     candidate_ids: Optional[List[str]] = None
-    method = "attribute-index"
+    exact = False
     if attribute_index is not None:
-        motif_node = pattern.motif.node(name)
         pushed = pattern.decomposed.node_preds.get(name)
         preds = [p for p in (motif_node.predicate, pushed) if p is not None]
-        candidate_ids = attribute_index.candidates_for(
+        candidate_ids, exact = attribute_index.candidates_for(
             motif_node.attrs, conjunction(preds))
+    method = "attribute-index"
     if candidate_ids is None:
         candidate_ids, method = graph.node_ids(), "scan"
+    elif exact and motif_node.tag is None:  # F_u would keep them all
+        return method, len(candidate_ids), candidate_ids
     fu, node = pattern.node_test(name), graph.node
     return (method, len(candidate_ids),
             [node_id for node_id in candidate_ids if fu(node(node_id))])

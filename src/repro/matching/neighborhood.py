@@ -11,15 +11,17 @@ sequence of node labels in the neighborhood subgraph.  The pruning test is
 then multiset containment ("a profile is a subsequence of the other"),
 which is far cheaper than a subgraph-isomorphism test.  It is evaluated
 as count dominance — every label the pattern needs occurs at least as
-often around the candidate — over per-label count vectors
-(:func:`profile_counts`), the same relation without sorting or
-re-counting per candidate.
+often around the candidate — the same relation without sorting:
+:func:`profile_contained` per candidate count vector
+(:func:`profile_counts`), or, with a
+:class:`~repro.index.profile_index.ProfileIndex`, as one intersection
+of per-label holder sets.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from collections import Counter, deque
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..core.graph import Graph
 from ..core.motif import MotifNode, SimpleMotif
@@ -82,20 +84,10 @@ def sorted_labels(labels: Iterable[Any]) -> Tuple[Any, ...]:
                                                    str(label))))
 
 
-def profile_counts(
-    graph: Graph,
-    center: str,
-    radius: int,
-    label_of: Callable[[str], Any],
-) -> Dict[Any, int]:
-    """The profile of a node as a count vector: label -> occurrences.
-    *label_of* maps a node id to its :func:`default_label` (looked up
-    once per node by :class:`ProfileIndex`)."""
-    counts: Dict[Any, int] = {}
-    for node_id in nodes_within_radius(graph, center, radius):
-        label = label_of(node_id)
-        counts[label] = counts.get(label, 0) + 1
-    return counts
+def profile_counts(graph: Graph, center: str, radius: int) -> Dict[Any, int]:
+    """The profile of a node as a count vector: label -> occurrences."""
+    return Counter(default_label(graph.node(node_id))
+                   for node_id in nodes_within_radius(graph, center, radius))
 
 
 def profile_contained(

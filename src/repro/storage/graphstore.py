@@ -275,11 +275,15 @@ class GraphStore:
         ``("member", (name, position))`` and ``("graph", graph)``
         events (graphs complete, versions restored)."""
         for payload in self.wal.frames():
-            try:
-                yield from _decode_frame(payload)
-            except (struct.error, IndexError, KeyError, ValueError) as exc:
-                raise StorageError(
-                    f"{self.wal.path}: undecodable record: {exc}") from None
+            yield from self._decoded(payload)
+
+    def _decoded(self, payload: bytes) -> Iterator[Tuple[str, Any]]:
+        """The events of one committed frame (one transaction)."""
+        try:
+            yield from _decode_frame(payload)
+        except (struct.error, IndexError, KeyError, ValueError) as exc:
+            raise StorageError(
+                f"{self.wal.path}: undecodable record: {exc}") from None
 
     def load_all(self) -> List[Graph]:
         """Reload every graph stored in the file (markers ignored)."""
@@ -291,29 +295,31 @@ class GraphStore:
 
         Graphs saved outside any document marker fall back to a document
         named after the graph (anonymous graphs group under ``"data"``).
+        A marker reaches no further than its frame.
         """
         documents: Dict[str, List[Graph]] = {}
-        current_doc: Optional[str] = None
         replacing: Optional[Tuple[str, int]] = None
-        for event, item in self.events():
-            if event == "doc":
-                current_doc = item
-                documents[item] = []
-            elif event == "member":
-                replacing = item
-            elif replacing is not None:
-                name, position = replacing
-                replacing = None
-                members = documents.get(name, [])
-                if position >= len(members):
-                    raise StorageError(
-                        f"member record for {name!r}[{position}] has no "
-                        "snapshot member to replace")
-                members[position] = item
-            elif current_doc is None:
-                documents.setdefault(item.name or "data", []).append(item)
-            else:
-                documents[current_doc].append(item)
+        for payload in self.wal.frames():
+            current_doc: Optional[str] = None
+            for event, item in self._decoded(payload):
+                if event == "doc":
+                    current_doc = item
+                    documents[item] = []
+                elif event == "member":
+                    replacing = item
+                elif replacing is not None:
+                    name, position = replacing
+                    replacing = None
+                    members = documents.get(name, [])
+                    if position >= len(members):
+                        raise StorageError(
+                            f"member record for {name!r}[{position}] has no "
+                            "snapshot member to replace")
+                    members[position] = item
+                elif current_doc is None:
+                    documents.setdefault(item.name or "data", []).append(item)
+                else:
+                    documents[current_doc].append(item)
         return {name: GraphCollection(graphs, name=name)
                 for name, graphs in documents.items()}
 

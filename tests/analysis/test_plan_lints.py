@@ -1,4 +1,4 @@
-"""Golden corpus: plan lints (GQL009 connectivity, GQL010 index hint)."""
+"""Golden corpus: plan lints (GQL009 connectivity)."""
 
 from repro.analysis import Severity, analyze_pattern_text
 
@@ -38,24 +38,3 @@ class TestConnectivity:
     def test_single_node_pattern_is_clean(self):
         diags = analyze_pattern_text("graph P { node v1; }")
         assert "GQL009" not in codes(diags)
-
-
-class TestIndexHint:
-    def test_disjunctive_node_filter_is_gql010(self):
-        diags = analyze_pattern_text(
-            'graph P { node v1 where v1.label = "A" | v1.label = "B"; }')
-        (d,) = only(diags, "GQL010")
-        assert d.severity is Severity.HINT
-        assert "disjunction" in d.message
-
-    def test_conjunctive_filter_rides_the_index(self):
-        diags = analyze_pattern_text(
-            'graph P { node v1 where v1.label = "A" & v1.weight > 2; }')
-        assert "GQL010" not in codes(diags)
-
-    def test_non_indexable_alternative_is_not_flagged(self):
-        # one branch compares two attributes — no rewrite would make the
-        # alternation indexable, so the hint stays quiet
-        diags = analyze_pattern_text(
-            'graph P { node v1 where v1.label = "A" | v1.x = v1.y; }')
-        assert "GQL010" not in codes(diags)

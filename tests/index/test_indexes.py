@@ -1,6 +1,8 @@
 """Unit and property tests for the attribute, profile and relation
 indexes."""
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,15 +45,16 @@ class TestAttributeIndexSet:
 
     def test_candidates_from_required_attrs(self):
         index = AttributeIndexSet(self.graph())
-        assert sorted(index.candidates_for({"label": "A"})) == ["n1", "n3"]
+        ids, exact = index.candidates_for({"label": "A"})
+        assert sorted(ids) == ["n1", "n3"] and exact
 
     def test_candidates_from_predicate(self):
         index = AttributeIndexSet(self.graph())
         pred = BinOp(">", ref("year"), Literal(2004))
-        assert sorted(index.candidates_for({}, pred)) == ["n2", "n3"]
+        assert sorted(index.candidates_for({}, pred)[0]) == ["n2", "n3"]
         # flipped orientation
         pred = BinOp("<", Literal(2004), ref("year"))
-        assert sorted(index.candidates_for({}, pred)) == ["n2", "n3"]
+        assert sorted(index.candidates_for({}, pred)[0]) == ["n2", "n3"]
 
     def test_candidates_picks_most_selective(self):
         index = AttributeIndexSet(self.graph())
@@ -59,13 +62,13 @@ class TestAttributeIndexSet:
             BinOp(">", ref("year"), Literal(1000)),  # matches 3
             BinOp("==", ref("label"), Literal("B")),  # matches 1
         ])
-        assert index.candidates_for({}, pred) == ["n2"]
+        assert index.candidates_for({}, pred) == (["n2"], False)
 
     def test_nothing_indexable(self):
         index = AttributeIndexSet(self.graph())
         pred = BinOp("==", ref("u1.label"), ref("u2.label"))
-        assert index.candidates_for({}, pred) is None
-        assert index.candidates_for({}) is None
+        assert index.candidates_for({}, pred) == (None, False)
+        assert index.candidates_for({}) == (None, False)
 
     def test_explicit_attribute_list(self):
         index = AttributeIndexSet(self.graph(), attributes=["label"])
@@ -86,8 +89,13 @@ class TestProfileIndex:
         from repro.matching import profile
 
         index = ProfileIndex(paper_graph, radius=1)
+        labels = {node.get("label") for node in paper_graph.nodes()}
         for node in paper_graph.nodes():
-            assert index.profile_of(node.id) == profile(paper_graph, node.id, 1)
+            counts = Counter(profile(paper_graph, node.id, 1))
+            for label in labels:
+                count = counts[label]
+                assert (node.id in index.holders(label, count)) or not count
+                assert node.id not in index.holders(label, count + 1)
 
     def test_subgraph_cached(self, paper_graph):
         index = ProfileIndex(paper_graph, radius=1)

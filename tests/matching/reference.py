@@ -42,7 +42,6 @@ from repro.matching.basic import (
 )
 from repro.matching.feasible_mates import LOCAL_STRATEGIES
 from repro.matching.neighborhood import (
-    default_label,
     motif_profile,
     neighborhood_subisomorphic,
     pattern_label,
@@ -260,7 +259,8 @@ def retrieve_feasible_mates(
     stats: Optional[RetrievalStats] = None,
 ) -> Dict[str, List[str]]:
     """Retrieval and local pruning with one index lookup and one F_u pass
-    per pattern node."""
+    per pattern node: F_u re-checks every candidate, exact index answer
+    or not, and profiles are counted per candidate."""
     if local not in LOCAL_STRATEGIES:
         raise ValueError(f"unknown local strategy {local!r}")
     node = graph.node
@@ -271,7 +271,7 @@ def retrieve_feasible_mates(
         if attribute_index is not None:
             pushed = pattern.decomposed.node_preds.get(name)
             preds = [p for p in (motif_node.predicate, pushed) if p is not None]
-            candidate_ids = attribute_index.candidates_for(
+            candidate_ids, _ = attribute_index.candidates_for(
                 motif_node.attrs, conjunction(preds)
             )
             if stats is not None and candidate_ids is not None:
@@ -287,15 +287,12 @@ def retrieve_feasible_mates(
         if stats is not None:
             stats.after_fu[name] = len(feasible)
         if local == "profile":
+            # counted on the fly whether or not a profile index is given,
+            # so the oracle shares no code with the holder-set pruning
             need = Counter(motif_profile(pattern.motif, name, radius)).items()
-            if profile_index is not None:
-                counts_of = profile_index.counts_of
-            else:
-                label_of = lambda node_id: default_label(node(node_id))
-                counts_of = lambda node_id: profile_counts(graph, node_id,
-                                                           radius, label_of)
             feasible = [node_id for node_id in feasible
-                        if profile_contained(need, counts_of(node_id))]
+                        if profile_contained(need, profile_counts(
+                            graph, node_id, radius))]
         elif local == "subgraph":
             feasible = [
                 node_id

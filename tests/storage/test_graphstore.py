@@ -222,6 +222,22 @@ class TestMemberRecords:
             loaded = store.load_documents()["doc"]
         assert_same_members(loaded, [member("c", 1)])
 
+    def test_a_document_marker_ends_with_its_frame(self, tmp_path):
+        """A bare graph committed after a document snapshot is a document
+        of its own, on load and after compaction and reopening."""
+        path = str(tmp_path / "f.db")
+        with uncompacted(path) as store:
+            store.save_document("doc", [member("a", 2)])
+            store.save(member("b", 3))
+            loaded = store.load_documents()
+            store.checkpoint()
+        with GraphStore(path, fsync="never") as store:
+            reopened = store.load_documents()
+        for documents in (loaded, reopened):
+            assert sorted(documents) == ["b", "doc"]
+            assert_same_members(documents["doc"], [member("a", 2)])
+            assert_same_members(documents["b"], [member("b", 3)])
+
     def test_a_member_record_needs_a_snapshot_member(self, tmp_path):
         path = str(tmp_path / "x.db")
         with uncompacted(path) as store:
