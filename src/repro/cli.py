@@ -398,7 +398,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         document = {
             "graphs": {
                 name: {
-                    "mappings": answer_rows({name: report})[0],
+                    "mappings": answer_rows([(name, report.mappings)]),
                     "outcome": report.outcome.to_dict(),
                     "degradation": list(report.degradation),
                     "stages": report.stats_dict(),

@@ -9,7 +9,9 @@ matched against further patterns or fed to composition.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional
+from itertools import islice
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, overload)
 
 from .graph import Edge, Graph, Node
 from .predicate import MISSING
@@ -60,6 +62,80 @@ class Mapping:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}->{v}" for k, v in sorted(self.nodes.items()))
         return f"Mapping({inner})"
+
+
+#: One row of an :class:`AnswerTable`: the data node ids and the data
+#: edge ids of one mapping, in its block's name order.
+Row = Tuple[Tuple[str, ...], Tuple[str, ...]]
+#: One search's answers: ``(node names, edge names, rows)``.
+Block = Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[Row, ...]]
+
+
+def row_mapping(node_names: Sequence[str], edge_names: Sequence[str],
+                row: Row) -> Mapping:
+    """The :class:`Mapping` of one table row under its block's names."""
+    mapping = Mapping.__new__(Mapping)
+    mapping.nodes = dict(zip(node_names, row[0]))
+    mapping.edges = dict(zip(edge_names, row[1]))
+    return mapping
+
+
+class AnswerTable:
+    """A bag of mappings as value tuples under fixed schemas (a binding
+    table): the answer shape from Algorithm 4.1's leaf to the wire.
+
+    ``blocks`` holds one ``(node names, edge names, rows)`` block per
+    search; each row holds one mapping's node ids and edge ids in that
+    block's name order.  The table is immutable, so reports, memoised
+    runs and cached answers share it instead of copying mappings.
+    ``len()`` counts the mappings; iterating, indexing and slicing build
+    :class:`Mapping` objects on access, keys in schema order.
+    """
+
+    __slots__ = ("blocks", "_size")
+
+    def __init__(self, blocks: Iterable[Block] = ()) -> None:
+        self.blocks: Tuple[Block, ...] = tuple(blocks)
+        self._size = sum(len(block[2]) for block in self.blocks)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[Mapping]:
+        for node_names, edge_names, rows in self.blocks:
+            for row in rows:
+                yield row_mapping(node_names, edge_names, row)
+
+    @overload
+    def __getitem__(self, index: int) -> Mapping: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[Mapping]: ...
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self._size)
+            if step < 0:
+                return list(self)[index]
+            return list(islice(self, start, stop, step))
+        position = index + self._size if index < 0 else index
+        if position >= 0:
+            for node_names, edge_names, rows in self.blocks:
+                if position < len(rows):
+                    return row_mapping(node_names, edge_names, rows[position])
+                position -= len(rows)
+        raise IndexError("answer table index out of range")
+
+    def __add__(self, other: "AnswerTable") -> "AnswerTable":
+        """The answers of both tables, this one's first."""
+        return AnswerTable(self.blocks + other.blocks)
+
+    def __repr__(self) -> str:
+        return f"AnswerTable({self._size} mapping(s) in {len(self.blocks)} block(s))"
+
+
+#: The table of no answers.
+EMPTY_ANSWERS = AnswerTable()
 
 
 class MatchedGraph:

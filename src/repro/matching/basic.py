@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
-from ..core.bindings import Mapping
+from ..core.bindings import AnswerTable, Mapping, Row, row_mapping
 from ..core.graph import Graph
 from ..core.pattern import GroundPattern
 from ..runtime import ExecutionContext, ExecutionInterrupted, mapping_cost
@@ -69,8 +69,9 @@ def find_matches(
     initial: Optional[Dict[str, str]] = None,
     counters: Optional[SearchCounters] = None,
     context: Optional[ExecutionContext] = None,
-) -> List[Mapping]:
-    """Run Algorithm 4.1 and return the feasible mappings.
+) -> AnswerTable:
+    """Run Algorithm 4.1 and return the feasible mappings as a one-block
+    :class:`~repro.core.bindings.AnswerTable`.
 
     Parameters
     ----------
@@ -104,7 +105,12 @@ def find_matches(
     The order fixes which pattern nodes are mapped at every depth, so
     ``Check``'s work is planned once, before searching: per depth, the
     pattern edges back to earlier (or pinned) nodes, each with the
-    direction to probe and whether its F_e can fail at all.
+    direction to probe and whether its F_e can fail at all.  It fixes
+    the table's schema too: node names are the pins, then the search
+    order; edge names are the pins' edges, then each depth's back edges
+    in order.  Each answer is one row of value tuples; a
+    :class:`Mapping` is built at the leaf only to evaluate a graph-wide
+    predicate F, when the pattern has one.
 
     Without pins, and when every orbit of the pattern's automorphism
     group (:meth:`~repro.core.pattern.GroundPattern.symmetry`) has the
@@ -127,57 +133,63 @@ def find_matches(
         limit = 1
 
     # Assignments are overwritten, never undone: depth i rewrites its
-    # node and back edges before anything deeper reads them, and a
-    # mapping is copied out only when every depth has just written its
-    # own, so the entries (and their order) equal a fresh assignment's.
+    # node and back edges before anything deeper reads them, and a row
+    # is taken only when every depth has just written its own, so the
+    # values (and their order) equal a fresh assignment's.
     mapping = Mapping()
     nodes, edges = mapping.nodes, mapping.edges
     used: set[str] = set()
-    results: List[Mapping] = []
+    rows: List[Row] = []
     check = _compile_check(pattern, graph, nodes, edges)
 
     # pinned nodes: all mapped first, then each checked against every pin
+    node_keys = tuple(pins) + tuple(order)
     for name, node_id in pins.items():
         if (not graph.has_node(node_id) or node_id in used
                 or not pattern.node_matches(name, graph.node(node_id))):
-            return []
+            return AnswerTable([(node_keys, (), ())])
         nodes[name] = node_id
         used.add(node_id)
     for name, node_id in pins.items():
         if counters is not None:
             counters.check_calls += 1
         if not check(_back_edges(pattern, name, pins, graph.directed), node_id):
-            return []
+            return AnswerTable([(node_keys, (), ())])
 
     mapped = set(pins)
     steps = []
+    edge_names = list(edges)
     for u in order:
         mapped.add(u)
-        steps.append((u, candidates.get(u, ()),
-                      _back_edges(pattern, u, mapped, graph.directed)))
+        back = _back_edges(pattern, u, mapped, graph.directed)
+        steps.append((u, candidates.get(u, ()), back))
+        edge_names.extend([name for name, _, _, _ in back])
     depth = len(steps)
+    edge_keys = tuple(edge_names)
+    residual = pattern.decomposed.residual is not None
+    cost = mapping_cost(len(node_keys) + len(edge_keys))
 
-    def accept(found: Mapping) -> bool:
+    def accept(node_values: Tuple[str, ...],
+               edge_values: Tuple[str, ...]) -> bool:
         """Report one complete mapping; True when the search should stop."""
-        results.append(found)
+        rows.append((node_values, edge_values))
         if counters is not None:
             counters.results += 1
-        if context is not None and context.note_result(
-            memory=mapping_cost(found)
-        ):
+        if context is not None and context.note_result(memory=cost):
             return True
-        return limit is not None and len(results) >= limit
+        return limit is not None and len(rows) >= limit
 
     # Pattern symmetry: when the feasible mappings are closed under the
     # pattern's automorphisms, search only the canonical mapping of each
     # class and emit the rest at the leaf.  Per depth, ``bounds`` holds
     # the earlier nodes a canonical mapping maps below and above this
     # depth's node (the Grochow-Kellis constraints, checked at the depth
-    # that maps their second node); ``chain`` holds the group's coset
-    # representatives as getters over value tuples in the plain search's
-    # key order (nodes by depth, edges by depth and then back-edge order).
+    # that maps their second node); per level of the group's stabiliser
+    # chain, ``levels`` holds the identity (``tuple`` returns a tuple
+    # itself) and then the coset representatives, as getters over value
+    # tuples in the schema's order.
     bounds: List[Tuple[Tuple[str, ...], Tuple[str, ...]]] = []
-    chain: Tuple[Tuple[Tuple[Getter, Getter], ...], ...] = ()
+    levels: Tuple[Tuple[Tuple[Getter, Getter], ...], ...] = ()
     symmetry = None if pins else pattern.symmetry(graph.directed)
     if (symmetry is not None and not symmetry.trivial
             and symmetry.uniform(candidates)):
@@ -188,22 +200,29 @@ def find_matches(
                       if x == u and at[b] < i),
                 tuple(x for b, x in symmetry.constraints
                       if b == u and at[x] < i)))
-        node_keys = tuple(order)
-        edge_keys = tuple(name for step in steps for name, _, _, _ in step[2])
-        chain = symmetry.expansion(node_keys, edge_keys)
+        levels = tuple(((tuple, tuple),) + representatives
+                       for representatives in symmetry.expansion(
+                           node_keys, edge_keys))
+        last = len(levels) - 1
+
+        def accept_if_f(node_values: Tuple[str, ...],
+                        edge_values: Tuple[str, ...]) -> bool:
+            """:func:`accept` the row when F holds on its mapping."""
+            return pattern.residual_holds(row_mapping(
+                node_keys, edge_keys, (node_values, edge_values)),
+                graph) and accept(node_values, edge_values)
+
+        emit = accept_if_f if residual else accept
 
         def expand(level: int, node_values: Tuple[str, ...],
                    edge_values: Tuple[str, ...]) -> bool:
-            """Emit ψ∘g for every g of the group below *level*: the
-            identity, then each of the level's coset representatives."""
-            if level == len(chain):
-                found = Mapping()
-                found.nodes = dict(zip(node_keys, node_values))
-                found.edges = dict(zip(edge_keys, edge_values))
-                return pattern.residual_holds(found, graph) and accept(found)
-            if expand(level + 1, node_values, edge_values):
-                return True
-            for node_getter, edge_getter in chain[level]:
+            """Emit ψ∘g for every g of the group from *level* on."""
+            if level == last:
+                for node_getter, edge_getter in levels[last]:
+                    if emit(node_getter(node_values), edge_getter(edge_values)):
+                        return True
+                return False
+            for node_getter, edge_getter in levels[level]:
                 if expand(level + 1, node_getter(node_values),
                           edge_getter(edge_values)):
                     return True
@@ -214,10 +233,11 @@ def find_matches(
         if counters is not None:
             counters.partial_states += 1
         if i == depth:
-            if chain:
+            if levels:
                 return expand(0, tuple(nodes.values()), tuple(edges.values()))
-            return (pattern.residual_holds(mapping, graph)
-                    and accept(mapping.copy()))
+            if residual and not pattern.residual_holds(mapping, graph):
+                return False
+            return accept(tuple(nodes.values()), tuple(edges.values()))
         u, mates, back = steps[i]
         if bounds:  # only canonical mappings: φ(b) < φ(x)
             mates = _canonical_mates(mates, bounds[i], nodes)
@@ -246,7 +266,7 @@ def find_matches(
         if context is None:
             raise
         context.mark_interrupted(exc)
-    return results
+    return AnswerTable([(node_keys, edge_keys, tuple(rows))])
 
 
 def _canonical_mates(

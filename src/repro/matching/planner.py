@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
-from ..core.bindings import Mapping, as_graph
+from ..core.bindings import EMPTY_ANSWERS, AnswerTable, as_graph
 from ..core.graph import Graph
 from ..core.pattern import GroundPattern
 from ..index.attribute_index import AttributeIndexSet
@@ -126,22 +126,26 @@ class MatchReport(AccessPlan):
     ``outcome`` records how the run ended (COMPLETE / TRUNCATED /
     TIMED_OUT / CANCELLED, with steps and elapsed time); ``mappings``
     holds whatever was found up to that point, so interrupted runs still
-    carry their partial results.  ``replayed`` marks a report
+    carry their partial results.  It is an immutable
+    :class:`~repro.core.bindings.AnswerTable` with one block per search
+    (``len`` counts the mappings; iterating builds them), shared by
+    copies of the report.  ``replayed`` marks a report
     :func:`match_members` replayed from the memoised run of the same
     graph version instead of searching again; its ``times`` then hold
     only the replay's own wall time (stage ``replay``).
     """
 
     search: Optional[SearchCounters] = None
-    mappings: List[Mapping] = field(default_factory=list)
+    mappings: AnswerTable = EMPTY_ANSWERS
     outcome: QueryOutcome = field(default_factory=QueryOutcome)
     replayed: bool = False
 
     def copy(self) -> "MatchReport":
         """A copy that shares nothing :meth:`absorb` or a caller changes:
-        its mappings, counters, times, order and notes are its own.  The
-        planned space and retrieval statistics (read-only once planned)
-        and the outcome (replaced, never changed) are shared."""
+        its counters, times, order and notes are its own.  The answer
+        table (immutable), the planned space and retrieval statistics
+        (read-only once planned) and the outcome (replaced, never
+        changed) are shared."""
         twin = MatchReport.__new__(MatchReport)
         twin.__dict__.update(self.__dict__)
         twin.times = dict(self.times)
@@ -151,14 +155,13 @@ class MatchReport(AccessPlan):
             twin.refinement = copy.copy(self.refinement)
         if self.search is not None:
             twin.search = self.search.copy()
-        twin.mappings = [mapping.copy() for mapping in self.mappings]
         return twin
 
     def absorb(self, other: "MatchReport") -> None:
-        """Fold in a later derivation's report on the same graph: mappings
-        union, times, spaces and work counters add up, the outcome is the
-        later run's."""
-        self.mappings.extend(other.mappings)
+        """Fold in a later derivation's report on the same graph: the
+        answer tables concatenate (their schemas may differ), times,
+        spaces and work counters add up, the outcome is the later run's."""
+        self.mappings = self.mappings + other.mappings
         if self.search is None:
             self.search = other.search
         elif other.search is not None:
@@ -527,7 +530,8 @@ def _memoise(matcher: GraphMatcher, ground: GroundPattern,
     # the search ticks once per candidate tried, and a small member's
     # plan runs no Algorithm 4.2, the only other ticking stage
     steps = report.search.candidates_tried if report.search else 0
-    memory = sum(map(mapping_cost, report.mappings))
+    memory = sum(len(rows) * mapping_cost(len(node_names) + len(edge_names))
+                 for node_names, edge_names, rows in report.mappings.blocks)
     matcher.memo.setdefault(ground, {})[options.exhaustive] = _Recorded(
         version, report.copy(), steps, memory)
 

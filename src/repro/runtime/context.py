@@ -246,12 +246,9 @@ MAPPING_BASE_COST = 200
 MAPPING_ENTRY_COST = 64
 
 
-def mapping_cost(mapping) -> int:
-    """Approximate bytes one result mapping retains."""
-    try:
-        entries = len(mapping.nodes) + len(mapping.edges)
-    except AttributeError:
-        entries = 4
+def mapping_cost(entries: int) -> int:
+    """Approximate bytes one result mapping of *entries* node and edge
+    assignments (its schema width) retains."""
     return MAPPING_BASE_COST + MAPPING_ENTRY_COST * entries
 
 

@@ -16,7 +16,10 @@ only grows, so any mutation or replacement makes every older entry
 unreachable.  The dead entries age out of the LRU instead of needing an
 invalidation sweep, and this is the only cache that replays a served
 answer: the server's retries and the cluster coordinator's fan-outs
-both reach it (or run again) rather than keeping answers of their own.  It stores the final rows plus the outcome, but only
+both reach it (or run again) rather than keeping answers of their own.
+It stores the immutable per-graph answer tables and notes
+(:class:`~repro.storage.database.Answers`) plus the outcome, so every
+reply, miss or hit, is given rows of its own; and it stores them only
 for runs whose outcome is deterministic given the key: ``COMPLETE``, or
 ``TRUNCATED`` by a cap that is itself part of the key — the options
 signature covers the answer cap *and* the effective step/memory budgets
@@ -31,11 +34,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from ..analysis.diagnostics import to_wire
 from ..lang.compiler import prepare_pattern_text
 from ..runtime import ANSWER_OUTCOMES, QueryOutcome
+from ..storage.database import Answers
 
 
 class LRUCache:
@@ -136,14 +140,14 @@ def make_key(document: str, query_text: str, options_key: Hashable,
 
 
 class ResultCache(LRUCache):
-    """LRU of ``(rows, QueryOutcome)`` keyed by :func:`make_key`."""
+    """LRU of ``(Answers, QueryOutcome)`` keyed by :func:`make_key`."""
 
-    def admit(self, key: CacheKey, rows: List[Dict[str, Any]],
+    def admit(self, key: CacheKey, answers: Answers,
               outcome: QueryOutcome) -> bool:
         """Store a finished query iff its outcome is an answer
         (:data:`~repro.runtime.ANSWER_OUTCOMES`): those are a pure
         function of the cache key and therefore safe to replay."""
         if outcome.status not in ANSWER_OUTCOMES:
             return False
-        self.put(key, (rows, outcome))
+        self.put(key, (answers, outcome))
         return True

@@ -24,7 +24,7 @@ import logging
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 from ..core.collection import GraphCollection
@@ -36,7 +36,7 @@ from ..obs.slowlog import SlowQueryEntry, SlowQueryLog
 from ..obs.trace import span as trace_span, tracer
 from ..runtime import (ANSWER_OUTCOMES, CancellationToken, Outcome,
                        QueryOutcome, rejected_outcome, shed_outcome)
-from ..storage.database import GraphDatabase
+from ..storage.database import Answers, GraphDatabase, answer_rows
 from ..storage.serializer import load_collection
 from .admission import (REASON_DRAINING, REASON_DUPLICATE_ID,
                         REASON_INVALID_QUERY, AdmissionController)
@@ -179,6 +179,20 @@ def _reply(request: QueryRequest, outcome: QueryOutcome,
     """A response to *request* carrying *outcome*."""
     return QueryResponse(request_id=request.request_id,
                          client=request.client, outcome=outcome, **fields)
+
+
+#: What a failed execution answers.
+NO_ANSWERS = Answers((), ())
+
+
+def _answer_reply(request: QueryRequest, answers: Answers,
+                  outcome: QueryOutcome, **fields: Any) -> QueryResponse:
+    """A response carrying *answers* as new rows, notes and outcome:
+    nothing in it is shared with the result cache, which keeps
+    *answers* (immutable) and *outcome* for later hits."""
+    return _reply(request, replace(outcome, detail=dict(outcome.detail)),
+                  results=answer_rows(answers.tables),
+                  degradation=list(answers.notes), **fields)
 
 
 class QueryService:
@@ -378,10 +392,11 @@ class QueryService:
             cached = None if key is None else self.result_cache.get(key)
             probe.annotate(hit=cached is not None)
         if cached is not None:
-            rows, outcome = cached
+            answers, outcome = cached
             self.metrics.count("result_cache_hits")
-            return _reply(request, outcome, results=rows, cache="hit",
-                          elapsed=time.perf_counter() - entry.submitted_at)
+            return _answer_reply(
+                request, answers, outcome, cache="hit",
+                elapsed=time.perf_counter() - entry.submitted_at)
         try:
             self._ensure_executor().submit(self._run_local, entry)
         except Exception as exc:  # the pool was shut down under us
@@ -699,13 +714,12 @@ class QueryService:
                 # never publish its results under the post-mutation
                 # version
                 key = self._cache_key(request)
-                rows: List[Dict[str, Any]] = []
-                notes: List[str] = []
+                answers = NO_ANSWERS
                 error: Optional[str] = None
                 try:
                     pattern = (request.query if entry.prepared is None
                                else entry.prepared.pattern)
-                    rows, notes = self.database.execute(
+                    answers = self.database.execute(
                         request.document, pattern,
                         self._options_for(request), context=context)
                     self.metrics.count("executed")
@@ -714,13 +728,13 @@ class QueryService:
                     error = str(exc)
                 outcome = context.outcome()
                 if (error is None and key is not None
-                        and self.result_cache.admit(key, rows, outcome)):
+                        and self.result_cache.admit(key, answers, outcome)):
                     self.metrics.count("result_cache_misses")
-                response = _reply(
-                    request, outcome, results=rows,
+                response = _answer_reply(
+                    request, answers, outcome,
                     cache="miss" if key is not None else "bypass",
                     elapsed=time.perf_counter() - entry.submitted_at,
-                    error=error, degradation=notes)
+                    error=error)
             self._complete(entry, response)
 
     def _record_slow(self, request: QueryRequest, response: QueryResponse,

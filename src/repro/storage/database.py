@@ -10,9 +10,11 @@ end-to-end.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from ..core.algebra import matched_graphs
+from ..core.bindings import AnswerTable
 from ..core.collection import GraphCollection
 from ..core.graph import Graph
 from ..core.pattern import GraphPattern, GroundPattern
@@ -30,28 +32,34 @@ from .serializer import load_collection
 from .wal import RecoveryResult
 
 
+class Answers(NamedTuple):
+    """A query's answer in a shape nobody can change, so the result
+    cache can keep it and every reply can get fresh rows from it."""
+
+    #: ``(graph name, answer table)`` per graph with answers, in graph order
+    tables: Tuple[Tuple[str, AnswerTable], ...]
+    #: degradation notes, each prefixed with the graph it concerns
+    notes: Tuple[str, ...]
+
+
 def answer_rows(
-    reports: Dict[str, MatchReport],
-) -> Tuple[List[Dict[str, Any]], List[str]]:
-    """Per-graph match reports in their serving shape: ``(rows, notes)``.
+    tables: Iterable[Tuple[str, AnswerTable]],
+) -> List[Dict[str, Any]]:
+    """Per-graph answer tables in their serving shape: new rows on
+    every call.
 
     The one place a mapping becomes a JSON-ready
-    ``{"graph": name, "nodes": {...}, "edges": {...}}`` row (in graph
-    order) and a degradation note gets the prefix of the graph it
-    concerns.
+    ``{"graph": name, "nodes": {...}, "edges": {...}}`` row, in graph
+    order, read straight off each table's blocks.
     """
     rows: List[Dict[str, Any]] = []
-    notes: List[str] = []
-    for name, report in reports.items():
-        for mapping in report.mappings:
-            rows.append({
-                "graph": name,
-                "nodes": dict(mapping.nodes),
-                "edges": dict(mapping.edges),
-            })
-        for note in report.degradation:
-            notes.append(f"{name}: {note}")
-    return rows, notes
+    for name, table in tables:
+        for node_names, edge_names, block in table.blocks:
+            rows.extend([{"graph": name,
+                          "nodes": dict(zip(node_names, node_ids)),
+                          "edges": dict(zip(edge_names, edge_ids))}
+                         for node_ids, edge_ids in block])
+    return rows
 
 
 class GraphDatabase:
@@ -263,11 +271,16 @@ class GraphDatabase:
         pattern: Union[GraphPattern, GroundPattern, str],
         options: Optional[MatchOptions] = None,
         context: Optional[ExecutionContext] = None,
-    ) -> Tuple[List[Dict[str, Any]], List[str]]:
-        """Run a pattern over a document: :func:`answer_rows` of
-        :meth:`match`, what the service's workers return."""
-        return answer_rows(
-            self.match(document, pattern, options, context=context))
+    ) -> Answers:
+        """Run a pattern over a document: :meth:`match` as immutable
+        :class:`Answers`, what the service's workers return (and its
+        result cache keeps); :func:`answer_rows` turns them into rows."""
+        reports = self.match(document, pattern, options, context=context)
+        return Answers(
+            tuple((name, report.mappings) for name, report in reports.items()
+                  if report.mappings),
+            tuple(f"{name}: {note}" for name, report in reports.items()
+                  for note in report.degradation))
 
     def collection_index_for(self, document: str, max_length: int = 3):
         """The cached path index of a document (rebuilt when the document

@@ -62,15 +62,15 @@ class TestPatternEdgeCases:
         motif = SimpleMotif()
         for i in range(3):
             motif.add_node(f"u{i}")
-        assert find_matches(GroundPattern(motif), graph) == []
+        assert len(find_matches(GroundPattern(motif), graph)) == 0
 
     def test_empty_graph(self):
         graph = Graph()
         motif = SimpleMotif()
         motif.add_node("u")
-        assert find_matches(GroundPattern(motif), graph) == []
+        assert len(find_matches(GroundPattern(motif), graph)) == 0
         matcher = GraphMatcher(graph)
-        assert matcher.match(GroundPattern(motif)).mappings == []
+        assert len(matcher.match(GroundPattern(motif)).mappings) == 0
 
     def test_pattern_with_contradictory_predicate(self, paper_graph):
         from repro.core.predicate import AttrRef, BinOp, Literal
@@ -84,7 +84,7 @@ class TestPatternEdgeCases:
                 BinOp("==", AttrRef(("label",)), Literal("B")),
             ),
         )
-        assert find_matches(GroundPattern(motif), paper_graph) == []
+        assert len(find_matches(GroundPattern(motif), paper_graph)) == 0
 
 
 class TestTemplateErrors:

@@ -26,6 +26,7 @@ from repro.obs.explain import explain_document
 from repro.runtime import ExecutionContext
 from repro.service import QueryService, ServiceConfig
 from repro.storage import GraphDatabase
+from repro.storage.database import answer_rows
 
 LABELS = "AB"
 THRESHOLD = GraphDatabase.COLLECTION_INDEX_THRESHOLD
@@ -202,7 +203,7 @@ def check_memo_paths(service, collection, pattern, options, truths):
     assert keyed((name, mapping)
                  for name, report in db.match("d", pattern).items()
                  for mapping in report.mappings) == truth, "db.match"
-    rows, _ = db.execute("d", pattern)
+    rows = answer_rows(db.execute("d", pattern).tables)
     served = service.execute(pattern, document="d").results
     for path, answer in (("db.execute", rows), ("QueryService", served)):
         assert Counter((row["graph"], frozenset(row["nodes"].items()))

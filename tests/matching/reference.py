@@ -413,7 +413,7 @@ def find_matches(
                 if counters is not None:
                     counters.results += 1
                 if context is not None and context.note_result(
-                    memory=mapping_cost(mapping)
+                    memory=mapping_cost(len(nodes) + len(edges))
                 ):
                     return True
                 if limit is not None and len(results) >= limit:

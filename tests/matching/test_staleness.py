@@ -86,7 +86,7 @@ class TestMatcherRefresh:
         paper_graph.remove_edge(
             paper_graph.edge_between("A1", "C2").id
         )
-        assert matcher.match(pattern).mappings == []
+        assert len(matcher.match(pattern).mappings) == 0
 
     def test_refresh_is_noop_without_mutation(self, paper_graph):
         matcher = GraphMatcher(paper_graph)

@@ -165,6 +165,7 @@ class TestContextIndependence:
         import sys
 
         from repro.storage import GraphDatabase
+        from repro.storage.database import answer_rows
 
         members = []
         for m in range(8):
@@ -179,8 +180,8 @@ class TestContextIndependence:
         pattern = GroundPattern(clique_motif(["A", "A"]))
         expected = ExecutionContext()
         truth = sorted((row["graph"], sorted(row["nodes"].items()))
-                       for row in db.execute("d", pattern,
-                                             context=expected)[0])
+                       for row in answer_rows(db.execute(
+                           "d", pattern, context=expected).tables))
         db = GraphDatabase()
         db.register("d", GraphCollection(members))
         failures = []
@@ -188,7 +189,8 @@ class TestContextIndependence:
         def run():
             for _ in range(30):
                 context = ExecutionContext()
-                rows, _ = db.execute("d", pattern, context=context)
+                rows = answer_rows(
+                    db.execute("d", pattern, context=context).tables)
                 got = sorted((row["graph"], sorted(row["nodes"].items()))
                              for row in rows)
                 if got != truth or context.steps != expected.steps:

@@ -147,6 +147,27 @@ class TestResultCache:
             assert warm.results == cold.results
             assert service.metrics.value("result_cache_hits") == 1
 
+    def test_replies_share_nothing_with_the_cache(self):
+        """What a caller does to a reply, miss or hit, never reaches the
+        cached answer: every reply gets rows and an outcome of its own."""
+        with make_service() as service:
+            cold = service.execute(EDGE_QUERY)
+            expected = [dict(row, nodes=dict(row["nodes"]),
+                             edges=dict(row["edges"]))
+                        for row in cold.results]
+            expected_outcome = cold.outcome.to_dict()
+            assert cold.cache == "miss" and expected
+            for reply in (cold, service.execute(EDGE_QUERY)):
+                reply.results[0]["nodes"]["u1"] = "BOGUS"
+                reply.results.append({"graph": "BOGUS"})
+                reply.outcome.detail["BOGUS"] = True
+                reply.degradation.append("BOGUS")
+                again = service.execute(EDGE_QUERY)
+                assert again.cache == "hit"
+                assert again.results == expected
+                assert again.outcome.to_dict() == expected_outcome
+                assert again.degradation == []
+
     def test_mutation_invalidates_via_version(self):
         with make_service() as service:
             service.execute(EDGE_QUERY)

@@ -14,6 +14,7 @@ from repro.matching import MatchOptions
 from repro.matching.planner import SMALL_MEMBER_NODES
 from repro.runtime import ExecutionContext, Outcome
 from repro.storage import GraphDatabase
+from repro.storage.database import answer_rows
 
 
 class TestDatabaseSelect:
@@ -176,7 +177,7 @@ class TestOneSelectionOperator:
         db = GraphDatabase()
         db.register("d", GraphCollection(members))
         pattern = 'graph P { node v <label="A">; }'
-        rows, _ = db.execute("d", pattern)
+        rows = answer_rows(db.execute("d", pattern).tables)
         assert len(rows) == len(db.select("d", pattern)) == 2
         assert [row["graph"] for row in rows] == ["G", "G#1"]
 
