@@ -335,10 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     croute.add_argument("--timeout", type=float, default=30.0,
                         metavar="SECONDS",
                         help="overall fan-out deadline")
-    croute.add_argument("--hedge-after", type=float, default=None,
-                        metavar="SECONDS",
-                        help="race a second request to a shard that "
-                             "has not answered after this long")
     croute.add_argument("--json", action="store_true",
                         help="emit rows + outcome + per-shard "
                              "accounting as JSON")
@@ -857,9 +853,8 @@ def _cluster_route(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         endpoints[f"shard{index}"] = (host, int(port))
-    coordinator = ClusterCoordinator(
-        ShardMap(list(endpoints)), endpoints,
-        timeout=args.timeout, hedge_after=args.hedge_after)
+    coordinator = ClusterCoordinator(ShardMap(list(endpoints)), endpoints,
+                                     timeout=args.timeout)
     with _tracing_to(args.trace_out):
         reply = coordinator.query(query_text, document=args.document,
                                   limit=args.limit)

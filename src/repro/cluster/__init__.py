@@ -5,8 +5,8 @@ A cluster splits one graph collection across N independent
 member graph's id onto the ring (:class:`ShardMap`, fixed for the
 cluster's life: each slice's data is written once, at launch).  A
 :class:`ClusterCoordinator` fans a query out to the owning shards over
-the ndjson wire protocol, merges the per-shard answers under one global
-limit and deadline, and hedges requests to slow shards.
+the ndjson wire protocol and merges the per-shard answers under one
+global limit and deadline.
 
 With ``replication_factor >= 2`` every shard's slice also lives on its
 ring-successor shards (an ordered *preference list*), the coordinator

@@ -21,11 +21,6 @@ Failure handling reuses the service's resilience vocabulary:
   The replica that served each slice is named in the accounting
   (``replica_used``) and ``PARTIAL`` is produced only when an *entire*
   preference list is exhausted;
-* a **hedge**: when a replica has not answered after ``hedge_after``
-  seconds, the same query is raced on a second connection under its own
-  request id (``...-hedge`` beside ``...-primary``) and the first answer
-  wins; the loser is sent a ``cancel`` wire op naming its id so it stops
-  burning shard worker capacity;
 * a **divergence check**: every mergeable answer carries the snapshot
   version of the document it ran over, and the coordinator compares the
   versions the replicas of one slice report — a mismatch is counted
@@ -48,8 +43,7 @@ import logging
 import threading
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor, as_completed, wait
-from concurrent.futures import TimeoutError as FuturesTimeout
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -65,9 +59,15 @@ from .shardmap import ShardMap, slice_document
 logger = logging.getLogger(__name__)
 
 #: seconds the fan-out waits past the global deadline: attempt deadlines
-#: never pass it, but a race reads replies 0.05 s beyond its own, and a
-#: leg whose reply arrived just in time must still copy its rows
+#: never pass it, but a leg waits 0.05 s past an attempt's deadline for
+#: its reply, and a leg whose reply arrived just in time must still copy
+#: its rows
 _DEADLINE_GRACE = 0.25
+
+#: consecutive failed attempts that open a replica's breaker, and the
+#: seconds it stays open before one probe may re-test the replica
+BREAKER_THRESHOLD = 4
+BREAKER_COOLDOWN = 5.0
 
 
 @dataclass
@@ -81,8 +81,6 @@ class ShardAnswer:
     outcome: Optional[QueryOutcome] = None
     error: Optional[str] = None
     elapsed: float = 0.0
-    hedged: bool = False
-    hedge_won: bool = False
     #: the replica that produced the answer (None when none did)
     replica: Optional[str] = None
     #: replicas tried; attempts - 1 is the failover count
@@ -105,10 +103,6 @@ class ShardAnswer:
             entry["status"] = self.outcome.status.value
         if self.error:
             entry["error"] = self.error
-        if self.hedged:
-            entry["hedged"] = True
-        if self.hedge_won:
-            entry["hedge_won"] = True
         if self.replica is not None:
             entry["replica_used"] = self.replica
         if self.attempts > 1:
@@ -184,12 +178,11 @@ class ClusterCoordinator:
     endpoint.  *client_factory* is the seam tests use to substitute
     in-process fakes for TCP clients; it is called like
     :class:`~repro.service.client.ServiceClient` (the default) and must
-    return an object with its context manager + ``query`` / ``cancel``
-    surface.
+    return an object with its context manager + ``query`` surface.
 
-    ``hedge_after=None`` disables hedging.  Each replica attempt gets an
-    even share of the remaining deadline across the replicas not yet
-    tried, so the last replica of a preference list always gets a turn.
+    Each replica attempt gets an even share of the remaining deadline
+    across the replicas not yet tried, so the last replica of a
+    preference list always gets a turn.
     """
 
     def __init__(
@@ -198,9 +191,6 @@ class ClusterCoordinator:
         endpoints: Dict[str, Tuple[str, int]],
         *,
         timeout: float = 30.0,
-        hedge_after: Optional[float] = None,
-        breaker_threshold: int = 4,
-        breaker_cooldown: float = 5.0,
         client_factory: Callable[..., Any] = ServiceClient,
     ) -> None:
         missing = [s for s in shard_map.shards if s not in endpoints]
@@ -210,10 +200,9 @@ class ClusterCoordinator:
         self.endpoints = (endpoints if isinstance(endpoints, dict)
                           else dict(endpoints))
         self.timeout = timeout
-        self.hedge_after = hedge_after
         self.client_factory = client_factory
-        self.breakers = BreakerRegistry(threshold=breaker_threshold,
-                                        cooldown=breaker_cooldown)
+        self.breakers = BreakerRegistry(threshold=BREAKER_THRESHOLD,
+                                        cooldown=BREAKER_COOLDOWN)
         #: query text -> prepared query, so repeated fan-outs of the
         #: same (valid or invalid) text skip re-analysis; it holds
         #: validation verdicts, never answers
@@ -370,7 +359,7 @@ class ClusterCoordinator:
                 # leave each not-yet-tried replica a fair share of the
                 # deadline; the last one gets everything left
                 reply, error = self._attempt_replica(
-                    replica, endpoint, request, doc, child, answer,
+                    replica, endpoint, request, doc, child,
                     min(request.deadline, time.monotonic()
                         + remaining / (len(prefs) - position)))
                 # a decoded answer is the only success; a
@@ -426,74 +415,42 @@ class ClusterCoordinator:
 
     def _attempt_replica(self, replica: str, endpoint: Tuple[str, int],
                          request: _Request, document: str, child: Any,
-                         answer: ShardAnswer, attempt_deadline: float
+                         attempt_deadline: float
                          ) -> Tuple[Optional[Any], Optional[str]]:
-        """One replica's exchange, hedged when configured.
+        """One replica's exchange, over one connection.
 
         Returns ``(reply, None)`` on any decoded reply and ``(None,
-        error)`` on connect failure / attempt timeout.  The hedge race is
-        two futures on a two-worker pool, first answer wins; a loser
-        still in flight is sent a ``cancel`` wire op (so it stops burning
-        shard worker capacity) from that pool, off the leg's path.
+        error)`` on connect failure / attempt timeout.  The exchange
+        runs on its own thread and the leg waits for it no longer than
+        the attempt deadline, so a replica that stalls past its share
+        fails over even if its socket never times out.
         """
         host, port = endpoint
-        name = f"coordinator/{replica}"
-        # one id per racer: it is the handle the loser's cancel names
-        fanout = f"fanout-{uuid.uuid4().hex}"
 
-        def exchange(request_id: str) -> Any:
+        def exchange() -> Any:
             budget = attempt_deadline - time.monotonic()
             if budget <= 0:
                 raise TimeoutError("attempt budget exhausted")
             with tracer().activate(child), self.client_factory(
-                    host, port, timeout=budget, client_name=name) as client:
+                    host, port, timeout=budget,
+                    client_name=f"coordinator/{replica}") as client:
                 return client.query(
-                    request.text, document=document, request_id=request_id,
+                    request.text, document=document,
+                    request_id=f"fanout-{uuid.uuid4().hex}",
                     timeout=budget, **request.options)
 
-        def cancel(request_id: str) -> None:
-            # best effort: the loser stops burning shard worker capacity
-            try:
-                with self.client_factory(host, port, timeout=1.0,
-                                         client_name=name) as client:
-                    found = client.cancel(request_id, reason="hedge loser")
-                self._count("hedge_cancelled" if found
-                            else "hedge_cancel_noop")
-            except Exception:
-                self._count("hedge_cancel_failed")
-
-        race = ThreadPoolExecutor(max_workers=2,
-                                  thread_name_prefix=f"fanout-{replica}")
-        racers = {race.submit(exchange, f"{fanout}-primary"): "primary"}
-        errors: List[str] = []
+        runner = ThreadPoolExecutor(max_workers=1,
+                                    thread_name_prefix=f"fanout-{replica}")
+        future = runner.submit(exchange)
+        runner.shutdown(wait=False)
+        done, _ = wait([future], timeout=max(
+            0.0, attempt_deadline - time.monotonic()) + 0.05)
+        if not done:
+            return None, "no answer inside the attempt deadline"
         try:
-            if self.hedge_after is not None:
-                done, _ = wait(racers, timeout=min(self.hedge_after, max(
-                    0.0, attempt_deadline - time.monotonic())))
-                if not done and attempt_deadline - time.monotonic() > 0:
-                    self._count("hedges")
-                    answer.hedged = True
-                    racers[race.submit(exchange, f"{fanout}-hedge")] = "hedge"
-            for future in as_completed(racers, timeout=max(
-                    0.0, attempt_deadline - time.monotonic()) + 0.05):
-                try:
-                    reply = future.result()
-                except Exception as exc:
-                    errors.append(f"{racers[future]}: {exc}")
-                    continue
-                for loser, tag in racers.items():
-                    if not loser.done():
-                        race.submit(cancel, f"{fanout}-{tag}")
-                if racers[future] == "hedge":
-                    self._count("hedge_wins")
-                    answer.hedge_won = True
-                return reply, None
-        except FuturesTimeout:
-            pass
-        finally:
-            race.shutdown(wait=False)
-        return None, ("; ".join(errors) if errors
-                      else "no answer inside the attempt deadline")
+            return future.result(), None
+        except Exception as exc:
+            return None, str(exc) or type(exc).__name__
 
     # -- the merge ------------------------------------------------------------
 

@@ -8,13 +8,13 @@ Liveness has two layers:
   immediately, no probe needed;
 * **wire**: the existing ``ready`` / ``health`` ops over a short-lived
   client — a process that is up but wedged (not accepting work) is
-  counted unready, and after ``unready_threshold`` consecutive misses
+  counted unready, and after :data:`UNREADY_THRESHOLD` consecutive misses
   an ``unresponsive`` event is recorded for the operator.
 
 Dead shards are restarted **from their durable stores** (opening a
 store is its recovery: :meth:`ShardProcess.respawn` replays the boot
 command against the same ``--store`` file) under exponential backoff
-and a per-shard ``restart_budget``; a shard that burns its budget is
+and a per-shard :data:`RESTART_BUDGET`; a shard that burns its budget is
 abandoned with a terminal event rather than flapping forever.  Every
 successful restart publishes the child's fresh port into the cluster's
 live endpoint table — the one coordinators hold by reference — so
@@ -40,25 +40,26 @@ MAX_EVENTS = 200
 #: seconds one wire readiness probe may take
 PROBE_TIMEOUT = 2.0
 
+#: seconds between supervision passes
+POLL_INTERVAL = 0.25
+
+#: consecutive unready probes before a live shard is flagged unresponsive
+UNREADY_THRESHOLD = 3
+
+#: respawns (successful or not) one shard may spend before it is abandoned
+RESTART_BUDGET = 3
+
+#: a shard's restart backoff starts at BACKOFF_BASE seconds and doubles
+#: with every attempt, up to BACKOFF_MAX
+BACKOFF_BASE = 0.25
+BACKOFF_MAX = 4.0
+
 
 class ShardSupervisor:
     """Daemon thread that keeps a local cluster's shards serving."""
 
-    def __init__(self, cluster, *,
-                 poll_interval: float = 0.25,
-                 unready_threshold: int = 3,
-                 restart_budget: int = 3,
-                 backoff_base: float = 0.25,
-                 backoff_max: float = 4.0,
-                 client_factory=None) -> None:
-        if restart_budget < 0:
-            raise ValueError("restart_budget must be >= 0")
+    def __init__(self, cluster, *, client_factory=None) -> None:
         self.cluster = cluster
-        self.poll_interval = poll_interval
-        self.unready_threshold = unready_threshold
-        self.restart_budget = restart_budget
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
         if client_factory is None:
             from ..service.client import ServiceClient
 
@@ -103,7 +104,7 @@ class ShardSupervisor:
     # -- the watch loop -------------------------------------------------------
 
     def _run(self) -> None:
-        while not self._stop.wait(self.poll_interval):
+        while not self._stop.wait(POLL_INTERVAL):
             try:
                 self.poll_once()
             except Exception:  # a poll bug must not kill supervision
@@ -136,7 +137,7 @@ class ShardSupervisor:
                 return
             misses = self._unready.get(shard_id, 0) + 1
             self._unready[shard_id] = misses
-            threshold_hit = misses == self.unready_threshold
+            threshold_hit = misses == UNREADY_THRESHOLD
         if threshold_hit:
             self._record("unresponsive", shard_id,
                          f"{misses} consecutive unready probes "
@@ -149,7 +150,7 @@ class ShardSupervisor:
     def _back_off(self, shard_id: str, shard) -> float:
         """Hold the shard's next restart for a delay that doubles with
         every attempt (under the lock); returns the delay."""
-        delay = min(self.backoff_max, self.backoff_base
+        delay = min(BACKOFF_MAX, BACKOFF_BASE
                     * (2 ** (self._attempts(shard_id, shard) - 1)))
         self._next_attempt[shard_id] = time.monotonic() + delay
         return delay
@@ -159,9 +160,9 @@ class ShardSupervisor:
         with self._lock:
             if now < self._next_attempt.get(shard_id, 0.0):
                 return  # still backing off
-            if self._attempts(shard_id, shard) >= self.restart_budget:
+            if self._attempts(shard_id, shard) >= RESTART_BUDGET:
                 self._abandoned[shard_id] = (
-                    f"restart budget ({self.restart_budget}) exhausted")
+                    f"restart budget ({RESTART_BUDGET}) exhausted")
                 message = self._abandoned[shard_id]
             else:
                 message = None
@@ -216,7 +217,7 @@ class ShardSupervisor:
                 "polls": self._polls,
                 "restarts": self._restarts,
                 "restart_failures": self._restart_failures,
-                "restart_budget": self.restart_budget,
+                "restart_budget": RESTART_BUDGET,
                 "unready": dict(self._unready),
                 "abandoned": dict(self._abandoned),
                 "per_shard_restarts": {

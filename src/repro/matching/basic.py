@@ -38,8 +38,11 @@ class SearchCounters:
 
     def copy(self) -> "SearchCounters":
         """An independent copy of these counts."""
-        twin = SearchCounters()
-        twin.add(self)
+        twin = SearchCounters.__new__(SearchCounters)
+        twin.candidates_tried = self.candidates_tried
+        twin.check_calls = self.check_calls
+        twin.partial_states = self.partial_states
+        twin.results = self.results
         return twin
 
     def __repr__(self) -> str:

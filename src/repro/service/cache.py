@@ -43,15 +43,11 @@ from ..storage.database import Answers
 
 
 class LRUCache:
-    """A thread-safe LRU mapping with hit/miss counters.
-
-    ``capacity == 0`` disables the cache (every get misses, puts are
-    dropped), which lets callers keep one unconditional code path.
-    """
+    """A thread-safe LRU mapping with hit/miss counters."""
 
     def __init__(self, capacity: int) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
@@ -71,8 +67,6 @@ class LRUCache:
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert/update an entry, evicting the least recently used."""
-        if self.capacity == 0:
-            return
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)

@@ -32,7 +32,9 @@ class ServiceConfig:
       client cannot monopolise the pool.
     * ``default_timeout`` seeds each request's context deadline and
       ``default_max_results`` caps its ``limit``; a request may
-      *tighten* either, never exceed it.  Step and memory budgets have
+      *tighten* either, never exceed it.  The deadline runs from
+      admission: time a request spends queued for a worker counts
+      against it.  Step and memory budgets have
       no service default: a request's own ``max_steps`` /
       ``max_memory`` (if any) are its budgets.
     """

@@ -34,8 +34,9 @@ from ..matching.planner import MatchOptions, baseline_options, optimized_options
 from ..obs.metrics import MetricsRegistry, render_prometheus
 from ..obs.slowlog import SlowQueryEntry, SlowQueryLog
 from ..obs.trace import span as trace_span, tracer
-from ..runtime import (ANSWER_OUTCOMES, CancellationToken, Outcome,
-                       QueryOutcome, rejected_outcome, shed_outcome)
+from ..runtime import (ANSWER_OUTCOMES, CancellationToken,
+                       ExecutionContext, Outcome, QueryOutcome,
+                       rejected_outcome, shed_outcome)
 from ..storage.database import Answers, GraphDatabase, answer_rows
 from ..storage.serializer import load_collection
 from .admission import (REASON_DRAINING, REASON_DUPLICATE_ID,
@@ -172,6 +173,9 @@ class _Inflight:
     watchdog_budget: Optional[float] = None
     hard_deadline: Optional[float] = None
     claimed: bool = False
+    #: the request's governance, created when it is handed to the pool:
+    #: its deadline counts the time the request spends queued
+    context: Optional[ExecutionContext] = None
 
 
 def _reply(request: QueryRequest, outcome: QueryOutcome,
@@ -397,6 +401,9 @@ class QueryService:
             return _answer_reply(
                 request, answers, outcome, cache="hit",
                 elapsed=time.perf_counter() - entry.submitted_at)
+        entry.context = self.config.derive_context(
+            timeout=request.timeout, max_steps=request.max_steps,
+            max_memory=request.max_memory, token=entry.token)
         try:
             self._ensure_executor().submit(self._run_local, entry)
         except Exception as exc:  # the pool was shut down under us
@@ -705,10 +712,8 @@ class QueryService:
             self.execute_hook(request)
         with tracer().activate(entry.root):
             with trace_span("service.execute"):
-                context = self.config.derive_context(
-                    timeout=request.timeout, max_steps=request.max_steps,
-                    max_memory=request.max_memory, token=entry.token,
-                )
+                context = entry.context
+                assert context is not None  # set when _start dispatched
                 # key the caches on the document version *before*
                 # execution, so a mutation racing with this query can
                 # never publish its results under the post-mutation

@@ -9,8 +9,7 @@ in ``tests/integration/test_cluster_soak.py``.)
 
 import time
 
-import pytest
-
+from repro.cluster import supervisor as supervisor_module
 from repro.cluster.supervisor import ShardSupervisor
 
 
@@ -69,10 +68,15 @@ class ReadyClient:
         return self.answer
 
 
-def supervise(cluster, probe=(True, ""), **kwargs):
+def supervise(cluster, probe=(True, "")):
     return ShardSupervisor(
-        cluster, client_factory=lambda host, port: ReadyClient(probe),
-        **kwargs)
+        cluster, client_factory=lambda host, port: ReadyClient(probe))
+
+
+def tune(monkeypatch, **constants):
+    """Set the supervisor's module constants for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(supervisor_module, name, value)
 
 
 def test_dead_shard_is_restarted_and_the_endpoint_published():
@@ -89,11 +93,12 @@ def test_dead_shard_is_restarted_and_the_endpoint_published():
     assert kinds == ["down", "restarted"]
 
 
-def test_restart_budget_abandons_a_flapping_shard():
+def test_restart_budget_abandons_a_flapping_shard(monkeypatch):
+    tune(monkeypatch, RESTART_BUDGET=2)
     shard = FakeShard(alive=False)
     shard.restarts = 2  # already restarted twice
     cluster = FakeCluster({"shard0": shard})
-    supervisor = supervise(cluster, restart_budget=2)
+    supervisor = supervise(cluster)
     supervisor.poll_once()
     assert shard.respawns == 0  # budget gone: no third attempt
     assert supervisor.stats()["abandoned"] == {
@@ -104,10 +109,11 @@ def test_restart_budget_abandons_a_flapping_shard():
     assert [e["event"] for e in supervisor.events] == ["abandoned"]
 
 
-def test_failed_restart_backs_off_before_retrying():
+def test_failed_restart_backs_off_before_retrying(monkeypatch):
+    tune(monkeypatch, BACKOFF_BASE=30.0)
     shard = FakeShard(alive=False, respawn_error=RuntimeError("no boot"))
     cluster = FakeCluster({"shard0": shard})
-    supervisor = supervise(cluster, backoff_base=30.0)
+    supervisor = supervise(cluster)
     supervisor.poll_once()
     assert shard.respawns == 1
     assert supervisor.stats()["restart_failures"] == 1
@@ -117,10 +123,11 @@ def test_failed_restart_backs_off_before_retrying():
     assert kinds == ["down", "restart_failed"]
 
 
-def test_backoff_window_lapses_and_the_retry_runs():
+def test_backoff_window_lapses_and_the_retry_runs(monkeypatch):
+    tune(monkeypatch, BACKOFF_BASE=0.02, BACKOFF_MAX=0.02)
     shard = FakeShard(alive=False, respawn_error=RuntimeError("no boot"))
     cluster = FakeCluster({"shard0": shard})
-    supervisor = supervise(cluster, backoff_base=0.02, backoff_max=0.02)
+    supervisor = supervise(cluster)
     supervisor.poll_once()
     shard.respawn_error = None  # the transient boot problem clears
     time.sleep(0.05)
@@ -129,13 +136,14 @@ def test_backoff_window_lapses_and_the_retry_runs():
     assert supervisor.stats()["restarts"] == 1
 
 
-def test_a_shard_that_never_reboots_spends_its_budget_and_is_abandoned():
+def test_a_shard_that_never_reboots_spends_its_budget_and_is_abandoned(
+        monkeypatch):
     # failed respawns count against the budget and double the backoff,
     # as successful ones do: no endless respawn loop on a corrupt store
+    tune(monkeypatch, RESTART_BUDGET=3, BACKOFF_BASE=0.01, BACKOFF_MAX=10.0)
     shard = FakeShard(alive=False, respawn_error=RuntimeError("corrupt"))
     cluster = FakeCluster({"shard0": shard})
-    supervisor = supervise(cluster, restart_budget=3, backoff_base=0.01,
-                           backoff_max=10.0)
+    supervisor = supervise(cluster)
     for _ in range(40):
         if supervisor.stats()["abandoned"]:
             break
@@ -149,11 +157,11 @@ def test_a_shard_that_never_reboots_spends_its_budget_and_is_abandoned():
     assert delays == [0.01, 0.02, 0.04]
 
 
-def test_consecutive_unready_probes_flag_the_shard():
+def test_consecutive_unready_probes_flag_the_shard(monkeypatch):
+    tune(monkeypatch, UNREADY_THRESHOLD=3)
     shard = FakeShard(alive=True)
     cluster = FakeCluster({"shard0": shard})
-    supervisor = supervise(cluster, probe=(False, "draining"),
-                           unready_threshold=3)
+    supervisor = supervise(cluster, probe=(False, "draining"))
     for _ in range(4):
         supervisor.poll_once()
     events = [e for e in supervisor.events
@@ -165,11 +173,11 @@ def test_consecutive_unready_probes_flag_the_shard():
     assert shard.respawns == 0
 
 
-def test_a_ready_probe_resets_the_unready_streak():
+def test_a_ready_probe_resets_the_unready_streak(monkeypatch):
+    tune(monkeypatch, UNREADY_THRESHOLD=3)
     shard = FakeShard(alive=True)
     cluster = FakeCluster({"shard0": shard})
-    supervisor = supervise(cluster, probe=(False, "warming up"),
-                           unready_threshold=3)
+    supervisor = supervise(cluster, probe=(False, "warming up"))
     supervisor.poll_once()
     supervisor.poll_once()
     supervisor._client_factory = lambda host, port: ReadyClient((True, ""))
@@ -178,29 +186,25 @@ def test_a_ready_probe_resets_the_unready_streak():
     assert all(e["event"] != "unresponsive" for e in supervisor.events)
 
 
-def test_probe_exceptions_count_as_unready_not_crashes():
+def test_probe_exceptions_count_as_unready_not_crashes(monkeypatch):
+    tune(monkeypatch, UNREADY_THRESHOLD=1)
     shard = FakeShard(alive=True)
     cluster = FakeCluster({"shard0": shard})
     supervisor = supervise(cluster,
-                           probe=ConnectionRefusedError("refused"),
-                           unready_threshold=1)
+                           probe=ConnectionRefusedError("refused"))
     supervisor.poll_once()
     events = supervisor.events
     assert events[0]["event"] == "unresponsive"
     assert "ConnectionRefusedError" in events[0]["detail"]
 
 
-def test_start_and_stop_are_idempotent():
+def test_start_and_stop_are_idempotent(monkeypatch):
+    tune(monkeypatch, POLL_INTERVAL=0.01)
     cluster = FakeCluster({"shard0": FakeShard(alive=True)})
-    supervisor = supervise(cluster, poll_interval=0.01)
+    supervisor = supervise(cluster)
     supervisor.start()
     supervisor.start()
     time.sleep(0.05)
     supervisor.stop()
     supervisor.stop()
     assert supervisor.stats()["polls"] >= 1
-
-
-def test_negative_budget_is_rejected():
-    with pytest.raises(ValueError):
-        ShardSupervisor(FakeCluster({}), restart_budget=-1)

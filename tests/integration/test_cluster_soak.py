@@ -18,6 +18,7 @@ from collections import Counter
 
 import pytest
 
+from repro.cluster import coordinator as coordinator_module
 from repro.cluster import launch_cluster
 from repro.datasets.molecules import molecule_collection
 from repro.runtime import Outcome
@@ -54,17 +55,16 @@ def audit(reply) -> None:
             if entry["merged"])
 
 
-def soak(cluster, queries):
+def soak(cluster, queries, monkeypatch):
     """Run *queries* audited fan-outs, SIGKILLing a data-holding shard
     halfway; returns ``(coordinator, victim, {phase: status counts})``."""
     victim = pick_victim(cluster)
     replicated = cluster.shard_map.replication_factor > 1
-    coordinator = cluster.coordinator(
-        timeout=8.0,
-        # the probe interval stays far below the soak length so the
-        # post-kill phase records real connection failures, not just
-        # breaker fast-fails
-        breaker_cooldown=0.5)
+    # the probe interval stays far below the soak length so the
+    # post-kill phase records real connection failures, not just
+    # breaker fast-fails
+    monkeypatch.setattr(coordinator_module, "BREAKER_COOLDOWN", 0.5)
+    coordinator = cluster.coordinator(timeout=8.0)
     phases = {"healthy": Counter(), "degraded": Counter()}
     for index in range(queries):
         if index == queries // 2:
@@ -110,17 +110,19 @@ def degraded():
         yield cluster, victim
 
 
-def test_soak_survives_a_sigkill_with_exact_accounting():
+def test_soak_survives_a_sigkill_with_exact_accounting(monkeypatch):
     with boot() as cluster:
-        _, _, phases = soak(cluster, queries=24)
+        _, _, phases = soak(cluster, queries=24, monkeypatch=monkeypatch)
     assert set(phases["healthy"]) <= MERGED
     assert phases["degraded"] == {Outcome.PARTIAL: 12}
 
 
-def test_partial_replies_after_the_kill_name_the_dead_shard(degraded):
+def test_partial_replies_after_the_kill_name_the_dead_shard(degraded,
+                                                           monkeypatch):
     cluster, victim = degraded
     # one query, so at most one failure per shard: no breaker opens
-    coordinator = cluster.coordinator(timeout=8.0, breaker_threshold=2)
+    monkeypatch.setattr(coordinator_module, "BREAKER_THRESHOLD", 2)
+    coordinator = cluster.coordinator(timeout=8.0)
     reply = coordinator.query(QUERY, limit=500)
     audit(reply)
     assert reply.outcome.status is Outcome.PARTIAL
@@ -134,13 +136,14 @@ def test_partial_replies_after_the_kill_name_the_dead_shard(degraded):
     assert len(live_shards) == detail["merged"]
 
 
-def test_replicated_soak_absorbs_a_sigkill_with_zero_partials():
+def test_replicated_soak_absorbs_a_sigkill_with_zero_partials(monkeypatch):
     # R=2 + supervision: the same drill, but the kill must be invisible
     # (no PARTIAL replies) and the victim must return before teardown
     with launch_cluster(molecule_collection(num_molecules=48, seed=97),
                         num_shards=3, replication_factor=2,
                         supervise=True) as cluster:
-        coordinator, victim, phases = soak(cluster, queries=16)
+        coordinator, victim, phases = soak(cluster, queries=16,
+                                           monkeypatch=monkeypatch)
         assert set(phases["healthy"]) | set(phases["degraded"]) <= MERGED
         assert coordinator.stats()["counters"]["failovers"] >= 1
         await_recovery(cluster, coordinator, victim)

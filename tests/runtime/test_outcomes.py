@@ -96,11 +96,11 @@ def test_partial_accounting_survives_nested_per_shard_detail():
               "shards": {"shard0": {"merged": True, "rows": 3,
                                     "elapsed": 0.004},
                          "shard1": {"merged": False, "rows": 0,
-                                    "hedged": True,
+                                    "failovers": 1,
                                     "error": "no answer inside "
                                              "the deadline"}}}
     back = roundtrip(partial_outcome("1/2 shard(s) failed", detail))
     shards = back.detail["shards"]
-    assert shards["shard1"]["hedged"] is True
+    assert shards["shard1"]["failovers"] == 1
     assert sum(1 for s in shards.values() if s["merged"]) == \
         back.detail["merged"]

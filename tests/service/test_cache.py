@@ -1,6 +1,8 @@
 """Plan/result cache semantics: LRU order, version invalidation,
 outcome cacheability."""
 
+import pytest
+
 from repro.runtime import Outcome, QueryOutcome
 from repro.service import LRUCache, ResultCache
 from repro.service.cache import make_key
@@ -26,11 +28,9 @@ class TestLRU:
         assert cache.get("c") == 3
         assert cache.evictions == 1
 
-    def test_zero_capacity_disables(self):
-        cache = LRUCache(capacity=0)
-        cache.put("a", 1)
-        assert cache.get("a") is None
-        assert len(cache) == 0
+    def test_capacity_below_one_is_refused(self):
+        with pytest.raises(ValueError):
+            LRUCache(capacity=0)
 
 
 class TestResultCache:

@@ -343,6 +343,25 @@ class TestGovernance:
             assert response.outcome.status is Outcome.TIMED_OUT
             assert response.outcome.steps > 0
 
+    def test_time_spent_queued_counts_against_the_deadline(self):
+        """The deadline starts at admission: a 0.2 s request queued
+        behind a 0.5 s blocker on the one worker has no time left when
+        it starts, and ends TIMED_OUT by its own deadline (the watchdog
+        wall, 4 x 0.2 s, is still ahead)."""
+        with make_service(workers=1) as service:
+            service.execute_hook = lambda request: (
+                time.sleep(0.5) if request.request_id == "blocker"
+                else None)
+            blocker = service.submit(QueryRequest(
+                query=EDGE_QUERY, request_id="blocker", use_cache=False))
+            queued = service.submit(QueryRequest(
+                query=EDGE_QUERY, timeout=0.2, use_cache=False))
+            response = queued.result(timeout=10)
+            assert response.outcome.status is Outcome.TIMED_OUT
+            assert "deadline of 0.2s exceeded" in response.outcome.reason
+            assert blocker.result(timeout=10).outcome.status is (
+                Outcome.COMPLETE)
+
     def test_baseline_request_honours_the_deadline(self):
         """Scan retrieval without pruning runs under the same per-request
         deadline: the deadline ends it, not the watchdog's wall."""
