@@ -45,7 +45,6 @@ from .lang import compile_pattern_text
 from .matching import baseline_options, optimized_options
 from .runtime import ExecutionContext, Outcome
 from .storage import GraphDatabase, graph_to_text, load_collection
-from .storage.database import answer_rows
 
 #: Outcome -> process exit code (partial-but-valid results still exit 0).
 EXIT_BY_OUTCOME = {
@@ -390,11 +389,14 @@ def cmd_match(args: argparse.Namespace) -> int:
     with _tracing_to(args.trace_out):
         reports = database.match("data", pattern, options, context=context)
     if args.json:
+        from .service.protocol import AnswerRows, answer_blocks
+
         overall = context.outcome()
         document = {
             "graphs": {
                 name: {
-                    "mappings": answer_rows([(name, report.mappings)]),
+                    "mappings": list(AnswerRows(
+                        answer_blocks([(name, report.mappings)]))),
                     "outcome": report.outcome.to_dict(),
                     "degradation": list(report.degradation),
                     "stages": report.stats_dict(),

@@ -53,6 +53,7 @@ from ..runtime import (ANSWER_OUTCOMES, Outcome, QueryOutcome,
 from ..service.admission import REASON_INVALID_QUERY
 from ..service.cache import PLAN_CACHE_SIZE, PreparedQueryCache
 from ..service.client import ServiceClient
+from ..service.protocol import AnswerRows
 from ..service.resilience import BreakerRegistry
 from .shardmap import ShardMap, slice_document
 
@@ -60,8 +61,8 @@ logger = logging.getLogger(__name__)
 
 #: seconds the fan-out waits past the global deadline: attempt deadlines
 #: never pass it, but a leg waits 0.05 s past an attempt's deadline for
-#: its reply, and a leg whose reply arrived just in time must still copy
-#: its rows
+#: its reply, and a leg whose reply arrived just in time must still tag
+#: its blocks
 _DEADLINE_GRACE = 0.25
 
 #: consecutive failed attempts that open a replica's breaker, and the
@@ -76,8 +77,8 @@ class ShardAnswer:
 
     shard: str
     ok: bool
-    #: this slice's rows, each tagged with its ``"shard"``
-    results: List[Dict[str, Any]] = field(default_factory=list, repr=False)
+    #: this slice's rows, every block tagged with its ``"shard"``
+    results: AnswerRows = field(default_factory=AnswerRows, repr=False)
     outcome: Optional[QueryOutcome] = None
     error: Optional[str] = None
     elapsed: float = 0.0
@@ -116,13 +117,14 @@ class ShardAnswer:
 class ClusterReply:
     """A merged scatter-gather answer.
 
-    ``results`` rows carry their source shard under ``"shard"``;
+    ``results`` is the row view over the shards' blocks in target
+    order, each block naming its source shard under ``"shard"``;
     ``outcome.detail["shards"]`` holds the per-shard accounting whatever
     the terminal status, so tooling reads one shape for COMPLETE,
     TRUNCATED and PARTIAL alike.
     """
 
-    results: List[Dict[str, Any]] = field(default_factory=list)
+    results: AnswerRows = field(default_factory=AnswerRows)
     outcome: QueryOutcome = field(default_factory=QueryOutcome)
     answers: List[ShardAnswer] = field(default_factory=list)
     error: Optional[str] = None
@@ -149,7 +151,7 @@ class ClusterReply:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "ok": self.error is None,
-            "results": list(self.results),
+            "blocks": self.results.to_wire(),
             "outcome": self.outcome.to_dict(),
             **({"error": self.error} if self.error else {}),
         }
@@ -386,8 +388,7 @@ class ClusterCoordinator:
                     if version is not None:
                         answer.version = version
                         self._observe_version(shard, replica, version)
-                    answer.results = [dict(row, shard=shard)
-                                      for row in reply.results]
+                    answer.results = reply.results.tagged(shard)
                     answer.ok = True
                     break
                 # the replica answered with a refusal or interruption
@@ -457,12 +458,13 @@ class ClusterCoordinator:
     def _merge(self, answers: List[ShardAnswer],
                limit: Optional[int]) -> ClusterReply:
         # one answer per target, in target order: a deterministic merge
-        rows = [row for a in answers if a.ok for row in a.results]
+        rows = AnswerRows(block for a in answers if a.ok
+                          for block in a.results.blocks)
         truncated = any(a.ok and a.outcome is not None
                         and a.outcome.status is Outcome.TRUNCATED
                         for a in answers)
         if limit is not None and len(rows) > limit:
-            rows = rows[:limit]
+            rows = rows.head(limit)
             truncated = True
         merged = sum(1 for a in answers if a.ok)
         failed = len(answers) - merged

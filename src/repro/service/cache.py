@@ -17,12 +17,13 @@ unreachable.  The dead entries age out of the LRU instead of needing an
 invalidation sweep, and this is the only cache that replays a served
 answer: the server's retries and the cluster coordinator's fan-outs
 both reach it (or run again) rather than keeping answers of their own.
-It stores the immutable per-graph answer tables and notes
-(:class:`~repro.storage.database.Answers`) plus the outcome, so every
-reply, miss or hit, is given rows of its own; and it stores them only
-for runs whose outcome is deterministic given the key: ``COMPLETE``, or
-``TRUNCATED`` by a cap that is itself part of the key — the options
-signature covers the answer cap *and* the effective step/memory budgets
+It stores the run's answer in its wire form — the run's blocks
+(:func:`~repro.service.protocol.answer_blocks`, each row flattened once
+into a tuple of ids) and its notes — plus the outcome, so a hit does no
+per-row work and every reply shares only tuples with it; and it stores
+them only for runs whose outcome is deterministic given the key:
+``COMPLETE``, or ``TRUNCATED`` by a cap that is itself part of the
+key — the options signature covers the answer cap *and* the effective step/memory budgets
 (:meth:`QueryService._options_key`), so a budget-truncated partial
 answer is only replayed to requests with identical budgets.  A
 ``TIMED_OUT`` run under one caller's deadline must never be replayed to
@@ -39,7 +40,6 @@ from typing import Any, Dict, Hashable, Optional, Tuple
 from ..analysis.diagnostics import to_wire
 from ..lang.compiler import prepare_pattern_text
 from ..runtime import ANSWER_OUTCOMES, QueryOutcome
-from ..storage.database import Answers
 
 
 class LRUCache:
@@ -134,9 +134,10 @@ def make_key(document: str, query_text: str, options_key: Hashable,
 
 
 class ResultCache(LRUCache):
-    """LRU of ``(Answers, QueryOutcome)`` keyed by :func:`make_key`."""
+    """LRU of ``(answer, QueryOutcome)`` keyed by :func:`make_key`; the
+    service's answer is ``(blocks, notes)``."""
 
-    def admit(self, key: CacheKey, answers: Answers,
+    def admit(self, key: CacheKey, answers: Any,
               outcome: QueryOutcome) -> bool:
         """Store a finished query iff its outcome is an answer
         (:data:`~repro.runtime.ANSWER_OUTCOMES`): those are a pure

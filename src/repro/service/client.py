@@ -16,20 +16,24 @@ import random
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
 
 from ..obs.trace import current_span
 from ..runtime import QueryOutcome
-from .protocol import MAX_LINE_BYTES, ProtocolError, decode, encode
+from .protocol import (MAX_LINE_BYTES, AnswerRows, ProtocolError, decode,
+                       encode)
+
+T = TypeVar("T")
 
 
 @dataclass
 class ClientReply:
-    """A decoded query response (wire dict plus typed outcome)."""
+    """A decoded query response (wire dict plus typed outcome);
+    ``results`` is the read-only row view over the reply's blocks."""
 
     ok: bool
     request_id: Optional[str]
-    results: List[Dict[str, Any]] = field(default_factory=list)
+    results: AnswerRows = field(default_factory=AnswerRows)
     outcome: QueryOutcome = field(default_factory=QueryOutcome)
     cache: str = "bypass"
     error: Optional[str] = None
@@ -140,6 +144,12 @@ class ServiceClient:
         reconnect-and-resend, all attempts sharing one overall
         ``timeout`` budget.
         """
+        return self._call(message, lambda reply: reply)
+
+    def _call(self, message: Dict[str, Any],
+              read: Callable[[Dict[str, Any]], T]) -> T:
+        """:meth:`call`, *read* applied to each attempt's response: a
+        :class:`ProtocolError` it raises is a desync like any other."""
         message.setdefault("id", f"{self.client_name}-{next(self._ids)}")
         # propagate trace context: with tracing enabled, the server roots
         # its request span under this caller's active span, so a cluster
@@ -158,7 +168,7 @@ class ServiceClient:
                 self.retry_count += 1
                 self._backoff(attempt, deadline)
             try:
-                return self._call_once(message, deadline)
+                return read(self._call_once(message, deadline))
             except (ConnectionError, ProtocolError, OSError) as exc:
                 last_exc = exc
                 # the stream may be desynced (a late response could
@@ -238,7 +248,8 @@ class ServiceClient:
             message["baseline"] = True
         if no_cache:
             message["no_cache"] = True
-        reply = self.call(message)
+        reply, rows = self._call(message, lambda reply: (
+            reply, AnswerRows.from_wire(reply.get("blocks", []))))
         outcome = (QueryOutcome.from_dict(reply["outcome"])
                    if isinstance(reply.get("outcome"), dict)
                    else QueryOutcome())
@@ -246,7 +257,7 @@ class ServiceClient:
         return ClientReply(
             ok=bool(reply.get("ok")),
             request_id=reply.get("id"),
-            results=list(reply.get("results", [])),
+            results=rows,
             outcome=outcome,
             cache=str(reply.get("cache", "bypass")),
             error=reply.get("error"),

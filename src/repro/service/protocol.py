@@ -35,14 +35,29 @@ exposition as ``{"stats_text": "..."}`` instead of the JSON snapshot;
 
 Responses always echo ``id`` and carry ``ok``::
 
-    {"id": "q1", "ok": true, "op": "query", "results": [...],
-     "outcome": {"status": "COMPLETE", ...}, "cache": "miss", ...}
+    {"id": "q1", "ok": true, "op": "query", "blocks": [...],
+     "outcome": {"status": "COMPLETE", ...}, "cache": "miss",
+     "versions": {"data": 42}, ...}
     {"id": "c1", "ok": true, "op": "cancel", "cancelled": true}
     {"id": "x", "ok": false, "error": "..."}
 
 ``outcome`` is exactly :meth:`repro.runtime.QueryOutcome.to_dict` — the
 same serialization ``repro-gql match --json`` prints, so tooling can
-consume both uniformly.
+consume both uniformly.  ``versions`` names the document version the
+answer was computed against: the one the run (or the result-cache
+probe) was keyed on, read before the run started.
+
+A query's answer is a binding table: one block per search, each row a
+flat list of ids under the block's names::
+
+    {"graph": "g1", "nodes": ["u1", "u2"], "edges": ["e1"],
+     "rows": [["v3", "v7", "e12"], ["v7", "v3", "e12"]]}
+
+A row holds ``len(nodes)`` data node ids, then ``len(edges)`` data edge
+ids, in name order.  A cluster coordinator's merged blocks add
+``"shard"``.  :class:`AnswerRows` is the read-only row view over the
+blocks that servers, clients and the coordinator hand their callers; a
+client refuses a malformed block with :class:`ProtocolError`.
 
 The optional fields of ``query`` and ``explain`` are checked before
 anything is submitted: ``limit``, ``max_steps`` and ``max_memory`` are
@@ -62,10 +77,12 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Callable, Dict, Optional, Tuple
+from collections.abc import Sequence
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    NamedTuple, Optional, Tuple)
 
 #: Protocol revision, echoed by ``ping``.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one request/response line (guards server memory
 #: against a hostile or broken peer).
@@ -160,3 +177,155 @@ def validate_request(message: Dict[str, Any]) -> str:
 def error_response(request_id: Optional[str], error: str) -> Dict[str, Any]:
     """The failure envelope (``ok: false``)."""
     return {"id": request_id, "ok": False, "error": error}
+
+
+class Block(NamedTuple):
+    """One search's answers on one graph: under the block's pattern
+    names, each row holds the data node ids in ``nodes`` order, then the
+    data edge ids in ``edges`` order."""
+
+    graph: str
+    nodes: Sequence
+    edges: Sequence
+    rows: Sequence
+    #: the cluster shard that answered (set by the coordinator's merge)
+    shard: Optional[str] = None
+
+
+#: a :class:`Block` from a 5-tuple, without ``__new__``'s argument
+#: parsing: the client builds one per decoded block
+_block = Block._make
+
+
+def answer_blocks(tables: Iterable[Tuple[str, Any]]) -> Tuple[Block, ...]:
+    """``(graph name, AnswerTable)`` pairs as wire blocks, in graph
+    order: each table block's rows flattened once into ``node ids +
+    edge ids`` tuples.  Everything in the result is a tuple, so replies
+    and the result cache can share it."""
+    return tuple(Block(name, node_names, edge_names,
+                       tuple([node_ids + edge_ids
+                              for node_ids, edge_ids in rows]))
+                 for name, table in tables
+                 for node_names, edge_names, rows in table.blocks if rows)
+
+
+_STR, _LIST = frozenset((str,)), frozenset((list,))
+
+
+def _wire_block(wire: Any) -> Block:
+    """One decoded block, its shape checked: a short row would
+    otherwise be cut silently by ``zip``.  The checks run per block and
+    cost one ``type`` and one ``len`` per row."""
+    try:
+        graph, nodes, edges = wire["graph"], wire["nodes"], wire["edges"]
+        rows, shard = wire["rows"], wire.get("shard")
+    except (KeyError, TypeError, AttributeError):
+        raise ProtocolError("an answer block must be an object with "
+                            "graph, nodes, edges and rows") from None
+    if not (type(graph) is str and (shard is None or type(shard) is str)
+            and type(nodes) is list and type(edges) is list
+            and {*map(type, nodes), *map(type, edges)} <= _STR):
+        raise ProtocolError(
+            "an answer block's graph and shard must be strings, its "
+            f"nodes and edges lists of strings: {wire!r:.80}")
+    width = len(nodes) + len(edges)
+    if not (type(rows) is list and {*map(type, rows)} <= _LIST
+            and {*map(len, rows)} <= {width}):
+        raise ProtocolError(
+            f"an answer block's rows must be lists of {width} ids: "
+            f"{rows!r:.80}")
+    return _block((graph, nodes, edges, rows, shard))
+
+
+class AnswerRows(Sequence):
+    """A reply's rows, read-only, over its answer blocks.
+
+    ``len()`` counts rows without building any.  Iterating and indexing
+    build one ``{"graph", "nodes": {...}, "edges": {...}}`` dict per row
+    (plus ``"shard"`` when its block carries one), new on every access:
+    the only place a row dict is built.  ``==`` compares rows with any
+    sequence.  :meth:`to_wire` gives the ``"blocks"`` list, one dict per
+    block, sharing the rows.
+    """
+
+    __slots__ = ("blocks", "_size")
+
+    def __init__(self, blocks: Iterable[Block] = ()) -> None:
+        self.blocks: Tuple[Block, ...] = tuple(blocks)
+        self._size = sum(len(block.rows) for block in self.blocks)
+
+    @classmethod
+    def from_wire(cls, blocks: Any) -> "AnswerRows":
+        """The view of a decoded ``"blocks"`` list; raises
+        :class:`ProtocolError` on a malformed block."""
+        if type(blocks) is not list:
+            raise ProtocolError('"blocks" must be a list')
+        return cls(map(_wire_block, blocks))
+
+    def to_wire(self) -> List[Dict[str, Any]]:
+        """The ``"blocks"`` list of a reply."""
+        wire = []
+        for block in self.blocks:
+            entry = {"graph": block.graph, "nodes": block.nodes,
+                     "edges": block.edges, "rows": block.rows}
+            if block.shard is not None:
+                entry["shard"] = block.shard
+            wire.append(entry)
+        return wire
+
+    def head(self, count: int) -> "AnswerRows":
+        """The first *count* rows, the block the cap falls in cut short."""
+        kept = []
+        for block in self.blocks:
+            if count <= 0:
+                break
+            if len(block.rows) > count:
+                block = block._replace(rows=block.rows[:count])
+            kept.append(block)
+            count -= len(block.rows)
+        return AnswerRows(kept)
+
+    def tagged(self, shard: str) -> "AnswerRows":
+        """These rows with every block naming *shard*."""
+        return AnswerRows(block._replace(shard=shard)
+                          for block in self.blocks)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[Dict[str, Any]]:
+        for block in self.blocks:
+            for row in block.rows:
+                yield _row(block, row)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        position = index + self._size if index < 0 else index
+        if position >= 0:
+            for block in self.blocks:
+                if position < len(block.rows):
+                    return _row(block, block.rows[position])
+                position -= len(block.rows)
+        raise IndexError("answer row index out of range")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"AnswerRows({self._size} row(s) in "
+                f"{len(self.blocks)} block(s))")
+
+
+def _row(block: Block, row: Sequence) -> Dict[str, Any]:
+    width = len(block.nodes)
+    entry = {"graph": block.graph, "nodes": dict(zip(block.nodes, row)),
+             "edges": dict(zip(block.edges, row[width:]))}
+    if block.shard is not None:
+        entry["shard"] = block.shard
+    return entry

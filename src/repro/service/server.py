@@ -90,7 +90,7 @@ class _Handler(socketserver.StreamRequestHandler):
             # query carrying a huge partial answer): deliver the
             # outcome without the rows rather than dropping the
             # connection
-            payload = encode(_without_results(response, str(exc)))
+            payload = encode(_without_blocks(response, str(exc)))
         try:
             self.wfile.write(payload)
             self.wfile.flush()
@@ -105,13 +105,13 @@ def _field(message: Dict[str, Any], key: str, default: Any) -> Any:
     return default if value is None else value
 
 
-def _without_results(response: Dict[str, Any], error: str) -> Dict[str, Any]:
+def _without_blocks(response: Dict[str, Any], error: str) -> Dict[str, Any]:
     """A query response stripped to its envelope + outcome."""
     slim = {key: response[key] for key in
             ("id", "op", "request_id", "client", "outcome", "cache",
              "elapsed") if key in response}
     slim["ok"] = False
-    slim["results"] = []
+    slim["blocks"] = []
     slim["error"] = f"results dropped: {error}"
     return slim
 
@@ -269,15 +269,6 @@ class QueryServer(socketserver.ThreadingTCPServer):
         payload["id"] = request.request_id
         payload["ok"] = response.error is None
         payload["op"] = "query"
-        try:
-            # the snapshot version the answer was computed against:
-            # replicated coordinators compare these across the replicas
-            # of one slice to detect divergent stores
-            payload["versions"] = {
-                request.document:
-                    self.service.document_version(request.document)}
-        except KeyError:
-            pass  # unknown document: the outcome already says so
         return payload
 
     # -- lifecycle ------------------------------------------------------------

@@ -37,7 +37,7 @@ from ..obs.trace import span as trace_span, tracer
 from ..runtime import (ANSWER_OUTCOMES, CancellationToken,
                        ExecutionContext, Outcome, QueryOutcome,
                        rejected_outcome, shed_outcome)
-from ..storage.database import Answers, GraphDatabase, answer_rows
+from ..storage.database import GraphDatabase
 from ..storage.serializer import load_collection
 from .admission import (REASON_DRAINING, REASON_DUPLICATE_ID,
                         REASON_INVALID_QUERY, AdmissionController)
@@ -45,6 +45,7 @@ from .cache import (PLAN_CACHE_SIZE, RESULT_CACHE_SIZE, PreparedQuery,
                     PreparedQueryCache, ResultCache, make_key)
 from .config import ServiceConfig
 from .metrics import ServiceMetrics
+from .protocol import AnswerRows, Block, answer_blocks
 from .resilience import BreakerRegistry, QueueWaitEstimator
 
 logger = logging.getLogger(__name__)
@@ -95,15 +96,20 @@ class QueryRequest:
 class QueryResponse:
     """One query's answer: rows plus the structured outcome.
 
-    ``results`` rows are JSON-ready dicts
-    (``{"graph": name, "nodes": {...}, "edges": {...}}``), ``cache`` is
-    ``"hit"`` / ``"miss"`` / ``"bypass"``, and ``error`` carries a
-    compile/internal failure message (rows empty, outcome still present).
+    ``results`` is the read-only :class:`~repro.service.protocol.AnswerRows`
+    view over the answer's blocks (rows read as
+    ``{"graph": name, "nodes": {...}, "edges": {...}}`` dicts), ``cache``
+    is ``"hit"`` / ``"miss"`` / ``"bypass"``, ``error`` carries a
+    compile/internal failure message (rows empty, outcome still present),
+    and ``versions`` the document version the run or the cache probe
+    was keyed on (empty when the document is unknown or the request was
+    turned away): replicated coordinators compare these across the
+    replicas of one slice to detect divergent stores.
     """
 
     request_id: str
     client: str = "anon"
-    results: List[Dict[str, Any]] = field(default_factory=list)
+    results: AnswerRows = field(default_factory=AnswerRows)
     outcome: QueryOutcome = field(default_factory=QueryOutcome)
     cache: str = "bypass"
     elapsed: float = 0.0
@@ -113,6 +119,7 @@ class QueryResponse:
     #: seconds after which a SHED request is worth retrying (the
     #: observed p95 queue wait, or the breaker's remaining cooldown)
     retry_after: Optional[float] = None
+    versions: Dict[str, int] = field(default_factory=dict)
 
     @property
     def rejected(self) -> bool:
@@ -129,7 +136,7 @@ class QueryResponse:
         payload = {
             "request_id": self.request_id,
             "client": self.client,
-            "results": self.results,
+            "blocks": self.results.to_wire(),
             "outcome": self.outcome.to_dict(),
             "cache": self.cache,
             "elapsed": self.elapsed,
@@ -138,6 +145,8 @@ class QueryResponse:
         }
         if self.retry_after is not None:
             payload["retry_after"] = self.retry_after
+        if self.versions:
+            payload["versions"] = dict(self.versions)
         return payload
 
 
@@ -185,18 +194,28 @@ def _reply(request: QueryRequest, outcome: QueryOutcome,
                          client=request.client, outcome=outcome, **fields)
 
 
+#: A run's answer as the result cache keeps it: the wire blocks and the
+#: graph-prefixed degradation notes, tuples all the way down.
+Served = Tuple[Tuple[Block, ...], Tuple[str, ...]]
+
 #: What a failed execution answers.
-NO_ANSWERS = Answers((), ())
+NO_ANSWERS: Served = ((), ())
 
 
-def _answer_reply(request: QueryRequest, answers: Answers,
-                  outcome: QueryOutcome, **fields: Any) -> QueryResponse:
-    """A response carrying *answers* as new rows, notes and outcome:
-    nothing in it is shared with the result cache, which keeps
-    *answers* (immutable) and *outcome* for later hits."""
+def _answer_reply(request: QueryRequest, served: Served,
+                  outcome: QueryOutcome, snapshot: Optional[Tuple[int, int]],
+                  **fields: Any) -> QueryResponse:
+    """A response carrying a row view over *served* blocks, a new notes
+    list and a copy of *outcome*: the blocks are immutable, so the reply
+    shares them with the result cache, which keeps *served* and
+    *outcome* for later hits.  *snapshot* is the ``(registration,
+    version)`` the run was keyed on."""
+    blocks, notes = served
     return _reply(request, replace(outcome, detail=dict(outcome.detail)),
-                  results=answer_rows(answers.tables),
-                  degradation=list(answers.notes), **fields)
+                  results=AnswerRows(blocks), degradation=list(notes),
+                  versions=({} if snapshot is None
+                            else {request.document: snapshot[1]}),
+                  **fields)
 
 
 class QueryService:
@@ -392,14 +411,15 @@ class QueryService:
             entry.hard_deadline = time.monotonic() + entry.watchdog_budget
         # serve result-cache hits synchronously: no worker, microseconds
         with trace_span("service.cache_probe") as probe:
-            key = self._cache_key(request)
+            snapshot = self._snapshot(request)
+            key = self._cache_key(request, snapshot)
             cached = None if key is None else self.result_cache.get(key)
             probe.annotate(hit=cached is not None)
         if cached is not None:
-            answers, outcome = cached
+            served, outcome = cached
             self.metrics.count("result_cache_hits")
             return _answer_reply(
-                request, answers, outcome, cache="hit",
+                request, served, outcome, snapshot, cache="hit",
                 elapsed=time.perf_counter() - entry.submitted_at)
         entry.context = self.config.derive_context(
             timeout=request.timeout, max_steps=request.max_steps,
@@ -664,23 +684,29 @@ class QueryService:
         return ("baseline" if request.baseline else "optimized",
                 opts.limit, request.max_steps, request.max_memory)
 
-    def _cache_key(self, request: QueryRequest):
-        """The cache key of a request, or None when uncacheable.
+    def _snapshot(self, request: QueryRequest) -> Optional[Tuple[int, int]]:
+        """The requested document's ``(registration, version)`` now, or
+        None for an unknown document.
 
-        The data component pairs the document's registration number
-        (which collection object is registered) with its version sum
-        (how far that object has been mutated): two different
-        collections whose versions happen to add up alike never share
-        entries."""
-        if not request.use_cache or not isinstance(request.query, str):
-            return None
+        The registration number says which collection object is
+        registered, the version sum how far that object has been
+        mutated: two different collections whose versions happen to add
+        up alike never share cache entries."""
         try:
-            version = (self.database.registration(request.document),
-                       self.document_version(request.document))
+            return (self.database.registration(request.document),
+                    self.document_version(request.document))
         except KeyError:
             return None
+
+    def _cache_key(self, request: QueryRequest,
+                   snapshot: Optional[Tuple[int, int]]):
+        """The cache key of a request at *snapshot*, or None when
+        uncacheable."""
+        if (snapshot is None or not request.use_cache
+                or not isinstance(request.query, str)):
+            return None
         return make_key(request.document, request.query,
-                        self._options_key(request), version)
+                        self._options_key(request), snapshot)
 
     def _run_local(self, entry: _Inflight) -> None:
         """Worker-thread body: match, serialize, cache.
@@ -714,12 +740,13 @@ class QueryService:
             with trace_span("service.execute"):
                 context = entry.context
                 assert context is not None  # set when _start dispatched
-                # key the caches on the document version *before*
-                # execution, so a mutation racing with this query can
-                # never publish its results under the post-mutation
-                # version
-                key = self._cache_key(request)
-                answers = NO_ANSWERS
+                # key the cache and the reply's version on the document
+                # version *before* execution, so a mutation racing with
+                # this query can never publish its results under (or
+                # report) the post-mutation version
+                snapshot = self._snapshot(request)
+                key = self._cache_key(request, snapshot)
+                served = NO_ANSWERS
                 error: Optional[str] = None
                 try:
                     pattern = (request.query if entry.prepared is None
@@ -727,16 +754,17 @@ class QueryService:
                     answers = self.database.execute(
                         request.document, pattern,
                         self._options_for(request), context=context)
+                    served = (answer_blocks(answers.tables), answers.notes)
                     self.metrics.count("executed")
                 except Exception as exc:
                     logger.exception("query %s failed", request.request_id)
                     error = str(exc)
                 outcome = context.outcome()
                 if (error is None and key is not None
-                        and self.result_cache.admit(key, answers, outcome)):
+                        and self.result_cache.admit(key, served, outcome)):
                     self.metrics.count("result_cache_misses")
                 response = _answer_reply(
-                    request, answers, outcome,
+                    request, served, outcome, snapshot,
                     cache="miss" if key is not None else "bypass",
                     elapsed=time.perf_counter() - entry.submitted_at,
                     error=error)

@@ -33,33 +33,14 @@ from .wal import RecoveryResult
 
 
 class Answers(NamedTuple):
-    """A query's answer in a shape nobody can change, so the result
-    cache can keep it and every reply can get fresh rows from it."""
+    """A query's answer in a shape nobody can change: the service
+    flattens its tables into wire blocks once
+    (:func:`repro.service.protocol.answer_blocks`)."""
 
     #: ``(graph name, answer table)`` per graph with answers, in graph order
     tables: Tuple[Tuple[str, AnswerTable], ...]
     #: degradation notes, each prefixed with the graph it concerns
     notes: Tuple[str, ...]
-
-
-def answer_rows(
-    tables: Iterable[Tuple[str, AnswerTable]],
-) -> List[Dict[str, Any]]:
-    """Per-graph answer tables in their serving shape: new rows on
-    every call.
-
-    The one place a mapping becomes a JSON-ready
-    ``{"graph": name, "nodes": {...}, "edges": {...}}`` row, in graph
-    order, read straight off each table's blocks.
-    """
-    rows: List[Dict[str, Any]] = []
-    for name, table in tables:
-        for node_names, edge_names, block in table.blocks:
-            rows.extend([{"graph": name,
-                          "nodes": dict(zip(node_names, node_ids)),
-                          "edges": dict(zip(edge_names, edge_ids))}
-                         for node_ids, edge_ids in block])
-    return rows
 
 
 class GraphDatabase:
@@ -273,8 +254,8 @@ class GraphDatabase:
         context: Optional[ExecutionContext] = None,
     ) -> Answers:
         """Run a pattern over a document: :meth:`match` as immutable
-        :class:`Answers`, what the service's workers return (and its
-        result cache keeps); :func:`answer_rows` turns them into rows."""
+        :class:`Answers`, what the service's workers turn into wire
+        blocks."""
         reports = self.match(document, pattern, options, context=context)
         return Answers(
             tuple((name, report.mappings) for name, report in reports.items()

@@ -1,5 +1,5 @@
-"""The one-member-loop, one-answer-cache and one-answer-cap architecture
-guard (tools/lint_architecture.py)."""
+"""The one-member-loop, one-answer-cache, one-answer-cap and one-row-builder
+architecture guard (tools/lint_architecture.py)."""
 
 import importlib.util
 import textwrap
@@ -11,9 +11,10 @@ lint = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(lint)
 
 
-def codes(src, in_matching=False, in_cache=False):
+def codes(src, in_matching=False, in_cache=False, in_protocol=False):
     return [code for _, code, _ in lint.check_source(
-        textwrap.dedent(src), in_matching=in_matching, in_cache=in_cache)]
+        textwrap.dedent(src), in_matching=in_matching, in_cache=in_cache,
+        in_protocol=in_protocol)]
 
 
 class TestDetection:
@@ -78,6 +79,25 @@ class TestDetection:
         """
         assert codes(src) == ["A004"]
         assert codes(src, in_cache=True) == []
+
+    def test_planted_row_dict_is_a006(self):
+        src = """
+            def answer_rows(name, node_names, edge_names, rows):
+                return [{"graph": name,
+                         "nodes": dict(zip(node_names, nodes)),
+                         "edges": dict(zip(edge_names, edges))}
+                        for nodes, edges in rows]
+        """
+        assert codes(src) == ["A006"]
+        assert codes(src, in_matching=True) == ["A006"]
+        assert codes(src, in_protocol=True) == []
+
+    def test_a006_needs_all_three_row_keys(self):
+        assert codes("""
+            entry = {"graph": name, "nodes": 3}
+            explained = {"graph": name, "edges": [], "actual": None}
+            block = {"nodes": names, "edges": names, "rows": rows}
+        """) == []
 
     def test_re_exporting_lru_is_not_a004(self):
         assert codes("""

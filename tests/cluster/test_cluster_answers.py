@@ -23,6 +23,7 @@ from repro.datasets.molecules import molecule_collection
 from repro.runtime import Outcome
 from repro.service import QueryService, ServiceConfig
 from repro.service.client import ClientReply
+from repro.service.protocol import AnswerRows, decode, encode
 
 SHARDS = 4
 QUERY = ('graph P { node a <label="C">; node b <label="C">; '
@@ -50,11 +51,12 @@ class InProcessClient:
             text, document=document, request_id=request_id,
             timeout=timeout, limit=limit, max_steps=max_steps,
             baseline=baseline, use_cache=not no_cache)
+        wire = decode(encode(response.to_dict()))
         return ClientReply(
             ok=response.error is None, request_id=response.request_id,
-            results=response.results, outcome=response.outcome,
-            error=response.error,
-            versions={document: self.service.document_version(document)})
+            results=AnswerRows.from_wire(wire["blocks"]),
+            outcome=response.outcome, error=response.error,
+            versions=wire.get("versions", {}))
 
     def cancel(self, target, reason=""):
         return self.service.cancel(target, reason=reason)

@@ -16,6 +16,7 @@ from repro.cluster import ClusterCoordinator, ShardMap
 from repro.cluster import coordinator as coordinator_module
 from repro.runtime import Outcome, QueryOutcome
 from repro.service.client import ClientReply
+from repro.service.protocol import AnswerRows
 
 QUERY = 'graph P { node a <label="C">; }'
 
@@ -69,11 +70,12 @@ class ScriptedClient:
             time.sleep(delay)
         if shard.error is not None:
             raise shard.error
-        rows = [{"graph": f"g{i}", "nodes": {}, "edges": {}}
-                for i in range(shard.rows)]
+        blocks = [{"graph": f"g{i}", "nodes": [], "edges": [], "rows": [[]]}
+                  for i in range(shard.rows)]
         limit = kwargs.get("limit")
         if limit is not None:
-            rows = rows[:limit]
+            blocks = blocks[:limit]
+        rows = AnswerRows.from_wire(blocks)
         return ClientReply(
             ok=True, request_id="r", results=rows,
             outcome=QueryOutcome(status=shard.status,
@@ -403,6 +405,36 @@ def test_primary_stalling_past_its_share_fails_over_to_the_replica():
     assert entry["replica_used"] == "shard1" and entry["failovers"] == 1
     assert coordinator.stats()["counters"]["failovers"] == 1
     assert_failures_named(reply)
+
+
+def test_a_limit_inside_a_block_cuts_that_block_and_tags_every_row():
+    class BlockClient(ScriptedClient):
+        def query(self, query_text, **kwargs):
+            reply = super().query(query_text, **kwargs)
+            reply.results = AnswerRows.from_wire([{
+                "graph": "g", "nodes": ["a"], "edges": ["e"],
+                "rows": [[f"v{i}", f"e{i}"] for i in range(len(reply.results))],
+            }])
+            return reply
+
+    shards = [ScriptedShard(rows=3), ScriptedShard(rows=4)]
+    coordinator = build(shards)
+    coordinator.client_factory = lambda host, port, timeout=None, \
+        client_name="": BlockClient(shards[port])
+    reply = coordinator.query(QUERY, limit=5)
+    assert reply.outcome.status is Outcome.TRUNCATED
+    assert reply.outcome.reason == "global limit reached across shards"
+    assert len(reply.results) == reply.outcome.results == 5
+    assert [row["shard"] for row in reply.results] == \
+        ["shard0"] * 3 + ["shard1"] * 2
+    assert reply.results[4] == {"graph": "g", "nodes": {"a": "v1"},
+                                "edges": {"e": "e1"}, "shard": "shard1"}
+    assert [(block["shard"], len(block["rows"]))
+            for block in reply.to_dict()["blocks"]] == [("shard0", 3),
+                                                       ("shard1", 2)]
+    # the per-shard accounting counts what each shard answered
+    assert [entry["rows"] for entry in
+            reply.outcome.detail["shards"].values()] == [3, 4]
 
 
 def test_malformed_shard_reply_fails_only_its_slice():

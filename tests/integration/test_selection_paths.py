@@ -26,7 +26,7 @@ from repro.obs.explain import explain_document
 from repro.runtime import ExecutionContext
 from repro.service import QueryService, ServiceConfig
 from repro.storage import GraphDatabase
-from repro.storage.database import answer_rows
+from tests.service.reference import answer_rows
 
 LABELS = "AB"
 THRESHOLD = GraphDatabase.COLLECTION_INDEX_THRESHOLD

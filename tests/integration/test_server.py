@@ -64,7 +64,7 @@ class TestWireProtocol:
     def test_ping_reports_version_and_drain_state(self, server):
         with connect(server) as client:
             reply = client.ping()
-            assert reply["version"] == 1
+            assert reply["version"] == 2
             assert reply["draining"] is False
 
     def test_query_round_trip_carries_outcome(self, server):
@@ -85,6 +85,45 @@ class TestWireProtocol:
             assert cold.cache == "miss"
             assert warm.cache == "hit"
             assert warm.results == cold.results
+
+    def test_versions_are_the_ones_the_run_was_keyed_on(self, server,
+                                                         monkeypatch):
+        """A write landing while the query runs is not reported as the
+        version the answer was computed against."""
+        service = server.service
+        database = service.database
+        before = service.document_version("data")
+        run = database.execute
+
+        def write_then_run(*args, **kwargs):
+            database.doc("data")[0].add_node("late", label="L001")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(database, "execute", write_then_run)
+        with connect(server) as client:
+            reply = client.query(FAST_QUERY, limit=20)
+        assert reply.cache == "miss"
+        assert service.document_version("data") > before
+        assert reply.versions == {"data": before}
+
+    def test_a_malformed_answer_block_is_a_desync_the_client_resends(
+            self, server, monkeypatch):
+        attempts = []
+
+        def short_row(message, request_id):
+            attempts.append(message.get("attempt"))
+            return {"id": request_id, "ok": True, "op": "query",
+                    "outcome": {"status": "COMPLETE"},
+                    "blocks": [{"graph": "g", "nodes": ["u1", "u2"],
+                                "edges": [], "rows": [["v1"]]}]}
+
+        monkeypatch.setattr(server, "_handle_query", short_row)
+        host, port = server.address
+        with ServiceClient(host, port, timeout=10.0, retries=1,
+                           backoff_base=0.001, retry_seed=0) as client:
+            with pytest.raises(ProtocolError):
+                client.query(FAST_QUERY)
+        assert attempts == [None, 2]
 
     def test_malformed_line_yields_error_not_disconnect(self, server):
         with connect(server) as client:
@@ -261,15 +300,16 @@ def test_any_field_values_end_as_a_protocol_error_or_a_finished_query(
 class TestOversizedResponse:
     def test_degraded_envelope_keeps_the_outcome(self):
         """A response past the line limit loses its rows, not the session."""
-        from repro.service.server import _without_results
+        from repro.service.server import _without_blocks
 
         response = {"id": "q1", "op": "query", "request_id": "q1",
                     "client": "c", "outcome": {"status": "CANCELLED"},
                     "cache": "bypass", "elapsed": 1.0, "ok": True,
-                    "results": [{"graph": "g"}] * 100}
-        slim = _without_results(response, "exceeds the line limit")
+                    "blocks": [{"graph": "g", "nodes": [], "edges": [],
+                                "rows": [[]] * 100}]}
+        slim = _without_blocks(response, "exceeds the line limit")
         assert slim["ok"] is False
-        assert slim["results"] == []
+        assert slim["blocks"] == []
         assert slim["outcome"]["status"] == "CANCELLED"
         assert "exceeds the line limit" in slim["error"]
 

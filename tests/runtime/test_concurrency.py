@@ -165,7 +165,7 @@ class TestContextIndependence:
         import sys
 
         from repro.storage import GraphDatabase
-        from repro.storage.database import answer_rows
+        from tests.service.reference import answer_rows
 
         members = []
         for m in range(8):

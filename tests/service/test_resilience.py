@@ -471,7 +471,7 @@ class TestWireResilience:
                 "op": "query", "query": EDGE_QUERY, "document": "data",
                 "client": "dup", "id": first.request_id, "attempt": 2,
             })
-            assert retry["results"] == fresh.raw["results"]
+            assert retry["blocks"] == fresh.raw["blocks"]
             assert retry["versions"] == fresh.raw["versions"]
             assert client.stats()["client_retries"] == {"dup": 1}
 
@@ -486,7 +486,7 @@ class TestWireResilience:
                 "no_cache": True,
             })
             assert retry["cache"] == "bypass"
-            assert retry["results"] == first.raw["results"]
+            assert retry["blocks"] == first.raw["blocks"]
             assert client.stats()["executed"] == executed + 1
 
     def test_http_and_wire_probes_agree_while_draining(self):

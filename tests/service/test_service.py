@@ -159,7 +159,8 @@ class TestResultCache:
             assert cold.cache == "miss" and expected
             for reply in (cold, service.execute(EDGE_QUERY)):
                 reply.results[0]["nodes"]["u1"] = "BOGUS"
-                reply.results.append({"graph": "BOGUS"})
+                with pytest.raises(AttributeError):
+                    reply.results.append({"graph": "BOGUS"})
                 reply.outcome.detail["BOGUS"] = True
                 reply.degradation.append("BOGUS")
                 again = service.execute(EDGE_QUERY)

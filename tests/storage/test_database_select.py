@@ -14,7 +14,7 @@ from repro.matching import MatchOptions
 from repro.matching.planner import SMALL_MEMBER_NODES
 from repro.runtime import ExecutionContext, Outcome
 from repro.storage import GraphDatabase
-from repro.storage.database import answer_rows
+from tests.service.reference import answer_rows
 
 
 class TestDatabaseSelect:

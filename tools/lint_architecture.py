@@ -1,5 +1,5 @@
 """Architecture guard: one member loop, one answer cache, one answer cap,
-and no module nothing reaches.
+one row builder, and no module nothing reaches.
 
 ``repro.matching.planner.match_members`` is the only routine that matches
 a pattern against the members of a collection and the only place that
@@ -31,6 +31,10 @@ its last caller:
         cap is its ``limit``, counted by ``match_members`` across
         members; ``default_max_results``, the service's ceiling on that
         limit, is another identifier and allowed)
+  A006  a dict display with the keys ``"graph"``, ``"nodes"`` and
+        ``"edges"`` outside ``repro/service/protocol.py`` (answers
+        travel as blocks of flat id rows; ``AnswerRows`` there is the
+        one place a row dict is built, when a caller reads a row)
 
 Run: ``python tools/lint_architecture.py [root]`` (defaults to
 ``src/repro``; A003 reads the importer trees beside ``src/``); exits
@@ -74,11 +78,26 @@ def _identifier(node):
     return None
 
 
+#: the keys of an answer row dict (A006)
+ROW_KEYS = frozenset(("graph", "nodes", "edges"))
+
+
+def _is_row_dict(node):
+    """Whether *node* is a dict display with every :data:`ROW_KEYS` key."""
+    return isinstance(node, ast.Dict) and ROW_KEYS <= {
+        key.value for key in node.keys if isinstance(key, ast.Constant)}
+
+
 def check_source(src, filename="<source>", in_matching=False,
-                 in_cache=False):
+                 in_cache=False, in_protocol=False):
     """All findings for one source text: ``[(lineno, code, message)]``."""
     found = set()
     for node in ast.walk(ast.parse(src, filename=filename)):
+        if not in_protocol and _is_row_dict(node):
+            found.add((node.lineno, "A006",
+                       "answer row dict built outside "
+                       "repro/service/protocol.py (carry blocks; read rows "
+                       "through AnswerRows)"))
         if not in_cache and (
                 (isinstance(node, ast.Call)
                  and _identifier(node.func) == "LRUCache")
@@ -104,7 +123,8 @@ def check_file(path, root):
     relative = path.relative_to(root).parts
     return check_source(path.read_text(), str(path),
                         in_matching=relative[0] == "matching",
-                        in_cache=relative == ("service", "cache.py"))
+                        in_cache=relative == ("service", "cache.py"),
+                        in_protocol=relative == ("service", "protocol.py"))
 
 
 class _ModuleTree:
