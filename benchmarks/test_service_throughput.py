@@ -4,30 +4,22 @@ Not a paper figure — this tracks the service layer added on top of the
 paper's matcher: admission control, the result cache, and per-request
 governance.  The experiment drives concurrent clients over a mixed
 workload (repeated cacheable queries plus unique ones) and reports
-throughput, latency quantiles and cache effectiveness, so regressions
-in the serving path show up next to the matcher benchmarks.
+throughput, latency quantiles and cache effectiveness.  The second test
+times a cluster fan-out against one shard.
 """
 
-import json
 import os
+import random
 import threading
 import time
-from typing import List
+from typing import List, Optional, Sequence
 
-from harness import (
-    HIT_LIMIT,
-    fmt_ms,
-    get_ppi,
-    measure_query,
-    print_table,
-)
-
-from repro.datasets.queries import seeded_clique_query
+from repro.datasets import ppi_network
 from repro.runtime import Outcome
 from repro.service import QueryService, ServiceConfig
 
-import random
-
+#: the paper terminates a query past 1000 answers
+HIT_LIMIT = 1000
 CLIENTS = 6
 REQUESTS_PER_CLIENT = 12
 WORKERS = 3
@@ -35,6 +27,19 @@ WORKERS = 3
 #: text form keeps the requests cacheable end to end
 EDGE_TEMPLATE = ('graph P {{ node a <label="{a}">; node b <label="{b}">; '
                  'edge e1 (a, b); }}')
+
+
+def fmt_ms(seconds: Optional[float]) -> str:
+    return "-" if seconds is None else f"{seconds * 1000:.1f}"
+
+
+def print_table(title: str, headers: Sequence[str], rows) -> None:
+    rows = [[str(cell) for cell in row] for row in rows]
+    widths = [max([len(h)] + [len(row[i]) for row in rows])
+              for i, h in enumerate(headers)]
+    print(f"\n== {title} ==")
+    for row in [list(headers)] + rows:
+        print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
 
 
 def label_pool(graph, k: int = 8) -> List[str]:
@@ -49,13 +54,13 @@ def make_service() -> QueryService:
         workers=WORKERS, queue_depth=CLIENTS * REQUESTS_PER_CLIENT,
         per_client=REQUESTS_PER_CLIENT, default_timeout=10.0,
         default_max_results=HIT_LIMIT))
-    service.register("data", get_ppi())
+    service.register("data", ppi_network())
     return service
 
 
 def run_experiment():
     service = make_service()
-    graph = get_ppi()
+    graph = ppi_network()
     labels = label_pool(graph)
     rng = random.Random(17)
     # one hot query (every client repeats it => cache hits) plus a
@@ -190,32 +195,3 @@ def test_cluster_throughput_vs_single_shard(capsys):
             f"fan-out overhead too high on {cores} core(s): "
             f"{sharded_latency * 1000:.1f}ms vs "
             f"{single_latency * 1000:.1f}ms single-shard")
-
-
-def test_measure_query_records_serving_path():
-    """measure_query result dicts carry cache verdicts + outcomes."""
-    service = make_service()
-    try:
-        from harness import get_ppi_matcher
-
-        graph = get_ppi()
-        labels = label_pool(graph)
-        text = EDGE_TEMPLATE.format(a=labels[0], b=labels[1])
-        rng = random.Random(5)
-        query = seeded_clique_query(graph, 2, rng)
-        result = measure_query(get_ppi_matcher(), query,
-                               service=service, query_text=text)
-
-        assert result.cache["service_cold"] == "miss"
-        assert result.cache["service_warm"] == "hit"
-        assert result.outcomes["service_warm"] in (Outcome.COMPLETE,
-                                                   Outcome.TRUNCATED)
-        payload = result.as_dict()
-        # BENCH JSONs must be directly serializable
-        round_tripped = json.loads(json.dumps(payload))
-        assert round_tripped["cache"]["service_warm"] == "hit"
-        assert round_tripped["outcomes"]["service_cold"] in (
-            "COMPLETE", "TRUNCATED")
-        assert round_tripped["times"]["service_warm"] >= 0.0
-    finally:
-        service.shutdown()

@@ -21,7 +21,7 @@ from .symmetry import Getter
 
 
 class SearchCounters:
-    """Instrumentation for the backtracking search (used by benchmarks)."""
+    """Work counters of the backtracking search (Algorithm 4.1)."""
 
     __slots__ = ("candidates_tried", "check_calls", "partial_states", "results")
 

@@ -371,7 +371,7 @@ class JsonlSink:
 
 
 class SpanCollector:
-    """Collects finished spans in memory (tests and benchmarks)."""
+    """Collects finished spans in memory (tests, and the traced bench)."""
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
@@ -385,16 +385,6 @@ class SpanCollector:
         """Finished spans with the given name."""
         with self._lock:
             return [s for s in self.spans if s.name == name]
-
-    def totals(self) -> Dict[str, float]:
-        """Summed durations per span name."""
-        out: Dict[str, float] = {}
-        with self._lock:
-            for finished in self.spans:
-                if finished.duration is not None:
-                    out[finished.name] = (out.get(finished.name, 0.0)
-                                          + finished.duration)
-        return out
 
 
 # --------------------------------------------------------------------------

@@ -38,9 +38,9 @@ class ExecutionStats:
 class WorkBudgetExceeded(RuntimeError):
     """Raised when a query exceeds its rows-examined budget.
 
-    The benchmarks use this the way the paper terminates long queries
-    ("queries having too many hits are terminated immediately"): the SQL
-    arm is cut off once it has examined a configured number of rows.
+    The budget stands in for the paper's terminated queries ("queries
+    having too many hits are terminated immediately"): the SQL arm of
+    the experiments is cut off once it has examined that many rows.
     """
 
 

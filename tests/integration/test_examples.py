@@ -1,8 +1,8 @@
-"""Smoke tests: the shipped examples run end to end.
+"""Smoke tests: every shipped example runs end to end.
 
-The two heavyweight examples (PPI motif search, SQL comparison) are
-exercised by the benchmarks; here we run the light ones, which double as
-executable documentation.
+The examples double as executable documentation; the two heavier ones
+(PPI motif search, SQL comparison) also check inside ``main`` that
+Baseline and Optimized, or SQL and the graph matcher, agree.
 """
 
 import importlib.util
@@ -59,3 +59,14 @@ class TestExamples:
         lines = [l for l in out.splitlines() if "followers" in l]
         counts = [int(l.split(":")[1].split()[0]) for l in lines]
         assert counts == sorted(counts, reverse=True)
+
+    def test_ppi_motif_search(self, capsys):
+        out = run_example("ppi_motif_search", capsys)
+        assert "space reduction" in out
+        assert "example complex instances (size-4 clique):" in out
+
+    def test_sql_vs_graphql(self, capsys):
+        out = run_example("sql_vs_graphql", capsys)
+        assert "sql rows examined" in out
+        assert "(aborted)" not in out
+        assert "SELECT V1.vid" in out
