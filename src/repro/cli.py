@@ -389,14 +389,15 @@ def cmd_match(args: argparse.Namespace) -> int:
     with _tracing_to(args.trace_out):
         reports = database.match("data", pattern, options, context=context)
     if args.json:
-        from .service.protocol import AnswerRows, answer_blocks
+        from .service.protocol import AnswerRows
 
         overall = context.outcome()
         document = {
             "graphs": {
                 name: {
                     "mappings": list(AnswerRows(
-                        answer_blocks([(name, report.mappings)]))),
+                        block._replace(graph=name)
+                        for block in report.mappings.blocks)),
                     "outcome": report.outcome.to_dict(),
                     "degradation": list(report.degradation),
                     "stages": report.stats_dict(),

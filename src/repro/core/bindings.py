@@ -9,9 +9,9 @@ matched against further patterns or fed to composition.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import islice
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, overload)
+from typing import Any, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .graph import Edge, Graph, Node
 from .predicate import MISSING
@@ -64,53 +64,62 @@ class Mapping:
         return f"Mapping({inner})"
 
 
-#: One row of an :class:`AnswerTable`: the data node ids and the data
-#: edge ids of one mapping, in its block's name order.
-Row = Tuple[Tuple[str, ...], Tuple[str, ...]]
-#: One search's answers: ``(node names, edge names, rows)``.
-Block = Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[Row, ...]]
+class Block(NamedTuple):
+    """One search's answers on one graph, as a binding table: the one
+    row layout from Algorithm 4.1's leaf to the socket.
+
+    Each row is one flat tuple: the data node ids in ``nodes`` order,
+    then the data edge ids in ``edges`` order.  The search emits its
+    block with ``graph`` empty; :meth:`GraphDatabase.execute
+    <repro.storage.database.GraphDatabase.execute>` names it with
+    ``_replace``, which shares ``rows``, so the memo, the result cache
+    and every reply hold the same row tuples.  The wire sends exactly
+    this shape (:mod:`repro.service.protocol`)."""
+
+    graph: str
+    nodes: Sequence[str]
+    edges: Sequence[str]
+    rows: Sequence[Sequence[str]]
+    #: the cluster shard that answered (set by the coordinator's merge)
+    shard: Optional[str] = None
 
 
-def row_mapping(node_names: Sequence[str], edge_names: Sequence[str],
-                row: Row) -> Mapping:
-    """The :class:`Mapping` of one table row under its block's names."""
+def row_mapping(block: Block, row: Sequence[str]) -> Mapping:
+    """The :class:`Mapping` of one row under its block's names: the row
+    sliced at the block's node width."""
     mapping = Mapping.__new__(Mapping)
-    mapping.nodes = dict(zip(node_names, row[0]))
-    mapping.edges = dict(zip(edge_names, row[1]))
+    mapping.nodes = dict(zip(block.nodes, row))
+    mapping.edges = dict(zip(block.edges, row[len(block.nodes):]))
     return mapping
 
 
-class AnswerTable:
-    """A bag of mappings as value tuples under fixed schemas (a binding
-    table): the answer shape from Algorithm 4.1's leaf to the wire.
+class BlockSequence(Sequence):
+    """Read-only rows over answer blocks: the one implementation of
+    ``len()``, iteration and indexing (int, negative and slice).
 
-    ``blocks`` holds one ``(node names, edge names, rows)`` block per
-    search; each row holds one mapping's node ids and edge ids in that
-    block's name order.  The table is immutable, so reports, memoised
-    runs and cached answers share it instead of copying mappings.
-    ``len()`` counts the mappings; iterating, indexing and slicing build
-    :class:`Mapping` objects on access, keys in schema order.
+    ``len()`` counts rows without reading any; every read goes through
+    the subclass's :meth:`read`, new on each access.
     """
 
     __slots__ = ("blocks", "_size")
 
     def __init__(self, blocks: Iterable[Block] = ()) -> None:
         self.blocks: Tuple[Block, ...] = tuple(blocks)
-        self._size = sum(len(block[2]) for block in self.blocks)
+        self._size = sum(len(block.rows) for block in self.blocks)
+
+    @staticmethod
+    def read(block: Block, row: Sequence[str]) -> Any:
+        """One row as its reader sees it."""
+        raise NotImplementedError
 
     def __len__(self) -> int:
         return self._size
 
-    def __iter__(self) -> Iterator[Mapping]:
-        for node_names, edge_names, rows in self.blocks:
-            for row in rows:
-                yield row_mapping(node_names, edge_names, row)
-
-    @overload
-    def __getitem__(self, index: int) -> Mapping: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> List[Mapping]: ...
+    def __iter__(self) -> Iterator[Any]:
+        read = self.read
+        for block in self.blocks:
+            for row in block.rows:
+                yield read(block, row)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -120,18 +129,34 @@ class AnswerTable:
             return list(islice(self, start, stop, step))
         position = index + self._size if index < 0 else index
         if position >= 0:
-            for node_names, edge_names, rows in self.blocks:
-                if position < len(rows):
-                    return row_mapping(node_names, edge_names, rows[position])
-                position -= len(rows)
-        raise IndexError("answer table index out of range")
+            for block in self.blocks:
+                if position < len(block.rows):
+                    return self.read(block, block.rows[position])
+                position -= len(block.rows)
+        raise IndexError(f"{type(self).__name__} index out of range")
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}({self._size} row(s) in "
+                f"{len(self.blocks)} block(s))")
+
+
+class AnswerTable(BlockSequence):
+    """A bag of mappings as flat rows under fixed schemas (a binding
+    table), one :class:`Block` per search.
+
+    The table is immutable, so reports, memoised runs and cached answers
+    share it instead of copying mappings.  ``len()`` counts the
+    mappings; iterating, indexing and slicing build :class:`Mapping`
+    objects on access, keys in schema order.
+    """
+
+    __slots__ = ()
+
+    read = staticmethod(row_mapping)
 
     def __add__(self, other: "AnswerTable") -> "AnswerTable":
         """The answers of both tables, this one's first."""
         return AnswerTable(self.blocks + other.blocks)
-
-    def __repr__(self) -> str:
-        return f"AnswerTable({self._size} mapping(s) in {len(self.blocks)} block(s))"
 
 
 #: The table of no answers.

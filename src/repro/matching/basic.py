@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
-from ..core.bindings import AnswerTable, Mapping, Row, row_mapping
+from ..core.bindings import AnswerTable, Block, Mapping, row_mapping
 from ..core.graph import Graph
 from ..core.pattern import GroundPattern
 from ..runtime import ExecutionContext, ExecutionInterrupted, mapping_cost
@@ -111,9 +111,10 @@ def find_matches(
     direction to probe and whether its F_e can fail at all.  It fixes
     the table's schema too: node names are the pins, then the search
     order; edge names are the pins' edges, then each depth's back edges
-    in order.  Each answer is one row of value tuples; a
-    :class:`Mapping` is built at the leaf only to evaluate a graph-wide
-    predicate F, when the pattern has one.
+    in order.  Each answer is one flat row, node ids then edge ids
+    (:class:`~repro.core.bindings.Block`); a :class:`Mapping` is built
+    at the leaf only to evaluate a graph-wide predicate F, when the
+    pattern has one.
 
     Without pins, and when every orbit of the pattern's automorphism
     group (:meth:`~repro.core.pattern.GroundPattern.symmetry`) has the
@@ -142,7 +143,7 @@ def find_matches(
     mapping = Mapping()
     nodes, edges = mapping.nodes, mapping.edges
     used: set[str] = set()
-    rows: List[Row] = []
+    rows: List[Tuple[str, ...]] = []
     check = _compile_check(pattern, graph, nodes, edges)
 
     # pinned nodes: all mapped first, then each checked against every pin
@@ -150,14 +151,14 @@ def find_matches(
     for name, node_id in pins.items():
         if (not graph.has_node(node_id) or node_id in used
                 or not pattern.node_matches(name, graph.node(node_id))):
-            return AnswerTable([(node_keys, (), ())])
+            return AnswerTable([Block("", node_keys, (), ())])
         nodes[name] = node_id
         used.add(node_id)
     for name, node_id in pins.items():
         if counters is not None:
             counters.check_calls += 1
         if not check(_back_edges(pattern, name, pins, graph.directed), node_id):
-            return AnswerTable([(node_keys, (), ())])
+            return AnswerTable([Block("", node_keys, (), ())])
 
     mapped = set(pins)
     steps = []
@@ -168,14 +169,13 @@ def find_matches(
         steps.append((u, candidates.get(u, ()), back))
         edge_names.extend([name for name, _, _, _ in back])
     depth = len(steps)
-    edge_keys = tuple(edge_names)
+    schema = Block("", node_keys, tuple(edge_names), ())
     residual = pattern.decomposed.residual is not None
-    cost = mapping_cost(len(node_keys) + len(edge_keys))
+    cost = mapping_cost(len(node_keys) + len(edge_names))
 
-    def accept(node_values: Tuple[str, ...],
-               edge_values: Tuple[str, ...]) -> bool:
+    def accept(row: Tuple[str, ...]) -> bool:
         """Report one complete mapping; True when the search should stop."""
-        rows.append((node_values, edge_values))
+        rows.append(row)
         if counters is not None:
             counters.results += 1
         if context is not None and context.note_result(memory=cost):
@@ -189,10 +189,10 @@ def find_matches(
     # depth's node (the Grochow-Kellis constraints, checked at the depth
     # that maps their second node); per level of the group's stabiliser
     # chain, ``levels`` holds the identity (``tuple`` returns a tuple
-    # itself) and then the coset representatives, as getters over value
-    # tuples in the schema's order.
+    # itself) and then the coset representatives, as getters over flat
+    # rows in the schema's order.
     bounds: List[Tuple[Tuple[str, ...], Tuple[str, ...]]] = []
-    levels: Tuple[Tuple[Tuple[Getter, Getter], ...], ...] = ()
+    levels: Tuple[Tuple[Getter, ...], ...] = ()
     symmetry = None if pins else pattern.symmetry(graph.directed)
     if (symmetry is not None and not symmetry.trivial
             and symmetry.uniform(candidates)):
@@ -203,31 +203,27 @@ def find_matches(
                       if x == u and at[b] < i),
                 tuple(x for b, x in symmetry.constraints
                       if b == u and at[x] < i)))
-        levels = tuple(((tuple, tuple),) + representatives
+        levels = tuple((tuple,) + representatives
                        for representatives in symmetry.expansion(
-                           node_keys, edge_keys))
+                           node_keys, schema.edges))
         last = len(levels) - 1
 
-        def accept_if_f(node_values: Tuple[str, ...],
-                        edge_values: Tuple[str, ...]) -> bool:
+        def accept_if_f(row: Tuple[str, ...]) -> bool:
             """:func:`accept` the row when F holds on its mapping."""
-            return pattern.residual_holds(row_mapping(
-                node_keys, edge_keys, (node_values, edge_values)),
-                graph) and accept(node_values, edge_values)
+            return (pattern.residual_holds(row_mapping(schema, row), graph)
+                    and accept(row))
 
         emit = accept_if_f if residual else accept
 
-        def expand(level: int, node_values: Tuple[str, ...],
-                   edge_values: Tuple[str, ...]) -> bool:
+        def expand(level: int, row: Tuple[str, ...]) -> bool:
             """Emit ψ∘g for every g of the group from *level* on."""
             if level == last:
-                for node_getter, edge_getter in levels[last]:
-                    if emit(node_getter(node_values), edge_getter(edge_values)):
+                for getter in levels[last]:
+                    if emit(getter(row)):
                         return True
                 return False
-            for node_getter, edge_getter in levels[level]:
-                if expand(level + 1, node_getter(node_values),
-                          edge_getter(edge_values)):
+            for getter in levels[level]:
+                if expand(level + 1, getter(row)):
                     return True
             return False
 
@@ -237,10 +233,10 @@ def find_matches(
             counters.partial_states += 1
         if i == depth:
             if levels:
-                return expand(0, tuple(nodes.values()), tuple(edges.values()))
+                return expand(0, (*nodes.values(), *edges.values()))
             if residual and not pattern.residual_holds(mapping, graph):
                 return False
-            return accept(tuple(nodes.values()), tuple(edges.values()))
+            return accept((*nodes.values(), *edges.values()))
         u, mates, back = steps[i]
         if bounds:  # only canonical mappings: φ(b) < φ(x)
             mates = _canonical_mates(mates, bounds[i], nodes)
@@ -269,7 +265,7 @@ def find_matches(
         if context is None:
             raise
         context.mark_interrupted(exc)
-    return AnswerTable([(node_keys, edge_keys, tuple(rows))])
+    return AnswerTable([schema._replace(rows=tuple(rows))])
 
 
 def _canonical_mates(

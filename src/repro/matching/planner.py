@@ -530,8 +530,9 @@ def _memoise(matcher: GraphMatcher, ground: GroundPattern,
     # the search ticks once per candidate tried, and a small member's
     # plan runs no Algorithm 4.2, the only other ticking stage
     steps = report.search.candidates_tried if report.search else 0
-    memory = sum(len(rows) * mapping_cost(len(node_names) + len(edge_names))
-                 for node_names, edge_names, rows in report.mappings.blocks)
+    memory = sum(len(block.rows)
+                 * mapping_cost(len(block.nodes) + len(block.edges))
+                 for block in report.mappings.blocks)
     matcher.memo.setdefault(ground, {})[options.exhaustive] = _Recorded(
         version, report.copy(), steps, memory)
 

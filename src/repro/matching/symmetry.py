@@ -57,7 +57,7 @@ if TYPE_CHECKING:
 
 #: A permutation of declaration indices: ``perm[i]`` is the image of ``i``.
 Perm = Tuple[int, ...]
-#: Applies a permutation to a tuple of mapped values, in C.
+#: Applies a permutation to a flat answer row, in C.
 Getter = Callable[[Tuple[str, ...]], Tuple[str, ...]]
 
 #: Backtracking steps :func:`automorphisms` may spend on one pattern
@@ -106,8 +106,7 @@ class Symmetry:
             (self.node_names[level.orbit[0]], self.node_names[x])
             for level in self.levels for x in level.orbit[1:])
         self._compiled: Optional[Tuple[Tuple[Tuple[str, ...], Tuple[str, ...]],
-                                       Tuple[Tuple[Tuple[Getter, Getter], ...],
-                                             ...]]] = None
+                                       Tuple[Tuple[Getter, ...], ...]]] = None
 
     def order(self) -> int:
         """|Aut|: the product of the chain's orbit lengths."""
@@ -133,26 +132,29 @@ class Symmetry:
         self,
         node_keys: Sequence[str],
         edge_keys: Sequence[str],
-    ) -> Tuple[Tuple[Tuple[Getter, Getter], ...], ...]:
+    ) -> Tuple[Tuple[Getter, ...], ...]:
         """Per chain level, the non-identity representatives as getters
-        over a mapping's value tuples in *node_keys*/*edge_keys* order:
-        applied to ψ's tuples, ``(nodes, edges)`` give ψ∘r.  The last
-        key order asked for is kept compiled."""
+        over a flat answer row (node ids in *node_keys* order, then edge
+        ids in *edge_keys* order): applied to ψ's row, a getter gives
+        ψ∘r.  A non-trivial automorphism moves at least two nodes, so
+        every getter reads at least two indices and returns a tuple.
+        The last key order asked for is kept compiled."""
         keys = (tuple(node_keys), tuple(edge_keys))
         compiled = self._compiled
         if compiled is not None and compiled[0] == keys:
             return compiled[1]
         node_at = {name: i for i, name in enumerate(self.node_names)}
         edge_at = {name: i for i, name in enumerate(self.edge_names)}
+        width = len(keys[0])
         node_pos = {name: i for i, name in enumerate(keys[0])}
-        edge_pos = {name: i for i, name in enumerate(keys[1])}
+        edge_pos = {name: width + i for i, name in enumerate(keys[1])}
         node_order = [node_at[name] for name in keys[0]]
         edge_order = [edge_at[name] for name in keys[1]]
         levels = tuple(
-            tuple((_getter([node_pos[self.node_names[nodes[i]]]
-                            for i in node_order]),
-                   _getter([edge_pos[self.edge_names[edges[i]]]
-                            for i in edge_order]))
+            tuple(itemgetter(*[node_pos[self.node_names[nodes[i]]]
+                               for i in node_order],
+                             *[edge_pos[self.edge_names[edges[i]]]
+                               for i in edge_order])
                   for nodes, edges in zip(level.nodes[1:], level.edges[1:]))
             for level in self.levels)
         self._compiled = (keys, levels)
@@ -160,16 +162,6 @@ class Symmetry:
 
     def __repr__(self) -> str:
         return f"Symmetry(|Aut|={self.order()}, orbit_of={self.orbit_of})"
-
-
-def _getter(indices: Sequence[int]) -> Getter:
-    """``values -> tuple(values[i] for i in indices)``, in C when it can."""
-    if len(indices) >= 2:
-        return itemgetter(*indices)
-    if indices:
-        only = indices[0]
-        return lambda values: (values[only],)
-    return lambda values: ()
 
 
 # --------------------------------------------------------------------------

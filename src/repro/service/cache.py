@@ -17,14 +17,15 @@ unreachable.  The dead entries age out of the LRU instead of needing an
 invalidation sweep, and this is the only cache that replays a served
 answer: the server's retries and the cluster coordinator's fan-outs
 both reach it (or run again) rather than keeping answers of their own.
-It stores the run's answer in its wire form — the run's blocks
-(:func:`~repro.service.protocol.answer_blocks`, each row flattened once
-into a tuple of ids) and its notes — plus the outcome, so a hit does no
-per-row work and every reply shares only tuples with it; and it stores
-them only for runs whose outcome is deterministic given the key:
-``COMPLETE``, or ``TRUNCATED`` by a cap that is itself part of the
-key — the options signature covers the answer cap *and* the effective step/memory budgets
-(:meth:`QueryService._options_key`), so a budget-truncated partial
+It stores the run's :class:`~repro.storage.database.Answers` as they
+are — the searches' own blocks, each row one flat tuple of ids, and the
+notes — plus the outcome.  The blocks' rows are the tuples the search
+emitted, so the entry shares them with the small-member memo and with
+every reply instead of holding a copy; a hit does no per-row work.  It
+stores them only for runs whose outcome is deterministic given the key:
+``COMPLETE``, or ``TRUNCATED`` by a cap that is itself part of the key —
+the options signature covers the answer cap *and* the effective
+step/memory budgets (:meth:`QueryService._options_key`), so a budget-truncated partial
 answer is only replayed to requests with identical budgets.  A
 ``TIMED_OUT`` run under one caller's deadline must never be replayed to
 another caller.
@@ -135,7 +136,7 @@ def make_key(document: str, query_text: str, options_key: Hashable,
 
 class ResultCache(LRUCache):
     """LRU of ``(answer, QueryOutcome)`` keyed by :func:`make_key`; the
-    service's answer is ``(blocks, notes)``."""
+    service's answer is a run's :class:`~repro.storage.database.Answers`."""
 
     def admit(self, key: CacheKey, answers: Any,
               outcome: QueryOutcome) -> bool:

@@ -54,10 +54,13 @@ flat list of ids under the block's names::
      "rows": [["v3", "v7", "e12"], ["v7", "v3", "e12"]]}
 
 A row holds ``len(nodes)`` data node ids, then ``len(edges)`` data edge
-ids, in name order.  A cluster coordinator's merged blocks add
-``"shard"``.  :class:`AnswerRows` is the read-only row view over the
-blocks that servers, clients and the coordinator hand their callers; a
-client refuses a malformed block with :class:`ProtocolError`.
+ids, in name order: the engine's own row layout
+(:class:`~repro.core.bindings.Block`), sent as it is, so no row is
+copied between the search and the socket (protocol version 2).  A
+cluster coordinator's merged blocks add ``"shard"``.
+:class:`AnswerRows` is the read-only row view over the blocks that
+servers, clients and the coordinator hand their callers; a client
+refuses a malformed block with :class:`ProtocolError`.
 
 The optional fields of ``query`` and ``explain`` are checked before
 anything is submitted: ``limit``, ``max_steps`` and ``max_memory`` are
@@ -78,8 +81,9 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from typing import (Any, Callable, Dict, Iterable, Iterator, List,
-                    NamedTuple, Optional, Tuple)
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from ..core.bindings import Block, BlockSequence
 
 #: Protocol revision, echoed by ``ping``.
 PROTOCOL_VERSION = 2
@@ -179,34 +183,9 @@ def error_response(request_id: Optional[str], error: str) -> Dict[str, Any]:
     return {"id": request_id, "ok": False, "error": error}
 
 
-class Block(NamedTuple):
-    """One search's answers on one graph: under the block's pattern
-    names, each row holds the data node ids in ``nodes`` order, then the
-    data edge ids in ``edges`` order."""
-
-    graph: str
-    nodes: Sequence
-    edges: Sequence
-    rows: Sequence
-    #: the cluster shard that answered (set by the coordinator's merge)
-    shard: Optional[str] = None
-
-
 #: a :class:`Block` from a 5-tuple, without ``__new__``'s argument
 #: parsing: the client builds one per decoded block
 _block = Block._make
-
-
-def answer_blocks(tables: Iterable[Tuple[str, Any]]) -> Tuple[Block, ...]:
-    """``(graph name, AnswerTable)`` pairs as wire blocks, in graph
-    order: each table block's rows flattened once into ``node ids +
-    edge ids`` tuples.  Everything in the result is a tuple, so replies
-    and the result cache can share it."""
-    return tuple(Block(name, node_names, edge_names,
-                       tuple([node_ids + edge_ids
-                              for node_ids, edge_ids in rows]))
-                 for name, table in tables
-                 for node_names, edge_names, rows in table.blocks if rows)
 
 
 _STR, _LIST = frozenset((str,)), frozenset((list,))
@@ -237,22 +216,28 @@ def _wire_block(wire: Any) -> Block:
     return _block((graph, nodes, edges, rows, shard))
 
 
-class AnswerRows(Sequence):
+class AnswerRows(BlockSequence):
     """A reply's rows, read-only, over its answer blocks.
 
-    ``len()`` counts rows without building any.  Iterating and indexing
-    build one ``{"graph", "nodes": {...}, "edges": {...}}`` dict per row
-    (plus ``"shard"`` when its block carries one), new on every access:
-    the only place a row dict is built.  ``==`` compares rows with any
-    sequence.  :meth:`to_wire` gives the ``"blocks"`` list, one dict per
-    block, sharing the rows.
+    Length, iteration and indexing are
+    :class:`~repro.core.bindings.BlockSequence`'s; a row reads as one
+    ``{"graph", "nodes": {...}, "edges": {...}}`` dict (plus ``"shard"``
+    when its block carries one), new on every access: the only place a
+    row dict is built.  ``==`` compares rows with any sequence.
+    :meth:`to_wire` gives the ``"blocks"`` list, one dict per block,
+    sharing the rows.
     """
 
-    __slots__ = ("blocks", "_size")
+    __slots__ = ()
 
-    def __init__(self, blocks: Iterable[Block] = ()) -> None:
-        self.blocks: Tuple[Block, ...] = tuple(blocks)
-        self._size = sum(len(block.rows) for block in self.blocks)
+    @staticmethod
+    def read(block: Block, row: Sequence) -> Dict[str, Any]:
+        width = len(block.nodes)
+        entry = {"graph": block.graph, "nodes": dict(zip(block.nodes, row)),
+                 "edges": dict(zip(block.edges, row[width:]))}
+        if block.shard is not None:
+            entry["shard"] = block.shard
+        return entry
 
     @classmethod
     def from_wire(cls, blocks: Any) -> "AnswerRows":
@@ -290,25 +275,6 @@ class AnswerRows(Sequence):
         return AnswerRows(block._replace(shard=shard)
                           for block in self.blocks)
 
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[Dict[str, Any]]:
-        for block in self.blocks:
-            for row in block.rows:
-                yield _row(block, row)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        position = index + self._size if index < 0 else index
-        if position >= 0:
-            for block in self.blocks:
-                if position < len(block.rows):
-                    return _row(block, block.rows[position])
-                position -= len(block.rows)
-        raise IndexError("answer row index out of range")
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
             return NotImplemented
@@ -316,16 +282,3 @@ class AnswerRows(Sequence):
             mine == theirs for mine, theirs in zip(self, other))
 
     __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return (f"AnswerRows({self._size} row(s) in "
-                f"{len(self.blocks)} block(s))")
-
-
-def _row(block: Block, row: Sequence) -> Dict[str, Any]:
-    width = len(block.nodes)
-    entry = {"graph": block.graph, "nodes": dict(zip(block.nodes, row)),
-             "edges": dict(zip(block.edges, row[width:]))}
-    if block.shard is not None:
-        entry["shard"] = block.shard
-    return entry

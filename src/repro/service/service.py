@@ -37,7 +37,7 @@ from ..obs.trace import span as trace_span, tracer
 from ..runtime import (ANSWER_OUTCOMES, CancellationToken,
                        ExecutionContext, Outcome, QueryOutcome,
                        rejected_outcome, shed_outcome)
-from ..storage.database import GraphDatabase
+from ..storage.database import Answers, GraphDatabase
 from ..storage.serializer import load_collection
 from .admission import (REASON_DRAINING, REASON_DUPLICATE_ID,
                         REASON_INVALID_QUERY, AdmissionController)
@@ -45,7 +45,7 @@ from .cache import (PLAN_CACHE_SIZE, RESULT_CACHE_SIZE, PreparedQuery,
                     PreparedQueryCache, ResultCache, make_key)
 from .config import ServiceConfig
 from .metrics import ServiceMetrics
-from .protocol import AnswerRows, Block, answer_blocks
+from .protocol import AnswerRows
 from .resilience import BreakerRegistry, QueueWaitEstimator
 
 logger = logging.getLogger(__name__)
@@ -194,25 +194,21 @@ def _reply(request: QueryRequest, outcome: QueryOutcome,
                          client=request.client, outcome=outcome, **fields)
 
 
-#: A run's answer as the result cache keeps it: the wire blocks and the
-#: graph-prefixed degradation notes, tuples all the way down.
-Served = Tuple[Tuple[Block, ...], Tuple[str, ...]]
-
 #: What a failed execution answers.
-NO_ANSWERS: Served = ((), ())
+NO_ANSWERS = Answers((), ())
 
 
-def _answer_reply(request: QueryRequest, served: Served,
+def _answer_reply(request: QueryRequest, answers: Answers,
                   outcome: QueryOutcome, snapshot: Optional[Tuple[int, int]],
                   **fields: Any) -> QueryResponse:
-    """A response carrying a row view over *served* blocks, a new notes
-    list and a copy of *outcome*: the blocks are immutable, so the reply
-    shares them with the result cache, which keeps *served* and
+    """A response carrying a row view over *answers*' blocks, a new
+    notes list and a copy of *outcome*: the blocks are immutable, so the
+    reply shares them with the result cache, which keeps *answers* and
     *outcome* for later hits.  *snapshot* is the ``(registration,
     version)`` the run was keyed on."""
-    blocks, notes = served
     return _reply(request, replace(outcome, detail=dict(outcome.detail)),
-                  results=AnswerRows(blocks), degradation=list(notes),
+                  results=AnswerRows(answers.blocks),
+                  degradation=list(answers.notes),
                   versions=({} if snapshot is None
                             else {request.document: snapshot[1]}),
                   **fields)
@@ -416,10 +412,10 @@ class QueryService:
             cached = None if key is None else self.result_cache.get(key)
             probe.annotate(hit=cached is not None)
         if cached is not None:
-            served, outcome = cached
+            answers, outcome = cached
             self.metrics.count("result_cache_hits")
             return _answer_reply(
-                request, served, outcome, snapshot, cache="hit",
+                request, answers, outcome, snapshot, cache="hit",
                 elapsed=time.perf_counter() - entry.submitted_at)
         entry.context = self.config.derive_context(
             timeout=request.timeout, max_steps=request.max_steps,
@@ -746,7 +742,7 @@ class QueryService:
                 # report) the post-mutation version
                 snapshot = self._snapshot(request)
                 key = self._cache_key(request, snapshot)
-                served = NO_ANSWERS
+                answers = NO_ANSWERS
                 error: Optional[str] = None
                 try:
                     pattern = (request.query if entry.prepared is None
@@ -754,17 +750,16 @@ class QueryService:
                     answers = self.database.execute(
                         request.document, pattern,
                         self._options_for(request), context=context)
-                    served = (answer_blocks(answers.tables), answers.notes)
                     self.metrics.count("executed")
                 except Exception as exc:
                     logger.exception("query %s failed", request.request_id)
                     error = str(exc)
                 outcome = context.outcome()
                 if (error is None and key is not None
-                        and self.result_cache.admit(key, served, outcome)):
+                        and self.result_cache.admit(key, answers, outcome)):
                     self.metrics.count("result_cache_misses")
                 response = _answer_reply(
-                    request, served, outcome, snapshot,
+                    request, answers, outcome, snapshot,
                     cache="miss" if key is not None else "bypass",
                     elapsed=time.perf_counter() - entry.submitted_at,
                     error=error)

@@ -14,7 +14,7 @@ from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, S
                     Tuple, Union)
 
 from ..core.algebra import matched_graphs
-from ..core.bindings import AnswerTable
+from ..core.bindings import Block
 from ..core.collection import GraphCollection
 from ..core.graph import Graph
 from ..core.pattern import GraphPattern, GroundPattern
@@ -33,12 +33,15 @@ from .wal import RecoveryResult
 
 
 class Answers(NamedTuple):
-    """A query's answer in a shape nobody can change: the service
-    flattens its tables into wire blocks once
-    (:func:`repro.service.protocol.answer_blocks`)."""
+    """A query's answer in a shape nobody can change: the searches' own
+    blocks (:class:`~repro.core.bindings.Block`), each named after its
+    graph.  A named block shares its ``rows`` with the report it came
+    from, so the small-member memo, the service's result cache and every
+    reply hold one set of row tuples; the wire sends them as they are."""
 
-    #: ``(graph name, answer table)`` per graph with answers, in graph order
-    tables: Tuple[Tuple[str, AnswerTable], ...]
+    #: the blocks with rows, in graph order, each ``graph`` its member's
+    #: name in :meth:`GraphDatabase.match`'s keys
+    blocks: Tuple[Block, ...]
     #: degradation notes, each prefixed with the graph it concerns
     notes: Tuple[str, ...]
 
@@ -225,10 +228,11 @@ class GraphDatabase:
 
         Returns one :class:`MatchReport` per graph (derivations merged),
         keyed by graph name (or ``#position`` when unnamed; a name an
-        earlier member already holds becomes ``name#position``).  Pattern
-        text is compiled on the fly.  Once ``options.limit`` is filled or
-        a shared *context* trips, remaining graphs are skipped; each
-        report carries the outcome snapshot at the time it finished.
+        earlier member already holds gets ``#position`` appended until
+        it is free).  Pattern text is compiled on the fly.  Once
+        ``options.limit`` is filled or a shared *context* trips,
+        remaining graphs are skipped; each report carries the outcome
+        snapshot at the time it finished.
         """
         if isinstance(pattern, str):
             pattern = compile_pattern_text(pattern)
@@ -240,7 +244,7 @@ class GraphDatabase:
                 reports[name].absorb(run.report)
                 continue
             name = run.matcher.graph.name or f"#{run.position}"
-            if name in reports:
+            while name in reports:
                 name = f"{name}#{run.position}"
             reports[name] = run.report
             merged_position = run.position
@@ -254,12 +258,13 @@ class GraphDatabase:
         context: Optional[ExecutionContext] = None,
     ) -> Answers:
         """Run a pattern over a document: :meth:`match` as immutable
-        :class:`Answers`, what the service's workers turn into wire
-        blocks."""
+        :class:`Answers`, the blocks the service caches and replies with.
+        Naming a block copies no row."""
         reports = self.match(document, pattern, options, context=context)
         return Answers(
-            tuple((name, report.mappings) for name, report in reports.items()
-                  if report.mappings),
+            tuple(block._replace(graph=name)
+                  for name, report in reports.items()
+                  for block in report.mappings.blocks if block.rows),
             tuple(f"{name}: {note}" for name, report in reports.items()
                   for note in report.degradation))
 

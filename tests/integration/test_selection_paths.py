@@ -203,7 +203,7 @@ def check_memo_paths(service, collection, pattern, options, truths):
     assert keyed((name, mapping)
                  for name, report in db.match("d", pattern).items()
                  for mapping in report.mappings) == truth, "db.match"
-    rows = answer_rows(db.execute("d", pattern).tables)
+    rows = answer_rows(db.execute("d", pattern).blocks)
     served = service.execute(pattern, document="d").results
     for path, answer in (("db.execute", rows), ("QueryService", served)):
         assert Counter((row["graph"], frozenset(row["nodes"].items()))

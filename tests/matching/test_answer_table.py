@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import GraphCollection
-from repro.core.bindings import EMPTY_ANSWERS, AnswerTable, Mapping
+from repro.core.bindings import EMPTY_ANSWERS, AnswerTable, Block, Mapping
 from repro.core.motif import Disjunction, MotifBlock
 from repro.core.pattern import GraphPattern
 from repro.matching import SearchCounters, find_matches
@@ -226,11 +226,11 @@ def test_merged_derivations_and_memo_replays_keep_their_answers(seed, big):
 
 
 class TestAnswerTable:
-    ROWS = ((("a", "b"), ("e",)), (("c", "d"), ("f",)))
+    ROWS = (("a", "b", "e"), ("c", "d", "f"))
 
     def table(self) -> AnswerTable:
-        return AnswerTable([(("u", "v"), ("x",), self.ROWS),
-                            (("w",), (), ((("z",), ()),))])
+        return AnswerTable([Block("", ("u", "v"), ("x",), self.ROWS),
+                            Block("", ("w",), (), (("z",),))])
 
     def test_len_iteration_and_key_order(self):
         table = self.table()

@@ -181,7 +181,7 @@ class TestContextIndependence:
         expected = ExecutionContext()
         truth = sorted((row["graph"], sorted(row["nodes"].items()))
                        for row in answer_rows(db.execute(
-                           "d", pattern, context=expected).tables))
+                           "d", pattern, context=expected).blocks))
         db = GraphDatabase()
         db.register("d", GraphCollection(members))
         failures = []
@@ -190,7 +190,7 @@ class TestContextIndependence:
             for _ in range(30):
                 context = ExecutionContext()
                 rows = answer_rows(
-                    db.execute("d", pattern, context=context).tables)
+                    db.execute("d", pattern, context=context).blocks)
                 got = sorted((row["graph"], sorted(row["nodes"].items()))
                              for row in rows)
                 if got != truth or context.steps != expected.steps:

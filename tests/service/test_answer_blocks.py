@@ -12,11 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bindings import AnswerTable
+from repro.core.bindings import AnswerTable, Block
 from repro.datasets.molecules import molecule_collection
 from repro.service import QueryService, ServiceConfig
-from repro.service.protocol import (AnswerRows, ProtocolError,
-                                    answer_blocks, decode, encode)
+from repro.service.protocol import AnswerRows, ProtocolError, decode, encode
 from repro.service.service import QueryResponse
 from tests.service.reference import answer_rows
 
@@ -38,11 +37,17 @@ def answer_tables(draw):
             nodes = tuple(draw(st.lists(TEXT, max_size=3, unique=True)))
             edges = tuple(draw(st.lists(TEXT, max_size=2, unique=True)))
             rows = draw(st.lists(st.tuples(
-                st.tuples(*[TEXT] * len(nodes)),
-                st.tuples(*[TEXT] * len(edges))), max_size=4))
-            blocks.append((nodes, edges, tuple(rows)))
+                *[TEXT] * (len(nodes) + len(edges))), max_size=4))
+            blocks.append(Block("", nodes, edges, tuple(rows)))
         tables.append((draw(TEXT), AnswerTable(blocks)))
     return tables
+
+
+def named(tables):
+    """Per-graph tables as the named blocks a reply carries, the way
+    ``GraphDatabase.execute`` names them."""
+    return [block._replace(graph=name) for name, table in tables
+            for block in table.blocks if block.rows]
 
 
 def through_the_wire(rows: AnswerRows) -> AnswerRows:
@@ -54,8 +59,8 @@ def through_the_wire(rows: AnswerRows) -> AnswerRows:
 @settings(max_examples=150, deadline=None)
 @given(answer_tables())
 def test_rows_read_back_are_the_row_dicts(tables):
-    expected = answer_rows(tables)
-    served = AnswerRows(answer_blocks(tables))
+    expected = answer_rows(named(tables))
+    served = AnswerRows(named(tables))
     for rows in (served, through_the_wire(served)):
         assert len(rows) == len(expected) == sum(
             len(table) for _, table in tables)
@@ -68,8 +73,7 @@ def test_rows_read_back_are_the_row_dicts(tables):
 
 
 def test_the_view_is_read_only_and_rows_are_new_on_every_read():
-    rows = AnswerRows(answer_blocks(
-        [("g", AnswerTable([(("u",), ("e",), ((("v1",), ("e1",)),))]))]))
+    rows = AnswerRows([Block("g", ("u",), ("e",), (("v1", "e1"),))])
     rows[0]["nodes"]["u"] = "BOGUS"
     assert rows[0] == {"graph": "g", "nodes": {"u": "v1"},
                        "edges": {"e": "e1"}}
@@ -131,10 +135,34 @@ def test_blocks_take_at_most_six_tenths_of_the_row_dict_bytes():
         service.register("data", molecule_collection(num_molecules=16,
                                                      seed=5))
         payload = service.execute(query, document="data").to_dict()
-        tables = service.database.execute("data", query).tables
-    rows = answer_rows(tables)
+        blocks = service.database.execute("data", query).blocks
+    rows = answer_rows(blocks)
     assert len(rows) >= 50
     as_blocks = len(encode(payload))
     payload.pop("blocks")
     as_dicts = len(encode(dict(payload, results=rows)))
     assert as_blocks <= 0.6 * as_dicts, (as_blocks, as_dicts)
+
+
+def test_the_cache_the_memo_and_a_replay_share_one_copy_of_the_rows():
+    """One miss through the service, then one more execute of the same
+    prepared pattern: the result cache's blocks, the small-member memo's
+    tables and the replayed answer hold the very same row tuples."""
+    query = ('graph P { node a <label="C">; node b <label="C">; '
+             'edge e1 (a, b); }')
+    with QueryService(ServiceConfig(workers=1)) as service:
+        service.register("data", molecule_collection(num_molecules=6,
+                                                     seed=5))
+        assert service.execute(query, document="data").cache == "miss"
+        db = service.database
+        replayed = db.execute("data", service.plan_cache.get(query).pattern)
+        ((cached, _),) = service.result_cache._entries.values()
+        memo = {matcher.graph.name: [block.rows
+                                     for runs in matcher.memo.values()
+                                     for recorded in runs.values()
+                                     for block in recorded.report.mappings.blocks]
+                for matcher in db._matchers.values()}
+    assert len(cached.blocks) == len(replayed.blocks) >= 2
+    for kept, again in zip(cached.blocks, replayed.blocks):
+        (rows,) = memo[kept.graph]
+        assert kept.rows is rows and again.rows is rows and len(rows) > 0

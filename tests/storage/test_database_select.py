@@ -177,9 +177,27 @@ class TestOneSelectionOperator:
         db = GraphDatabase()
         db.register("d", GraphCollection(members))
         pattern = 'graph P { node v <label="A">; }'
-        rows = answer_rows(db.execute("d", pattern).tables)
+        rows = answer_rows(db.execute("d", pattern).blocks)
         assert len(rows) == len(db.select("d", pattern)) == 2
         assert [row["graph"] for row in rows] == ["G", "G#1"]
+
+    def test_a_renamed_member_does_not_take_a_later_members_name(self):
+        """Members named ``g``, ``g#2``, ``g``: the second ``g`` is
+        renamed to a name no member holds, so all three answers stay."""
+        members = []
+        for name in ("g", "g#2", "g"):
+            graph = Graph(name)
+            graph.add_node("a", label="A")
+            members.append(graph)
+        db = GraphDatabase()
+        db.register("d", GraphCollection(members))
+        pattern = 'graph P { node v <label="A">; }'
+        reports = db.match("d", pattern)
+        assert {name: len(report.mappings)
+                for name, report in reports.items()} == {
+                    "g": 1, "g#2": 1, "g#2#2": 1}
+        rows = answer_rows(db.execute("d", pattern).blocks)
+        assert [row["graph"] for row in rows] == ["g", "g#2", "g#2#2"]
 
     def test_a_merged_report_counts_every_derivation(self):
         """A disjunctive pattern's report adds up each block's search and
