@@ -3,7 +3,7 @@
 Usage examples::
 
     repro-gql info data.gql
-    repro-gql match data.gql --pattern query.gql [--baseline] [--explain]
+    repro-gql match data.gql --pattern query.gql [--baseline]
     repro-gql match data.gql --pattern query.gql --timeout 1 --max-steps 100000
     repro-gql match data.gql --pattern query.gql --json --trace-out spans.jsonl
     repro-gql explain data.gql --pattern query.gql [--analyze] [--json]
@@ -22,6 +22,11 @@ Usage examples::
 
 Files use the GraphQL concrete syntax (see ``repro.storage.serializer``);
 a data file holds one or more ``graph`` declarations.
+
+``serve`` takes sizing and placement flags only: the breaker and
+watchdog policy are constants of :mod:`repro.service.service`.
+``cluster serve`` splits ``molecule_collection(48, seed=97)``
+(:data:`CLUSTER_MOLECULES`, :data:`CLUSTER_SEED`) over its shards.
 
 Exit codes reflect the governance outcome: ``COMPLETE`` and ``TRUNCATED``
 runs exit 0 (partial results under a cap are valid answers, like the
@@ -45,6 +50,12 @@ from .lang import compile_pattern_text
 from .matching import baseline_options, optimized_options
 from .runtime import ExecutionContext, Outcome
 from .storage import GraphDatabase, graph_to_text, load_collection
+from .storage.serializer import atomic_write_text
+
+#: The synthetic collection ``cluster serve`` splits over its shards:
+#: ``molecule_collection(CLUSTER_MOLECULES, seed=CLUSTER_SEED)``.
+CLUSTER_MOLECULES = 48
+CLUSTER_SEED = 97
 
 #: Outcome -> process exit code (partial-but-valid results still exit 0).
 EXIT_BY_OUTCOME = {
@@ -137,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "terminates early with a TRUNCATED outcome")
     match.add_argument("--show-mappings", type=int, default=5,
                        help="how many mappings to print per graph")
-    match.add_argument("--explain", action="store_true",
-                       help="print the access plan instead of matching")
     match.add_argument("--json", action="store_true",
                        help="emit one JSON document (mappings + outcome + "
                             "per-stage counts and timings, the "
@@ -236,18 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "on this port (0 picks a free one; GET "
                             "/metrics for the text exposition, /stats "
                             "for JSON)")
-    serve.add_argument("--breaker-threshold", type=int, default=8,
-                       metavar="N",
-                       help="consecutive failures/timeouts that open a "
-                            "client's circuit breaker (>= 1)")
-    serve.add_argument("--breaker-cooldown", type=float, default=5.0,
-                       metavar="SECONDS",
-                       help="how long an open breaker sheds before the "
-                            "half-open probe")
-    serve.add_argument("--watchdog-multiple", type=float, default=4.0,
-                       metavar="X",
-                       help="recycle a worker stuck past X times the "
-                            "request's effective timeout (> 0)")
     _add_common(serve)
     _add_trace(serve)
 
@@ -294,10 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cserve.add_argument("--shards", type=int, default=3,
                         help="shard servers to launch (default 3)")
-    cserve.add_argument("--molecules", type=int, default=48,
-                        help="graphs in the synthetic collection")
-    cserve.add_argument("--seed", type=int, default=97,
-                        help="collection generator seed")
     cserve.add_argument("--workers", type=int, default=2,
                         help="worker threads per shard")
     cserve.add_argument("--timeout", type=float, default=10.0,
@@ -381,9 +374,7 @@ def _match_setup(args: argparse.Namespace):
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    """``repro-gql match``: match (or explain) a pattern over a data file."""
-    if args.explain:
-        return cmd_explain(argparse.Namespace(**vars(args), analyze=False))
+    """``repro-gql match``: match a pattern over a data file."""
     database, pattern_text, options, context = _match_setup(args)
     pattern = compile_pattern_text(pattern_text)
     with _tracing_to(args.trace_out):
@@ -556,18 +547,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = env.get("__result__")
     rendered = _render_result(result)
     outcome = context.outcome() if context is not None else None
+    if args.out:
+        # a failed write leaves the old file whole, never a truncated one
+        atomic_write_text(args.out, rendered + "\n")
     if args.json:
         document = {
             "result": rendered,
             "outcome": outcome.to_dict() if outcome is not None else None,
         }
         if args.out:
-            Path(args.out).write_text(rendered + "\n", encoding="utf-8")
             document["out"] = args.out
         print(json.dumps(document, indent=2, sort_keys=True))
         return EXIT_BY_OUTCOME[outcome.status] if outcome is not None else 0
     if args.out:
-        Path(args.out).write_text(rendered + "\n", encoding="utf-8")
         print(f"wrote result to {args.out}")
     else:
         print(rendered)
@@ -607,9 +599,6 @@ def _serve(args: argparse.Namespace) -> int:
         default_max_results=args.limit,
         store_path=args.store,
         fsync=args.fsync,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
-        watchdog_multiple=args.watchdog_multiple,
     )
     service = QueryService(config)
     if service.recovery is not None:
@@ -740,7 +729,8 @@ def _cluster_serve(args: argparse.Namespace) -> int:
     from .datasets.molecules import molecule_collection
 
     cluster = launch_cluster(
-        molecule_collection(num_molecules=args.molecules, seed=args.seed),
+        molecule_collection(num_molecules=CLUSTER_MOLECULES,
+                            seed=CLUSTER_SEED),
         num_shards=args.shards, workers=args.workers,
         query_timeout=args.timeout,
         replication_factor=args.replication,

@@ -152,11 +152,11 @@ def explain_query(
 ) -> Dict[str, Any]:
     """EXPLAIN pattern *text* over a registered document.
 
-    What ``repro-gql explain``, ``match --explain`` and the service's
-    ``explain`` op all return: :func:`explain_document` of the compiled
-    text, with the analyzer's findings riding along under
-    ``"diagnostics"`` (schema-aware: the document is registered, so the
-    observed schema is available for free).
+    What ``repro-gql explain`` and the service's ``explain`` op both
+    return: :func:`explain_document` of the compiled text, with the
+    analyzer's findings riding along under ``"diagnostics"``
+    (schema-aware: the document is registered, so the observed schema is
+    available for free).
     """
     explained = explain_document(
         database, document, compile_pattern_text(query_text), options,

@@ -132,11 +132,6 @@ class CancellationToken:
         """Whether cancellation has been requested (subclassable)."""
         return self._cancelled
 
-    @property
-    def cancelled(self) -> bool:
-        """Property form of :meth:`is_cancelled`."""
-        return self.is_cancelled()
-
 
 @dataclass
 class QueryOutcome:

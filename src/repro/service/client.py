@@ -248,25 +248,7 @@ class ServiceClient:
             message["baseline"] = True
         if no_cache:
             message["no_cache"] = True
-        reply, rows = self._call(message, lambda reply: (
-            reply, AnswerRows.from_wire(reply.get("blocks", []))))
-        outcome = (QueryOutcome.from_dict(reply["outcome"])
-                   if isinstance(reply.get("outcome"), dict)
-                   else QueryOutcome())
-        retry_after = reply.get("retry_after")
-        return ClientReply(
-            ok=bool(reply.get("ok")),
-            request_id=reply.get("id"),
-            results=rows,
-            outcome=outcome,
-            cache=str(reply.get("cache", "bypass")),
-            error=reply.get("error"),
-            retry_after=(float(retry_after)
-                         if retry_after is not None else None),
-            versions={str(doc): int(version) for doc, version
-                      in (reply.get("versions") or {}).items()},
-            raw=reply,
-        )
+        return self._call(message, _client_reply)
 
     def cancel(self, target: str,
                reason: str = "cancelled by client") -> bool:
@@ -338,3 +320,31 @@ class ServiceClient:
         if not reply.get("ok"):
             raise ProtocolError(reply.get("error", "ready failed"))
         return bool(reply.get("ready")), str(reply.get("reason", ""))
+
+
+def _client_reply(reply: Dict[str, Any]) -> ClientReply:
+    """A ``query`` response as a :class:`ClientReply`.  A field that does
+    not decode (a flipped byte can turn ``"COMPLETE"`` into an unknown
+    status) is a :class:`ProtocolError`: a desync the caller may retry."""
+    try:
+        outcome = (QueryOutcome.from_dict(reply["outcome"])
+                   if isinstance(reply.get("outcome"), dict)
+                   else QueryOutcome())
+        retry_after = reply.get("retry_after")
+        return ClientReply(
+            ok=bool(reply.get("ok")),
+            request_id=reply.get("id"),
+            results=AnswerRows.from_wire(reply.get("blocks", [])),
+            outcome=outcome,
+            cache=str(reply.get("cache", "bypass")),
+            error=reply.get("error"),
+            retry_after=(float(retry_after)
+                         if retry_after is not None else None),
+            versions={str(doc): int(version) for doc, version
+                      in (reply.get("versions") or {}).items()},
+            raw=reply,
+        )
+    except ProtocolError:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"undecodable query reply: {exc}") from None

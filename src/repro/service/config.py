@@ -1,4 +1,4 @@
-"""Service tuning knobs, gathered in one place.
+"""Service tuning knobs: the values a deployment sizes.
 
 Every knob has a conservative default that works for the test-scale
 graphs in this repository; ``docs/service.md`` discusses how to size
@@ -37,6 +37,10 @@ class ServiceConfig:
       against it.  Step and memory budgets have
       no service default: a request's own ``max_steps`` /
       ``max_memory`` (if any) are its budgets.
+
+    The per-client circuit breaker and the pool watchdog are not
+    configured here: ``BREAKER_THRESHOLD``, ``BREAKER_COOLDOWN`` and
+    ``WATCHDOG_MULTIPLE`` in :mod:`repro.service.service` fix them.
     """
 
     workers: int = 4
@@ -54,19 +58,6 @@ class ServiceConfig:
     store_path: Optional[str] = None
     fsync: str = "commit"
 
-    # per-client circuit breaker: breaker_threshold consecutive
-    # failures/timeouts open the circuit for breaker_cooldown seconds
-    # (then one HALF_OPEN probe decides)
-    breaker_threshold: int = 8
-    breaker_cooldown: float = 5.0
-
-    # pool watchdog: a request still unfinished after
-    # watchdog_multiple x its effective timeout is considered *stuck*
-    # (the worker is wedged past any cooperative deadline), answered
-    # TIMED_OUT, and its pool is recycled; requests without an
-    # effective timeout are never watched
-    watchdog_multiple: float = 4.0
-
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
@@ -74,12 +65,6 @@ class ServiceConfig:
             raise ValueError("queue_depth must be >= 0")
         if self.per_client < 1:
             raise ValueError("per_client must be >= 1")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if self.breaker_cooldown <= 0:
-            raise ValueError("breaker_cooldown must be > 0")
-        if self.watchdog_multiple <= 0:
-            raise ValueError("watchdog_multiple must be > 0")
         from ..storage.wal import check_fsync_policy
 
         check_fsync_policy(self.fsync)

@@ -57,6 +57,18 @@ DRAIN_TIMEOUT = 5.0
 #: Seconds between two pool-watchdog scans for stuck requests.
 WATCHDOG_INTERVAL = 0.25
 
+#: A request still unfinished after this multiple of its effective
+#: timeout is *stuck* (its worker is wedged past any cooperative
+#: deadline): it is answered TIMED_OUT and its pool is recycled.  A
+#: request without an effective timeout is never watched.
+WATCHDOG_MULTIPLE = 4.0
+
+#: Consecutive failures or timeouts from one client that open its
+#: circuit breaker, and the seconds the open breaker sheds that client
+#: before one HALF_OPEN probe decides.  Read when a service is built.
+BREAKER_THRESHOLD = 8
+BREAKER_COOLDOWN = 5.0
+
 _request_ids = itertools.count(1)
 
 
@@ -232,9 +244,8 @@ class QueryService:
         #: once per request at admission
         self.plan_cache = PreparedQueryCache(PLAN_CACHE_SIZE)
         self.result_cache = ResultCache(RESULT_CACHE_SIZE)
-        self.breakers = BreakerRegistry(
-            threshold=self.config.breaker_threshold,
-            cooldown=self.config.breaker_cooldown)
+        self.breakers = BreakerRegistry(threshold=BREAKER_THRESHOLD,
+                                        cooldown=BREAKER_COOLDOWN)
         self.queue_wait = QueueWaitEstimator()
         #: the turn-away stages :meth:`submit` runs, in order
         self._stages = (self._validate, self._check_breaker,
@@ -397,13 +408,13 @@ class QueryService:
         hand it to the pool (None: a worker now owns its ending)."""
         request = entry.request
         entry.submitted_at = time.perf_counter()
-        # a worker with no result after watchdog_multiple x the effective
+        # a worker with no result after WATCHDOG_MULTIPLE x the effective
         # timeout is wedged: its cooperative deadline fired long ago and
         # was ignored (no effective timeout, nothing to multiply)
         effective = self.config.tighten(request.timeout,
                                         self.config.default_timeout)
         if effective is not None:
-            entry.watchdog_budget = self.config.watchdog_multiple * effective
+            entry.watchdog_budget = WATCHDOG_MULTIPLE * effective
             entry.hard_deadline = time.monotonic() + entry.watchdog_budget
         # serve result-cache hits synchronously: no worker, microseconds
         with trace_span("service.cache_probe") as probe:
@@ -623,11 +634,11 @@ class QueryService:
         """
         if stuck_worker:
             reason = (f"watchdog: no result after "
-                      f"{self.config.watchdog_multiple:g}x the effective "
+                      f"{WATCHDOG_MULTIPLE:g}x the effective "
                       f"timeout; worker recycled")
         else:
             reason = (f"watchdog: still queued after "
-                      f"{self.config.watchdog_multiple:g}x the effective "
+                      f"{WATCHDOG_MULTIPLE:g}x the effective "
                       f"timeout; abandoned without running")
         latency = time.perf_counter() - entry.submitted_at
         response = _reply(
@@ -867,8 +878,8 @@ class QueryService:
             "queue_depth": self.config.queue_depth,
             "per_client": self.config.per_client,
             "default_timeout": self.config.default_timeout,
-            "breaker_threshold": self.config.breaker_threshold,
-            "watchdog_multiple": self.config.watchdog_multiple,
+            "breaker_threshold": self.breakers.threshold,
+            "watchdog_multiple": WATCHDOG_MULTIPLE,
         }
         store = self.database.durable_store
         if store is not None:

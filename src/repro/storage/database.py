@@ -268,7 +268,7 @@ class GraphDatabase:
             tuple(f"{name}: {note}" for name, report in reports.items()
                   for note in report.degradation))
 
-    def collection_index_for(self, document: str, max_length: int = 3):
+    def collection_index_for(self, document: str):
         """The cached path index of a document (rebuilt when the document
         or a member graph changed).
 
@@ -283,7 +283,7 @@ class GraphDatabase:
         index = self._collection_indexes.get(document)
         if (index is None or index.collection is not collection
                 or index.member_versions != [g.version for g in collection]):
-            index = PathIndex(collection, max_length=max_length)
+            index = PathIndex(collection)
             self._collection_indexes[document] = index
         return index
 

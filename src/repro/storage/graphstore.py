@@ -222,7 +222,7 @@ def _decode_frame(payload: bytes) -> Iterator[Tuple[str, Any]]:
 
 
 class GraphStore:
-    """Persist and reload graphs in the store's log file.
+    """Persist and reload named documents in the store's log file.
 
     Opening runs recovery (:class:`~repro.storage.wal.WriteAheadLog`
     cuts a torn tail), every save is one frame, and :meth:`checkpoint`
@@ -248,10 +248,6 @@ class GraphStore:
         """One transaction: every record lands in one frame, or none
         does (an unencodable value raises before anything is written)."""
         self.wal.commit(b"".join(records))
-
-    def save(self, graph: Graph) -> None:
-        """Write one graph (header, nodes, edges) as one transaction."""
-        self._commit(_graph_records(graph))
 
     def save_document(self, name: str,
                       graphs: Union[GraphCollection, List[Graph]]) -> None:
@@ -285,22 +281,19 @@ class GraphStore:
             raise StorageError(
                 f"{self.wal.path}: undecodable record: {exc}") from None
 
-    def load_all(self) -> List[Graph]:
-        """Reload every graph stored in the file (markers ignored)."""
-        return [item for event, item in self.events() if event == "graph"]
-
     def load_documents(self) -> Dict[str, GraphCollection]:
         """Reload named documents: the last snapshot per name, with the
         member records written after it applied in log order.
 
-        Graphs saved outside any document marker fall back to a document
-        named after the graph (anonymous graphs group under ``"data"``).
-        A marker reaches no further than its frame.
+        A marker reaches no further than its frame, and every graph
+        record follows one: a graph with no marker before it in its
+        frame is input the store never writes, and raises
+        :class:`StorageError`.
         """
         documents: Dict[str, List[Graph]] = {}
-        replacing: Optional[Tuple[str, int]] = None
         for payload in self.wal.frames():
             current_doc: Optional[str] = None
+            replacing: Optional[Tuple[str, int]] = None
             for event, item in self._decoded(payload):
                 if event == "doc":
                     current_doc = item
@@ -317,7 +310,9 @@ class GraphStore:
                             "snapshot member to replace")
                     members[position] = item
                 elif current_doc is None:
-                    documents.setdefault(item.name or "data", []).append(item)
+                    raise StorageError(
+                        f"{self.wal.path}: graph {item.name!r} outside "
+                        "any document or member record")
                 else:
                     documents[current_doc].append(item)
         return {name: GraphCollection(graphs, name=name)

@@ -81,7 +81,7 @@ def collection_from_text(text: str, directed: bool = False) -> GraphCollection:
     return collection
 
 
-def _atomic_write_text(path: Union[str, Path], text: str) -> None:
+def atomic_write_text(path: Union[str, Path], text: str) -> None:
     """Replace *path*'s contents all-or-nothing.
 
     The text is written to a temporary file in the *same directory*
@@ -109,7 +109,7 @@ def _atomic_write_text(path: Union[str, Path], text: str) -> None:
 
 def save_collection(collection: GraphCollection, path: Union[str, Path]) -> None:
     """Write a collection to a file (atomically: temp file + rename)."""
-    _atomic_write_text(path, collection_to_text(collection) + "\n")
+    atomic_write_text(path, collection_to_text(collection) + "\n")
 
 
 def load_collection(path: Union[str, Path], directed: bool = False) -> GraphCollection:
@@ -119,7 +119,7 @@ def load_collection(path: Union[str, Path], directed: bool = False) -> GraphColl
 
 def save_graph(graph: Graph, path: Union[str, Path]) -> None:
     """Write one graph to a file (atomically: temp file + rename)."""
-    _atomic_write_text(path, graph_to_text(graph) + "\n")
+    atomic_write_text(path, graph_to_text(graph) + "\n")
 
 
 def load_graph(path: Union[str, Path], directed: bool = False) -> Graph:

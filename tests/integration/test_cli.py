@@ -88,6 +88,27 @@ class TestRun:
         assert text.count("node") == 4
         assert text.count("edge") == 4
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_failed_out_write_keeps_the_old_file(self, tmp_path, capsys,
+                                                 monkeypatch, json_flag):
+        """``--out`` replaces the file whole or not at all: a write that
+        fails at the rename leaves the old contents and no temp file."""
+        program = tmp_path / "prog.gql"
+        program.write_text("C := graph { node n <who=\"x\">; };")
+        out_file = tmp_path / "result.gql"
+        out_file.write_text("old result\n")
+
+        def failing_replace(source, target):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", failing_replace)
+        assert main(["run", str(program), "--out", str(out_file),
+                     *json_flag]) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert out_file.read_text() == "old result\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "prog.gql", "result.gql"]
+
     def test_return_mode_prints_collection(self, dblp_file, tmp_path, capsys):
         program = tmp_path / "prog.gql"
         program.write_text("""
@@ -105,7 +126,7 @@ class TestRun:
         assert main(["run", str(program), "--doc", "nopath"]) == 2
 
 
-class TestExplainFlag:
+class TestExplain:
     def test_explain_prints_plan(self, triangle_file, tmp_path, capsys):
         pattern = tmp_path / "q.gql"
         pattern.write_text("""
@@ -114,17 +135,13 @@ class TestExplainFlag:
                 edge e1 (u1, u2); edge e2 (u2, u3); edge e3 (u3, u1);
             }
         """)
-        assert main(["match", triangle_file, "--pattern", str(pattern),
-                     "--explain"]) == 0
+        assert main(["explain", triangle_file,
+                     "--pattern", str(pattern)]) == 0
         out = capsys.readouterr().out
         assert "search order [connected]" in out
         # a 6-node member gets the baseline plan (planner.SMALL_MEMBER_NODES)
         assert "local=none, refine=off" in out
         assert "Mapping(" not in out  # no search was run
-        # one source: `explain` prints exactly the same
-        assert main(["explain", triangle_file,
-                     "--pattern", str(pattern)]) == 0
-        assert capsys.readouterr().out == out
 
 
 @pytest.fixture

@@ -131,7 +131,7 @@ class TestCancellation:
         token.cancel("first")
         token.cancel("second")
         assert token.reason == "first"
-        assert token.cancelled
+        assert token.is_cancelled()
 
 
 class TestOutcome:

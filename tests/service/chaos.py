@@ -221,12 +221,15 @@ STRUCTURED = {"COMPLETE", "TRUNCATED", "TIMED_OUT", "CANCELLED",
 def build_service():
     from repro.datasets.random_graphs import erdos_renyi_graph
     from repro.service import QueryService, ServiceConfig
+    from repro.service import service as service_module
 
+    # the drill runs in a process of its own: a tighter breaker than the
+    # defaults (8 failures, 5 s) trips and recovers within the soak
+    service_module.BREAKER_THRESHOLD = 6
+    service_module.BREAKER_COOLDOWN = 0.5
     config = ServiceConfig(
         workers=3, queue_depth=8, per_client=8,
         default_timeout=5.0, default_max_results=500,
-        breaker_threshold=6, breaker_cooldown=0.5,
-        watchdog_multiple=4.0,
     )
     service = QueryService(config)
     service.register("data", erdos_renyi_graph(

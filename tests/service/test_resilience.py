@@ -19,6 +19,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
 )
+from repro.service import service as service_module
 from repro.service.protocol import ProtocolError, decode
 from repro.service.resilience import (
     STATE_CLOSED,
@@ -236,8 +237,9 @@ class TestDeadlineShedding:
 
 
 class TestBreakerShedding:
-    def test_open_breaker_sheds_only_that_client(self):
-        with make_service(breaker_threshold=2) as service:
+    def test_open_breaker_sheds_only_that_client(self, monkeypatch):
+        monkeypatch.setattr(service_module, "BREAKER_THRESHOLD", 2)
+        with make_service() as service:
             service.breakers.record("hot", failed=True)
             service.breakers.record("hot", failed=True)
             shed = service.submit(QueryRequest(
@@ -252,9 +254,11 @@ class TestBreakerShedding:
             assert stats["shed"]["breaker"] == 1
             assert stats["resilience"]["breaker_states"][STATE_OPEN] == 1
 
-    def test_timeouts_open_the_breaker_and_success_closes_it(self):
-        with make_service(breaker_threshold=2,
-                          breaker_cooldown=0.2) as service:
+    def test_timeouts_open_the_breaker_and_success_closes_it(self,
+                                                             monkeypatch):
+        monkeypatch.setattr(service_module, "BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(service_module, "BREAKER_COOLDOWN", 0.2)
+        with make_service() as service:
             request = QueryRequest(query=EDGE_QUERY, client="slow")
             # the failure source must pass static analysis (a syntax-bad
             # query is now rejected before the breaker sees it), so fail
@@ -276,9 +280,11 @@ class TestBreakerShedding:
             assert probe.outcome.status is Outcome.COMPLETE
             assert breaker.state == STATE_CLOSED
 
-    def test_turned_away_probe_releases_the_half_open_slot(self):
-        with make_service(breaker_threshold=1,
-                          breaker_cooldown=0.1) as service:
+    def test_turned_away_probe_releases_the_half_open_slot(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(service_module, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(service_module, "BREAKER_COOLDOWN", 0.1)
+        with make_service() as service:
             error = service.submit(QueryRequest(
                 query=EDGE_QUERY, document="nope",
                 client="flaky")).result(timeout=5)
@@ -301,10 +307,17 @@ class TestBreakerShedding:
             assert breaker.state == STATE_CLOSED
 
 
+@pytest.fixture
+def watchdog_at_2x(monkeypatch):
+    """Recycle a worker after 2x its effective timeout (the default is
+    4x), so the watchdog tests finish sooner."""
+    monkeypatch.setattr(service_module, "WATCHDOG_MULTIPLE", 2.0)
+
+
+@pytest.mark.usefixtures("watchdog_at_2x")
 class TestPoolWatchdog:
     def test_hung_worker_is_recycled_and_caches_survive(self):
-        with make_service(workers=1, default_timeout=0.2,
-                          watchdog_multiple=2.0) as service:
+        with make_service(workers=1, default_timeout=0.2) as service:
             warm = service.submit(
                 QueryRequest(query=EDGE_QUERY, limit=10)).result(timeout=10)
             # more than 10 answers: a capped answer, cached all the same
@@ -336,8 +349,7 @@ class TestPoolWatchdog:
             assert fresh.outcome.status is Outcome.TRUNCATED
 
     def test_late_result_from_abandoned_worker_is_dropped(self):
-        with make_service(workers=1, default_timeout=0.1,
-                          watchdog_multiple=2.0) as service:
+        with make_service(workers=1, default_timeout=0.1) as service:
             service.execute_hook = lambda request: time.sleep(0.8)
             response = service.submit(QueryRequest(
                 query=EDGE_QUERY, use_cache=False)).result(timeout=10)
@@ -350,8 +362,7 @@ class TestPoolWatchdog:
             assert service.admission.in_flight == 0
 
     def test_queued_backlog_is_abandoned_not_recycled(self):
-        with make_service(workers=1, default_timeout=10.0,
-                          watchdog_multiple=2.0) as service:
+        with make_service(workers=1, default_timeout=10.0) as service:
             release = threading.Event()
 
             def hook(request):
@@ -382,12 +393,11 @@ class TestPoolWatchdog:
 
 class TestSettings:
     @pytest.mark.parametrize("setting", [
-        {"breaker_threshold": 0}, {"breaker_threshold": -1},
-        {"watchdog_multiple": 0.0}, {"watchdog_multiple": -2.0},
+        {"threshold": 0}, {"threshold": -1},
     ])
     def test_no_value_switches_the_breaker_or_watchdog_off(self, setting):
         with pytest.raises(ValueError):
-            ServiceConfig(**setting)
+            BreakerRegistry(**setting)
 
     def test_every_service_runs_breaker_shedder_and_watchdog(self):
         with make_service() as service:
@@ -397,6 +407,21 @@ class TestSettings:
             assert service._watchdog is not None
             assert service.queue_wait.min_samples == 10
             assert service.breakers.threshold == 8
+            assert service.breakers.cooldown == 5.0
+            assert service.stats()["config"] == {
+                "workers": 2, "queue_depth": 16, "per_client": 8,
+                "default_timeout": 10.0, "breaker_threshold": 8,
+                "watchdog_multiple": 4.0}
+            # the watchdog's wall is 4x the request's effective timeout
+            gate = threading.Event()
+            service.execute_hook = lambda request: gate.wait(10)
+            pending = service.submit(QueryRequest(
+                query=EDGE_QUERY, timeout=2.5, use_cache=False))
+            (entry,) = service._in_flight.values()
+            assert entry.watchdog_budget == 10.0
+            gate.set()
+            assert pending.result(timeout=10).outcome.status is (
+                Outcome.COMPLETE)
 
 
 class TestHealthReady:
@@ -611,6 +636,25 @@ class TestRetryingClient:
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
         return listener, state
+
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_a_corrupted_outcome_is_a_desync(self, monkeypatch, retries):
+        """A flipped byte inside a reply's outcome (``"COMPMETE"``) is a
+        ProtocolError the client may retry, not a ValueError that
+        escapes ``query``."""
+        good = {"ok": True, "outcome": {"status": "COMPLETE"}, "blocks": []}
+        replies = [{**good, "outcome": {"status": "COMPMETE"}}, good]
+        client = ServiceClient("127.0.0.1", 1, retries=retries,
+                               backoff_base=0.001, retry_seed=1)
+        monkeypatch.setattr(client, "_call_once",
+                            lambda message, deadline: replies.pop(0))
+        if retries == 0:
+            with pytest.raises(ProtocolError, match="COMPMETE"):
+                client.query(EDGE_QUERY)
+            return
+        reply = client.query(EDGE_QUERY)
+        assert reply.outcome.status is Outcome.COMPLETE
+        assert client.retry_count == 1
 
     def test_retries_reconnect_after_connection_loss(self):
         listener, state = self._fake_server(drop_first=1)

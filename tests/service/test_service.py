@@ -11,6 +11,7 @@ from repro.matching.planner import SMALL_MEMBER_NODES
 from repro.obs.trace import SpanCollector, tracer
 from repro.runtime import Outcome
 from repro.service import QueryRequest, QueryService, ServiceConfig
+from repro.service import service as service_module
 from repro.service.resilience import BreakerRegistry
 
 
@@ -338,7 +339,11 @@ class TestGovernance:
             assert looser.outcome.status is Outcome.TRUNCATED
             assert "answer cap of 10" in looser.outcome.reason
 
-    def test_per_request_timeout(self):
+    def test_per_request_timeout(self, monkeypatch):
+        # the search's own deadline must end the run: the watchdog's
+        # wall (4 x 0.1 s by default) can fire first on a loaded host,
+        # answering TIMED_OUT with no steps counted, and has its own tests
+        monkeypatch.setattr(service_module, "WATCHDOG_MULTIPLE", 100.0)
         with dense_service() as service:
             response = service.execute(HEAVY_QUERY, timeout=0.1)
             assert response.outcome.status is Outcome.TIMED_OUT
@@ -373,7 +378,7 @@ class TestGovernance:
             elapsed = time.monotonic() - started
             assert response.outcome.status is Outcome.TIMED_OUT
             assert not response.outcome.reason.startswith("watchdog")
-            assert elapsed < service.config.watchdog_multiple * 0.2
+            assert elapsed < service_module.WATCHDOG_MULTIPLE * 0.2
 
     def test_cancel_in_flight_request(self):
         with dense_service() as service:
@@ -541,14 +546,14 @@ class TestRequestAccounting:
     }
 
     @pytest.mark.parametrize("ending", list(ENDINGS))
-    def test_every_ending_is_accounted_once(self, ending):
+    def test_every_ending_is_accounted_once(self, ending, monkeypatch):
         """One counter moves by one, the root span finishes and the
         future resolves once, the slot comes back, no probe stays held
         (the request under test is the HALF_OPEN probe wherever it gets
         past the breaker)."""
         counter, status = self.ENDINGS[ending]
-        service = make_service(workers=2, queue_depth=0, per_client=1,
-                               watchdog_multiple=2.0)
+        monkeypatch.setattr(service_module, "WATCHDOG_MULTIPLE", 2.0)
+        service = make_service(workers=2, queue_depth=0, per_client=1)
         now = fake_clock_breakers(service)
         gate = threading.Event()
         service.execute_hook = lambda request: (

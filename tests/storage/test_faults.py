@@ -241,12 +241,12 @@ class TestFaultSmoke:
         graph = rich_graph(nodes=120)
         path = str(tmp_path / "smoke.db")
         with GraphStore(path, fsync="never") as store:
-            store.save(graph)
+            store.save_document("doc", [graph])
             for _ in range(40):
-                (loaded,) = store.load_all()
+                (loaded,) = store.load_documents()["doc"]
                 assert loaded.equals(graph)
         with GraphStore(path, fsync="never") as store:
-            (loaded,) = store.load_all()
+            (loaded,) = store.load_documents()["doc"]
         assert loaded.equals(graph)
         if FAULT_RATE > 0:
             assert sum(log.stats.read_faults for log in logs) > 0

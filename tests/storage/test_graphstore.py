@@ -7,7 +7,18 @@ import pytest
 from repro.core import AttributeTuple, Graph, GraphCollection
 from repro.datasets import erdos_renyi_graph, tiny_dblp
 from repro.storage import GraphDatabase, StorageError
-from repro.storage.graphstore import GraphStore
+from repro.storage.graphstore import GraphStore, _graph_records
+
+
+def save(store: GraphStore, graph: Graph) -> None:
+    """Store *graph* as a one-member document named after it."""
+    store.save_document(graph.name or "data", [graph])
+
+
+def load_all(store: GraphStore):
+    """Every member graph of every stored document, in document order."""
+    return [graph for document in store.load_documents().values()
+            for graph in document]
 
 
 def rich_graph() -> Graph:
@@ -24,8 +35,8 @@ class TestRoundTrip:
     def test_single_graph(self, tmp_path):
         g = rich_graph()
         with GraphStore(str(tmp_path / "g.db")) as store:
-            store.save(g)
-            (loaded,) = store.load_all()
+            save(store, g)
+            (loaded,) = load_all(store)
         assert loaded.equals(g)
         assert loaded.directed
         assert loaded.node("v1")["score"] == 1.5
@@ -35,8 +46,8 @@ class TestRoundTrip:
         collection = tiny_dblp()
         with GraphStore(str(tmp_path / "c.db")) as store:
             for graph in collection:
-                store.save(graph)
-            loaded = store.load_all()
+                save(store, graph)
+            loaded = load_all(store)
         assert len(loaded) == 2
         for original, back in zip(collection, loaded):
             assert back.equals(original)
@@ -45,16 +56,16 @@ class TestRoundTrip:
         path = str(tmp_path / "p.db")
         g = rich_graph()
         with GraphStore(path) as store:
-            store.save(g)
+            save(store, g)
         with GraphStore(path) as store:
-            (loaded,) = store.load_all()
+            (loaded,) = load_all(store)
         assert loaded.equals(g)
 
     def test_medium_graph(self, tmp_path):
         g = erdos_renyi_graph(300, 900, seed=4)
         with GraphStore(str(tmp_path / "er.db")) as store:
-            store.save(g)
-            (loaded,) = store.load_all()
+            save(store, g)
+            (loaded,) = load_all(store)
         assert loaded.equals(g)
 
 
@@ -65,8 +76,8 @@ class TestAttributeEdgeCases:
         g = Graph("edge-cases")
         g.add_node("n", **attrs)
         with GraphStore(str(tmp_path / "attrs.db")) as store:
-            store.save(g)
-            (loaded,) = store.load_all()
+            save(store, g)
+            (loaded,) = load_all(store)
         return loaded
 
     def test_unicode_and_newline_strings(self, tmp_path):
@@ -118,8 +129,8 @@ class TestAttributeEdgeCases:
     def test_empty_graph(self, tmp_path):
         g = Graph("empty")
         with GraphStore(str(tmp_path / "empty.db")) as store:
-            store.save(g)
-            (loaded,) = store.load_all()
+            save(store, g)
+            (loaded,) = load_all(store)
         assert loaded.num_nodes() == 0
         assert loaded.num_edges() == 0
         assert loaded.name == "empty"
@@ -162,8 +173,8 @@ class TestAttributeEdgeCases:
         g.add_node("n", value=value)
         with GraphStore(str(tmp_path / "bad.db"), fsync="never") as store:
             with pytest.raises(StorageError):
-                store.save(g)
-            assert store.load_all() == []
+                save(store, g)
+            assert load_all(store) == []
 
 
 def member(name: str, nodes: int) -> Graph:
@@ -222,21 +233,16 @@ class TestMemberRecords:
             loaded = store.load_documents()["doc"]
         assert_same_members(loaded, [member("c", 1)])
 
-    def test_a_document_marker_ends_with_its_frame(self, tmp_path):
-        """A bare graph committed after a document snapshot is a document
-        of its own, on load and after compaction and reopening."""
+    def test_a_graph_outside_any_marker_is_an_error(self, tmp_path):
+        """The store writes every graph after a document or member
+        marker in the same frame; a frame holding a bare graph after a
+        snapshot frame is input it never wrote, not one more member."""
         path = str(tmp_path / "f.db")
         with uncompacted(path) as store:
             store.save_document("doc", [member("a", 2)])
-            store.save(member("b", 3))
-            loaded = store.load_documents()
-            store.checkpoint()
-        with GraphStore(path, fsync="never") as store:
-            reopened = store.load_documents()
-        for documents in (loaded, reopened):
-            assert sorted(documents) == ["b", "doc"]
-            assert_same_members(documents["doc"], [member("a", 2)])
-            assert_same_members(documents["b"], [member("b", 3)])
+            store.wal.commit(b"".join(_graph_records(member("b", 3))))
+            with pytest.raises(StorageError, match="outside any document"):
+                store.load_documents()
 
     def test_a_member_record_needs_a_snapshot_member(self, tmp_path):
         path = str(tmp_path / "x.db")

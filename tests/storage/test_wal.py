@@ -159,14 +159,15 @@ class TestTransactions:
         path = str(tmp_path / "s.db")
         store = GraphStore(path, fsync="never")
         for i in range(3):
-            store.save(graph(f"g{i}"))
+            store.save_document(f"g{i}", [graph(f"g{i}")])
         store.close(checkpoint=False)
         reopened = GraphStore(path, fsync="never")
         assert reopened.recovery.frames == 3
         reopened.close()  # compacts to one frame
         with GraphStore(path, fsync="never") as store:
             assert store.recovery.frames == 1
-            assert [g.name for g in store.load_all()] == ["g0", "g1", "g2"]
+            assert [g.name for document in store.load_documents().values()
+                    for g in document] == ["g0", "g1", "g2"]
 
     def test_failed_append_leaves_no_partial_frame(self, tmp_path):
         """After an append fails part-way, the next commit starts at the
@@ -180,13 +181,14 @@ class TestTransactions:
 
         store.wal._append = half_then_fail
         with pytest.raises(OSError):
-            store.save(graph("lost"))
+            store.save_document("lost", [graph("lost")])
         del store.wal._append
-        store.save(graph("kept"))
+        store.save_document("kept", [graph("kept")])
         store.close(checkpoint=False)
         with GraphStore(path, fsync="never") as reopened:
             assert reopened.recovery.clean
-            assert [g.name for g in reopened.load_all()] == ["kept"]
+            assert [g.name for document in reopened.load_documents().values()
+                    for g in document] == ["kept"]
 
 
 class TestRecovery:
@@ -269,7 +271,7 @@ class TestNoSideFile:
     def test_bare_write_commits_to_the_wal(self, tmp_path):
         path = str(tmp_path / "s.db")
         with GraphStore(path, fsync="commit") as store:
-            store.save(graph())
+            store.save_document("doc", [graph()])
             assert store.wal.path == path
             assert store.wal.size == os.path.getsize(path)
         assert sorted(os.listdir(tmp_path)) == ["s.db"]
