@@ -50,7 +50,6 @@ from typing import (
     Optional,
     Set,
     Tuple,
-    Union,
 )
 
 from ..core.predicate import (
@@ -77,7 +76,7 @@ from ..lang.ast import (
     TupleAst,
     UnifyAst,
 )
-from ..lang.errors import GraphQLCompileError, GraphQLSyntaxError
+from ..lang.errors import GraphQLSyntaxError
 from ..lang.parser import parse_graph_decl, parse_program
 from .diagnostics import Diagnostic, Severity, Span, sort_diagnostics
 from .schema import CollectionSchema, type_bucket
@@ -191,11 +190,6 @@ def _decl_names(decl: GraphDeclAst) -> _DeclNames:
                     for edge in member:
                         if edge.name:
                             names.edges.add(edge.name)
-                        # undeclared simple end points become implicit
-                        # free nodes in the motif namespace
-                        for end in (edge.source, edge.target):
-                            if end and "." not in end:
-                                names.nodes.add(end)
             elif isinstance(member, GraphMemberAst):
                 for ref, alias in member.refs:
                     names.members.add(alias or ref)
@@ -425,6 +419,18 @@ class Analyzer:
                             f"export path {member.path!r} starts at "
                             f"unbound name {root!r}",
                             member)
+                elif isinstance(member, list) and member \
+                        and isinstance(member[0], EdgeDeclAst):
+                    # a simple end point names a node of the pattern
+                    for edge in member:
+                        for end in (edge.source, edge.target):
+                            if end and "." not in end \
+                                    and end not in names.nodes:
+                                self.emit(
+                                    "GQL001",
+                                    f"edge {edge.name or '<anon>'!r} end "
+                                    f"point {end!r} names no declared node",
+                                    edge)
 
         # graph-level where: resolved against the matched graph —
         # pattern elements, members, exports and the pattern name
@@ -832,9 +838,9 @@ def analyze_pattern_text(
     return analyze_pattern(decl, schema, standalone=True)
 
 
-def error_diagnostic(
-    exc: Union[GraphQLSyntaxError, GraphQLCompileError], code: str = "GQL000"
-) -> Diagnostic:
-    """A front-end exception as an error diagnostic at its position."""
-    span = Span(exc.line, exc.column) if exc.line else None
+def error_diagnostic(exc: Exception, code: str = "GQL000") -> Diagnostic:
+    """A front-end exception as an error diagnostic at its position (a
+    grounding error carries none)."""
+    line = getattr(exc, "line", None)
+    span = Span(line, exc.column) if line else None
     return Diagnostic(code, Severity.ERROR, str(exc), span)

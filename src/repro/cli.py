@@ -23,8 +23,9 @@ Usage examples::
 Files use the GraphQL concrete syntax (see ``repro.storage.serializer``);
 a data file holds one or more ``graph`` declarations.
 
-``serve`` takes sizing and placement flags only: the breaker and
-watchdog policy are constants of :mod:`repro.service.service`.
+``serve`` takes sizing and placement flags only: the breaker policy
+is a pair of constants of :mod:`repro.service.service`, and a served
+request's one deadline is its ``ExecutionContext``.
 ``cluster serve`` splits ``molecule_collection(48, seed=97)``
 (:data:`CLUSTER_MOLECULES`, :data:`CLUSTER_SEED`) over its shards.
 

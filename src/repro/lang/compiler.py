@@ -21,6 +21,7 @@ from ..core.motif import (
     Disjunction,
     GraphGrammar,
     MotifBlock,
+    MotifError,
     MotifExpr,
     MotifRef,
 )
@@ -487,11 +488,12 @@ def prepare_pattern_text(
     """Query text to ``(error diagnostics, compiled pattern)``.
 
     The one admission-time preparation of a served query: parsed once,
-    analyzed once, and compiled only when the analyzer found no
-    error-severity finding.  Never raises on bad text: a syntax error
-    is the single ``GQL000`` diagnostic, a construct the analyzer passes
-    but the compiler refuses the single ``GQL012``.  Exactly one of the
-    two results is empty.
+    analyzed once, and compiled and grounded only when the analyzer
+    found no error-severity finding (the grounds are cached on the
+    pattern, so the run reuses them).  Never raises on bad text: a
+    syntax error is the single ``GQL000`` diagnostic, a construct the
+    analyzer passes but the compiler or the grounding refuses the single
+    ``GQL012``.  Exactly one of the two results is empty.
     """
     from ..analysis.analyzer import analyze_pattern, error_diagnostic
     from ..analysis.diagnostics import errors_only
@@ -504,6 +506,8 @@ def prepare_pattern_text(
     if errors:
         return errors, None
     try:
-        return [], compile_pattern(decl)
-    except GraphQLCompileError as exc:
+        pattern = compile_pattern(decl)
+        pattern.ground()
+    except (GraphQLCompileError, MotifError) as exc:
         return [error_diagnostic(exc, "GQL012")], None
+    return [], pattern

@@ -389,14 +389,15 @@ class GraphMatcher:
         context: Optional[ExecutionContext],
     ) -> AccessPlan:
         graph = self.graph
+        # a request that expired while queued rebuilds no index
+        if context is not None:
+            context.check()
         try:
             self.refresh()
         except Exception as exc:
             self._degrade(plan, f"index refresh failed ({exc}); "
                                 "matching with stale structures")
         plan.degradation.extend(self.build_errors)
-        if context is not None:
-            context.check()
 
         # Steps 0-2: retrieval (index or scan, then the exact F_u check)
         # and local pruning.  The space after F_u alone is the baseline

@@ -38,9 +38,9 @@ class ServiceConfig:
       no service default: a request's own ``max_steps`` /
       ``max_memory`` (if any) are its budgets.
 
-    The per-client circuit breaker and the pool watchdog are not
-    configured here: ``BREAKER_THRESHOLD``, ``BREAKER_COOLDOWN`` and
-    ``WATCHDOG_MULTIPLE`` in :mod:`repro.service.service` fix them.
+    The per-client circuit breaker is not configured here:
+    ``BREAKER_THRESHOLD`` and ``BREAKER_COOLDOWN`` in
+    :mod:`repro.service.service` fix it.
     """
 
     workers: int = 4

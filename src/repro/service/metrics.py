@@ -29,8 +29,6 @@ _COUNTER_NAMES = (
     "result_cache_misses",
     "plan_cache_hits",
     "plan_cache_misses",
-    "watchdog_recycles",
-    "watchdog_abandoned",
 )
 
 _COUNTER_HELP = {
@@ -44,10 +42,6 @@ _COUNTER_HELP = {
     "result_cache_misses": "Result-cache misses.",
     "plan_cache_hits": "Prepared-query cache hits (query text seen before).",
     "plan_cache_misses": "Prepared-query cache misses (new query text).",
-    "watchdog_recycles": "Stuck workers the pool watchdog recycled.",
-    "watchdog_abandoned": "Queued requests the watchdog abandoned as "
-                          "TIMED_OUT without recycling the pool (no "
-                          "worker had started them).",
 }
 
 
@@ -169,8 +163,6 @@ class ServiceMetrics:
                 "misses": self._counters["plan_cache_misses"].value,
             },
             "shed": self.shed_snapshot(),
-            "watchdog_recycles": self._counters["watchdog_recycles"].value,
-            "watchdog_abandoned": self._counters["watchdog_abandoned"].value,
             "client_retries": self.client_retries,
             "outcomes": self.outcomes,
             "latency": self.latency.snapshot(),

@@ -54,15 +54,6 @@ logger = logging.getLogger(__name__)
 #: cancelling them, unless the caller passes its own deadline.
 DRAIN_TIMEOUT = 5.0
 
-#: Seconds between two pool-watchdog scans for stuck requests.
-WATCHDOG_INTERVAL = 0.25
-
-#: A request still unfinished after this multiple of its effective
-#: timeout is *stuck* (its worker is wedged past any cooperative
-#: deadline): it is answered TIMED_OUT and its pool is recycled.  A
-#: request without an effective timeout is never watched.
-WATCHDOG_MULTIPLE = 4.0
-
 #: Consecutive failures or timeouts from one client that open its
 #: circuit breaker, and the seconds the open breaker sheds that client
 #: before one HALF_OPEN probe decides.  Read when a service is built.
@@ -170,13 +161,7 @@ class _Inflight:
     ``slot`` and ``admitted`` record how far the turn-away stages let the
     request in: the quota stage gives it an admission slot, the unique-id
     stage puts it in the in-flight map, after which it counts as
-    admitted.  ``hard_deadline`` (monotonic seconds) is the watchdog's
-    wall: a request unfinished past it is considered stuck and
-    abandoned.  It is anchored at admission but *re-anchored* when a
-    worker actually starts the request, so time spent merely queued
-    behind a backlog never counts as "stuck worker".  ``claimed`` flips
-    when a worker thread actually starts the request, which is what lets
-    a pool recycle resubmit still-queued work without double-running it.
+    admitted.
     """
 
     request: QueryRequest
@@ -189,13 +174,8 @@ class _Inflight:
     slot: bool = False
     admitted: bool = False
     submitted_at: float = 0.0
-    #: watchdog wall-clock budget (seconds) once a worker starts the
-    #: request; None when the request has no effective timeout
-    watchdog_budget: Optional[float] = None
-    hard_deadline: Optional[float] = None
-    claimed: bool = False
-    #: the request's governance, created when it is handed to the pool:
-    #: its deadline counts the time the request spends queued
+    #: the request's governance and its one deadline, created when it
+    #: is handed to the pool: the deadline counts the time spent queued
     context: Optional[ExecutionContext] = None
 
 
@@ -256,10 +236,8 @@ class QueryService:
         self._in_flight: Dict[str, _Inflight] = {}
         self._lock = threading.Lock()
         self._closed = False
-        self._watchdog: Optional[threading.Thread] = None
-        self._watchdog_stop = threading.Event()
         #: test seam: called on the worker thread right before a query
-        #: executes (the recycling tests inject an uncooperative sleep)
+        #: executes (tests hold a worker here, or overrun the deadline)
         self.execute_hook: Optional[Callable[[QueryRequest], None]] = None
         #: what opening the durable store found/repaired (None without one)
         self.recovery = None
@@ -341,18 +319,13 @@ class QueryService:
     # -- the executor ---------------------------------------------------------
 
     def _ensure_executor(self):
-        """The worker pool, started on first use with its watchdog."""
+        """The worker pool, started on first use."""
         with self._lock:
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
                     max_workers=self.config.workers,
                     thread_name_prefix="repro-query",
                 )
-            if self._watchdog is None and not self._closed:
-                self._watchdog = threading.Thread(
-                    target=self._watchdog_loop,
-                    name="repro-pool-watchdog", daemon=True)
-                self._watchdog.start()
             return self._executor
 
     # -- submission -----------------------------------------------------------
@@ -364,7 +337,7 @@ class QueryService:
         breaker, deadline shed, quota, unique in-flight id — and the first
         that refuses it ends it REJECTED or SHED.  A request that passes
         them all is counted admitted, once, and ends as a result-cache
-        hit, an executed run, or a watchdog abandon.  Every one of those
+        hit, an executed run, or a failed hand-off.  Every one of those
         endings goes through :meth:`_complete`, so the returned future
         resolves to a :class:`QueryResponse` in every case and
         ``submitted == admitted + rejected + shed`` holds by
@@ -408,14 +381,6 @@ class QueryService:
         hand it to the pool (None: a worker now owns its ending)."""
         request = entry.request
         entry.submitted_at = time.perf_counter()
-        # a worker with no result after WATCHDOG_MULTIPLE x the effective
-        # timeout is wedged: its cooperative deadline fired long ago and
-        # was ignored (no effective timeout, nothing to multiply)
-        effective = self.config.tighten(request.timeout,
-                                        self.config.default_timeout)
-        if effective is not None:
-            entry.watchdog_budget = WATCHDOG_MULTIPLE * effective
-            entry.hard_deadline = time.monotonic() + entry.watchdog_budget
         # serve result-cache hits synchronously: no worker, microseconds
         with trace_span("service.cache_probe") as probe:
             snapshot = self._snapshot(request)
@@ -531,31 +496,23 @@ class QueryService:
 
     # -- the one ending -------------------------------------------------------
 
-    def _complete(self, entry: _Inflight, response: QueryResponse,
-                  counter: Optional[str] = None) -> bool:
-        """End one request — turned away, cache hit, executed or
-        abandoned — and return whether this call owned the ending.
+    def _complete(self, entry: _Inflight, response: QueryResponse) -> None:
+        """End one request — turned away, cache hit, executed or a
+        failed hand-off — exactly once.
 
-        An admitted request is owned by whoever pops its in-flight entry
-        first; a late result from a worker the watchdog abandoned finds
-        the entry gone and is dropped.  The owner frees the admission
-        slot, bumps *counter* (the watchdog's tally), records the
-        outcome (and, when admitted, the latency), feeds the breaker,
-        finishes the root span, offers an admitted request to the slow
-        log, and resolves the future.
+        Frees the admission slot, records the outcome (and, when
+        admitted, the latency), feeds the breaker, finishes the root
+        span, offers an admitted request to the slow log, and resolves
+        the future.
         """
         request, outcome = entry.request, response.outcome
         latency = None
         if entry.admitted:
             with self._lock:
-                if self._in_flight.get(request.request_id) is not entry:
-                    return False
                 del self._in_flight[request.request_id]
             latency = time.perf_counter() - entry.submitted_at
         if entry.slot:
             self.admission.release(request.client)
-        if counter is not None:
-            self.metrics.count(counter)
         self.metrics.record_outcome(outcome.status, latency=latency)
         self._record_breaker(request, response)
         entry.root.annotate(status=outcome.status.value,
@@ -563,9 +520,7 @@ class QueryService:
         entry.root.finish()
         if latency is not None:
             self._record_slow(request, response, latency, entry.root)
-        if not entry.future.done():
-            entry.future.set_result(response)
-        return True
+        entry.future.set_result(response)
 
     def _record_breaker(self, request: QueryRequest,
                         response: QueryResponse) -> None:
@@ -580,99 +535,6 @@ class QueryService:
             # fault — but if this request holds the HALF_OPEN probe slot
             # it must give it back, or no probe ever resolves
             self.breakers.release_probe(request.client, holder=request)
-
-    # -- the watchdog ---------------------------------------------------------
-
-    def _watchdog_loop(self) -> None:
-        while not self._watchdog_stop.wait(WATCHDOG_INTERVAL):
-            try:
-                self._watchdog_scan()
-            except Exception:  # the watchdog itself must never die
-                logger.exception("pool watchdog scan failed")
-
-    def _watchdog_scan(self) -> None:
-        """Abandon stuck requests; recycle only when a worker is wedged.
-
-        A request past its hard deadline that no worker ever *started*
-        (``claimed``) is a queue-backlog casualty, not a stuck worker: it
-        is answered TIMED_OUT — its queued work item finds the entry gone
-        and never runs — but the pool, whose workers are all making
-        progress, is left alone.  Killing every worker over a backlog
-        would fail all in-flight requests and start a service-wide reset
-        loop exactly when the service is busiest.
-        """
-        now = time.monotonic()
-        with self._lock:
-            stuck = [entry for entry in self._in_flight.values()
-                     if entry.hard_deadline is not None
-                     and now > entry.hard_deadline]
-        if not stuck:
-            return
-        wedged = 0
-        for entry in stuck:
-            started = entry.claimed
-            if started:
-                wedged += 1
-            self._abandon(entry, stuck_worker=started)
-        if wedged:
-            self._recycle_pool(
-                f"{wedged} request(s) stuck past their hard deadline")
-        else:
-            logger.warning(
-                "watchdog: abandoned %d queued request(s) past their hard "
-                "deadline; pool left alone (no worker had started them)",
-                len(stuck))
-
-    def _abandon(self, entry: _Inflight, stuck_worker: bool = True) -> None:
-        """Answer a stuck request TIMED_OUT, then cancel its token.
-
-        The wedged worker may still complete eventually; its late
-        :meth:`_complete` finds the entry gone and drops the result.
-        ``stuck_worker`` is False for a request no worker ever started
-        (abandoned over a queue backlog, or a failed resubmit after a
-        recycle).
-        """
-        if stuck_worker:
-            reason = (f"watchdog: no result after "
-                      f"{WATCHDOG_MULTIPLE:g}x the effective "
-                      f"timeout; worker recycled")
-        else:
-            reason = (f"watchdog: still queued after "
-                      f"{WATCHDOG_MULTIPLE:g}x the effective "
-                      f"timeout; abandoned without running")
-        latency = time.perf_counter() - entry.submitted_at
-        response = _reply(
-            entry.request, QueryOutcome(status=Outcome.TIMED_OUT,
-                                        reason=reason, elapsed=latency),
-            elapsed=latency)
-        if self._complete(entry, response,
-                          counter=("watchdog_recycles" if stuck_worker
-                                   else "watchdog_abandoned")):
-            entry.token.cancel(reason)
-
-    def _recycle_pool(self, reason: str) -> None:
-        """Replace the worker pool without waiting for wedged workers.
-
-        The old executor is shut down without waiting (stuck threads
-        finish on their own time and their late results are dropped);
-        work that was still *queued* is resubmitted on the fresh
-        executor, so only the stuck requests pay.
-        """
-        logger.warning("recycling the worker pool: %s", reason)
-        with self._lock:
-            executor, self._executor = self._executor, None
-            queued = [entry for entry in self._in_flight.values()
-                      if not entry.claimed]
-        if executor is None:
-            return
-        executor.shutdown(wait=False, cancel_futures=True)
-        if queued:
-            fresh = self._ensure_executor()
-            for entry in queued:
-                try:
-                    fresh.submit(self._run_local, entry)
-                except Exception:
-                    self._abandon(entry, stuck_worker=False)
 
     # -- execution ------------------------------------------------------------
 
@@ -721,23 +583,11 @@ class QueryService:
         ``entry.root`` is the request's trace span started in
         :meth:`submit`; activating it here re-parents this worker
         thread's spans under the submitting request, so concurrent
-        requests never interleave.  The claim check makes execution
-        exactly-once across pool recycles: a queued work item that was
-        both cancelled-and-resubmitted runs on whichever executor claims
-        it first, and an entry the watchdog abandoned never starts.
+        requests never interleave.  A request whose deadline passed
+        while it was queued (or while the hook held it) ends TIMED_OUT at
+        the first ``context.check()`` of the run.
         """
         request = entry.request
-        with self._lock:
-            if (self._in_flight.get(request.request_id) is not entry
-                    or entry.claimed):
-                return
-            entry.claimed = True
-            # re-anchor the watchdog wall now that a worker is actually
-            # running this request: queue wait is the pool's fault, not
-            # the worker's, and must not read as "stuck"
-            if entry.watchdog_budget is not None:
-                entry.hard_deadline = (time.monotonic()
-                                       + entry.watchdog_budget)
         # the queue wait just ended: this sample is what deadline-aware
         # shedding compares incoming deadlines against
         self.queue_wait.observe(time.perf_counter() - entry.submitted_at)
@@ -879,7 +729,6 @@ class QueryService:
             "per_client": self.config.per_client,
             "default_timeout": self.config.default_timeout,
             "breaker_threshold": self.breakers.threshold,
-            "watchdog_multiple": WATCHDOG_MULTIPLE,
         }
         store = self.database.durable_store
         if store is not None:
@@ -900,7 +749,7 @@ class QueryService:
         self.metrics.note_client_retry(client)
 
     def health(self) -> Dict[str, Any]:
-        """The liveness view: drain state, recovery, breakers, watchdog.
+        """The liveness view: drain state, recovery, breakers, shedding.
 
         Always answerable (health is about *reporting* state, readiness
         is about *accepting* work — see :meth:`ready`).
@@ -912,7 +761,6 @@ class QueryService:
             "in_flight": self.admission.in_flight,
             "documents": len(self.database.names()),
             "breakers": self.breakers.state_counts(),
-            "watchdog_recycles": self.metrics.value("watchdog_recycles"),
             "shed": self.metrics.shed_snapshot(),
             "recovery": (self.recovery.to_dict()
                          if self.recovery is not None else None),
@@ -966,11 +814,6 @@ class QueryService:
                 return self.stats()
             self._closed = True
         self.drain(timeout)
-        self._watchdog_stop.set()
-        with self._lock:
-            watchdog, self._watchdog = self._watchdog, None
-        if watchdog is not None:
-            watchdog.join(timeout=2.0)
         with self._lock:
             executor, self._executor = self._executor, None
         if executor is not None:

@@ -43,6 +43,14 @@ class TestCheck:
         assert "bad.gql:1:" in out
         assert "errors present" in out
 
+    def test_undeclared_edge_end_point_is_gql001(self, tmp_path, capsys):
+        query = write(tmp_path, "end.gql",
+                      "graph P { node u1; node u2; edge e1 (u1, u2); "
+                      "edge e2 (u2, u3); }")
+        assert main(["check", query]) == 1
+        out = capsys.readouterr().out
+        assert "error GQL001" in out and "'u3'" in out
+
     def test_warnings_pass_without_strict(self, tmp_path, capsys):
         query = write(tmp_path, "warn.gql",
                       "graph P { node v1; node v2; }")

@@ -1,5 +1,5 @@
-"""The one-member-loop, one-answer-cache, one-answer-cap and one-row-builder
-architecture guard (tools/lint_architecture.py)."""
+"""The one-member-loop, one-answer-cache, one-answer-cap, one-row-builder
+and one-deadline architecture guard (tools/lint_architecture.py)."""
 
 import importlib.util
 import textwrap
@@ -55,6 +55,14 @@ class TestDetection:
                     "max_results = 1000"):
             assert codes(src) == ["A005"], src
             assert codes(src, in_matching=True) == ["A005"], src
+
+    def test_watchdog_multiple_is_a007_wherever_it_appears(self):
+        for src in ("WATCHDOG_MULTIPLE = 4.0",
+                    "budget = service_module.WATCHDOG_MULTIPLE * timeout",
+                    "def start(WATCHDOG_MULTIPLE=4.0): pass",
+                    "ServiceConfig(WATCHDOG_MULTIPLE=2.0)"):
+            assert codes(src) == ["A007"], src
+            assert codes(src, in_matching=True) == ["A007"], src
 
     def test_default_max_results_is_not_a005(self):
         assert codes("""

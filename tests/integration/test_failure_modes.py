@@ -36,9 +36,11 @@ class TestLanguageErrors:
             compile_pattern_text("graph P { node v1 <label=v2.name>; }")
 
     def test_edge_endpoint_typo(self):
-        pattern = compile_pattern_text(
-            "graph P { node v1, v2; edge e1 (v1, v3); }"
-        )
+        text = "graph P { node v1, v2; edge e1 (v1, v3); }"
+        with pytest.raises(GraphQLCompileError, match="GQL001"):
+            compile_pattern_text(text)
+        # unchecked, the motif refuses the end point when it is grounded
+        pattern = compile_pattern_text(text, check=False)
         with pytest.raises(MotifError):
             pattern.ground()
 

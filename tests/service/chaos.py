@@ -350,7 +350,7 @@ def soak(seed: int) -> Dict[str, object]:
             "admitted": stats["admitted"],
             "rejected": stats["rejected"],
             "shed": stats["shed"],
-            "watchdog_recycles": stats["watchdog_recycles"],
+            "timed_out": stats["outcomes"]["TIMED_OUT"],
             "client_retries": stats["client_retries"],
             "breaker_states": stats["resilience"]["breaker_states"],
         },

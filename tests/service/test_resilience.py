@@ -1,5 +1,5 @@
-"""Resilience layer: breakers, shedding, watchdog, retries, probes, chaos
-proxy."""
+"""Resilience layer: breakers, shedding, the one deadline, retries,
+probes, chaos proxy."""
 
 import json
 import socket
@@ -307,88 +307,20 @@ class TestBreakerShedding:
             assert breaker.state == STATE_CLOSED
 
 
-@pytest.fixture
-def watchdog_at_2x(monkeypatch):
-    """Recycle a worker after 2x its effective timeout (the default is
-    4x), so the watchdog tests finish sooner."""
-    monkeypatch.setattr(service_module, "WATCHDOG_MULTIPLE", 2.0)
-
-
-@pytest.mark.usefixtures("watchdog_at_2x")
-class TestPoolWatchdog:
-    def test_hung_worker_is_recycled_and_caches_survive(self):
-        with make_service(workers=1, default_timeout=0.2) as service:
-            warm = service.submit(
-                QueryRequest(query=EDGE_QUERY, limit=10)).result(timeout=10)
-            # more than 10 answers: a capped answer, cached all the same
-            assert warm.outcome.status is Outcome.TRUNCATED
-            assert warm.cache == "miss"
-
-            def hook(request):
-                if request.client == "hang":
-                    time.sleep(1.2)  # well past 2 x 0.2s hard deadline
-
-            service.execute_hook = hook
-            hung = service.submit(QueryRequest(
-                query=EDGE_QUERY, client="hang", use_cache=False,
-            )).result(timeout=10)
-            assert hung.outcome.status is Outcome.TIMED_OUT
-            assert "watchdog" in hung.outcome.reason
-            assert service.metrics.value("watchdog_recycles") == 1
-            assert service.admission.in_flight == 0
-
-            # the pool self-healed: new queries run, caches intact
-            service.execute_hook = None
-            cached = service.submit(
-                QueryRequest(query=EDGE_QUERY, limit=10)).result(timeout=10)
-            assert cached.outcome.status is Outcome.TRUNCATED
-            assert cached.cache == "hit"
-            fresh = service.submit(QueryRequest(
-                query=EDGE_QUERY, limit=10, use_cache=False,
-            )).result(timeout=10)
-            assert fresh.outcome.status is Outcome.TRUNCATED
-
-    def test_late_result_from_abandoned_worker_is_dropped(self):
+class TestOneDeadline:
+    def test_worker_held_past_the_deadline_ends_timed_out_once(self):
+        """A worker held past the request's deadline before the run (the
+        hook stands in for any stage that overruns) ends the request
+        TIMED_OUT at the run's first check, counted once."""
         with make_service(workers=1, default_timeout=0.1) as service:
-            service.execute_hook = lambda request: time.sleep(0.8)
+            service.execute_hook = lambda request: time.sleep(0.3)
             response = service.submit(QueryRequest(
                 query=EDGE_QUERY, use_cache=False)).result(timeout=10)
             assert response.outcome.status is Outcome.TIMED_OUT
-            before = service.stats()["outcomes"]
-            time.sleep(1.0)  # let the stuck worker finish its run
-            after = service.stats()["outcomes"]
-            # the late completion must not double-count an outcome
-            assert before == after
+            assert "deadline of 0.1s exceeded" in response.outcome.reason
+            assert response.outcome.steps == 0
+            assert service.stats()["outcomes"]["TIMED_OUT"] == 1
             assert service.admission.in_flight == 0
-
-    def test_queued_backlog_is_abandoned_not_recycled(self):
-        with make_service(workers=1, default_timeout=10.0) as service:
-            release = threading.Event()
-
-            def hook(request):
-                if request.client == "busy":
-                    release.wait(5.0)
-
-            service.execute_hook = hook
-            busy = service.submit(QueryRequest(
-                query=EDGE_QUERY, client="busy", use_cache=False,
-                timeout=5.0))
-            time.sleep(0.1)  # the single worker has claimed "busy"
-            queued = [service.submit(QueryRequest(
-                query=EDGE_QUERY, client="waiting", use_cache=False,
-                timeout=0.05)) for _ in range(3)]
-            responses = [future.result(timeout=10) for future in queued]
-            for response in responses:
-                assert response.outcome.status is Outcome.TIMED_OUT
-                assert "still queued" in response.outcome.reason
-            # a backlog is not a wedged worker: the pool stays intact
-            assert service.metrics.value("watchdog_recycles") == 0
-            assert service.metrics.value("watchdog_abandoned") == 3
-            release.set()
-            done = busy.result(timeout=10)
-            assert done.outcome.status is Outcome.COMPLETE
-            assert service.admission.in_flight == 0
-
 
 
 class TestSettings:
@@ -399,29 +331,17 @@ class TestSettings:
         with pytest.raises(ValueError):
             BreakerRegistry(**setting)
 
-    def test_every_service_runs_breaker_shedder_and_watchdog(self):
+    def test_every_service_runs_breaker_and_shedder(self):
         with make_service() as service:
             response = service.submit(
                 QueryRequest(query=EDGE_QUERY)).result(timeout=10)
             assert response.outcome.status is Outcome.COMPLETE
-            assert service._watchdog is not None
             assert service.queue_wait.min_samples == 10
             assert service.breakers.threshold == 8
             assert service.breakers.cooldown == 5.0
             assert service.stats()["config"] == {
                 "workers": 2, "queue_depth": 16, "per_client": 8,
-                "default_timeout": 10.0, "breaker_threshold": 8,
-                "watchdog_multiple": 4.0}
-            # the watchdog's wall is 4x the request's effective timeout
-            gate = threading.Event()
-            service.execute_hook = lambda request: gate.wait(10)
-            pending = service.submit(QueryRequest(
-                query=EDGE_QUERY, timeout=2.5, use_cache=False))
-            (entry,) = service._in_flight.values()
-            assert entry.watchdog_budget == 10.0
-            gate.set()
-            assert pending.result(timeout=10).outcome.status is (
-                Outcome.COMPLETE)
+                "default_timeout": 10.0, "breaker_threshold": 8}
 
 
 class TestHealthReady:
@@ -430,7 +350,8 @@ class TestHealthReady:
         health = service.health()
         assert health["status"] == "ok"
         assert health["documents"] == 1
-        assert health["watchdog_recycles"] == 0
+        assert set(health) == {"status", "draining", "in_flight",
+                               "documents", "breakers", "shed", "recovery"}
         assert service.ready() == (True, "ok")
         service.drain(timeout=5)
         ready, reason = service.ready()

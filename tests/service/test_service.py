@@ -1,5 +1,6 @@
 """QueryService facade: execution, caching, cancellation, governance."""
 
+import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -11,7 +12,6 @@ from repro.matching.planner import SMALL_MEMBER_NODES
 from repro.obs.trace import SpanCollector, tracer
 from repro.runtime import Outcome
 from repro.service import QueryRequest, QueryService, ServiceConfig
-from repro.service import service as service_module
 from repro.service.resilience import BreakerRegistry
 
 
@@ -56,6 +56,15 @@ HEAVY_QUERY = ("graph P { "
                + " ".join(f'node u{i} <label="A">;' for i in range(7))
                + " ".join(f' edge e{i} (u{i}, u{i + 1});' for i in range(6))
                + " }")
+
+#: a path one node longer than :func:`dense_service`'s graph: no answer
+#: exists, so the search keeps no rows, and it never finishes
+ENDLESS_QUERY = ("graph P { "
+                 + " ".join(f'node u{i} <label="A">;'
+                            for i in range(SMALL_MEMBER_NODES + 1))
+                 + " ".join(f' edge e{i} (u{i}, u{i + 1});'
+                            for i in range(SMALL_MEMBER_NODES))
+                 + " }")
 
 
 def capped_service(**overrides) -> QueryService:
@@ -339,21 +348,19 @@ class TestGovernance:
             assert looser.outcome.status is Outcome.TRUNCATED
             assert "answer cap of 10" in looser.outcome.reason
 
-    def test_per_request_timeout(self, monkeypatch):
-        # the search's own deadline must end the run: the watchdog's
-        # wall (4 x 0.1 s by default) can fire first on a loaded host,
-        # answering TIMED_OUT with no steps counted, and has its own tests
-        monkeypatch.setattr(service_module, "WATCHDOG_MULTIPLE", 100.0)
+    def test_per_request_timeout(self):
+        # the deadline runs from admission, and the hand-off to a worker
+        # took up to 0.16 s on a loaded host: a 1 s deadline leaves the
+        # search room to take steps before it ends the run
         with dense_service() as service:
-            response = service.execute(HEAVY_QUERY, timeout=0.1)
+            response = service.execute(ENDLESS_QUERY, timeout=1.0)
             assert response.outcome.status is Outcome.TIMED_OUT
             assert response.outcome.steps > 0
 
     def test_time_spent_queued_counts_against_the_deadline(self):
         """The deadline starts at admission: a 0.2 s request queued
         behind a 0.5 s blocker on the one worker has no time left when
-        it starts, and ends TIMED_OUT by its own deadline (the watchdog
-        wall, 4 x 0.2 s, is still ahead)."""
+        it starts, and ends TIMED_OUT by its own deadline."""
         with make_service(workers=1) as service:
             service.execute_hook = lambda request: (
                 time.sleep(0.5) if request.request_id == "blocker"
@@ -370,15 +377,15 @@ class TestGovernance:
 
     def test_baseline_request_honours_the_deadline(self):
         """Scan retrieval without pruning runs under the same per-request
-        deadline: the deadline ends it, not the watchdog's wall."""
+        deadline, and the deadline ends it."""
         with dense_service() as service:
             started = time.monotonic()
             response = service.execute(HEAVY_QUERY, timeout=0.2,
                                        baseline=True, use_cache=False)
             elapsed = time.monotonic() - started
             assert response.outcome.status is Outcome.TIMED_OUT
-            assert not response.outcome.reason.startswith("watchdog")
-            assert elapsed < service_module.WATCHDOG_MULTIPLE * 0.2
+            assert "deadline of 0.2s exceeded" in response.outcome.reason
+            assert elapsed < 0.8
 
     def test_cancel_in_flight_request(self):
         with dense_service() as service:
@@ -469,6 +476,31 @@ class TestAdmission:
             assert snap["plan_cache"]["misses"] == 1
             assert snap["plan_cache"]["hits"] == 1
 
+    @pytest.mark.parametrize("text, code", [
+        # a simple edge end point no node declaration names
+        ('graph P { node u1 <label="L001">; node u2 <label="L002">; '
+         'edge e1 (u1, u2); edge e2 (u2, u3); }', "GQL001"),
+        # a node of the other alternative: declared, but not in scope
+        ("graph P { node a; { node b; } | { node c; edge e (a, b); } }",
+         "GQL012"),
+    ], ids=["edge end point", "other alternative"])
+    def test_undeclared_end_point_is_an_invalid_query(self, text, code,
+                                                      caplog):
+        """An edge whose end point the pattern does not declare is
+        REJECTED at admission, not failed in a worker."""
+        with make_service() as service, caplog.at_level(logging.ERROR):
+            before = service.stats()
+            response = service.execute(text)
+            assert response.outcome.status is Outcome.REJECTED
+            assert response.outcome.reason == "invalid_query"
+            (diag,) = response.outcome.detail["diagnostics"]
+            assert diag["code"] == code
+            after = service.stats()
+            assert after["invalid_queries"] == before["invalid_queries"] + 1
+            assert after["executed"] == before["executed"]
+        assert not [record for record in caplog.records
+                    if record.levelno >= logging.ERROR]
+
     def test_warnings_do_not_reject(self):
         # a disconnected pattern is a WARNING: admission only acts on
         # error-severity findings
@@ -542,17 +574,15 @@ class TestRequestAccounting:
         "draining": ("rejected", Outcome.REJECTED),
         "cache hit": ("admitted", Outcome.COMPLETE),
         "executed miss": ("admitted", Outcome.COMPLETE),
-        "watchdog abandon": ("admitted", Outcome.TIMED_OUT),
     }
 
     @pytest.mark.parametrize("ending", list(ENDINGS))
-    def test_every_ending_is_accounted_once(self, ending, monkeypatch):
+    def test_every_ending_is_accounted_once(self, ending):
         """One counter moves by one, the root span finishes and the
         future resolves once, the slot comes back, no probe stays held
         (the request under test is the HALF_OPEN probe wherever it gets
         past the breaker)."""
         counter, status = self.ENDINGS[ending]
-        monkeypatch.setattr(service_module, "WATCHDOG_MULTIPLE", 2.0)
         service = make_service(workers=2, queue_depth=0, per_client=1)
         now = fake_clock_breakers(service)
         gate = threading.Event()
@@ -580,8 +610,6 @@ class TestRequestAccounting:
         elif ending == "cache hit":
             service.execute(EDGE_QUERY)
             target.use_cache = True
-        elif ending == "watchdog abandon":
-            target.request_id, target.timeout = "block-wd", 0.05
         service.breakers.record("c", failed=True)
         if ending != "breaker shed":
             now[0] += 6.0  # cooldown over: the next "c" request probes

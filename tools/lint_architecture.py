@@ -1,5 +1,5 @@
 """Architecture guard: one member loop, one answer cache, one answer cap,
-one row builder, and no module nothing reaches.
+one row builder, one request deadline, and no module nothing reaches.
 
 ``repro.matching.planner.match_members`` is the only routine that matches
 a pattern against the members of a collection and the only place that
@@ -35,6 +35,10 @@ its last caller:
         ``"edges"`` outside ``repro/service/protocol.py`` (answers
         travel as blocks of flat id rows; ``AnswerRows`` there is the
         one place a row dict is built, when a caller reads a row)
+  A007  the name ``WATCHDOG_MULTIPLE`` reappears anywhere (a served
+        request's one deadline is the ``ExecutionContext`` built when it
+        is handed to the pool, which every run checks; a second wall
+        over a thread pool cannot stop a thread)
 
 Run: ``python tools/lint_architecture.py [root]`` (defaults to
 ``src/repro``; A003 reads the importer trees beside ``src/``); exits
@@ -64,6 +68,9 @@ RETIRED_NAMES = {
                                 "picks each member's access method)"),
     "max_results": ("A005", "max_results is back (a query's answer cap is "
                             "its limit, which match_members enforces)"),
+    "WATCHDOG_MULTIPLE": ("A007", "a second request deadline is back (the "
+                                  "request's ExecutionContext is its one "
+                                  "deadline)"),
 }
 
 

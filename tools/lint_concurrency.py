@@ -3,9 +3,10 @@
 The service and cluster layers hold ``threading.Lock``s only for short
 bookkeeping sections; a blocking call inside ``with self._lock:`` turns
 every other thread's microsecond critical section into seconds of
-convoy (and, for the pool watchdog, a missed deadline).  This script
-walks the stdlib ast of the given files and flags calls that can block
-indefinitely while a lock-like context manager is held:
+convoy (and, for a worker whose request waits on that lock, a missed
+deadline).  This script walks the stdlib ast of the given files and
+flags calls that can block indefinitely while a lock-like context
+manager is held:
 
   C001  time.sleep(...) under a lock
   C002  Future/queue/thread synchronization under a lock:
