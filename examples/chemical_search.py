@@ -2,32 +2,33 @@
 
 *"Find all heterocyclic chemical compounds that contain a given aromatic
 ring and a side chain"* — runs over a collection of small compound
-graphs, first by scanning, then through the GraphGrep-style path index
-(filter + verify), showing why graph indexing is the B-tree of graph
-databases for this workload.
+graphs, first by searching every compound, then as the selection
+operator does it: the GraphGrep-style label-path filter skips the
+compounds that cannot contain the pattern and only the survivors are
+searched (filter + verify), which is why graph indexing is the B-tree
+of graph databases for this workload.
 
 Run with:  python examples/chemical_search.py
 """
 
 import time
 
-from repro.core import select
+from repro.core.algebra import matched_graphs
 from repro.datasets import (
     benzene_ring_pattern,
     molecule_collection,
     ring_with_side_chain_pattern,
 )
-from repro.index import PathIndex, PathIndexStats
+from repro.matching import GraphMatcher, baseline_options
+from repro.matching.planner import match_members
 
 
 def main() -> None:
     collection = molecule_collection(num_molecules=400, seed=7)
     print(f"compound collection: {len(collection)} molecules")
-
-    started = time.perf_counter()
-    index = PathIndex(collection, max_length=3)
-    print(f"path index built in {(time.perf_counter() - started) * 1000:.0f} ms "
-          f"({index!r})\n")
+    # one index-less matcher per compound, kept across queries as a
+    # registered document keeps them: the filter's label paths live there
+    matchers: dict = {}
 
     for pattern, description in [
         (ring_with_side_chain_pattern("O"),
@@ -37,22 +38,28 @@ def main() -> None:
         (benzene_ring_pattern(),
          "full six-carbon aromatic ring"),
     ]:
+        ground = pattern.ground()[0]
         started = time.perf_counter()
-        scanned = select(collection, pattern, exhaustive=False)
+        scanned = [graph for graph in collection
+                   if GraphMatcher(graph, indexed=False).match(
+                       ground, baseline_options(exhaustive=False)).mappings]
         scan_ms = (time.perf_counter() - started) * 1000
 
-        stats = PathIndexStats()
+        filtered: list = []
         started = time.perf_counter()
-        filtered = index.select(pattern, exhaustive=False, stats=stats)
+        selected = matched_graphs(match_members(
+            collection, [ground], baseline_options(exhaustive=False),
+            matchers, filtered=filtered))
         indexed_ms = (time.perf_counter() - started) * 1000
 
-        assert len(filtered) == len(scanned)
+        kept = len(collection) - len(filtered)
+        assert len(selected) == len(scanned)
         print(f"{description}:")
-        print(f"  {len(filtered)} compounds match; "
-              f"filter kept {stats.candidates}/{stats.collection_size} "
-              f"({stats.filter_ratio:.0%})")
+        print(f"  {len(selected)} compounds match; "
+              f"filter kept {kept}/{len(collection)} "
+              f"({kept / len(collection):.0%})")
         print(f"  full scan {scan_ms:.1f} ms -> filter+verify "
-              f"{indexed_ms:.1f} ms\n")
+              f"{indexed_ms:.1f} ms (label paths counted on first use)\n")
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from .motif import GraphGrammar, MotifExpr, SimpleMotif
 from .predicate import DecomposedPredicate, Expr, Scope, decompose
 
 if TYPE_CHECKING:
+    from ..index.path_index import FeatureNeeds
     from ..matching.symmetry import Symmetry
 
 
@@ -44,6 +45,7 @@ class GroundPattern:
         self._shared_tests: Optional[Dict[str, str]] = None
         self._symmetry: Dict[bool, "Symmetry"] = {}
         self._profile_needs: Dict[int, Dict[str, Tuple[Tuple[Any, int], ...]]] = {}
+        self._feature_needs: Dict[bool, Optional["FeatureNeeds"]] = {}
 
     # -- element predicates (F_u, F_e) ------------------------------------------
 
@@ -98,6 +100,18 @@ class GroundPattern:
                 name: tuple(Counter(motif_profile(self.motif, name, radius)).items())
                 for name in self.motif.node_names()}
         return found
+
+    def feature_needs(self, directed: bool) -> Optional["FeatureNeeds"]:
+        """The label counts and label paths a graph of the given
+        directedness must have to contain this pattern
+        (:func:`~repro.index.path_index.feature_needs`), computed once per
+        pattern and flag."""
+        try:
+            return self._feature_needs[directed]
+        except KeyError:
+            from ..index.path_index import feature_needs
+            found = self._feature_needs[directed] = feature_needs(self, directed)
+            return found
 
     def symmetry(self, directed: bool) -> "Symmetry":
         """The pattern's automorphism group against data graphs of the

@@ -1,4 +1,4 @@
-"""Path-feature index for collections of small graphs.
+"""Label-path features for collections of small graphs.
 
 Section 4 splits graph databases into two categories.  This module covers
 the first — *"a large collection of small graphs, e.g., chemical
@@ -6,11 +6,14 @@ compounds"* — where *"graph indexing plays a similar role for graph
 databases as B-trees for relational databases: only a small number of
 graphs need to be accessed"*.
 
-The index follows the GraphGrep recipe the paper cites [34]: every label
-path up to a fixed length is a feature; a collection graph can contain
-the pattern only if it contains at least as many occurrences of every
-pattern feature.  Selection then becomes **filter + verify**: the index
-prunes the collection, the Section 4 matcher verifies the survivors.
+The features follow the GraphGrep recipe the paper cites [34]: every
+label path up to :data:`MAX_PATH_LENGTH` edges is a feature; a graph can
+contain the pattern only if it contains at least as many occurrences of
+every pattern feature.  Selection is then **filter + verify**:
+:func:`repro.matching.planner.match_members` skips a small member that
+fails the containment test and searches the survivors.  The member's
+features live on its index-less matcher and are recounted when its
+:attr:`Graph.version` moves, so a write recounts one member.
 
 The filter is sound (an embedding maps each pattern path to a distinct
 data path with the same labels, so counts can only grow) and approximate
@@ -20,14 +23,24 @@ data path with the same labels, so counts can only grow) and approximate
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional, Tuple
 
-from ..core.collection import GraphCollection
 from ..core.graph import Graph
 from ..core.pattern import GroundPattern
 from ..matching.neighborhood import LABEL_ATTR, default_label
 
 PathFeature = Tuple[Any, ...]
+
+#: the longest label path, in edges, the filter counts
+MAX_PATH_LENGTH = 3
+
+#: the most traversals (by :func:`path_walk_bound`) the filter spends on
+#: one graph version, about 2 ms; a denser graph's label paths are not
+#: counted, and the filter passes it on its label counts alone.  A
+#: molecule has at most about 300 walks and counts in 0.3 ms; a 23-node
+#: graph of edge density 0.5 has about 35,000 and took 84 ms, far more
+#: than a search on it, while it rarely lacks a short path.
+MAX_PATH_WALKS = 1024
 
 
 def _seq_key(sequence: PathFeature) -> Tuple:
@@ -42,7 +55,7 @@ def _canonical(sequence: PathFeature, directed: bool) -> PathFeature:
 
 
 def _enumerate_paths(
-    node_ids,
+    node_ids: List,
     neighbors_fn,
     label_of,
     max_length: int,
@@ -51,16 +64,18 @@ def _enumerate_paths(
     """Count simple label paths with up to *max_length* edges.
 
     Undirected paths are enumerated once: a traversal is counted only
-    when its first node id is smaller than its last (each simple path of
-    length >= 1 has two distinct end points, so exactly one of its two
-    traversals qualifies).  Directed paths count every traversal.
+    when its first node comes before its last in *node_ids* (each simple
+    path of length >= 1 has two distinct end points, so exactly one of
+    its two traversals qualifies; positions, unlike the ids themselves,
+    always compare).  Directed paths count every traversal.
     """
     features: Counter = Counter()
+    position = {node_id: index for index, node_id in enumerate(node_ids)}
 
     def extend(path: List) -> None:
         if len(path) == 1:
             features[(label_of(path[0]),)] += 1
-        elif directed or path[0] < path[-1]:
+        elif directed or position[path[0]] < position[path[-1]]:
             sequence = tuple(label_of(n) for n in path)
             features[_canonical(sequence, directed)] += 1
         if len(path) > max_length:
@@ -76,8 +91,9 @@ def _enumerate_paths(
     return features
 
 
-def enumerate_label_paths(graph: Graph, max_length: int) -> Counter:
-    """Count the label paths of a data graph (the index features)."""
+def enumerate_label_paths(graph: Graph,
+                          max_length: int = MAX_PATH_LENGTH) -> Counter:
+    """Count the label paths of a data graph (its filter features)."""
     labels = {node.id: default_label(node) for node in graph.nodes()}
     return _enumerate_paths(
         graph.node_ids(),
@@ -88,24 +104,49 @@ def enumerate_label_paths(graph: Graph, max_length: int) -> Counter:
     )
 
 
+def path_walk_bound(graph: Graph,
+                    max_length: int = MAX_PATH_LENGTH) -> int:
+    """The walks of up to *max_length* edges in *graph* (following edge
+    direction), an upper bound on the traversals
+    :func:`enumerate_label_paths` makes; counted in ``O(max_length * |E|)``."""
+    node_ids = graph.node_ids()
+    neighbors = {node_id: graph.neighbors(node_id) for node_id in node_ids}
+    walks = dict.fromkeys(node_ids, 1)  # of 0 edges, from each node
+    total = len(walks)
+    for _ in range(max_length):
+        walks = {node_id: sum(walks[n] for n in neighbors[node_id])
+                 for node_id in node_ids}
+        total += sum(walks.values())
+    return total
+
+
 def pattern_features(
     pattern: GroundPattern,
-    max_length: int,
+    max_length: int = MAX_PATH_LENGTH,
     directed: bool = False,
 ) -> Counter:
     """Label-path features a pattern *requires* of any containing graph.
 
     Only paths whose nodes all carry a declarative label constraint
     contribute (an unconstrained node matches anything and cannot prune).
+    Against a directed graph a path follows the pattern's edges from
+    source to target, as :meth:`Graph.neighbors` does in the data, and
+    reaches each neighbour once, however many edges join them.
     """
     motif = pattern.motif
     constrained = {
         name: motif.node(name).attrs[LABEL_ATTR]
         for name in motif.node_names()
-        if LABEL_ATTR in motif.node(name).attrs
+        if motif.node(name).attrs.get(LABEL_ATTR) is not None
     }
 
     def neighbors(name: str) -> List[str]:
+        if directed:
+            # each target once: parallel pattern edges map to one data edge
+            return list(dict.fromkeys(
+                edge.target for edge in motif.incident_edges(name)
+                if edge.source == name and edge.target != name
+                and edge.target in constrained))
         return [n for n in motif.neighbors(name) if n in constrained]
 
     return _enumerate_paths(
@@ -117,98 +158,30 @@ def pattern_features(
     )
 
 
-class PathIndexStats:
-    """Filter effectiveness counters."""
+class FeatureNeeds(NamedTuple):
+    """What a ground pattern requires of a graph that contains it, split
+    into the two tiers of the containment test."""
 
-    def __init__(self) -> None:
-        self.collection_size = 0
-        self.candidates = 0
-        self.verified = 0
-
-    @property
-    def filter_ratio(self) -> float:
-        """Fraction of the collection surviving the filter."""
-        if self.collection_size == 0:
-            return 0.0
-        return self.candidates / self.collection_size
-
-    def __repr__(self) -> str:
-        return (
-            f"PathIndexStats({self.candidates}/{self.collection_size} "
-            f"candidates, {self.verified} verified)"
-        )
+    #: ``(label, count)``: checked first, against label counts
+    labels: Tuple[Tuple[Any, int], ...]
+    #: ``(label path, count)`` of paths with at least one edge: checked
+    #: only for a graph whose labels pass
+    paths: Tuple[Tuple[PathFeature, int], ...]
 
 
-class PathIndex:
-    """A GraphGrep-style filter index over a collection of small graphs."""
-
-    def __init__(
-        self,
-        collection: GraphCollection,
-        max_length: int = 3,
-    ) -> None:
-        self.collection = collection
-        self.max_length = max_length
-        self._directed = any(g.directed for g in collection)
-        #: versions at build time: the holder rebuilds once they differ
-        self.member_versions = [graph.version for graph in collection]
-        self._features: List[Counter] = [
-            enumerate_label_paths(graph, max_length)
-            for graph in collection
-        ]
-        # inverted index: feature -> graph positions containing it
-        self._inverted: Dict[PathFeature, List[int]] = {}
-        for position, counter in enumerate(self._features):
-            for feature in counter:
-                self._inverted.setdefault(feature, []).append(position)
-
-    def candidate_positions(
-        self,
-        pattern: GroundPattern,
-        stats: Optional[PathIndexStats] = None,
-    ) -> List[int]:
-        """Collection positions that may contain the pattern."""
-        required = pattern_features(pattern, self.max_length, self._directed)
-        if stats is not None:
-            stats.collection_size = len(self.collection)
-        if not required:
-            candidates = list(range(len(self.collection)))
-        else:
-            # start from the rarest feature's posting list
-            rarest = min(
-                required, key=lambda f: len(self._inverted.get(f, ()))
-            )
-            candidates = [
-                position
-                for position in self._inverted.get(rarest, [])
-                if all(
-                    self._features[position][feature] >= count
-                    for feature, count in required.items()
-                )
-            ]
-        if stats is not None:
-            stats.candidates = len(candidates)
-        return candidates
-
-    def select(
-        self,
-        pattern: GroundPattern,
-        exhaustive: bool = True,
-        stats: Optional[PathIndexStats] = None,
-    ) -> GraphCollection:
-        """Filter-and-verify selection over the collection."""
-        from ..core.algebra import select as verify_select
-
-        positions = self.candidate_positions(pattern, stats)
-        survivors = GraphCollection([self.collection[p] for p in positions])
-        result = verify_select(survivors, pattern, exhaustive=exhaustive)
-        if stats is not None:
-            stats.verified = len(result)
-        return result
-
-    def __repr__(self) -> str:
-        return (
-            f"PathIndex(graphs={len(self.collection)}, "
-            f"max_length={self.max_length}, "
-            f"features={len(self._inverted)})"
-        )
+def feature_needs(pattern: GroundPattern,
+                  directed: bool) -> Optional[FeatureNeeds]:
+    """The pattern's :class:`FeatureNeeds` against graphs of the given
+    directedness; ``None`` when it constrains no label (every graph may
+    contain it) or a label constraint cannot be counted (unhashable)."""
+    try:
+        required = pattern_features(pattern, MAX_PATH_LENGTH, directed)
+    except TypeError:
+        return None
+    if not required:
+        return None
+    return FeatureNeeds(
+        tuple((feature[0], count) for feature, count in required.items()
+              if len(feature) == 1),
+        tuple((feature, count) for feature, count in required.items()
+              if len(feature) > 1))

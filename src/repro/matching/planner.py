@@ -20,6 +20,7 @@ import copy
 import logging
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
@@ -28,6 +29,8 @@ from ..core.bindings import EMPTY_ANSWERS, AnswerTable, as_graph
 from ..core.graph import Graph
 from ..core.pattern import GroundPattern
 from ..index.attribute_index import AttributeIndexSet
+from ..index.path_index import (MAX_PATH_WALKS, FeatureNeeds, enumerate_label_paths,
+                                path_walk_bound)
 from ..index.profile_index import ProfileIndex
 from ..obs.trace import span as trace_span
 from ..runtime import (
@@ -49,6 +52,9 @@ logger = logging.getLogger(__name__)
 #: how the degradation note of a failed Algorithm 4.2 run starts (EXPLAIN
 #: reports ``refine: false`` for a plan that carries one)
 REFINEMENT_FAILED = "refinement failed"
+
+#: a matcher's label paths before they are counted
+_UNCOUNTED: Counter = Counter()
 
 
 @dataclass
@@ -233,7 +239,8 @@ class GraphMatcher:
     ``indexed=False`` builds neither index: retrieval scans and local
     pruning counts profiles on the fly.  Such a matcher also keeps
     ``memo``, the complete runs of the current graph version that
-    :func:`match_members` replays (a rebuild starts it empty).
+    :func:`match_members` replays, and the graph's label paths that its
+    filter reads (:meth:`may_contain`); a rebuild starts both empty.
     """
 
     def __init__(self, graph: Graph, radius: int = 1, indexed: bool = True) -> None:
@@ -258,6 +265,8 @@ class GraphMatcher:
         #: _Recorded run of this graph version} (see match_members)
         self.memo: Optional[WeakKeyDictionary] = (
             None if self.indexed else WeakKeyDictionary())
+        #: counted on first use by :meth:`label_paths`
+        self._label_paths: Optional[Counter] = _UNCOUNTED
         if self.indexed:
             try:
                 self.attribute_index = AttributeIndexSet(self.graph)
@@ -283,6 +292,47 @@ class GraphMatcher:
             self._rebuild()
             return True
         return False
+
+    # -- the collection filter (index/path_index.py) ------------------------------
+
+    def may_contain(self, needs: FeatureNeeds, paths: bool = True) -> bool:
+        """GraphGrep's containment test on the current graph version:
+        ``False`` only when the graph has fewer of some label or label
+        path than a pattern with *needs* requires, so no mapping exists.
+        Label counts (the statistics') are checked first; with *paths*,
+        the label paths are then read too, counted only for a graph
+        whose labels pass, once per graph version."""
+        self.refresh()
+        if self.stats is not None:
+            counts = self.stats.label_freq
+            for label, count in needs.labels:
+                if counts.get(label, 0) < count:
+                    return False
+        if paths and needs.paths:
+            have = self.label_paths()
+            if have is not None:
+                for feature, count in needs.paths:
+                    if have.get(feature, 0) < count:
+                        return False
+        return True
+
+    def label_paths(self) -> Optional[Counter]:
+        """The label-path features of the graph version this matcher was
+        built for, counted on first use; ``None`` (the filter passes the
+        graph) when counting them would exceed
+        :data:`~repro.index.path_index.MAX_PATH_WALKS` traversals or
+        failed, the latter a build error (a degradation note on later
+        plans)."""
+        paths = self._label_paths
+        if paths is _UNCOUNTED:
+            paths = None
+            if path_walk_bound(self.graph) <= MAX_PATH_WALKS:
+                try:
+                    paths = enumerate_label_paths(self.graph)
+                except Exception as exc:
+                    self._note_build_error("label-path features", exc)
+            self._label_paths = paths
+        return paths
 
     # -- the full pipeline -------------------------------------------------------
 
@@ -544,12 +594,13 @@ def _replay(matcher: GraphMatcher, ground: GroundPattern,
     """The memoised run of this graph version, replayed as if it ran
     again; ``None`` when the member must run for real.
 
-    A replay checks *context* and charges it the recorded steps, results
-    and memory, so budgets and outcomes add up as for the real run.  It
-    is refused when ``options.limit`` or a budget would have stopped
-    that run part-way: the real run then truncates exactly as it would
-    without the memo.  The replayed report's ``times`` hold the replay's
-    own wall time (stage ``replay``), not the recorded run's stages.
+    A replay charges *context* (checked by the member loop just before)
+    the recorded steps, results and memory, so budgets and outcomes add
+    up as for the real run.  It is refused when ``options.limit`` or a
+    budget would have stopped that run part-way: the real run then
+    truncates exactly as it would without the memo.  The replayed
+    report's ``times`` hold the replay's own wall time (stage
+    ``replay``), not the recorded run's stages.
     """
     started = time.perf_counter()
     recorded = (matcher.memo.get(ground) or {}).get(options.exhaustive)
@@ -565,10 +616,6 @@ def _replay(matcher: GraphMatcher, ground: GroundPattern,
                     and context.memory_used + recorded.memory
                     >= context.max_memory)):
             return None
-        try:
-            context.check()
-        except ExecutionInterrupted:
-            return None  # the real run stops at its first check alike
         context.charge(recorded.steps, found, recorded.memory)
     with trace_span("match.query", graph=matcher.graph.name or "<anon>",
                     replayed=True) as sp:
@@ -581,6 +628,26 @@ def _replay(matcher: GraphMatcher, ground: GroundPattern,
     return report
 
 
+#: each derivation of a pattern with what a member must have to contain it
+_Derivations = List[Tuple[GroundPattern, Optional[FeatureNeeds]]]
+
+
+def member_matcher(matchers: Dict[int, GraphMatcher], graph: Graph,
+                   small: bool,
+                   context: Optional[ExecutionContext] = None) -> GraphMatcher:
+    """The matcher of *graph* in *matchers* (``id(graph)`` → matcher),
+    index-less when *small*; a missing one is built and kept, after
+    ``context.check()`` (so a request whose time ran out, in the queue
+    say, builds no statistics or index)."""
+    matcher = matchers.get(id(graph))
+    if (matcher is None or matcher.graph is not graph
+            or matcher.indexed == small):
+        if context is not None:
+            context.check()
+        matcher = matchers[id(graph)] = GraphMatcher(graph, indexed=not small)
+    return matcher
+
+
 def match_members(
     collection: Iterable,
     grounds: Sequence[GroundPattern],
@@ -588,6 +655,7 @@ def match_members(
     matchers: Optional[Dict[int, GraphMatcher]] = None,
     context: Optional[ExecutionContext] = None,
     search: bool = True,
+    filtered: Optional[List[int]] = None,
 ) -> Iterator[MemberRun]:
     """σ_P over a collection: the one member loop every selection runs.
 
@@ -597,8 +665,11 @@ def match_members(
     only for the answers still missing, and the run that fills the cap
     ends the loop ``TRUNCATED``.  ``exhaustive`` off keeps one mapping
     per member.  *context* governs every search; once it is interrupted
-    or truncated, the rest is skipped.  ``search=False`` yields
-    :meth:`GraphMatcher.plan` results instead (EXPLAIN).
+    or truncated, the rest is skipped.  It is checked before a member's
+    matcher is first built and before each member run starts; a failed
+    check is recorded on it and ends the loop without a run for that
+    member.  ``search=False`` yields :meth:`GraphMatcher.plan` results
+    instead (EXPLAIN).
 
     Which matcher and options a member gets is decided here and nowhere
     else, from its node count (:data:`SMALL_MEMBER_NODES`): an indexed
@@ -610,27 +681,64 @@ def match_members(
     the graph version it searched, and replayed (``report.replayed``)
     until the graph changes — so after a write to one member, only that
     member searches again.
+
+    A small member is filtered first (GraphGrep, the paper's category
+    1): a derivation whose label counts or label paths the member lacks
+    (:meth:`GraphMatcher.may_contain`) is not run, replayed or planned
+    there, and yields nothing.  The position of a member the filter
+    rejected for every derivation is appended to *filtered* when one is
+    given.  Big members are never filtered: their indexed retrieval
+    rejects by label anyway.  Label paths are read only when *matchers*
+    is given, since they pay off across the calls that share it; a
+    call without it checks label counts only.
     """
+    count_paths = matchers is not None
     matchers = {} if matchers is None else matchers
     requested = options or MatchOptions()
     #: small? -> that policy's options, kept at the current ``remaining``
     policy = {True: replace(requested, local="none", refine=False,
                             optimize_order=False),
               False: requested}
+    #: big members are never filtered: no feature needs
+    unfiltered: _Derivations = [(ground, None) for ground in grounds]
+    #: directed? -> (ground, what a graph containing it needs) per
+    #: derivation, looked up once per call, at the first small member
+    filters: Dict[bool, _Derivations] = {}
     remaining = requested.limit
     for position, member in enumerate(collection):
         graph = as_graph(member)
         small = graph.num_nodes() < SMALL_MEMBER_NODES
-        matcher = matchers.get(id(graph))
-        if (matcher is None or matcher.graph is not graph
-                or matcher.indexed == small):
-            matcher = matchers[id(graph)] = GraphMatcher(graph,
-                                                         indexed=not small)
+        try:
+            matcher = member_matcher(matchers, graph, small, context)
+        except ExecutionInterrupted as exc:
+            assert context is not None  # only a context interrupts
+            context.mark_interrupted(exc)  # as GraphMatcher.match does
+            return
         member_options = policy[small]
-        for ground in grounds:
+        derivations = unfiltered
+        if small:
+            derivations = filters.get(graph.directed)
+            if derivations is None:
+                derivations = filters[graph.directed] = [
+                    (ground, ground.feature_needs(graph.directed))
+                    for ground in grounds]
+        rejected = True
+        for ground, needs in derivations:
             if context is not None and context.is_stopped:
                 return
+            if needs is not None and not matcher.may_contain(needs,
+                                                             count_paths):
+                continue
+            rejected = False
             found = 0
+            if context is not None:
+                # no member starts once the context has run out, cached
+                # matcher or not, so a replay stops where the real run would
+                try:
+                    context.check()
+                except ExecutionInterrupted as exc:
+                    context.mark_interrupted(exc)
+                    return
             if not search:
                 report: AccessPlan = matcher.plan(ground, member_options)
             else:
@@ -658,6 +766,8 @@ def match_members(
                 return
             if found and not requested.exhaustive:
                 break  # one mapping per member
+        if rejected and filtered is not None:
+            filtered.append(position)
 
 
 def baseline_options(**overrides) -> MatchOptions:

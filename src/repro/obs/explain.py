@@ -129,16 +129,24 @@ def explain_document(
     """EXPLAIN a (possibly non-ground) pattern over every graph of a
     registered document; returns one JSON-ready dict.  Each entry
     renders a run of the database's own member loop: the plan (and, with
-    *analyze*, the very run) ``match`` gives that member."""
+    *analyze*, the very run) ``match`` gives that member, so the graphs
+    listed are ``match``'s.  ``members`` counts the document's graphs,
+    ``filtered`` those the label-path filter kept from every
+    derivation."""
     grounds = pattern.ground()
+    filtered: List[int] = []
+    graphs = [
+        _render_plan(run.matcher, run.ground, run.options, run.report)
+        for run in database.member_runs(document, grounds, options,
+                                        context, search=analyze,
+                                        filtered=filtered)]
     return {
         "document": document,
         "analyze": bool(analyze),
         "derivations": len(grounds),
-        "graphs": [
-            _render_plan(run.matcher, run.ground, run.options, run.report)
-            for run in database.member_runs(document, grounds, options,
-                                            context, search=analyze)],
+        "members": len(database.doc(document)),
+        "filtered": len(filtered),
+        "graphs": graphs,
     }
 
 
@@ -178,6 +186,9 @@ def render_text(document: Dict[str, Any]) -> str:
             f"diagnostic: {diagnostic.get('severity', '?')} "
             f"{diagnostic.get('code', '?')} "
             f"{diagnostic.get('message', '')}{where}")
+    if document.get("filtered"):
+        lines.append(f"members: {document['members']}, "
+                     f"{document['filtered']} filtered out by label paths")
     for entry in document.get("graphs", []):
         lines.append(f"graph {entry['graph']}: "
                      f"{entry['pattern_nodes']} pattern node(s), "

@@ -9,22 +9,25 @@ end-to-end.
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
-from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from ..core.algebra import matched_graphs
-from ..core.bindings import Block
+from ..core.bindings import Block, as_graph
 from ..core.collection import GraphCollection
 from ..core.graph import Graph
 from ..core.pattern import GraphPattern, GroundPattern
 from ..lang.compiler import compile_pattern_text, compile_program
 from ..matching.planner import (
+    SMALL_MEMBER_NODES,
     GraphMatcher,
     MatchOptions,
     MatchReport,
     MemberRun,
     match_members,
+    member_matcher,
 )
 from ..runtime import ExecutionContext
 from .graphstore import GraphStore
@@ -49,17 +52,12 @@ class Answers(NamedTuple):
 class GraphDatabase:
     """Named collections of graphs plus cached access methods."""
 
-    #: Collections with at least this many graphs get a path index for
-    #: filter+verify selection (the paper's category-1 access method).
-    COLLECTION_INDEX_THRESHOLD = 32
-
     def __init__(self) -> None:
         self._collections: Dict[str, GraphCollection] = {}
         #: per-document count of registrations that changed the
         #: collection object (see :meth:`registration`)
         self._registrations: Dict[str, int] = {}
         self._matchers: Dict[int, GraphMatcher] = {}
-        self._collection_indexes: Dict[str, "object"] = {}
         self._store: Optional[GraphStore] = None
         #: per durable document: the collection object the store last
         #: wrote, its members and their versions as written
@@ -87,7 +85,6 @@ class GraphDatabase:
                 for graph in replaced:
                     if id(graph) not in kept:
                         self._matchers.pop(id(graph), None)
-                self._collection_indexes.pop(name, None)
         self._collections[name] = collection
 
     def registration(self, name: str) -> int:
@@ -211,11 +208,13 @@ class GraphDatabase:
     def member_runs(self, document: str, grounds: Sequence[GroundPattern],
                     options: Optional[MatchOptions] = None,
                     context: Optional[ExecutionContext] = None,
-                    search: bool = True) -> Iterator[MemberRun]:
+                    search: bool = True,
+                    filtered: Optional[List[int]] = None,
+                    ) -> Iterator[MemberRun]:
         """:func:`~repro.matching.planner.match_members` over a registered
         document, with this database's cached per-graph matchers."""
         return match_members(self.doc(document), grounds, options,
-                             self._matchers, context, search)
+                             self._matchers, context, search, filtered)
 
     def match(
         self,
@@ -226,10 +225,14 @@ class GraphDatabase:
     ) -> Dict[str, MatchReport]:
         """Match a pattern against every graph of a document.
 
-        Returns one :class:`MatchReport` per graph (derivations merged),
-        keyed by graph name (or ``#position`` when unnamed; a name an
-        earlier member already holds gets ``#position`` appended until
-        it is free).  Pattern text is compiled on the fly.  Once
+        Returns one :class:`MatchReport` per graph that ran (derivations
+        merged), keyed by graph name (or ``#position`` when unnamed; a
+        name an earlier member already holds gets ``#position`` appended
+        until it is free).  A small graph the label-path filter rejects
+        for every derivation runs nothing and has no key (EXPLAIN
+        counts such graphs as ``filtered``, see
+        :func:`~repro.obs.explain.explain_document`).  Pattern text is
+        compiled on the fly.  Once
         ``options.limit`` is filled or a shared *context* trips,
         remaining graphs are skipped; each report carries the outcome
         snapshot at the time it finished.
@@ -268,24 +271,27 @@ class GraphDatabase:
             tuple(f"{name}: {note}" for name, report in reports.items()
                   for note in report.degradation))
 
-    def collection_index_for(self, document: str):
-        """The cached path index of a document (rebuilt when the document
-        or a member graph changed).
-
-        Only collections of at least :data:`COLLECTION_INDEX_THRESHOLD`
-        graphs are indexed; smaller ones return ``None`` (scanning wins).
-        """
-        from ..index.path_index import PathIndex
-
-        collection = self.doc(document)
-        if len(collection) < self.COLLECTION_INDEX_THRESHOLD:
-            return None
-        index = self._collection_indexes.get(document)
-        if (index is None or index.collection is not collection
-                or index.member_versions != [g.version for g in collection]):
-            index = PathIndex(collection)
-            self._collection_indexes[document] = index
-        return index
+    def collection_index_for(self, document: str) -> List[Optional[Counter]]:
+        """The path filter's state over a document, per member in order:
+        the label paths of its current version that
+        :func:`~repro.matching.planner.match_members` filters on (counted
+        now where they were not yet), or ``None`` where the filter reads
+        label counts only: a member of
+        :data:`~repro.matching.planner.SMALL_MEMBER_NODES` nodes or more,
+        or one too dense to count (:data:`~repro.index.path_index.
+        MAX_PATH_WALKS`).  They live on the cached
+        index-less matchers, so a write to one member recounts that
+        member only."""
+        state: List[Optional[Counter]] = []
+        for graph in self.doc(document):
+            graph = as_graph(graph)
+            if graph.num_nodes() >= SMALL_MEMBER_NODES:
+                state.append(None)
+                continue
+            matcher = member_matcher(self._matchers, graph, True)
+            matcher.refresh()
+            state.append(matcher.label_paths())
+        return state
 
     def select(
         self,
@@ -295,28 +301,13 @@ class GraphDatabase:
         context: Optional[ExecutionContext] = None,
         grammar=None,
     ) -> GraphCollection:
-        """σ_P over a document, as matched graphs; big collections are
-        filtered by their path index first (filter + verify).
-
-        The filter only narrows which members are matched: results are
-        identical either way, and when the index cannot be built (e.g. a
-        storage fault) every member is matched instead of failing.
-        """
+        """σ_P over a document, as matched graphs: the member loop of
+        :meth:`match`, its label-path filter included."""
         if isinstance(pattern, str):
             pattern = compile_pattern_text(pattern)
-        grounds = pattern.ground(grammar)
-        members: Iterable[Graph] = self.doc(document)
-        try:
-            index = self.collection_index_for(document)
-        except Exception:
-            index = None
-        if index is not None:
-            # a member matches when any derivation does
-            members = [index.collection[position] for position in sorted(
-                set().union(*map(index.candidate_positions, grounds)))]
         return matched_graphs(match_members(
-            members, grounds, MatchOptions(exhaustive=exhaustive),
-            self._matchers, context))
+            self.doc(document), pattern.ground(grammar),
+            MatchOptions(exhaustive=exhaustive), self._matchers, context))
 
     # -- full query execution ------------------------------------------------------------
 

@@ -10,6 +10,7 @@ from repro.core.motif import clique_motif
 from repro.datasets import erdos_renyi_graph
 from repro.matching import (GraphMatcher, MatchOptions, brute_force_matches,
                             find_matches)
+from repro.matching import planner
 from repro.matching.planner import SMALL_MEMBER_NODES, match_members
 from repro.runtime import ExecutionContext, Outcome
 from repro.storage import GraphDatabase
@@ -307,17 +308,20 @@ class TestSmallMemberMemo:
     def test_cancellation_stops_a_replay_before_the_next_member(self):
         collection = small_members()
         matchers = self.warm(collection)
+        warm_context, fresh_context = ExecutionContext(), ExecutionContext()
         warm, replayed = member_loop(
-            collection, context=ExecutionContext(), matchers=matchers,
+            collection, context=warm_context, matchers=matchers,
             stop_after=lambda context: context.token.cancel("stop"))
         fresh, _ = member_loop(
-            collection, context=ExecutionContext(),
+            collection, context=fresh_context,
             stop_after=lambda context: context.token.cancel("stop"))
         assert warm == fresh
-        # the first run, then the member the cancelled check stopped
-        assert replayed == [True, False]
-        assert warm[1]["outcome"][:2] == (Outcome.CANCELLED, "stop")
-        assert warm[1]["mappings"] == []
+        # the first run only: the check before the next member start
+        # finds the cancellation, with or without a cached matcher
+        assert replayed == [True]
+        for context in (warm_context, fresh_context):
+            assert (context.outcome().status,
+                    context.outcome().reason) == (Outcome.CANCELLED, "stop")
 
     def test_an_expired_deadline_stops_a_replay_before_the_next_member(self):
         collection = small_members()
@@ -328,9 +332,8 @@ class TestSmallMemberMemo:
             runs, replayed = member_loop(
                 collection, context=context, matchers=cache,
                 stop_after=lambda _: now.__setitem__(0, 2.0))
-            assert replayed == [cache is not None, False]
-            assert runs[1]["outcome"][0] is Outcome.TIMED_OUT
-            assert runs[1]["mappings"] == []
+            assert replayed == [cache is not None]
+            assert context.outcome().status is Outcome.TIMED_OUT
 
     def test_a_limit_below_a_memoised_answer_runs_the_member(self):
         collection = small_members()
@@ -351,3 +354,69 @@ class TestSmallMemberMemo:
         # the capped run was not memoised: an uncapped loop finds all
         assert (member_loop(collection, matchers=matchers)[0]
                 == member_loop(collection)[0])
+
+
+
+class TestAnExpiredRequest:
+    def test_a_request_that_expired_in_the_queue_builds_no_matcher(self):
+        """The loop checks the context before it builds a member's first
+        matcher, and records the interruption as a run would."""
+        now = [0.0]
+        context = ExecutionContext(timeout=1.0, clock=lambda: now[0])
+        now[0] = 2.0  # the deadline passed before the loop started
+        matchers = {}
+        runs = list(match_members(small_members(), [EDGE],
+                                  matchers=matchers, context=context))
+        assert runs == [] and matchers == {}
+        assert context.outcome().status is Outcome.TIMED_OUT
+
+
+def a_b_pattern():
+    return GroundPattern(clique_motif(["A", "B"]))
+
+
+class TestTheFilterKeepsUpWithWrites:
+    """A member's label paths live on its matcher, per graph version."""
+
+    def test_a_write_recounts_only_that_member(self, monkeypatch):
+        counted = []
+        count = planner.enumerate_label_paths
+        monkeypatch.setattr(planner, "enumerate_label_paths",
+                            lambda graph: counted.append(graph.name)
+                            or count(graph))
+        # sparse enough to count (path_index.MAX_PATH_WALKS)
+        collection = GraphCollection([
+            erdos_renyi_graph(12, 16, num_labels=2, seed=seed, name=f"s{seed}")
+            for seed in range(6)])
+        db = GraphDatabase()
+        db.register("d", collection)
+        db.match("d", EDGE)
+        # every member has both labels, so each counted its paths once
+        assert sorted(counted) == sorted(g.name for g in collection)
+        counted.clear()
+        db.match("d", EDGE)
+        assert counted == []
+        written = collection[2]
+        written.add_node("w", label="L000")
+        written.add_edge("w", written.node_ids()[0])
+        db.register("d", collection)
+        db.match("d", EDGE)
+        assert counted == [written.name]
+
+    def test_a_write_that_adds_the_missing_label_lets_the_member_through(
+            self):
+        graph = Graph("g")
+        graph.add_node("a", label="A")
+        graph.add_node("c", label="C")
+        graph.add_edge("a", "c")
+        db = GraphDatabase()
+        db.register("d", GraphCollection([graph]))
+        filtered = []
+        assert list(db.member_runs("d", [a_b_pattern()],
+                                   filtered=filtered)) == []
+        assert filtered == [0] and db.match("d", a_b_pattern()) == {}
+        graph.add_node("b", label="B")
+        graph.add_edge("a", "b")
+        db.register("d", GraphCollection([graph]))
+        (report,) = db.match("d", a_b_pattern()).values()
+        assert len(report.mappings) == 1

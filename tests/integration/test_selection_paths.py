@@ -1,11 +1,14 @@
 """Differential test: every way to evaluate σ_P over a document agrees.
 
-``algebra.select`` (no database), ``GraphDatabase.select`` (path-index
-filter + verify), ``GraphDatabase.match`` (the served path) and a
-``for P in doc(...)`` clause are thin callers of one member loop
-(``matching.planner.match_members``); they must return the answer set
-``brute_force_matches`` defines, on collections either side of both
-access-method constants, before and after an in-place write.  The memo
+``algebra.select`` (no database), ``GraphDatabase.select``,
+``GraphDatabase.match`` (the served path) and a ``for P in doc(...)``
+clause are thin callers of one member loop
+(``matching.planner.match_members``), label-path filter included; they
+must return the answer set ``brute_force_matches`` defines, on members
+either side of the access-method constant, before and after an in-place
+write.  Members draw their labels from different alphabets, so the
+filter rejects some of them: no member with an answer may be among
+those.  The memo
 leg interleaves writes to random members with repeated queries, so most
 small members are replayed from their memoised run: the answers stay
 the brute-force ones, and every run — replayed or not — reports the
@@ -28,14 +31,16 @@ from repro.service import QueryService, ServiceConfig
 from repro.storage import GraphDatabase
 from tests.service.reference import answer_rows
 
-LABELS = "AB"
-THRESHOLD = GraphDatabase.COLLECTION_INDEX_THRESHOLD
+LABELS = "ABC"
+#: a member's labels come from one of these, a pattern's from LABELS
+ALPHABETS = ("AB", "AC", "BC", "ABC")
 
 
 def random_member(rng: random.Random, name: str, n_nodes: int) -> Graph:
     graph = Graph(name)
+    alphabet = rng.choice(ALPHABETS)
     for i in range(n_nodes):
-        graph.add_node(f"n{i}", label=rng.choice(LABELS))
+        graph.add_node(f"n{i}", label=rng.choice(alphabet))
     ids = graph.node_ids()
     for _ in range(rng.randint(n_nodes - 1, 2 * n_nodes)):
         u, v = rng.choice(ids), rng.choice(ids)
@@ -46,8 +51,8 @@ def random_member(rng: random.Random, name: str, n_nodes: int) -> Graph:
 
 def random_collection(rng: random.Random) -> GraphCollection:
     """Tiny members, plus up to two either side of the node-count
-    constant; a member count either side of the collection threshold."""
-    count = rng.choice([1, 3, THRESHOLD - 1, THRESHOLD, THRESHOLD + 1])
+    constant."""
+    count = rng.choice([1, 3, 12, 33])
     sizes = [rng.randint(2, 5) for _ in range(count)]
     for position in rng.sample(range(count), min(2, count)):
         sizes[position] = SMALL_MEMBER_NODES + rng.choice([-1, 0, 1])
@@ -98,8 +103,22 @@ def per_member(answers: Counter) -> Counter:
     return Counter(name for (name, _), n in answers.items() for _ in range(n))
 
 
+def check_the_filter(db, collection, pattern, truth):
+    """The filter keeps every member with an answer, and only small
+    members are ever filtered; returns how many it rejected."""
+    filtered = []
+    list(db.member_runs("d", pattern.ground(), filtered=filtered))
+    answering = set(per_member(truth))
+    for position in filtered:
+        graph = collection[position]
+        assert graph.name not in answering, graph.name
+        assert graph.num_nodes() < SMALL_MEMBER_NODES
+    return len(filtered)
+
+
 def check_all_paths(db, collection, pattern, rng):
     truth = reference(collection, pattern)
+    check_the_filter(db, collection, pattern, truth)
 
     # exhaustive: the four paths return exactly the reference multiset
     paths = {
@@ -145,14 +164,19 @@ def check_all_paths(db, collection, pattern, rng):
         assert sum(answers.values()) == min(sum(truth.values()), limit), path
         assert not answers - truth, path
 
-    # EXPLAIN shows the plan match really ran, member by member
+    # EXPLAIN shows the plan match really ran, member by member, and
+    # the members the filter kept out
     grounds = pattern.ground()
     reports = db.match("d", grounds[0])
-    explained = explain_document(db, "d", grounds[0])["graphs"]
+    document = explain_document(db, "d", grounds[0])
+    explained = document["graphs"]
     assert [entry["graph"] for entry in explained] == list(reports)
-    for entry, graph in zip(explained, collection):
-        report = reports[graph.name]
-        small = graph.num_nodes() < SMALL_MEMBER_NODES
+    assert document["members"] == len(collection)
+    assert document["filtered"] == len(collection) - len(reports)
+    by_name = {graph.name: graph for graph in collection}
+    for entry in explained:
+        report = reports[entry["graph"]]
+        small = by_name[entry["graph"]].num_nodes() < SMALL_MEMBER_NODES
         assert entry["local"] == ("none" if small else "profile")
         assert entry["refine"] == (report.refinement is not None) == (not small)
         assert entry["order_policy"] == report.policy == (
@@ -196,7 +220,8 @@ def run_signatures(runs):
 
 def check_memo_paths(service, collection, pattern, options, truths):
     """Every path against *truths* (the brute-force answer per
-    derivation); returns how many member runs were replayed."""
+    derivation); returns how many member runs were replayed, and how
+    many ran on small members (those the filter kept)."""
     db = service.database
     truth = sum(truths, Counter())
     assert matched(db.select("d", pattern)) == truth, "db.select"
@@ -217,10 +242,27 @@ def check_memo_paths(service, collection, pattern, options, truths):
         "EXPLAIN ANALYZE")
 
     warm = list(db.member_runs("d", grounds, options, ExecutionContext()))
-    fresh = match_members(collection, grounds, options,
+    fresh = match_members(collection, grounds, options, matchers={},
                           context=ExecutionContext())
     assert run_signatures(warm) == run_signatures(fresh)
-    return sum(run.report.replayed for run in warm)
+    return (sum(run.report.replayed for run in warm),
+            sum(run.matcher.graph.num_nodes() < SMALL_MEMBER_NODES
+                for run in warm))
+
+
+def test_the_generator_exercises_the_filter():
+    """The generated collections and patterns above are ones the filter
+    really prunes: over a fixed run of seeds it rejects members."""
+    rejected = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        collection = random_collection(rng)
+        pattern = random_pattern(rng, 1)
+        db = GraphDatabase()
+        db.register("d", collection)
+        rejected += check_the_filter(db, collection, pattern,
+                                     reference(collection, pattern))
+    assert rejected > 0
 
 
 @settings(max_examples=12, deadline=None)
@@ -233,27 +275,28 @@ def test_replayed_members_answer_like_fresh_runs(seed, derivations):
                                          default_max_results=None))
     try:
         service.register("d", collection)
-        replays, unlimited = 0, False
+        replays = small_unlimited = 0
         for write in range(3):
             truths = [keyed((graph.name, mapping) for graph in collection
                             for mapping in brute_force_matches(ground, graph))
                       for ground in pattern.ground()]
             options = rng.choice([None, MatchOptions(exhaustive=False),
                                   MatchOptions(limit=rng.randint(1, 6))])
-            unlimited |= options is None or options.limit is None
             for _ in range(2):
-                replays += check_memo_paths(service, collection, pattern,
-                                            options, truths)
+                replayed, small = check_memo_paths(service, collection,
+                                                   pattern, options, truths)
+                replays += replayed
+                if options is None or options.limit is None:
+                    small_unlimited += small
             written = collection[rng.randrange(len(collection))]
             anchor = rng.choice(written.node_ids())
             written.add_node(f"w{write}", label=rng.choice(LABELS))
             written.add_edge(anchor, f"w{write}")
             service.register("d", collection)
         # a run that reaches ``limit`` is never memoised, so only a round
-        # without one is sure to replay; members only grow, so a member
-        # small now was small in every round
-        if unlimited and any(graph.num_nodes() < SMALL_MEMBER_NODES
-                             for graph in collection):
+        # without one is sure to replay, and only on a small member the
+        # filter kept
+        if small_unlimited:
             assert replays > 0
     finally:
         service.shutdown()

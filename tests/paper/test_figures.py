@@ -32,12 +32,12 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence
 import pytest
 
 from repro.core import Graph, GraphCollection, GroundPattern, select
+from repro.core.algebra import matched_graphs
 from repro.core.bindings import MatchedGraph
 from repro.core.motif import SimpleMotif
 from repro.datalog import Atom, BodyLiteral, Program, Rule, Var, query
 from repro.datasets import erdos_renyi_graph, molecule_collection, ppi_network
 from repro.datasets.queries import extract_connected_query, seeded_clique_query
-from repro.index import PathIndex, PathIndexStats
 from repro.matching import (
     CostModel,
     GraphMatcher,
@@ -49,6 +49,7 @@ from repro.matching import (
     greedy_order,
     optimized_options,
 )
+from repro.matching.planner import match_members
 from repro.sqlbaseline import (
     ExecutionStats,
     RelationalDatabase,
@@ -323,16 +324,18 @@ def collection_index_rows(collection: GraphCollection,
                           patterns: Sequence[GroundPattern]) -> List[tuple]:
     """(size, #queries, members the path filter kept, members answering
     after it, members answering a full scan) summed per query size."""
-    index = PathIndex(collection, max_length=3)
+    matchers: Dict = {}
     rows = []
     for size, group in by_size(patterns, size_of).items():
         kept = answered = scanned = 0
         for pattern in group:
-            stats = PathIndexStats()
-            answered += len(index.select(pattern, exhaustive=False,
-                                         stats=stats))
-            kept += stats.candidates
-            scanned += len(select(collection, pattern, exhaustive=False))
+            filtered: List[int] = []
+            answered += len(matched_graphs(match_members(
+                collection, [pattern], MatchOptions(exhaustive=False),
+                matchers, filtered=filtered)))
+            kept += len(collection) - len(filtered)
+            scanned += sum(1 for graph in collection
+                           if find_matches(pattern, graph, exhaustive=False))
         rows.append((size, len(group), kept, answered, scanned))
     return rows
 

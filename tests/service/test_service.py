@@ -375,6 +375,17 @@ class TestGovernance:
             assert blocker.result(timeout=10).outcome.status is (
                 Outcome.COMPLETE)
 
+    def test_a_request_expired_in_the_queue_builds_no_matcher(self):
+        """The member loop checks the deadline before it builds a
+        member's first matcher (statistics and both indexes here)."""
+        with make_service(workers=1) as service:
+            service.execute_hook = lambda request: time.sleep(0.3)
+            response = service.execute(EDGE_QUERY, timeout=0.1,
+                                       use_cache=False)
+            assert response.outcome.status is Outcome.TIMED_OUT
+            assert "deadline of 0.1s exceeded" in response.outcome.reason
+            assert service.database._matchers == {}
+
     def test_baseline_request_honours_the_deadline(self):
         """Scan retrieval without pruning runs under the same per-request
         deadline, and the deadline ends it."""

@@ -1,4 +1,4 @@
-"""Tests for database-level selection with automatic collection indexing."""
+"""Tests for database-level selection and its label-path filter state."""
 
 from repro.core import Graph, GraphCollection
 from repro.core import select as scan_select
@@ -19,17 +19,28 @@ from tests.service.reference import answer_rows
 
 class TestDatabaseSelect:
     def test_large_collection_gets_index(self):
+        """The filter state is per member, on its cached matcher."""
         db = GraphDatabase()
-        db.register("mols", molecule_collection(num_molecules=80, seed=2))
+        collection = molecule_collection(num_molecules=80, seed=2)
+        db.register("mols", collection)
         index = db.collection_index_for("mols")
-        assert index is not None
-        # cached: the same object comes back
-        assert db.collection_index_for("mols") is index
+        assert len(index) == len(collection)
+        for graph, paths in zip(collection, index):
+            small = graph.num_nodes() < SMALL_MEMBER_NODES
+            assert (paths is None) == (not small)
+            if small:
+                assert sum(count for feature, count in paths.items()
+                           if len(feature) == 1) == graph.num_nodes()
+        # cached: the same counters come back
+        again = db.collection_index_for("mols")
+        assert all(a is b for a, b in zip(index, again))
 
     def test_small_collection_scans(self):
+        """A pattern without a label constraint filters nothing: every
+        member is matched."""
         db = GraphDatabase()
         db.register("d", tiny_dblp())
-        assert db.collection_index_for("d") is None
+        assert len(db.collection_index_for("d")) == 2
         result = db.select("d", "graph P { node v <author name=\"A\">; }")
         assert len(result) == 2  # A appears in both papers
 
@@ -113,8 +124,9 @@ class TestOneSelectionOperator:
                'edge e (a, b); }')
 
     def test_select_sees_an_in_place_write(self):
-        """The path index is rebuilt when a member graph was mutated and
-        the same collection object re-registered."""
+        """The path features of the members written in place, and only
+        theirs, are recounted when the same collection object is
+        re-registered; the written members then pass the filter."""
         db = GraphDatabase()
         collection = molecule_collection(num_molecules=40, seed=2)
         db.register("mols", collection)
@@ -127,7 +139,11 @@ class TestOneSelectionOperator:
             graph.add_edge("x1", "x2", bond="single")
             graph.add_edge(graph.node_ids()[0], "x1", bond="single")
         db.register("mols", collection)
-        assert db.collection_index_for("mols") is not stale
+        fresh = db.collection_index_for("mols")
+        assert [position for position, (before, after)
+                in enumerate(zip(stale, fresh)) if before is not after] == [
+                    3, 17]
+        assert all(paths[("X", "X")] == 1 for paths in (fresh[3], fresh[17]))
         after = answers(db.select("mols", self.XX_BOND, exhaustive=False))
         assert [name for name, _ in after] == ["mol17", "mol3"]
         assert after == served(db, "mols", self.XX_BOND,
@@ -138,7 +154,6 @@ class TestOneSelectionOperator:
         path: partial collection, non-COMPLETE outcome."""
         db = GraphDatabase()
         db.register("mols", molecule_collection(num_molecules=80, seed=2))
-        assert db.collection_index_for("mols") is not None
         pattern = ring_with_side_chain_pattern("C")
         everything = db.select("mols", pattern)
         context = ExecutionContext(max_steps=5)

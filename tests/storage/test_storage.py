@@ -84,12 +84,10 @@ class TestGraphDatabase:
             fresh = GraphCollection([
                 erdos_renyi_graph(SMALL_MEMBER_NODES, 30, num_labels=3,
                                   seed=100 * seed + member)
-                for member in range(GraphDatabase.COLLECTION_INDEX_THRESHOLD)])
+                for member in range(32)])
             database.register("mols", fresh)
             database.match("mols", 'graph P { node a <label="L000">; }')
-            assert database.collection_index_for("mols") is not None
             assert len(database._matchers) == len(fresh)
-            assert len(database._collection_indexes) == 1
         # re-registering the same (mutated-in-place) collection keeps
         # its matchers: they refresh themselves by Graph.version
         kept = dict(database._matchers)
