@@ -3,9 +3,13 @@
 The :class:`ClusterCoordinator` is a *client-side* fan-out: it owns no
 graphs, only a :class:`~repro.cluster.shardmap.ShardMap` and one wire
 endpoint per shard.  A query is submitted to every shard that owns part
-of the document: each slice's leg is a future that returns that slice's
-:class:`ShardAnswer`, rows included, and the coordinator merges exactly
-one answer per slice under one global limit and one global deadline.
+of the document: each slice's leg runs on a thread of its own and
+returns that slice's :class:`ShardAnswer`, rows included, and the
+coordinator merges exactly one answer per slice under one global limit
+and one global deadline.  A replica attempt is one ``client.query`` call
+whose budget, connect included, is its share of that deadline and its
+only one, so every leg ends by the deadline and the fan-out waits for
+all of them.
 
 Failure handling reuses the service's resilience vocabulary:
 
@@ -43,7 +47,8 @@ import logging
 import threading
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -58,12 +63,6 @@ from ..service.resilience import BreakerRegistry
 from .shardmap import ShardMap, slice_document
 
 logger = logging.getLogger(__name__)
-
-#: seconds the fan-out waits past the global deadline: attempt deadlines
-#: never pass it, but a leg waits 0.05 s past an attempt's deadline for
-#: its reply, and a leg whose reply arrived just in time must still tag
-#: its blocks
-_DEADLINE_GRACE = 0.25
 
 #: consecutive failed attempts that open a replica's breaker, and the
 #: seconds it stays open before one probe may re-test the replica
@@ -180,7 +179,11 @@ class ClusterCoordinator:
     endpoint.  *client_factory* is the seam tests use to substitute
     in-process fakes for TCP clients; it is called like
     :class:`~repro.service.client.ServiceClient` (the default) and must
-    return an object with its context manager + ``query`` surface.
+    return an object with its ``query`` + ``close`` surface whose
+    ``query`` ends within the *timeout* it was built with, connect and
+    the whole reply included, as ``ServiceClient``'s does (a deadline
+    for the call, not a socket timeout per read): nothing else ends an
+    attempt.
 
     Each replica attempt gets an even share of the remaining deadline
     across the replicas not yet tried, so the last replica of a
@@ -289,26 +292,17 @@ class ClusterCoordinator:
         targets = list(self.shard_map.shards if shard_ids is None
                        else shard_ids)
         self._count("fanouts")
-        started = time.monotonic()
-        deadline = started + budget
+        deadline = time.monotonic() + budget
         with span("cluster.query", document=document,
                   shards=len(targets)) as root:
             request = _Request(query_text, document, dict(
                 limit=limit, max_steps=max_steps, baseline=baseline,
                 no_cache=not use_cache), deadline, root)
-            pool = ThreadPoolExecutor(max_workers=max(1, len(targets)),
-                                      thread_name_prefix="fanout")
-            legs = [pool.submit(self._query_shard, shard, request)
-                    for shard in targets]
-            wait(legs, timeout=max(0.0, deadline - time.monotonic())
-                 + _DEADLINE_GRACE)
-            pool.shutdown(wait=False)
-        # a leg still running is abandoned: its exchanges end by their
-        # own budgets, and nothing reads its answer
-        answers = [leg.result() if leg.done() else ShardAnswer(
-            shard=shard, ok=False, elapsed=time.monotonic() - started,
-            error="no answer inside the cluster deadline")
-            for shard, leg in zip(targets, legs)]
+            # no attempt deadline passes this one, so neither does a leg
+            with ThreadPoolExecutor(max_workers=max(1, len(targets)),
+                                    thread_name_prefix="fanout") as pool:
+                answers = list(pool.map(self._query_shard, targets,
+                                        [request] * len(targets)))
         return self._merge(answers, limit)
 
     def _query_shard(self, shard: str, request: _Request) -> ShardAnswer:
@@ -418,38 +412,27 @@ class ClusterCoordinator:
                          request: _Request, document: str, child: Any,
                          attempt_deadline: float
                          ) -> Tuple[Optional[Any], Optional[str]]:
-        """One replica's exchange, over one connection.
+        """One replica's exchange, over one connection, on the leg's
+        thread.
 
         Returns ``(reply, None)`` on any decoded reply and ``(None,
-        error)`` on connect failure / attempt timeout.  The exchange
-        runs on its own thread and the leg waits for it no longer than
-        the attempt deadline, so a replica that stalls past its share
-        fails over even if its socket never times out.
+        error)`` on connect failure / attempt timeout.  The client's
+        budget is the attempt's, connect included, so the exchange ends
+        by the attempt deadline: a replica that stalls past its share
+        fails over.
         """
+        budget = attempt_deadline - time.monotonic()
+        if budget <= 0:
+            return None, "attempt budget exhausted"
         host, port = endpoint
-
-        def exchange() -> Any:
-            budget = attempt_deadline - time.monotonic()
-            if budget <= 0:
-                raise TimeoutError("attempt budget exhausted")
-            with tracer().activate(child), self.client_factory(
+        try:
+            with tracer().activate(child), closing(self.client_factory(
                     host, port, timeout=budget,
-                    client_name=f"coordinator/{replica}") as client:
+                    client_name=f"coordinator/{replica}")) as client:
                 return client.query(
                     request.text, document=document,
                     request_id=f"fanout-{uuid.uuid4().hex}",
-                    timeout=budget, **request.options)
-
-        runner = ThreadPoolExecutor(max_workers=1,
-                                    thread_name_prefix=f"fanout-{replica}")
-        future = runner.submit(exchange)
-        runner.shutdown(wait=False)
-        done, _ = wait([future], timeout=max(
-            0.0, attempt_deadline - time.monotonic()) + 0.05)
-        if not done:
-            return None, "no answer inside the attempt deadline"
-        try:
-            return future.result(), None
+                    timeout=budget, **request.options), None
         except Exception as exc:
             return None, str(exc) or type(exc).__name__
 

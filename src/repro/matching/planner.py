@@ -352,11 +352,20 @@ class GraphMatcher:
         search had produced.
         """
         opts = options or MatchOptions()
+        return self._match(pattern, opts, opts.limit, context)
+
+    def _match(self, pattern: GroundPattern, opts: MatchOptions,
+               limit: Optional[int],
+               context: Optional[ExecutionContext]) -> MatchReport:
+        """:meth:`match` looking for at most *limit* answers: the search's
+        one cap, ``opts.limit`` is not read.  :meth:`match` passes
+        ``opts.limit``; :func:`match_members`, its only other caller,
+        passes the count still missing, on options without a limit."""
         report = MatchReport()
         with trace_span("match.query", graph=self.graph.name or "<anon>") as sp:
             try:
                 self._plan(report, pattern, opts, context)
-                self._search(pattern, opts, report, context)
+                self._search(pattern, opts, limit, report, context)
             except ExecutionInterrupted as exc:
                 if context is None:
                     raise
@@ -517,6 +526,7 @@ class GraphMatcher:
         self,
         pattern: GroundPattern,
         opts: MatchOptions,
+        limit: Optional[int],
         report: MatchReport,
         context: Optional[ExecutionContext],
     ) -> None:
@@ -531,7 +541,7 @@ class GraphMatcher:
                     candidates=report.space,
                     order=report.order,
                     exhaustive=opts.exhaustive,
-                    limit=opts.limit,
+                    limit=limit,
                     counters=counters,
                     context=context,
                 )
@@ -554,7 +564,8 @@ class MemberRun(NamedTuple):
 
     position: int            # of the member in its collection
     matcher: GraphMatcher    # ``matcher.graph`` is the member
-    options: MatchOptions    # the options that really ran (the policy's)
+    options: MatchOptions    # the policy's, no limit: the search's cap is
+                             # the query's answers still missing
     ground: GroundPattern
     report: AccessPlan       # a MatchReport unless planned only
 
@@ -569,14 +580,14 @@ class _Recorded(NamedTuple):
 
 
 def _memoise(matcher: GraphMatcher, ground: GroundPattern,
-             options: MatchOptions, report: MatchReport,
+             exhaustive: bool, limit: Optional[int], report: MatchReport,
              version: int) -> None:
     """Keep a small member's run for replay when it ran to its natural
-    end on graph *version*: COMPLETE, and not stopped by ``limit``."""
+    end on graph *version*: COMPLETE, and not stopped by *limit*."""
     found = len(report.mappings)
     if (report.outcome.status is not Outcome.COMPLETE
             or matcher.graph.version != version
-            or (options.limit is not None and found >= options.limit)):
+            or (limit is not None and found >= limit)):
         return
     # the search ticks once per candidate tried, and a small member's
     # plan runs no Algorithm 4.2, the only other ticking stage
@@ -584,30 +595,30 @@ def _memoise(matcher: GraphMatcher, ground: GroundPattern,
     memory = sum(len(block.rows)
                  * mapping_cost(len(block.nodes) + len(block.edges))
                  for block in report.mappings.blocks)
-    matcher.memo.setdefault(ground, {})[options.exhaustive] = _Recorded(
+    matcher.memo.setdefault(ground, {})[exhaustive] = _Recorded(
         version, report.copy(), steps, memory)
 
 
 def _replay(matcher: GraphMatcher, ground: GroundPattern,
-            options: MatchOptions,
+            exhaustive: bool, limit: Optional[int],
             context: Optional[ExecutionContext]) -> Optional[MatchReport]:
     """The memoised run of this graph version, replayed as if it ran
     again; ``None`` when the member must run for real.
 
     A replay charges *context* (checked by the member loop just before)
     the recorded steps, results and memory, so budgets and outcomes add
-    up as for the real run.  It is refused when ``options.limit`` or a
+    up as for the real run.  It is refused when *limit* or a
     budget would have stopped that run part-way: the real run then
     truncates exactly as it would without the memo.  The replayed
     report's ``times`` hold the replay's own wall time (stage
     ``replay``), not the recorded run's stages.
     """
     started = time.perf_counter()
-    recorded = (matcher.memo.get(ground) or {}).get(options.exhaustive)
+    recorded = (matcher.memo.get(ground) or {}).get(exhaustive)
     if recorded is None or recorded.version != matcher.graph.version:
         return None
     found = len(recorded.report.mappings)
-    if options.limit is not None and found >= options.limit:
+    if limit is not None and found >= limit:
         return None
     if context is not None:
         if ((context.max_steps is not None
@@ -695,10 +706,11 @@ def match_members(
     count_paths = matchers is not None
     matchers = {} if matchers is None else matchers
     requested = options or MatchOptions()
-    #: small? -> that policy's options, kept at the current ``remaining``
+    #: small? -> that policy's options; they carry no limit, since a
+    #: search's one cap is ``remaining``, the answers still missing
     policy = {True: replace(requested, local="none", refine=False,
-                            optimize_order=False),
-              False: requested}
+                            optimize_order=False, limit=None),
+              False: replace(requested, limit=None)}
     #: big members are never filtered: no feature needs
     unfiltered: _Derivations = [(ground, None) for ground in grounds]
     #: directed? -> (ground, what a graph containing it needs) per
@@ -742,18 +754,16 @@ def match_members(
             if not search:
                 report: AccessPlan = matcher.plan(ground, member_options)
             else:
-                if remaining != member_options.limit:
-                    member_options = policy[small] = replace(
-                        member_options, limit=remaining)
-                report = (_replay(matcher, ground, member_options, context)
-                          if small else None)
+                exhaustive = member_options.exhaustive
+                report = (_replay(matcher, ground, exhaustive, remaining,
+                                  context) if small else None)
                 if report is None:
                     version = graph.version
-                    report = matcher.match(ground, member_options,
-                                           context=context)
+                    report = matcher._match(ground, member_options,
+                                            remaining, context)
                     if small:
-                        _memoise(matcher, ground, member_options, report,
-                                 version)
+                        _memoise(matcher, ground, exhaustive, remaining,
+                                 report, version)
                 found = len(report.mappings)
                 if remaining is not None:
                     remaining -= found

@@ -25,6 +25,9 @@ from .protocol import (MAX_LINE_BYTES, AnswerRows, ProtocolError, decode,
 
 T = TypeVar("T")
 
+#: bytes asked of one ``recv`` while reading a reply line
+_RECV_BYTES = 65536
+
 
 @dataclass
 class ClientReply:
@@ -57,10 +60,13 @@ class ClientReply:
 class ServiceClient:
     """Blocking client for one server connection.
 
-    *timeout* is the overall per-call budget (socket reads and every
-    retry attempt are carved from it); *connect_timeout* bounds TCP
-    connection establishment alone and defaults to *timeout* — it is
-    the one knob every connect honours, including retry reconnects.
+    *timeout* is the overall per-call budget and a true deadline: the
+    connect, the send, every read of the reply and every retry attempt
+    are carved from it, so a reply that stalls part-way or trickles in
+    still ends the call when the budget does.  *connect_timeout* bounds
+    TCP connection establishment alone and defaults to *timeout* — it is
+    the one knob every connect honours, including retry reconnects (a
+    connect inside a call also stops at the call's deadline).
 
     Retries are off by default (``retries=0``), preserving strict
     one-shot semantics.  With ``retries=N`` the client retries every
@@ -92,7 +98,8 @@ class ServiceClient:
         self.backoff_max = backoff_max
         self._rng = random.Random(retry_seed)
         self._sock: Optional[socket.socket] = None
-        self._reader = None
+        #: received bytes not yet returned as a line
+        self._buffer = bytearray()
         self._ids = itertools.count(1)
         self._ever_connected = False
         #: observability: attempts beyond the first, and reconnects
@@ -103,11 +110,19 @@ class ServiceClient:
 
     def connect(self) -> "ServiceClient":
         """Open the TCP connection (idempotent)."""
+        return self._connect(None)
+
+    def _connect(self, timeout: Optional[float]) -> "ServiceClient":
+        """:meth:`connect`, within *timeout* when it is shorter than
+        ``connect_timeout`` (a call's remaining budget)."""
         if self._sock is None:
+            if timeout is None or (self.connect_timeout is not None
+                                   and self.connect_timeout < timeout):
+                timeout = self.connect_timeout
             self._sock = socket.create_connection(
-                (self.host, self.port), timeout=self.connect_timeout)
+                (self.host, self.port), timeout=timeout)
             self._sock.settimeout(self.timeout)
-            self._reader = self._sock.makefile("rb")
+            self._buffer.clear()
             if self._ever_connected:
                 self.reconnects += 1
             self._ever_connected = True
@@ -115,12 +130,7 @@ class ServiceClient:
 
     def close(self) -> None:
         """Close the connection (idempotent)."""
-        if self._reader is not None:
-            try:
-                self._reader.close()
-            except OSError:
-                pass
-            self._reader = None
+        self._buffer.clear()
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -183,17 +193,13 @@ class ServiceClient:
     def _call_once(self, message: Dict[str, Any],
                    deadline: Optional[float]) -> Dict[str, Any]:
         """One send/receive exchange under the remaining budget."""
-        self.connect()
-        assert self._sock is not None and self._reader is not None
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise socket.timeout("call budget exhausted")
-            # per-attempt deadline: whatever is left of the overall
-            # budget, so N retries never exceed one configured timeout
-            self._sock.settimeout(remaining)
+        # per-attempt deadline: whatever is left of the overall budget,
+        # so N retries never exceed one configured timeout
+        self._connect(_remaining(deadline))
+        assert self._sock is not None
+        self._sock.settimeout(_remaining(deadline))
         self._sock.sendall(encode(message))
-        line = self._reader.readline(MAX_LINE_BYTES + 1)
+        line = self._read_line(deadline)
         if not line:
             raise ConnectionError("server closed the connection")
         reply = decode(line)
@@ -205,6 +211,32 @@ class ServiceClient:
                 f"response id {reply_id!r} does not match "
                 f"request id {message['id']!r}")
         return reply
+
+    def _read_line(self, deadline: Optional[float]) -> bytes:
+        """The next reply line, newline included; ``b""`` at end of
+        stream.  A socket timeout bounds each ``recv``, not the line, so
+        it is re-armed with what is left of *deadline* before every
+        ``recv``.  A line past the protocol's size limit is returned as
+        far as it was read, for :func:`decode` to refuse."""
+        assert self._sock is not None
+        buffer = self._buffer
+        scanned = 0
+        while True:
+            end = buffer.find(b"\n", scanned)
+            if end >= 0:
+                line = bytes(buffer[:end + 1])
+                del buffer[:end + 1]
+                return line
+            if len(buffer) > MAX_LINE_BYTES:
+                return bytes(buffer)
+            scanned = len(buffer)
+            self._sock.settimeout(_remaining(deadline))
+            chunk = self._sock.recv(_RECV_BYTES)
+            if not chunk:
+                line = bytes(buffer)
+                buffer.clear()
+                return line
+            buffer += chunk
 
     def _backoff(self, attempt: int, deadline: Optional[float]) -> None:
         """Sleep with full jitter, capped by the remaining budget."""
@@ -320,6 +352,17 @@ class ServiceClient:
         if not reply.get("ok"):
             raise ProtocolError(reply.get("error", "ready failed"))
         return bool(reply.get("ready")), str(reply.get("reason", ""))
+
+
+def _remaining(deadline: Optional[float]) -> Optional[float]:
+    """Seconds left before *deadline* (``None``: no deadline); raises
+    ``socket.timeout`` once it has passed."""
+    if deadline is None:
+        return None
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise socket.timeout("call budget exhausted")
+    return remaining
 
 
 def _client_reply(reply: Dict[str, Any]) -> ClientReply:

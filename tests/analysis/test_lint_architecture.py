@@ -64,6 +64,16 @@ class TestDetection:
             assert codes(src) == ["A007"], src
             assert codes(src, in_matching=True) == ["A007"], src
 
+    def test_deadline_grace_is_a007_wherever_it_appears(self):
+        for src in ("_DEADLINE_GRACE = 0.25",
+                    "wait(legs, timeout=remaining + _DEADLINE_GRACE)",
+                    "grace = coordinator._DEADLINE_GRACE",
+                    "def fan_out(_DEADLINE_GRACE=0.25): pass"):
+            assert codes(src) == ["A007"], src
+        message = lint.check_source("_DEADLINE_GRACE = 0.25")[0][2]
+        assert message == lint.check_source("WATCHDOG_MULTIPLE = 4.0")[0][2]
+        assert "the attempt's client budget" in message
+
     def test_default_max_results_is_not_a005(self):
         assert codes("""
             ServiceConfig(default_max_results=10)

@@ -39,10 +39,7 @@ class InProcessClient:
             raise ConnectionRefusedError("shard is down")
         self.service = service
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
+    def close(self):
         return None
 
     def query(self, text, document="data", request_id=None, timeout=None,

@@ -7,6 +7,7 @@ deterministically — no sockets, no subprocesses, no sleeps beyond the
 scripted shard delays.
 """
 
+import socket
 import threading
 import time
 
@@ -40,16 +41,17 @@ class ScriptedShard:
 
 
 class ScriptedClient:
-    def __init__(self, shard: ScriptedShard):
+    """Honours its *timeout* as ``ServiceClient`` does: a scripted delay
+    past it sleeps the timeout out, then raises ``socket.timeout``."""
+
+    def __init__(self, shard: ScriptedShard, timeout=None):
         self.shard = shard
+        self.timeout = timeout
         with shard._lock:
             shard.connections += 1
             self.connection = shard.connections
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
+    def close(self):
         return None
 
     def cancel(self, target, reason=""):
@@ -66,6 +68,9 @@ class ScriptedClient:
         delay = shard.delay
         if callable(delay):
             delay = delay(query_connection)
+        if self.timeout is not None and delay > self.timeout:
+            time.sleep(self.timeout)
+            raise socket.timeout("timed out")
         if delay:
             time.sleep(delay)
         if shard.error is not None:
@@ -99,7 +104,7 @@ def build(shards, replication=1, **kwargs):
     endpoints = {sid: ("scripted", i) for i, sid in enumerate(table)}
 
     def factory(host, port, timeout=None, client_name=""):
-        return ScriptedClient(table[f"shard{port}"])
+        return ScriptedClient(table[f"shard{port}"], timeout)
 
     coordinator = ClusterCoordinator(
         ShardMap(list(table), replication_factor=replication), endpoints,

@@ -129,7 +129,7 @@ class TestWireProtocol:
         with connect(server) as client:
             client.connect()
             client._sock.sendall(b"this is not json\n")
-            reply_line = client._reader.readline()
+            reply_line = client._read_line(None)
             assert b'"ok": false' in reply_line or b'"ok":false' in reply_line
             # the connection survives and still serves queries
             assert client.ping()["ok"]
@@ -158,12 +158,12 @@ class TestWireProtocol:
         with connect(server) as client:
             client.connect()
             client._sock.sendall(b"x" * (MAX_LINE_BYTES + 10) + b"\n")
-            reply_line = client._reader.readline()
+            reply_line = client._read_line(None)
             assert (b'"ok": false' in reply_line
                     or b'"ok":false' in reply_line)
             assert b"size limit" in reply_line
             # no second (spurious) response: the server closed the session
-            assert client._reader.readline() == b""
+            assert client._read_line(None) == b""
         # the server itself survives for other connections
         with connect(server) as fresh:
             assert fresh.ping()["ok"]

@@ -35,10 +35,12 @@ its last caller:
         ``"edges"`` outside ``repro/service/protocol.py`` (answers
         travel as blocks of flat id rows; ``AnswerRows`` there is the
         one place a row dict is built, when a caller reads a row)
-  A007  the name ``WATCHDOG_MULTIPLE`` reappears anywhere (a served
-        request's one deadline is the ``ExecutionContext`` built when it
-        is handed to the pool, which every run checks; a second wall
-        over a thread pool cannot stop a thread)
+  A007  the name ``WATCHDOG_MULTIPLE`` or ``_DEADLINE_GRACE`` reappears
+        anywhere (a served request's one deadline is the
+        ``ExecutionContext`` built when it is handed to the pool, which
+        every run checks; a cluster replica attempt's is the client's
+        budget, connect included; a second wall over a thread pool
+        cannot stop a thread)
 
 Run: ``python tools/lint_architecture.py [root]`` (defaults to
 ``src/repro``; A003 reads the importer trees beside ``src/``); exits
@@ -62,15 +64,18 @@ KEPT_UNREACHED = {
 }
 
 
+#: A007's finding: a second deadline over one that already ends the work
+_SECOND_DEADLINE = ("A007", "a second deadline is back (the request's "
+                            "ExecutionContext / the attempt's client budget "
+                            "is its one deadline)")
 #: identifiers of retired mechanisms: ``{name: (code, message)}``
 RETIRED_NAMES = {
     "matcher_factory": ("A002", "matcher_factory is back (match_members "
                                 "picks each member's access method)"),
     "max_results": ("A005", "max_results is back (a query's answer cap is "
                             "its limit, which match_members enforces)"),
-    "WATCHDOG_MULTIPLE": ("A007", "a second request deadline is back (the "
-                                  "request's ExecutionContext is its one "
-                                  "deadline)"),
+    "WATCHDOG_MULTIPLE": _SECOND_DEADLINE,
+    "_DEADLINE_GRACE": _SECOND_DEADLINE,
 }
 
 
